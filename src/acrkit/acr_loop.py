@@ -203,6 +203,25 @@ def _restrict_to_tracks(c: CorrespondenceSet, tracks) -> CorrespondenceSet:
     return c.subset(keep)
 
 
+def _solve_scale(
+    c: CorrespondenceSet,
+    intr: Intrinsics,
+    pose: DirectionalPose,
+    cfg: AcrConfig,
+    seed: int,
+):
+    """The scale system of ``c`` under ``pose`` with the configured point
+    limits; ``seed`` fixes the subsample of an oversized set."""
+    return solve_scale_system(
+        c,
+        intr,
+        pose,
+        max_points=cfg.max_scale_points,
+        min_points=cfg.min_scale_points,
+        subsample_seed=seed,
+    )
+
+
 def _pure_translation_chooser(index, candidates, inliers):
     """Candidate prior for the initialization pair.
 
@@ -238,14 +257,7 @@ def _depth_profile_chooser(intr: Intrinsics, depth_map, side: str, cfg: AcrConfi
             if cand.zero_motion:
                 continue
             try:
-                sol = solve_scale_system(
-                    subset,
-                    intr,
-                    cand.pose,
-                    max_points=cfg.max_scale_points,
-                    min_points=cfg.min_scale_points,
-                    subsample_seed=cfg.i2pe.seed,
-                )
+                sol = _solve_scale(subset, intr, cand.pose, cfg, cfg.i2pe.seed)
             except AcrError:
                 continue
             reference = np.array([depth_map[t] for t in sol.track_id.tolist()])
@@ -288,13 +300,12 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
         if est_0i.zero_motion:
             raise EstimationFailureError("init translation produced no parallax")
         s_init = init_scale(t_init, est_0i.pose)
-        sol_init = solve_scale_system(
+        sol_init = _solve_scale(
             _restrict_to_tracks(pair_0i, est_0i.inlier_track_ids),
             intr,
             est_0i.pose,
-            max_points=cfg.max_scale_points,
-            min_points=cfg.min_scale_points,
-            subsample_seed=cfg.i2pe.seed,
+            cfg,
+            cfg.i2pe.seed,
         )
         d_current = depth_map_current(sol_init, s_init)
 
@@ -316,14 +327,7 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
             )
             pair_r0 = _restrict_to_tracks(obs0.correspondences, usable)
             try:
-                sol_r0 = solve_scale_system(
-                    pair_r0,
-                    intr,
-                    est_r0.pose,
-                    max_points=cfg.max_scale_points,
-                    min_points=cfg.min_scale_points,
-                    subsample_seed=cfg.i2pe.seed,
-                )
+                sol_r0 = _solve_scale(pair_r0, intr, est_r0.pose, cfg, cfg.i2pe.seed)
                 d_ref = depth_map_reference(sol_r0, d_current)
             except AmbiguousNullspaceError:
                 # Start pose so close to the reference that the pair carries
@@ -363,13 +367,8 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
                 )
                 pair = _restrict_to_tracks(obs.correspondences, usable)
                 try:
-                    sol = solve_scale_system(
-                        pair,
-                        intr,
-                        estimate.pose,
-                        max_points=cfg.max_scale_points,
-                        min_points=cfg.min_scale_points,
-                        subsample_seed=cfg.i2pe.seed + index,
+                    sol = _solve_scale(
+                        pair, intr, estimate.pose, cfg, cfg.i2pe.seed + index
                     )
                     scale = iteration_scale(sol, d_ref, mode=cfg.scale_mode)
                 except (AmbiguousNullspaceError, CheiralityError):

@@ -156,7 +156,7 @@ BENCH_SCHEMA = {
     "mu_values": "[fraction, ...] noise ratios (default [.01,.1,.3,.5,.8,.9])",
     "trials": "int per grid cell",
     "threshold_px": "RANSAC inlier gate",
-    "max_iters": "RANSAC budget",
+    "max_iters": f"RANSAC budget (default {simulator.BENCH_RANSAC_ITERS})",
     "output": "CSV path",
 }
 
@@ -473,7 +473,7 @@ def cmd_bench_noise(args) -> int:
             intr=intr,
             image_size=image_size,
             threshold_px=float(doc.get("threshold_px", 1.0)),
-            max_iters=int(doc.get("max_iters", 2000)),
+            max_iters=int(doc.get("max_iters", simulator.BENCH_RANSAC_ITERS)),
         )
         out = Path(doc.get("output", args.output))
         with open(out, "w", newline="") as fh:

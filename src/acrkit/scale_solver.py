@@ -11,6 +11,10 @@ whose stationarity conditions stack into a block-sparse homogeneous system
 ``A y = 0`` of shape 3N x (2N+1), with y = (da_1, db_1, ..., da_N, db_N, s).
 Only the ratios between entries of the minimum-norm solution are
 meaningful; the gauge fixed here is ``||y|| = 1`` with ``s > 0``.
+``A^T A`` is block-arrowhead (a 2x2 block per track plus a dense scale row
+and column): :func:`solve_scale_system` gets its two smallest eigenpairs
+in O(N) from a secular equation, and :func:`solve_nullspace` is the dense
+reference.
 
 The chain :func:`init_scale` -> :func:`depth_map_current` ->
 :func:`depth_map_reference` -> :func:`iteration_scale` converts those
@@ -21,13 +25,11 @@ relocalization iteration, starting from one known physical translation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     AmbiguousNullspaceError,
@@ -40,10 +42,6 @@ from .errors import (
 from .geometry import DirectionalPose, Intrinsics, PixelPoint
 from .pose_estimation import CorrespondenceSet
 
-# Below this column count the dense symmetric eigensolver is used; above,
-# the sparse shift-invert path (the system is block-arrowhead).
-DENSE_EIG_LIMIT = 160
-
 # Matching singular values closer than this mean the nullspace dimension
 # exceeds one and the geometry cannot fix the scale.
 AMBIGUITY_GAP = 1e-8
@@ -52,6 +50,13 @@ AMBIGUITY_GAP = 1e-8
 MAX_SYSTEM_POINTS = 512
 
 MIN_SYSTEM_POINTS = 8
+
+# One track's symmetric stationarity block over (da, db, s): indices into
+# and signs of its (alpha, beta, gamma, delta, epsilon, zeta) coefficients.
+_BLOCK = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -67,13 +72,7 @@ class CoefficientBlock:
 
     def matrix(self) -> np.ndarray:
         """Symmetric 3x3 stationarity block over (da, db, s)."""
-        return np.array(
-            [
-                [self.alpha, -self.beta, self.gamma],
-                [-self.beta, self.delta, -self.epsilon],
-                [self.gamma, -self.epsilon, self.zeta],
-            ]
-        )
+        return np.array(astuple(self))[_BLOCK] * _SIGN
 
     def energy(self, da: float, db: float, s: float) -> float:
         """Value of the warping quadratic F at (da, db, s)."""
@@ -135,9 +134,7 @@ def _block_array(blocks) -> np.ndarray:
         if arr.ndim != 2 or arr.shape[1] != 6:
             raise InvalidInputError("coefficient array must be (N, 6)")
         return arr
-    return np.array(
-        [[b.alpha, b.beta, b.gamma, b.delta, b.epsilon, b.zeta] for b in blocks]
-    )
+    return np.array([astuple(b) for b in blocks], dtype=float)
 
 
 def assemble_system(blocks) -> np.ndarray:
@@ -150,38 +147,13 @@ def assemble_system(blocks) -> np.ndarray:
     n = arr.shape[0]
     if n < 1:
         raise InsufficientDataError("need at least one coefficient block")
-    a = np.zeros((3 * n, 2 * n + 1))
+    m = arr[:, _BLOCK] * _SIGN
+    a = np.zeros((n, 3, 2 * n + 1))
     rows = np.arange(n)
-    alpha, beta, gamma, delta, epsilon, zeta = arr.T
-    a[3 * rows, 2 * rows] = alpha
-    a[3 * rows, 2 * rows + 1] = -beta
-    a[3 * rows, 2 * n] = gamma
-    a[3 * rows + 1, 2 * rows] = -beta
-    a[3 * rows + 1, 2 * rows + 1] = delta
-    a[3 * rows + 1, 2 * n] = -epsilon
-    a[3 * rows + 2, 2 * rows] = gamma
-    a[3 * rows + 2, 2 * rows + 1] = -epsilon
-    a[3 * rows + 2, 2 * n] = zeta
-    return a
-
-
-def _assemble_sparse(arr: np.ndarray) -> scipy.sparse.csr_matrix:
-    n = arr.shape[0]
-    alpha, beta, gamma, delta, epsilon, zeta = arr.T
-    rows = np.repeat(3 * np.arange(n), 3) + np.tile([0, 1, 2], n)
-    row_idx = np.concatenate([rows, rows, rows])
-    i = np.arange(n)
-    col_da = np.repeat(2 * i, 3)
-    col_db = np.repeat(2 * i + 1, 3)
-    col_s = np.full(3 * n, 2 * n)
-    col_idx = np.concatenate([col_da, col_db, col_s])
-    val_da = np.column_stack([alpha, -beta, gamma]).ravel()
-    val_db = np.column_stack([-beta, delta, -epsilon]).ravel()
-    val_s = np.column_stack([gamma, -epsilon, zeta]).ravel()
-    values = np.concatenate([val_da, val_db, val_s])
-    return scipy.sparse.csr_matrix(
-        (values, (row_idx, col_idx)), shape=(3 * n, 2 * n + 1)
-    )
+    a[rows, :, 2 * rows] = m[:, :, 0]
+    a[rows, :, 2 * rows + 1] = m[:, :, 1]
+    a[:, :, 2 * n] = m[:, :, 2]
+    return a.reshape(3 * n, 2 * n + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,65 +199,17 @@ class ScaleSolution:
         return self.y[1:-1:2]
 
 
-def _two_smallest_eigenpairs(g):
-    """Two smallest eigenpairs of the (sparse or dense) normal matrix."""
-    size = g.shape[0]
-    if size <= DENSE_EIG_LIMIT or not scipy.sparse.issparse(g):
-        gd = g.toarray() if scipy.sparse.issparse(g) else np.asarray(g)
-        w, v = scipy.linalg.eigh(gd, subset_by_index=[0, min(1, size - 1)])
-        return w, v
-    # Shift-invert around a slightly negative sigma: G is positive
-    # semidefinite, so G - sigma I stays factorizable even when the
-    # smallest eigenvalue is exactly zero.  The start vector is fixed for
-    # reproducibility.
-    scale = float(abs(g.diagonal()).max()) or 1.0
-    v0 = np.full(size, 1.0 / np.sqrt(size))
-    try:
-        w, v = scipy.sparse.linalg.eigsh(
-            g.tocsc(), k=2, sigma=-1e-12 * scale, which="LM", v0=v0
-        )
-    except Exception:
-        w, v = scipy.linalg.eigh(g.toarray(), subset_by_index=[0, 1])
-        return w, v
-    order = np.argsort(w)
-    return w[order], v[:, order]
+def _checked_solution(w, y, track_id) -> ScaleSolution:
+    """Gap test, sign gauge and cheirality check shared by both solvers.
 
-
-def solve_nullspace(a, track_id=None) -> ScaleSolution:
-    """Minimum non-zero solution of the assembled system.
-
-    Computes the right singular vector of the smallest singular value (via
-    the normal matrix, using a sparse shift-invert eigensolver for large
-    systems), sign-normalized so the scale entry is positive.
-
-    Raises:
-        AmbiguousNullspaceError: the two smallest singular values coincide
-            within 1e-8 (degenerate geometry such as pure rotation).
-        CheiralityError: any recovered depth ratio is non-positive after
-            sign normalization.
+    ``w`` holds the two smallest eigenvalues of ``A^T A`` in ascending
+    order and ``y`` an eigenvector of the smallest.
     """
-    if scipy.sparse.issparse(a):
-        g = (a.T @ a).tocsc()
-        n_cols = a.shape[1]
-    else:
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2:
-            raise InvalidInputError("system matrix must be 2-D")
-        n_cols = a.shape[1]
-        if n_cols > DENSE_EIG_LIMIT:
-            g = scipy.sparse.csc_matrix(a.T @ a)
-        else:
-            g = a.T @ a
-    if n_cols < 3 or (n_cols - 1) % 2 != 0:
-        raise InvalidInputError("system must have 2N+1 columns")
-
-    w, v = _two_smallest_eigenpairs(g)
     svals = np.sqrt(np.clip(w, 0.0, None))
     if len(svals) > 1 and svals[1] - svals[0] < AMBIGUITY_GAP:
         raise AmbiguousNullspaceError(
             f"nullspace is not one-dimensional (sigma gap {svals[1] - svals[0]:.3e})"
         )
-    y = v[:, 0]
     y = y / np.linalg.norm(y)
     if y[-1] < 0:
         y = -y
@@ -293,6 +217,80 @@ def solve_nullspace(a, track_id=None) -> ScaleSolution:
     if np.any(solution.d_a <= 0) or np.any(solution.d_b <= 0) or solution.s <= 0:
         raise CheiralityError("non-positive depth ratio in scale solution")
     return solution
+
+
+def solve_nullspace(a, track_id=None) -> ScaleSolution:
+    """Minimum non-zero solution of the assembled system.
+
+    Computes the right singular vector of the smallest singular value (via
+    a dense eigensolver on the normal matrix), sign-normalized so the scale
+    entry is positive: the reference for :func:`solve_scale_system`.
+
+    Raises:
+        AmbiguousNullspaceError: the two smallest singular values coincide
+            within 1e-8 (degenerate geometry such as pure rotation).
+        CheiralityError: any recovered depth ratio is non-positive after
+            sign normalization.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[1] < 3 or (a.shape[1] - 1) % 2 != 0:
+        raise InvalidInputError("system matrix must be 2-D with 2N+1 columns")
+    w, v = scipy.linalg.eigh(a.T @ a, subset_by_index=[0, 1])
+    return _checked_solution(w, v[:, 0], track_id)
+
+
+def _secular_root(rho, mu, q2, lo, hi, lam) -> float:
+    """Root of ``rho - lam (1 + sum q2 / (mu - lam))``, decreasing on the
+    pole-free bracket (lo, hi), by Newton from ``lam``; a step that leaves
+    the shrinking bracket bisects it instead, so no pole is evaluated."""
+    for _ in range(100):  # relocalization systems take 2-23 steps
+        r = 1.0 / (mu - lam)
+        f = rho - lam * (1.0 + q2 @ r)
+        lo, hi = (lam, hi) if f > 0 else (lo, lam)
+        step = f / (1.0 + q2 @ r + lam * (q2 @ (r * r)))
+        new = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
+        if abs(step) <= 2 * _EPS * lam or not lo < new < hi:
+            break
+        lam = new
+    return lam
+
+
+def _arrowhead_eigen(arr: np.ndarray):
+    """Two smallest eigenvalues of ``A^T A`` and an eigenvector of the smallest.
+
+    Track i gives ``A`` the rows ``[B_i | c_i]`` (da/db columns, s column).
+    With ``B_i = V_i S_i U_i^T``, the arrowhead's poles are ``mu = S_i^2``
+    and its weights ``g = S_i q``, ``q = V_i^T c_i``; at s = 1 the track
+    unknowns are ``x = -g / (mu - lam)`` in the ``U_i`` basis, which leaves
+    ``rho = lam (1 + sum q^2 / (mu - lam))``.  ``rho``, the part of the
+    ``c_i`` off ``span(B_i)`` and along zero-weight poles, keeps this free
+    of the cancellation in ``zeta - sum g^2 / (mu - lam)``.  Its root below
+    the first pole is the smallest eigenvalue; the second lies between the
+    first two poles (Golub 1973; O'Leary & Stewart 1990).  Repeated and
+    zero-weight poles are eigenvalues themselves, the latter with s = 0.
+    """
+    m = arr[:, _BLOCK] * _SIGN
+    v, sv, uh = np.linalg.svd(m[:, :, :2])
+    q = np.einsum("nji,nj->ni", v, m[:, :, 2])
+    mu, g, q2 = (sv * sv).ravel(), (sv * q[:, :2]).ravel(), (q[:, :2] ** 2).ravel()
+    live = (mu > 0) & (q2 > _EPS**2 * np.repeat((q * q).sum(axis=1), 2))
+    rho = float((q[:, 2] ** 2).sum() + q2[~live].sum())
+    bound = 2.0 * float(mu.sum() + (q * q).sum())  # above every eigenvalue
+    p1, p2 = np.partition(np.where(live, mu, bound), 1)[:2]
+    mu_l, q2_l = mu[live], q2[live]
+    lam1 = _secular_root(rho, mu_l, q2_l, 0.0, p1, 0.0)
+    lam2 = p1  # a repeated first pole
+    if p2 - p1 > 4 * _EPS * p2:
+        lam2 = _secular_root(rho, mu_l, q2_l, p1, p2, 0.5 * (p1 + p2))
+    dead = np.where(live, np.inf, mu)
+    x = np.zeros(mu.size)
+    s = float(dead.min() >= lam1)  # 0 when a zero-weight pole is the minimiser
+    if s:
+        x[live] = -g[live] / (mu_l - lam1)
+    else:
+        x[np.argmin(dead)] = 1.0
+    y = np.einsum("nji,nj->ni", uh, x.reshape(-1, 2)).ravel()
+    return np.partition(np.append(dead, [lam1, lam2]), 1)[:2], np.append(y, s)
 
 
 def solve_scale_system(
@@ -307,7 +305,8 @@ def solve_scale_system(
 
     Sets larger than ``max_points`` are subsampled deterministically to
     keep the solve cheap; smaller than ``min_points`` is rejected for
-    noise resilience.
+    noise resilience.  The solve is exact and O(N), through the secular
+    equation of the block-arrowhead ``A^T A``.
     """
     if len(c) < min_points:
         raise InsufficientDataError(
@@ -318,8 +317,8 @@ def solve_scale_system(
         rng = np.random.default_rng(subsample_seed)
         idx = np.sort(rng.choice(len(c), size=max_points, replace=False))
         use = c.subset(idx)
-    arr = _coefficient_arrays(use.a, use.b, intr, pose)
-    return solve_nullspace(_assemble_sparse(arr), track_id=use.track_id)
+    w, y = _arrowhead_eigen(_coefficient_arrays(use.a, use.b, intr, pose))
+    return _checked_solution(w, y, use.track_id)
 
 
 @dataclass(frozen=True)

@@ -379,15 +379,12 @@ def render_plane_mask(
         sub_l[visible] = index + 1
         sub_z[visible] = depth[visible]
 
-    # Recompact ids that survived rendering.
-    present = sorted(set(np.unique(labels)) - {0})
-    remap = {old: new + 1 for new, old in enumerate(present)}
-    if remap:
-        out = np.zeros_like(labels)
-        for old, new in remap.items():
-            out[labels == old] = new
-        labels = out
-    return PlaneSegmentMap(labels)
+    # Recompact ids that survived rendering: one count, one table lookup.
+    present = np.bincount(labels.ravel()) > 0
+    present[0] = False
+    lut = np.zeros(present.size, dtype=labels.dtype)
+    lut[present] = np.arange(1, int(present.sum()) + 1)
+    return PlaneSegmentMap(lut[labels])
 
 
 def observe(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ from acrkit.scale_solver import (
     CoefficientBlock,
     ScaleSolution,
     SparseDepthMap,
+    _arrowhead_eigen,
+    _checked_solution,
     assemble_system,
     coefficient_block,
     coefficient_blocks,
@@ -233,6 +237,107 @@ class TestSolveNullspace:
         )
         assert sol.n_points == 128
         assert np.isin(sol.track_id, c.track_id).all()
+
+
+def _svd_oracle(arr):
+    """Two smallest singular values and the last right singular vector (with
+    s >= 0) of the assembled dense system."""
+    _, s, vt = np.linalg.svd(assemble_system(arr), full_matrices=False)
+    v = vt[-1] if vt[-1][-1] >= 0 else -vt[-1]
+    return s[::-1][:2], v
+
+
+def _unit(y, like):
+    y = np.asarray(y) / np.linalg.norm(y)
+    return y if y @ like >= 0 else -y
+
+
+def _noisy_arrays(intr, count, seed):
+    """Coefficients of a noisy two-view set and the pose that produced them."""
+    rotation = Rotation.about_y(3.0)
+    t_dir = np.array([0.8, 0.2, 0.566])
+    t_dir /= np.linalg.norm(t_dir)
+    c, _, _ = _two_view(intr, rotation, t_dir * 0.1, count=count, seed=seed)
+    rng = np.random.default_rng(100 + seed)
+    noisy = CorrespondenceSet(c.a, c.b + rng.normal(0.0, 0.5, size=c.b.shape))
+    pose = DirectionalPose(rotation, t_dir)
+    arr = np.array([astuple(b) for b in coefficient_blocks(noisy, intr, pose)])
+    return noisy, pose, arr
+
+
+class TestArrowheadSolve:
+    """The O(N) secular solve against the dense SVD of the assembled system.
+
+    Both are backward stable; on these systems the two smallest singular
+    values differ by more than 1e-2 of the largest of them, so 1e-9 leaves
+    orders of magnitude of margin over rounding.
+    """
+
+    @pytest.mark.parametrize("n", [8, 100, 512])
+    def test_random_arrays_match_dense_svd(self, n):
+        arr = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 6))
+        w, y = _arrowhead_eigen(arr)
+        s, v = _svd_oracle(arr)
+        np.testing.assert_allclose(np.sqrt(w), s, rtol=1e-9)
+        np.testing.assert_allclose(_unit(y, v), v, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [8, 100, 512])
+    def test_noisy_geometry_matches_dense_solve(self, intr, n):
+        c, pose, arr = _noisy_arrays(intr, n, seed=n)
+        sol = solve_scale_system(c, intr, pose)
+        ref = solve_nullspace(assemble_system(arr), track_id=c.track_id)
+        np.testing.assert_allclose(sol.y, ref.y, atol=1e-9)
+        np.testing.assert_array_equal(sol.track_id, ref.track_id)
+
+    def test_duplicated_tracks_repeat_every_pole(self, intr):
+        # Each track twice: every pole is repeated, so the second eigenvalue
+        # is the first pole itself, not a secular root.
+        _, _, arr = _noisy_arrays(intr, 30, seed=4)
+        arr = np.repeat(arr, 2, axis=0)
+        w, y = _arrowhead_eigen(arr)
+        s, v = _svd_oracle(arr)
+        np.testing.assert_allclose(np.sqrt(w), s, rtol=1e-9)
+        np.testing.assert_allclose(_unit(y, v), v, atol=1e-9)
+        sol = _checked_solution(w, y, None)
+        np.testing.assert_allclose(sol.d_a[0::2], sol.d_a[1::2], rtol=1e-12)
+
+    def test_zero_weight_pole_above_the_root(self, intr):
+        # gamma = epsilon = 0: the track's rays are orthogonal to the
+        # translation, so both its poles carry zero weight and its depths
+        # drop out of the minimiser, which then fails cheirality.
+        _, _, arr = _noisy_arrays(intr, 30, seed=5)
+        arr[7] = [2.0, 0.5, 0.0, 1.5, 0.0, arr[0, 5]]
+        w, y = _arrowhead_eigen(arr)
+        s, v = _svd_oracle(arr)
+        np.testing.assert_allclose(np.sqrt(w), s, rtol=1e-9)
+        np.testing.assert_allclose(_unit(y, v), v, atol=1e-9)
+        assert y[14] == y[15] == 0.0
+        with pytest.raises(CheiralityError):
+            _checked_solution(w, y, None)
+        with pytest.raises(CheiralityError):
+            solve_nullspace(assemble_system(arr))
+
+    def test_zero_weight_pole_below_the_root(self, intr):
+        # A singular zero-weight block puts an eigenvalue 0 under the
+        # secular root: the minimiser has s = 0, reported as cheirality.
+        _, _, arr = _noisy_arrays(intr, 30, seed=6)
+        arr[3] = [1.0, 1.0, 0.0, 1.0, 0.0, arr[0, 5]]
+        w, y = _arrowhead_eigen(arr)
+        s, _ = _svd_oracle(arr)
+        tol = 64 * np.finfo(float).eps * np.linalg.norm(assemble_system(arr))
+        assert np.sqrt(w[0]) < tol and s[0] < tol
+        np.testing.assert_allclose(np.sqrt(w[1]), s[1], rtol=1e-9)
+        assert y[-1] == 0.0
+        with pytest.raises(CheiralityError):
+            _checked_solution(w, y, None)
+        with pytest.raises(CheiralityError):
+            solve_nullspace(assemble_system(arr))
+
+    def test_pure_rotation_is_ambiguous_at_scale(self, intr):
+        rotation = Rotation.about_z(5.0)
+        c, _, _ = _two_view(intr, rotation, [0, 0, 0], count=200)
+        with pytest.raises(AmbiguousNullspaceError):
+            solve_scale_system(c, intr, DirectionalPose(rotation, [0, 0, 1]))
 
 
 class TestGradientIdentity:
