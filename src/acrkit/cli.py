@@ -264,9 +264,8 @@ def cmd_match_planes(args) -> int:
         m_ref = PlaneSegmentMap.load(args.ref_mask)
         m_cur = PlaneSegmentMap.load(args.cur_mask)
         corr = CorrespondenceSet.load(args.correspondences)
-        if args.erosion > 0:
-            m_ref = erode_mask(m_ref, args.erosion)
-            m_cur = erode_mask(m_cur, args.erosion)
+        m_ref = erode_mask(m_ref, args.erosion)
+        m_cur = erode_mask(m_cur, args.erosion)
         pairs = match_plane_maps(m_ref, m_cur, corr)
         doc = {"pairs": [list(p) for p in pairs]}
         if args.output:

@@ -1,0 +1,79 @@
+"""Seeded end-to-end runs of the relocalization loops in the simulator."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from acrkit import cli, simulator
+from acrkit.acr_loop import run_acr, run_bisection_baseline
+from acrkit.geometry import rotation_angle
+
+
+def _scenario(seed: int):
+    """Executor and loop config as ``acrkit simulate-acr --seed <seed>``
+    builds them from the bundled default config: a clean corner scene."""
+    doc = cli.default_acr_config()
+    rng = np.random.default_rng(seed)
+    scene = cli._builtin_scene(doc["scene"]["builtin"], {"seed": seed})
+    rig_doc = doc["rig"]
+    rig = simulator.RigSpec(
+        hand_eye=cli._pose_spec(rig_doc["hand_eye"], rng),
+        intrinsics=cli._intrinsics_from(rig_doc["intrinsics"]),
+        image_size=tuple(rig_doc["image_size"]),
+    )
+    executor = simulator.SimulatedExecutor(
+        simulator.generate_scene(scene),
+        rig,
+        cli._pose_spec(doc["initial_offset"], rng),
+        noise=simulator.NoiseSpec(),
+        lighting=simulator.LightingProxySpec(),
+        seed=seed,
+    )
+    return executor, cli._acr_config_from(doc["acr"])
+
+
+def _run(runner, seed: int = 0):
+    executor, cfg = _scenario(seed)
+    return runner(executor, cfg), executor
+
+
+@pytest.fixture(scope="module")
+def acr_run():
+    return _run(run_acr)
+
+
+def _signature(trace):
+    return [
+        (
+            r.stage,
+            r.scale_m,
+            None if r.command is None else r.command.rotation.matrix.tobytes(),
+            None if r.command is None else np.asarray(r.command.translation).tobytes(),
+        )
+        for r in trace.records
+    ] + [trace.status]
+
+
+class TestRunAcr:
+    def test_converges_within_four_moves(self, acr_run):
+        trace, executor = acr_run
+        assert trace.status == "converged", trace.failure
+        assert executor.motions_executed <= 4
+
+    def test_final_residual_is_tight(self, acr_run):
+        _, executor = acr_run
+        residual = executor.true_residual
+        assert rotation_angle(residual.rotation) < 0.1
+        assert np.linalg.norm(residual.translation) < 2e-3
+
+    def test_rerun_gives_identical_trace(self, acr_run):
+        trace, _ = acr_run
+        again, _ = _run(run_acr)
+        assert _signature(again) == _signature(trace)
+
+
+class TestBisectionBaseline:
+    def test_ends_without_failure(self):
+        trace, _ = _run(run_bisection_baseline)
+        assert trace.status in ("converged", "exhausted"), trace.failure

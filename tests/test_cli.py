@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from acrkit import cli, simulator
+from acrkit.plane_match import PlaneSegmentMap
+from acrkit.pose_estimation import CorrespondenceSet
 from acrkit.simulator import BenchRow
 
 
@@ -51,3 +55,47 @@ class TestBenchNoise:
         )
         assert code == 0
         assert calls[0]["max_iters"] == 50
+
+
+class TestMatchPlanes:
+    @staticmethod
+    def _inputs(tmp_path):
+        # Two 20 px squares side by side in both masks; the correspondences
+        # cross them, so the assignment must pair each with the other.
+        lab = np.zeros((30, 60), dtype=np.int32)
+        lab[5:25, 5:25] = 1
+        lab[5:25, 35:55] = 2
+        for name in ("ref.pgm", "cur.pgm"):
+            PlaneSegmentMap(lab).save(tmp_path / name)
+        a = np.array([[15.0, 15.0]] * 7 + [[45.0, 15.0]] * 9)
+        b = np.array([[45.0, 15.0]] * 7 + [[15.0, 15.0]] * 9)
+        CorrespondenceSet(a, b).save(tmp_path / "corr.json")
+        return [
+            "match-planes",
+            str(tmp_path / "corr.json"),
+            "--ref-mask",
+            str(tmp_path / "ref.pgm"),
+            "--cur-mask",
+            str(tmp_path / "cur.pgm"),
+        ]
+
+    @staticmethod
+    def _last_json(capsys):
+        return json.loads(capsys.readouterr().out.splitlines()[-1])
+
+    def test_pairs_after_default_erosion(self, tmp_path, capsys):
+        code = cli.main(self._inputs(tmp_path))
+        assert code == 0
+        assert sorted(self._last_json(capsys)["pairs"]) == [[1, 2], [2, 1]]
+
+    def test_negative_erosion_is_invalid_input(self, tmp_path, capsys):
+        code = cli.main(self._inputs(tmp_path) + ["--erosion", "-1"])
+        assert code == 2
+        assert self._last_json(capsys)["error"] == "invalid-input"
+
+    def test_missing_mask_is_missing_input(self, tmp_path, capsys):
+        argv = self._inputs(tmp_path)
+        argv[argv.index("--cur-mask") + 1] = str(tmp_path / "absent.pgm")
+        code = cli.main(argv)
+        assert code == 2
+        assert self._last_json(capsys)["error"] == "missing-input"

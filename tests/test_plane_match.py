@@ -7,13 +7,17 @@ import itertools
 import numpy as np
 import pytest
 import scipy.ndimage
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from acrkit import simulator
 from acrkit.errors import (
     BudgetExceededError,
     InvalidInputError,
     MissingPlaneError,
     OrientationError,
 )
+from acrkit.geometry import Intrinsics, Pose
 from acrkit.plane_match import (
     Assignment,
     PlaneGraph,
@@ -37,6 +41,87 @@ def _mask(shape, regions):
     for plane_id, sl in regions.items():
         lab[sl] = plane_id
     return PlaneSegmentMap(lab)
+
+
+def _random_mask(seed: int, max_planes: int = 12, max_side: int = 40) -> PlaneSegmentMap:
+    """Median-filtered random labels, ids recompacted: ragged regions of
+    every size, many touching each other and the image border."""
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(1, max_side + 1, 2)
+    lab = rng.integers(0, rng.integers(1, max_planes + 1) + 1, (h, w))
+    lab = scipy.ndimage.median_filter(lab, size=int(rng.integers(1, 6)))
+    present = np.bincount(lab.ravel())[1:] > 0
+    return PlaneSegmentMap(np.concatenate([[0], np.cumsum(present)])[lab])
+
+
+def _erosion_oracle(m: PlaneSegmentMap, radius) -> np.ndarray:
+    """Per-label scipy binary erosion by the disk, ids recompacted."""
+    disk = disk_structuring_element(radius)
+    expected = np.zeros_like(m.labels)
+    next_id = 0
+    for plane_id in m.plane_ids:
+        ref = scipy.ndimage.binary_erosion(
+            m.labels == plane_id, structure=disk, border_value=0
+        )
+        if ref.any():
+            next_id += 1
+            expected[ref] = next_id
+    return expected
+
+
+def _graph_oracle(m: PlaneSegmentMap) -> np.ndarray:
+    """Brute-force minimum distance over every pixel pair of two regions."""
+    pixels = [np.argwhere(m.labels == pid) for pid in m.plane_ids]
+    d = np.zeros((m.num_planes, m.num_planes))
+    for i, j in itertools.combinations(range(m.num_planes), 2):
+        diff = pixels[i][:, None, :] - pixels[j][None, :, :]
+        dmin = float(np.sqrt((diff * diff).sum(axis=2).min()))
+        d[i, j] = d[j, i] = 0.0 if dmin <= np.sqrt(2.0) + 1e-12 else dmin
+    return d
+
+
+def _small_render(scene: simulator.SceneSpec) -> PlaneSegmentMap:
+    # The desk rig scaled down 8x: the same view at 160 x 120 pixels.
+    world = simulator.generate_scene(scene)
+    intr = Intrinsics(fx=150.0, fy=150.0, cx=80.0, cy=60.0)
+    return simulator.render_plane_mask(world, Pose.identity(), intr, (160, 120))
+
+
+def _twelve_planes() -> PlaneSegmentMap:
+    lab = np.zeros((40, 60), dtype=np.int32)
+    for k in range(12):
+        row, col = divmod(k, 4)
+        lab[row * 13 + 1 : row * 13 + 4 + 2 * col + row, col * 15 : col * 15 + 14] = k + 1
+    return PlaneSegmentMap(lab)
+
+
+# Mask builders, so that collecting the tests renders nothing.
+EROSION_CASES = {
+    # Together the regions touch all four borders.
+    "borders": lambda: _mask(
+        (24, 30),
+        {
+            1: (slice(0, 12), slice(0, 30)),
+            2: (slice(12, 24), slice(0, 15)),
+            3: (slice(12, 24), slice(15, 30)),
+        },
+    ),
+    "whole-image": lambda: PlaneSegmentMap(np.ones((17, 23), dtype=np.int32)),
+    # Plane 1 is a 3 px stripe: it vanishes from r = 2 and plane 2 becomes 1.
+    "thin-stripe": lambda: _mask(
+        (30, 30), {1: (slice(2, 28), slice(2, 5)), 2: (slice(6, 28), slice(8, 28))}
+    ),
+    # A ring with a hole that holds a second plane.
+    "hole": lambda: _mask(
+        (32, 32), {1: (slice(1, 31), slice(1, 31)), 2: (slice(11, 21), slice(11, 21))}
+    ),
+    "one-row": lambda: PlaneSegmentMap(np.array([[0] + [1] * 7 + [2] * 3 + [0] + [3] * 4])),
+    "one-column": lambda: PlaneSegmentMap(np.array([[1] * 9 + [0] + [2] * 6]).T),
+    "twelve-planes": _twelve_planes,
+    "corner-render": lambda: _small_render(simulator.corner_scene(seed=0)),
+    "mural-render": lambda: _small_render(simulator.mural_scene(seed=0)),
+}
+RADII = [0, 1, 2, 2.5, 3, 4, 5, 6, 7]
 
 
 class TestPlaneSegmentMap:
@@ -127,6 +212,25 @@ class TestErodeMask:
                 expected[ref] = next_id
         assert np.array_equal(eroded.labels, expected)
 
+    @pytest.mark.parametrize("radius", RADII)
+    @pytest.mark.parametrize("case", sorted(EROSION_CASES))
+    def test_equals_per_label_oracle(self, case, radius):
+        m = EROSION_CASES[case]()
+        np.testing.assert_array_equal(erode_mask(m, radius).labels, _erosion_oracle(m, radius))
+
+    def test_cases_cover_what_they_name(self):
+        assert EROSION_CASES["twelve-planes"]().num_planes == 12
+        assert EROSION_CASES["corner-render"]().num_planes == 3
+        assert EROSION_CASES["mural-render"]().num_planes >= 2
+        thin = erode_mask(EROSION_CASES["thin-stripe"](), 2)
+        assert thin.num_planes == 1 and thin.labels[15, 15] == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(RADII))
+    def test_random_masks_equal_oracle(self, seed, radius):
+        m = _random_mask(seed)
+        np.testing.assert_array_equal(erode_mask(m, radius).labels, _erosion_oracle(m, radius))
+
     def test_negative_radius_rejected(self):
         m = _mask((10, 10), {1: (slice(2, 8), slice(2, 8))})
         with pytest.raises(InvalidInputError):
@@ -164,6 +268,26 @@ class TestMinRegionDistance:
             if brute <= np.sqrt(2.0) + 1e-12:
                 brute = 0.0
             assert min_region_distance(m, 1, 2) == pytest.approx(brute)
+
+
+class TestPlaneGraphFromMask:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_masks_equal_brute_force(self, seed):
+        m = _random_mask(seed, max_planes=6, max_side=24)
+        g = PlaneGraph.from_mask(m)
+        assert g.plane_ids == tuple(m.plane_ids)
+        np.testing.assert_allclose(g.distances, _graph_oracle(m), rtol=0, atol=1e-12)
+
+    def test_diagonal_contact_reads_zero(self):
+        lab = np.zeros((8, 8), dtype=np.int32)
+        lab[0:3, 0:3] = 1
+        lab[3:6, 3:6] = 2
+        lab[7, 0] = 3
+        g = PlaneGraph.from_mask(PlaneSegmentMap(lab))
+        assert g.distances[0, 1] == 0.0
+        assert g.distances[0, 2] == pytest.approx(5.0)
+        np.testing.assert_allclose(g.distances, _graph_oracle(PlaneSegmentMap(lab)))
 
 
 class TestAffinities:
