@@ -66,6 +66,17 @@ def weights_from_hypotheses(hypotheses) -> FusionWeights:
     return FusionWeights(np.array([hypothesis_weight(h) for h in hypotheses]))
 
 
+def _chordal_mean(hypotheses, weights: np.ndarray) -> Rotation:
+    """Weighted chordal-L2 mean rotation: the largest eigenvector of the
+    weighted quaternion outer-product sum, which is blind to q/-q signs."""
+    acc = np.zeros((4, 4))
+    for h, wi in zip(hypotheses, weights):
+        q = h.pose.rotation.quaternion()
+        acc += wi * np.outer(q, q)
+    _, vecs = np.linalg.eigh(acc)
+    return Rotation.from_quaternion(vecs[:, -1])
+
+
 def fuse_poses(hypotheses, weights: FusionWeights) -> DirectionalPose:
     """Weighted fusion of directional poses.
 
@@ -82,12 +93,7 @@ def fuse_poses(hypotheses, weights: FusionWeights) -> DirectionalPose:
         raise InvalidInputError("one weight per hypothesis required")
     w = weights.values
 
-    quats = np.array([h.pose.rotation.quaternion() for h in hyps])
-    acc = np.zeros((4, 4))
-    for q, wi in zip(quats, w):
-        acc += wi * np.outer(q, q)
-    vals, vecs = np.linalg.eigh(acc)
-    rotation = Rotation.from_quaternion(vecs[:, -1])
+    rotation = _chordal_mean(hyps, w)
 
     anchor = hyps[int(np.argmax(w))].pose.direction
     summed = np.zeros(3)
@@ -369,12 +375,6 @@ def reselect_candidates(estimate: PoseEstimate, chooser, cfg: I2peConfig) -> Pos
 
 def fuse_rotation_only(hypotheses, weights: FusionWeights) -> DirectionalPose:
     """Chordal-mean rotation with a placeholder direction (zero motion)."""
-    hyps = list(hypotheses)
-    acc = np.zeros((4, 4))
-    for h, wi in zip(hyps, weights.values):
-        q = h.pose.rotation.quaternion()
-        acc += wi * np.outer(q, q)
-    _, vecs = np.linalg.eigh(acc)
     return DirectionalPose(
-        Rotation.from_quaternion(vecs[:, -1]), np.array([0.0, 0.0, 1.0])
+        _chordal_mean(hypotheses, weights.values), np.array([0.0, 0.0, 1.0])
     )

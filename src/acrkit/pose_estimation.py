@@ -214,69 +214,83 @@ def point_spread(points, image_size) -> float:
 
 
 def _normalize_points(pts: np.ndarray):
-    """Hartley normalization: zero centroid, mean distance sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    d = np.linalg.norm(pts - centroid, axis=1).mean()
-    scale = np.sqrt(2.0) / d if d > 1e-12 else 1.0
-    t = np.array(
-        [
-            [scale, 0.0, -scale * centroid[0]],
-            [0.0, scale, -scale * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    return (pts - centroid) * scale, t
+    """Hartley normalization: zero centroid, mean distance sqrt(2).
+
+    ``pts`` is (..., N, 2); leading axes are independent point sets, each
+    with its own (..., 3, 3) transform.
+    """
+    centroid = pts.mean(axis=-2)
+    d = np.linalg.norm(pts - centroid[..., None, :], axis=-1).mean(axis=-1)
+    # Coincident points keep scale 1: dividing sqrt(2) by itself is exact.
+    scale = np.sqrt(2.0) / np.where(d > 1e-12, d, np.sqrt(2.0))
+    t = np.zeros(d.shape + (3, 3))
+    t[..., 0, 0] = scale
+    t[..., 0, 2] = -scale * centroid[..., 0]
+    t[..., 1, 1] = scale
+    t[..., 1, 2] = -scale * centroid[..., 1]
+    t[..., 2, 2] = 1.0
+    return (pts - centroid[..., None, :]) * scale[..., None, None], t
 
 
 def homography_dlt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Normalized direct linear transform for ``b ~ H a`` (pixel inputs)."""
-    n = a.shape[0]
+    """Normalized direct linear transform for ``b ~ H a`` (pixel inputs).
+
+    ``a`` and ``b`` are (N, 2), or (K, N, 2) for K independent samples
+    fitted at once, giving (K, 3, 3).  A degenerate point configuration
+    raises :class:`DegenerateModelError`; in a stack, its model is NaN
+    instead, so one bad sample does not fail the others.
+    """
+    n = a.shape[-2]
     if n < 4:
         raise InsufficientDataError("homography needs at least 4 pairs")
     an, ta = _normalize_points(a)
     bn, tb = _normalize_points(b)
-    m = np.zeros((2 * n, 9))
-    x, y = an[:, 0], an[:, 1]
-    u, v = bn[:, 0], bn[:, 1]
-    m[0::2, 0] = x
-    m[0::2, 1] = y
-    m[0::2, 2] = 1.0
-    m[0::2, 6] = -u * x
-    m[0::2, 7] = -u * y
-    m[0::2, 8] = -u
-    m[1::2, 3] = x
-    m[1::2, 4] = y
-    m[1::2, 5] = 1.0
-    m[1::2, 6] = -v * x
-    m[1::2, 7] = -v * y
-    m[1::2, 8] = -v
+    m = np.zeros(a.shape[:-2] + (2 * n, 9))
+    x, y = an[..., 0], an[..., 1]
+    u, v = bn[..., 0], bn[..., 1]
+    m[..., 0::2, 0] = x
+    m[..., 0::2, 1] = y
+    m[..., 0::2, 2] = 1.0
+    m[..., 0::2, 6] = -u * x
+    m[..., 0::2, 7] = -u * y
+    m[..., 0::2, 8] = -u
+    m[..., 1::2, 3] = x
+    m[..., 1::2, 4] = y
+    m[..., 1::2, 5] = 1.0
+    m[..., 1::2, 6] = -v * x
+    m[..., 1::2, 7] = -v * y
+    m[..., 1::2, 8] = -v
     # Thin SVD for refits (a full one of a 2000x9 system costs ~300x
     # more); the 8x9 minimal system needs the full V, since its thin SVD
     # drops the null vector.
     _, svals, vt = np.linalg.svd(m, full_matrices=2 * n < 9)
-    if svals[-2] < 1e-10 * svals[0]:
+    degenerate = svals[..., -2] < 1e-10 * svals[..., 0]
+    if m.ndim == 2 and degenerate:
         raise DegenerateModelError("degenerate point configuration")
-    h = vt[-1].reshape(3, 3)
-    return np.linalg.inv(tb) @ h @ ta
+    h = np.linalg.inv(tb) @ vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3)) @ ta
+    h[degenerate] = np.nan  # stacks only: a lone degenerate system raised above
+    return h
 
 
 def symmetric_transfer_error(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-pair symmetric transfer error sqrt(d_fwd^2 + d_bwd^2) in pixels."""
+    """Per-pair symmetric transfer error sqrt(d_fwd^2 + d_bwd^2) in pixels.
+
+    ``h`` is (3, 3), giving (N,) errors, or (K, 3, 3), giving (K, N).
+    """
     h_inv = np.linalg.inv(h)
 
-    def _transfer(m, src):
-        p = src @ m[:, :2].T + m[:, 2]
-        w = p[:, 2]
+    def _squared(m, src, dst):
+        # Transferred points as (..., 3, N) rows, one matrix product per
+        # model: a stack scores each model with the same bits as alone.
+        p = m[..., :, :2] @ src.T + m[..., :, 2:]
+        w = p[..., 2, :]
         bad = np.abs(w) < 1e-12
-        w = np.where(bad, 1.0, w)
-        out = p[:, :2] / w[:, None]
-        out[bad] = np.inf
-        return out
+        d = p[..., :2, :] / np.where(bad, 1.0, w)[..., None, :] - dst.T
+        sq = d[..., 0, :] * d[..., 0, :] + d[..., 1, :] * d[..., 1, :]
+        return np.where(bad, np.inf, sq)
 
-    fwd = _transfer(h, a) - b
-    bwd = _transfer(h_inv, b) - a
     with np.errstate(invalid="ignore"):
-        err = np.sqrt(np.einsum("ij,ij->i", fwd, fwd) + np.einsum("ij,ij->i", bwd, bwd))
+        err = np.sqrt(_squared(h, a, b) + _squared(h_inv, b, a))
     return np.where(np.isfinite(err), err, np.inf)
 
 
@@ -293,6 +307,68 @@ def _adaptive_iters(inlier_ratio: float, sample_size: int, confidence: float = 0
     if p_good <= 1e-9:
         return np.iinfo(np.int64).max  # never below the caller's budget
     return int(np.ceil(np.log(1.0 - confidence) / np.log1p(-p_good)))
+
+
+# Cap on models x pairs scored in one RANSAC chunk, which bounds its memory.
+RANSAC_CHUNK_ELEMENTS = 1 << 16
+
+
+def _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed):
+    """Largest consensus of minimal-sample RANSAC, drawn and scored in chunks.
+
+    Draws ``rng.choice(n, sample_size, replace=False)`` one sample at a
+    time, as a draw-by-draw loop does, but fits a chunk of samples with one
+    stacked ``fit`` (sample indices (K, sample_size) to models (K, 3, 3),
+    NaN for a degenerate sample) and scores them with one ``score`` pass
+    (models (M, 3, 3) to residuals (M, n)).  The draw-by-draw accept rule
+    is then replayed over the chunk: every draw, degenerate or not, uses up
+    one draw of the budget; a model is kept only when its inlier count
+    beats the best so far; and each kept model shrinks the adaptive target.
+    Draws past that target were never made, so the result is the one the
+    draw-by-draw loop picks.  Chunks grow 1, 1, 2, 4, ..., never past the
+    remaining target or ``RANSAC_CHUNK_ELEMENTS`` models x pairs: exact
+    data stops after one model.
+
+    Returns:
+        (mask, count) of the best model, or (None, -1) when every draw was
+        degenerate.
+    """
+    rng = np.random.default_rng(seed)
+    best_mask = None
+    best_count = -1
+    target = max(1, int(max_iters))
+    it = 0
+    while it < target:
+        k = min(max(it, 1), target - it, max(1, RANSAC_CHUNK_ELEMENTS // n))
+        idx = np.array(
+            [rng.choice(n, size=sample_size, replace=False) for _ in range(k)]
+        )
+        models = fit(idx)
+        ok = ~np.isnan(models).any(axis=(1, 2))
+        try:
+            err = score(models[ok])
+        except np.linalg.LinAlgError:
+            # LAPACK could not invert one of the models: score them one by
+            # one, and let a model it cannot invert skip its own draw only.
+            err = np.full((k, n), np.inf)
+            for j in np.flatnonzero(ok):
+                try:
+                    err[j] = score(models[j : j + 1])[0]
+                except np.linalg.LinAlgError:
+                    ok[j] = False
+            err = err[ok]
+        inliers = np.zeros((k, n), dtype=bool)
+        inliers[ok] = err <= threshold_px
+        counts = inliers.sum(axis=1)
+        for j in range(k):
+            if it >= target:
+                break
+            it += 1
+            if ok[j] and counts[j] > best_count:
+                best_count = int(counts[j])
+                best_mask = inliers[j]
+                target = min(target, _adaptive_iters(best_count / n, sample_size))
+    return best_mask, best_count
 
 
 def estimate_homography_ransac(
@@ -314,12 +390,17 @@ def estimate_homography_ransac(
     give that plane's homography exactly.  Deterministic for a fixed
     ``seed``.
 
+    The minimal samples are drawn one at a time but fitted and scored in
+    chunks of 1, 1, 2, 4, ... stacked models (see ``_ransac_consensus``);
+    the consensus is the one a draw-by-draw loop over the same draws
+    picks, and exact data stops after one sample.
+
     Args:
         c: correspondence set (at least 4 pairs).
         intr: accepted for interface symmetry with the epipolar path; the
             pixel-space estimation itself does not use it.
         threshold_px: inlier gate on the symmetric transfer error.
-        max_iters: RANSAC iteration budget (adaptively shrunk).
+        max_iters: RANSAC budget of minimal samples (adaptively shrunk).
         seed: RNG seed.
         refine_iters: DLT refits on the consensus at ``threshold_px``
             before the local-optimisation refit, each re-gating with the
@@ -332,30 +413,16 @@ def estimate_homography_ransac(
     n = len(c)
     if n < 4:
         raise InsufficientDataError(f"homography RANSAC needs >= 4 pairs, got {n}")
-    rng = np.random.default_rng(seed)
     a, b = c.a, c.b
-
-    best_mask = None
-    best_count = -1
-    target = max(1, int(max_iters))
-    it = 0
-    while it < target:
-        it += 1
-        idx = rng.choice(n, size=4, replace=False)
-        try:
-            h = homography_dlt(a[idx], b[idx])
-        except DegenerateModelError:
-            continue
-        try:
-            err = symmetric_transfer_error(h, a, b)
-        except np.linalg.LinAlgError:
-            continue
-        mask = err <= threshold_px
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            target = min(target, _adaptive_iters(count / n, 4))
+    best_mask, best_count = _ransac_consensus(
+        n,
+        4,
+        lambda idx: homography_dlt(a[idx], b[idx]),
+        lambda h: symmetric_transfer_error(h, a, b),
+        threshold_px,
+        max_iters,
+        seed,
+    )
     if best_mask is None or best_count < 4:
         raise DegenerateModelError("RANSAC found no homography with 4 inliers")
     # Refit on the consensus and optionally let the consensus
@@ -582,39 +649,37 @@ def decompose_homography(
 
 
 def _essential_from_rays(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Least-squares essential matrix for x_b^T E x_a = 0, constraints enforced."""
-    m = np.column_stack(
-        [
-            xb[:, 0] * xa[:, 0],
-            xb[:, 0] * xa[:, 1],
-            xb[:, 0] * xa[:, 2],
-            xb[:, 1] * xa[:, 0],
-            xb[:, 1] * xa[:, 1],
-            xb[:, 1] * xa[:, 2],
-            xb[:, 2] * xa[:, 0],
-            xb[:, 2] * xa[:, 1],
-            xb[:, 2] * xa[:, 2],
-        ]
-    )
-    _, _, vt = np.linalg.svd(m, full_matrices=False)
-    e = vt[-1].reshape(3, 3)
+    """Least-squares essential matrix for x_b^T E x_a = 0, constraints enforced.
+
+    ``xa`` and ``xb`` are (N, 3) rays, or (K, N, 3) for K independent
+    samples fitted at once, giving (K, 3, 3).
+    """
+    m = (xb[..., :, None] * xa[..., None, :]).reshape(xa.shape[:-1] + (9,))
+    # As in homography_dlt, the 8x9 minimal system needs the full V: its
+    # thin SVD drops the null vector.
+    _, _, vt = np.linalg.svd(m, full_matrices=m.shape[-2] < 9)
+    e = vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3))
     u, s, vt = np.linalg.svd(e)
-    if np.linalg.det(u) < 0:
-        u[:, -1] *= -1
-    if np.linalg.det(vt) < 0:
-        vt[-1] *= -1
-    sm = 0.5 * (s[0] + s[1])
-    return u @ np.diag([sm, sm, 0.0]) @ vt
+    u[..., :, -1] *= np.where(np.linalg.det(u) < 0, -1.0, 1.0)[..., None]
+    vt[..., -1, :] *= np.where(np.linalg.det(vt) < 0, -1.0, 1.0)[..., None]
+    sm = 0.5 * (s[..., 0] + s[..., 1])
+    d = np.zeros(e.shape)
+    d[..., 0, 0] = sm
+    d[..., 1, 1] = sm
+    return u @ d @ vt
 
 
 def sampson_error(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """First-order geometric (Sampson) distance in pixels for b^T F a = 0."""
+    """First-order geometric (Sampson) distance in pixels for b^T F a = 0.
+
+    ``f`` is (3, 3), giving (N,) distances, or (K, 3, 3), giving (K, N).
+    """
     ah = np.hstack([a, np.ones((a.shape[0], 1))])
     bh = np.hstack([b, np.ones((b.shape[0], 1))])
-    fa = ah @ f.T
+    fa = ah @ np.swapaxes(f, -1, -2)
     ftb = bh @ f
-    num = np.einsum("ij,ij->i", bh, fa)
-    den = fa[:, 0] ** 2 + fa[:, 1] ** 2 + ftb[:, 0] ** 2 + ftb[:, 1] ** 2
+    num = np.einsum("...ij,...ij->...i", bh, fa)
+    den = fa[..., 0] ** 2 + fa[..., 1] ** 2 + ftb[..., 0] ** 2 + ftb[..., 1] ** 2
     den = np.where(den < 1e-18, 1e-18, den)
     return np.abs(num) / np.sqrt(den)
 
@@ -658,32 +723,29 @@ def estimate_epipolar(
     triangulation parallax falls below ``parallax_min_deg`` the translation
     direction is unreliable and the result carries the
     ``unstable_translation`` flag.
+
+    As in :func:`estimate_homography_ransac`, the 8-point samples are drawn
+    one at a time and fitted and scored in growing chunks of stacked
+    models, with the consensus a draw-by-draw loop would pick; at most
+    ``max_iters`` samples are drawn, fewer as the adaptive target shrinks.
     """
     n = len(c)
     if n < 8:
         raise InsufficientDataError(f"epipolar estimation needs >= 8 pairs, got {n}")
-    rng = np.random.default_rng(seed)
     xa = _rays(intr, c.a)
     xb = _rays(intr, c.b)
     k = intr.matrix()
     k_inv = intr.inverse_matrix()
 
-    best_mask = None
-    best_count = -1
-    target = max(1, int(max_iters))
-    it = 0
-    while it < target:
-        it += 1
-        idx = rng.choice(n, size=8, replace=False)
-        e = _essential_from_rays(xa[idx], xb[idx])
-        f = k_inv.T @ e @ k_inv
-        err = sampson_error(f, c.a, c.b)
-        mask = err <= threshold_px
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            target = min(target, _adaptive_iters(count / n, 8))
+    best_mask, best_count = _ransac_consensus(
+        n,
+        8,
+        lambda idx: _essential_from_rays(xa[idx], xb[idx]),
+        lambda e: sampson_error(k_inv.T @ e @ k_inv, c.a, c.b),
+        threshold_px,
+        max_iters,
+        seed,
+    )
     if best_mask is None or best_count < 8:
         raise DegenerateModelError("RANSAC found no essential matrix with 8 inliers")
     mask = best_mask

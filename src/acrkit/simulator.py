@@ -22,7 +22,6 @@ before moving the camera, and the executor never reveals it.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -796,14 +795,6 @@ def _bench_trial(args):
     return rows
 
 
-def worker_count() -> int:
-    """Worker cap from the ACRKIT_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("ACRKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def bench_noise_sweep(
     scene: SceneSpec,
     motion: Pose,
@@ -820,8 +811,7 @@ def bench_noise_sweep(
 
     For every (r, mu, trial) cell a fresh contaminated observation of the
     fixed motion is generated and both estimators run on the identical
-    data.  Deterministic per seed; trials parallelize across threads when
-    ACRKIT_THREADS allows.
+    data.  Deterministic per seed.
     """
     world = generate_scene(scene)
     jobs = [
@@ -843,12 +833,4 @@ def bench_noise_sweep(
         for i_mu, mu in enumerate(mu_values)
         for trial in range(trials)
     ]
-    workers = worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(_bench_trial, jobs))
-    else:
-        nested = [_bench_trial(job) for job in jobs]
-    return [row for rows in nested for row in rows]
+    return [row for job in jobs for row in _bench_trial(job)]

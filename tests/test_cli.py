@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 
 from acrkit import cli, simulator
 from acrkit.plane_match import PlaneSegmentMap
 from acrkit.pose_estimation import CorrespondenceSet
+from acrkit.geometry import Intrinsics, Rotation
 from acrkit.simulator import BenchRow
+from conftest import plane_pair_set
 
 
 class TestBenchNoise:
@@ -97,5 +100,52 @@ class TestMatchPlanes:
         argv = self._inputs(tmp_path)
         argv[argv.index("--cur-mask") + 1] = str(tmp_path / "absent.pgm")
         code = cli.main(argv)
+        assert code == 2
+        assert self._last_json(capsys)["error"] == "missing-input"
+
+
+class TestEstimatePose:
+    @staticmethod
+    def _inputs(tmp_path):
+        # Exact pairs of one plane: the essential matrix is ill-determined.
+        intr = Intrinsics(fx=1100.0, fy=1100.0, cx=640.0, cy=480.0)
+        c, _ = plane_pair_set(
+            intr, Rotation.about_z(4.0), [0.1, -0.03, 0.02], [0.1, 0.0, 1.0], 2.0, count=120
+        )
+        c.save(tmp_path / "corr.json")
+        (tmp_path / "intr.json").write_text(
+            json.dumps({"fx": 1100.0, "fy": 1100.0, "cx": 640.0, "cy": 480.0})
+        )
+        return [
+            "estimate-pose",
+            str(tmp_path / "corr.json"),
+            "--intrinsics",
+            str(tmp_path / "intr.json"),
+            "--output",
+            str(tmp_path / "pose.json"),
+        ]
+
+    @staticmethod
+    def _last_json(capsys):
+        return json.loads(capsys.readouterr().out.splitlines()[-1])
+
+    def test_epipolar_on_one_plane_warns(self, tmp_path, capsys):
+        code = cli.main(self._inputs(tmp_path) + ["--method", "epipolar"])
+        assert code == 0
+        paths = self._last_json(capsys)
+        report = json.loads(Path(paths["report"]).read_text())
+        assert report["method"] == "epipolar"
+        assert "planar-degeneracy" in report["warnings"]
+        assert len(json.loads(Path(paths["pose"]).read_text())["r"]) == 9
+
+    def test_i2pe_without_masks_is_missing_input(self, tmp_path, capsys):
+        code = cli.main(self._inputs(tmp_path) + ["--method", "i2pe"])
+        assert code == 2
+        assert self._last_json(capsys)["error"] == "missing-input"
+
+    def test_missing_intrinsics_is_missing_input(self, tmp_path, capsys):
+        argv = self._inputs(tmp_path)
+        argv[argv.index("--intrinsics") + 1] = str(tmp_path / "absent.json")
+        code = cli.main(argv + ["--method", "epipolar"])
         assert code == 2
         assert self._last_json(capsys)["error"] == "missing-input"

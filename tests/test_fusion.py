@@ -10,6 +10,7 @@ from acrkit.fusion import (
     FusionWeights,
     I2peConfig,
     fuse_poses,
+    fuse_rotation_only,
     hypothesis_weight,
     i2pe,
     weights_from_hypotheses,
@@ -139,6 +140,19 @@ class TestFusePoses:
         h2 = _hyp(Rotation.identity(), [-1, 0, 0], 10, 0.5)
         fused = fuse_poses([h1, h2], FusionWeights([0.5, 0.5]))
         assert direction_angle(fused.direction, [1, 0, 0]) < 1e-9
+
+
+    def test_rotation_only_is_the_same_chordal_mean(self):
+        rng = np.random.default_rng(3)
+        hyps = [
+            _hyp(random_rotation(rng, 20.0), rng.standard_normal(3), 5 + i, 0.4)
+            for i in range(5)
+        ]
+        weights = FusionWeights(np.array([1.0, 4.0, 2.0, 0.5, 3.0]))
+        full = fuse_poses(hyps, weights)
+        only = fuse_rotation_only(hyps, weights)
+        assert np.array_equal(only.rotation.matrix, full.rotation.matrix)
+        assert only.direction.tolist() == [0.0, 0.0, 1.0]
 
 
 class TestI2pe:

@@ -16,9 +16,13 @@ from acrkit.geometry import (
     direction_angle,
     rotation_angle,
 )
+from acrkit import pose_estimation
 from acrkit.pose_estimation import (
     CorrespondenceSet,
     Homography,
+    _adaptive_iters,
+    _essential_from_rays,
+    _rays,
     decompose_homography,
     decompose_homography_candidates,
     estimate_epipolar,
@@ -376,3 +380,236 @@ class TestHomographyType:
         a = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(DegenerateModelError):
             homography_dlt(a, a)
+
+
+class TestEightPointMinimal:
+    def test_eight_exact_pairs_fit_the_whole_scene(self, intr):
+        rotation = Rotation.from_axis_angle([0.3, 1.0, -0.2], 6.0)
+        t = np.array([0.12, -0.05, 0.04])
+        c, _ = general_pair_set(intr, rotation, t)
+        xa, xb = _rays(intr, c.a), _rays(intr, c.b)
+        e = _essential_from_rays(xa[:8], xb[:8])
+        e = e / np.linalg.norm(e)
+        xa /= np.linalg.norm(xa, axis=1, keepdims=True)
+        xb /= np.linalg.norm(xb, axis=1, keepdims=True)
+        assert np.abs(np.einsum("ij,jk,ik->i", xb, e, xa)).max() < 1e-9
+
+    def test_exact_general_data_is_all_support(self, intr):
+        c, _ = general_pair_set(
+            intr, Rotation.about_y(7.0), np.array([0.15, 0.05, 0.02]), count=120
+        )
+        hyp = estimate_epipolar(c, intr, 1.0, 200, seed=0, refine_iters=1)
+        assert hyp.support == len(c)
+
+
+def _per_draw_homography(c, threshold_px, max_iters, seed):
+    """The draw-by-draw consensus loop that the chunked driver replaces."""
+    n = len(c)
+    rng = np.random.default_rng(seed)
+    best_mask, best_count = None, -1
+    target = max(1, int(max_iters))
+    it = 0
+    while it < target:
+        it += 1
+        idx = rng.choice(n, size=4, replace=False)
+        try:
+            h = pose_estimation.homography_dlt(c.a[idx], c.b[idx])
+        except DegenerateModelError:
+            continue
+        try:
+            err = pose_estimation.symmetric_transfer_error(h, c.a, c.b)
+        except np.linalg.LinAlgError:
+            continue
+        mask = err <= threshold_px
+        count = int(mask.sum())
+        if count > best_count:
+            best_count, best_mask = count, mask
+            target = min(target, _adaptive_iters(count / n, 4))
+    return best_mask, best_count
+
+
+def _per_draw_epipolar(c, intr, threshold_px, max_iters, seed):
+    """The draw-by-draw consensus loop that the chunked driver replaces."""
+    n = len(c)
+    rng = np.random.default_rng(seed)
+    xa, xb = _rays(intr, c.a), _rays(intr, c.b)
+    k_inv = intr.inverse_matrix()
+    best_mask, best_count = None, -1
+    target = max(1, int(max_iters))
+    it = 0
+    while it < target:
+        it += 1
+        idx = rng.choice(n, size=8, replace=False)
+        e = _essential_from_rays(xa[idx], xb[idx])
+        err = sampson_error(k_inv.T @ e @ k_inv, c.a, c.b)
+        mask = err <= threshold_px
+        count = int(mask.sum())
+        if count > best_count:
+            best_count, best_mask = count, mask
+            target = min(target, _adaptive_iters(count / n, 8))
+    return best_mask, best_count
+
+
+def _run(estimate):
+    try:
+        return estimate()
+    except DegenerateModelError as exc:
+        return type(exc)
+
+
+def _both(monkeypatch, c, intr, method, max_iters, seed):
+    """(driver result, reference result) of one estimator on ``c``.
+
+    The reference runs the whole estimator with its consensus taken from the
+    draw-by-draw loop instead of the chunked driver.
+    """
+    kwargs = dict(threshold_px=1.0, max_iters=max_iters, seed=seed, refine_iters=2)
+    if method == "homography":
+        estimate = lambda: estimate_homography_ransac(c, intr, **kwargs)
+        reference = lambda *args: _per_draw_homography(c, 1.0, max_iters, seed)
+    else:
+        estimate = lambda: estimate_epipolar(c, intr, **kwargs)
+        reference = lambda *args: _per_draw_epipolar(c, intr, 1.0, max_iters, seed)
+    got = _run(estimate)
+    with monkeypatch.context() as m:
+        m.setattr(pose_estimation, "_ransac_consensus", reference)
+        expected = _run(estimate)
+    return got, expected
+
+
+def _assert_same(got, expected):
+    if isinstance(expected, type):
+        assert got is expected
+    elif isinstance(expected, tuple):
+        assert np.array_equal(got[0].matrix, expected[0].matrix)
+        assert np.array_equal(got[1], expected[1])
+    else:
+        assert np.array_equal(got.pose.rotation.matrix, expected.pose.rotation.matrix)
+        assert np.array_equal(got.pose.direction, expected.pose.direction)
+        assert got.support == expected.support
+        assert got.unstable_translation == expected.unstable_translation
+
+
+def _contaminated(intr, method, count, inlier_ratio, seed):
+    rng = np.random.default_rng(seed)
+    rotation = Rotation.from_axis_angle(rng.standard_normal(3), 5.0)
+    t = np.array([0.1, -0.04, 0.03])
+    if method == "homography":
+        c, _ = plane_pair_set(intr, rotation, t, [0.1, 0.0, 1.0], 2.0, count, seed)
+    else:
+        c, _ = general_pair_set(intr, rotation, t, count, seed)
+    b = c.b + rng.normal(0.0, 0.3, c.b.shape)
+    out = rng.random(len(c)) >= inlier_ratio
+    b[out] = rng.uniform(0.0, 1000.0, (int(out.sum()), 2))
+    return CorrespondenceSet(c.a, b)
+
+
+def _degenerate(intr, method, seed):
+    # A third of the pairs repeat one pair and a third lie on one line in
+    # both images: many minimal samples are rank deficient.
+    c = _contaminated(intr, method, 90, 0.8, seed)
+    a, b = c.a.copy(), c.b.copy()
+    a[:30], b[:30] = a[0], b[0]
+    s = np.linspace(0.0, 1.0, 30)[:, None]
+    a[30:60] = [100.0, 200.0] + s * [600.0, 300.0]
+    b[30:60] = [120.0, 180.0] + s * [580.0, 330.0]
+    return CorrespondenceSet(a, b)
+
+
+METHODS = ("homography", "epipolar")
+
+
+class TestChunkedRansac:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("inlier_ratio", [0.3, 0.5, 0.7, 0.9, 1.0])
+    @pytest.mark.parametrize("max_iters", [1, 7, 200])
+    def test_same_result_as_per_draw_loop(self, monkeypatch, intr, method, inlier_ratio, max_iters):
+        for seed in range(6):
+            c = _contaminated(intr, method, 80, inlier_ratio, seed)
+            _assert_same(*_both(monkeypatch, c, intr, method, max_iters, seed))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("max_iters", [1, 7, 200])
+    def test_degenerate_samples(self, monkeypatch, intr, method, max_iters):
+        for seed in range(3):
+            c = _degenerate(intr, method, seed)
+            _assert_same(*_both(monkeypatch, c, intr, method, max_iters, seed))
+
+    @pytest.mark.parametrize(
+        "method, n", [("homography", 4), ("homography", 8), ("epipolar", 8)]
+    )
+    @pytest.mark.parametrize("max_iters", [1, 7, 200])
+    def test_minimal_set_sizes(self, monkeypatch, intr, method, n, max_iters):
+        for seed in range(3):
+            c = _contaminated(intr, method, 40, 0.9, seed).subset(np.arange(n))
+            _assert_same(*_both(monkeypatch, c, intr, method, max_iters, seed))
+
+    def test_model_lapack_cannot_invert_skips_its_draw_only(self, monkeypatch, intr):
+        # Every third minimal model the per-draw loop meets is made to raise
+        # LinAlgError in the transfer error; a chunk holding one must still
+        # score the others.
+        c = _contaminated(intr, "homography", 80, 0.5, 4)
+        real = pose_estimation.symmetric_transfer_error
+        seen = []
+
+        def recording(h, a, b):
+            seen.append(h.tobytes())
+            return real(h, a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(pose_estimation, "symmetric_transfer_error", recording)
+            _per_draw_homography(c, 1.0, 200, 4)
+        poisoned = set(seen[::3])
+        raised = []
+
+        def poisoning(h, a, b):
+            if any(x.tobytes() in poisoned for x in h.reshape(-1, 3, 3)):
+                raised.append(h.ndim)
+                raise np.linalg.LinAlgError("singular matrix")
+            return real(h, a, b)
+
+        monkeypatch.setattr(pose_estimation, "symmetric_transfer_error", poisoning)
+        _assert_same(*_both(monkeypatch, c, intr, "homography", 200, 4))
+        assert 3 in raised, "a whole chunk must have met a poisoned model"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_exact_data_draws_one_sample(self, monkeypatch, intr, method):
+        rotation, t = Rotation.about_y(7.0), np.array([0.15, 0.05, 0.02])
+        if method == "homography":
+            c, _ = plane_pair_set(intr, rotation, t, [0, 0, 1], 2.0, count=150)
+        else:
+            c, _ = general_pair_set(intr, rotation, t, count=150)
+        choices = _count_choices(monkeypatch)
+        if method == "homography":
+            _, mask = estimate_homography_ransac(c, intr, 1.0, 200, seed=0)
+            assert mask.all()
+        else:
+            assert estimate_epipolar(c, intr, 1.0, 200, seed=0).support == len(c)
+        assert len(choices) == 1
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_draws_stop_at_the_budget(self, monkeypatch, intr, method):
+        # At 30 % inliers the adaptive target stays above a budget of 7,
+        # which chunks of 1, 1, 2 and 4 would overrun.
+        c = _contaminated(intr, method, 80, 0.3, 0)
+        choices = _count_choices(monkeypatch)
+        estimate = estimate_homography_ransac if method == "homography" else estimate_epipolar
+        _run(lambda: estimate(c, intr, 1.0, 7, seed=0))
+        assert len(choices) == 7
+
+
+def _count_choices(monkeypatch) -> list:
+    """Record every ``choice`` call on generators from ``np.random.default_rng``."""
+    real = np.random.default_rng
+    calls = []
+
+    class Counting:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def choice(self, *args, **kwargs):
+            calls.append(args)
+            return self._rng.choice(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    return calls
