@@ -334,11 +334,6 @@ def rotation_angle(r: Rotation) -> float:
     return math.degrees(math.atan2(s, c))
 
 
-def relative_rotation_error(estimate: Rotation, truth: Rotation) -> float:
-    """Angle of ``R_est @ R_true^-1`` in degrees."""
-    return rotation_angle(estimate.compose(truth.inverse()))
-
-
 def direction_angle(a, b) -> float:
     """Angle between two unit 3-vectors in degrees, in [0, 180]."""
     a = np.asarray(a, dtype=float)

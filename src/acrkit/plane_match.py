@@ -59,6 +59,21 @@ class PlaneSegmentMap:
         object.__setattr__(self, "_num_planes", h)
         object.__setattr__(self, "_areas", areas)  # pixels per region
 
+    @classmethod
+    def _trusted(cls, labels: np.ndarray, areas: np.ndarray) -> "PlaneSegmentMap":
+        """A map the package built itself, without the checks and the count.
+
+        ``labels`` is a fresh int32 array that the map takes over, with ids
+        1..len(areas), and ``areas`` (int64) holds each region's pixel
+        count, every one positive.
+        """
+        m = object.__new__(cls)
+        labels.flags.writeable = False
+        object.__setattr__(m, "labels", labels)
+        object.__setattr__(m, "_num_planes", len(areas))
+        object.__setattr__(m, "_areas", areas)
+        return m
+
     @property
     def width(self) -> int:
         return self.labels.shape[1]
@@ -174,7 +189,7 @@ def erode_mask(m: PlaneSegmentMap, radius: float) -> PlaneSegmentMap:
         return m
     lab, h = m.labels, m.height
     if not radius < min(lab.shape):  # no disk fits; nan erodes everything too
-        return PlaneSegmentMap(np.zeros_like(lab))
+        return PlaneSegmentMap._trusted(np.zeros_like(lab), m._areas[:0])
     half_width = disk_structuring_element(radius).sum(axis=1) // 2
     r = len(half_width) // 2  # chords sit at row offsets -r..r
     labelled = lab > 0
@@ -183,10 +198,11 @@ def erode_mask(m: PlaneSegmentMap, radius: float) -> PlaneSegmentMap:
         for dy in np.flatnonzero(half_width == w) - r:
             keep[max(-dy, 0) : h - max(dy, 0)] &= run[max(dy, 0) : h + min(dy, 0)]
     out = np.where(keep, lab, 0)
-    lost = np.bincount(lab[labelled ^ keep], minlength=m.num_planes + 1)[1:]
-    if (lost == m._areas).any():  # a region vanished: recompact the ids
-        out = np.concatenate([[0], np.cumsum(lost < m._areas)])[out]
-    return PlaneSegmentMap(out)
+    areas = m._areas - np.bincount(lab[labelled ^ keep], minlength=m.num_planes + 1)[1:]
+    if not areas.all():  # a region vanished: recompact the ids
+        out = np.concatenate([[0], np.cumsum(areas > 0)]).astype(np.int32)[out]
+        areas = areas[areas > 0]
+    return PlaneSegmentMap._trusted(out, areas)
 
 
 def min_region_distance(m: PlaneSegmentMap, a: int, b: int) -> float:

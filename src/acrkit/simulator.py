@@ -21,8 +21,9 @@ before moving the camera, and the executor never reveals it.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +34,15 @@ from .errors import (
     InvalidInputError,
     InvalidSceneError,
 )
-from .geometry import DirectionalPose, Intrinsics, Pose, Rotation, compose, rotation_angle, direction_angle
+from .geometry import (
+    Intrinsics,
+    Pose,
+    Rotation,
+    compose,
+    direction_angle,
+    project_points,
+    rotation_angle,
+)
 from .plane_match import PlaneSegmentMap
 from .pose_estimation import (
     CorrespondenceSet,
@@ -236,18 +245,33 @@ def generate_scene(spec: SceneSpec) -> World:
     )
 
 
-def _project(intr: Intrinsics, extrinsic: Pose, points: np.ndarray):
-    cam = points @ extrinsic.rotation.matrix.T + extrinsic.translation
-    depths = cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        px = np.stack(
-            [
-                intr.fx * cam[:, 0] / depths + intr.cx,
-                intr.fy * cam[:, 1] / depths + intr.cy,
-            ],
-            axis=1,
-        )
-    return px, depths
+def _half_planes(polygon: np.ndarray, margin: float) -> list:
+    """The edges of a convex polygon as half-planes ``(x, y, ex, ey, orient,
+    limit)``: a point (u, v) passes an edge when it lies on the polygon's
+    side of the edge's line, or within ``margin`` of it, which
+    :func:`_passes` decides."""
+    area = 0.0
+    k = polygon.shape[0]
+    for i in range(k):
+        j = (i + 1) % k
+        area += polygon[i, 0] * polygon[j, 1] - polygon[j, 0] * polygon[i, 1]
+    orient = 1.0 if area > 0 else -1.0
+    edges = []
+    for i in range(k):
+        j = (i + 1) % k
+        ex, ey = polygon[j] - polygon[i]
+        edges.append((polygon[i, 0], polygon[i, 1], ex, ey, orient, -margin * math.hypot(ex, ey)))
+    return edges
+
+
+def _passes(edge, u, v):
+    """Elementwise half-plane test of one :func:`_half_planes` edge.
+
+    Along a row (v fixed) the test is monotone in u even in floating
+    point: each operation on u rounds monotonically.
+    """
+    x, y, ex, ey, orient, limit = edge
+    return orient * (ex * (v - y) - ey * (u - x)) >= limit
 
 
 def _inside_convex(
@@ -257,18 +281,9 @@ def _inside_convex(
 
     The margin is a distance to each edge's line, in the polygon's units.
     """
-    area = 0.0
-    k = polygon.shape[0]
-    for i in range(k):
-        j = (i + 1) % k
-        area += polygon[i, 0] * polygon[j, 1] - polygon[j, 0] * polygon[i, 1]
-    orient = 1.0 if area > 0 else -1.0
     inside = np.ones(np.shape(u), dtype=bool)
-    for i in range(k):
-        j = (i + 1) % k
-        ex, ey = polygon[j] - polygon[i]
-        cross = ex * (v - polygon[i, 1]) - ey * (u - polygon[i, 0])
-        inside &= orient * cross >= -margin * math.hypot(ex, ey)
+    for edge in _half_planes(polygon, margin):
+        inside &= _passes(edge, u, v)
     return inside
 
 
@@ -283,10 +298,31 @@ def _projected_polygon(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics):
     origin, e_u, e_v = plane.basis()
     poly = plane.local_polygon()
     verts = origin + poly[:, 0:1] * e_u + poly[:, 1:2] * e_v
-    px, depths = _project(intr, extrinsic, verts)
+    px, depths = project_points(intr, extrinsic, verts)
     if np.any(depths <= 1e-9):
         return None
     return px
+
+
+def _ray_depth(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics):
+    """Elementwise depth of a patch's plane along the rays of pixels (u, v).
+
+    The denominator is affine in u, so along a row it is monotone, also in
+    floating point.
+    """
+    n_c = extrinsic.rotation.matrix @ plane.unit_normal()
+    c_c = plane.offset + float(n_c @ extrinsic.translation)
+
+    def depth(u, v):
+        denom = (
+            n_c[0] * ((u - intr.cx) / intr.fx)
+            + n_c[1] * ((v - intr.cy) / intr.fy)
+            + n_c[2]
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return c_c / denom
+
+    return depth
 
 
 def _cover(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics, verts_px, u, v):
@@ -300,15 +336,7 @@ def _cover(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics, verts_px, u, v):
     elementwise so that a pixel gets the same depth bit for bit whatever
     array it comes in.
     """
-    n_c = extrinsic.rotation.matrix @ plane.unit_normal()
-    c_c = plane.offset + float(n_c @ extrinsic.translation)
-    denom = (
-        n_c[0] * ((u - intr.cx) / intr.fx)
-        + n_c[1] * ((v - intr.cy) / intr.fy)
-        + n_c[2]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        depth = c_c / denom
+    depth = _ray_depth(plane, extrinsic, intr)(u, v)
     if verts_px is None:
         return np.zeros(np.shape(u), dtype=bool), depth
     return _inside_convex(verts_px, u, v, COVER_MARGIN_PX) & (depth > 0), depth
@@ -341,6 +369,86 @@ def _occluded(
     return occluded
 
 
+def _edge_end(edge, t, v, step: int, x0: int, x1: int) -> np.ndarray:
+    """The last column, walking by ``step`` from inside the polygon, that
+    passes ``edge`` in each row v, starting from a guess ``t``; it ends
+    one column short of ``x0`` or past ``x1`` when no column passes.
+
+    The test is monotone along a row, so walking out while the next column
+    passes and then back while the current one fails ends exactly.
+    """
+    for out in (True, False):
+        while True:
+            probe = t + step if out else t
+            move = (x0 <= probe) & (probe <= x1)
+            move[move] = _passes(edge, probe[move].astype(float), v[move]) == out
+            if not move.any():
+                break
+            t = np.where(move, t + (step if out else -step), t)
+    return t
+
+
+def _cover_rows(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics, w: int, h: int):
+    """The run of columns a patch covers in each row of a w x h view, as
+    :func:`_cover` decides covering, with a finite depth; the ends
+    ``(lo, hi)`` per row read lo > hi where it covers nothing.  Returns
+    ``(lo, hi, depth)`` with :func:`_ray_depth`'s function, or None when
+    the patch covers no pixel.
+
+    Like a pass over the patch's bounding box, only pixels in that box count.
+    """
+    px = _projected_polygon(plane, extrinsic, intr)
+    if px is None:
+        return None
+    lo_px = np.floor(px.min(axis=0)).astype(int)
+    hi_px = np.ceil(px.max(axis=0)).astype(int)
+    x0, y0 = max(lo_px[0], 0), max(lo_px[1], 0)
+    x1, y1 = min(hi_px[0], w - 1), min(hi_px[1], h - 1)
+    if x1 < x0 or y1 < y0:
+        return None
+    v = np.arange(y0, y1 + 1, dtype=float)
+    lo = np.full(v.shape, x0, dtype=np.int64)
+    hi = np.full(v.shape, x1, dtype=np.int64)
+    for edge in _half_planes(px, COVER_MARGIN_PX):
+        x, y, ex, ey, orient, limit = edge
+        s = orient * ey
+        if s == 0:  # parallel to the rows: a row passes whole or not at all
+            hi[~_passes(edge, float(x0), v)] = x0 - 1
+            continue
+        # Where the line, moved out by the margin, crosses each row: an
+        # upper end where s > 0 and a lower end where s < 0.
+        at = x + (orient * ex * (v - y) - limit) / s
+        if s > 0:
+            guess = np.floor(np.clip(at, x0 - 1, x1)).astype(np.int64)
+            hi = np.minimum(hi, _edge_end(edge, guess, v, 1, x0, x1))
+        else:
+            guess = np.ceil(np.clip(at, x0, x1 + 1)).astype(np.int64)
+            lo = np.maximum(lo, _edge_end(edge, guess, v, -1, x0, x1))
+    # The depth is finite and positive over a whole run when it is at both
+    # ends (its denominator is monotone); other rows go pixel by pixel.
+    depth = _ray_depth(plane, extrinsic, intr)
+    rows = np.flatnonzero(lo <= hi)
+    d_lo = depth(lo[rows].astype(float), v[rows])
+    d_hi = depth(hi[rows].astype(float), v[rows])
+    u = np.arange(x0, x1 + 1, dtype=float)
+    for r in rows[~((0 < d_lo) & (d_lo < np.inf) & (0 < d_hi) & (d_hi < np.inf))]:
+        covered, d = _cover(plane, extrinsic, intr, px, u, np.full(u.shape, v[r]))
+        run = np.flatnonzero(covered & (d < np.inf))  # an interval: both tests are monotone
+        lo[r], hi[r] = (x0 + run[0], x0 + run[-1]) if run.size else (x0, x0 - 1)
+    if not (lo <= hi).any():
+        return None
+    lo_all, hi_all = np.full(h, w, dtype=np.int64), np.full(h, -1, dtype=np.int64)
+    lo_all[y0 : y1 + 1], hi_all[y0 : y1 + 1] = lo, hi
+    return lo_all, hi_all, depth
+
+
+def _fill_runs(image: np.ndarray, lo: np.ndarray, hi: np.ndarray, value) -> None:
+    """Set columns lo..hi of each row of ``image`` where lo <= hi."""
+    rows = np.flatnonzero(lo <= hi)
+    for r, a, b in zip(rows.tolist(), lo[rows].tolist(), (hi[rows] + 1).tolist()):
+        image[r, a:b] = value
+
+
 def render_plane_mask(
     world: World, extrinsic: Pose, intr: Intrinsics, image_size
 ) -> PlaneSegmentMap:
@@ -349,41 +457,51 @@ def render_plane_mask(
     Each pixel is labelled with the nearest detected patch that covers it
     along its ray (a z-buffer; see :func:`_cover` for covering, with its
     0.71 px edge margin, so sampled points never round out of their own
-    region).  Ids are recompacted to stay contiguous when a plane falls
-    outside the view.
+    region).  A patch is convex, so it covers one run of columns per row.
+    The run's ends come from the patch's edge lines and are then settled by
+    the edge tests of :func:`_inside_convex` itself, so the 0.71 px margin
+    is decided exactly as there; the plane's depth is checked at the two
+    ends alone.  Runs are filled row by row in plane order.  The z-buffer,
+    with the elementwise depths and the strict ``<`` of a pixel-by-pixel
+    pass in plane order, runs only on the pixels that two patches' runs
+    share.  Ids are contiguous in plane order over the patches that keep a
+    pixel; the region areas come from the runs, so the map is built
+    without a recount.
     """
     w, h = int(image_size[0]), int(image_size[1])
     labels = np.zeros((h, w), dtype=np.int32)
-    zbuf = np.full((h, w), np.inf)
+    drawn = []  # (lo, hi, depth) of each patch that covers a pixel
+    for plane in world.spec.planes:
+        runs = _cover_rows(plane, extrinsic, intr, w, h) if plane.detected else None
+        if runs is not None:
+            drawn.append(runs)
+            _fill_runs(labels, runs[0], runs[1], len(drawn))
 
-    for index, plane in enumerate(world.spec.planes):
-        if not plane.detected:
-            continue
-        px = _projected_polygon(plane, extrinsic, intr)
-        if px is None:
-            continue
-        lo = np.floor(px.min(axis=0)).astype(int)
-        hi = np.ceil(px.max(axis=0)).astype(int)
-        x0, y0 = max(lo[0], 0), max(lo[1], 0)
-        x1, y1 = min(hi[0], w - 1), min(hi[1], h - 1)
-        if x1 < x0 or y1 < y0:
-            continue
-        gx, gy = np.meshgrid(
-            np.arange(x0, x1 + 1, dtype=float), np.arange(y0, y1 + 1, dtype=float)
-        )
-        covered, depth = _cover(plane, extrinsic, intr, px, gx, gy)
-        sub_l = labels[y0 : y1 + 1, x0 : x1 + 1]
-        sub_z = zbuf[y0 : y1 + 1, x0 : x1 + 1]
-        visible = covered & (depth < sub_z)
-        sub_l[visible] = index + 1
-        sub_z[visible] = depth[visible]
-
-    # Recompact ids that survived rendering: one count, one table lookup.
-    present = np.bincount(labels.ravel()) > 0
-    present[0] = False
-    lut = np.zeros(present.size, dtype=labels.dtype)
-    lut[present] = np.arange(1, int(present.sum()) + 1)
-    return PlaneSegmentMap(lut[labels])
+    areas = np.array([np.clip(hi - lo + 1, 0, None).sum() for lo, hi, _ in drawn], dtype=np.int64)
+    shared = np.zeros((h, w), dtype=bool)
+    for (lo_a, hi_a, _), (lo_b, hi_b, _) in itertools.combinations(drawn, 2):
+        _fill_runs(shared, np.maximum(lo_a, lo_b), np.minimum(hi_a, hi_b), True)
+    flat = np.flatnonzero(shared)
+    if flat.size:
+        ys = flat // w
+        xs = flat - ys * w
+        u, v = xs.astype(float), ys.astype(float)
+        nearest = np.full(flat.shape, np.inf)
+        winner = np.zeros(flat.shape, dtype=np.int32)
+        for plane_id, (lo, hi, depth) in enumerate(drawn, 1):
+            covered = (lo[ys] <= xs) & (xs <= hi[ys])
+            areas[plane_id - 1] -= np.count_nonzero(covered)
+            d = depth(u, v)
+            win = covered & (d < nearest)
+            nearest = np.where(win, d, nearest)
+            winner[win] = plane_id
+        labels.ravel()[flat] = winner
+        areas += np.bincount(winner, minlength=len(drawn) + 1)[1:]
+    if not areas.all():  # a patch lost every pixel: recompact the ids
+        keep = areas > 0
+        labels = np.concatenate([[0], np.cumsum(keep)]).astype(np.int32)[labels]
+        areas = areas[keep]
+    return PlaneSegmentMap._trusted(labels, areas)
 
 
 def observe(
@@ -415,8 +533,8 @@ def observe(
     w, h = int(image_size[0]), int(image_size[1])
     rng = np.random.default_rng(seed)
 
-    px_ref, d_ref = _project(intr, reference_pose, world.points)
-    px_cur, d_cur = _project(intr, camera_pose, world.points)
+    px_ref, d_ref = project_points(intr, reference_pose, world.points)
+    px_cur, d_cur = project_points(intr, camera_pose, world.points)
 
     def _in_view(px, depths):
         return (

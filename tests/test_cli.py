@@ -12,7 +12,7 @@ from acrkit.plane_match import PlaneSegmentMap
 from acrkit.pose_estimation import CorrespondenceSet
 from acrkit.geometry import Intrinsics, Rotation
 from acrkit.simulator import BenchRow
-from conftest import plane_pair_set
+from conftest import general_pair_set, plane_pair_set
 
 
 class TestBenchNoise:
@@ -147,5 +147,80 @@ class TestEstimatePose:
         argv = self._inputs(tmp_path)
         argv[argv.index("--intrinsics") + 1] = str(tmp_path / "absent.json")
         code = cli.main(argv + ["--method", "epipolar"])
+        assert code == 2
+        assert self._last_json(capsys)["error"] == "missing-input"
+
+
+class TestSimulateAcr:
+    @staticmethod
+    def _last_json(capsys):
+        return json.loads(capsys.readouterr().out.splitlines()[-1])
+
+    def test_malformed_config_is_invalid_input(self, tmp_path, capsys):
+        config = tmp_path / "acr.json"
+        config.write_text('{"seed": 0, "scene": ')
+        code = cli.main(["simulate-acr", str(config)])
+        assert code == 1
+        assert self._last_json(capsys)["error"] == "invalid-input"
+
+    def test_default_config_converges(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # the bundled config writes to acr_out/
+        code = cli.main(["simulate-acr", "--seed", "0"])
+        assert code == 0
+        report = self._last_json(capsys)
+        assert report["status"] == "converged"
+        assert Path(report["trace"]).is_file()
+        assert Path(report["summary"]).read_text().splitlines()[1].startswith("i2acr,converged,")
+
+
+class TestSolveScale:
+    @staticmethod
+    def _inputs(tmp_path):
+        # Exact pairs of points in general position under a known motion.
+        rotation = Rotation.about_z(4.0).compose(Rotation.about_x(-3.0))
+        direction = np.array([0.6, -0.3, 0.74])
+        direction /= np.linalg.norm(direction)
+        c, _ = general_pair_set(
+            Intrinsics(fx=1100.0, fy=1100.0, cx=640.0, cy=480.0),
+            rotation,
+            0.08 * direction,
+            count=40,
+        )
+        c.save(tmp_path / "corr.json")
+        (tmp_path / "intr.json").write_text(
+            json.dumps({"fx": 1100.0, "fy": 1100.0, "cx": 640.0, "cy": 480.0})
+        )
+        (tmp_path / "pose.json").write_text(
+            json.dumps(
+                {
+                    "r": rotation.matrix.reshape(-1).tolist(),
+                    "direction": direction.tolist(),
+                }
+            )
+        )
+        return [
+            "solve-scale",
+            str(tmp_path / "corr.json"),
+            "--intrinsics",
+            str(tmp_path / "intr.json"),
+            "--pose",
+            str(tmp_path / "pose.json"),
+        ]
+
+    @staticmethod
+    def _last_json(capsys):
+        return json.loads(capsys.readouterr().out.splitlines()[-1])
+
+    def test_exact_files_solve(self, tmp_path, capsys):
+        output = tmp_path / "scale.json"
+        code = cli.main(self._inputs(tmp_path) + ["--output", str(output)])
+        assert code == 0
+        assert self._last_json(capsys)["residual"] < 1e-6
+        assert len(json.loads(output.read_text())["depth_ratio_a"]) == 40
+
+    def test_missing_pose_is_missing_input(self, tmp_path, capsys):
+        argv = self._inputs(tmp_path)
+        argv[argv.index("--pose") + 1] = str(tmp_path / "absent.json")
+        code = cli.main(argv)
         assert code == 2
         assert self._last_json(capsys)["error"] == "missing-input"

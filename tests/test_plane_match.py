@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -217,6 +218,19 @@ class TestErodeMask:
     def test_equals_per_label_oracle(self, case, radius):
         m = EROSION_CASES[case]()
         np.testing.assert_array_equal(erode_mask(m, radius).labels, _erosion_oracle(m, radius))
+
+    @pytest.mark.parametrize("case", sorted(EROSION_CASES))
+    def test_counts_equal_a_full_validation(self, case):
+        # Erosion builds its maps without recounting them; the counts it
+        # carries over must be those a validating construction takes.
+        m = EROSION_CASES[case]()
+        for radius in RADII + [40, math.inf, math.nan]:
+            e = erode_mask(m, radius)
+            checked = PlaneSegmentMap(e.labels)
+            assert e.num_planes == checked.num_planes
+            np.testing.assert_array_equal(e._areas, checked._areas)
+            assert e._areas.dtype == checked._areas.dtype
+            assert e.labels.dtype == np.int32 and not e.labels.flags.writeable
 
     def test_cases_cover_what_they_name(self):
         assert EROSION_CASES["twelve-planes"]().num_planes == 12

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from acrkit import simulator
 from acrkit.errors import InvalidInputError, InvalidSceneError
 from acrkit.geometry import Intrinsics, Pose, Rotation, compose, rotation_angle
+from acrkit.plane_match import PlaneSegmentMap
 from acrkit.simulator import (
     BENCH_MOTION,
     DESK_IMAGE_SIZE,
@@ -244,6 +246,214 @@ class TestVisibilityRule:
         assert obs.mask_cur.num_planes == 3
         np.testing.assert_array_equal(obs.mask_ref.label_at(c.a), c.plane_label)
         np.testing.assert_array_equal(obs.mask_cur.label_at(c.b), c.plane_label)
+
+
+def _oracle_labels(world, extrinsic, intr, image_size):
+    """Pixel-by-pixel z-buffer over each detected patch's bounding box, in
+    plane order, with the simulator's covering rule; ids as plane index + 1,
+    before any recompaction."""
+    w, h = int(image_size[0]), int(image_size[1])
+    labels = np.zeros((h, w), dtype=np.int32)
+    zbuf = np.full((h, w), np.inf)
+    for index, plane in enumerate(world.spec.planes):
+        if not plane.detected:
+            continue
+        px = simulator._projected_polygon(plane, extrinsic, intr)
+        if px is None:
+            continue
+        lo = np.floor(px.min(axis=0)).astype(int)
+        hi = np.ceil(px.max(axis=0)).astype(int)
+        x0, y0 = max(lo[0], 0), max(lo[1], 0)
+        x1, y1 = min(hi[0], w - 1), min(hi[1], h - 1)
+        if x1 < x0 or y1 < y0:
+            continue
+        gx, gy = np.meshgrid(
+            np.arange(x0, x1 + 1, dtype=float), np.arange(y0, y1 + 1, dtype=float)
+        )
+        covered, depth = simulator._cover(plane, extrinsic, intr, px, gx, gy)
+        sub_l = labels[y0 : y1 + 1, x0 : x1 + 1]
+        sub_z = zbuf[y0 : y1 + 1, x0 : x1 + 1]
+        visible = covered & (depth < sub_z)
+        sub_l[visible] = index + 1
+        sub_z[visible] = depth[visible]
+    return labels
+
+
+def _oracle_mask(world, extrinsic, intr, image_size) -> PlaneSegmentMap:
+    labels = _oracle_labels(world, extrinsic, intr, image_size)
+    present = np.bincount(labels.ravel()) > 0
+    present[0] = False
+    lut = np.zeros(present.size, dtype=labels.dtype)
+    lut[present] = np.arange(1, int(present.sum()) + 1)
+    return PlaneSegmentMap(lut[labels])
+
+
+def _assert_same_mask(mask: PlaneSegmentMap, expected: PlaneSegmentMap):
+    np.testing.assert_array_equal(mask.labels, expected.labels)
+    assert mask.labels.dtype == np.int32 and not mask.labels.flags.writeable
+    # The trusted constructor's counts equal a full validation's.
+    checked = PlaneSegmentMap(mask.labels)
+    assert mask.num_planes == checked.num_planes == expected.num_planes
+    np.testing.assert_array_equal(mask._areas, checked._areas)
+    assert mask._areas.dtype == checked._areas.dtype
+
+
+SMALL_INTRINSICS = Intrinsics(fx=150.0, fy=150.0, cx=80.0, cy=60.0)
+SMALL_IMAGE_SIZE = (160, 120)
+
+
+def _patch(center, half_extents, normal=(0.0, 0.0, 1.0), detected=True, polygon=None):
+    n = np.asarray(normal, dtype=float) / np.linalg.norm(normal)
+    return PlaneSpec(
+        normal=tuple(n),
+        offset=float(n @ np.asarray(center, dtype=float)),
+        center=tuple(center),
+        half_extents=half_extents,
+        polygon=polygon,
+        count=8,
+        detected=detected,
+    )
+
+
+# Scenes for the small camera, each built to reach one branch of the
+# renderer; test_cases_cover_what_they_name checks that they do.
+_BACKDROP = _patch((0.0, 0.0, 1.5), (0.1, 0.1))
+RENDER_CASES = {
+    "clipped-left": (_patch((-0.5, 0.0, 1.0), (0.3, 0.2)),),
+    "clipped-right": (_patch((0.5, 0.0, 1.0), (0.3, 0.2)),),
+    "clipped-top": (_patch((0.0, -0.4, 1.0), (0.3, 0.2)),),
+    "clipped-bottom": (_patch((0.0, 0.4, 1.0), (0.3, 0.2)),),
+    "off-image": (_patch((2.0, 0.0, 1.0), (0.3, 0.2)), _BACKDROP),
+    "vertex-behind": (
+        _patch((0.0, 0.3, 0.5), (1.0, 1.0), normal=(0.0, 0.95, 0.3)),
+        _BACKDROP,
+    ),
+    # A floor that runs out to 10 km under a slightly rolled camera: the
+    # margin band of its far edge straddles the horizon, so some rows
+    # change depth sign inside their run.
+    "grazing": (
+        _patch(
+            (0.0, 0.2, 0.0),
+            None,
+            normal=(0.01, 1.0, 0.0),
+            polygon=((-1e4, 0.6), (1e4, 0.6), (1e4, 1e4), (-1e4, 1e4)),
+        ),
+    ),
+    "hidden": (
+        _patch((0.0, 0.0, 2.0), (0.2, 0.2)),
+        _patch((0.0, 0.0, 1.0), (0.2, 0.15)),
+        _patch((0.4, 0.3, 1.2), (0.05, 0.05)),
+    ),
+    "undetected": (
+        _patch((0.0, 0.0, 0.8), (0.1, 0.1), detected=False),
+        _patch((0.0, 0.0, 1.0), (0.2, 0.15)),
+        _patch((0.05, 0.0, 1.0), (0.2, 0.15)),  # coplanar: ties keep the first
+    ),
+    "sub-pixel": (_patch((0.0, 0.0, 1.0), (0.0005, 0.0005)), _BACKDROP),
+}
+_CASE_POSES = (Pose.identity(), Pose(Rotation.about_z(7.0), np.array([0.01, -0.02, 0.0])))
+
+
+def _case_world(name):
+    return generate_scene(SceneSpec(planes=RENDER_CASES[name], seed=0))
+
+
+class TestRenderPlaneMask:
+    """The row-interval renderer against the pixel-by-pixel z-buffer."""
+
+    @pytest.mark.parametrize("scene", ["corner", "mural"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_oracle_on_scene_renders(self, scene, seed):
+        if scene == "corner":
+            spec, intr, size = corner_scene(seed=seed), DESK_INTRINSICS, DESK_IMAGE_SIZE
+        else:
+            spec, intr, size = mural_scene(seed=seed), MURAL_INTRINSICS, MURAL_IMAGE_SIZE
+        world = generate_scene(spec)
+        rng = np.random.default_rng(1000 + seed)
+        poses = [Pose.identity(), random_pose(rng, 6.0, 0.06), random_pose(rng, 12.0, 0.12)]
+        for pose in poses:
+            _assert_same_mask(
+                render_plane_mask(world, pose, intr, size),
+                _oracle_mask(world, pose, intr, size),
+            )
+
+    @pytest.mark.parametrize("name", sorted(RENDER_CASES))
+    def test_equals_oracle_on_named_cases(self, name):
+        world = _case_world(name)
+        for pose in _CASE_POSES:
+            _assert_same_mask(
+                render_plane_mask(world, pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE),
+                _oracle_mask(world, pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE),
+            )
+
+    def test_edge_ends_settle_from_any_guess(self):
+        # The edge lines give each run end a first guess; the walk that
+        # follows must land on the exact end wherever the guess starts.
+        rng = np.random.default_rng(0)
+        v = np.arange(0.0, 41.0)
+        columns = np.arange(0, 41)
+        for _ in range(20):
+            triangle = rng.uniform(0.0, 40.0, size=(3, 2))
+            for edge in simulator._half_planes(triangle, simulator.COVER_MARGIN_PX):
+                x, y, ex, ey, orient, limit = edge
+                passes = simulator._passes(edge, columns[None, :].astype(float), v[:, None])
+                if orient * ey > 0:  # passes up to an upper end
+                    step, guesses = 1, (-1, 0, 17, 40)
+                    expected = np.where(passes.any(axis=1), passes.sum(axis=1) - 1, -1)
+                else:  # passes from a lower end on
+                    step, guesses = -1, (0, 23, 40, 41)
+                    expected = np.where(passes.any(axis=1), 41 - passes.sum(axis=1), 41)
+                for guess in guesses:
+                    t = np.full(v.shape, guess, dtype=np.int64)
+                    ends = simulator._edge_end(edge, t, v, step, 0, 40)
+                    np.testing.assert_array_equal(ends, expected)
+
+    def test_cases_cover_what_they_name(self, monkeypatch):
+        w = SMALL_IMAGE_SIZE[0]
+        pose = Pose.identity()
+
+        def raw(name):
+            return _oracle_labels(_case_world(name), pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE)
+
+        def projected(name, index=0):
+            plane = RENDER_CASES[name][index]
+            return simulator._projected_polygon(plane, pose, SMALL_INTRINSICS)
+
+        edges = {
+            "clipped-left": lambda lab: lab[:, 0],
+            "clipped-right": lambda lab: lab[:, -1],
+            "clipped-top": lambda lab: lab[0],
+            "clipped-bottom": lambda lab: lab[-1],
+        }
+        for name, edge in edges.items():
+            lab = raw(name)
+            assert edge(lab).any() and (lab == 0).any(), name
+        px = projected("off-image")
+        assert px is not None and px[:, 0].min() > w
+        assert set(np.unique(raw("off-image"))) == {0, 2}
+        assert projected("vertex-behind") is None
+        assert set(np.unique(raw("vertex-behind"))) == {0, 2}
+        lab = raw("hidden")
+        assert set(np.unique(lab)) == {0, 2, 3}  # the far patch lost every pixel
+        lab = raw("undetected")
+        assert set(np.unique(lab)) == {0, 2, 3}
+        assert (lab[60, 70:100] == 2).all()  # the coplanar overlap keeps patch 2
+        px = projected("sub-pixel")
+        assert np.ptp(px, axis=0).max() < 1.0
+        assert 1 <= np.count_nonzero(raw("sub-pixel") == 1) <= 4
+        # The grazing floor's horizon rows fall back to the per-pixel rule.
+        assert (raw("grazing") == 1).any()
+        mixed = []
+        cover = simulator._cover
+
+        def spy(*args):
+            covered, depth = cover(*args)
+            mixed.append(0 < np.count_nonzero(depth > 0) < depth.size)
+            return covered, depth
+
+        monkeypatch.setattr(simulator, "_cover", spy)
+        render_plane_mask(_case_world("grazing"), pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE)
+        assert any(mixed)
 
 
 class TestSimulatedExecutor:
