@@ -9,13 +9,11 @@ from .errors import AcrError
 from .geometry import (
     DirectionalPose,
     Intrinsics,
-    PixelPoint,
     Pose,
     Rotation,
     compose,
     direction_angle,
     invert,
-    project,
     rotation_angle,
 )
 from .pose_estimation import (
@@ -28,11 +26,10 @@ from .pose_estimation import (
     point_spread,
 )
 from .scale_solver import (
-    CoefficientBlock,
     ScaleSolution,
     SparseDepthMap,
     assemble_system,
-    coefficient_block,
+    coefficient_arrays,
     depth_map_current,
     depth_map_reference,
     init_scale,
@@ -44,10 +41,7 @@ from .plane_match import (
     PlaneGraph,
     PlaneSegmentMap,
     assemble_affinity,
-    edge_affinity,
     erode_mask,
-    min_region_distance,
-    node_affinity,
     solve_matching,
 )
 from .fusion import FusionWeights, I2peConfig, PoseEstimate, fuse_poses, hypothesis_weight, i2pe
@@ -60,6 +54,6 @@ from .acr_loop import (
     run_acr,
     run_bisection_baseline,
 )
-from .metrics import AfdReport, afd, pose_error
+from .metrics import AfdReport, afd
 
 __version__ = "0.1.0"

@@ -26,8 +26,9 @@ from .errors import (
     AmbiguousNullspaceError,
     CheiralityError,
     EstimationFailureError,
+    InvalidInputError,
 )
-from .fusion import I2peConfig, PoseEstimate, i2pe, reselect_candidates
+from .fusion import I2peConfig, i2pe, reselect_candidates
 from .geometry import (
     DirectionalPose,
     Intrinsics,
@@ -111,15 +112,14 @@ class AcrConfig:
     epipolar_threshold_px: float = 1.0
     epipolar_max_iters: int = 2000
     parallax_min_deg: float = 0.1
-    scale_mode: str = "mean"  # averaging of per-track scale ratios
     min_scale_points: int = 8
     max_scale_points: int = 512
 
     def __post_init__(self):
         if self.scale_epsilon <= 0 or self.rotation_epsilon <= 0:
-            raise ValueError("epsilons must be positive")
+            raise InvalidInputError("epsilons must be positive")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise InvalidInputError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,7 +296,7 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
 
         pair_0i = join_on_tracks(obs0.correspondences, obs_init.correspondences)
         est_0i = i2pe(pair_0i, obs0.mask_cur, obs_init.mask_cur, intr, cfg.i2pe)
-        est_0i = reselect_candidates(est_0i, _pure_translation_chooser, cfg.i2pe)
+        est_0i = reselect_candidates(est_0i, _pure_translation_chooser)
         if est_0i.zero_motion:
             raise EstimationFailureError("init translation produced no parallax")
         s_init = init_scale(t_init, est_0i.pose)
@@ -314,7 +314,7 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
         )
         # The current image is the B side of the (reference, current) pair.
         est_r0 = reselect_candidates(
-            est_r0, _depth_profile_chooser(intr, d_current, "b", cfg), cfg.i2pe
+            est_r0, _depth_profile_chooser(intr, d_current, "b", cfg)
         )
         if est_r0.zero_motion:
             # Already at the reference up to parallax; reuse current depths
@@ -353,7 +353,7 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
                 obs.correspondences, obs.mask_ref, obs.mask_cur, intr, cfg.i2pe
             )
             estimate = reselect_candidates(
-                estimate, _depth_profile_chooser(intr, d_ref, "a", cfg), cfg.i2pe
+                estimate, _depth_profile_chooser(intr, d_ref, "a", cfg)
             )
             rot_err, trans_err = _truth_errors(obs)
             rot_estimated = rotation_angle(estimate.pose.rotation)
@@ -370,7 +370,7 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
                     sol = _solve_scale(
                         pair, intr, estimate.pose, cfg, cfg.i2pe.seed + index
                     )
-                    scale = iteration_scale(sol, d_ref, mode=cfg.scale_mode)
+                    scale = iteration_scale(sol, d_ref)
                 except (AmbiguousNullspaceError, CheiralityError):
                     # An unobservable or sign-inconsistent scale is the
                     # zero-baseline signature (the system degenerates as the

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .acr_loop import AcrConfig, run_acr, run_bisection_baseline
-from .errors import AcrError, MissingInputError
+from .errors import AcrError, InvalidInputError, MissingInputError
 from .fusion import I2peConfig, i2pe
-from .geometry import Intrinsics, Pose, Rotation, rotation_angle
+from .geometry import Intrinsics, Pose, Rotation
 from .metrics import afd
 from .plane_match import PlaneSegmentMap, erode_mask, match_plane_maps
 from .pose_estimation import CorrespondenceSet, estimate_epipolar, estimate_homography_ransac
@@ -136,11 +137,23 @@ ACR_SCHEMA = {
         "dropout_fraction": "fraction",
     },
     "acr": {
-        "scale_epsilon": "m",
-        "rotation_epsilon": "deg",
+        "scale_epsilon": "m, stop threshold on the estimated remaining translation",
+        "rotation_epsilon": "deg, stop threshold on the estimated remaining rotation",
         "max_iterations": "int",
-        "init_translation": "[3] m",
-        "rotation_epsilon/parallax_min_deg/...": "see AcrConfig",
+        "init_translation": "[3] m, hand frame",
+        "i2pe": {
+            "erosion_radius": "px",
+            "ransac_threshold_px": "px",
+            "ransac_max_iters": "int",
+            "seed": "int",
+            "edge_sigma_frac": "fraction of the reference image diagonal",
+            "min_pair_correspondences": "int",
+        },
+        "epipolar_threshold_px": "px, baseline only",
+        "epipolar_max_iters": "int, baseline only",
+        "parallax_min_deg": "deg, baseline only",
+        "min_scale_points": "int",
+        "max_scale_points": "int",
     },
     "baseline": "bool, use the scale-guessing epipolar loop",
     "output_dir": "directory for trace.jsonl and summary.csv",
@@ -161,41 +174,21 @@ BENCH_SCHEMA = {
 }
 
 
+def _only_fields(doc: dict, cls, where: str) -> dict:
+    """``doc`` itself, once every key is a field of the dataclass ``cls``."""
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise InvalidInputError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return doc
+
+
 def _acr_config_from(doc) -> AcrConfig:
-    doc = doc or {}
-    kwargs = {}
-    for key in (
-        "scale_epsilon",
-        "rotation_epsilon",
-        "max_iterations",
-        "epipolar_threshold_px",
-        "epipolar_max_iters",
-        "parallax_min_deg",
-        "scale_mode",
-        "min_scale_points",
-        "max_scale_points",
-    ):
-        if key in doc:
-            kwargs[key] = doc[key]
-    if "init_translation" in doc:
-        kwargs["init_translation"] = tuple(doc["init_translation"])
-    i2pe_doc = doc.get("i2pe", {})
-    i2pe_kwargs = {
-        k: i2pe_doc[k]
-        for k in (
-            "erosion_radius",
-            "ransac_threshold_px",
-            "ransac_max_iters",
-            "seed",
-            "edge_sigma_frac",
-            "normalize_affinity",
-            "match_mode",
-            "min_pair_correspondences",
-            "fusion",
-        )
-        if k in i2pe_doc
-    }
-    kwargs["i2pe"] = I2peConfig(**i2pe_kwargs)
+    """The loop configuration of the ``acr`` object; unknown keys are errors."""
+    kwargs = dict(_only_fields(doc or {}, AcrConfig, "acr"))
+    i2pe_doc = _only_fields(kwargs.get("i2pe") or {}, I2peConfig, "acr.i2pe")
+    kwargs["i2pe"] = I2peConfig(**i2pe_doc)
+    if "init_translation" in kwargs:
+        kwargs["init_translation"] = tuple(kwargs["init_translation"])
     if "max_iterations" in kwargs:
         kwargs["max_iterations"] = int(kwargs["max_iterations"])
     return AcrConfig(**kwargs)
@@ -339,7 +332,8 @@ def default_acr_config() -> dict:
 def cmd_simulate_acr(args) -> int:
     try:
         doc = _load_json(args.config) if args.config else default_acr_config()
-    except (MissingInputError, json.JSONDecodeError) as exc:
+        cfg = _acr_config_from(doc.get("acr"))
+    except (MissingInputError, InvalidInputError, json.JSONDecodeError) as exc:
         return _fail(1, "invalid-input", str(exc))
     try:
         seed = int(doc.get("seed", 0)) if args.seed is None else args.seed
@@ -374,7 +368,6 @@ def cmd_simulate_acr(args) -> int:
             ),
             dropout_fraction=float(light_doc.get("dropout_fraction", 0.0)),
         )
-        cfg = _acr_config_from(doc.get("acr"))
         use_baseline = bool(doc.get("baseline", False)) or args.baseline
 
         rig = RigSpec(hand_eye=hand_eye, intrinsics=intr, image_size=image_size)

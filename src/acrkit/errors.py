@@ -34,10 +34,6 @@ class DegenerateDirectionError(AcrError):
     code = "degenerate-direction"
 
 
-class BehindCameraError(AcrError):
-    code = "behind-camera"
-
-
 class CheiralityError(AcrError):
     code = "cheirality-failure"
 
@@ -52,10 +48,6 @@ class AmbiguousDirectionError(AcrError):
 
 class MissingDepthError(AcrError):
     code = "missing-depth"
-
-
-class MissingPlaneError(AcrError):
-    code = "missing-plane"
 
 
 class BudgetExceededError(AcrError):

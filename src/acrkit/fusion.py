@@ -12,12 +12,11 @@ off-plane contamination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
-    AcrError,
     AmbiguousDirectionError,
     CheiralityError,
     DegenerateModelError,
@@ -26,7 +25,7 @@ from .errors import (
     InvalidInputError,
 )
 from .geometry import DirectionalPose, Intrinsics, Rotation, rotation_angle, direction_angle
-from .plane_match import PlaneSegmentMap, erode_mask, match_plane_maps
+from .plane_match import PlaneSegmentMap, match_plane_maps
 from .pose_estimation import (
     CorrespondenceSet,
     PoseHypothesis,
@@ -110,17 +109,19 @@ def fuse_poses(hypotheses, weights: FusionWeights) -> DirectionalPose:
 
 @dataclass(frozen=True)
 class I2peConfig:
-    """Knobs of the plane-mediated estimation pipeline."""
+    """Knobs of the plane-mediated estimation pipeline.
+
+    Plane matching always solves the normalized affinity exactly (spectral
+    past the enumeration budget) and the hypotheses are always fused by
+    weight; only the thresholds, budgets and seed are configurable.
+    """
 
     erosion_radius: int = 5
     ransac_threshold_px: float = 1.0
     ransac_max_iters: int = 2000
     seed: int = 0
     edge_sigma_frac: float = 0.1  # of the reference image diagonal
-    normalize_affinity: bool = True
-    match_mode: str = "exact"  # spectral fallback on budget overrun
     min_pair_correspondences: int = 4
-    fusion: str = "weighted"  # or "winner"
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +139,11 @@ class PoseEstimate:
     weights: FusionWeights
     plane_pairs: tuple
     inlier_track_ids: np.ndarray = None
-    # Per matched pair: the full cheirality-valid candidate list and the
-    # consensus correspondences behind it.  Loop drivers re-select among
-    # these with structural priors (see acrkit.acr_loop).
+    # Per matched pair, zero-motion ones included: the (ref, cur) plane ids,
+    # the full cheirality-valid candidate list and the consensus
+    # correspondences behind it.  Loop drivers re-select among these with
+    # structural priors (see acrkit.acr_loop).
+    candidate_pairs: tuple = ()
     pair_candidates: tuple = ()
     pair_inliers: tuple = ()
 
@@ -226,14 +229,7 @@ def i2pe(
     ref = m_ref.eroded(cfg.erosion_radius)
     cur = m_cur.eroded(cfg.erosion_radius)
     sigma = cfg.edge_sigma_frac * math.hypot(m_ref.width, m_ref.height)
-    pairs = match_plane_maps(
-        ref,
-        cur,
-        c,
-        sigma=sigma,
-        normalize=cfg.normalize_affinity,
-        mode=cfg.match_mode,
-    )
+    pairs = match_plane_maps(ref, cur, c, sigma=sigma)
     if not pairs:
         raise EstimationFailureError("no matchable plane pairs")
 
@@ -280,9 +276,8 @@ def i2pe(
     hypotheses = _select_consistent(candidate_lists)
     return _fuse_hypotheses(
         hypotheses,
-        kept_pairs,
         inlier_track_ids,
-        cfg,
+        candidate_pairs=tuple(kept_pairs),
         pair_candidates=tuple(tuple(lst) for lst in candidate_lists),
         pair_inliers=tuple(pair_inlier_sets),
     )
@@ -290,14 +285,14 @@ def i2pe(
 
 def _fuse_hypotheses(
     hypotheses,
-    kept_pairs,
     inlier_track_ids,
-    cfg: I2peConfig,
-    pair_candidates=(),
-    pair_inliers=(),
+    candidate_pairs,
+    pair_candidates,
+    pair_inliers,
 ) -> PoseEstimate:
+    """Weighted fusion of one hypothesis per entry of ``candidate_pairs``."""
     hypotheses = list(hypotheses)
-    kept_pairs = list(kept_pairs)
+    kept_pairs = list(candidate_pairs)
     weights = weights_from_hypotheses(hypotheses)
 
     zero_flags = np.array([h.zero_motion for h in hypotheses])
@@ -313,6 +308,7 @@ def _fuse_hypotheses(
             weights=weights,
             plane_pairs=tuple(kept_pairs),
             inlier_track_ids=inlier_track_ids,
+            candidate_pairs=candidate_pairs,
             pair_candidates=pair_candidates,
             pair_inliers=pair_inliers,
         )
@@ -322,26 +318,20 @@ def _fuse_hypotheses(
         kept_pairs = [p for p, k in zip(kept_pairs, keep) if k]
         weights = weights_from_hypotheses(hypotheses)
 
-    if cfg.fusion == "winner":
-        best = int(np.argmax(weights.values))
-        fused = hypotheses[best].pose
-    elif cfg.fusion == "weighted":
-        fused = fuse_poses(hypotheses, weights)
-    else:
-        raise InvalidInputError(f"unknown fusion mode {cfg.fusion!r}")
     return PoseEstimate(
-        pose=fused,
+        pose=fuse_poses(hypotheses, weights),
         zero_motion=False,
         hypotheses=tuple(hypotheses),
         weights=weights,
         plane_pairs=tuple(kept_pairs),
         inlier_track_ids=inlier_track_ids,
+        candidate_pairs=candidate_pairs,
         pair_candidates=pair_candidates,
         pair_inliers=pair_inliers,
     )
 
 
-def reselect_candidates(estimate: PoseEstimate, chooser, cfg: I2peConfig) -> PoseEstimate:
+def reselect_candidates(estimate: PoseEstimate, chooser) -> PoseEstimate:
     """Re-fuse an estimate after choosing among per-pair candidates.
 
     A plane-induced homography factors into up to two physically valid
@@ -365,11 +355,10 @@ def reselect_candidates(estimate: PoseEstimate, chooser, cfg: I2peConfig) -> Pos
         chosen.append(candidates[pick])
     return _fuse_hypotheses(
         chosen,
-        list(estimate.plane_pairs),
         estimate.inlier_track_ids,
-        cfg,
-        pair_candidates=estimate.pair_candidates,
-        pair_inliers=estimate.pair_inliers,
+        estimate.candidate_pairs,
+        estimate.pair_candidates,
+        estimate.pair_inliers,
     )
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BehindCameraError,
     DegenerateDirectionError,
     InvalidInputError,
     InvalidIntrinsicsError,
@@ -290,24 +289,6 @@ class Intrinsics:
         )
 
 
-@dataclass(frozen=True)
-class PixelPoint:
-    """Image point in pixels; homogeneous third component is fixed at 1."""
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.u) and math.isfinite(self.v)):
-            raise InvalidInputError("pixel coordinates must be finite")
-
-    def homogeneous(self) -> np.ndarray:
-        return np.array([self.u, self.v, 1.0])
-
-    def array(self) -> np.ndarray:
-        return np.array([self.u, self.v])
-
-
 def compose(a: Pose, b: Pose) -> Pose:
     """Composition: the result applies ``b`` first, then ``a``."""
     r = a.rotation.compose(b.rotation)
@@ -346,22 +327,6 @@ def direction_angle(a, b) -> float:
     return math.degrees(math.atan2(np.linalg.norm(np.cross(a, b)), float(a @ b)))
 
 
-def project(intr: Intrinsics, pose: Pose, point3d) -> PixelPoint:
-    """Pinhole projection ``q = K (R Q + t) / depth``.
-
-    Raises:
-        BehindCameraError: if the point has non-positive depth in the
-            camera frame.
-    """
-    xc = pose.apply(np.asarray(point3d, dtype=float))
-    depth = xc[2]
-    if depth <= 1e-12:
-        raise BehindCameraError(f"point depth {depth:.3e} is not positive")
-    return PixelPoint(
-        intr.fx * xc[0] / depth + intr.cx, intr.fy * xc[1] / depth + intr.cy
-    )
-
-
 def project_points(intr: Intrinsics, pose: Pose, points: np.ndarray):
     """Vectorized projection.
 
@@ -378,29 +343,3 @@ def project_points(intr: Intrinsics, pose: Pose, points: np.ndarray):
     px = np.stack([u, v], axis=1)
     px[depths <= 0] = np.nan
     return px, depths
-
-
-def back_project(intr: Intrinsics, pixel: PixelPoint, depth: float) -> np.ndarray:
-    """Camera-frame point ``K^-1 q * depth`` for a pixel with known depth."""
-    return intr.inverse_matrix() @ pixel.homogeneous() * float(depth)
-
-
-def rotation_to_euler_xyz(r: Rotation) -> np.ndarray:
-    """Intrinsic x-y-z Euler angles in degrees.
-
-    Provided alongside the axis-angle metric because per-axis reporting is a
-    common convention for convergence curves; the default error metric in
-    this toolkit is the axis-angle :func:`rotation_angle`.
-    """
-    m = r.matrix
-    sy = -m[2, 0]
-    sy = min(1.0, max(-1.0, sy))
-    y = math.asin(sy)
-    if abs(sy) < 1.0 - 1e-12:
-        x = math.atan2(m[2, 1], m[2, 2])
-        z = math.atan2(m[1, 0], m[0, 0])
-    else:
-        # Gimbal lock: fold the z rotation into x.
-        x = math.atan2(-m[1, 2], m[1, 1])
-        z = 0.0
-    return np.degrees(np.array([x, y, z]))

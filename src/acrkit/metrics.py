@@ -14,12 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import (
-    DirectionalPose,
-    Pose,
-    direction_angle,
-    rotation_angle,
-)
 
 
 @dataclass(frozen=True)
@@ -46,18 +40,3 @@ def afd(ref_points, cur_points) -> AfdReport:
         raise InvalidInputError("point lists must be equal-length and non-empty")
     d = np.linalg.norm(a - b, axis=1)
     return AfdReport(afd=float(d.mean()), match_count=int(a.shape[0]))
-
-
-def pose_error(est: DirectionalPose, truth: Pose):
-    """(rotation error deg, direction error deg) of an estimate vs truth.
-
-    The rotation error is the axis-angle magnitude of
-    ``R_est @ R_truth^T``.  With a (near) zero truth translation the
-    direction error is undefined and reported as None.
-    """
-    rot_err = rotation_angle(est.rotation.compose(truth.rotation.inverse()))
-    t = np.asarray(truth.translation, dtype=float)
-    norm = np.linalg.norm(t)
-    if norm < 1e-12:
-        return rot_err, None
-    return rot_err, direction_angle(est.direction, t / norm)

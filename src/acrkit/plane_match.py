@@ -25,9 +25,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (
     BudgetExceededError,
-    InsufficientDataError,
     InvalidInputError,
-    MissingPlaneError,
     OrientationError,
 )
 from .pose_estimation import CorrespondenceSet
@@ -205,16 +203,6 @@ def erode_mask(m: PlaneSegmentMap, radius: float) -> PlaneSegmentMap:
     return PlaneSegmentMap._trusted(out, areas)
 
 
-def min_region_distance(m: PlaneSegmentMap, a: int, b: int) -> float:
-    """Minimum Euclidean pixel distance between two regions, read from the
-    cached :meth:`PlaneSegmentMap.graph`; touching regions (any pixel pair
-    within an 8-neighborhood) read 0."""
-    for plane_id in (a, b):
-        if plane_id not in m.plane_ids:
-            raise MissingPlaneError(f"unknown plane id {plane_id}")
-    return float(m.graph().distances[a - 1, b - 1])
-
-
 @dataclass(frozen=True, eq=False)
 class PlaneGraph:
     """Complete graph over region ids with min-distance edge weights."""
@@ -250,21 +238,6 @@ class PlaneGraph:
         return PlaneGraph(ids, d)
 
 
-def node_affinity(
-    c: CorrespondenceSet,
-    m_ref: PlaneSegmentMap,
-    m_cur: PlaneSegmentMap,
-    a: int,
-    c_id: int,
-) -> int:
-    """Count of correspondences with the A point in region ``a`` of the
-    reference mask and the B point in region ``c_id`` of the current mask:
-    one entry of :func:`node_affinity_matrix`, 0 for an id with no region."""
-    if a not in m_ref.plane_ids or c_id not in m_cur.plane_ids:
-        return 0
-    return int(node_affinity_matrix(c, m_ref, m_cur)[a - 1, c_id - 1])
-
-
 def node_affinity_matrix(
     c: CorrespondenceSet, m_ref: PlaneSegmentMap, m_cur: PlaneSegmentMap
 ) -> np.ndarray:
@@ -278,27 +251,20 @@ def node_affinity_matrix(
     return counts
 
 
-def edge_affinity(d_ref: float, d_cur: float, sigma: float) -> float:
-    """Similarity ``exp(-|d_ref - d_cur| / sigma)`` of two edge weights."""
-    if sigma <= 0:
-        raise InvalidInputError("sigma must be positive")
-    return float(np.exp(-abs(d_ref - d_cur) / sigma))
-
-
 def assemble_affinity(
     node_aff: np.ndarray,
     graph_ref: PlaneGraph,
     graph_cur: PlaneGraph,
     sigma: float,
-    normalize: bool = True,
 ) -> np.ndarray:
     """Affinity matrix W over the column expansion of the assignment.
 
     Index (a, c) maps to ``c * H + a``.  Diagonal entries carry the node
     affinities; entry ((a, c), (b, d)) with a != b and c != d carries the
-    edge affinity between edges (a, b) and (c, d).  With ``normalize`` the
-    node and edge classes are each scaled by their maximum so neither
-    dominates by units alone.
+    edge affinity ``exp(-|D_ref(a, b) - D_cur(c, d)| / sigma)``.  The node
+    and edge classes are each scaled by their maximum so neither dominates
+    by units alone.  The quadratic objective of an assignment U is
+    ``u^T W u`` with u its column expansion.
     """
     node_aff = np.asarray(node_aff, dtype=float)
     h, m = node_aff.shape
@@ -309,8 +275,10 @@ def assemble_affinity(
         )
     if len(graph_ref.plane_ids) != h or len(graph_cur.plane_ids) != m:
         raise InvalidInputError("graph sizes must match the affinity matrix")
+    if not sigma > 0:
+        raise InvalidInputError("sigma must be positive")
     nodes = node_aff.copy()
-    if normalize and nodes.max() > 0:
+    if nodes.max() > 0:
         nodes = nodes / nodes.max()
     n = h * m
     w = np.zeros((n, n))
@@ -332,7 +300,7 @@ def assemble_affinity(
                     vals = sim[c_i].copy()
                     vals[c_i] = 0.0  # c == d is infeasible
                     edges[row, cols] = vals
-        if normalize and edges.max() > 0:
+        if edges.max() > 0:
             edges = edges / edges.max()
         w = w + edges  # edge entries never touch the diagonal (a != b)
     return w
@@ -361,15 +329,6 @@ class Assignment:
         """(row_id, col_id) pairs, 1-based to match plane ids."""
         rows, cols = np.nonzero(self.matrix)
         return [(int(r) + 1, int(c) + 1) for r, c in zip(rows, cols)]
-
-
-def matching_objective(w: np.ndarray, assignment: Assignment) -> float:
-    """Quadratic objective U_c^T W U_c for a feasible assignment."""
-    h, m = assignment.matrix.shape
-    u_c = assignment.matrix.T.reshape(-1).astype(float)  # column expansion
-    if u_c.size != w.shape[0]:
-        raise InvalidInputError("assignment size does not match W")
-    return float(u_c @ w @ u_c)
 
 
 def _selection_indices(columns, h: int) -> np.ndarray:
@@ -443,14 +402,14 @@ def match_plane_maps(
     m_cur: PlaneSegmentMap,
     c: CorrespondenceSet,
     sigma: float = None,
-    normalize: bool = True,
-    mode: str = "exact",
 ) -> list:
     """Full matching pipeline between two already-eroded masks.
 
     Returns (ref_id, cur_id) plane pairs.  When the reference mask has more
     planes than the current one the inputs are swapped internally and the
-    assignment transposed, honoring the H <= M orientation.
+    assignment transposed, honoring the H <= M orientation.  The normalized
+    affinity is solved exactly, or spectrally when exact enumeration would
+    exceed its budget.
 
     ``sigma`` defaults to 10% of the reference image diagonal.
     """
@@ -459,15 +418,13 @@ def match_plane_maps(
     if sigma is None:
         sigma = 0.1 * math.hypot(m_ref.width, m_ref.height)
     if m_ref.num_planes > m_cur.num_planes:
-        swapped = match_plane_maps(
-            m_cur, m_ref, c.swapped(), sigma=sigma, normalize=normalize, mode=mode
-        )
+        swapped = match_plane_maps(m_cur, m_ref, c.swapped(), sigma=sigma)
         return [(r, c_id) for c_id, r in swapped]
     node_aff = node_affinity_matrix(c, m_ref, m_cur)
-    w = assemble_affinity(node_aff, m_ref.graph(), m_cur.graph(), sigma, normalize)
+    w = assemble_affinity(node_aff, m_ref.graph(), m_cur.graph(), sigma)
     h, m = node_aff.shape
     try:
-        assignment = solve_matching(w, h, m, mode=mode)
+        assignment = solve_matching(w, h, m)
     except BudgetExceededError:
         assignment = solve_matching(w, h, m, mode="spectral")
     return assignment.pairs

@@ -25,7 +25,7 @@ relocalization iteration, starting from one known physical translation.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import (
     InvalidInputError,
     MissingDepthError,
 )
-from .geometry import DirectionalPose, Intrinsics, PixelPoint
+from .geometry import DirectionalPose, Intrinsics
 from .pose_estimation import CorrespondenceSet
 
 # Matching singular values closer than this mean the nullspace dimension
@@ -59,51 +59,15 @@ _SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class CoefficientBlock:
-    """The six quadratic-form coefficients of one correspondence."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-    epsilon: float
-    zeta: float
-
-    def matrix(self) -> np.ndarray:
-        """Symmetric 3x3 stationarity block over (da, db, s)."""
-        return np.array(astuple(self))[_BLOCK] * _SIGN
-
-    def energy(self, da: float, db: float, s: float) -> float:
-        """Value of the warping quadratic F at (da, db, s)."""
-        return (
-            0.5 * self.alpha * da * da
-            - self.beta * da * db
-            + self.gamma * da * s
-            + 0.5 * self.delta * db * db
-            - self.epsilon * db * s
-            + 0.5 * self.zeta * s * s
-        )
-
-
-def coefficient_block(
-    qa: PixelPoint, qb: PixelPoint, intr: Intrinsics, pose: DirectionalPose
-) -> CoefficientBlock:
-    """Coefficients for a single correspondence.
-
-    ``qa`` lives in image A and ``qb`` in image B; ``pose`` maps A-camera
-    coordinates into B-camera coordinates.
-    """
-    arr = _coefficient_arrays(
-        np.array([[qa.u, qa.v]]), np.array([[qb.u, qb.v]]), intr, pose
-    )
-    return CoefficientBlock(*(float(arr[0, j]) for j in range(6)))
-
-
-def _coefficient_arrays(
+def coefficient_arrays(
     a_px: np.ndarray, b_px: np.ndarray, intr: Intrinsics, pose: DirectionalPose
 ) -> np.ndarray:
-    """(N, 6) array of (alpha, beta, gamma, delta, epsilon, zeta)."""
+    """(N, 6) array of the coefficients (alpha, beta, gamma, delta, epsilon,
+    zeta) of each correspondence, one row per pixel pair.
+
+    ``a_px`` holds (N, 2) pixels of image A and ``b_px`` those of image B;
+    ``pose`` maps A-camera coordinates into B-camera coordinates.
+    """
     k_inv = intr.inverse_matrix()
     r_inv = pose.rotation.matrix.T
     t_dir = pose.direction
@@ -120,33 +84,18 @@ def _coefficient_arrays(
     return np.column_stack([alpha, beta, gamma, delta, epsilon, zeta])
 
 
-def coefficient_blocks(
-    c: CorrespondenceSet, intr: Intrinsics, pose: DirectionalPose
-) -> list:
-    """Per-correspondence blocks for a whole set."""
-    arr = _coefficient_arrays(c.a, c.b, intr, pose)
-    return [CoefficientBlock(*(float(v) for v in row)) for row in arr]
-
-
-def _block_array(blocks) -> np.ndarray:
-    if isinstance(blocks, np.ndarray):
-        arr = np.asarray(blocks, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 6:
-            raise InvalidInputError("coefficient array must be (N, 6)")
-        return arr
-    return np.array([astuple(b) for b in blocks], dtype=float)
-
-
-def assemble_system(blocks) -> np.ndarray:
-    """Dense 3N x (2N+1) stationarity system.
+def assemble_system(coefficients) -> np.ndarray:
+    """Dense 3N x (2N+1) stationarity system of (N, 6) coefficients.
 
     Row triple i carries ``(a_i, -b_i, g_i)``, ``(-b_i, d_i, -e_i)`` and
     ``(g_i, -e_i, z_i)`` in columns (2i, 2i+1, 2N).
     """
-    arr = _block_array(blocks)
+    arr = np.asarray(coefficients, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 6:
+        raise InvalidInputError("coefficient array must be (N, 6)")
     n = arr.shape[0]
     if n < 1:
-        raise InsufficientDataError("need at least one coefficient block")
+        raise InsufficientDataError("need at least one coefficient row")
     m = arr[:, _BLOCK] * _SIGN
     a = np.zeros((n, 3, 2 * n + 1))
     rows = np.arange(n)
@@ -317,7 +266,7 @@ def solve_scale_system(
         rng = np.random.default_rng(subsample_seed)
         idx = np.sort(rng.choice(len(c), size=max_points, replace=False))
         use = c.subset(idx)
-    w, y = _arrowhead_eigen(_coefficient_arrays(use.a, use.b, intr, pose))
+    w, y = _arrowhead_eigen(coefficient_arrays(use.a, use.b, intr, pose))
     return _checked_solution(w, y, use.track_id)
 
 
@@ -410,14 +359,11 @@ def depth_map_reference(
     return SparseDepthMap(depths)
 
 
-def iteration_scale(
-    iter_solution: ScaleSolution, dref: SparseDepthMap, mode: str = "mean"
-) -> float:
+def iteration_scale(iter_solution: ScaleSolution, dref: SparseDepthMap) -> float:
     """Metric scale of the current relocalization motion.
 
-    Averages ``s * D_ref / d_ref`` over the correspondences shared with the
-    reference depth map.  ``mode`` selects the plain arithmetic mean
-    (default, faithful to the formulation) or a median for noisy data.
+    The arithmetic mean of ``s * D_ref / d_ref`` over the correspondences
+    shared with the reference depth map, as in the formulation.
     """
     ratios = []
     for i, track in enumerate(iter_solution.track_id.tolist()):
@@ -427,8 +373,4 @@ def iteration_scale(
             )
     if not ratios:
         raise MissingDepthError("no shared tracks with the reference depth map")
-    if mode == "median":
-        return float(np.median(ratios))
-    if mode != "mean":
-        raise InvalidInputError(f"unknown averaging mode {mode!r}")
     return float(np.mean(ratios))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acr_loop import MotionExecutor, Observation, ObservationTruth
+from .acr_loop import Observation, ObservationTruth
 from .errors import (
     AcrError,
     EmptyObservationError,
@@ -847,45 +847,21 @@ class BenchRow:
     dir_err_deg: float
 
 
-def _bench_trial(args):
-    (
-        world,
-        motion,
-        intr,
-        image_size,
-        r,
-        mu,
-        trial,
-        seed,
-        i_r,
-        i_mu,
-        threshold_px,
-        max_iters,
-    ) = args
-    child = np.random.default_rng(np.random.SeedSequence((seed, i_r, i_mu, trial)))
-    obs_seed = int(child.integers(0, 2**63 - 1))
-    obs = observe(
-        world,
-        motion,
-        intr,
-        image_size,
-        noise=NoiseSpec(magnitude_r=r, ratio_mu=mu),
-        seed=obs_seed,
-        render_masks=False,
-    )
-    c = obs.correspondences
+def _bench_errors(
+    c: CorrespondenceSet, intr: Intrinsics, motion: Pose, seed, threshold_px, max_iters
+) -> list:
+    """(method, rotation error deg, direction error deg) of both estimators
+    on one observation's correspondences, NaN where an estimator fails."""
     truth_r = motion.rotation
     truth_dir = motion.translation / np.linalg.norm(motion.translation)
-    rows = []
+    ransac = dict(
+        threshold_px=threshold_px,
+        max_iters=max_iters,
+        seed=seed,
+        refine_iters=BENCH_REFINE_ITERS,
+    )
     try:
-        h, mask = estimate_homography_ransac(
-            c,
-            intr,
-            threshold_px=threshold_px,
-            max_iters=max_iters,
-            seed=obs_seed,
-            refine_iters=BENCH_REFINE_ITERS,
-        )
+        h, mask = estimate_homography_ransac(c, intr, **ransac)
         hyp = decompose_homography(h, intr, c.subset(mask))
         rot_err = rotation_angle(hyp.pose.rotation.compose(truth_r.inverse()))
         dir_err = (
@@ -895,22 +871,14 @@ def _bench_trial(args):
         )
     except AcrError:
         rot_err, dir_err = float("nan"), float("nan")
-    rows.append(BenchRow(r, mu, trial, "de-h", rot_err, dir_err))
+    errors = [("de-h", rot_err, dir_err)]
     try:
-        hyp = estimate_epipolar(
-            c,
-            intr,
-            threshold_px=threshold_px,
-            max_iters=max_iters,
-            seed=obs_seed,
-            refine_iters=BENCH_REFINE_ITERS,
-        )
+        hyp = estimate_epipolar(c, intr, **ransac)
         rot_err = rotation_angle(hyp.pose.rotation.compose(truth_r.inverse()))
         dir_err = direction_angle(hyp.pose.direction, truth_dir)
     except AcrError:
         rot_err, dir_err = float("nan"), float("nan")
-    rows.append(BenchRow(r, mu, trial, "epipolar", rot_err, dir_err))
-    return rows
+    return errors + [("epipolar", rot_err, dir_err)]
 
 
 def bench_noise_sweep(
@@ -932,23 +900,28 @@ def bench_noise_sweep(
     data.  Deterministic per seed.
     """
     world = generate_scene(scene)
-    jobs = [
-        (
-            world,
-            motion,
-            intr,
-            image_size,
-            float(r),
-            float(mu),
-            trial,
-            seed,
-            i_r,
-            i_mu,
-            threshold_px,
-            max_iters,
-        )
-        for i_r, r in enumerate(r_values)
-        for i_mu, mu in enumerate(mu_values)
-        for trial in range(trials)
-    ]
-    return [row for job in jobs for row in _bench_trial(job)]
+    rows = []
+    for i_r, r in enumerate(r_values):
+        for i_mu, mu in enumerate(mu_values):
+            for trial in range(trials):
+                cell = np.random.SeedSequence((seed, i_r, i_mu, trial))
+                obs_seed = int(np.random.default_rng(cell).integers(0, 2**63 - 1))
+                obs = observe(
+                    world,
+                    motion,
+                    intr,
+                    image_size,
+                    noise=NoiseSpec(magnitude_r=float(r), ratio_mu=float(mu)),
+                    seed=obs_seed,
+                    render_masks=False,
+                )
+                errors = _bench_errors(
+                    obs.correspondences,
+                    intr,
+                    motion,
+                    seed=obs_seed,
+                    threshold_px=threshold_px,
+                    max_iters=max_iters,
+                )
+                rows += [BenchRow(float(r), float(mu), trial, *e) for e in errors]
+    return rows

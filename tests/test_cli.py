@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
 from acrkit import cli, simulator
+from acrkit.acr_loop import AcrConfig
+from acrkit.fusion import I2peConfig
 from acrkit.plane_match import PlaneSegmentMap
 from acrkit.pose_estimation import CorrespondenceSet
 from acrkit.geometry import Intrinsics, Rotation
@@ -162,6 +165,47 @@ class TestSimulateAcr:
         code = cli.main(["simulate-acr", str(config)])
         assert code == 1
         assert self._last_json(capsys)["error"] == "invalid-input"
+
+    def _rejected(self, acr_doc, tmp_path, monkeypatch, capsys) -> str:
+        """The invalid-input message for an ``acr`` object, after checking
+        that the command stops before it builds the executor."""
+
+        def no_executor(*args, **kwargs):
+            raise AssertionError("executor built for an invalid config")
+
+        monkeypatch.setattr(cli, "SimulatedExecutor", no_executor)
+        config = tmp_path / "acr.json"
+        config.write_text(json.dumps({**cli.default_acr_config(), "acr": acr_doc}))
+        code = cli.main(["simulate-acr", str(config)])
+        assert code == 1
+        report = self._last_json(capsys)
+        assert report["error"] == "invalid-input"
+        return report["message"]
+
+    def test_negative_epsilon_is_invalid_input(self, tmp_path, monkeypatch, capsys):
+        message = self._rejected({"scale_epsilon": -1}, tmp_path, monkeypatch, capsys)
+        assert "epsilon" in message
+
+    def test_misspelled_key_is_invalid_input(self, tmp_path, monkeypatch, capsys):
+        message = self._rejected(
+            {"scale_epsilom": 0.002}, tmp_path, monkeypatch, capsys
+        )
+        assert "scale_epsilom" in message
+
+    def test_removed_key_is_invalid_input(self, tmp_path, monkeypatch, capsys):
+        message = self._rejected(
+            {"i2pe": {"fusion": "winner"}}, tmp_path, monkeypatch, capsys
+        )
+        assert "acr.i2pe" in message and "fusion" in message
+
+    def test_every_field_accepted_at_its_default(self):
+        # Every field of AcrConfig and of its nested I2peConfig, as JSON.
+        doc = json.loads(json.dumps(dataclasses.asdict(AcrConfig())))
+        assert set(doc["i2pe"]) == {f.name for f in dataclasses.fields(I2peConfig)}
+        assert cli._acr_config_from(doc) == AcrConfig()
+        schema = cli.ACR_SCHEMA["acr"]
+        assert set(schema) == set(doc)
+        assert set(schema["i2pe"]) == set(doc["i2pe"])
 
     def test_default_config_converges(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # the bundled config writes to acr_out/

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from acrkit import fusion
 from acrkit.errors import InsufficientDataError
 from acrkit.fusion import (
     FusionWeights,
@@ -13,6 +16,7 @@ from acrkit.fusion import (
     fuse_rotation_only,
     hypothesis_weight,
     i2pe,
+    reselect_candidates,
     weights_from_hypotheses,
 )
 from acrkit.geometry import (
@@ -194,20 +198,6 @@ class TestI2pe:
         assert np.array_equal(est.pose.rotation.matrix, base.pose.rotation.matrix)
         assert np.array_equal(est.pose.direction, base.pose.direction)
 
-    def test_winner_take_all_mode(self, corner_observation):
-        world, offset, obs = corner_observation
-        est = i2pe(
-            obs.correspondences,
-            obs.mask_ref,
-            obs.mask_cur,
-            DESK_INTRINSICS,
-            I2peConfig(fusion="winner"),
-        )
-        best = int(np.argmax(est.weights.values))
-        np.testing.assert_allclose(
-            est.pose.rotation.matrix, est.hypotheses[best].pose.rotation.matrix
-        )
-
     def test_occluded_plane_still_estimates(self, corner_observation):
         # Drop one plane from the current mask entirely (H < M path).
         world, offset, obs = corner_observation
@@ -245,3 +235,31 @@ class TestI2pe:
         doc = est.report()
         json.dumps(doc)
         assert len(doc["hypotheses"]) == len(est.plane_pairs)
+
+    def test_reselection_keeps_pairs_with_their_hypotheses(
+        self, corner_observation, monkeypatch
+    ):
+        # The middle of the three pairs turns zero-motion, so fusion drops
+        # it; re-fusing the re-selected candidates must drop the same pair.
+        world, offset, obs = corner_observation
+        decompose = fusion.decompose_homography_candidates
+        calls = []
+
+        def middle_pair_zero_motion(*args, **kwargs):
+            calls.append(args)
+            candidates = decompose(*args, **kwargs)
+            if len(calls) == 2:
+                candidates = [replace(c, zero_motion=True) for c in candidates]
+            return candidates
+
+        monkeypatch.setattr(
+            fusion, "decompose_homography_candidates", middle_pair_zero_motion
+        )
+        est = i2pe(
+            obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS, I2peConfig()
+        )
+        assert not est.zero_motion and len(calls) == 3
+        assert len(est.plane_pairs) == len(est.hypotheses) == 2
+        again = reselect_candidates(est, lambda index, candidates, inliers: None)
+        assert again.plane_pairs == est.plane_pairs
+        assert len(again.report()["hypotheses"]) == len(again.hypotheses) == 2

@@ -10,26 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acrkit.errors import (
-    BehindCameraError,
     DegenerateDirectionError,
     InvalidInputError,
 )
 from acrkit.geometry import (
     DirectionalPose,
     Intrinsics,
-    PixelPoint,
     Pose,
     Rotation,
-    back_project,
     compose,
     direction_angle,
     invert,
-    project,
     project_points,
     rotation_angle,
-    rotation_to_euler_xyz,
 )
-from conftest import random_pose_sample, random_rotation
+from conftest import project_pixels, random_pose_sample, random_rotation
 
 angles = st.floats(min_value=-179.0, max_value=179.0)
 coords = st.floats(min_value=-5.0, max_value=5.0)
@@ -182,38 +177,40 @@ class TestDirectionAngle:
 
 class TestProject:
     def test_unit_intrinsics(self):
-        p = project(Intrinsics(1, 1, 0, 0), Pose.identity(), [0, 0, 1])
-        assert (p.u, p.v) == (0.0, 0.0)
+        px, depths = project_points(
+            Intrinsics(1, 1, 0, 0), Pose.identity(), np.array([[0, 0, 1.0]])
+        )
+        assert px[0].tolist() == [0.0, 0.0] and depths.tolist() == [1.0]
 
     def test_focal_and_principal_point(self):
-        p = project(Intrinsics(100, 100, 50, 50), Pose.identity(), [0.1, 0, 1])
-        assert (p.u, p.v) == pytest.approx((60.0, 50.0))
+        px, _ = project_points(
+            Intrinsics(100, 100, 50, 50), Pose.identity(), np.array([[0.1, 0, 1]])
+        )
+        assert px[0] == pytest.approx((60.0, 50.0))
 
     def test_behind_camera(self):
-        with pytest.raises(BehindCameraError):
-            project(Intrinsics(100, 100, 50, 50), Pose.identity(), [0, 0, -1])
-
-    def test_back_projection_round_trip(self, intr):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            pose = random_pose_sample(rng, 40.0, 0.5)
-            point = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(2, 5)])
-            world = pose.inverse().apply(point)  # guarantees positive depth
-            pixel = project(intr, pose, world)
-            depth = pose.apply(world)[2]
-            recovered = pose.inverse().apply(back_project(intr, pixel, depth))
-            np.testing.assert_allclose(recovered, world, atol=1e-9)
+        px, depths = project_points(
+            Intrinsics(100, 100, 50, 50), Pose.identity(), np.array([[0, 0, -1.0], [0, 0, 1.0]])
+        )
+        assert np.isnan(px[0]).all() and depths[0] == -1.0
+        assert px[1].tolist() == [50.0, 50.0]
 
     def test_vectorized_matches_scalar(self, intr):
+        # Oracles: each point projected alone, and K (R X + t) divided by
+        # its third row.
         rng = np.random.default_rng(5)
+        pose = random_pose_sample(rng, 20.0, 0.2)
         pts = np.column_stack(
-            [rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10), rng.uniform(1, 3, 10)]
+            [rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10), rng.uniform(2, 3, 10)]
         )
-        px, depths = project_points(intr, Pose.identity(), pts)
+        px, depths = project_points(intr, pose, pts)
         for i in range(10):
-            single = project(intr, Pose.identity(), pts[i])
-            np.testing.assert_allclose(px[i], [single.u, single.v], atol=1e-12)
-            assert depths[i] == pytest.approx(pts[i, 2])
+            single, depth = project_points(intr, pose, pts[i : i + 1])
+            np.testing.assert_allclose(px[i], single[0], atol=1e-12)
+            assert depths[i] == pytest.approx(depth[0])
+        xc = pose.apply(pts)
+        np.testing.assert_allclose(px, project_pixels(intr.matrix(), xc), atol=1e-9)
+        np.testing.assert_allclose(depths, xc[:, 2], atol=1e-15)
 
 
 class TestDirectionalPose:
@@ -255,24 +252,6 @@ class TestSerialization:
         assert doc["r"][1] == pytest.approx(-1.0)
 
 
-class TestEuler:
-    def test_axis_aligned_euler(self):
-        e = rotation_to_euler_xyz(Rotation.about_x(10.0))
-        np.testing.assert_allclose(e, [10.0, 0.0, 0.0], atol=1e-9)
-
-    def test_round_trip_composition(self):
-        r = (
-            Rotation.about_z(5.0)
-            .compose(Rotation.about_y(-3.0))
-            .compose(Rotation.about_x(2.0))
-        )
-        x, y, z = rotation_to_euler_xyz(r)
-        rebuilt = (
-            Rotation.about_z(z).compose(Rotation.about_y(y)).compose(Rotation.about_x(x))
-        )
-        np.testing.assert_allclose(rebuilt.matrix, r.matrix, atol=1e-9)
-
-
 class TestImmutability:
     def test_arrays_are_frozen(self):
         p = Pose(Rotation.identity(), np.array([1.0, 0.0, 0.0]))
@@ -280,7 +259,3 @@ class TestImmutability:
             p.translation[0] = 5.0
         with pytest.raises(ValueError):
             p.rotation.matrix[0, 0] = 5.0
-
-    def test_pixel_point_requires_finite(self):
-        with pytest.raises(InvalidInputError):
-            PixelPoint(float("nan"), 0.0)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acrkit.errors import InvalidInputError
-from acrkit.geometry import DirectionalPose, Pose, Rotation
-from acrkit.metrics import afd, pose_error
+from acrkit.metrics import afd
 
 
 class TestAfd:
@@ -57,50 +56,3 @@ class TestAfd:
         a = rng.uniform(0, 100, size=(10, 2))
         d = rng.uniform(-5, 5, size=(10, 2))
         assert afd(a, a + k * d).afd == pytest.approx(k * afd(a, a + d).afd, rel=1e-9)
-
-
-class TestPoseError:
-    def test_exact_estimate(self):
-        truth = Pose(Rotation.about_z(10.0), np.array([0.1, 0.0, 0.0]))
-        est = DirectionalPose(truth.rotation, truth.translation)
-        rot, direction = pose_error(est, truth)
-        assert rot == pytest.approx(0.0, abs=1e-12)
-        assert direction == pytest.approx(0.0, abs=1e-6)
-
-    def test_one_degree_offset(self):
-        truth = Pose(Rotation.about_z(10.0), np.array([0.0, 0.0, 0.5]))
-        est = DirectionalPose(Rotation.about_z(11.0), [0, 0, 1.0])
-        rot, _ = pose_error(est, truth)
-        assert rot == pytest.approx(1.0, abs=1e-9)
-
-    def test_zero_translation_direction_not_applicable(self):
-        truth = Pose(Rotation.identity(), np.zeros(3))
-        est = DirectionalPose(Rotation.identity(), [0, 0, 1.0])
-        rot, direction = pose_error(est, truth)
-        assert rot == 0.0
-        assert direction is None
-
-    def test_batch_matches_per_sample_oracle(self):
-        from acrkit.geometry import direction_angle, rotation_angle
-
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            axis = rng.standard_normal(3)
-            truth = Pose(
-                Rotation.from_axis_angle(axis, rng.uniform(0, 40)),
-                rng.standard_normal(3),
-            )
-            est_axis = rng.standard_normal(3)
-            est = DirectionalPose(
-                Rotation.from_axis_angle(est_axis, rng.uniform(0, 40)),
-                rng.standard_normal(3),
-            )
-            rot, direction = pose_error(est, truth)
-            assert rot == pytest.approx(
-                rotation_angle(est.rotation.compose(truth.rotation.inverse()))
-            )
-            assert direction == pytest.approx(
-                direction_angle(
-                    est.direction, truth.translation / np.linalg.norm(truth.translation)
-                )
-            )

@@ -15,7 +15,6 @@ from acrkit import simulator
 from acrkit.errors import (
     BudgetExceededError,
     InvalidInputError,
-    MissingPlaneError,
     OrientationError,
 )
 from acrkit.geometry import Intrinsics, Pose
@@ -25,12 +24,8 @@ from acrkit.plane_match import (
     PlaneSegmentMap,
     assemble_affinity,
     disk_structuring_element,
-    edge_affinity,
     erode_mask,
     match_plane_maps,
-    matching_objective,
-    min_region_distance,
-    node_affinity,
     node_affinity_matrix,
     solve_matching,
 )
@@ -252,20 +247,24 @@ class TestErodeMask:
 
 
 class TestMinRegionDistance:
+    """Region distances as the cached plane graph holds them: entry
+    (a - 1, b - 1) of ``m.graph().distances``."""
+
     def test_touching_regions(self):
         m = _mask((10, 10), {1: (slice(0, 3), slice(0, 3)), 2: (slice(0, 3), slice(3, 6))})
-        assert min_region_distance(m, 1, 2) == 0.0
+        assert m.graph().distances[0, 1] == 0.0
 
     def test_three_four_five(self):
         lab = np.zeros((10, 10), dtype=np.int32)
         lab[0, 0] = 1
         lab[4, 3] = 2
-        assert min_region_distance(PlaneSegmentMap(lab), 1, 2) == pytest.approx(5.0)
+        assert PlaneSegmentMap(lab).graph().distances[0, 1] == pytest.approx(5.0)
 
     def test_unknown_id(self):
-        m = _mask((10, 10), {1: (slice(0, 3), slice(0, 3))})
-        with pytest.raises(MissingPlaneError):
-            min_region_distance(m, 1, 3)
+        # The graph covers exactly the map's ids: no entry for id 3.
+        g = _mask((10, 10), {1: (slice(0, 3), slice(0, 3))}).graph()
+        assert g.plane_ids == (1,)
+        assert g.distances.shape == (1, 1)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
@@ -281,7 +280,7 @@ class TestMinRegionDistance:
             )
             if brute <= np.sqrt(2.0) + 1e-12:
                 brute = 0.0
-            assert min_region_distance(m, 1, 2) == pytest.approx(brute)
+            assert m.graph().distances[0, 1] == pytest.approx(brute)
 
 
 class TestPlaneGraphFromMask:
@@ -311,30 +310,36 @@ class TestAffinities:
         a = np.array([[4.0, 4.0]] * 12 + [[20.0, 20.0]] * 5)
         b = np.array([[20.0, 20.0]] * 12 + [[4.0, 4.0]] * 5)
         c = CorrespondenceSet(a, b)
-        assert node_affinity(c, m_ref, m_cur, 1, 2) == 12
-        assert node_affinity(c, m_ref, m_cur, 2, 1) == 5
-        assert node_affinity(c, m_ref, m_cur, 1, 1) == 0
         counts = node_affinity_matrix(c, m_ref, m_cur)
-        assert counts[0, 1] == 12 and counts[1, 0] == 5
+        np.testing.assert_array_equal(counts, [[0.0, 12.0], [5.0, 0.0]])
 
     def test_node_affinity_empty(self):
         m = _mask((10, 10), {1: (slice(2, 8), slice(2, 8))})
         c = CorrespondenceSet(np.zeros((0, 2)), np.zeros((0, 2)))
-        assert node_affinity(c, m, m, 1, 1) == 0
+        np.testing.assert_array_equal(node_affinity_matrix(c, m, m), [[0.0]])
 
     def test_edge_affinity_values(self):
-        assert edge_affinity(5.0, 5.0, 10.0) == pytest.approx(1.0)
-        assert edge_affinity(5.0, 15.0, 10.0) == pytest.approx(np.exp(-1.0))
-        assert edge_affinity(0.0, 1e9, 10.0) == pytest.approx(0.0, abs=1e-12)
+        # Edge (1, 2) of the reference graph is 5 px long; the current
+        # graph offers edges of 5, 15 and 1e9 px.  The equal-length pair
+        # scores exp(0) = 1, the class maximum, so normalization keeps
+        # the others at exp(-|d_ref - d_cur| / sigma).
+        g_ref = PlaneGraph((1, 2), np.array([[0.0, 5.0], [5.0, 0.0]]))
+        d_cur = np.array([[0.0, 5.0, 15.0], [5.0, 0.0, 1e9], [15.0, 1e9, 0.0]])
+        g_cur = PlaneGraph((1, 2, 3), d_cur)
+        w = assemble_affinity(np.ones((2, 3)), g_ref, g_cur, sigma=10.0)
+        # (a, c) -> c * 2 + a; ((0, c), (1, d)) carries edge (c, d).
+        assert w[0, 3] == pytest.approx(1.0)
+        assert w[0, 5] == pytest.approx(np.exp(-1.0))
+        assert w[2, 5] == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(InvalidInputError):
-            edge_affinity(1.0, 1.0, 0.0)
+            assemble_affinity(np.ones((2, 3)), g_ref, g_cur, sigma=0.0)
 
 
 class TestAssembleAffinity:
     def test_one_by_one(self):
         g = PlaneGraph((1,), np.zeros((1, 1)))
-        w = assemble_affinity(np.array([[7.0]]), g, g, sigma=5.0, normalize=False)
-        np.testing.assert_allclose(w, [[7.0]])
+        w = assemble_affinity(np.array([[7.0]]), g, g, sigma=5.0)
+        np.testing.assert_allclose(w, [[1.0]])  # scaled by the node maximum
 
     def test_two_by_two_hand_expansion(self):
         # Hand-expanded affinity for H = M = 2 with known distances.
@@ -342,22 +347,23 @@ class TestAssembleAffinity:
         g_ref = PlaneGraph((1, 2), np.array([[0.0, 10.0], [10.0, 0.0]]))
         g_cur = PlaneGraph((1, 2), np.array([[0.0, 14.0], [14.0, 0.0]]))
         sigma = 4.0
-        w = assemble_affinity(node, g_ref, g_cur, sigma, normalize=False)
+        w = assemble_affinity(node, g_ref, g_cur, sigma)
         assert w.shape == (4, 4)
-        # Column-major index: (a, c) -> c*2 + a.
-        np.testing.assert_allclose(np.diag(w), [3.0, 0.0, 1.0, 2.0])
-        e = np.exp(-4.0 / 4.0)
+        # Column-major index: (a, c) -> c*2 + a.  Each class is scaled by
+        # its maximum: the nodes by 3, the edges (all exp(-4 / 4)) by
+        # themselves.
+        np.testing.assert_allclose(np.diag(w), np.array([3.0, 0.0, 1.0, 2.0]) / 3.0)
         # ((a=0,c=0),(b=1,d=1)) and symmetric mirror entries.
-        assert w[0, 3] == pytest.approx(e)
-        assert w[3, 0] == pytest.approx(e)
-        assert w[1, 2] == pytest.approx(e)
+        assert w[0, 3] == pytest.approx(1.0)
+        assert w[3, 0] == pytest.approx(1.0)
+        assert w[1, 2] == pytest.approx(1.0)
         # Same reference plane or same current plane is infeasible: zero.
         assert w[0, 1] == 0.0 and w[0, 2] == 0.0
         np.testing.assert_allclose(w, w.T)
 
     def test_objective_matches_two_sum(self):
-        # Oracle: the explicit node-sum plus ordered edge-sum, for every
-        # feasible assignment on small sizes.
+        # Oracle: the explicit node-sum plus ordered edge-sum, each over
+        # its class maximum, for every feasible assignment on small sizes.
         rng = np.random.default_rng(4)
         for h, m in [(2, 2), (2, 3), (3, 3), (3, 4)]:
             node = rng.uniform(0, 5, size=(h, m))
@@ -373,21 +379,24 @@ class TestAssembleAffinity:
                 PlaneGraph(tuple(range(1, h + 1)), d_ref),
                 PlaneGraph(tuple(range(1, m + 1)), d_cur),
                 sigma,
-                normalize=False,
+            )
+
+            def edge(a, b, c, d):
+                return math.exp(-abs(d_ref[a, b] - d_cur[c, d]) / sigma)
+
+            edge_max = max(
+                edge(a, b, c, d)
+                for a, b in itertools.permutations(range(h), 2)
+                for c, d in itertools.permutations(range(m), 2)
             )
             for columns in itertools.permutations(range(m), h):
                 u = np.zeros((h, m), dtype=np.uint8)
                 u[np.arange(h), columns] = 1
                 assignment = Assignment(u)
-                expected = sum(node[a, columns[a]] for a in range(h))
-                for a in range(h):
-                    for b in range(h):
-                        if a == b:
-                            continue
-                        expected += edge_affinity(
-                            d_ref[a, b], d_cur[columns[a], columns[b]], sigma
-                        )
-                assert matching_objective(w, assignment) == pytest.approx(expected)
+                expected = sum(node[a, columns[a]] for a in range(h)) / node.max()
+                for a, b in itertools.permutations(range(h), 2):
+                    expected += edge(a, b, columns[a], columns[b]) / edge_max
+                assert _objective(w, assignment) == pytest.approx(expected)
 
     def test_orientation_error(self):
         node = np.zeros((3, 2))
@@ -395,6 +404,12 @@ class TestAssembleAffinity:
         g2 = PlaneGraph((1, 2), np.zeros((2, 2)))
         with pytest.raises(OrientationError):
             assemble_affinity(node, g3, g2, sigma=1.0)
+
+
+def _objective(w: np.ndarray, assignment: Assignment) -> float:
+    """Quadratic objective u^T W u, u the column expansion of the assignment."""
+    u = assignment.matrix.T.reshape(-1).astype(float)
+    return float(u @ w @ u)
 
 
 class TestSolveMatching:
@@ -409,11 +424,11 @@ class TestSolveMatching:
             w = rng.uniform(0, 1, size=(h * m, h * m))
             w = (w + w.T) / 2
             best = solve_matching(w, h, m, "exact")
-            best_score = matching_objective(w, best)
+            best_score = _objective(w, best)
             for columns in itertools.permutations(range(m), h):
                 u = np.zeros((h, m), dtype=np.uint8)
                 u[np.arange(h), columns] = 1
-                assert best_score >= matching_objective(w, Assignment(u)) - 1e-12
+                assert best_score >= _objective(w, Assignment(u)) - 1e-12
 
     def test_spectral_feasible_and_bounded(self):
         rng = np.random.default_rng(2)
@@ -426,8 +441,8 @@ class TestSolveMatching:
             spectral = solve_matching(w, h, m, "spectral")
             assert spectral.matrix.sum(axis=1).tolist() == [1] * h
             assert (spectral.matrix.sum(axis=0) <= 1).all()
-            se = matching_objective(w, spectral)
-            ee = matching_objective(w, exact)
+            se = _objective(w, spectral)
+            ee = _objective(w, exact)
             assert se <= ee + 1e-12
             gaps.append(se / ee)
         # Soft quality check: logged, not asserted (relaxation quality is
@@ -468,8 +483,8 @@ class TestSolveMatching:
             node_p, PlaneGraph((1, 2, 3), d_ref_p), PlaneGraph((1, 2, 3), d_cur), 5.0
         )
         permuted = solve_matching(w_p, h, m, "exact")
-        assert matching_objective(w_p, permuted) == pytest.approx(
-            matching_objective(w, base)
+        assert _objective(w_p, permuted) == pytest.approx(
+            _objective(w, base)
         )
         base_pairs = dict(base.pairs)
         for a_new, c in permuted.pairs:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 
@@ -17,21 +15,18 @@ from acrkit.errors import (
 from acrkit.geometry import (
     DirectionalPose,
     Intrinsics,
-    PixelPoint,
     Pose,
     Rotation,
     compose,
 )
 from acrkit.pose_estimation import CorrespondenceSet
 from acrkit.scale_solver import (
-    CoefficientBlock,
     ScaleSolution,
     SparseDepthMap,
     _arrowhead_eigen,
     _checked_solution,
     assemble_system,
-    coefficient_block,
-    coefficient_blocks,
+    coefficient_arrays,
     depth_map_current,
     depth_map_reference,
     init_scale,
@@ -60,26 +55,38 @@ def _two_view(intr, rotation, translation, count=30, seed=3, depth_range=(1.5, 2
     return c, pts_a[:, 2], pts_b[:, 2]
 
 
+def _coefficients(qa, qb, intr, pose) -> np.ndarray:
+    """(alpha, beta, gamma, delta, epsilon, zeta) of one pixel pair."""
+    return coefficient_arrays(np.array([qa], float), np.array([qb], float), intr, pose)[0]
+
+
+def _energy(coefficients, da, db, s) -> float:
+    """Value of one correspondence's warping quadratic F at (da, db, s)."""
+    alpha, beta, gamma, delta, epsilon, zeta = coefficients
+    return (
+        0.5 * alpha * da * da
+        - beta * da * db
+        + gamma * da * s
+        + 0.5 * delta * db * db
+        - epsilon * db * s
+        + 0.5 * zeta * s * s
+    )
+
+
 class TestCoefficientBlock:
+    """One correspondence's row of :func:`coefficient_arrays`."""
+
     def test_lateral_direction_unit_rays(self):
-        b = coefficient_block(
-            PixelPoint(0, 0),
-            PixelPoint(0, 0),
-            UNIT_INTR,
-            DirectionalPose(Rotation.identity(), [1, 0, 0]),
+        b = _coefficients(
+            (0, 0), (0, 0), UNIT_INTR, DirectionalPose(Rotation.identity(), [1, 0, 0])
         )
-        assert (b.alpha, b.beta, b.gamma) == (1.0, 1.0, 0.0)
-        assert (b.delta, b.epsilon, b.zeta) == (1.0, 0.0, 1.0)
+        assert b.tolist() == [1.0, 1.0, 0.0, 1.0, 0.0, 1.0]
 
     def test_axial_direction_unit_rays(self):
-        b = coefficient_block(
-            PixelPoint(0, 0),
-            PixelPoint(0, 0),
-            UNIT_INTR,
-            DirectionalPose(Rotation.identity(), [0, 0, 1]),
+        b = _coefficients(
+            (0, 0), (0, 0), UNIT_INTR, DirectionalPose(Rotation.identity(), [0, 0, 1])
         )
-        assert (b.gamma, b.epsilon, b.zeta) == (1.0, 1.0, 1.0)
-        assert (b.alpha, b.beta, b.delta) == (1.0, 1.0, 1.0)
+        assert b.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
 
     def test_random_inputs_match_dense_oracle(self, intr):
         # Oracle: the six quadratic forms written out with explicit dense
@@ -102,43 +109,31 @@ class TestCoefficientBlock:
                 qb @ k_inv.T @ r_inv.T @ r_inv @ t_dir,
                 t_dir @ r_inv.T @ r_inv @ t_dir,
             )
-            got = coefficient_block(
-                PixelPoint(qa[0], qa[1]),
-                PixelPoint(qb[0], qb[1]),
-                intr,
-                DirectionalPose(rot, t_dir),
-            )
-            np.testing.assert_allclose(
-                [got.alpha, got.beta, got.gamma, got.delta, got.epsilon, got.zeta],
-                expected,
-                rtol=1e-12,
-            )
+            got = _coefficients(qa[:2], qb[:2], intr, DirectionalPose(rot, t_dir))
+            np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_positivity_of_quadratic_terms(self, intr):
         rng = np.random.default_rng(2)
         rot = Rotation.about_y(12.0)
 
         for _ in range(10):
-            b = coefficient_block(
-                PixelPoint(rng.uniform(0, 1280), rng.uniform(0, 960)),
-                PixelPoint(rng.uniform(0, 1280), rng.uniform(0, 960)),
+            alpha, _, _, delta, _, zeta = _coefficients(
+                (rng.uniform(0, 1280), rng.uniform(0, 960)),
+                (rng.uniform(0, 1280), rng.uniform(0, 960)),
                 intr,
                 DirectionalPose(rot, rng.standard_normal(3)),
             )
-            assert b.alpha > 0 and b.delta > 0 and b.zeta > 0
+            assert alpha > 0 and delta > 0 and zeta > 0
 
 
 class TestAssembleSystem:
     def test_single_block_layout(self):
-        b = CoefficientBlock(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-        a = assemble_system([b])
+        a = assemble_system([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
         expected = np.array([[1.0, -2.0, 3.0], [-2.0, 4.0, -5.0], [3.0, -5.0, 6.0]])
         np.testing.assert_allclose(a, expected)
 
     def test_two_blocks_disjoint_columns(self):
-        b1 = CoefficientBlock(1, 2, 3, 4, 5, 6)
-        b2 = CoefficientBlock(7, 8, 9, 10, 11, 12)
-        a = assemble_system([b1, b2])
+        a = assemble_system([[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]])
         assert a.shape == (6, 5)
         assert np.all(a[0:3, 2:4] == 0)
         assert np.all(a[3:6, 0:2] == 0)
@@ -219,8 +214,8 @@ class TestSolveNullspace:
         rotation = Rotation.about_z(3.0)
         t_dir = np.array([0.0, 1.0, 0.0])
         c, d_a, _ = _two_view(intr, rotation, t_dir * 0.05, count=10)
-        blocks = coefficient_blocks(c, intr, DirectionalPose(rotation, t_dir))
-        sol = solve_nullspace(assemble_system(blocks))
+        arr = coefficient_arrays(c.a, c.b, intr, DirectionalPose(rotation, t_dir))
+        sol = solve_nullspace(assemble_system(arr))
         np.testing.assert_allclose(sol.d_a / sol.s, d_a / 0.05, rtol=1e-7)
 
     def test_minimum_points_enforced(self, intr):
@@ -261,7 +256,7 @@ def _noisy_arrays(intr, count, seed):
     rng = np.random.default_rng(100 + seed)
     noisy = CorrespondenceSet(c.a, c.b + rng.normal(0.0, 0.5, size=c.b.shape))
     pose = DirectionalPose(rotation, t_dir)
-    arr = np.array([astuple(b) for b in coefficient_blocks(noisy, intr, pose)])
+    arr = coefficient_arrays(noisy.a, noisy.b, intr, pose)
     return noisy, pose, arr
 
 
@@ -349,7 +344,7 @@ class TestGradientIdentity:
         t_dir = np.array([0.3, -0.2, 0.93])
         t_dir /= np.linalg.norm(t_dir)
         c, _, _ = _two_view(intr, rotation, t_dir * 0.07, count=6)
-        blocks = coefficient_blocks(c, intr, DirectionalPose(rotation, t_dir))
+        blocks = coefficient_arrays(c.a, c.b, intr, DirectionalPose(rotation, t_dir))
         a = assemble_system(blocks)
         n = len(blocks)
         eps = 1e-6
@@ -366,7 +361,7 @@ class TestGradientIdentity:
                     plus[index] += eps
                     minus[index] -= eps
                     grads.append(
-                        (block.energy(*plus) - block.energy(*minus)) / (2 * eps)
+                        (_energy(block, *plus) - _energy(block, *minus)) / (2 * eps)
                     )
                 np.testing.assert_allclose(
                     product[3 * i : 3 * i + 3], grads, rtol=1e-6, atol=1e-8
