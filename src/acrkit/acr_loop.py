@@ -28,7 +28,7 @@ from .errors import (
     EstimationFailureError,
     InvalidInputError,
 )
-from .fusion import I2peConfig, i2pe, reselect_candidates
+from .fusion import I2peConfig, PoseEstimate, i2pe, reselect_candidates
 from .geometry import (
     DirectionalPose,
     Intrinsics,
@@ -43,6 +43,7 @@ from .pose_estimation import (
     join_on_tracks,
 )
 from .scale_solver import (
+    SparseDepthMap,
     depth_map_current,
     depth_map_reference,
     init_scale,
@@ -61,8 +62,6 @@ class ObservationTruth:
     """
 
     relative_pose: Pose
-    depths_ref: dict
-    depths_cur: dict
     clean_a: np.ndarray
     clean_b: np.ndarray
 
@@ -198,8 +197,15 @@ def _truth_errors(obs: Observation):
     )
 
 
-def _restrict_to_tracks(c: CorrespondenceSet, tracks) -> CorrespondenceSet:
-    keep = np.isin(c.track_id, np.asarray(list(tracks), dtype=np.int64))
+def _depth_pairs(
+    c: CorrespondenceSet, estimate: PoseEstimate, depth_map: SparseDepthMap = None
+) -> CorrespondenceSet:
+    """The pairs of ``c`` on ``estimate``'s inlier tracks that carry a metric
+    depth in ``depth_map`` (every inlier pair without one), in ``c``'s order:
+    the scale solve subsamples an oversized set by index."""
+    keep = np.isin(c.track_id, estimate.inlier_track_ids)
+    if depth_map is not None:
+        keep &= depth_map.known(c.track_id)
     return c.subset(keep)
 
 
@@ -246,8 +252,7 @@ def _depth_profile_chooser(intr: Intrinsics, depth_map, side: str, cfg: AcrConfi
     """
 
     def chooser(index, candidates, inliers):
-        known = np.fromiter(depth_map.depths.keys(), dtype=np.int64)
-        usable = np.isin(inliers.track_id, known)
+        usable = depth_map.known(inliers.track_id)
         if int(usable.sum()) < cfg.min_scale_points:
             return None
         subset = inliers.subset(usable)
@@ -260,7 +265,7 @@ def _depth_profile_chooser(intr: Intrinsics, depth_map, side: str, cfg: AcrConfi
                 sol = _solve_scale(subset, intr, cand.pose, cfg, cfg.i2pe.seed)
             except AcrError:
                 continue
-            reference = np.array([depth_map[t] for t in sol.track_id.tolist()])
+            reference = depth_map.lookup(sol.track_id)
             reference = reference / np.linalg.norm(reference)
             profile = sol.d_a if side == "a" else sol.d_b
             profile = profile / np.linalg.norm(profile)
@@ -301,11 +306,7 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
             raise EstimationFailureError("init translation produced no parallax")
         s_init = init_scale(t_init, est_0i.pose)
         sol_init = _solve_scale(
-            _restrict_to_tracks(pair_0i, est_0i.inlier_track_ids),
-            intr,
-            est_0i.pose,
-            cfg,
-            cfg.i2pe.seed,
+            _depth_pairs(pair_0i, est_0i), intr, est_0i.pose, cfg, cfg.i2pe.seed
         )
         d_current = depth_map_current(sol_init, s_init)
 
@@ -321,11 +322,7 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
             # as reference depths.
             d_ref = d_current
         else:
-            usable = np.intersect1d(
-                est_r0.inlier_track_ids,
-                np.fromiter(d_current.depths.keys(), dtype=np.int64),
-            )
-            pair_r0 = _restrict_to_tracks(obs0.correspondences, usable)
+            pair_r0 = _depth_pairs(obs0.correspondences, est_r0, d_current)
             try:
                 sol_r0 = _solve_scale(pair_r0, intr, est_r0.pose, cfg, cfg.i2pe.seed)
                 d_ref = depth_map_reference(sol_r0, d_current)
@@ -361,11 +358,7 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
             if estimate.zero_motion:
                 scale = 0.0
             else:
-                usable = np.intersect1d(
-                    estimate.inlier_track_ids,
-                    np.fromiter(d_ref.depths.keys(), dtype=np.int64),
-                )
-                pair = _restrict_to_tracks(obs.correspondences, usable)
+                pair = _depth_pairs(obs.correspondences, estimate, d_ref)
                 try:
                     sol = _solve_scale(
                         pair, intr, estimate.pose, cfg, cfg.i2pe.seed + index
@@ -378,26 +371,14 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
                     # and re-measure after the move.
                     scale = 0.0
 
-            if scale < cfg.scale_epsilon and rot_estimated < cfg.rotation_epsilon:
-                records.append(
-                    AcrRecord(
-                        index=index,
-                        stage="iter",
-                        scale_m=scale,
-                        estimate=estimate.pose,
-                        rot_err_deg=rot_err,
-                        trans_err_m=trans_err,
-                        zero_motion=estimate.zero_motion,
-                    )
+            converged = scale < cfg.scale_epsilon and rot_estimated < cfg.rotation_epsilon
+            command = None  # a converged pass commands no move
+            if not converged:
+                # scale is 0 for a zero-motion estimate, whose direction is void.
+                correction = estimate.pose.inverse() if not estimate.zero_motion else (
+                    DirectionalPose(estimate.pose.rotation.inverse(), (0.0, 0.0, 1.0))
                 )
-                return AcrTrace(tuple(records), "converged")
-
-            correction = estimate.pose.inverse() if not estimate.zero_motion else (
-                DirectionalPose(estimate.pose.rotation.inverse(), (0.0, 0.0, 1.0))
-            )
-            command = hand_motion_from_estimate(
-                correction, 0.0 if estimate.zero_motion else scale
-            )
+                command = hand_motion_from_estimate(correction, scale)
             records.append(
                 AcrRecord(
                     index=index,
@@ -410,6 +391,8 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
                     zero_motion=estimate.zero_motion,
                 )
             )
+            if converged:
+                return AcrTrace(tuple(records), "converged")
             obs = executor.execute(command)
         return AcrTrace(tuple(records), "exhausted")
     except AcrError as exc:
@@ -450,21 +433,10 @@ def run_bisection_baseline(executor: MotionExecutor, cfg: AcrConfig = None) -> A
             rot_estimated = rotation_angle(estimate.rotation)
             correction = estimate.inverse()
 
+            converged = False
             if hyp.unstable_translation or step < cfg.scale_epsilon:
-                if rot_estimated < cfg.rotation_epsilon:
-                    records.append(
-                        AcrRecord(
-                            index=index,
-                            stage="iter",
-                            scale_m=0.0 if hyp.unstable_translation else step,
-                            estimate=estimate,
-                            rot_err_deg=rot_err,
-                            trans_err_m=trans_err,
-                            zero_motion=hyp.unstable_translation,
-                        )
-                    )
-                    return AcrTrace(tuple(records), "converged")
-                command = hand_motion_from_estimate(correction, 0.0)
+                converged = rot_estimated < cfg.rotation_epsilon
+                command = None if converged else hand_motion_from_estimate(correction, 0.0)
             else:
                 direction = correction.direction
                 if prev_direction is not None:
@@ -478,7 +450,7 @@ def run_bisection_baseline(executor: MotionExecutor, cfg: AcrConfig = None) -> A
                 AcrRecord(
                     index=index,
                     stage="iter",
-                    scale_m=step,
+                    scale_m=0.0 if converged and hyp.unstable_translation else step,
                     estimate=estimate,
                     command=command,
                     rot_err_deg=rot_err,
@@ -486,6 +458,8 @@ def run_bisection_baseline(executor: MotionExecutor, cfg: AcrConfig = None) -> A
                     zero_motion=hyp.unstable_translation,
                 )
             )
+            if converged:
+                return AcrTrace(tuple(records), "converged")
             frame_drift = frame_drift @ command.rotation.matrix
             obs = executor.execute(command)
         return AcrTrace(tuple(records), "exhausted")

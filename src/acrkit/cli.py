@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -174,24 +175,46 @@ BENCH_SCHEMA = {
 }
 
 
-def _only_fields(doc: dict, cls, where: str) -> dict:
-    """``doc`` itself, once every key is a field of the dataclass ``cls``."""
-    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integral(value) -> bool:
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _acr_config_from(doc, cls=AcrConfig, where: str = "acr"):
+    """The ``cls`` configuration of the JSON object ``doc`` (null for the
+    defaults) found at ``where``.
+
+    Every key must be a field of the dataclass ``cls`` and every value must
+    have its field's type: a number for a float, an integral number for an
+    int, three numbers for a tuple and an object for a nested config.
+    """
+    doc = {} if doc is None else doc
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{where} must be an object")
+    kinds = typing.get_type_hints(cls)
+    unknown = sorted(set(doc) - set(kinds))
     if unknown:
         raise InvalidInputError(f"unknown {where} key(s): {', '.join(unknown)}")
-    return doc
-
-
-def _acr_config_from(doc) -> AcrConfig:
-    """The loop configuration of the ``acr`` object; unknown keys are errors."""
-    kwargs = dict(_only_fields(doc or {}, AcrConfig, "acr"))
-    i2pe_doc = _only_fields(kwargs.get("i2pe") or {}, I2peConfig, "acr.i2pe")
-    kwargs["i2pe"] = I2peConfig(**i2pe_doc)
-    if "init_translation" in kwargs:
-        kwargs["init_translation"] = tuple(kwargs["init_translation"])
-    if "max_iterations" in kwargs:
-        kwargs["max_iterations"] = int(kwargs["max_iterations"])
-    return AcrConfig(**kwargs)
+    kwargs = {}
+    for key, value in doc.items():
+        kind, name = kinds[key], f"{where}.{key}"
+        if dataclasses.is_dataclass(kind):
+            kwargs[key] = _acr_config_from(value, kind, name)
+        elif kind is float and _is_number(value):
+            kwargs[key] = float(value)
+        elif kind is int and _is_integral(value):
+            kwargs[key] = int(value)
+        elif kind is tuple and isinstance(value, list) and len(value) == 3 and all(
+            map(_is_number, value)
+        ):
+            kwargs[key] = tuple(float(v) for v in value)
+        else:
+            wanted = {float: "a number", int: "an integer", tuple: "three numbers"}
+            raise InvalidInputError(f"{name} must be {wanted[kind]}, got {value!r}")
+    return cls(**kwargs)
 
 
 def cmd_estimate_pose(args) -> int:

@@ -12,7 +12,7 @@ off-plane contamination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .pose_estimation import (
     PoseHypothesis,
     decompose_homography_candidates,
     estimate_homography_ransac,
-    point_spread,
 )
 
 
@@ -122,6 +121,13 @@ class I2peConfig:
     seed: int = 0
     edge_sigma_frac: float = 0.1  # of the reference image diagonal
     min_pair_correspondences: int = 4
+
+    def __post_init__(self):
+        # What erode_mask and assemble_affinity would reject mid-run.
+        if self.erosion_radius < 0:
+            raise InvalidInputError("erosion_radius must be non-negative")
+        if not self.edge_sigma_frac > 0:
+            raise InvalidInputError("edge_sigma_frac must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,10 +266,7 @@ def i2pe(
             )
         except (DegenerateModelError, CheiralityError, InsufficientDataError):
             continue
-        spread = point_spread(inlier_set.a, image_size)
-        candidate_lists.append(
-            [replace(cand, spread=spread) for cand in candidates]
-        )
+        candidate_lists.append(candidates)
         kept_pairs.append((ref_id, cur_id))
         inlier_tracks.append(inlier_set.track_id)
         pair_inlier_sets.append(inlier_set)
@@ -296,31 +299,19 @@ def _fuse_hypotheses(
     weights = weights_from_hypotheses(hypotheses)
 
     zero_flags = np.array([h.zero_motion for h in hypotheses])
-    zero_weight = float(weights.values[zero_flags].sum())
-    if zero_weight > 0.5:
+    zero_motion = float(weights.values[zero_flags].sum()) > 0.5
+    if zero_motion:
         # Dominant zero-baseline evidence: rotation is still meaningful,
         # the direction is not.
-        rot_pose = fuse_rotation_only(hypotheses, weights)
-        return PoseEstimate(
-            pose=rot_pose,
-            zero_motion=True,
-            hypotheses=tuple(hypotheses),
-            weights=weights,
-            plane_pairs=tuple(kept_pairs),
-            inlier_track_ids=inlier_track_ids,
-            candidate_pairs=candidate_pairs,
-            pair_candidates=pair_candidates,
-            pair_inliers=pair_inliers,
-        )
-    if zero_flags.any():
-        keep = ~zero_flags
-        hypotheses = [h for h, k in zip(hypotheses, keep) if k]
-        kept_pairs = [p for p, k in zip(kept_pairs, keep) if k]
+        pose = fuse_rotation_only(hypotheses, weights)
+    else:
+        hypotheses = [h for h, z in zip(hypotheses, zero_flags) if not z]
+        kept_pairs = [p for p, z in zip(kept_pairs, zero_flags) if not z]
         weights = weights_from_hypotheses(hypotheses)
-
+        pose = fuse_poses(hypotheses, weights)
     return PoseEstimate(
-        pose=fuse_poses(hypotheses, weights),
-        zero_motion=False,
+        pose=pose,
+        zero_motion=zero_motion,
         hypotheses=tuple(hypotheses),
         weights=weights,
         plane_pairs=tuple(kept_pairs),

@@ -20,13 +20,13 @@ The chain :func:`init_scale` -> :func:`depth_map_current` ->
 :func:`depth_map_reference` -> :func:`iteration_scale` converts those
 ratios into metric depths and the metric motion scale of each
 relocalization iteration, starting from one known physical translation.
+A :class:`SparseDepthMap` holds the depths as sorted track-id and depth
+arrays, and every link of the chain works elementwise over them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -270,43 +270,43 @@ def solve_scale_system(
     return _checked_solution(w, y, use.track_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseDepthMap:
-    """Metric depths per correspondence track, in meters."""
+    """Metric depths of correspondence tracks, in meters.
 
-    depths: dict
+    ``track_id`` is sorted and unique and ``depth[k]`` belongs to
+    ``track_id[k]``; unsorted input is sorted on construction.
+    """
+
+    track_id: np.ndarray
+    depth: np.ndarray
 
     def __post_init__(self):
-        d = {int(k): float(v) for k, v in self.depths.items()}
-        if any(v <= 0 for v in d.values()):
+        tracks = np.asarray(self.track_id, dtype=np.int64)
+        depth = np.asarray(self.depth, dtype=float)
+        if tracks.ndim != 1 or depth.shape != tracks.shape:
+            raise InvalidInputError("track_id and depth must be equal-length vectors")
+        order = np.argsort(tracks, kind="stable")
+        tracks, depth = tracks[order], depth[order]
+        if np.any(tracks[1:] == tracks[:-1]):
+            raise InvalidInputError("sparse depth map repeats a track id")
+        if not np.all(depth > 0):
             raise CheiralityError("sparse depth map contains non-positive depth")
-        object.__setattr__(self, "depths", d)
+        tracks.flags.writeable = False
+        depth.flags.writeable = False
+        object.__setattr__(self, "track_id", tracks)
+        object.__setattr__(self, "depth", depth)
 
-    def __len__(self) -> int:
-        return len(self.depths)
+    def known(self, tracks) -> np.ndarray:
+        """Boolean mask of the ``tracks`` that carry a depth."""
+        return np.isin(tracks, self.track_id)
 
-    def __contains__(self, track: int) -> bool:
-        return int(track) in self.depths
-
-    def __getitem__(self, track: int) -> float:
-        try:
-            return self.depths[int(track)]
-        except KeyError:
-            raise MissingDepthError(f"no depth for track {track}") from None
-
-    def to_json_dict(self) -> dict:
-        return {str(k): v for k, v in sorted(self.depths.items())}
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "SparseDepthMap":
-        return SparseDepthMap({int(k): float(v) for k, v in doc.items()})
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()))
-
-    @staticmethod
-    def load(path) -> "SparseDepthMap":
-        return SparseDepthMap.from_json_dict(json.loads(Path(path).read_text()))
+    def lookup(self, tracks) -> np.ndarray:
+        """Depths of ``tracks`` in their order; MissingDepthError if one has none."""
+        known = self.known(tracks)
+        if not known.all():
+            raise MissingDepthError(f"no depth for track {np.asarray(tracks)[~known][0]}")
+        return self.depth[np.searchsorted(self.track_id, tracks)]
 
 
 def init_scale(executed_translation, estimated: DirectionalPose) -> float:
@@ -331,46 +331,33 @@ def depth_map_current(solution: ScaleSolution, s_init: float) -> SparseDepthMap:
     """
     if s_init <= 0:
         raise InvalidInputError("init scale must be positive")
-    factor = s_init / solution.s
-    depths = solution.d_a * factor
-    if np.any(depths <= 0):
-        raise CheiralityError("negative depth in current-image depth map")
-    return SparseDepthMap(dict(zip(solution.track_id.tolist(), depths.tolist())))
+    return SparseDepthMap(solution.track_id, solution.d_a * (s_init / solution.s))
 
 
 def depth_map_reference(
     ref_solution: ScaleSolution, d0: SparseDepthMap
 ) -> SparseDepthMap:
-    """Metric depths of the reference image.
+    """Metric depths of the reference image, ``D0 * (d_a / d_b)`` per track.
 
     ``ref_solution`` comes from the (reference, current) pair with the
     reference image on the A side; every track must already carry a metric
-    depth for the current image in ``d0``.
+    depth for the current image in ``d0`` (else :class:`MissingDepthError`).
     """
-    depths = {}
-    for i, track in enumerate(ref_solution.track_id.tolist()):
-        if track not in d0:
-            raise MissingDepthError(f"track {track} missing from current depth map")
-        depths[track] = d0[track] * float(
-            ref_solution.d_a[i] / ref_solution.d_b[i]
-        )
-    if any(v <= 0 for v in depths.values()):
-        raise CheiralityError("negative depth in reference depth map")
-    return SparseDepthMap(depths)
+    tracks = ref_solution.track_id
+    return SparseDepthMap(
+        tracks, d0.lookup(tracks) * (ref_solution.d_a / ref_solution.d_b)
+    )
 
 
 def iteration_scale(iter_solution: ScaleSolution, dref: SparseDepthMap) -> float:
     """Metric scale of the current relocalization motion.
 
-    The arithmetic mean of ``s * D_ref / d_ref`` over the correspondences
-    shared with the reference depth map, as in the formulation.
+    The arithmetic mean of the ratios ``s * D_ref / d_ref`` over the
+    solution's tracks that carry a reference depth, in solution order, as
+    in the formulation; tracks without one are skipped.
     """
-    ratios = []
-    for i, track in enumerate(iter_solution.track_id.tolist()):
-        if track in dref:
-            ratios.append(
-                iter_solution.s * dref[track] / float(iter_solution.d_a[i])
-            )
-    if not ratios:
+    shared = dref.known(iter_solution.track_id)
+    if not shared.any():
         raise MissingDepthError("no shared tracks with the reference depth map")
-    return float(np.mean(ratios))
+    depths = dref.lookup(iter_solution.track_id[shared])
+    return float(np.mean(iter_solution.s * depths / iter_solution.d_a[shared]))

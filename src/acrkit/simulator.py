@@ -598,11 +598,8 @@ def observe(
     correspondences = CorrespondenceSet(
         a[keep], b[keep], plane_ids[keep], tracks[keep]
     )
-    relative = compose(camera_pose, reference_pose.inverse())
     truth = ObservationTruth(
-        relative_pose=relative,
-        depths_ref=dict(zip(tracks.tolist(), d_ref[idx].tolist())),
-        depths_cur=dict(zip(tracks.tolist(), d_cur[idx].tolist())),
+        relative_pose=compose(camera_pose, reference_pose.inverse()),
         clean_a=a[keep],
         clean_b=b_clean[keep],
     )

@@ -5,15 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from acrkit import cli, simulator
+from acrkit import acr_loop, cli, simulator
 from acrkit.acr_loop import run_acr, run_bisection_baseline
 from acrkit.geometry import rotation_angle
 
 
-def _scenario(seed: int):
+def _scenario(seed: int, **overrides):
     """Executor and loop config as ``acrkit simulate-acr --seed <seed>``
-    builds them from the bundled default config: a clean corner scene."""
-    doc = cli.default_acr_config()
+    builds them from the bundled default config (a clean corner scene) with
+    the top-level ``overrides`` applied."""
+    doc = {**cli.default_acr_config(), **overrides}
     rng = np.random.default_rng(seed)
     scene = cli._builtin_scene(doc["scene"]["builtin"], {"seed": seed})
     rig_doc = doc["rig"]
@@ -26,15 +27,15 @@ def _scenario(seed: int):
         simulator.generate_scene(scene),
         rig,
         cli._pose_spec(doc["initial_offset"], rng),
-        noise=simulator.NoiseSpec(),
+        noise=simulator.NoiseSpec(**doc["noise"]),
         lighting=simulator.LightingProxySpec(),
         seed=seed,
     )
     return executor, cli._acr_config_from(doc["acr"])
 
 
-def _run(runner, seed: int = 0):
-    executor, cfg = _scenario(seed)
+def _run(runner, seed: int = 0, **overrides):
+    executor, cfg = _scenario(seed, **overrides)
     return runner(executor, cfg), executor
 
 
@@ -77,3 +78,34 @@ class TestBisectionBaseline:
     def test_ends_without_failure(self):
         trace, _ = _run(run_bisection_baseline)
         assert trace.status in ("converged", "exhausted"), trace.failure
+
+
+class TestRunAcrMatrix:
+    """Seeded ``simulate-acr --seed 0`` variants, bounded on the outcome."""
+
+    @pytest.mark.parametrize(
+        "overrides, max_moves",
+        [
+            # Start at the reference: the reference pair is zero-motion and
+            # the current depths serve as reference depths.
+            ({"initial_offset": None}, 4),
+            # r = 1 px matching noise on half of the points.
+            ({"noise": {"magnitude_r": 1.0, "ratio_mu": 0.5}}, 10),
+        ],
+        ids=["zero-baseline", "noise"],
+    )
+    def test_converges_close_to_the_reference(self, overrides, max_moves):
+        trace, executor = _run(run_acr, **overrides)
+        assert trace.status == "converged", trace.failure
+        assert executor.motions_executed <= max_moves
+        residual = executor.true_residual
+        assert rotation_angle(residual.rotation) < 0.1
+        assert np.linalg.norm(residual.translation) < 2e-3
+
+    def test_zero_baseline_reuses_the_current_depths(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("reference depths solved at the reference")
+
+        monkeypatch.setattr(acr_loop, "depth_map_reference", unreachable)
+        trace, _ = _run(run_acr, initial_offset=None)
+        assert trace.status == "converged", trace.failure

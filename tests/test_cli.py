@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from acrkit import cli, simulator
 from acrkit.acr_loop import AcrConfig
@@ -197,6 +198,30 @@ class TestSimulateAcr:
             {"i2pe": {"fusion": "winner"}}, tmp_path, monkeypatch, capsys
         )
         assert "acr.i2pe" in message and "fusion" in message
+
+    @pytest.mark.parametrize(
+        "acr_doc, key",
+        [
+            ({"max_iterations": "x"}, "acr.max_iterations"),
+            ({"scale_epsilon": "x"}, "acr.scale_epsilon"),
+            ({"init_translation": 5}, "acr.init_translation"),
+            ({"min_scale_points": "x"}, "acr.min_scale_points"),
+        ],
+    )
+    def test_wrongly_typed_value_is_invalid_input(
+        self, acr_doc, key, tmp_path, monkeypatch, capsys
+    ):
+        assert key in self._rejected(acr_doc, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize(
+        "i2pe_doc, key",
+        [({"erosion_radius": -1}, "erosion_radius"), ({"edge_sigma_frac": 0}, "edge_sigma_frac")],
+    )
+    def test_out_of_range_i2pe_value_is_invalid_input(
+        self, i2pe_doc, key, tmp_path, monkeypatch, capsys
+    ):
+        message = self._rejected({"i2pe": i2pe_doc}, tmp_path, monkeypatch, capsys)
+        assert key in message
 
     def test_every_field_accepted_at_its_default(self):
         # Every field of AcrConfig and of its nested I2peConfig, as JSON.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from acrkit import fusion
-from acrkit.errors import InsufficientDataError
+from acrkit.errors import InsufficientDataError, InvalidInputError
 from acrkit.fusion import (
     FusionWeights,
     I2peConfig,
@@ -27,7 +27,7 @@ from acrkit.geometry import (
     rotation_angle,
 )
 from acrkit.plane_match import PlaneSegmentMap
-from acrkit.pose_estimation import CorrespondenceSet, PoseHypothesis
+from acrkit.pose_estimation import CorrespondenceSet, PoseHypothesis, point_spread
 from acrkit.simulator import (
     DESK_IMAGE_SIZE,
     DESK_INTRINSICS,
@@ -159,7 +159,35 @@ class TestFusePoses:
         assert only.direction.tolist() == [0.0, 0.0, 1.0]
 
 
+class TestI2peConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"erosion_radius": -1},
+            {"edge_sigma_frac": 0.0},
+            {"edge_sigma_frac": -0.1},
+            {"edge_sigma_frac": float("nan")},
+        ],
+    )
+    def test_values_the_pipeline_rejects_are_invalid_input(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            I2peConfig(**kwargs)
+
+    def test_zero_erosion_is_accepted(self):
+        assert I2peConfig(erosion_radius=0).erosion_radius == 0
+
+
 class TestI2pe:
+    def test_candidate_spread_is_its_pair_inlier_spread(self, corner_observation):
+        _, _, obs = corner_observation
+        est = i2pe(
+            obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS, I2peConfig()
+        )
+        size = (obs.mask_ref.width, obs.mask_ref.height)
+        for candidates, inliers in zip(est.pair_candidates, est.pair_inliers):
+            for cand in candidates:
+                assert cand.spread == point_spread(inliers.a, size)
+
     def test_zero_noise_recovery(self, corner_observation):
         world, offset, obs = corner_observation
         est = i2pe(

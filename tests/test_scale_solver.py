@@ -10,6 +10,7 @@ from acrkit.errors import (
     CheiralityError,
     DegenerateInitError,
     InsufficientDataError,
+    InvalidInputError,
     MissingDepthError,
 )
 from acrkit.geometry import (
@@ -387,7 +388,7 @@ class TestMetricChain:
             residual=0.0,
         )
         d = depth_map_current(sol, 0.05)
-        assert d[0] == pytest.approx(1.0)
+        assert d.lookup([0])[0] == pytest.approx(1.0)
 
     def test_depth_map_current_rejects_negative(self):
         y = np.array([-10.0, 11.0, 0.5])
@@ -400,20 +401,20 @@ class TestMetricChain:
     def test_depth_map_reference_ratio(self):
         y = np.array([2.0, 1.0, 0.2])
         sol = ScaleSolution(y=y / np.linalg.norm(y), residual=0.0, track_id=[7])
-        d0 = SparseDepthMap({7: 1.0})
+        d0 = SparseDepthMap([7], [1.0])
         dref = depth_map_reference(sol, d0)
-        assert dref[7] == pytest.approx(2.0)
+        assert dref.lookup([7])[0] == pytest.approx(2.0)
 
     def test_depth_map_reference_missing_track(self):
         y = np.array([2.0, 1.0, 0.2])
         sol = ScaleSolution(y=y / np.linalg.norm(y), residual=0.0, track_id=[7])
         with pytest.raises(MissingDepthError):
-            depth_map_reference(sol, SparseDepthMap({8: 1.0}))
+            depth_map_reference(sol, SparseDepthMap([8], [1.0]))
 
     def test_iteration_scale_formula(self):
         y = np.array([0.8, 0.9, 0.2])
         sol = ScaleSolution(y=y / np.linalg.norm(y), residual=0.0, track_id=[3])
-        dref = SparseDepthMap({3: 2.0})
+        dref = SparseDepthMap([3], [2.0])
         # s * D_ref / d_ref with the common normalization canceling.
         expected = (y[2] / np.linalg.norm(y)) * 2.0 / (y[0] / np.linalg.norm(y))
         assert iteration_scale(sol, dref) == pytest.approx(expected)
@@ -421,7 +422,7 @@ class TestMetricChain:
     def test_iteration_scale_mean_of_constant(self):
         y = np.array([1.0, 1.1, 2.0, 2.2, 0.1])
         sol = ScaleSolution(y=y / np.linalg.norm(y), residual=0.0, track_id=[1, 2])
-        dref = SparseDepthMap({1: 10.0, 2: 20.0})
+        dref = SparseDepthMap([1, 2], [10.0, 20.0])
         # Both tracks give the identical ratio, the mean equals it exactly.
         assert iteration_scale(sol, dref) == pytest.approx(0.1 * 10.0 / 1.0)
 
@@ -429,7 +430,49 @@ class TestMetricChain:
         y = np.array([1.0, 1.0, 0.5])
         sol = ScaleSolution(y=y / np.linalg.norm(y), residual=0.0, track_id=[1])
         with pytest.raises(MissingDepthError):
-            iteration_scale(sol, SparseDepthMap({9: 1.0}))
+            iteration_scale(sol, SparseDepthMap([9], [1.0]))
+
+    def test_iteration_scale_averages_only_shared_tracks(self):
+        # Tracks 4 and 6 carry reference depths, track 5 does not.
+        y = np.array([1.0, 1.0, 3.0, 3.0, 2.0, 2.0, 0.5])
+        sol = ScaleSolution(
+            y=y / np.linalg.norm(y), residual=0.0, track_id=[4, 5, 6]
+        )
+        dref = SparseDepthMap([6, 4, 8], [8.0, 1.0, 99.0])
+        # Ratios s * D_ref / d: 0.5 * 1 / 1 for track 4, 0.5 * 8 / 2 for 6.
+        assert iteration_scale(sol, dref) == pytest.approx(0.5 * (0.5 + 2.0))
+
+    def test_chain_matches_per_track_loop(self):
+        # The elementwise chain against the per-track arithmetic it replaced,
+        # bit for bit: the same operations in the same order per element.
+        rng = np.random.default_rng(5)
+
+        def solution(tracks):
+            y = rng.uniform(0.5, 2.0, 2 * len(tracks) + 1)
+            return ScaleSolution(y=y / np.linalg.norm(y), residual=0.0, track_id=tracks)
+
+        init = solution(rng.permutation(60))
+        d0 = depth_map_current(init, 0.05)
+        factor = 0.05 / init.s
+        loop_d0 = {int(t): float(init.d_a[i] * factor) for i, t in enumerate(init.track_id)}
+        assert d0.lookup(list(loop_d0)).tolist() == list(loop_d0.values())
+
+        ref = solution(rng.choice(60, 40, replace=False))
+        dref = depth_map_reference(ref, d0)
+        loop_dref = {
+            int(t): loop_d0[int(t)] * float(ref.d_a[i] / ref.d_b[i])
+            for i, t in enumerate(ref.track_id)
+        }
+        assert dref.lookup(list(loop_dref)).tolist() == list(loop_dref.values())
+
+        it = solution(rng.choice(80, 50, replace=False))  # some tracks unknown
+        ratios = [
+            it.s * loop_dref[int(t)] / float(it.d_a[i])
+            for i, t in enumerate(it.track_id)
+            if int(t) in loop_dref
+        ]
+        assert 0 < len(ratios) < 50
+        assert iteration_scale(it, dref) == float(np.mean(ratios))
 
     def test_full_chain_noiseless(self, intr):
         # ref at identity, current at E0, init translation in camera terms.
@@ -459,9 +502,7 @@ class TestMetricChain:
             t_01.translation, DirectionalPose(t_01.rotation, t_01.translation)
         )
         d0 = depth_map_current(sol1, s_init)
-        np.testing.assert_allclose(
-            [d0[i] for i in range(40)], d_0_true, atol=1e-8
-        )
+        np.testing.assert_allclose(d0.lookup(np.arange(40)), d_0_true, atol=1e-8)
 
         sol2 = solve_scale_system(
             CorrespondenceSet(p_ref, p_0),
@@ -469,17 +510,50 @@ class TestMetricChain:
             DirectionalPose(e0.rotation, e0.translation),
         )
         dref = depth_map_reference(sol2, d0)
-        np.testing.assert_allclose(
-            [dref[i] for i in range(40)], d_ref_true, atol=1e-7
-        )
+        np.testing.assert_allclose(dref.lookup(np.arange(40)), d_ref_true, atol=1e-7)
 
         s_i = iteration_scale(sol2, dref)
         truth = float(np.linalg.norm(e0.translation))
         assert abs(s_i - truth) / truth < 1e-3
 
-    def test_depth_map_json_round_trip(self, tmp_path):
-        d = SparseDepthMap({3: 1.25, 11: 0.75})
-        path = tmp_path / "d.json"
-        d.save(path)
-        back = SparseDepthMap.load(path)
-        assert back.depths == d.depths
+
+
+class TestSparseDepthMap:
+    def test_unsorted_input_comes_back_sorted(self):
+        d = SparseDepthMap([11, 3, 7], [0.75, 1.25, 2.0])
+        np.testing.assert_array_equal(d.track_id, [3, 7, 11])
+        np.testing.assert_array_equal(d.depth, [1.25, 2.0, 0.75])
+
+    def test_known_and_lookup_keep_query_order(self):
+        d = SparseDepthMap([11, 3, 7], [0.75, 1.25, 2.0])
+        np.testing.assert_array_equal(
+            d.known([7, 4, 11, 12, 3, -1]), [True, False, True, False, True, False]
+        )
+        np.testing.assert_array_equal(d.lookup([11, 3, 7, 3]), [0.75, 1.25, 2.0, 1.25])
+
+    def test_lookup_unknown_track_raises(self):
+        d = SparseDepthMap([3, 7], [1.0, 2.0])
+        with pytest.raises(MissingDepthError, match="track 5"):
+            d.lookup([3, 5])
+
+    def test_duplicate_track_rejected(self):
+        with pytest.raises(InvalidInputError):
+            SparseDepthMap([3, 7, 3], [1.0, 2.0, 1.5])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_non_positive_depth_rejected(self, bad):
+        with pytest.raises(CheiralityError):
+            SparseDepthMap([3, 7], [1.0, bad])
+
+    @pytest.mark.parametrize(
+        "tracks, depths",
+        [([1, 2], [1.0]), ([1, 2], [[1.0, 2.0]]), ([[1, 2]], [[1.0, 2.0]])],
+    )
+    def test_shape_mismatch_rejected(self, tracks, depths):
+        with pytest.raises(InvalidInputError):
+            SparseDepthMap(tracks, depths)
+
+    def test_arrays_are_read_only(self):
+        d = SparseDepthMap([3, 7], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            d.depth[0] = 5.0
