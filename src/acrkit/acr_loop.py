@@ -43,6 +43,7 @@ from .pose_estimation import (
     join_on_tracks,
 )
 from .scale_solver import (
+    MIN_SYSTEM_POINTS,
     SparseDepthMap,
     depth_map_current,
     depth_map_reference,
@@ -119,6 +120,19 @@ class AcrConfig:
             raise InvalidInputError("epsilons must be positive")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be at least 1")
+        # The init move anchors the metric scale, so it must be a real move.
+        try:
+            t = np.asarray(self.init_translation, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError("init_translation must be three numbers") from exc
+        if t.shape != (3,) or not np.all(np.isfinite(t)) or not np.linalg.norm(t) > 0:
+            raise InvalidInputError("init_translation must be a finite, nonzero 3-vector")
+        if self.min_scale_points < MIN_SYSTEM_POINTS:
+            raise InvalidInputError(
+                f"min_scale_points must be at least {MIN_SYSTEM_POINTS}"
+            )
+        if self.max_scale_points < self.min_scale_points:
+            raise InvalidInputError("max_scale_points must be at least min_scale_points")
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,8 +449,8 @@ def run_bisection_baseline(executor: MotionExecutor, cfg: AcrConfig = None) -> A
 
             converged = False
             if hyp.unstable_translation or step < cfg.scale_epsilon:
+                scale = 0.0  # correct only the rotation
                 converged = rot_estimated < cfg.rotation_epsilon
-                command = None if converged else hand_motion_from_estimate(correction, 0.0)
             else:
                 direction = correction.direction
                 if prev_direction is not None:
@@ -445,12 +459,13 @@ def run_bisection_baseline(executor: MotionExecutor, cfg: AcrConfig = None) -> A
                         step *= 0.5
                 prev_direction = direction
                 frame_drift = np.eye(3)
-                command = hand_motion_from_estimate(correction, step)
+                scale = step
+            command = None if converged else hand_motion_from_estimate(correction, scale)
             records.append(
                 AcrRecord(
                     index=index,
                     stage="iter",
-                    scale_m=0.0 if converged and hyp.unstable_translation else step,
+                    scale_m=scale,
                     estimate=estimate,
                     command=command,
                     rot_err_deg=rot_err,

@@ -197,20 +197,27 @@ def _select_consistent(candidate_lists) -> list:
     sizes = [len(lst) for lst in candidate_lists]
     if all(s == 1 for s in sizes) or len(candidate_lists) == 1:
         return [lst[0] for lst in candidate_lists]
+    # Each cross-plane disagreement once, summed below in the same order.
+    pairs = [(i, j) for i in range(len(sizes)) for j in range(i + 1, len(sizes))]
+    table = {
+        (i, j): [
+            [_pairwise_disagreement(a, b) for b in candidate_lists[j]]
+            for a in candidate_lists[i]
+        ]
+        for i, j in pairs
+    }
     best = None
     best_cost = np.inf
     for combo in np.ndindex(*sizes):
-        chosen = [lst[i] for lst, i in zip(candidate_lists, combo)]
         cost = 0.0
-        for i in range(len(chosen)):
-            for j in range(i + 1, len(chosen)):
-                cost += _pairwise_disagreement(chosen[i], chosen[j])
+        for i, j in pairs:
+            cost += table[i, j][combo[i]][combo[j]]
         # Deterministic preference for the per-plane front candidates.
         cost += 1e-9 * sum(combo)
         if cost < best_cost:
             best_cost = cost
-            best = chosen
-    return best
+            best = combo
+    return [lst[i] for lst, i in zip(candidate_lists, best)]
 
 
 def i2pe(

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from acrkit import acr_loop, cli, simulator
-from acrkit.acr_loop import run_acr, run_bisection_baseline
+from acrkit.acr_loop import AcrConfig, run_acr, run_bisection_baseline
+from acrkit.errors import InvalidInputError
 from acrkit.geometry import rotation_angle
+from acrkit.scale_solver import MIN_SYSTEM_POINTS
 
 
 def _scenario(seed: int, **overrides):
@@ -74,10 +76,43 @@ class TestRunAcr:
         assert _signature(again) == _signature(trace)
 
 
+class TestAcrConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"init_translation": (0.0, 0.0, 0.0)},
+            {"init_translation": (0.0, float("nan"), 0.05)},
+            {"init_translation": (0.0, 0.05)},
+            {"init_translation": ("a", "b", "c")},
+            {"min_scale_points": 7},
+            {"max_scale_points": 4},
+            {"min_scale_points": 20, "max_scale_points": 19},
+        ],
+    )
+    def test_rejected_before_any_move(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            AcrConfig(**kwargs)
+
+    def test_limits_at_their_bounds_are_accepted(self):
+        AcrConfig(min_scale_points=MIN_SYSTEM_POINTS, max_scale_points=MIN_SYSTEM_POINTS)
+        AcrConfig(init_translation=(0.0, 0.0, -1e-6))
+
+
 class TestBisectionBaseline:
     def test_ends_without_failure(self):
         trace, _ = _run(run_bisection_baseline)
         assert trace.status in ("converged", "exhausted"), trace.failure
+
+    def test_rotation_only_moves_record_zero_scale(self):
+        # Under noise the seed-0 run finds the translation unstable on its
+        # first passes and commands rotation-only moves there.
+        trace, _ = _run(run_bisection_baseline, noise={"magnitude_r": 1.0, "ratio_mu": 0.5})
+        moves = [r for r in trace.records if r.command is not None]
+        rotation_only = [r for r in moves if not np.any(r.command.translation)]
+        assert rotation_only, "no pass reached the rotation-only branch"
+        assert all(r.scale_m == 0.0 for r in rotation_only)
+        for r in moves:
+            assert np.linalg.norm(r.command.translation) == pytest.approx(r.scale_m)
 
 
 class TestRunAcrMatrix:

@@ -223,6 +223,19 @@ class TestSimulateAcr:
         message = self._rejected({"i2pe": i2pe_doc}, tmp_path, monkeypatch, capsys)
         assert key in message
 
+    @pytest.mark.parametrize(
+        "acr_doc, key",
+        [
+            ({"init_translation": [0, 0, 0]}, "init_translation"),
+            ({"max_scale_points": 4}, "max_scale_points"),
+            ({"min_scale_points": 3}, "min_scale_points"),
+        ],
+    )
+    def test_out_of_range_acr_value_is_invalid_input(
+        self, acr_doc, key, tmp_path, monkeypatch, capsys
+    ):
+        assert key in self._rejected(acr_doc, tmp_path, monkeypatch, capsys)
+
     def test_every_field_accepted_at_its_default(self):
         # Every field of AcrConfig and of its nested I2peConfig, as JSON.
         doc = json.loads(json.dumps(dataclasses.asdict(AcrConfig())))

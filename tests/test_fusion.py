@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from acrkit import fusion
+from acrkit import fusion, plane_match
 from acrkit.errors import InsufficientDataError, InvalidInputError
 from acrkit.fusion import (
     FusionWeights,
@@ -26,7 +26,7 @@ from acrkit.geometry import (
     direction_angle,
     rotation_angle,
 )
-from acrkit.plane_match import PlaneSegmentMap
+from acrkit.plane_match import PlaneGraph, PlaneSegmentMap
 from acrkit.pose_estimation import CorrespondenceSet, PoseHypothesis, point_spread
 from acrkit.simulator import (
     DESK_IMAGE_SIZE,
@@ -159,6 +159,56 @@ class TestFusePoses:
         assert only.direction.tolist() == [0.0, 0.0, 1.0]
 
 
+def _brute_force_selection(candidate_lists) -> list:
+    """Every combination's disagreements computed and summed pair by pair."""
+    best, best_cost = None, np.inf
+    for combo in np.ndindex(*[len(lst) for lst in candidate_lists]):
+        chosen = [lst[i] for lst, i in zip(candidate_lists, combo)]
+        cost = 0.0
+        for i in range(len(chosen)):
+            for j in range(i + 1, len(chosen)):
+                cost += fusion._pairwise_disagreement(chosen[i], chosen[j])
+        cost += 1e-9 * sum(combo)
+        if cost < best_cost:
+            best, best_cost = chosen, cost
+    return best
+
+
+class TestSelectConsistent:
+    @staticmethod
+    def _lists(seed: int, sizes):
+        rng = np.random.default_rng(seed)
+        truth = random_rotation(rng, 10.0)
+        lists = []
+        for size in sizes:
+            lst = []
+            for _ in range(size):
+                rotation = truth.compose(random_rotation(rng, 3.0))
+                lst.append(_hyp(rotation, rng.normal(size=3)))
+            lists.append(lst)
+        return lists
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (2, 1, 2), (2, 2, 2, 2), (1, 2, 2, 1, 2)])
+    def test_picks_what_the_pairwise_sum_picks(self, sizes):
+        for seed in range(5):
+            lists = self._lists(seed, sizes)
+            picked = fusion._select_consistent(lists)
+            assert [id(h) for h in picked] == [id(h) for h in _brute_force_selection(lists)]
+
+    def test_each_cross_plane_pair_is_compared_once(self, monkeypatch):
+        lists = self._lists(0, (2, 2, 2, 2))
+        calls = []
+        inner = fusion._pairwise_disagreement
+
+        def counting(a, b):
+            calls.append((id(a), id(b)))
+            return inner(a, b)
+
+        monkeypatch.setattr(fusion, "_pairwise_disagreement", counting)
+        fusion._select_consistent(lists)
+        assert len(calls) == len(set(calls)) == 6 * 2 * 2
+
+
 class TestI2peConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -178,6 +228,34 @@ class TestI2peConfig:
 
 
 class TestI2pe:
+    def test_each_map_is_eroded_and_graphed_once(self, corner_observation, monkeypatch):
+        # Counting wrappers on the names a tracer patches: the module's
+        # erode_mask and the static PlaneGraph.from_mask.
+        _, _, obs = corner_observation
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, args[0]))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(plane_match, "erode_mask", counting("erode", plane_match.erode_mask))
+        monkeypatch.setattr(
+            PlaneGraph, "from_mask", staticmethod(counting("graph", PlaneGraph.from_mask))
+        )
+        ref, cur = PlaneSegmentMap(obs.mask_ref.labels), PlaneSegmentMap(obs.mask_cur.labels)
+        radius = I2peConfig().erosion_radius
+        i2pe(obs.correspondences, ref, cur, DESK_INTRINSICS)
+        expected = [("erode", ref), ("erode", cur)]
+        expected += [("graph", ref.eroded(radius)), ("graph", cur.eroded(radius))]
+        assert sorted(map(id, (m for _, m in calls))) == sorted(map(id, (m for _, m in expected)))
+        assert sorted(name for name, _ in calls) == ["erode", "erode", "graph", "graph"]
+        calls.clear()
+        i2pe(obs.correspondences, ref, cur, DESK_INTRINSICS)
+        assert calls == []
+
     def test_candidate_spread_is_its_pair_inlier_spread(self, corner_observation):
         _, _, obs = corner_observation
         est = i2pe(

@@ -8,16 +8,17 @@ import math
 import numpy as np
 import pytest
 import scipy.ndimage
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acrkit import simulator
+from acrkit import plane_match, simulator
 from acrkit.errors import (
     BudgetExceededError,
     InvalidInputError,
     OrientationError,
 )
-from acrkit.geometry import Intrinsics, Pose
+from acrkit.geometry import Intrinsics, Pose, Rotation
 from acrkit.plane_match import (
     Assignment,
     PlaneGraph,
@@ -91,6 +92,52 @@ def _twelve_planes() -> PlaneSegmentMap:
     return PlaneSegmentMap(lab)
 
 
+def _random_width_mask(seed: int, width: int) -> PlaneSegmentMap:
+    """A ``_random_mask``-style map of the given width, 14 rows tall."""
+    rng = np.random.default_rng(seed)
+    lab = rng.integers(0, 4, (14, width))
+    lab = scipy.ndimage.median_filter(lab, size=3)
+    present = np.bincount(lab.ravel())[1:] > 0
+    return PlaneSegmentMap(np.concatenate([[0], np.cumsum(present)])[lab])
+
+
+def _aliasing_stripes() -> PlaneSegmentMap:
+    """300 stripes 3 px wide and 3 rows tall, with id k + 256 right of id k:
+    read as uint8, each such pair would merge into one region."""
+    order = [i for k in range(1, 45) for i in (k, k + 256)] + list(range(45, 257))
+    return PlaneSegmentMap(np.repeat(np.array(order, dtype=np.int32), 3)[None].repeat(3, 0))
+
+
+def _whole_image_graph(m: PlaneSegmentMap) -> np.ndarray:
+    """Distances from a whole-image scan: boundary pixels of the full int32
+    label map, one kd-tree per region.  An oracle for maps too large to
+    compare pixel pair by pixel pair."""
+    h = m.num_planes
+    d = np.zeros((h, h))
+    lab, c = m.labels, m.labels[1:-1, 1:-1]
+    boundary = lab > 0
+    boundary[1:-1, 1:-1] &= (
+        (c != lab[:-2, 1:-1]) | (c != lab[2:, 1:-1]) | (c != lab[1:-1, :-2]) | (c != lab[1:-1, 2:])
+    )
+    pixels = [np.argwhere(boundary & (lab == pid)) for pid in m.plane_ids]
+    for i, j in itertools.combinations(range(h), 2):
+        dist, _ = scipy.spatial.cKDTree(pixels[i]).query(pixels[j], k=1)
+        dmin = float(dist.min())
+        d[i, j] = d[j, i] = 0.0 if dmin <= np.sqrt(2.0) + 1e-12 else dmin
+    return d
+
+
+@pytest.fixture(scope="module")
+def full_corner() -> PlaneSegmentMap:
+    """The corner scene at the desk rig's 1280 x 960, seen from a pose whose
+    labelled box touches the top image border only."""
+    world = simulator.generate_scene(simulator.corner_scene(seed=0))
+    pose = Pose(Rotation.about_x(3.0), np.zeros(3))
+    return simulator.render_plane_mask(
+        world, pose, simulator.DESK_INTRINSICS, simulator.DESK_IMAGE_SIZE
+    )
+
+
 # Mask builders, so that collecting the tests renders nothing.
 EROSION_CASES = {
     # Together the regions touch all four borders.
@@ -114,10 +161,35 @@ EROSION_CASES = {
     "one-row": lambda: PlaneSegmentMap(np.array([[0] + [1] * 7 + [2] * 3 + [0] + [3] * 4])),
     "one-column": lambda: PlaneSegmentMap(np.array([[1] * 9 + [0] + [2] * 6]).T),
     "twelve-planes": _twelve_planes,
+    # The labelled box sits inside the image; each side of it is touched
+    # by a region that reaches no image border.
+    "inner-box": lambda: _mask(
+        (30, 70),
+        {
+            1: (slice(4, 20), slice(3, 40)),
+            2: (slice(12, 26), slice(40, 66)),
+            3: (slice(20, 26), slice(3, 20)),
+        },
+    ),
+    # Regions on the top and left image borders only, then bottom and right.
+    "top-left": lambda: _mask(
+        (26, 90), {1: (slice(0, 9), slice(0, 70)), 2: (slice(9, 20), slice(0, 12))}
+    ),
+    "bottom-right": lambda: _mask(
+        (26, 90), {1: (slice(14, 26), slice(20, 90)), 2: (slice(3, 14), slice(77, 90))}
+    ),
+    # Rows that straddle the 64-pixel words of the packed erosion.
+    **{f"width-{w}": (lambda w=w: _random_width_mask(w, w)) for w in (63, 64, 65, 127, 129)},
+    "aliasing-stripes": _aliasing_stripes,
+    "background": lambda: PlaneSegmentMap(np.zeros((9, 70), dtype=np.int32)),
+    "one-pixel": lambda: PlaneSegmentMap(np.ones((1, 1), dtype=np.int32)),
+    "lone-pixel": lambda: _mask((9, 70), {1: (slice(4, 5), slice(66, 67))}),
     "corner-render": lambda: _small_render(simulator.corner_scene(seed=0)),
     "mural-render": lambda: _small_render(simulator.mural_scene(seed=0)),
 }
 RADII = [0, 1, 2, 2.5, 3, 4, 5, 6, 7]
+# The cases small enough for the pixel-pair oracle of the plane graph.
+GRAPH_CASES = sorted(set(EROSION_CASES) - {"corner-render", "mural-render"})
 
 
 class TestPlaneSegmentMap:
@@ -233,12 +305,42 @@ class TestErodeMask:
         assert EROSION_CASES["mural-render"]().num_planes >= 2
         thin = erode_mask(EROSION_CASES["thin-stripe"](), 2)
         assert thin.num_planes == 1 and thin.labels[15, 15] == 1
+        for w in (63, 64, 65, 127, 129):
+            m = EROSION_CASES[f"width-{w}"]()
+            assert m.width == w and m.num_planes >= 2
+            assert m.labels[:, 0].any() and m.labels[:, -1].any()
+        inner = EROSION_CASES["inner-box"]().labels
+        assert not (inner[0].any() or inner[-1].any() or inner[:, 0].any() or inner[:, -1].any())
+        stripes = EROSION_CASES["aliasing-stripes"]()
+        assert stripes.num_planes == 300 and stripes.labels[0, 3] == 257
+        assert erode_mask(stripes, 1).num_planes == 300
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(RADII))
     def test_random_masks_equal_oracle(self, seed, radius):
         m = _random_mask(seed)
         np.testing.assert_array_equal(erode_mask(m, radius).labels, _erosion_oracle(m, radius))
+
+    @pytest.mark.parametrize("s", [-200, -129, -64, -63, -1, 0, 1, 5, 63, 64, 65, 130, 192])
+    def test_word_shift_equals_a_pixel_shift(self, s):
+        # Shifts of 64 or more pixels occur from radius 64 on.
+        bits = np.random.default_rng(7).random((3, 192)) < 0.5
+        expected = np.zeros_like(bits)  # pixel x holds pixel x + s
+        for x in range(192):
+            if 0 <= x + s < 192:
+                expected[:, x] = bits[:, x + s]
+        words = plane_match._shifted(plane_match._packed(bits), s)
+        np.testing.assert_array_equal(
+            np.unpackbits(words.view(np.uint8), axis=1, bitorder="little").view(bool), expected
+        )
+
+    def test_full_size_corner_render(self, full_corner):
+        m = full_corner
+        rows = np.flatnonzero(m.labels.any(axis=1))
+        assert m.num_planes == 3 and rows[0] == 0 and rows[-1] < m.height - 1
+        e = erode_mask(m, 5)
+        np.testing.assert_array_equal(e.labels, _erosion_oracle(m, 5))
+        np.testing.assert_array_equal(e._areas, np.bincount(e.labels.ravel())[1:])
 
     def test_negative_radius_rejected(self):
         m = _mask((10, 10), {1: (slice(2, 8), slice(2, 8))})
@@ -284,6 +386,14 @@ class TestMinRegionDistance:
 
 
 class TestPlaneGraphFromMask:
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    @pytest.mark.parametrize("case", GRAPH_CASES)
+    def test_cases_equal_brute_force(self, case, radius):
+        m = erode_mask(EROSION_CASES[case](), radius)
+        g = PlaneGraph.from_mask(m)
+        assert g.plane_ids == tuple(m.plane_ids)
+        np.testing.assert_allclose(g.distances, _graph_oracle(m), rtol=0, atol=1e-12)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_random_masks_equal_brute_force(self, seed):
@@ -291,6 +401,10 @@ class TestPlaneGraphFromMask:
         g = PlaneGraph.from_mask(m)
         assert g.plane_ids == tuple(m.plane_ids)
         np.testing.assert_allclose(g.distances, _graph_oracle(m), rtol=0, atol=1e-12)
+
+    def test_full_size_corner_render(self, full_corner):
+        for m in (full_corner, erode_mask(full_corner, 5)):
+            np.testing.assert_array_equal(PlaneGraph.from_mask(m).distances, _whole_image_graph(m))
 
     def test_diagonal_contact_reads_zero(self):
         lab = np.zeros((8, 8), dtype=np.int32)
