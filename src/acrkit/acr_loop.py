@@ -242,15 +242,17 @@ def _solve_scale(
     )
 
 
-def _pure_translation_chooser(index, candidates, inliers):
+def _pure_translation_chooser(candidates, inliers):
     """Candidate prior for the initialization pair.
 
     The init motion is a commanded pure translation, and conjugation by
     the hidden hand-eye pose preserves that, so the physically right
     factorization is the one with the smallest rotation.
     """
-    angles = [rotation_angle(c.pose.rotation) for c in candidates]
-    return int(np.argmin(angles))
+    return [
+        int(np.argmin([rotation_angle(c.pose.rotation) for c in lst]))
+        for lst in candidates
+    ]
 
 
 def _depth_profile_chooser(intr: Intrinsics, depth_map, side: str, cfg: AcrConfig):
@@ -262,15 +264,18 @@ def _depth_profile_chooser(intr: Intrinsics, depth_map, side: str, cfg: AcrConfi
     breaks the tie: solve the scale system under each candidate pose and
     keep the candidate whose depth-ratio profile is most parallel to the
     known depths.  ``side`` names the image ("a" or "b") the depth map
-    belongs to.
+    belongs to.  A pair with one candidate, too few known depths or no
+    solvable candidate keeps its first candidate.
     """
 
-    def chooser(index, candidates, inliers):
+    def pick(candidates, inliers) -> int:
+        if len(candidates) == 1:
+            return 0
         usable = depth_map.known(inliers.track_id)
         if int(usable.sum()) < cfg.min_scale_points:
-            return None
+            return 0
         subset = inliers.subset(usable)
-        best = None
+        best = 0
         best_score = np.inf
         for k, cand in enumerate(candidates):
             if cand.zero_motion:
@@ -288,6 +293,9 @@ def _depth_profile_chooser(intr: Intrinsics, depth_map, side: str, cfg: AcrConfi
                 best_score = score
                 best = k
         return best
+
+    def chooser(candidates, inliers):
+        return [pick(lst, pair) for lst, pair in zip(candidates, inliers)]
 
     return chooser
 
@@ -314,8 +322,10 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
         rot0, trans0 = _truth_errors(obs_init)
 
         pair_0i = join_on_tracks(obs0.correspondences, obs_init.correspondences)
-        est_0i = i2pe(pair_0i, obs0.mask_cur, obs_init.mask_cur, intr, cfg.i2pe)
-        est_0i = reselect_candidates(est_0i, _pure_translation_chooser)
+        est_0i = reselect_candidates(
+            i2pe(pair_0i, obs0.mask_cur, obs_init.mask_cur, intr, cfg.i2pe),
+            _pure_translation_chooser,
+        )
         if est_0i.zero_motion:
             raise EstimationFailureError("init translation produced no parallax")
         s_init = init_scale(t_init, est_0i.pose)
@@ -324,12 +334,10 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
         )
         d_current = depth_map_current(sol_init, s_init)
 
-        est_r0 = i2pe(
-            obs0.correspondences, obs0.mask_ref, obs0.mask_cur, intr, cfg.i2pe
-        )
         # The current image is the B side of the (reference, current) pair.
         est_r0 = reselect_candidates(
-            est_r0, _depth_profile_chooser(intr, d_current, "b", cfg)
+            i2pe(obs0.correspondences, obs0.mask_ref, obs0.mask_cur, intr, cfg.i2pe),
+            _depth_profile_chooser(intr, d_current, "b", cfg),
         )
         if est_r0.zero_motion:
             # Already at the reference up to parallax; reuse current depths
@@ -360,11 +368,9 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
 
         obs = obs_init
         for index in range(1, cfg.max_iterations + 1):
-            estimate = i2pe(
-                obs.correspondences, obs.mask_ref, obs.mask_cur, intr, cfg.i2pe
-            )
             estimate = reselect_candidates(
-                estimate, _depth_profile_chooser(intr, d_ref, "a", cfg)
+                i2pe(obs.correspondences, obs.mask_ref, obs.mask_cur, intr, cfg.i2pe),
+                _depth_profile_chooser(intr, d_ref, "a", cfg),
             )
             rot_err, trans_err = _truth_errors(obs)
             rot_estimated = rotation_angle(estimate.pose.rotation)

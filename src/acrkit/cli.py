@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import json
 import sys
+import time
 import typing
 from pathlib import Path
 
@@ -29,8 +30,8 @@ import numpy as np
 
 from .acr_loop import AcrConfig, run_acr, run_bisection_baseline
 from .errors import AcrError, InvalidInputError, MissingInputError
-from .fusion import I2peConfig, i2pe
-from .geometry import Intrinsics, Pose, Rotation
+from .fusion import I2peConfig, _select_consistent, i2pe, reselect_candidates
+from .geometry import DirectionalPose, Intrinsics, Pose, Rotation
 from .metrics import afd
 from .plane_match import PlaneSegmentMap, erode_mask, match_plane_maps
 from .pose_estimation import CorrespondenceSet, estimate_epipolar, estimate_homography_ransac
@@ -231,7 +232,9 @@ def cmd_estimate_pose(args) -> int:
             m_ref = PlaneSegmentMap.load(args.ref_mask)
             m_cur = PlaneSegmentMap.load(args.cur_mask)
             cfg = I2peConfig(seed=args.seed, ransac_threshold_px=args.threshold)
-            estimate = i2pe(corr, m_ref, m_cur, intr, cfg)
+            estimate = reselect_candidates(
+                i2pe(corr, m_ref, m_cur, intr, cfg), _select_consistent
+            )
             pose_doc = {
                 "r": [float(v) for v in estimate.pose.rotation.matrix.reshape(-1)],
                 "direction": [float(v) for v in estimate.pose.direction],
@@ -303,8 +306,6 @@ def cmd_solve_scale(args) -> int:
         direction = np.asarray(
             pose_doc.get("direction", pose_doc.get("t")), dtype=float
         )
-        from .geometry import DirectionalPose
-
         solution = solve_scale_system(
             corr, intr, DirectionalPose(rotation, direction)
         )
@@ -356,6 +357,8 @@ def cmd_simulate_acr(args) -> int:
     try:
         doc = _load_json(args.config) if args.config else default_acr_config()
         cfg = _acr_config_from(doc.get("acr"))
+        noise = _acr_config_from(doc.get("noise"), NoiseSpec, "noise")
+        lighting = _acr_config_from(doc.get("lighting"), LightingProxySpec, "lighting")
     except (MissingInputError, InvalidInputError, json.JSONDecodeError) as exc:
         return _fail(1, "invalid-input", str(exc))
     try:
@@ -376,21 +379,6 @@ def cmd_simulate_acr(args) -> int:
         image_size = tuple(rig_doc.get("image_size", simulator.DESK_IMAGE_SIZE))
         hand_eye = _pose_spec(rig_doc.get("hand_eye"), rng)
         initial = _pose_spec(doc.get("initial_offset"), rng)
-        noise_doc = doc.get("noise", {})
-        noise = NoiseSpec(
-            magnitude_r=float(noise_doc.get("magnitude_r", 0.0)),
-            ratio_mu=float(noise_doc.get("ratio_mu", 0.0)),
-        )
-        light_doc = doc.get("lighting", {})
-        lighting = LightingProxySpec(
-            off_plane_outlier_fraction=float(
-                light_doc.get("off_plane_outlier_fraction", 0.0)
-            ),
-            in_plane_outlier_fraction=float(
-                light_doc.get("in_plane_outlier_fraction", 0.0)
-            ),
-            dropout_fraction=float(light_doc.get("dropout_fraction", 0.0)),
-        )
         use_baseline = bool(doc.get("baseline", False)) or args.baseline
 
         rig = RigSpec(hand_eye=hand_eye, intrinsics=intr, image_size=image_size)
@@ -398,8 +386,6 @@ def cmd_simulate_acr(args) -> int:
             world, rig, initial, noise=noise, lighting=lighting, seed=seed
         )
         runner = run_bisection_baseline if use_baseline else run_acr
-        import time
-
         t0 = time.perf_counter()
         trace = runner(executor, cfg)
         elapsed = time.perf_counter() - t0

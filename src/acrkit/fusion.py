@@ -1,12 +1,20 @@
-"""Per-plane pose hypotheses fused into one relative pose estimate.
+"""Plane-mediated relative pose: per-plane candidates, one choice, one fusion.
 
-The pipeline entry point :func:`i2pe` erodes the two plane masks, matches
-plane regions across them, estimates one homography per matched pair from
-the correspondences restricted to that pair, decomposes each homography,
-and fuses the resulting hypotheses weighted by correspondence count and
-spatial spread.  Correspondences outside the matched plane regions never
+:func:`i2pe` erodes the two plane masks, matches plane regions across
+them, fits one homography per matched pair from the correspondences inside
+that pair and decomposes it.  It stops there and returns the per-plane
+evidence (:class:`PlaneCandidates`): each pair's cheirality-valid
+decompositions, of which there are at most two, and the consensus inliers
+behind them.  Correspondences outside the matched plane regions never
 reach the estimators, which is what makes the estimate insensitive to
 off-plane contamination.
+
+:func:`reselect_candidates` is the one step that chooses: a chooser picks
+one candidate per pair, and the picks are fused, weighted by
+correspondence count and spatial spread, into one relative pose.  The
+choosers are cross-plane agreement (:func:`_select_consistent`, used when
+nothing else is known) and the loop's structural priors in
+:mod:`acrkit.acr_loop`.
 """
 
 from __future__ import annotations
@@ -131,27 +139,33 @@ class I2peConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class PoseEstimate:
-    """Fused estimate plus the per-plane evidence behind it.
+class PlaneCandidates:
+    """Per-plane evidence of one image pair, before any choice.
 
-    ``inlier_track_ids`` are the correspondences that survived the
-    per-plane consensus; downstream consumers (the scale system in
+    Per matched plane pair with a usable homography: the (ref, cur) plane
+    ids, the cheirality-valid decompositions and the consensus
+    correspondences behind them.  ``inlier_track_ids`` are the tracks of
+    every pair's consensus; downstream consumers (the scale system in
     particular) must not see anything else.
     """
+
+    plane_pairs: tuple
+    candidates: tuple
+    inliers: tuple
+    inlier_track_ids: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class PoseEstimate:
+    """Fused estimate plus the chosen per-plane hypotheses behind it;
+    ``inlier_track_ids`` are those of the :class:`PlaneCandidates` fused."""
 
     pose: DirectionalPose
     zero_motion: bool
     hypotheses: tuple
     weights: FusionWeights
     plane_pairs: tuple
-    inlier_track_ids: np.ndarray = None
-    # Per matched pair, zero-motion ones included: the (ref, cur) plane ids,
-    # the full cheirality-valid candidate list and the consensus
-    # correspondences behind it.  Loop drivers re-select among these with
-    # structural priors (see acrkit.acr_loop).
-    candidate_pairs: tuple = ()
-    pair_candidates: tuple = ()
-    pair_inliers: tuple = ()
+    inlier_track_ids: np.ndarray
 
     def report(self) -> dict:
         """JSON-ready summary of the per-plane hypotheses."""
@@ -186,23 +200,24 @@ def _pairwise_disagreement(a: PoseHypothesis, b: PoseHypothesis) -> float:
     return rot + direction_angle(a.pose.direction, b.pose.direction)
 
 
-def _select_consistent(candidate_lists) -> list:
-    """One hypothesis per plane, chosen for mutual agreement.
+def _select_consistent(candidates, inliers) -> list:
+    """Chooser by cross-plane agreement: one candidate index per plane.
 
     Homography decomposition leaves up to two physically valid solutions
     per plane; only the true relative pose repeats across planes, so the
     combination minimizing the summed pairwise disagreement selects it.
     The search space is at most 2^K and K is small at desk scale.
+    Agreement needs the poses only; ``inliers`` is unused.
     """
-    sizes = [len(lst) for lst in candidate_lists]
-    if all(s == 1 for s in sizes) or len(candidate_lists) == 1:
-        return [lst[0] for lst in candidate_lists]
+    sizes = [len(lst) for lst in candidates]
+    if all(s == 1 for s in sizes) or len(candidates) == 1:
+        return [0] * len(candidates)
     # Each cross-plane disagreement once, summed below in the same order.
     pairs = [(i, j) for i in range(len(sizes)) for j in range(i + 1, len(sizes))]
     table = {
         (i, j): [
-            [_pairwise_disagreement(a, b) for b in candidate_lists[j]]
-            for a in candidate_lists[i]
+            [_pairwise_disagreement(a, b) for b in candidates[j]]
+            for a in candidates[i]
         ]
         for i, j in pairs
     }
@@ -217,7 +232,7 @@ def _select_consistent(candidate_lists) -> list:
         if cost < best_cost:
             best_cost = cost
             best = combo
-    return [lst[i] for lst, i in zip(candidate_lists, best)]
+    return list(best)
 
 
 def i2pe(
@@ -226,12 +241,13 @@ def i2pe(
     m_cur: PlaneSegmentMap,
     intr: Intrinsics,
     cfg: I2peConfig = None,
-) -> PoseEstimate:
-    """Plane-mediated relative pose between a reference and a current image.
+) -> PlaneCandidates:
+    """Per-plane pose candidates between a reference and a current image.
 
     The A side of ``c`` must hold reference-image pixels and the B side
-    current-image pixels; the returned pose maps reference-camera
-    coordinates into current-camera coordinates.
+    current-image pixels; every candidate pose maps reference-camera
+    coordinates into current-camera coordinates.  Pass the result to
+    :func:`reselect_candidates` for one fused pose.
 
     Raises:
         EstimationFailureError: no matched plane pair yields a usable
@@ -250,10 +266,9 @@ def i2pe(
     labels_cur = cur.label_at(c.b)
     image_size = (m_ref.width, m_ref.height)
 
-    candidate_lists = []
     kept_pairs = []
-    inlier_tracks = []
-    pair_inlier_sets = []
+    candidate_lists = []
+    inlier_sets = []
     for index, (ref_id, cur_id) in enumerate(pairs):
         mask = (labels_ref == ref_id) & (labels_cur == cur_id)
         if int(mask.sum()) < max(cfg.min_pair_correspondences, 4):
@@ -273,36 +288,36 @@ def i2pe(
             )
         except (DegenerateModelError, CheiralityError, InsufficientDataError):
             continue
-        candidate_lists.append(candidates)
         kept_pairs.append((ref_id, cur_id))
-        inlier_tracks.append(inlier_set.track_id)
-        pair_inlier_sets.append(inlier_set)
+        candidate_lists.append(tuple(candidates))
+        inlier_sets.append(inlier_set)
     if not candidate_lists:
         raise EstimationFailureError(
             "no plane pair with enough consistent correspondences"
         )
-    inlier_track_ids = np.unique(np.concatenate(inlier_tracks))
-
-    hypotheses = _select_consistent(candidate_lists)
-    return _fuse_hypotheses(
-        hypotheses,
-        inlier_track_ids,
-        candidate_pairs=tuple(kept_pairs),
-        pair_candidates=tuple(tuple(lst) for lst in candidate_lists),
-        pair_inliers=tuple(pair_inlier_sets),
+    return PlaneCandidates(
+        plane_pairs=tuple(kept_pairs),
+        candidates=tuple(candidate_lists),
+        inliers=tuple(inlier_sets),
+        inlier_track_ids=np.unique(np.concatenate([s.track_id for s in inlier_sets])),
     )
 
 
-def _fuse_hypotheses(
-    hypotheses,
-    inlier_track_ids,
-    candidate_pairs,
-    pair_candidates,
-    pair_inliers,
-) -> PoseEstimate:
-    """Weighted fusion of one hypothesis per entry of ``candidate_pairs``."""
-    hypotheses = list(hypotheses)
-    kept_pairs = list(candidate_pairs)
+def reselect_candidates(evidence: PlaneCandidates, chooser) -> PoseEstimate:
+    """Choose one candidate per plane pair and fuse the choices.
+
+    A plane-induced homography factors into up to two physically valid
+    poses that the image data alone cannot separate.  ``chooser`` receives
+    ``(candidates, inliers)``, one entry per pair, and returns the index of
+    the candidate to keep for every pair: cross-plane agreement
+    (:func:`_select_consistent`) or a structural prior of the loop (a
+    commanded pure translation, or consistency with the recovered depth
+    map).  Zero-motion picks are dropped from the fusion unless they hold
+    most of the weight, in which case only the rotation is fused.
+    """
+    picks = chooser(evidence.candidates, evidence.inliers)
+    hypotheses = [lst[int(k)] for lst, k in zip(evidence.candidates, picks)]
+    kept_pairs = list(evidence.plane_pairs)
     weights = weights_from_hypotheses(hypotheses)
 
     zero_flags = np.array([h.zero_motion for h in hypotheses])
@@ -322,41 +337,7 @@ def _fuse_hypotheses(
         hypotheses=tuple(hypotheses),
         weights=weights,
         plane_pairs=tuple(kept_pairs),
-        inlier_track_ids=inlier_track_ids,
-        candidate_pairs=candidate_pairs,
-        pair_candidates=pair_candidates,
-        pair_inliers=pair_inliers,
-    )
-
-
-def reselect_candidates(estimate: PoseEstimate, chooser) -> PoseEstimate:
-    """Re-fuse an estimate after choosing among per-pair candidates.
-
-    A plane-induced homography factors into up to two physically valid
-    poses that the image data alone cannot separate; ``chooser`` receives
-    ``(pair_index, candidates, inliers)`` and returns the index of the
-    candidate to keep (None to keep the heuristic head).  Loop drivers use
-    structural priors (a commanded pure translation, or consistency with
-    the recovered depth map) as the chooser.
-    """
-    if not estimate.pair_candidates:
-        return estimate
-    chosen = []
-    for index, (candidates, inliers) in enumerate(
-        zip(estimate.pair_candidates, estimate.pair_inliers)
-    ):
-        pick = 0
-        if len(candidates) > 1:
-            picked = chooser(index, candidates, inliers)
-            if picked is not None:
-                pick = int(picked)
-        chosen.append(candidates[pick])
-    return _fuse_hypotheses(
-        chosen,
-        estimate.inlier_track_ids,
-        estimate.candidate_pairs,
-        estimate.pair_candidates,
-        estimate.pair_inliers,
+        inlier_track_ids=evidence.inlier_track_ids,
     )
 
 

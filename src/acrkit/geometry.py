@@ -203,11 +203,6 @@ class Pose:
     def identity() -> "Pose":
         return Pose(Rotation.identity(), np.zeros(3))
 
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        return Pose(Rotation.from_matrix(m[:3, :3], reproject=True), m[:3, 3])
-
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation.matrix

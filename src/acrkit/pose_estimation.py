@@ -538,7 +538,7 @@ def decompose_homography_candidates(
     plane normal is most aligned with the mean viewing ray (a plane facing
     the camera is the likelier physical interpretation).  Callers
     with several planes should instead pick the mutually consistent
-    combination; see :func:`acrkit.fusion.i2pe`.
+    combination; see :func:`acrkit.fusion._select_consistent`.
 
     A homography with (numerically) equal singular values is returned as a
     single zero-motion hypothesis with the rotation recovered and the

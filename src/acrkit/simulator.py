@@ -573,9 +573,7 @@ def observe(
         rng.choice(n, size=n_noisy, replace=False)  # keep the stream aligned
 
     # Lighting proxy: replace fractions of in-plane and off-plane pixels.
-    in_plane = np.isin(
-        plane_ids, np.asarray(world.detected_plane_ids, dtype=np.int64)
-    )
+    in_plane = world.in_plane_tracks()[idx]
     for selector, fraction in (
         (~in_plane, lighting.off_plane_outlier_fraction),
         (in_plane, lighting.in_plane_outlier_fraction),

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from acrkit import acr_loop, cli, simulator
+from acrkit import acr_loop, cli, fusion, simulator
 from acrkit.acr_loop import AcrConfig, run_acr, run_bisection_baseline
-from acrkit.errors import InvalidInputError
-from acrkit.geometry import rotation_angle
-from acrkit.scale_solver import MIN_SYSTEM_POINTS
+from acrkit.errors import AmbiguousNullspaceError, InvalidInputError
+from acrkit.geometry import DirectionalPose, Rotation, rotation_angle
+from acrkit.pose_estimation import CorrespondenceSet, PoseHypothesis
+from acrkit.scale_solver import MIN_SYSTEM_POINTS, SparseDepthMap
 
 
 def _scenario(seed: int, **overrides):
@@ -74,6 +75,52 @@ class TestRunAcr:
         trace, _ = acr_run
         again, _ = _run(run_acr)
         assert _signature(again) == _signature(trace)
+
+    def test_loop_never_chooses_by_agreement(self, acr_run, monkeypatch):
+        # The loop's choosers are its structural priors; the agreement
+        # chooser belongs to estimate-pose.
+        def unreachable(*args):
+            raise AssertionError("the loop chose candidates by cross-plane agreement")
+
+        monkeypatch.setattr(fusion, "_select_consistent", unreachable)
+        trace, _ = _run(run_acr)
+        assert trace.status == "converged", trace.failure
+        assert _signature(trace) == _signature(acr_run[0])
+
+
+def _hyp(angle_deg):
+    return PoseHypothesis(
+        pose=DirectionalPose(Rotation.about_z(angle_deg), [0.0, 0.0, 1.0]), support=10
+    )
+
+
+class TestChoosers:
+    def test_pure_translation_keeps_the_smallest_rotation(self):
+        candidates = ((_hyp(2.0), _hyp(-0.5)), (_hyp(1.0),))
+        assert acr_loop._pure_translation_chooser(candidates, (None, None)) == [1, 0]
+
+    def test_depth_profile_solves_only_ambiguous_pairs_with_known_depths(self, monkeypatch):
+        # Every solve fails here, so each pair keeps its first candidate;
+        # only the two-candidate pair with enough known depths is solved.
+        solved = []
+
+        def failing_solve(c, intr, pose, **kwargs):
+            solved.append(len(c))
+            raise AmbiguousNullspaceError("no scale signal")
+
+        monkeypatch.setattr(acr_loop, "solve_scale_system", failing_solve)
+        cfg = AcrConfig()
+        n = cfg.min_scale_points
+        inliers = CorrespondenceSet(np.zeros((n, 2)), np.zeros((n, 2)))
+        thin = inliers.subset(np.arange(n) > 0)
+        depth = SparseDepthMap(np.arange(n), np.ones(n))
+        chooser = acr_loop._depth_profile_chooser(
+            simulator.DESK_INTRINSICS, depth, "a", cfg
+        )
+        two = (_hyp(2.0), _hyp(-0.5))
+        picks = chooser(((_hyp(1.0),), two, two), (inliers, thin, inliers))
+        assert picks == [0, 0, 0]
+        assert solved == [n, n]
 
 
 class TestAcrConfig:

@@ -9,12 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acrkit import cli, simulator
+from acrkit import cli, fusion, simulator
 from acrkit.acr_loop import AcrConfig
-from acrkit.fusion import I2peConfig
+from acrkit.fusion import I2peConfig, i2pe, reselect_candidates
 from acrkit.plane_match import PlaneSegmentMap
 from acrkit.pose_estimation import CorrespondenceSet
-from acrkit.geometry import Intrinsics, Rotation
+from acrkit.geometry import Intrinsics, Pose, Rotation
 from acrkit.simulator import BenchRow
 from conftest import general_pair_set, plane_pair_set
 
@@ -147,6 +147,56 @@ class TestEstimatePose:
         assert code == 2
         assert self._last_json(capsys)["error"] == "missing-input"
 
+    def test_i2pe_writes_the_agreed_fusion(self, tmp_path, capsys):
+        # A corner observation with both masks: the pose is the agreement
+        # choice fused, and the report holds one hypothesis per fused pair.
+        world = simulator.generate_scene(simulator.corner_scene(seed=1))
+        offset = Pose(Rotation.about_z(5.0), np.array([0.03, -0.02, 0.025]))
+        intr = simulator.DESK_INTRINSICS
+        obs = simulator.observe(world, offset, intr, simulator.DESK_IMAGE_SIZE, seed=3)
+        obs.correspondences.save(tmp_path / "corr.json")
+        obs.mask_ref.save(tmp_path / "ref.pgm")
+        obs.mask_cur.save(tmp_path / "cur.pgm")
+        (tmp_path / "intr.json").write_text(
+            json.dumps({"fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy})
+        )
+        code = cli.main(
+            [
+                "estimate-pose",
+                str(tmp_path / "corr.json"),
+                "--intrinsics",
+                str(tmp_path / "intr.json"),
+                "--ref-mask",
+                str(tmp_path / "ref.pgm"),
+                "--cur-mask",
+                str(tmp_path / "cur.pgm"),
+                "--output",
+                str(tmp_path / "pose.json"),
+            ]
+        )
+        assert code == 0
+        paths = self._last_json(capsys)
+        expected = reselect_candidates(
+            i2pe(
+                CorrespondenceSet.load(tmp_path / "corr.json"),
+                PlaneSegmentMap.load(tmp_path / "ref.pgm"),
+                PlaneSegmentMap.load(tmp_path / "cur.pgm"),
+                cli._intrinsics_from(json.loads((tmp_path / "intr.json").read_text())),
+            ),
+            fusion._select_consistent,
+        )
+        assert json.loads(Path(paths["pose"]).read_text()) == {
+            "r": expected.pose.rotation.matrix.reshape(-1).tolist(),
+            "direction": expected.pose.direction.tolist(),
+            "zero_motion": expected.zero_motion,
+        }
+        report = json.loads(Path(paths["report"]).read_text())
+        assert report["plane_pairs"] == [list(pair) for pair in expected.plane_pairs]
+        assert len(report["hypotheses"]) == len(expected.plane_pairs) == 3
+        assert [[h["ref_plane"], h["cur_plane"]] for h in report["hypotheses"]] == report[
+            "plane_pairs"
+        ]
+
     def test_missing_intrinsics_is_missing_input(self, tmp_path, capsys):
         argv = self._inputs(tmp_path)
         argv[argv.index("--intrinsics") + 1] = str(tmp_path / "absent.json")
@@ -167,16 +217,17 @@ class TestSimulateAcr:
         assert code == 1
         assert self._last_json(capsys)["error"] == "invalid-input"
 
-    def _rejected(self, acr_doc, tmp_path, monkeypatch, capsys) -> str:
-        """The invalid-input message for an ``acr`` object, after checking
-        that the command stops before it builds the executor."""
+    def _rejected(self, doc, tmp_path, monkeypatch, capsys, section="acr") -> str:
+        """The invalid-input message for ``doc`` as the config's ``section``
+        object, after checking that the command stops before it builds the
+        executor."""
 
         def no_executor(*args, **kwargs):
             raise AssertionError("executor built for an invalid config")
 
         monkeypatch.setattr(cli, "SimulatedExecutor", no_executor)
         config = tmp_path / "acr.json"
-        config.write_text(json.dumps({**cli.default_acr_config(), "acr": acr_doc}))
+        config.write_text(json.dumps({**cli.default_acr_config(), section: doc}))
         code = cli.main(["simulate-acr", str(config)])
         assert code == 1
         report = self._last_json(capsys)
@@ -235,6 +286,21 @@ class TestSimulateAcr:
         self, acr_doc, key, tmp_path, monkeypatch, capsys
     ):
         assert key in self._rejected(acr_doc, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize(
+        "section, doc, key",
+        [
+            ("noise", {"magnitude_r": -1}, "noise magnitude"),
+            ("noise", {"magnitud_r": 5}, "magnitud_r"),
+            ("lighting", {"dropout_fraction": "lots"}, "lighting.dropout_fraction"),
+            ("lighting", [], "lighting"),
+        ],
+        ids=["negative-noise", "misspelled-noise-key", "untyped-lighting", "lighting-list"],
+    )
+    def test_bad_noise_or_lighting_is_invalid_input(
+        self, section, doc, key, tmp_path, monkeypatch, capsys
+    ):
+        assert key in self._rejected(doc, tmp_path, monkeypatch, capsys, section)
 
     def test_every_field_accepted_at_its_default(self):
         # Every field of AcrConfig and of its nested I2peConfig, as JSON.

@@ -44,6 +44,14 @@ def _hyp(rotation, direction, support=10, spread=0.5):
     )
 
 
+def _agreed(c, m_ref, m_cur, cfg=None):
+    """The per-plane candidates of ``i2pe`` chosen by cross-plane agreement
+    and fused, as ``acrkit estimate-pose`` does."""
+    return reselect_candidates(
+        i2pe(c, m_ref, m_cur, DESK_INTRINSICS, cfg), fusion._select_consistent
+    )
+
+
 @pytest.fixture(scope="module")
 def corner_observation():
     world = generate_scene(corner_scene(seed=1))
@@ -192,8 +200,9 @@ class TestSelectConsistent:
     def test_picks_what_the_pairwise_sum_picks(self, sizes):
         for seed in range(5):
             lists = self._lists(seed, sizes)
-            picked = fusion._select_consistent(lists)
-            assert [id(h) for h in picked] == [id(h) for h in _brute_force_selection(lists)]
+            picked = fusion._select_consistent(lists, None)
+            chosen = [lst[k] for lst, k in zip(lists, picked)]
+            assert [id(h) for h in chosen] == [id(h) for h in _brute_force_selection(lists)]
 
     def test_each_cross_plane_pair_is_compared_once(self, monkeypatch):
         lists = self._lists(0, (2, 2, 2, 2))
@@ -205,7 +214,7 @@ class TestSelectConsistent:
             return inner(a, b)
 
         monkeypatch.setattr(fusion, "_pairwise_disagreement", counting)
-        fusion._select_consistent(lists)
+        fusion._select_consistent(lists, None)
         assert len(calls) == len(set(calls)) == 6 * 2 * 2
 
 
@@ -258,19 +267,17 @@ class TestI2pe:
 
     def test_candidate_spread_is_its_pair_inlier_spread(self, corner_observation):
         _, _, obs = corner_observation
-        est = i2pe(
+        evidence = i2pe(
             obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS, I2peConfig()
         )
         size = (obs.mask_ref.width, obs.mask_ref.height)
-        for candidates, inliers in zip(est.pair_candidates, est.pair_inliers):
+        for candidates, inliers in zip(evidence.candidates, evidence.inliers):
             for cand in candidates:
                 assert cand.spread == point_spread(inliers.a, size)
 
     def test_zero_noise_recovery(self, corner_observation):
         world, offset, obs = corner_observation
-        est = i2pe(
-            obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS, I2peConfig()
-        )
+        est = _agreed(obs.correspondences, obs.mask_ref, obs.mask_cur, I2peConfig())
         assert rotation_angle(est.pose.rotation.compose(offset.rotation.inverse())) < 1e-5
         truth_d = offset.translation / np.linalg.norm(offset.translation)
         assert direction_angle(est.pose.direction, truth_d) < 1e-4
@@ -282,9 +289,7 @@ class TestI2pe:
         # output bit for bit not at all.
         world, offset, obs = corner_observation
         cfg = I2peConfig()
-        base = i2pe(
-            obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS, cfg
-        )
+        base = _agreed(obs.correspondences, obs.mask_ref, obs.mask_cur, cfg)
         rng = np.random.default_rng(0)
         n_junk = 150
         junk_a = np.column_stack(
@@ -300,7 +305,7 @@ class TestI2pe:
                 [c.track_id, np.arange(n_junk) + 10_000_000]
             ),
         )
-        est = i2pe(contaminated, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS, cfg)
+        est = _agreed(contaminated, obs.mask_ref, obs.mask_cur, cfg)
         assert np.array_equal(est.pose.rotation.matrix, base.pose.rotation.matrix)
         assert np.array_equal(est.pose.direction, base.pose.direction)
 
@@ -310,9 +315,7 @@ class TestI2pe:
         labels = obs.mask_cur.labels.copy()
         labels[labels == 3] = 0
         m_cur = PlaneSegmentMap(labels)
-        est = i2pe(
-            obs.correspondences, obs.mask_ref, m_cur, DESK_INTRINSICS, I2peConfig()
-        )
+        est = _agreed(obs.correspondences, obs.mask_ref, m_cur, I2peConfig())
         assert rotation_angle(est.pose.rotation.compose(offset.rotation.inverse())) < 1e-5
         assert len(est.plane_pairs) == 2
 
@@ -321,11 +324,10 @@ class TestI2pe:
         identity_obs = observe(
             world, Pose.identity(), DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=4
         )
-        est = i2pe(
+        est = _agreed(
             identity_obs.correspondences,
             identity_obs.mask_ref,
             identity_obs.mask_cur,
-            DESK_INTRINSICS,
             I2peConfig(),
         )
         assert est.zero_motion
@@ -335,9 +337,7 @@ class TestI2pe:
         import json
 
         world, offset, obs = corner_observation
-        est = i2pe(
-            obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS, I2peConfig()
-        )
+        est = _agreed(obs.correspondences, obs.mask_ref, obs.mask_cur, I2peConfig())
         doc = est.report()
         json.dumps(doc)
         assert len(doc["hypotheses"]) == len(est.plane_pairs)
@@ -346,7 +346,8 @@ class TestI2pe:
         self, corner_observation, monkeypatch
     ):
         # The middle of the three pairs turns zero-motion, so fusion drops
-        # it; re-fusing the re-selected candidates must drop the same pair.
+        # it; fusing another choice of the same candidates must drop the
+        # same pair.
         world, offset, obs = corner_observation
         decompose = fusion.decompose_homography_candidates
         calls = []
@@ -361,11 +362,13 @@ class TestI2pe:
         monkeypatch.setattr(
             fusion, "decompose_homography_candidates", middle_pair_zero_motion
         )
-        est = i2pe(
+        evidence = i2pe(
             obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS, I2peConfig()
         )
+        assert len(evidence.plane_pairs) == len(evidence.candidates) == 3
+        est = reselect_candidates(evidence, fusion._select_consistent)
         assert not est.zero_motion and len(calls) == 3
         assert len(est.plane_pairs) == len(est.hypotheses) == 2
-        again = reselect_candidates(est, lambda index, candidates, inliers: None)
+        again = reselect_candidates(evidence, lambda candidates, inliers: [0] * len(candidates))
         assert again.plane_pairs == est.plane_pairs
         assert len(again.report()["hypotheses"]) == len(again.hypotheses) == 2
