@@ -28,13 +28,11 @@ from .pose_estimation import (
 from .scale_solver import (
     ScaleSolution,
     SparseDepthMap,
-    assemble_system,
     coefficient_arrays,
     depth_map_current,
     depth_map_reference,
     init_scale,
     iteration_scale,
-    solve_nullspace,
 )
 from .plane_match import (
     Assignment,

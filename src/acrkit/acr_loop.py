@@ -1,10 +1,24 @@
 """Iterative camera relocalization.
 
-The loop estimates the scale-free relative pose between the reference and
-the current view, recovers the metric motion scale through the linear
-system seeded by one known physical translation, commands the corrective
-hand motion (hand-eye pose treated as identity), and repeats until both
-the remaining scale and the rotation residual drop below their thresholds.
+Both loops run on one driver, :func:`_relocalize`.  A method gives it a
+``start`` and a ``step``.  ``start`` makes the method's initial moves and
+returns its records so far, the first observation and the step.
+``step(obs, index)`` returns ``(estimate, scale, zero_motion)``: the
+estimated relative pose (reference camera into current camera) as a
+:class:`DirectionalPose`, the metric length of the remaining translation,
+and whether the estimate has no usable direction (its scale is then 0).
+The driver owns everything else: the stop test (scale below
+``scale_epsilon`` and estimated rotation below ``rotation_epsilon``), the
+corrective command through :func:`hand_motion_from_estimate` (hand-eye
+pose treated as identity), the ``"iter"`` :class:`AcrRecord` of each pass,
+and the conversion of an :class:`AcrError` into a ``failed`` trace.
+
+:func:`run_acr` is the scale-computing loop: its start executes one known
+init translation to anchor metric depths, and its step estimates the pose
+from matched plane regions and the scale from one linear system.
+:func:`run_bisection_baseline` is the scale-guessing prior strategy: it
+has no init, and its step halves a guessed scale whenever the epipolar
+direction reverses.
 
 The hardware seam is the :class:`MotionExecutor` protocol: anything that
 can execute a hand-frame pose command and return a fresh observation
@@ -177,12 +191,14 @@ class AcrTrace:
         return self.records[-1]
 
     def to_jsonl(self) -> str:
-        lines = []
-        for r in self.records:
-            doc = r.to_json_dict()
-            doc["status"] = self.status if r is self.records[-1] else "running"
-            lines.append(json.dumps(doc))
-        return "\n".join(lines) + "\n"
+        """One JSON line per record; the last line carries the status (and
+        the failure of a failed run), and a run with no records writes one
+        line with only those."""
+        docs = [{**r.to_json_dict(), "status": "running"} for r in self.records] or [{}]
+        docs[-1]["status"] = self.status
+        if self.failure is not None:
+            docs[-1]["failure"] = self.failure
+        return "".join(json.dumps(doc) + "\n" for doc in docs)
 
     def save_jsonl(self, path) -> None:
         Path(path).write_text(self.to_jsonl())
@@ -300,6 +316,41 @@ def _depth_profile_chooser(intr: Intrinsics, depth_map, side: str, cfg: AcrConfi
     return chooser
 
 
+def _relocalize(executor: MotionExecutor, cfg: AcrConfig, start) -> AcrTrace:
+    """The loop both methods run, under the contract the module docstring
+    states.  Any :class:`AcrError` ends the trace as ``failed`` with the
+    records made up to that point.
+    """
+    records = []
+    try:
+        records, obs, step = start()
+        for index in range(1, cfg.max_iterations + 1):
+            estimate, scale, zero_motion = step(obs, index)
+            converged = (
+                scale < cfg.scale_epsilon
+                and rotation_angle(estimate.rotation) < cfg.rotation_epsilon
+            )
+            command = None  # a converged pass commands no move
+            if not converged:
+                # scale is 0 for a zero-motion estimate, whose direction is void.
+                correction = estimate.inverse() if not zero_motion else (
+                    DirectionalPose(estimate.rotation.inverse(), (0.0, 0.0, 1.0))
+                )
+                command = hand_motion_from_estimate(correction, scale)
+            rot_err, trans_err = _truth_errors(obs)
+            records.append(
+                AcrRecord(
+                    index, "iter", scale, estimate, command, rot_err, trans_err, zero_motion
+                )
+            )
+            if converged:
+                return AcrTrace(tuple(records), "converged")
+            obs = executor.execute(command)
+        return AcrTrace(tuple(records), "exhausted")
+    except AcrError as exc:
+        return AcrTrace(tuple(records), "failed", failure=f"{exc.code}: {exc}")
+
+
 def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
     """Scale-computing relocalization loop.
 
@@ -310,16 +361,15 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
     ``failed`` at that point.
     """
     cfg = cfg or AcrConfig()
-    records = []
     intr = executor.intrinsics
-    try:
+
+    def start():
         obs0 = executor.observe()
 
         # Initialization: known pure hand translation anchors the scale.
         t_init = np.asarray(cfg.init_translation, dtype=float)
         init_cmd = Pose(Rotation.identity(), t_init)
         obs_init = executor.execute(init_cmd)
-        rot0, trans0 = _truth_errors(obs_init)
 
         pair_0i = join_on_tracks(obs0.correspondences, obs_init.correspondences)
         est_0i = reselect_candidates(
@@ -354,69 +404,29 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
                 # depths to within the (tiny) remaining motion.
                 d_ref = d_current
 
-        records.append(
-            AcrRecord(
-                index=0,
-                stage="init",
-                scale_m=s_init,
-                estimate=est_0i.pose,
-                command=init_cmd,
-                rot_err_deg=rot0,
-                trans_err_m=trans0,
-            )
-        )
-
-        obs = obs_init
-        for index in range(1, cfg.max_iterations + 1):
+        def step(obs, index):
             estimate = reselect_candidates(
                 i2pe(obs.correspondences, obs.mask_ref, obs.mask_cur, intr, cfg.i2pe),
                 _depth_profile_chooser(intr, d_ref, "a", cfg),
             )
-            rot_err, trans_err = _truth_errors(obs)
-            rot_estimated = rotation_angle(estimate.pose.rotation)
-
             if estimate.zero_motion:
-                scale = 0.0
-            else:
-                pair = _depth_pairs(obs.correspondences, estimate, d_ref)
-                try:
-                    sol = _solve_scale(
-                        pair, intr, estimate.pose, cfg, cfg.i2pe.seed + index
-                    )
-                    scale = iteration_scale(sol, d_ref)
-                except (AmbiguousNullspaceError, CheiralityError):
-                    # An unobservable or sign-inconsistent scale is the
-                    # zero-baseline signature (the system degenerates as the
-                    # remaining motion shrinks): correct only the rotation
-                    # and re-measure after the move.
-                    scale = 0.0
+                return estimate.pose, 0.0, True
+            pair = _depth_pairs(obs.correspondences, estimate, d_ref)
+            try:
+                sol = _solve_scale(pair, intr, estimate.pose, cfg, cfg.i2pe.seed + index)
+                return estimate.pose, iteration_scale(sol, d_ref), False
+            except (AmbiguousNullspaceError, CheiralityError):
+                # An unobservable or sign-inconsistent scale is the
+                # zero-baseline signature (the system degenerates as the
+                # remaining motion shrinks): correct only the rotation and
+                # re-measure after the move.
+                return estimate.pose, 0.0, False
 
-            converged = scale < cfg.scale_epsilon and rot_estimated < cfg.rotation_epsilon
-            command = None  # a converged pass commands no move
-            if not converged:
-                # scale is 0 for a zero-motion estimate, whose direction is void.
-                correction = estimate.pose.inverse() if not estimate.zero_motion else (
-                    DirectionalPose(estimate.pose.rotation.inverse(), (0.0, 0.0, 1.0))
-                )
-                command = hand_motion_from_estimate(correction, scale)
-            records.append(
-                AcrRecord(
-                    index=index,
-                    stage="iter",
-                    scale_m=scale,
-                    estimate=estimate.pose,
-                    command=command,
-                    rot_err_deg=rot_err,
-                    trans_err_m=trans_err,
-                    zero_motion=estimate.zero_motion,
-                )
-            )
-            if converged:
-                return AcrTrace(tuple(records), "converged")
-            obs = executor.execute(command)
-        return AcrTrace(tuple(records), "exhausted")
-    except AcrError as exc:
-        return AcrTrace(tuple(records), "failed", failure=f"{exc.code}: {exc}")
+        rot0, trans0 = _truth_errors(obs_init)
+        init = AcrRecord(0, "init", s_init, est_0i.pose, init_cmd, rot0, trans0)
+        return [init], obs_init, step
+
+    return _relocalize(executor, cfg, start)
 
 
 def run_bisection_baseline(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
@@ -428,61 +438,38 @@ def run_bisection_baseline(executor: MotionExecutor, cfg: AcrConfig = None) -> A
     consecutive iterations.  This reconstruction of the baseline follows
     its published description only loosely (the original defers details to
     its citation) and exists for iteration-count and robustness contrasts.
+    It stops on the driver's test, so a halving that takes the step under
+    ``scale_epsilon`` ends the run if the estimated rotation is inside
+    ``rotation_epsilon`` too.
     """
     cfg = cfg or AcrConfig()
-    records = []
-    intr = executor.intrinsics
-    step = float(np.linalg.norm(np.asarray(cfg.init_translation, dtype=float)))
+    step_m = float(np.linalg.norm(np.asarray(cfg.init_translation, dtype=float)))
     prev_direction = None
     # Command rotations executed since prev_direction was recorded; used to
     # express the old direction in the current camera frame.
     frame_drift = np.eye(3)
-    try:
-        obs = executor.observe()
-        for index in range(1, cfg.max_iterations + 1):
-            hyp = estimate_epipolar(
-                obs.correspondences,
-                intr,
-                threshold_px=cfg.epipolar_threshold_px,
-                max_iters=cfg.epipolar_max_iters,
-                seed=cfg.i2pe.seed + index,
-                parallax_min_deg=cfg.parallax_min_deg,
-            )
-            estimate = hyp.pose  # maps reference frame to current frame
-            rot_err, trans_err = _truth_errors(obs)
-            rot_estimated = rotation_angle(estimate.rotation)
-            correction = estimate.inverse()
 
-            converged = False
-            if hyp.unstable_translation or step < cfg.scale_epsilon:
-                scale = 0.0  # correct only the rotation
-                converged = rot_estimated < cfg.rotation_epsilon
-            else:
-                direction = correction.direction
-                if prev_direction is not None:
-                    carried = frame_drift.T @ prev_direction
-                    if float(direction @ carried) < 0:
-                        step *= 0.5
-                prev_direction = direction
-                frame_drift = np.eye(3)
-                scale = step
-            command = None if converged else hand_motion_from_estimate(correction, scale)
-            records.append(
-                AcrRecord(
-                    index=index,
-                    stage="iter",
-                    scale_m=scale,
-                    estimate=estimate,
-                    command=command,
-                    rot_err_deg=rot_err,
-                    trans_err_m=trans_err,
-                    zero_motion=hyp.unstable_translation,
-                )
-            )
-            if converged:
-                return AcrTrace(tuple(records), "converged")
-            frame_drift = frame_drift @ command.rotation.matrix
-            obs = executor.execute(command)
-        return AcrTrace(tuple(records), "exhausted")
-    except AcrError as exc:
-        return AcrTrace(tuple(records), "failed", failure=f"{exc.code}: {exc}")
+    def step(obs, index):
+        nonlocal step_m, prev_direction, frame_drift
+        hyp = estimate_epipolar(
+            obs.correspondences,
+            executor.intrinsics,
+            threshold_px=cfg.epipolar_threshold_px,
+            max_iters=cfg.epipolar_max_iters,
+            seed=cfg.i2pe.seed + index,
+            parallax_min_deg=cfg.parallax_min_deg,
+        )
+        estimate = hyp.pose  # maps reference frame to current frame
+        scale = 0.0  # correct only the rotation
+        if not (hyp.unstable_translation or step_m < cfg.scale_epsilon):
+            direction = estimate.inverse().direction
+            if prev_direction is not None:
+                if float(direction @ (frame_drift.T @ prev_direction)) < 0:
+                    step_m *= 0.5
+            prev_direction, frame_drift, scale = direction, np.eye(3), step_m
+        # The command inverts the estimate, so its hand rotation is this
+        # matrix (the transpose of the correction's).
+        frame_drift = frame_drift @ estimate.rotation.matrix
+        return estimate, scale, hyp.unstable_translation
+
+    return _relocalize(executor, cfg, lambda: ([], executor.observe(), step))

@@ -70,24 +70,29 @@ def _load_json(path):
     return json.loads(p.read_text())
 
 
-def _intrinsics_from(doc) -> Intrinsics:
-    return Intrinsics(
-        fx=float(doc["fx"]), fy=float(doc["fy"]), cx=float(doc["cx"]), cy=float(doc["cy"])
-    )
+def _intrinsics_from(doc, where: str = "intrinsics") -> Intrinsics:
+    doc = _checked(doc, dict, where)
+    fields = ("fx", "fy", "cx", "cy")
+    return Intrinsics(**{k: _checked(doc.get(k), float, f"{where}.{k}") for k in fields})
 
 
-def _pose_spec(doc, rng) -> Pose:
+def _pose_spec(doc, rng, where: str = "pose") -> Pose:
     """Pose from JSON: explicit {"r", "t"} or {"random": {...}} bounds."""
     if doc is None:
         return Pose.identity()
-    if "random" in doc:
-        spec = doc["random"]
+    if "random" in _checked(doc, dict, where):
+        spec = _checked(doc["random"], dict, f"{where}.random")
         return random_pose(
             rng,
-            float(spec.get("max_rotation_deg", 0.0)),
-            float(spec.get("max_offset_m", 0.0)),
+            *(
+                _checked(spec.get(k, 0.0), float, f"{where}.random.{k}")
+                for k in ("max_rotation_deg", "max_offset_m")
+            ),
         )
-    return Pose.from_json_dict(doc)
+    r = doc.get("r")
+    if not (isinstance(r, list) and len(r) == 9 and all(map(_is_number, r))):
+        raise InvalidInputError(f"{where}.r must be nine numbers, got {r!r}")
+    return Pose.from_json_dict({"r": r, "t": _checked(doc.get("t"), tuple, f"{where}.t")})
 
 
 def _scene_from(doc) -> SceneSpec:
@@ -120,7 +125,15 @@ def _builtin_scene(name: str, doc: dict):
         return simulator.mural_scene(seed=int(doc.get("seed", 0)))
     if name == "single-plane":
         return simulator.single_plane_scene(seed=int(doc.get("seed", 0)))
-    raise MissingInputError(f"unknown built-in scene {name!r}")
+    raise InvalidInputError(f"unknown built-in scene {name!r}")
+
+
+def _scene_spec(doc, seed: int) -> SceneSpec:
+    """The scene of a ``scene`` object: a built-in one, seeded by ``seed``,
+    or the planes it lists."""
+    if "builtin" in _checked(doc, dict, "scene"):
+        return _builtin_scene(doc["builtin"], {**doc, "seed": seed})
+    return _scene_from(doc)
 
 
 ACR_SCHEMA = {
@@ -184,17 +197,39 @@ def _is_integral(value) -> bool:
     return _is_number(value) and (isinstance(value, int) or value.is_integer())
 
 
+_KINDS = {
+    float: ("a number", _is_number),
+    int: ("an integer", _is_integral),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+    tuple: (
+        "three numbers",
+        lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
+    ),
+}
+
+
+def _checked(value, kind, name: str):
+    """``value``, a JSON value found at ``name``, as the type ``kind``: a
+    float from a number, an int from an integral number, a bool, a dict,
+    or a tuple of three floats; anything else is ``InvalidInputError``."""
+    wanted, accepts = _KINDS[kind]
+    if not accepts(value):
+        raise InvalidInputError(f"{name} must be {wanted}, got {value!r}")
+    if kind is tuple:
+        return tuple(float(v) for v in value)
+    return kind(value) if kind in (float, int) else value
+
+
 def _acr_config_from(doc, cls=AcrConfig, where: str = "acr"):
     """The ``cls`` configuration of the JSON object ``doc`` (null for the
     defaults) found at ``where``.
 
     Every key must be a field of the dataclass ``cls`` and every value must
-    have its field's type: a number for a float, an integral number for an
-    int, three numbers for a tuple and an object for a nested config.
+    have its field's type (see :func:`_checked`); a nested config is an
+    object read the same way.
     """
-    doc = {} if doc is None else doc
-    if not isinstance(doc, dict):
-        raise InvalidInputError(f"{where} must be an object")
+    doc = _checked({} if doc is None else doc, dict, where)
     kinds = typing.get_type_hints(cls)
     unknown = sorted(set(doc) - set(kinds))
     if unknown:
@@ -204,17 +239,8 @@ def _acr_config_from(doc, cls=AcrConfig, where: str = "acr"):
         kind, name = kinds[key], f"{where}.{key}"
         if dataclasses.is_dataclass(kind):
             kwargs[key] = _acr_config_from(value, kind, name)
-        elif kind is float and _is_number(value):
-            kwargs[key] = float(value)
-        elif kind is int and _is_integral(value):
-            kwargs[key] = int(value)
-        elif kind is tuple and isinstance(value, list) and len(value) == 3 and all(
-            map(_is_number, value)
-        ):
-            kwargs[key] = tuple(float(v) for v in value)
         else:
-            wanted = {float: "a number", int: "an integer", tuple: "three numbers"}
-            raise InvalidInputError(f"{name} must be {wanted[kind]}, got {value!r}")
+            kwargs[key] = _checked(value, kind, name)
     return cls(**kwargs)
 
 
@@ -356,31 +382,38 @@ def default_acr_config() -> dict:
 def cmd_simulate_acr(args) -> int:
     try:
         doc = _load_json(args.config) if args.config else default_acr_config()
+        doc = _checked(doc, dict, "the configuration")
         cfg = _acr_config_from(doc.get("acr"))
         noise = _acr_config_from(doc.get("noise"), NoiseSpec, "noise")
         lighting = _acr_config_from(doc.get("lighting"), LightingProxySpec, "lighting")
-    except (MissingInputError, InvalidInputError, json.JSONDecodeError) as exc:
-        return _fail(1, "invalid-input", str(exc))
-    try:
-        seed = int(doc.get("seed", 0)) if args.seed is None else args.seed
-        rng = np.random.default_rng(seed)
-        scene_doc = doc.get("scene", {"builtin": "corner"})
-        if "builtin" in scene_doc:
-            scene = _builtin_scene(scene_doc["builtin"], {**scene_doc, "seed": seed})
-        else:
-            scene = _scene_from(scene_doc)
-        world = generate_scene(scene)
-        rig_doc = doc.get("rig", {})
+        seed = _checked(doc.get("seed", 0), int, "seed")
+        seed = seed if args.seed is None else args.seed
+        use_baseline = _checked(doc.get("baseline", False), bool, "baseline")
+        use_baseline = use_baseline or args.baseline
+        scene = _scene_spec(doc.get("scene", {"builtin": "corner"}), seed)
+        rig_doc = _checked(doc.get("rig", {}), dict, "rig")
         intr = (
-            _intrinsics_from(rig_doc["intrinsics"])
+            _intrinsics_from(rig_doc["intrinsics"], "rig.intrinsics")
             if "intrinsics" in rig_doc
             else simulator.DESK_INTRINSICS
         )
-        image_size = tuple(rig_doc.get("image_size", simulator.DESK_IMAGE_SIZE))
-        hand_eye = _pose_spec(rig_doc.get("hand_eye"), rng)
-        initial = _pose_spec(doc.get("initial_offset"), rng)
-        use_baseline = bool(doc.get("baseline", False)) or args.baseline
-
+        image_size = rig_doc.get("image_size", list(simulator.DESK_IMAGE_SIZE))
+        if not (
+            isinstance(image_size, list)
+            and len(image_size) == 2
+            and all(_is_integral(v) and v > 0 for v in image_size)
+        ):
+            raise InvalidInputError(
+                f"rig.image_size must be two positive integers, got {image_size!r}"
+            )
+        image_size = tuple(int(v) for v in image_size)
+        rng = np.random.default_rng(seed)
+        hand_eye = _pose_spec(rig_doc.get("hand_eye"), rng, "rig.hand_eye")
+        initial = _pose_spec(doc.get("initial_offset"), rng, "initial_offset")
+    except (AcrError, json.JSONDecodeError) as exc:
+        return _fail(1, "invalid-input", str(exc))
+    try:
+        world = generate_scene(scene)
         rig = RigSpec(hand_eye=hand_eye, intrinsics=intr, image_size=image_size)
         executor = SimulatedExecutor(
             world, rig, initial, noise=noise, lighting=lighting, seed=seed
@@ -427,6 +460,7 @@ def cmd_simulate_acr(args) -> int:
             json.dumps(
                 {
                     "status": trace.status,
+                    "failure": trace.failure,
                     "iterations": trace.iterations,
                     "trace": str(out_dir / "trace.jsonl"),
                     "summary": str(out_dir / "summary.csv"),
@@ -445,11 +479,7 @@ def cmd_bench_noise(args) -> int:
         return _fail(1, "invalid-input", str(exc))
     try:
         seed = int(doc.get("seed", 0)) if args.seed is None else args.seed
-        scene_doc = doc.get("scene", {"builtin": "single-plane"})
-        if "builtin" in scene_doc:
-            scene = _builtin_scene(scene_doc["builtin"], {**scene_doc, "seed": seed})
-        else:
-            scene = _scene_from(scene_doc)
+        scene = _scene_spec(doc.get("scene", {"builtin": "single-plane"}), seed)
         intr = (
             _intrinsics_from(doc["intrinsics"])
             if "intrinsics" in doc

@@ -13,8 +13,7 @@ Only the ratios between entries of the minimum-norm solution are
 meaningful; the gauge fixed here is ``||y|| = 1`` with ``s > 0``.
 ``A^T A`` is block-arrowhead (a 2x2 block per track plus a dense scale row
 and column): :func:`solve_scale_system` gets its two smallest eigenpairs
-in O(N) from a secular equation, and :func:`solve_nullspace` is the dense
-reference.
+in O(N) from a secular equation.
 
 The chain :func:`init_scale` -> :func:`depth_map_current` ->
 :func:`depth_map_reference` -> :func:`iteration_scale` converts those
@@ -29,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AmbiguousNullspaceError,
@@ -84,27 +82,6 @@ def coefficient_arrays(
     return np.column_stack([alpha, beta, gamma, delta, epsilon, zeta])
 
 
-def assemble_system(coefficients) -> np.ndarray:
-    """Dense 3N x (2N+1) stationarity system of (N, 6) coefficients.
-
-    Row triple i carries ``(a_i, -b_i, g_i)``, ``(-b_i, d_i, -e_i)`` and
-    ``(g_i, -e_i, z_i)`` in columns (2i, 2i+1, 2N).
-    """
-    arr = np.asarray(coefficients, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 6:
-        raise InvalidInputError("coefficient array must be (N, 6)")
-    n = arr.shape[0]
-    if n < 1:
-        raise InsufficientDataError("need at least one coefficient row")
-    m = arr[:, _BLOCK] * _SIGN
-    a = np.zeros((n, 3, 2 * n + 1))
-    rows = np.arange(n)
-    a[rows, :, 2 * rows] = m[:, :, 0]
-    a[rows, :, 2 * rows + 1] = m[:, :, 1]
-    a[:, :, 2 * n] = m[:, :, 2]
-    return a.reshape(3 * n, 2 * n + 1)
-
-
 @dataclass(frozen=True, eq=False)
 class ScaleSolution:
     """Minimum-norm solution of the stationarity system.
@@ -149,7 +126,7 @@ class ScaleSolution:
 
 
 def _checked_solution(w, y, track_id) -> ScaleSolution:
-    """Gap test, sign gauge and cheirality check shared by both solvers.
+    """Gap test, sign gauge and cheirality check of an eigenpair.
 
     ``w`` holds the two smallest eigenvalues of ``A^T A`` in ascending
     order and ``y`` an eigenvector of the smallest.
@@ -166,26 +143,6 @@ def _checked_solution(w, y, track_id) -> ScaleSolution:
     if np.any(solution.d_a <= 0) or np.any(solution.d_b <= 0) or solution.s <= 0:
         raise CheiralityError("non-positive depth ratio in scale solution")
     return solution
-
-
-def solve_nullspace(a, track_id=None) -> ScaleSolution:
-    """Minimum non-zero solution of the assembled system.
-
-    Computes the right singular vector of the smallest singular value (via
-    a dense eigensolver on the normal matrix), sign-normalized so the scale
-    entry is positive: the reference for :func:`solve_scale_system`.
-
-    Raises:
-        AmbiguousNullspaceError: the two smallest singular values coincide
-            within 1e-8 (degenerate geometry such as pure rotation).
-        CheiralityError: any recovered depth ratio is non-positive after
-            sign normalization.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[1] < 3 or (a.shape[1] - 1) % 2 != 0:
-        raise InvalidInputError("system matrix must be 2-D with 2N+1 columns")
-    w, v = scipy.linalg.eigh(a.T @ a, subset_by_index=[0, 1])
-    return _checked_solution(w, v[:, 0], track_id)
 
 
 def _secular_root(rho, mu, q2, lo, hi, lam) -> float:

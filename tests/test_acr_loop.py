@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from acrkit import acr_loop, cli, fusion, simulator
-from acrkit.acr_loop import AcrConfig, run_acr, run_bisection_baseline
+from acrkit.acr_loop import (
+    AcrConfig,
+    AcrRecord,
+    AcrTrace,
+    Observation,
+    run_acr,
+    run_bisection_baseline,
+)
 from acrkit.errors import AmbiguousNullspaceError, InvalidInputError
 from acrkit.geometry import DirectionalPose, Rotation, rotation_angle
 from acrkit.pose_estimation import CorrespondenceSet, PoseHypothesis
@@ -191,3 +200,85 @@ class TestRunAcrMatrix:
         monkeypatch.setattr(acr_loop, "depth_map_reference", unreachable)
         trace, _ = _run(run_acr, initial_offset=None)
         assert trace.status == "converged", trace.failure
+
+
+class TestTerminalStates:
+    """How each loop ends: exhausted, failed, and one command per move."""
+
+    def test_one_iteration_is_exhausted(self):
+        trace, executor = _run(run_acr, acr={"max_iterations": 1})
+        assert trace.status == "exhausted" and trace.failure is None
+        assert [r.stage for r in trace.records] == ["init", "iter"]
+        assert executor.motions_executed == 2
+        trace, executor = _run(run_bisection_baseline, acr={"max_iterations": 1})
+        assert trace.status == "exhausted" and trace.failure is None
+        assert [r.stage for r in trace.records] == ["iter"]
+        assert executor.motions_executed == 1
+
+    def test_init_without_parallax_fails_before_any_record(self):
+        trace, executor = _run(run_acr, acr={"init_translation": [0.0, 0.0, 1e-9]})
+        assert trace.status == "failed"
+        assert trace.failure.startswith("estimation-failure")
+        assert trace.records == ()
+        assert executor.motions_executed == 1
+
+    @pytest.mark.parametrize("runner, init_moves", [(run_acr, 1), (run_bisection_baseline, 0)])
+    def test_one_command_per_corrective_move(self, runner, init_moves, monkeypatch):
+        calls = []
+
+        def spy(est, scale):
+            calls.append(scale)
+            return hand_motion(est, scale)
+
+        hand_motion = acr_loop.hand_motion_from_estimate
+        monkeypatch.setattr(acr_loop, "hand_motion_from_estimate", spy)
+        trace, executor = _run(runner)
+        assert trace.status == "converged", trace.failure
+        assert len(calls) == executor.motions_executed - init_moves
+        moves = [r for r in trace.records if r.stage == "iter" and r.command is not None]
+        assert calls == [r.scale_m for r in moves]
+
+    def test_failure_is_on_the_last_trace_line(self):
+        trace = AcrTrace((AcrRecord(0, "init"), AcrRecord(1, "iter")), "failed", "x: y")
+        first, last = (json.loads(line) for line in trace.to_jsonl().splitlines())
+        assert first["status"] == "running" and "failure" not in first
+        assert last["status"] == "failed" and last["failure"] == "x: y"
+        empty = AcrTrace((), "failed", "x: y").to_jsonl()
+        assert [json.loads(line) for line in empty.splitlines()] == [
+            {"status": "failed", "failure": "x: y"}
+        ]
+
+
+class _StillExecutor:
+    """An executor whose view never changes; it keeps every command."""
+
+    intrinsics = simulator.DESK_INTRINSICS
+    image_size = simulator.DESK_IMAGE_SIZE
+
+    def __init__(self):
+        self.commands = []
+
+    def observe(self):
+        return Observation(CorrespondenceSet(np.zeros((1, 2)), np.zeros((1, 2))), None, None)
+
+    def execute(self, command):
+        self.commands.append(command)
+        return self.observe()
+
+
+def test_baseline_stops_once_its_halved_step_is_inside_scale_epsilon(monkeypatch):
+    # Each pass reverses the estimated direction with no rotation left, so
+    # the guessed step halves from 50 mm on every pass after the first.
+    # The seventh pass halves it to 0.78 mm, under the 1 mm scale_epsilon,
+    # and the driver's one stop test ends the run there without a move.
+    def reversing(c, intr, seed, **kwargs):
+        direction = [0.0, 0.0, 1.0 if seed % 2 else -1.0]
+        return PoseHypothesis(pose=DirectionalPose(Rotation.identity(), direction))
+
+    monkeypatch.setattr(acr_loop, "estimate_epipolar", reversing)
+    executor = _StillExecutor()
+    trace = run_bisection_baseline(executor, AcrConfig())
+    assert trace.status == "converged"
+    assert [r.scale_m for r in trace.records] == [0.05 / 2**k for k in range(7)]
+    assert len(executor.commands) == 6
+    assert trace.final.command is None

@@ -302,6 +302,66 @@ class TestSimulateAcr:
     ):
         assert key in self._rejected(doc, tmp_path, monkeypatch, capsys, section)
 
+    @pytest.mark.parametrize(
+        "section, doc, key",
+        [
+            ("seed", "seven", "seed"),
+            ("seed", True, "seed"),
+            ("baseline", "no", "baseline"),
+            (
+                "rig",
+                {"intrinsics": {"fx": "x", "fy": 1200.0, "cx": 640.0, "cy": 480.0}},
+                "rig.intrinsics.fx",
+            ),
+            ("rig", {"image_size": [1280]}, "rig.image_size"),
+            (
+                "initial_offset",
+                {"random": {"max_rotation_deg": "a", "max_offset_m": 0.045}},
+                "initial_offset.random.max_rotation_deg",
+            ),
+            ("initial_offset", {"r": [1.0, 0.0], "t": [0.0, 0.0, 0.0]}, "initial_offset.r"),
+            (
+                "rig",
+                {"hand_eye": {"random": {"max_offset_m": [0.1]}}},
+                "rig.hand_eye.random.max_offset_m",
+            ),
+            ("scene", 5, "scene"),
+            ("scene", {"builtin": "nope"}, "nope"),
+        ],
+        ids=[
+            "string-seed",
+            "bool-seed",
+            "string-baseline",
+            "string-fx",
+            "short-image-size",
+            "string-offset-bound",
+            "short-offset-rotation",
+            "list-hand-eye-bound",
+            "number-scene",
+            "unknown-builtin-scene",
+        ],
+    )
+    def test_bad_scenario_field_is_invalid_input(
+        self, section, doc, key, tmp_path, monkeypatch, capsys
+    ):
+        assert key in self._rejected(doc, tmp_path, monkeypatch, capsys, section)
+
+    def test_failed_run_reports_its_failure(self, tmp_path, capsys):
+        config = tmp_path / "acr.json"
+        doc = {
+            **cli.default_acr_config(),
+            "acr": {"init_translation": [0.0, 0.0, 1e-9]},
+            "output_dir": str(tmp_path / "out"),
+        }
+        config.write_text(json.dumps(doc))
+        code = cli.main(["simulate-acr", str(config), "--seed", "0"])
+        assert code == 0  # a valid run that did not converge is still success
+        report = self._last_json(capsys)
+        assert report["status"] == "failed" and report["iterations"] == 0
+        assert report["failure"].startswith("estimation-failure")
+        lines = [json.loads(line) for line in Path(report["trace"]).read_text().splitlines()]
+        assert lines == [{"status": "failed", "failure": report["failure"]}]
+
     def test_every_field_accepted_at_its_default(self):
         # Every field of AcrConfig and of its nested I2peConfig, as JSON.
         doc = json.loads(json.dumps(dataclasses.asdict(AcrConfig())))
@@ -316,8 +376,9 @@ class TestSimulateAcr:
         code = cli.main(["simulate-acr", "--seed", "0"])
         assert code == 0
         report = self._last_json(capsys)
-        assert report["status"] == "converged"
-        assert Path(report["trace"]).is_file()
+        assert report["status"] == "converged" and report["failure"] is None
+        lines = [json.loads(line) for line in Path(report["trace"]).read_text().splitlines()]
+        assert lines[-1]["status"] == "converged" and "failure" not in lines[-1]
         assert Path(report["summary"]).read_text().splitlines()[1].startswith("i2acr,converged,")
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from acrkit.errors import (
     AmbiguousNullspaceError,
@@ -22,22 +23,48 @@ from acrkit.geometry import (
 )
 from acrkit.pose_estimation import CorrespondenceSet
 from acrkit.scale_solver import (
+    _BLOCK,
+    _SIGN,
     ScaleSolution,
     SparseDepthMap,
     _arrowhead_eigen,
     _checked_solution,
-    assemble_system,
     coefficient_arrays,
     depth_map_current,
     depth_map_reference,
     init_scale,
     iteration_scale,
-    solve_nullspace,
     solve_scale_system,
 )
 from conftest import project_pixels
 
 UNIT_INTR = Intrinsics(1.0, 1.0, 0.0, 0.0)
+
+
+def assemble_system(coefficients) -> np.ndarray:
+    """Oracle: the dense 3N x (2N+1) stationarity system of (N, 6)
+    coefficients.
+
+    Row triple i carries ``(a_i, -b_i, g_i)``, ``(-b_i, d_i, -e_i)`` and
+    ``(g_i, -e_i, z_i)`` in columns (2i, 2i+1, 2N).
+    """
+    arr = np.asarray(coefficients, dtype=float)
+    n = arr.shape[0]
+    m = arr[:, _BLOCK] * _SIGN
+    a = np.zeros((n, 3, 2 * n + 1))
+    rows = np.arange(n)
+    a[rows, :, 2 * rows] = m[:, :, 0]
+    a[rows, :, 2 * rows + 1] = m[:, :, 1]
+    a[:, :, 2 * n] = m[:, :, 2]
+    return a.reshape(3 * n, 2 * n + 1)
+
+
+def solve_nullspace(a, track_id=None) -> ScaleSolution:
+    """Oracle: the minimum non-zero solution of an assembled system, from a
+    dense eigensolve of the normal matrix, checked as the O(N) solve checks
+    its own eigenpair."""
+    w, v = scipy.linalg.eigh(a.T @ a, subset_by_index=[0, 1])
+    return _checked_solution(w, v[:, 0], track_id)
 
 
 def _two_view(intr, rotation, translation, count=30, seed=3, depth_range=(1.5, 2.5)):
