@@ -89,32 +89,55 @@ def _pose_spec(doc, rng, where: str = "pose") -> Pose:
                 for k in ("max_rotation_deg", "max_offset_m")
             ),
         )
-    r = doc.get("r")
-    if not (isinstance(r, list) and len(r) == 9 and all(map(_is_number, r))):
-        raise InvalidInputError(f"{where}.r must be nine numbers, got {r!r}")
+    return _explicit_pose(doc, where)
+
+
+def _explicit_pose(doc, where: str) -> Pose:
+    """Pose from a JSON {"r": nine numbers, "t": three numbers} object."""
+    _checked(doc, dict, where)
+    r = _numbers(doc.get("r"), f"{where}.r", 9)
     return Pose.from_json_dict({"r": r, "t": _checked(doc.get("t"), tuple, f"{where}.t")})
 
 
 def _scene_from(doc) -> SceneSpec:
     planes = []
-    for p in doc.get("planes", []):
+    for i, p in enumerate(_checked(doc.get("planes", []), list, "scene.planes")):
+        where = f"scene.planes[{i}]"
+        p = _checked(p, dict, where)
+        polygon, center = p.get("polygon"), p.get("center")
         planes.append(
             PlaneSpec(
-                normal=tuple(p["normal"]),
-                offset=float(p["offset"]),
-                half_extents=tuple(p.get("half_extents", (0.2, 0.15))),
-                polygon=None if p.get("polygon") is None else tuple(map(tuple, p["polygon"])),
-                count=int(p.get("count", 250)),
-                center=None if p.get("center") is None else tuple(p["center"]),
-                detected=bool(p.get("detected", True)),
+                normal=_checked(p.get("normal"), tuple, f"{where}.normal"),
+                offset=_checked(p.get("offset"), float, f"{where}.offset"),
+                half_extents=_numbers(
+                    p.get("half_extents", [0.2, 0.15]), f"{where}.half_extents", 2
+                ),
+                polygon=None
+                if polygon is None
+                else tuple(
+                    _numbers(v, f"{where}.polygon[{k}]", 2)
+                    for k, v in enumerate(_checked(polygon, list, f"{where}.polygon"))
+                ),
+                count=_checked(p.get("count", 250), int, f"{where}.count"),
+                center=None if center is None else _checked(center, tuple, f"{where}.center"),
+                detected=_checked(p.get("detected", True), bool, f"{where}.detected"),
             )
         )
     clutter_box = doc.get("clutter_box")
+    if clutter_box is not None:
+        clutter_box = _checked(clutter_box, list, "scene.clutter_box")
+        if len(clutter_box) != 3:
+            raise InvalidInputError(
+                f"scene.clutter_box must be three ranges, got {clutter_box!r}"
+            )
+        clutter_box = tuple(
+            _numbers(v, f"scene.clutter_box[{k}]", 2) for k, v in enumerate(clutter_box)
+        )
     return SceneSpec(
         planes=tuple(planes),
-        seed=int(doc.get("seed", 0)),
-        clutter_count=int(doc.get("clutter_count", 0)),
-        clutter_box=None if clutter_box is None else tuple(map(tuple, clutter_box)),
+        seed=_checked(doc.get("seed", 0), int, "scene.seed"),
+        clutter_count=_checked(doc.get("clutter_count", 0), int, "scene.clutter_count"),
+        clutter_box=clutter_box,
     )
 
 
@@ -202,6 +225,8 @@ _KINDS = {
     int: ("an integer", _is_integral),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     dict: ("an object", lambda v: isinstance(v, dict)),
+    list: ("a list", lambda v: isinstance(v, list)),
+    str: ("a string", lambda v: isinstance(v, str)),
     tuple: (
         "three numbers",
         lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
@@ -211,14 +236,39 @@ _KINDS = {
 
 def _checked(value, kind, name: str):
     """``value``, a JSON value found at ``name``, as the type ``kind``: a
-    float from a number, an int from an integral number, a bool, a dict,
-    or a tuple of three floats; anything else is ``InvalidInputError``."""
+    float from a number, an int from an integral number, a bool, a dict, a
+    list, a string, or a tuple of three floats; anything else is
+    ``InvalidInputError``."""
     wanted, accepts = _KINDS[kind]
     if not accepts(value):
         raise InvalidInputError(f"{name} must be {wanted}, got {value!r}")
     if kind is tuple:
         return tuple(float(v) for v in value)
     return kind(value) if kind in (float, int) else value
+
+
+def _numbers(value, name: str, size: int = None) -> tuple:
+    """``value`` found at ``name`` as a tuple of floats: a list of numbers,
+    exactly ``size`` of them when given."""
+    if not (
+        isinstance(value, list)
+        and all(map(_is_number, value))
+        and (size is None or len(value) == size)
+    ):
+        count = "numbers" if size is None else f"{size} numbers"
+        raise InvalidInputError(f"{name} must be a list of {count}, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
+def _image_size(value, name: str) -> tuple:
+    """``value`` found at ``name`` as a (width, height) of positive integers."""
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(_is_integral(v) and v > 0 for v in value)
+    ):
+        raise InvalidInputError(f"{name} must be two positive integers, got {value!r}")
+    return tuple(int(v) for v in value)
 
 
 def _acr_config_from(doc, cls=AcrConfig, where: str = "acr"):
@@ -397,16 +447,9 @@ def cmd_simulate_acr(args) -> int:
             if "intrinsics" in rig_doc
             else simulator.DESK_INTRINSICS
         )
-        image_size = rig_doc.get("image_size", list(simulator.DESK_IMAGE_SIZE))
-        if not (
-            isinstance(image_size, list)
-            and len(image_size) == 2
-            and all(_is_integral(v) and v > 0 for v in image_size)
-        ):
-            raise InvalidInputError(
-                f"rig.image_size must be two positive integers, got {image_size!r}"
-            )
-        image_size = tuple(int(v) for v in image_size)
+        image_size = _image_size(
+            rig_doc.get("image_size", list(simulator.DESK_IMAGE_SIZE)), "rig.image_size"
+        )
         rng = np.random.default_rng(seed)
         hand_eye = _pose_spec(rig_doc.get("hand_eye"), rng, "rig.hand_eye")
         initial = _pose_spec(doc.get("initial_offset"), rng, "initial_offset")
@@ -475,25 +518,44 @@ def cmd_simulate_acr(args) -> int:
 def cmd_bench_noise(args) -> int:
     try:
         doc = _load_json(args.config) if args.config else {}
-    except (MissingInputError, json.JSONDecodeError) as exc:
-        return _fail(1, "invalid-input", str(exc))
-    try:
-        seed = int(doc.get("seed", 0)) if args.seed is None else args.seed
+        doc = _checked(doc, dict, "the configuration")
+        seed = _checked(doc.get("seed", 0), int, "seed")
+        seed = seed if args.seed is None else args.seed
         scene = _scene_spec(doc.get("scene", {"builtin": "single-plane"}), seed)
         intr = (
             _intrinsics_from(doc["intrinsics"])
             if "intrinsics" in doc
             else simulator.CANON_INTRINSICS
         )
-        image_size = tuple(doc.get("image_size", simulator.CANON_IMAGE_SIZE))
+        image_size = _image_size(
+            doc.get("image_size", list(simulator.CANON_IMAGE_SIZE)), "image_size"
+        )
         motion = (
-            Pose.from_json_dict(doc["motion"])
+            _explicit_pose(doc["motion"], "motion")
             if "motion" in doc
             else simulator.BENCH_MOTION
         )
-        r_values = doc.get("r_values", list(range(0, 51, 2)))
-        mu_values = doc.get("mu_values", [0.01, 0.1, 0.3, 0.5, 0.8, 0.9])
-        trials = int(doc.get("trials", args.trials))
+        r_values = _numbers(doc.get("r_values", list(range(0, 51, 2))), "r_values")
+        mu_values = _numbers(
+            doc.get("mu_values", [0.01, 0.1, 0.3, 0.5, 0.8, 0.9]), "mu_values"
+        )
+        trials = _checked(doc.get("trials", args.trials), int, "trials")
+        threshold_px = _checked(doc.get("threshold_px", 1.0), float, "threshold_px")
+        max_iters = _checked(
+            doc.get("max_iters", simulator.BENCH_RANSAC_ITERS), int, "max_iters"
+        )
+        out = Path(_checked(doc.get("output", args.output), str, "output"))
+        if trials < 1:
+            raise InvalidInputError(f"trials must be at least 1, got {trials}")
+        if not threshold_px > 0:
+            raise InvalidInputError(f"threshold_px must be positive, got {threshold_px}")
+        if min(r_values, default=0.0) < 0:
+            raise InvalidInputError(f"r_values must not be negative, got {list(r_values)}")
+        if not all(0.0 <= mu <= 1.0 for mu in mu_values):
+            raise InvalidInputError(f"mu_values must lie in [0, 1], got {list(mu_values)}")
+    except (AcrError, json.JSONDecodeError) as exc:
+        return _fail(1, "invalid-input", str(exc))
+    try:
         rows = bench_noise_sweep(
             scene,
             motion,
@@ -503,10 +565,9 @@ def cmd_bench_noise(args) -> int:
             seed=seed,
             intr=intr,
             image_size=image_size,
-            threshold_px=float(doc.get("threshold_px", 1.0)),
-            max_iters=int(doc.get("max_iters", simulator.BENCH_RANSAC_ITERS)),
+            threshold_px=threshold_px,
+            max_iters=max_iters,
         )
-        out = Path(doc.get("output", args.output))
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["r", "mu", "trial", "method", "rot_err_deg", "dir_err_deg"])

@@ -232,65 +232,127 @@ def _normalize_points(pts: np.ndarray):
     return (pts - centroid[..., None, :]) * scale[..., None, None], t
 
 
+def _homogeneous_rows(pts: np.ndarray) -> np.ndarray:
+    """(..., N, 2) points as (..., 3, N) homogeneous rows (x, y, 1)."""
+    rows = np.ones(pts.shape[:-2] + (3, pts.shape[-2]))
+    rows[..., :2, :] = np.swapaxes(pts, -1, -2)
+    return rows
+
+
+# Cyclic successor n and predecessor p of the indices 0, 1, 2.
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+# adj(m)[k, c] = m[n(c), n(k)] m[p(c), p(k)] - m[p(c), n(k)] m[n(c), p(k)]:
+# the flat (row-major) indices of those four factors, each (3, 3) over (k, c).
+_ADJUGATE_FACTORS = tuple(
+    3 * rows[None, :] + cols[:, None]
+    for rows, cols in ((_NEXT, _NEXT), (_PREV, _PREV), (_PREV, _NEXT), (_NEXT, _PREV))
+)
+
+
+def _adjugate(m: np.ndarray) -> np.ndarray:
+    """Adjugate det(m) m^-1 of (..., 3, 3) matrices: its rows are the cross
+    products of m's columns 2 x 3, 3 x 1 and 1 x 2."""
+    flat = m.reshape(m.shape[:-2] + (9,))
+    a, b, c, d = _ADJUGATE_FACTORS
+    return flat[..., a] * flat[..., b] - flat[..., c] * flat[..., d]
+
+
+def _four_point_homography(an, ta, bn, b):
+    """Closed-form homography through four Hartley-normalised pairs.
+
+    Each quadruple p1..p4 is the image of the canonical projective basis
+    e1, e2, e3, (1, 1, 1) under P diag(lam), where P = [p1 p2 p3] and
+    lam = adj(P) p4 holds three triangle determinants (p4 with two of
+    p1..p3).  Mapping a's basis onto b's gives, up to scale,
+    H = Q diag(mu / lam) adj(P) with Q and mu the same for b; it is
+    multiplied through by lam1 lam2 lam3 here, so nothing is divided.
+    Pixel-side Q absorbs b's normalisation.  Returns (H, degenerate):
+    a side with three collinear points, i.e. a triangle determinant (lam,
+    or det P) below 1e-10 in normalised units, has no such map.
+    """
+    pa, pb = _homogeneous_rows(an), _homogeneous_rows(bn)
+    adj_a, adj_b = _adjugate(pa[..., :3]), _adjugate(pb[..., :3])
+    # adj(P) [P p4] = [det(P) I, lam]: all four triangle determinants.
+    da, db = adj_a @ pa, adj_b @ pb
+    lam, mu = da[..., 3], db[..., 3]
+    tri = np.concatenate([lam, mu, da[..., 0, :1], db[..., 0, :1]], axis=-1)
+    degenerate = np.abs(tri).min(axis=-1) < 1e-10
+    w = mu * lam[..., _NEXT] * lam[..., _PREV]
+    q = _homogeneous_rows(b[..., :3, :]) * w[..., None, :]
+    return q @ adj_a @ ta, degenerate
+
+
 def homography_dlt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Normalized direct linear transform for ``b ~ H a`` (pixel inputs).
 
     ``a`` and ``b`` are (N, 2), or (K, N, 2) for K independent samples
-    fitted at once, giving (K, 3, 3).  A degenerate point configuration
-    raises :class:`DegenerateModelError`; in a stack, its model is NaN
-    instead, so one bad sample does not fail the others.
+    fitted at once, giving (K, 3, 3).  Four pairs are solved in closed form
+    (see ``_four_point_homography``), more by the SVD of the DLT system.  A
+    degenerate point configuration raises :class:`DegenerateModelError`;
+    in a stack, its model is NaN instead, so one bad sample does not fail
+    the others.
     """
     n = a.shape[-2]
     if n < 4:
         raise InsufficientDataError("homography needs at least 4 pairs")
     an, ta = _normalize_points(a)
     bn, tb = _normalize_points(b)
-    m = np.zeros(a.shape[:-2] + (2 * n, 9))
-    x, y = an[..., 0], an[..., 1]
-    u, v = bn[..., 0], bn[..., 1]
-    m[..., 0::2, 0] = x
-    m[..., 0::2, 1] = y
-    m[..., 0::2, 2] = 1.0
-    m[..., 0::2, 6] = -u * x
-    m[..., 0::2, 7] = -u * y
-    m[..., 0::2, 8] = -u
-    m[..., 1::2, 3] = x
-    m[..., 1::2, 4] = y
-    m[..., 1::2, 5] = 1.0
-    m[..., 1::2, 6] = -v * x
-    m[..., 1::2, 7] = -v * y
-    m[..., 1::2, 8] = -v
-    # Thin SVD for refits (a full one of a 2000x9 system costs ~300x
-    # more); the 8x9 minimal system needs the full V, since its thin SVD
-    # drops the null vector.
-    _, svals, vt = np.linalg.svd(m, full_matrices=2 * n < 9)
-    degenerate = svals[..., -2] < 1e-10 * svals[..., 0]
-    if m.ndim == 2 and degenerate:
+    if n == 4:
+        h, degenerate = _four_point_homography(an, ta, bn, b)
+    else:
+        m = np.zeros(a.shape[:-2] + (2 * n, 9))
+        x, y = an[..., 0], an[..., 1]
+        u, v = bn[..., 0], bn[..., 1]
+        m[..., 0::2, 0] = x
+        m[..., 0::2, 1] = y
+        m[..., 0::2, 2] = 1.0
+        m[..., 0::2, 6] = -u * x
+        m[..., 0::2, 7] = -u * y
+        m[..., 0::2, 8] = -u
+        m[..., 1::2, 3] = x
+        m[..., 1::2, 4] = y
+        m[..., 1::2, 5] = 1.0
+        m[..., 1::2, 6] = -v * x
+        m[..., 1::2, 7] = -v * y
+        m[..., 1::2, 8] = -v
+        # Thin SVD: a full one of a 2000x9 refit system costs ~300x more.
+        _, svals, vt = np.linalg.svd(m, full_matrices=False)
+        degenerate = svals[..., -2] < 1e-10 * svals[..., 0]
+        h = np.linalg.inv(tb) @ vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3)) @ ta
+    if h.ndim == 2 and degenerate:
         raise DegenerateModelError("degenerate point configuration")
-    h = np.linalg.inv(tb) @ vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3)) @ ta
     h[degenerate] = np.nan  # stacks only: a lone degenerate system raised above
     return h
+
+
+def _transfer(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Homogeneous rows (3, N) through each model of m, (..., 3, N): one
+    GEMM for the whole stack, whose every output row depends only on its
+    own model's row, so a stack scores each model with a single call's bits."""
+    return (m.reshape(-1, 3) @ rows).reshape(m.shape[:-1] + rows.shape[-1:])
 
 
 def symmetric_transfer_error(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-pair symmetric transfer error sqrt(d_fwd^2 + d_bwd^2) in pixels.
 
-    ``h`` is (3, 3), giving (N,) errors, or (K, 3, 3), giving (K, N).
+    ``h`` is (3, 3), giving (N,) errors, or (K, 3, 3), giving (K, N).  The
+    backward map is the adjugate, H^-1 up to scale, so no model needs a
+    LAPACK inverse.
     """
-    h_inv = np.linalg.inv(h)
 
     def _squared(m, src, dst):
-        # Transferred points as (..., 3, N) rows, one matrix product per
-        # model: a stack scores each model with the same bits as alone.
-        p = m[..., :, :2] @ src.T + m[..., :, 2:]
-        w = p[..., 2, :]
-        bad = np.abs(w) < 1e-12
-        d = p[..., :2, :] / np.where(bad, 1.0, w)[..., None, :] - dst.T
-        sq = d[..., 0, :] * d[..., 0, :] + d[..., 1, :] * d[..., 1, :]
-        return np.where(bad, np.inf, sq)
+        p = _transfer(m, _homogeneous_rows(src))
+        d = p[..., :2, :]
+        d /= p[..., 2:, :]
+        d -= dst.T
+        d *= d
+        return d[..., 0, :] + d[..., 1, :]
 
-    with np.errstate(invalid="ignore"):
-        err = np.sqrt(_squared(h, a, b) + _squared(h_inv, b, a))
+    # A pair sent to the line at infinity divides by zero: its error is inf.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        err = _squared(h, a, b)
+        err += _squared(_adjugate(h), b, a)
+        np.sqrt(err, out=err)
     return np.where(np.isfinite(err), err, np.inf)
 
 
@@ -348,8 +410,9 @@ def _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed)
         try:
             err = score(models[ok])
         except np.linalg.LinAlgError:
-            # LAPACK could not invert one of the models: score them one by
-            # one, and let a model it cannot invert skip its own draw only.
+            # The scorer raised on one of the models (neither built-in
+            # scorer inverts a model, a custom one may): score them one by
+            # one, and let a model it cannot score skip its own draw only.
             err = np.full((k, n), np.inf)
             for j in np.flatnonzero(ok):
                 try:
@@ -655,8 +718,12 @@ def _essential_from_rays(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     samples fitted at once, giving (K, 3, 3).
     """
     m = (xb[..., :, None] * xa[..., None, :]).reshape(xa.shape[:-1] + (9,))
-    # As in homography_dlt, the 8x9 minimal system needs the full V: its
-    # thin SVD drops the null vector.
+    # The 8x9 minimal system needs the full V: its thin SVD drops the null
+    # vector.  Keep the null vector the full SVD's last right singular
+    # vector, too: eight coplanar pairs leave a 3-D null space, and any
+    # other solve (QR, eigh of m^T m, a closed form) returns another member
+    # of it.  A QR variant moved 69 of 288 seed-0 noise-sweep rows, by up
+    # to 1 deg of rotation, even at r = 0.
     _, _, vt = np.linalg.svd(m, full_matrices=m.shape[-2] < 9)
     e = vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3))
     u, s, vt = np.linalg.svd(e)
@@ -672,20 +739,29 @@ def _essential_from_rays(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
 def sampson_error(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """First-order geometric (Sampson) distance in pixels for b^T F a = 0.
 
-    ``f`` is (3, 3), giving (N,) distances, or (K, 3, 3), giving (K, N).
+    ``f`` is (3, 3), giving (N,) distances, or (K, 3, 3), giving (K, N);
+    a stack scores each model with a single call's bits.
     """
-    ah = np.hstack([a, np.ones((a.shape[0], 1))])
-    bh = np.hstack([b, np.ones((b.shape[0], 1))])
-    fa = ah @ np.swapaxes(f, -1, -2)
-    ftb = bh @ f
-    num = np.einsum("...ij,...ij->...i", bh, fa)
-    den = fa[..., 0] ** 2 + fa[..., 1] ** 2 + ftb[..., 0] ** 2 + ftb[..., 1] ** 2
-    den = np.where(den < 1e-18, 1e-18, den)
-    return np.abs(num) / np.sqrt(den)
+    ah, bh = _homogeneous_rows(a), _homogeneous_rows(b)
+    fa = _transfer(f, ah)
+    ftb = _transfer(np.swapaxes(f, -1, -2), bh)
+    num = bh[0] * fa[..., 0, :]
+    num += bh[1] * fa[..., 1, :]
+    num += fa[..., 2, :]
+    fa *= fa
+    ftb *= ftb
+    den = fa[..., 0, :] + fa[..., 1, :]
+    den += ftb[..., 0, :]
+    den += ftb[..., 1, :]
+    np.maximum(den, 1e-18, out=den)
+    np.sqrt(den, out=den)
+    np.abs(num, out=num)
+    num /= den
+    return num
 
 
 def _triangulate(r_m: np.ndarray, t: np.ndarray, xa: np.ndarray, xb: np.ndarray):
-    """Linear triangulation for candidate (R, t); returns depths in both views."""
+    """Linear triangulation for candidate (R, t): the (N, 3) points in A's frame."""
     n = xa.shape[0]
     rows = np.zeros((n, 4, 4))
     # Camera A: P = [I | 0]; camera B: P = [R | t].
@@ -700,10 +776,36 @@ def _triangulate(r_m: np.ndarray, t: np.ndarray, xa: np.ndarray, xb: np.ndarray)
     pts = vt[:, -1, :]
     w = pts[:, 3]
     w = np.where(np.abs(w) < 1e-15, 1e-15, w)
-    x = pts[:, :3] / w[:, None]
-    za = x[:, 2]
-    zb = x @ r_m[2] + t[2]
-    return x, za, zb
+    return pts[:, :3] / w[:, None]
+
+
+def _cheirality_votes(rotations, t: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Positive-depth votes of (R, t) and (R, -t) for each R in ``rotations``.
+
+    The two rays of a pair meet where za R xa - zb xb = -t; in least squares
+    that is the 2x2 system [[A, -B], [-B, C]] (za, zb) = (-r.t, xb.t), with
+    r = R xa, A = r.r, B = r.xb and C = xb.xb.  Its determinant AC - B^2 is
+    never negative, so (za, zb) has the signs of the Cramer numerators and
+    nothing is divided; negating t negates both numerators.  A pair whose
+    determinant is at rounding level (zero parallax) meets at infinity: it
+    is in front of both cameras, for either sign of t, when r and xb point
+    the same way.  Returns the votes in the order (R1, t), (R1, -t),
+    (R2, t), ...
+    """
+    c = np.einsum("ij,ij->i", xb, xb)
+    bt = xb @ t
+    votes = []
+    for r_m in rotations:
+        r = xa @ r_m.T
+        a = np.einsum("ij,ij->i", r, r)
+        b = np.einsum("ij,ij->i", r, xb)
+        rt = r @ t
+        za = b * bt - c * rt
+        zb = a * bt - b * rt
+        far = a * c - b * b <= 1e-12 * a * c
+        votes.append(np.count_nonzero(np.where(far, b > 0, (za > 0) & (zb > 0))))
+        votes.append(np.count_nonzero(np.where(far, b > 0, (za < 0) & (zb < 0))))
+    return np.array(votes)
 
 
 def estimate_epipolar(
@@ -777,15 +879,9 @@ def estimate_epipolar(
             np.linspace(0, in_idx.size - 1, 200).round().astype(int)
         ]
     sa, sb = xa[in_idx], xb[in_idx]
-    best_cand = None
-    best_votes = -1
-    for r_m, t_c in ((r1, t), (r1, -t), (r2, t), (r2, -t)):
-        pts, za, zb = _triangulate(r_m, t_c, sa, sb)
-        votes = int(np.sum((za > 0) & (zb > 0)))
-        if votes > best_votes:
-            best_votes = votes
-            best_cand = (r_m, t_c, pts, za, zb)
-    r_m, t_c, pts, za, zb = best_cand
+    best = int(np.argmax(_cheirality_votes((r1, r2), t, sa, sb)))
+    r_m, t_c = (r1, r2)[best // 2], (t, -t)[best % 2]
+    pts = _triangulate(r_m, t_c, sa, sb)
 
     # Parallax: angle at the 3-D point between the two viewing rays.
     center_b = -r_m.T @ t_c

@@ -63,6 +63,104 @@ class TestBenchNoise:
         assert code == 0
         assert calls[0]["max_iters"] == 50
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"seed": "x"}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"trials": "many"}, "trials"),
+            ({"trials": 0}, "trials"),
+            ({"threshold_px": "wide"}, "threshold_px"),
+            ({"threshold_px": 0}, "threshold_px"),
+            ({"max_iters": 2.5}, "max_iters"),
+            ({"r_values": ["a"]}, "r_values"),
+            ({"r_values": 4}, "r_values"),
+            ({"r_values": [-1]}, "r_values"),
+            ({"mu_values": [0.5, "b"]}, "mu_values"),
+            ({"mu_values": [1.5]}, "mu_values"),
+            ({"mu_values": [-0.1]}, "mu_values"),
+            ({"scene": {"planes": [{"normal": "up", "offset": 1}]}}, "scene.planes[0].normal"),
+            ({"scene": {"planes": [{"normal": [0, 0, 1], "offset": "far"}]}}, "offset"),
+            (
+                {"scene": {"planes": [{"normal": [0, 0, 1], "offset": 1, "count": "x"}]}},
+                "scene.planes[0].count",
+            ),
+            (
+                {"scene": {"planes": [{"normal": [0, 0, 1], "offset": 1, "half_extents": [1]}]}},
+                "half_extents",
+            ),
+            ({"scene": {"planes": {"normal": [0, 0, 1]}}}, "scene.planes"),
+            ({"image_size": [5760]}, "image_size"),
+            ({"motion": {"r": [1.0], "t": [0.0, 0.0, 0.1]}}, "motion.r"),
+            ({"output": 5}, "output"),
+            ([], "configuration"),
+        ],
+        ids=[
+            "string-seed",
+            "fractional-seed",
+            "string-trials",
+            "zero-trials",
+            "string-threshold",
+            "zero-threshold",
+            "fractional-budget",
+            "string-r",
+            "scalar-r",
+            "negative-r",
+            "string-mu",
+            "mu-above-one",
+            "negative-mu",
+            "string-normal",
+            "string-offset",
+            "string-count",
+            "short-half-extents",
+            "planes-object",
+            "short-image-size",
+            "short-motion-rotation",
+            "numeric-output",
+            "list-config",
+        ],
+    )
+    def test_bad_config_is_invalid_input(self, doc, key, monkeypatch, tmp_path, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep run for an invalid config")
+
+        monkeypatch.setattr(cli, "bench_noise_sweep", no_sweep)
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps(doc))
+        code = cli.main(["bench-noise", str(config), "--output", str(tmp_path / "b.csv")])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert report["error"] == "invalid-input"
+        assert key in report["message"]
+
+    def test_tiny_real_grid(self, tmp_path, capsys):
+        # The real sweep on a 2x2 grid: every (r, mu) cell appears once per
+        # estimator, and a second run writes the same bytes.
+        config = tmp_path / "bench.json"
+        config.write_text(
+            json.dumps(
+                {"r_values": [0, 40], "mu_values": [0.01, 0.9], "trials": 1, "max_iters": 20}
+            )
+        )
+        outputs = []
+        for name in ("first.csv", "second.csv"):
+            outputs.append(tmp_path / name)
+            code = cli.main(["bench-noise", str(config), "--output", str(outputs[-1])])
+            assert code == 0
+            report = json.loads(capsys.readouterr().out.splitlines()[-1])
+            assert report["csv"] == str(outputs[-1])
+            assert report["checks_passed"] is True
+        lines = outputs[0].read_text().splitlines()
+        assert lines[0] == "r,mu,trial,method,rot_err_deg,dir_err_deg"
+        cells = sorted(tuple(line.split(",")[:4]) for line in lines[1:])
+        assert cells == sorted(
+            (r, mu, "0", method)
+            for r in ("0", "40")
+            for mu in ("0.01", "0.9")
+            for method in ("de-h", "epipolar")
+        )
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
 
 class TestMatchPlanes:
     @staticmethod
@@ -345,6 +443,22 @@ class TestSimulateAcr:
         self, section, doc, key, tmp_path, monkeypatch, capsys
     ):
         assert key in self._rejected(doc, tmp_path, monkeypatch, capsys, section)
+
+    @pytest.mark.parametrize(
+        "plane, key",
+        [
+            ({"normal": "up", "offset": 1}, "scene.planes[0].normal"),
+            ({"normal": [0, 0, 1], "offset": 1, "polygon": [[0, 0], [1]]}, "polygon[1]"),
+            ({"normal": [0, 0, 1], "offset": 1, "detected": "yes"}, "detected"),
+            ({"normal": [0, 0, 1], "offset": 1, "center": [0, 0]}, "center"),
+        ],
+        ids=["string-normal", "short-polygon-vertex", "string-detected", "short-center"],
+    )
+    def test_bad_custom_plane_is_invalid_input(
+        self, plane, key, tmp_path, monkeypatch, capsys
+    ):
+        doc = {"planes": [plane]}
+        assert key in self._rejected(doc, tmp_path, monkeypatch, capsys, "scene")
 
     def test_failed_run_reports_its_failure(self, tmp_path, capsys):
         config = tmp_path / "acr.json"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -613,3 +615,262 @@ def _count_choices(monkeypatch) -> list:
 
     monkeypatch.setattr(np.random, "default_rng", Counting)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the minimal-sample kernels as solved before their closed forms.
+# ---------------------------------------------------------------------------
+
+
+def _svd_four_point_dlt(a, b):
+    """The 4-point DLT as the last right singular vector of its full 8x9 SVD,
+    with the flags of a rank-deficient system."""
+    an, ta = pose_estimation._normalize_points(a)
+    bn, tb = pose_estimation._normalize_points(b)
+    m = np.zeros(a.shape[:-2] + (8, 9))
+    x, y = an[..., 0], an[..., 1]
+    u, v = bn[..., 0], bn[..., 1]
+    m[..., 0::2, 0] = x
+    m[..., 0::2, 1] = y
+    m[..., 0::2, 2] = 1.0
+    m[..., 0::2, 6] = -u * x
+    m[..., 0::2, 7] = -u * y
+    m[..., 0::2, 8] = -u
+    m[..., 1::2, 3] = x
+    m[..., 1::2, 4] = y
+    m[..., 1::2, 5] = 1.0
+    m[..., 1::2, 6] = -v * x
+    m[..., 1::2, 7] = -v * y
+    m[..., 1::2, 8] = -v
+    _, svals, vt = np.linalg.svd(m)
+    h = np.linalg.inv(tb) @ vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3)) @ ta
+    return h, svals[..., -2] < 1e-10 * svals[..., 0]
+
+
+def _inverse_transfer_error(h, a, b):
+    """Symmetric transfer error through a LAPACK inverse and two-column products."""
+
+    def squared(m, src, dst):
+        p = m[..., :, :2] @ src.T + m[..., :, 2:]
+        d = p[..., :2, :] / p[..., 2:, :] - dst.T
+        return d[..., 0, :] * d[..., 0, :] + d[..., 1, :] * d[..., 1, :]
+
+    return np.sqrt(squared(h, a, b) + squared(np.linalg.inv(h), b, a))
+
+
+def _einsum_sampson(f, a, b):
+    """Sampson distance over (N, 3) point rows and an einsum numerator."""
+    ah = np.hstack([a, np.ones((a.shape[0], 1))])
+    bh = np.hstack([b, np.ones((b.shape[0], 1))])
+    fa = ah @ np.swapaxes(f, -1, -2)
+    ftb = bh @ f
+    num = np.einsum("...ij,...ij->...i", bh, fa)
+    den = fa[..., 0] ** 2 + fa[..., 1] ** 2 + ftb[..., 0] ** 2 + ftb[..., 1] ** 2
+    return np.abs(num) / np.sqrt(den)
+
+
+def _four_triangulation_votes(r1, r2, t, xa, xb):
+    """Positive-depth votes from one batched 4x4 SVD triangulation per candidate."""
+    votes = []
+    for r_m, t_c in ((r1, t), (r1, -t), (r2, t), (r2, -t)):
+        x = pose_estimation._triangulate(r_m, t_c, xa, xb)
+        votes.append(int(np.sum((x[:, 2] > 0) & (x @ r_m[2] + t_c[2] > 0))))
+    return votes
+
+
+def _unit_sign(h):
+    """(..., 3, 3) models scaled to unit norm with a positive largest entry."""
+    h = h / np.linalg.norm(h, axis=(-2, -1), keepdims=True)
+    flat = h.reshape(h.shape[:-2] + (9,))
+    big = np.take_along_axis(flat, np.abs(flat).argmax(axis=-1)[..., None], axis=-1)
+    return h * np.sign(big)[..., None]
+
+
+def _quadruples(seed, count):
+    """``count`` (4, 2) pixel quadruples in general position and their images
+    under a seeded homography, each pair jittered so the models differ."""
+    rng = np.random.default_rng(seed)
+    h = np.eye(3) + rng.normal(0.0, [[0.05, 0.05, 20.0], [0.05, 0.05, 20.0], [2e-5, 2e-5, 0.0]])
+    a = rng.uniform([0.0, 0.0], [1280.0, 960.0], (count, 4, 2))
+    bh = np.concatenate([a, np.ones((count, 4, 1))], axis=-1) @ h.T
+    b = bh[..., :2] / bh[..., 2:] + rng.normal(0.0, 3.0, (count, 4, 2))
+    return a, b
+
+
+class TestFourPointHomography:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_svd_oracle(self, seed):
+        a, b = _quadruples(seed, 200)
+        expected, degenerate = _svd_four_point_dlt(a, b)
+        assert not degenerate.any()
+        got = homography_dlt(a, b)
+        assert np.abs(_unit_sign(got) - _unit_sign(expected)).max() < 1e-9
+        for k in range(0, 200, 37):
+            alone = homography_dlt(a[k], b[k])
+            assert np.array_equal(alone, got[k])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_maps_its_four_pairs_exactly(self, seed):
+        a, b = _quadruples(seed, 50)
+        # The SVD oracle reaches 2.4e-9 px on the worst-conditioned of these.
+        for h, qa, qb in zip(homography_dlt(a, b), a, b):
+            assert symmetric_transfer_error(h, qa, qb).max() < 1e-8
+
+    @staticmethod
+    def _degenerate_cases():
+        good = np.array([[100.0, 120.0], [900.0, 150.0], [850.0, 800.0], [150.0, 700.0]])
+        cases = {}
+        for triple in ((0, 1, 2), (1, 2, 3), (0, 2, 3), (0, 1, 3)):
+            q = good.copy()
+            q[triple[2]] = 0.25 * q[triple[0]] + 0.75 * q[triple[1]]
+            cases[f"a-collinear-{triple}"] = (q, good)
+            cases[f"b-collinear-{triple}"] = (good, q)
+        q = good.copy()
+        q[3] = q[1]
+        cases["repeated-point"] = (q, good)
+        line = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]) * 200.0 + 50.0
+        cases["four-collinear"] = (line, line)
+        return cases
+
+    def test_degenerate_quadruples_raise_alone(self):
+        for name, (a, b) in self._degenerate_cases().items():
+            with pytest.raises(DegenerateModelError):
+                homography_dlt(a, b)
+
+    def test_degenerate_quadruples_are_nan_in_a_stack(self):
+        cases = list(self._degenerate_cases().values())
+        a_good, b_good = _quadruples(9, len(cases))
+        # Valid and degenerate samples alternate in one stack.
+        a = np.stack([q for case, g in zip(cases, a_good) for q in (g, case[0])])
+        b = np.stack([q for case, g in zip(cases, b_good) for q in (g, case[1])])
+        h = homography_dlt(a, b)
+        assert np.isnan(h[1::2]).all()
+        assert not np.isnan(h[0::2]).any()
+        for k in range(0, len(a), 2):
+            assert np.array_equal(h[k], homography_dlt(a[k], b[k]))
+
+
+class TestStackedScoring:
+    @staticmethod
+    def _models(k, seed):
+        a, b = _quadruples(seed, k)
+        return homography_dlt(a, b)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 65])
+    def test_transfer_error_stack_matches_single_calls(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.uniform(0.0, 1280.0, (90, 2))
+        b = a + rng.normal(0.0, 5.0, a.shape)
+        models = self._models(k, k)
+        stacked = symmetric_transfer_error(models, a, b)
+        assert stacked.shape == (k, 90)
+        for j in range(k):
+            assert np.array_equal(stacked[j], symmetric_transfer_error(models[j], a, b))
+        np.testing.assert_allclose(stacked, _inverse_transfer_error(models, a, b), rtol=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 65])
+    def test_sampson_stack_matches_single_calls(self, k, intr):
+        c, _ = general_pair_set(intr, Rotation.about_y(7.0), [0.15, 0.05, 0.02], count=90)
+        rng = np.random.default_rng(k)
+        xa, xb = _rays(intr, c.a), _rays(intr, c.b)
+        idx = np.array([rng.choice(len(c), 8, replace=False) for _ in range(k)])
+        k_inv = intr.inverse_matrix()
+        f = k_inv.T @ _essential_from_rays(xa[idx], xb[idx]) @ k_inv
+        b = c.b + rng.normal(0.0, 2.0, c.b.shape)
+        stacked = sampson_error(f, c.a, b)
+        assert stacked.shape == (k, len(c))
+        for j in range(k):
+            assert np.array_equal(stacked[j], sampson_error(f[j], c.a, b))
+        np.testing.assert_allclose(stacked, _einsum_sampson(f, c.a, b), rtol=1e-9)
+
+    def test_point_at_infinity_is_never_an_inlier(self):
+        # The first point maps onto the line at infinity of the model.
+        h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.001, 0.0, 1.0]])
+        a = np.array([[-1000.0, 5.0], [10.0, 5.0]])
+        err = symmetric_transfer_error(h, a, a)
+        assert err[0] == np.inf and np.isfinite(err[1])
+
+
+def _essential_candidates(xa, xb):
+    """The four (R, t) candidates of the pairs' essential matrix, as
+    ``estimate_epipolar`` builds them."""
+    u, _, vt = np.linalg.svd(_essential_from_rays(xa, xb))
+    if np.linalg.det(u) < 0:
+        u[:, -1] *= -1
+    if np.linalg.det(vt) < 0:
+        vt[-1] *= -1
+    w = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    return u @ w @ vt, u @ w.T @ vt, u[:, 2]
+
+
+class TestCheiralityVote:
+    ROTATION = Rotation.from_axis_angle([0.3, 1.0, -0.2], 6.0)
+    T = np.array([0.12, -0.05, 0.04])
+
+    @staticmethod
+    def _votes(intr, c):
+        xa, xb = _rays(intr, c.a), _rays(intr, c.b)
+        r1, r2, t = _essential_candidates(xa, xb)
+        return (
+            pose_estimation._cheirality_votes((r1, r2), t, xa, xb),
+            _four_triangulation_votes(r1, r2, t, xa, xb),
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_general_and_coplanar_pairs_pick_the_oracle_candidate(self, intr, seed):
+        general, _ = general_pair_set(intr, self.ROTATION, self.T, count=150, seed=seed)
+        plane, _ = plane_pair_set(intr, self.ROTATION, self.T, [0.1, 0, 1], 2.0, 150, seed)
+        for c in (general, plane):
+            got, expected = self._votes(intr, c)
+            assert got.tolist() == expected
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noisy_pairs_pick_the_oracle_candidate(self, intr, seed):
+        c, _ = general_pair_set(intr, self.ROTATION, self.T, count=150, seed=seed)
+        rng = np.random.default_rng(seed)
+        noisy = CorrespondenceSet(c.a, c.b + rng.uniform(-2.0, 2.0, c.b.shape))
+        got, expected = self._votes(intr, noisy)
+        assert np.argmax(got) == np.argmax(expected)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_parallax_picks_the_oracle_rotation(self, intr, seed):
+        # Without translation every pair is parallel under the true rotation,
+        # so neither sign of t is measured: the oracle splits its votes
+        # between them by the sign of rounding noise, while every pair
+        # votes for both here.  The rotation both pick is the true one.
+        rng = np.random.default_rng(seed)
+        a = rng.uniform([0.0, 0.0], [1280.0, 960.0], (60, 2))
+        pure, _ = general_pair_set(intr, self.ROTATION, np.zeros(3), count=150, seed=seed)
+        for c in (CorrespondenceSet(a, a), pure):
+            got, expected = self._votes(intr, c)
+            assert np.argmax(got) // 2 == np.argmax(expected) // 2
+            assert got[np.argmax(got) ^ 1] == got.max() == len(c)
+
+    def test_pure_rotation_estimate_is_unstable_without_warnings(self, intr):
+        c, _ = general_pair_set(intr, self.ROTATION, np.zeros(3), count=150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hyp = estimate_epipolar(c, intr, 1.0, 200, seed=0)
+        assert rotation_angle(hyp.pose.rotation.compose(self.ROTATION.inverse())) < 1e-9
+        assert hyp.unstable_translation
+
+
+class TestEightPointNullVector:
+    def test_coplanar_pairs_keep_the_full_svd_null_vector(self, intr):
+        # Eight pairs of one plane leave the 8x9 system a 3-D null space;
+        # the solve must return the projection of the full SVD's last right
+        # singular vector, not another member of that space.
+        c, _ = plane_pair_set(intr, Rotation.about_z(4.0), [0.1, -0.03, 0.02], [0.1, 0, 1], 2.0, 8)
+        xa, xb = _rays(intr, c.a), _rays(intr, c.b)
+        m = (xb[:, :, None] * xa[:, None, :]).reshape(8, 9)
+        svals = np.linalg.svd(m, compute_uv=False)
+        assert svals[-2] < 1e-9 * svals[0]
+        u, s, vt = np.linalg.svd(np.linalg.svd(m)[2][-1].reshape(3, 3))
+        if np.linalg.det(u) < 0:
+            u[:, -1] *= -1.0
+        if np.linalg.det(vt) < 0:
+            vt[-1] *= -1.0
+        sm = 0.5 * (s[0] + s[1])
+        expected = u @ np.diag([sm, sm, 0.0]) @ vt
+        assert np.array_equal(_essential_from_rays(xa, xb), expected)
+        assert np.array_equal(_essential_from_rays(xa[None], xb[None])[0], expected)
