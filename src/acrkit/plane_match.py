@@ -34,6 +34,8 @@ from .pose_estimation import CorrespondenceSet
 
 EXACT_ENUMERATION_BUDGET = 1_000_000
 
+_SUBSAMPLE_STRIDE = 32
+
 
 @dataclass(frozen=True, eq=False)
 class PlaneSegmentMap:
@@ -281,7 +283,14 @@ class PlaneGraph:
         for i in range(h - 1):  # the last region is only ever queried
             tree = cKDTree(boundaries[i])
             for j in range(i + 1, h):
-                dist, _ = tree.query(boundaries[j], k=1)
+                # A subsample (one pixel in _SUBSAMPLE_STRIDE) bounds the
+                # minimum from above; the full query then prunes every
+                # subtree past that bound (pixel distances are square roots
+                # of integers, so the margin loses no tie) and its minimum
+                # stays exact.
+                first, _ = tree.query(boundaries[j][::_SUBSAMPLE_STRIDE], k=1)
+                bound = first.min() * (1 + 1e-9) + 1e-9
+                dist, _ = tree.query(boundaries[j], k=1, distance_upper_bound=bound)
                 dmin = float(dist.min())
                 if dmin <= math.sqrt(2.0) + 1e-12:
                     dmin = 0.0

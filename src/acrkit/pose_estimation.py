@@ -532,57 +532,55 @@ def _rays(intr: Intrinsics, px: np.ndarray) -> np.ndarray:
 def _faugeras_candidates(h_cal: np.ndarray):
     """All analytic factorizations H ~ R + t n^T of a calibrated homography.
 
-    Returns (candidates, spread) where candidates is a list of
-    ``(R, t, n)`` triples and spread is the relative singular-value spread
-    ``(d1 - d3) / d2`` used for the zero-baseline test.  Each triple is
-    gauge-consistent, i.e. ``h_cal = c (R + t n^T)`` for a positive or
-    negative scalar ``c``; the plane-in-front and positive-depth tests
-    (left to the caller) reject the triples with ``c < 0``.
+    Returns ``(rotations, translations, normals, spread)``: the eight
+    candidates as (8, 3, 3), (8, 3) and (8, 3) stacks, or None for each
+    below the zero-baseline spread, and the relative singular-value spread
+    ``(d1 - d3) / d2``.  Each triple is gauge-consistent, i.e.
+    ``h_cal = c (R + t n^T)`` for a positive or negative scalar ``c``, with
+    a unit ``n`` and ``|t|`` of ``(d1 - d3) / d2`` or ``(d1 + d3) / d2``,
+    never below the spread; the plane-in-front and positive-depth tests
+    (left to the caller) reject the triples with ``c < 0``.  The first four
+    candidates take ``d' = +d2``, the last four ``d' = -d2``; within each
+    half the signs (e1, e3) run (+, +), (+, -), (-, +), (-, -).
     """
     u, d, vt = np.linalg.svd(h_cal)
     d1, d2, d3 = d
     spread = (d1 - d3) / d2
     if spread < ZERO_MOTION_SPREAD:
-        return [], spread
+        return None, None, None, spread
     s = np.linalg.det(u) * np.linalg.det(vt)
-    v = vt.T
 
     denom = d1 * d1 - d3 * d3
     x1 = np.sqrt(max((d1 * d1 - d2 * d2) / denom, 0.0))
     x3 = np.sqrt(max((d2 * d2 - d3 * d3) / denom, 0.0))
-
-    candidates = []
-    aux_st = np.sqrt(max((d1 * d1 - d2 * d2) * (d2 * d2 - d3 * d3), 0.0)) / (
-        (d1 + d3) * d2
-    )
+    root = np.sqrt(max((d1 * d1 - d2 * d2) * (d2 * d2 - d3 * d3), 0.0))
     ct = (d2 * d2 + d1 * d3) / ((d1 + d3) * d2)
-    for e1 in (1.0, -1.0):
-        for e3 in (1.0, -1.0):
-            st = e1 * e3 * aux_st
-            rp = np.array([[ct, 0.0, -st], [0.0, 1.0, 0.0], [st, 0.0, ct]])
-            tp = (d1 - d3) * np.array([e1 * x1, 0.0, -e3 * x3])
-            npl = np.array([e1 * x1, 0.0, e3 * x3])
-            # The factorization reads h_cal = s d' R + t_raw n^T with
-            # d' = +d2 here; dividing t_raw by (s d') restores the unit
-            # plane-distance gauge used by the cheirality tests.
-            candidates.append((s * (u @ rp @ vt), (u @ tp) / (s * d2), v @ npl))
-
-    if d1 - d3 > 1e-12 * d2:
-        aux_sp = np.sqrt(max((d1 * d1 - d2 * d2) * (d2 * d2 - d3 * d3), 0.0)) / (
-            (d1 - d3) * d2
-        )
-        cp = (d1 * d3 - d2 * d2) / ((d1 - d3) * d2)
-        for e1 in (1.0, -1.0):
-            for e3 in (1.0, -1.0):
-                sp = e1 * e3 * aux_sp
-                rp = np.array([[cp, 0.0, sp], [0.0, -1.0, 0.0], [sp, 0.0, -cp]])
-                tp = (d1 + d3) * np.array([e1 * x1, 0.0, e3 * x3])
-                npl = np.array([e1 * x1, 0.0, e3 * x3])
-                # d' = -d2 on this branch.
-                candidates.append(
-                    (s * (u @ rp @ vt), (u @ tp) / (-s * d2), v @ npl)
-                )
-    return candidates, spread
+    cp = (d1 * d3 - d2 * d2) / ((d1 - d3) * d2)
+    e1 = np.array([1.0, 1.0, -1.0, -1.0])
+    e3 = np.array([1.0, -1.0, 1.0, -1.0])
+    st = e1 * e3 * (root / ((d1 + d3) * d2))
+    sp = e1 * e3 * (root / ((d1 - d3) * d2))
+    rp = np.zeros((8, 3, 3))
+    rp[:, 0, 0] = np.repeat([ct, cp], 4)
+    rp[:, 1, 1] = np.repeat([1.0, -1.0], 4)
+    rp[:, 2, 2] = np.repeat([ct, -cp], 4)
+    rp[:, 0, 2] = np.concatenate([-st, sp])
+    rp[:, 2, 0] = np.concatenate([st, sp])
+    zero = np.zeros(4)
+    tp = np.concatenate([
+        (d1 - d3) * np.stack([e1 * x1, zero, -e3 * x3], axis=1),
+        (d1 + d3) * np.stack([e1 * x1, zero, e3 * x3], axis=1),
+    ])
+    npl = np.tile(np.stack([e1 * x1, zero, e3 * x3], axis=1), (2, 1))
+    # The factorization reads h_cal = s d' R + t_raw n^T; dividing t_raw
+    # by (s d') restores the unit plane-distance gauge of the cheirality
+    # tests.  Each stacked product is the same BLAS call, with the same
+    # bits, as the one for its candidate alone.
+    scale = np.repeat([s * d2, -s * d2], 4)[:, None]
+    rotations = s * (u @ rp @ vt)
+    translations = (u @ tp[..., None])[..., 0] / scale
+    normals = (vt.T @ npl[..., None])[..., 0]
+    return rotations, translations, normals, spread
 
 
 def decompose_homography_candidates(
@@ -606,6 +604,9 @@ def decompose_homography_candidates(
     A homography with (numerically) equal singular values is returned as a
     single zero-motion hypothesis with the rotation recovered and the
     translation direction undefined.
+
+    The cheirality tests run on all eight candidates at once, the
+    residuals on all that pass them at once.
     """
     if len(c) < 1:
         raise InsufficientDataError("decomposition needs correspondences")
@@ -624,8 +625,8 @@ def decompose_homography_candidates(
         h_cal = -h_cal
 
     spread_val = point_spread(c.a, image_size) if image_size else 1.0
-    candidates, _ = _faugeras_candidates(h_cal)
-    if not candidates:
+    rotations, translations, normals, _ = _faugeras_candidates(h_cal)
+    if rotations is None:
         r = Rotation.from_matrix(
             h_cal / np.linalg.svd(h_cal, compute_uv=False)[1], reproject=True
         )
@@ -639,41 +640,32 @@ def decompose_homography_candidates(
             )
         ]
 
-    surviving = []
-    for r_m, t, n in candidates:
-        n_norm = np.linalg.norm(n)
-        t_norm = np.linalg.norm(t)
-        if n_norm < 1e-12 or t_norm < 1e-12:
-            continue
-        n = n / n_norm
-        # Plane must lie in front of camera A; (t, n) -> (-t, -n) is the
-        # same factorization, so flip to make that so.
-        front = rays_a @ n
-        if np.median(front) < 0:
-            n = -n
-            t = -t
-            front = -front
-        if np.any(front <= 0):
-            continue
-        depth_a = 1.0 / front  # plane distance gauge d = 1
-        pts_b = (rays_a * depth_a[:, None]) @ r_m.T + t
-        if np.any(pts_b[:, 2] <= 0):
-            continue
-        h_cand = k @ (r_m + np.outer(t, n)) @ k_inv
-        residual = float(np.mean(symmetric_transfer_error(h_cand, c.a, c.b)))
-        t_dir = t / np.linalg.norm(t)
-        duplicate = False
-        for other in surviving:
-            if (
-                np.abs(other[1] - r_m).max() < 1e-9
-                and float(other[2] @ t_dir) > 1.0 - 1e-12
-            ):
-                duplicate = True
-                break
-        if not duplicate:
-            surviving.append((residual, r_m, t_dir, n, float(n @ mean_ray)))
-    if not surviving:
+    # Plane must lie in front of camera A; (t, n) -> (-t, -n) is the same
+    # factorization, so flip to make that so.  The tests read only signs:
+    # they use the normals as built, unit up to rounding, and the depth in
+    # B, (R X_a)_z + t_z with X_a = x_a / (n . x_a), times the positive
+    # n . x_a.
+    front = normals @ rays_a.T  # (8, N)
+    flip = np.where(np.median(front, axis=1) < 0, -1.0, 1.0)[:, None]
+    front *= flip
+    depth_b = rotations[:, 2] @ rays_a.T + (flip * translations[:, 2:]) * front
+    passed = np.flatnonzero((front > 0).all(axis=1) & (depth_b > 0).all(axis=1))
+    if not passed.size:
         raise CheiralityError("no decomposition with full positive-depth support")
+    r_pass = rotations[passed]
+    n_pass = [flip[i] * (normals[i] / np.linalg.norm(normals[i])) for i in passed]
+    t_pass = flip[passed] * translations[passed]
+    h_cand = k @ (r_pass + t_pass[:, :, None] * np.array(n_pass)[:, None, :]) @ k_inv
+    residuals = np.mean(symmetric_transfer_error(h_cand, c.a, c.b), axis=1)
+
+    surviving = []
+    for residual, r_m, t, n in zip(residuals, r_pass, t_pass, n_pass):
+        t_dir = t / np.linalg.norm(t)
+        if not any(
+            np.abs(other[1] - r_m).max() < 1e-9 and float(other[2] @ t_dir) > 1.0 - 1e-12
+            for other in surviving
+        ):
+            surviving.append((float(residual), r_m, t_dir, n, float(n @ mean_ray)))
     surviving.sort(key=lambda item: (round(item[0], 9), -item[4]))
     return [
         PoseHypothesis(

@@ -161,6 +161,22 @@ class TestBenchNoise:
         )
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
+    def test_grid_without_checks_reports_skip(self, tmp_path, capsys):
+        # No ordering check reads mu = 0.3: the sweep says so instead of
+        # reporting that its checks passed.
+        config = tmp_path / "bench.json"
+        config.write_text(
+            json.dumps({"r_values": [4], "mu_values": [0.3], "trials": 1, "max_iters": 20})
+        )
+        code = cli.main(["bench-noise", str(config), "--output", str(tmp_path / "b.csv")])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2] == (
+            "[SKIP] no ordering check applies to this grid (needs mu = 0.01, 0.5 or 0.9)"
+        )
+        assert not any(line.startswith(("[PASS]", "[FAIL]")) for line in lines)
+        assert json.loads(lines[-1])["checks_passed"] is None
+
 
 class TestMatchPlanes:
     @staticmethod

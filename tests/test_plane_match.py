@@ -417,6 +417,77 @@ class TestPlaneGraphFromMask:
         np.testing.assert_allclose(g.distances, _graph_oracle(PlaneSegmentMap(lab)))
 
 
+def _parallel_lines(bump: bool) -> PlaneSegmentMap:
+    """Two 200 px lines 10 rows apart, so that every pixel of the second
+    lies exactly at the first query's bound; with ``bump`` one pixel the
+    subsample skips comes a row nearer."""
+    lab = np.zeros((16, 220), dtype=np.int32)
+    lab[2, 10:210] = 1
+    lab[12, 10:210] = 2
+    if bump:
+        lab[11, 15] = 2
+    return PlaneSegmentMap(lab)
+
+
+# Maps on which the bounded queries of PlaneGraph.from_mask must give the
+# unbounded whole-image kd-tree distances bit for bit.
+BOUNDED_QUERY_CASES = {
+    "touching": lambda: _mask(
+        (12, 20), {1: (slice(0, 6), slice(0, 10)), 2: (slice(0, 6), slice(10, 20)),
+                   3: (slice(6, 12), slice(10, 20))}
+    ),
+    "diagonal-contact": lambda: _mask(
+        (10, 10), {1: (slice(0, 4), slice(0, 4)), 2: (slice(4, 8), slice(4, 8))}
+    ),
+    "far-pair": lambda: _mask(
+        (40, 360), {1: (slice(5, 35), slice(0, 30)), 2: (slice(10, 30), slice(330, 360))}
+    ),
+    # 8 boundary pixels, fewer than one subsample stride.
+    "few-boundary-pixels": lambda: _mask(
+        (60, 90), {1: (slice(5, 55), slice(0, 50)), 2: (slice(20, 23), slice(80, 83))}
+    ),
+    "single-pixel": lambda: _mask(
+        (60, 90), {1: (slice(40, 41), slice(85, 86)), 2: (slice(5, 55), slice(0, 50)),
+                   3: (slice(0, 1), slice(89, 90))}
+    ),
+    "tie-at-bound": lambda: _parallel_lines(bump=False),
+    "below-bound-off-sample": lambda: _parallel_lines(bump=True),
+    "aliasing-stripes": _aliasing_stripes,
+}
+
+
+class TestBoundedGraphQueries:
+    """The subsample bound prunes the kd-tree search without moving a
+    minimum: each map's distances equal the unbounded oracle's bits."""
+
+    @pytest.mark.parametrize("case", sorted(BOUNDED_QUERY_CASES))
+    def test_equals_unbounded_oracle(self, case):
+        m = BOUNDED_QUERY_CASES[case]()
+        np.testing.assert_array_equal(PlaneGraph.from_mask(m).distances, _whole_image_graph(m))
+
+    def test_cases_read_what_they_name(self):
+        d = {name: PlaneGraph.from_mask(build()).distances for name, build in BOUNDED_QUERY_CASES.items()}
+        assert (d["touching"][np.triu_indices(3, 1)] == 0.0).all()
+        assert d["diagonal-contact"][0, 1] == 0.0
+        assert d["far-pair"][0, 1] == 301.0
+        assert d["few-boundary-pixels"][0, 1] == 31.0
+        assert d["single-pixel"][0, 1] == 36.0 and d["single-pixel"][0, 2] == math.hypot(40, 4)
+        assert d["tie-at-bound"][0, 1] == 10.0
+        assert d["below-bound-off-sample"][0, 1] == 9.0
+        assert len(d["aliasing-stripes"]) == 300
+
+    def test_ties_at_the_bound_are_kept(self):
+        # Every pixel of the queried line sits exactly at the subsample's
+        # minimum; a strict bound would prune them all and read inf.
+        m = _parallel_lines(bump=False)
+        boundary = np.argwhere(m.labels == 2)
+        first, _ = scipy.spatial.cKDTree(np.argwhere(m.labels == 1)).query(
+            boundary[:: plane_match._SUBSAMPLE_STRIDE], k=1
+        )
+        assert (first == 10.0).all()
+        assert PlaneGraph.from_mask(m).distances[0, 1] == 10.0
+
+
 class TestAffinities:
     def test_node_affinity_counts(self):
         m_ref = _mask((30, 30), {1: (slice(2, 9), slice(2, 9)), 2: (slice(18, 25), slice(18, 25))})

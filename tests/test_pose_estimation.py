@@ -874,3 +874,190 @@ class TestEightPointNullVector:
         expected = u @ np.diag([sm, sm, 0.0]) @ vt
         assert np.array_equal(_essential_from_rays(xa, xb), expected)
         assert np.array_equal(_essential_from_rays(xa[None], xb[None])[0], expected)
+
+
+def _faugeras_oracle(h_cal):
+    """The candidate-by-candidate factorization the stacked one replaces:
+    a list of (R, t, n) triples, empty below the zero-baseline spread."""
+    u, d, vt = np.linalg.svd(h_cal)
+    d1, d2, d3 = d
+    if (d1 - d3) / d2 < pose_estimation.ZERO_MOTION_SPREAD:
+        return []
+    s = np.linalg.det(u) * np.linalg.det(vt)
+    v = vt.T
+    denom = d1 * d1 - d3 * d3
+    x1 = np.sqrt(max((d1 * d1 - d2 * d2) / denom, 0.0))
+    x3 = np.sqrt(max((d2 * d2 - d3 * d3) / denom, 0.0))
+    candidates = []
+    aux_st = np.sqrt(max((d1 * d1 - d2 * d2) * (d2 * d2 - d3 * d3), 0.0)) / ((d1 + d3) * d2)
+    ct = (d2 * d2 + d1 * d3) / ((d1 + d3) * d2)
+    for e1 in (1.0, -1.0):
+        for e3 in (1.0, -1.0):
+            st = e1 * e3 * aux_st
+            rp = np.array([[ct, 0.0, -st], [0.0, 1.0, 0.0], [st, 0.0, ct]])
+            tp = (d1 - d3) * np.array([e1 * x1, 0.0, -e3 * x3])
+            npl = np.array([e1 * x1, 0.0, e3 * x3])
+            candidates.append((s * (u @ rp @ vt), (u @ tp) / (s * d2), v @ npl))
+    if d1 - d3 > 1e-12 * d2:
+        aux_sp = np.sqrt(max((d1 * d1 - d2 * d2) * (d2 * d2 - d3 * d3), 0.0)) / ((d1 - d3) * d2)
+        cp = (d1 * d3 - d2 * d2) / ((d1 - d3) * d2)
+        for e1 in (1.0, -1.0):
+            for e3 in (1.0, -1.0):
+                sp = e1 * e3 * aux_sp
+                rp = np.array([[cp, 0.0, sp], [0.0, -1.0, 0.0], [sp, 0.0, -cp]])
+                tp = (d1 + d3) * np.array([e1 * x1, 0.0, e3 * x3])
+                npl = np.array([e1 * x1, 0.0, e3 * x3])
+                candidates.append((s * (u @ rp @ vt), (u @ tp) / (-s * d2), v @ npl))
+    return candidates
+
+
+def _decompose_oracle(h, intr, c, image_size=None):
+    """The per-candidate cheirality and residual loop that the stacked
+    decomposition replaces, kept as the reference for its output bits."""
+    k, k_inv = intr.matrix(), intr.inverse_matrix()
+    h_cal = k_inv @ h.matrix @ k
+    rays_a, rays_b = _rays(intr, c.a), _rays(intr, c.b)
+    mean_ray = rays_a.mean(axis=0)
+    mean_ray = mean_ray / np.linalg.norm(mean_ray)
+    if np.median(np.einsum("ij,ij->i", rays_b, rays_a @ h_cal.T)) < 0:
+        h_cal = -h_cal
+    spread_val = point_spread(c.a, image_size) if image_size else 1.0
+    candidates = _faugeras_oracle(h_cal)
+    if not candidates:
+        r = Rotation.from_matrix(h_cal / np.linalg.svd(h_cal, compute_uv=False)[1], reproject=True)
+        return [
+            pose_estimation.PoseHypothesis(
+                pose=DirectionalPose(r, np.array([0.0, 0.0, 1.0])),
+                support=len(c),
+                spread=spread_val,
+                zero_motion=True,
+            )
+        ]
+    surviving = []
+    for r_m, t, n in candidates:
+        n_norm, t_norm = np.linalg.norm(n), np.linalg.norm(t)
+        if n_norm < 1e-12 or t_norm < 1e-12:
+            continue
+        n = n / n_norm
+        front = rays_a @ n
+        if np.median(front) < 0:
+            n, t, front = -n, -t, -front
+        if np.any(front <= 0):
+            continue
+        pts_b = (rays_a * (1.0 / front)[:, None]) @ r_m.T + t
+        if np.any(pts_b[:, 2] <= 0):
+            continue
+        h_cand = k @ (r_m + np.outer(t, n)) @ k_inv
+        residual = float(np.mean(symmetric_transfer_error(h_cand, c.a, c.b)))
+        t_dir = t / np.linalg.norm(t)
+        if not any(
+            np.abs(o[1] - r_m).max() < 1e-9 and float(o[2] @ t_dir) > 1.0 - 1e-12
+            for o in surviving
+        ):
+            surviving.append((residual, r_m, t_dir, n, float(n @ mean_ray)))
+    if not surviving:
+        raise CheiralityError("no decomposition with full positive-depth support")
+    surviving.sort(key=lambda item: (round(item[0], 9), -item[4]))
+    return [
+        pose_estimation.PoseHypothesis(
+            pose=DirectionalPose(Rotation.from_matrix(r_m, reproject=True), t_dir),
+            plane_normal=n,
+            support=len(c),
+            spread=spread_val,
+        )
+        for _, r_m, t_dir, n, _ in surviving
+    ]
+
+
+def _assert_same_hypotheses(got, expected):
+    assert len(got) == len(expected)
+    for x, y in zip(got, expected):
+        np.testing.assert_array_equal(x.pose.rotation.matrix, y.pose.rotation.matrix)
+        np.testing.assert_array_equal(x.pose.direction, y.pose.direction)
+        if y.plane_normal is None:
+            assert x.plane_normal is None
+        else:
+            np.testing.assert_array_equal(x.plane_normal, y.plane_normal)
+        assert (x.support, x.spread, x.zero_motion) == (y.support, y.spread, y.zero_motion)
+
+
+def _random_plane_motion(seed):
+    rng = np.random.default_rng(seed)
+    rot = Rotation.from_axis_angle(rng.standard_normal(3), rng.uniform(1, 18))
+    t = rng.uniform(-0.25, 0.25, 3)
+    n = rng.standard_normal(3)
+    n[2] = abs(n[2]) + 1.5
+    return rot, t, n / np.linalg.norm(n), rng.uniform(1.0, 3.0)
+
+
+class TestStackedDecomposition:
+    """All eight candidates tested and scored as one stack give the
+    per-candidate loop's hypotheses bit for bit, in its order."""
+
+    IMAGE_SIZE = (1280, 960)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_general_motion_equals_oracle(self, intr, seed):
+        rot, t, n, dist = _random_plane_motion(seed)
+        c, _ = plane_pair_set(intr, rot, t, n, dist, seed=seed)
+        h, mask = estimate_homography_ransac(c, intr, 1.0, 300, seed=seed)
+        inl = c.subset(mask)
+        expected = _decompose_oracle(h, intr, inl, self.IMAGE_SIZE)
+        _assert_same_hypotheses(decompose_homography_candidates(h, intr, inl, self.IMAGE_SIZE), expected)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_noisy_inliers_equal_oracle(self, intr, seed):
+        rot, t, n, dist = _random_plane_motion(100 + seed)
+        c, _ = plane_pair_set(intr, rot, t, n, dist, count=300, seed=seed)
+        rng = np.random.default_rng(seed)
+        noisy = CorrespondenceSet(c.a, c.b + rng.normal(0.0, 0.7, size=c.b.shape))
+        h, mask = estimate_homography_ransac(noisy, intr, 2.0, 300, seed=seed)
+        inl = noisy.subset(mask)
+        _assert_same_hypotheses(decompose_homography_candidates(h, intr, inl), _decompose_oracle(h, intr, inl))
+
+    def test_pure_rotation_takes_the_zero_motion_path(self, intr):
+        rot = Rotation.from_axis_angle([0.2, 1.0, 0.1], 4.0)
+        c, _ = plane_pair_set(intr, rot, [0.0, 0.0, 0.0], [0, 0, 1], 2.0)
+        h = Homography(_pixel_homography(intr, rot, [0.0, 0.0, 0.0], [0, 0, 1], 2.0))
+        got = decompose_homography_candidates(h, intr, c, self.IMAGE_SIZE)
+        assert len(got) == 1 and got[0].zero_motion
+        _assert_same_hypotheses(got, _decompose_oracle(h, intr, c, self.IMAGE_SIZE))
+
+    def test_cheirality_rejections_equal_oracle(self, intr):
+        # A patch on one side of the plane: the tests drop most of the
+        # eight candidates, and the twins left come back in the same order.
+        rot, t = Rotation.about_y(6.0), np.array([0.04, 0.0, 0.01])
+        n = np.array([0.9, 0.0, 0.436]) / np.linalg.norm([0.9, 0.0, 0.436])
+        h_pix = _pixel_homography(intr, rot, t, n, float(n @ [0.0, 0.0, 2.0]))
+        rng = np.random.default_rng(3)
+        a = np.column_stack([rng.uniform(400, 900, 40), rng.uniform(200, 700, 40)])
+        bh = np.hstack([a, np.ones((40, 1))]) @ h_pix.T
+        c = CorrespondenceSet(a, bh[:, :2] / bh[:, 2:])
+        expected = _decompose_oracle(Homography(h_pix), intr, c)
+        assert 1 <= len(expected) < 8
+        _assert_same_hypotheses(decompose_homography_candidates(Homography(h_pix), intr, c), expected)
+
+        # Pairs on both sides of every surviving normal's horizon: the
+        # stack raises where the loop raises.
+        u_grid = np.linspace(-3000, 3000, 400)
+        pixels = np.column_stack([u_grid, np.full_like(u_grid, 480.0)])
+        side = _rays(intr, pixels) @ np.array([x.plane_normal for x in expected]).T
+        bad = pixels[np.concatenate([side.argmax(axis=0), side.argmin(axis=0)])]
+        bh = np.hstack([bad, np.ones((len(bad), 1))]) @ h_pix.T
+        c_bad = CorrespondenceSet(bad, bh[:, :2] / bh[:, 2:])
+        with pytest.raises(CheiralityError):
+            _decompose_oracle(Homography(h_pix), intr, c_bad)
+        with pytest.raises(CheiralityError):
+            decompose_homography_candidates(Homography(h_pix), intr, c_bad)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_candidate_stack_equals_the_loop(self, intr, seed):
+        rot, t, n, dist = _random_plane_motion(200 + seed)
+        h_cal = rot.matrix + np.outer(t / dist, n)
+        rotations, translations, normals, _ = pose_estimation._faugeras_candidates(h_cal)
+        expected = _faugeras_oracle(h_cal)
+        assert len(expected) == 8
+        for k, (r_m, t_k, n_k) in enumerate(expected):
+            np.testing.assert_array_equal(rotations[k], r_m)
+            np.testing.assert_array_equal(translations[k], t_k)
+            np.testing.assert_array_equal(normals[k], n_k)

@@ -363,6 +363,68 @@ class TestArrowheadSolve:
             solve_scale_system(c, intr, DirectionalPose(rotation, [0, 0, 1]))
 
 
+def _block_ratios(arr):
+    sv = np.linalg.svd((arr[:, _BLOCK] * _SIGN)[:, :, :2], compute_uv=False)
+    return sv[:, 1] / sv[:, 0]
+
+
+def _near_converged_arrays(intr, fraction, seed=5):
+    """Coefficients of an exact two-view set whose translation is the given
+    fraction of the ~2 m depth: each track's two rays nearly coincide, as at
+    the end of a relocalization."""
+    rotation = Rotation.about_y(0.5)
+    t_dir = np.array([0.6, -0.3, 0.74]) / np.linalg.norm([0.6, -0.3, 0.74])
+    c, _, _ = _two_view(intr, rotation, t_dir * 2.0 * fraction, count=120, seed=seed)
+    return coefficient_arrays(c.a, c.b, intr, DirectionalPose(rotation, t_dir))
+
+
+class TestNearConvergedSolve:
+    """The secular solve against the dense SVD where track blocks are nearly
+    rank one.
+
+    A block whose da/db columns are within ``s2 / s1`` of parallel leaves
+    every backward-stable factorization an error of about ``eps s1 / s2``
+    along its smaller singular vector, and two such solves differ by up to
+    that much.  1e-9 on the unit ``y`` holds while every block keeps
+    ``s2 / s1`` above about 1e-6; nearer convergence the bound is
+    ``eps / min(s2 / s1)``.
+    """
+
+    @pytest.mark.parametrize("fraction", [1e-2, 1e-3, 1e-4, 1e-5])
+    def test_matches_dense_solve(self, intr, fraction):
+        arr = _near_converged_arrays(intr, fraction)
+        assert _block_ratios(arr).min() > 1e-7
+        w, y = _arrowhead_eigen(arr)
+        s, v = _svd_oracle(arr)
+        np.testing.assert_allclose(_unit(y, v), v, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(np.sqrt(w[1]), s[1], rtol=1e-9)
+
+    @pytest.mark.parametrize("fraction, below", [(1e-6, 1e-7), (1e-8, 1e-9)])
+    def test_matches_dense_solve_within_the_block_bound(self, intr, fraction, below):
+        # At 1e-8 the nearest block has s2 / s1 ~ 3e-10.
+        arr = _near_converged_arrays(intr, fraction)
+        ratio = _block_ratios(arr).min()
+        assert ratio < below
+        w, y = _arrowhead_eigen(arr)
+        s, v = _svd_oracle(arr)
+        np.testing.assert_allclose(_unit(y, v), v, rtol=0, atol=np.finfo(float).eps / ratio)
+        assert y[-1] * v[-1] > 0
+        np.testing.assert_allclose(np.sqrt(w[1]), s[1], rtol=1e-6)
+
+    @pytest.mark.parametrize("k", [1.0 + 1e-12, -(1.0 + 1e-12)])
+    def test_nearly_parallel_block(self, intr, k):
+        # b2 = k b1 in one track, s2 / s1 ~ 1e-17; the rest of the system is
+        # ordinary noisy geometry.
+        _, _, arr = _noisy_arrays(intr, 60, seed=7)
+        a, g = 1.3, 0.2
+        arr[11] = [a, k * a, g, k * k * a, k * g, arr[0, 5]]
+        assert _block_ratios(arr)[11] < 1e-11
+        w, y = _arrowhead_eigen(arr)
+        s, v = _svd_oracle(arr)
+        np.testing.assert_allclose(_unit(y, v), v, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(np.sqrt(w[1]), s[1], rtol=1e-9)
+
+
 class TestGradientIdentity:
     def test_rows_match_finite_differences(self, intr):
         # Independent oracle: central differences of the per-point warping
