@@ -13,6 +13,16 @@ Disk erosion and the inter-region distances each take one pass, not one
 per region, over the bounding box of the labelled pixels, with the labels
 cast to uint8 where they fit.  The erosion runs on rows packed 64 pixels
 to a uint64 word.
+
+The distances run on row runs, the maximal stretches of one label along a
+row.  Two runs ``dy`` rows apart with ``gap`` columns between them are
+``sqrt(dy**2 + gap**2)`` apart, and the minimum over two regions' run pairs
+is the minimum over their boundary pixels: a region's pixel nearest another
+region is a boundary pixel, since from an interior one a step toward the
+other region stays inside and comes nearer.  A bound from a sample of run
+ends limits the run pairs compared.  The bound is itself the distance of a
+real pixel pair, and the comparison keeps every pair at or below it, so no
+tie at the bound is lost (see :meth:`PlaneGraph.from_mask`).
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     BudgetExceededError,
@@ -260,42 +269,104 @@ class PlaneGraph:
 
     @staticmethod
     def from_mask(m: PlaneSegmentMap) -> "PlaneGraph":
+        """The minimum Euclidean pixel distance between every two regions.
+
+        The distance of two regions is the minimum, over pairs of their row
+        runs, of ``dy**2 + gap**2``: ``dy`` is the rows' difference and
+        ``gap`` the columns between the runs (0 where they overlap).  That
+        is the minimum over all their pixel pairs, hence over their
+        boundary pixels, since a region's pixel nearest another region is
+        always a boundary pixel (one step toward the other region from an
+        interior pixel stays inside and comes nearer).  The square root of
+        the integer ``d**2`` is the float a kd-tree over the boundary
+        pixels returns.  Regions at most sqrt(2) apart touch and read 0.
+
+        Region i is compared with all later regions at once.  Each later
+        region j gets an upper bound ``U**2`` from :func:`_upper_bounds`.
+        A run r of j at horizontal gap ``hg`` from i's column span then
+        visits only i's rows within ``sqrt(U**2 - hg**2)`` of its own row,
+        and in each such row only i's run nearest to it, found by one
+        ``searchsorted``.  The bound loses no tie: ``U**2`` is the squared
+        distance of a real pixel pair and is j's starting minimum, which
+        visits only lower, and every pair at most ``U**2`` apart has
+        ``dy**2 + hg**2 <= U**2``, so its rows are visited.
+        """
         ids = tuple(m.plane_ids)
         h = len(ids)
         d = np.zeros((h, h))
         if h < 2:
             return PlaneGraph(ids, d)
-        # Boundary pixels: on the labelled box's edge (outside it lies
-        # background or the image edge) or 4-adjacent to another label.
         # Distances do not depend on where the box sits.
         lab, _ = _labelled_box(m)
-        c = lab[1:-1, 1:-1]
-        boundary = lab > 0
-        boundary[1:-1, 1:-1] &= (
-            (c != lab[:-2, 1:-1]) | (c != lab[2:, 1:-1])
-            | (c != lab[1:-1, :-2]) | (c != lab[1:-1, 2:])
-        )
-        flat = np.flatnonzero(boundary)  # row-major, as np.nonzero
-        owner = lab.ravel()[flat]
-        flat = flat[np.argsort(owner, kind="stable")]
-        split = np.cumsum(np.bincount(owner, minlength=h + 1)[1:-1])
-        boundaries = np.split(np.column_stack(np.divmod(flat, lab.shape[1])), split)
-        for i in range(h - 1):  # the last region is only ever queried
-            tree = cKDTree(boundaries[i])
-            for j in range(i + 1, h):
-                # A subsample (one pixel in _SUBSAMPLE_STRIDE) bounds the
-                # minimum from above; the full query then prunes every
-                # subtree past that bound (pixel distances are square roots
-                # of integers, so the margin loses no tie) and its minimum
-                # stays exact.
-                first, _ = tree.query(boundaries[j][::_SUBSAMPLE_STRIDE], k=1)
-                bound = first.min() * (1 + 1e-9) + 1e-9
-                dist, _ = tree.query(boundaries[j], k=1, distance_upper_bound=bound)
-                dmin = float(dist.min())
-                if dmin <= math.sqrt(2.0) + 1e-12:
-                    dmin = 0.0
-                d[i, j] = d[j, i] = dmin
+        bh, bw = lab.shape
+        row, lo, hi, owner = _row_runs(lab)
+        first = np.searchsorted(owner, np.arange(h + 1))  # region k: first[k]:first[k + 1]
+        n = len(row)
+        no_run = bh + bw  # a gap no pair of pixels in the box reaches
+        for i in range(h - 1):  # the last region is only ever visited
+            a, later = slice(first[i], first[i + 1]), np.arange(first[i + 1], n)
+            bound = _upper_bounds(row, lo, hi, owner, first, i)
+            hg = np.maximum(np.maximum(lo[later] - hi[a].max(), lo[a].min() - hi[later]), 0)
+            reach2 = bound[owner[later] - i - 1] - hg * hg
+            reach = np.where(reach2 < 0, -1, np.sqrt(np.maximum(reach2, 0)).astype(np.int64))
+            top = np.maximum(row[later] - reach, row[first[i]])
+            count = np.maximum(np.minimum(row[later] + reach, row[first[i + 1] - 1]) - top + 1, 0)
+            run = np.repeat(later, count)
+            y = np.repeat(top - np.cumsum(count) + count, count) + np.arange(len(run))
+            # i's runs are in raster order, so row * bw + lo sorts them;
+            # k - 1 is i's last run in row y that starts at or left of the
+            # visiting run's end, k the next one: the nearest on each side.
+            k = np.searchsorted(row[a] * bw + lo[a], y * bw + hi[run], side="right") + first[i]
+            gap = np.full(len(run), no_run)
+            for c in (np.maximum(k - 1, first[i]), np.minimum(k, first[i + 1] - 1)):
+                g = np.maximum(np.maximum(lo[c] - hi[run], lo[run] - hi[c]), 0)
+                np.minimum(gap, np.where(row[c] == y, g, no_run), out=gap)
+            np.minimum.at(bound, owner[run] - i - 1, (y - row[run]) ** 2 + gap * gap)
+            dist = np.sqrt(bound)
+            dist[bound <= 2] = 0.0
+            d[i, i + 1 :] = d[i + 1 :, i] = dist
         return PlaneGraph(ids, d)
+
+
+def _row_runs(lab: np.ndarray):
+    """The row runs of ``lab``: maximal stretches of one nonzero label along
+    a row, as (row, first column, last column, region index) int64 arrays.
+
+    Runs are ordered by region (index = label - 1) and, within one region,
+    in raster order.
+    """
+    bw = lab.shape[1]
+    flat = lab.ravel()
+    starts = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::bw] = True
+    start = np.flatnonzero(starts)
+    end = np.append(start[1:], flat.size) - 1
+    label = flat[start].astype(np.int64)
+    order = np.argsort(label, kind="stable")[np.count_nonzero(label == 0) :]
+    start, end = start[order], end[order]
+    row = start // bw
+    return row, start - row * bw, end - row * bw, label[order] - 1
+
+
+def _upper_bounds(row, lo, hi, owner, first, i) -> np.ndarray:
+    """Squared distances of real pixel pairs, one per region after region
+    ``i``, each at least that region's squared distance to ``i``.
+
+    Both ends of every ``_SUBSAMPLE_STRIDE``-th later run, and of each
+    later region's first run, against both ends of every run of ``i``.  The
+    float64 products are exact integers while coordinates stay below 2**25.
+    """
+    a = slice(first[i], first[i + 1])
+    sample = np.union1d(np.arange(first[i + 1], len(row), _SUBSAMPLE_STRIDE), first[i + 1 : -1])
+    p, q = (
+        np.column_stack([np.tile(row[s], 2), np.concatenate([lo[s], hi[s]])]).astype(float)
+        for s in (sample, a)
+    )
+    sq = (p * p).sum(axis=1)[:, None] + (q * q).sum(axis=1) - 2.0 * (p @ q.T)
+    bound = np.full(len(first) - i - 2, np.iinfo(np.int64).max)
+    np.minimum.at(bound, np.tile(owner[sample], 2) - i - 1, sq.min(axis=1).astype(np.int64))
+    return bound
 
 
 def node_affinity_matrix(

@@ -418,9 +418,10 @@ class TestPlaneGraphFromMask:
 
 
 def _parallel_lines(bump: bool) -> PlaneSegmentMap:
-    """Two 200 px lines 10 rows apart, so that every pixel of the second
-    lies exactly at the first query's bound; with ``bump`` one pixel the
-    subsample skips comes a row nearer."""
+    """Two 200 px lines 10 rows apart, so that the sampled run ends already
+    sit at the minimum and every pixel of the second line ties the bound;
+    with ``bump`` one pixel comes a row nearer, below the bound at a pair
+    the sample does not hold."""
     lab = np.zeros((16, 220), dtype=np.int32)
     lab[2, 10:210] = 1
     lab[12, 10:210] = 2
@@ -429,8 +430,32 @@ def _parallel_lines(bump: bool) -> PlaneSegmentMap:
     return PlaneSegmentMap(lab)
 
 
-# Maps on which the bounded queries of PlaneGraph.from_mask must give the
-# unbounded whole-image kd-tree distances bit for bit.
+def _u_wrap() -> PlaneSegmentMap:
+    """Region 2 is a U wrapping regions 1 and 3: two runs in each of its
+    upper rows, and a column span that bounds nothing (gap 0).  Region 3's
+    first row stops short of the U's right arm, so the sampled bound is
+    loose and only the arm's run, right of region 3's runs, holds the
+    minimum."""
+    lab = np.zeros((30, 40), dtype=np.int32)
+    lab[:, :5] = lab[:, 35:] = lab[25:] = 2
+    lab[2:9, 8:21] = 1
+    lab[14, 22:27] = lab[15:21, 22:32] = 3
+    return PlaneSegmentMap(lab)
+
+
+def _far_pair_full_size() -> PlaneSegmentMap:
+    """Region 1 is two blocks at the top and bottom left corners of a
+    1280 x 960 map, region 2 a block midway down the right edge: of the
+    rows that region 2's runs visit, only the two ends hold a run of
+    region 1."""
+    lab = np.zeros((960, 1280), dtype=np.int32)
+    lab[0:10, 0:10] = lab[950:960, 0:10] = 1
+    lab[475:485, 1270:1280] = 2
+    return PlaneSegmentMap(lab)
+
+
+# Maps on which the bounded run visits of PlaneGraph.from_mask must give
+# the unbounded whole-image kd-tree distances bit for bit.
 BOUNDED_QUERY_CASES = {
     "touching": lambda: _mask(
         (12, 20), {1: (slice(0, 6), slice(0, 10)), 2: (slice(0, 6), slice(10, 20)),
@@ -453,12 +478,18 @@ BOUNDED_QUERY_CASES = {
     "tie-at-bound": lambda: _parallel_lines(bump=False),
     "below-bound-off-sample": lambda: _parallel_lines(bump=True),
     "aliasing-stripes": _aliasing_stripes,
+    "u-wrap": _u_wrap,
+    # No shared row: the nearest pair is corner to corner.
+    "stacked-diagonal": lambda: _mask(
+        (25, 50), {1: (slice(0, 10), slice(0, 20)), 2: (slice(15, 25), slice(30, 50))}
+    ),
+    "far-pair-full-size": _far_pair_full_size,
 }
 
 
 class TestBoundedGraphQueries:
-    """The subsample bound prunes the kd-tree search without moving a
-    minimum: each map's distances equal the unbounded oracle's bits."""
+    """The sampled bound prunes the run visits without moving a minimum:
+    each map's distances equal the unbounded oracle's bits."""
 
     @pytest.mark.parametrize("case", sorted(BOUNDED_QUERY_CASES))
     def test_equals_unbounded_oracle(self, case):
@@ -475,16 +506,18 @@ class TestBoundedGraphQueries:
         assert d["tie-at-bound"][0, 1] == 10.0
         assert d["below-bound-off-sample"][0, 1] == 9.0
         assert len(d["aliasing-stripes"]) == 300
+        assert d["u-wrap"][0, 1] == d["u-wrap"][1, 2] == 4.0
+        assert d["u-wrap"][0, 2] == math.hypot(6, 2)
+        assert d["stacked-diagonal"][0, 1] == math.hypot(6, 11)
+        assert d["far-pair-full-size"][0, 1] == math.hypot(466, 1261)
 
     def test_ties_at_the_bound_are_kept(self):
-        # Every pixel of the queried line sits exactly at the subsample's
-        # minimum; a strict bound would prune them all and read inf.
+        # The sampled bound equals the minimum, which every pixel of the
+        # second line ties: pruning at the bound must keep the tie.
         m = _parallel_lines(bump=False)
-        boundary = np.argwhere(m.labels == 2)
-        first, _ = scipy.spatial.cKDTree(np.argwhere(m.labels == 1)).query(
-            boundary[:: plane_match._SUBSAMPLE_STRIDE], k=1
-        )
-        assert (first == 10.0).all()
+        runs = plane_match._row_runs(plane_match._labelled_box(m)[0])
+        first = np.searchsorted(runs[3], np.arange(3))
+        np.testing.assert_array_equal(plane_match._upper_bounds(*runs, first, 0), [10**2])
         assert PlaneGraph.from_mask(m).distances[0, 1] == 10.0
 
 
