@@ -249,14 +249,15 @@ def erode_mask(m: PlaneSegmentMap, radius: float) -> PlaneSegmentMap:
         for dy in np.flatnonzero(half_width == w) - r:
             keep[max(-dy, 0) : bh - max(dy, 0)] &= run[max(dy, 0) : bh + min(dy, 0)]
     kept = np.unpackbits(keep.view(np.uint8), axis=1, count=bw, bitorder="little").view(bool)
-    lost = box[labelled[:, :bw] ^ kept]
+    # np.zeros, unlike zeros_like, leaves the pages outside the box untouched.
+    out = np.zeros(m.labels.shape, m.labels.dtype)
+    out_box = out[top : top + bh, left : left + bw]
+    np.multiply(box, kept, out=out_box)
+    lost = box[np.logical_xor(kept, labelled[:, :bw], out=kept)]
     areas = m._areas - np.bincount(lost, minlength=m.num_planes + 1)[1:]
-    box = box * kept
     if not areas.all():  # a region vanished: recompact the ids
-        box = np.concatenate([[0], np.cumsum(areas > 0)]).astype(box.dtype)[box]
+        out_box[...] = np.concatenate([[0], np.cumsum(areas > 0)]).astype(out.dtype)[out_box]
         areas = areas[areas > 0]
-    out = np.zeros_like(m.labels)
-    out[top : top + bh, left : left + bw] = box
     return PlaneSegmentMap._trusted(out, areas)
 
 

@@ -213,23 +213,28 @@ def point_spread(points, image_size) -> float:
 # ---------------------------------------------------------------------------
 
 
+_SQRT2 = np.sqrt(2.0)
+
+
 def _normalize_points(pts: np.ndarray):
     """Hartley normalization: zero centroid, mean distance sqrt(2).
 
     ``pts`` is (..., N, 2); leading axes are independent point sets, each
-    with its own (..., 3, 3) transform.
+    with its own (..., 3, 3) transform.  The sums are the ones ``mean`` and
+    ``linalg.norm`` take, bit for bit, without their Python wrappers, which
+    cost more than the arithmetic on a minimal sample.
     """
-    centroid = pts.mean(axis=-2)
-    d = np.linalg.norm(pts - centroid[..., None, :], axis=-1).mean(axis=-1)
+    n = pts.shape[-2]
+    centroid = np.add.reduce(pts, axis=-2) / n
+    centred = pts - centroid[..., None, :]
+    d = np.add.reduce(np.sqrt(np.add.reduce(centred * centred, axis=-1)), axis=-1) / n
     # Coincident points keep scale 1: dividing sqrt(2) by itself is exact.
-    scale = np.sqrt(2.0) / np.where(d > 1e-12, d, np.sqrt(2.0))
+    scale = _SQRT2 / np.where(d > 1e-12, d, _SQRT2)
     t = np.zeros(d.shape + (3, 3))
-    t[..., 0, 0] = scale
-    t[..., 0, 2] = -scale * centroid[..., 0]
-    t[..., 1, 1] = scale
-    t[..., 1, 2] = -scale * centroid[..., 1]
+    t[..., 0, 0] = t[..., 1, 1] = scale
+    t[..., :2, 2] = -scale[..., None] * centroid
     t[..., 2, 2] = 1.0
-    return (pts - centroid[..., None, :]) * scale[..., None, None], t
+    return centred * scale[..., None, None], t
 
 
 def _homogeneous_rows(pts: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,11 +76,7 @@ class PlaneSpec:
     detected: bool = True
 
     def unit_normal(self) -> np.ndarray:
-        n = np.asarray(self.normal, dtype=float)
-        norm = np.linalg.norm(n)
-        if norm < 1e-12:
-            raise InvalidSceneError("plane normal must be nonzero")
-        return n / norm
+        return self._frame[0]
 
     def local_polygon(self) -> np.ndarray:
         if self.polygon is not None:
@@ -94,7 +91,19 @@ class PlaneSpec:
 
     def basis(self):
         """(origin, e_u, e_v) of the local frame; deterministic in normal."""
-        n = self.unit_normal()
+        return self._frame[1:]
+
+    # The spec is frozen, so its geometry is computed once, on first use
+    # (an invalid spec raises then, and again on every later use), and
+    # handed out read-only.
+    @cached_property
+    def _frame(self):
+        """(unit normal, origin, e_u, e_v)."""
+        n = np.asarray(self.normal, dtype=float)
+        norm = np.linalg.norm(n)
+        if norm < 1e-12:
+            raise InvalidSceneError("plane normal must be nonzero")
+        n = n / norm
         helper = (
             np.array([0.0, 0.0, 1.0])
             if abs(n[2]) < 0.9
@@ -109,7 +118,18 @@ class PlaneSpec:
             origin = origin + (self.offset - float(n @ origin)) * n
         else:
             origin = self.offset * n
-        return origin, e_u, e_v
+        for a in (n, origin, e_u, e_v):
+            a.flags.writeable = False
+        return n, origin, e_u, e_v
+
+    @cached_property
+    def _world_polygon(self) -> np.ndarray:
+        """The polygon's vertices in the world frame, (K, 3)."""
+        origin, e_u, e_v = self.basis()
+        poly = self.local_polygon()
+        verts = origin + poly[:, 0:1] * e_u + poly[:, 1:2] * e_v
+        verts.flags.writeable = False
+        return verts
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,34 +315,35 @@ COVER_MARGIN_PX = 0.71
 
 def _projected_polygon(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics):
     """Pixel vertices of a patch; None when one lies behind the camera."""
-    origin, e_u, e_v = plane.basis()
-    poly = plane.local_polygon()
-    verts = origin + poly[:, 0:1] * e_u + poly[:, 1:2] * e_v
-    px, depths = project_points(intr, extrinsic, verts)
+    px, depths = project_points(intr, extrinsic, plane._world_polygon)
     if np.any(depths <= 1e-9):
         return None
     return px
 
 
-def _ray_depth(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics):
-    """Elementwise depth of a patch's plane along the rays of pixels (u, v).
+def _in_camera(plane: PlaneSpec, extrinsic: Pose):
+    """A patch's plane in the camera frame of a view: ``(n_c, c_c)`` with
+    ``n_c . X = c_c``."""
+    n_c = extrinsic.rotation.matrix @ plane.unit_normal()
+    return n_c, plane.offset + float(n_c @ extrinsic.translation)
+
+
+def _ray_depth(plane_c, intr: Intrinsics, u, v):
+    """Elementwise depth of a plane ``(n_c, c_c)`` from :func:`_in_camera`
+    along the rays of pixels (u, v).  A stack of planes, ``n_c`` (..., 3)
+    and ``c_c`` (...), broadcasts against u and v, with the same bits.
 
     The denominator is affine in u, so along a row it is monotone, also in
     floating point.
     """
-    n_c = extrinsic.rotation.matrix @ plane.unit_normal()
-    c_c = plane.offset + float(n_c @ extrinsic.translation)
-
-    def depth(u, v):
-        denom = (
-            n_c[0] * ((u - intr.cx) / intr.fx)
-            + n_c[1] * ((v - intr.cy) / intr.fy)
-            + n_c[2]
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return c_c / denom
-
-    return depth
+    n_c, c_c = plane_c
+    denom = (
+        n_c[..., 0] * ((u - intr.cx) / intr.fx)
+        + n_c[..., 1] * ((v - intr.cy) / intr.fy)
+        + n_c[..., 2]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return c_c / denom
 
 
 def _cover(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics, verts_px, u, v):
@@ -336,7 +357,7 @@ def _cover(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics, verts_px, u, v):
     elementwise so that a pixel gets the same depth bit for bit whatever
     array it comes in.
     """
-    depth = _ray_depth(plane, extrinsic, intr)(u, v)
+    depth = _ray_depth(_in_camera(plane, extrinsic), intr, u, v)
     if verts_px is None:
         return np.zeros(np.shape(u), dtype=bool), depth
     return _inside_convex(verts_px, u, v, COVER_MARGIN_PX) & (depth > 0), depth
@@ -392,8 +413,8 @@ def _cover_rows(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics, w: int, h: 
     """The run of columns a patch covers in each row of a w x h view, as
     :func:`_cover` decides covering, with a finite depth; the ends
     ``(lo, hi)`` per row read lo > hi where it covers nothing.  Returns
-    ``(lo, hi, depth)`` with :func:`_ray_depth`'s function, or None when
-    the patch covers no pixel.
+    ``(lo, hi, plane_c)`` with the plane from :func:`_in_camera`, or None
+    when the patch covers no pixel.
 
     Like a pass over the patch's bounding box, only pixels in that box count.
     """
@@ -426,10 +447,10 @@ def _cover_rows(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics, w: int, h: 
             lo = np.maximum(lo, _edge_end(edge, guess, v, -1, x0, x1))
     # The depth is finite and positive over a whole run when it is at both
     # ends (its denominator is monotone); other rows go pixel by pixel.
-    depth = _ray_depth(plane, extrinsic, intr)
+    plane_c = _in_camera(plane, extrinsic)
     rows = np.flatnonzero(lo <= hi)
-    d_lo = depth(lo[rows].astype(float), v[rows])
-    d_hi = depth(hi[rows].astype(float), v[rows])
+    d_lo = _ray_depth(plane_c, intr, lo[rows].astype(float), v[rows])
+    d_hi = _ray_depth(plane_c, intr, hi[rows].astype(float), v[rows])
     u = np.arange(x0, x1 + 1, dtype=float)
     for r in rows[~((0 < d_lo) & (d_lo < np.inf) & (0 < d_hi) & (d_hi < np.inf))]:
         covered, d = _cover(plane, extrinsic, intr, px, u, np.full(u.shape, v[r]))
@@ -439,14 +460,62 @@ def _cover_rows(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics, w: int, h: 
         return None
     lo_all, hi_all = np.full(h, w, dtype=np.int64), np.full(h, -1, dtype=np.int64)
     lo_all[y0 : y1 + 1], hi_all[y0 : y1 + 1] = lo, hi
-    return lo_all, hi_all, depth
+    return lo_all, hi_all, plane_c
 
 
-def _fill_runs(image: np.ndarray, lo: np.ndarray, hi: np.ndarray, value) -> None:
-    """Set columns lo..hi of each row of ``image`` where lo <= hi."""
-    rows = np.flatnonzero(lo <= hi)
-    for r, a, b in zip(rows.tolist(), lo[rows].tolist(), (hi[rows] + 1).tolist()):
-        image[r, a:b] = value
+def _row_segments(lo: np.ndarray, hi: np.ndarray, w: int):
+    """Every row of a w-wide view cut at the ends of the drawn runs.
+
+    ``lo`` and ``hi`` are (K, h): row by row, the run ends of each drawn
+    patch from :func:`_cover_rows`.  Returns the segments in raster order,
+    which tile the view, as ``(row, first column, length)`` arrays, and
+    which patches cover each one, (K, n) bool: a segment lies wholly inside
+    or wholly outside every run.
+    """
+    ran = lo <= hi
+    zero = np.zeros((1, lo.shape[1]), np.int64)
+    cuts = np.vstack([zero, np.where(ran, lo, w), np.where(ran, hi + 1, w), zero + w]).T
+    cuts.sort(axis=1)
+    lengths = np.diff(cuts, axis=1)
+    row, k = np.nonzero(lengths)
+    first = cuts[row, k]
+    return row, first, lengths[row, k], (lo[:, row] <= first) & (first <= hi[:, row])
+
+
+def _nearest_segments(row, first, length, covered, planes_c, intr: Intrinsics):
+    """Segments split until one covering patch is nearest over each whole
+    segment, with that patch's id (its index in ``covered`` + 1).
+
+    ``planes_c`` stacks the K planes from :func:`_in_camera` to broadcast
+    over (K, 2, n) segment ends.  Along a covered run a plane's depth is
+    monotone in floating point (see :func:`_ray_depth`), so its values at
+    a segment's two end pixels bound it over the segment.  A patch wins the
+    segment when its largest end depth lies strictly below the smallest of
+    every earlier covering patch and at most at the smallest of every later
+    one: pixel by pixel, that is the strict ``<`` of a z-buffer pass in
+    patch order.  A segment that no patch wins is halved and tried again;
+    on one pixel both ends are the pixel, so the test is the z-buffer's own
+    and always decides.  Returns ``(row, first, length, winner)`` in no
+    particular order.
+    """
+    out = []
+    while row.size:
+        ends = np.stack([first, first + length - 1]).astype(float)
+        d = _ray_depth(planes_c, intr, ends, row.astype(float))  # (K, 2, n)
+        near = np.where(covered, np.minimum(d[:, 0], d[:, 1]), np.inf)
+        far = np.maximum(d[:, 0], d[:, 1])
+        earlier, later = np.full((2,) + near.shape, np.inf)  # running minima of near
+        for k in range(1, len(near)):
+            earlier[k] = np.minimum(earlier[k - 1], near[k - 1])
+            later[-k - 1] = np.minimum(later[-k], near[-k])
+        wins = covered & (far < earlier) & (far <= later)
+        won = wins.any(axis=0)
+        out.append((row[won], first[won], length[won], wins[:, won].argmax(axis=0) + 1))
+        row, first, length, covered = row[~won], first[~won], length[~won], covered[:, ~won]
+        half = length // 2
+        row, first = np.concatenate([row, row]), np.concatenate([first, first + half])
+        length, covered = np.concatenate([half, length - half]), np.hstack([covered, covered])
+    return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
 def render_plane_mask(
@@ -455,52 +524,58 @@ def render_plane_mask(
     """Label map from the projected plane polygons (detected planes only).
 
     Each pixel is labelled with the nearest detected patch that covers it
-    along its ray (a z-buffer; see :func:`_cover` for covering, with its
-    0.71 px edge margin, so sampled points never round out of their own
-    region).  A patch is convex, so it covers one run of columns per row.
-    The run's ends come from the patch's edge lines and are then settled by
-    the edge tests of :func:`_inside_convex` itself, so the 0.71 px margin
-    is decided exactly as there; the plane's depth is checked at the two
-    ends alone.  Runs are filled row by row in plane order.  The z-buffer,
-    with the elementwise depths and the strict ``<`` of a pixel-by-pixel
-    pass in plane order, runs only on the pixels that two patches' runs
-    share.  Ids are contiguous in plane order over the patches that keep a
-    pixel; the region areas come from the runs, so the map is built
-    without a recount.
+    along its ray (a z-buffer in plane order with a strict ``<``; see
+    :func:`_cover` for covering, with its 0.71 px edge margin, so sampled
+    points never round out of their own region).  A patch is convex, so it
+    covers one run of columns per row.  The run's ends come from the
+    patch's edge lines and are then settled by the edge tests of
+    :func:`_inside_convex` itself, so the 0.71 px margin is decided exactly
+    as there; the plane's depth is checked at the two ends alone.
+
+    The z-buffer works on row segments cut at every run end
+    (:func:`_row_segments`), not on pixels.  A segment that one patch
+    covers is that patch's.  A patch whose plane equals an earlier covering
+    one's bit for bit has the same depth bits on every ray, so it never
+    wins there and leaves the contest.  Where several patches remain, depths
+    are taken at segment ends only (:func:`_nearest_segments`).  Ids are
+    contiguous in plane order over the patches that keep a pixel, and the
+    region areas are the segment lengths, so the map is built without a
+    recount.
     """
     w, h = int(image_size[0]), int(image_size[1])
-    labels = np.zeros((h, w), dtype=np.int32)
-    drawn = []  # (lo, hi, depth) of each patch that covers a pixel
+    drawn = []  # (lo, hi, plane_c) of each patch that covers a pixel
     for plane in world.spec.planes:
         runs = _cover_rows(plane, extrinsic, intr, w, h) if plane.detected else None
         if runs is not None:
             drawn.append(runs)
-            _fill_runs(labels, runs[0], runs[1], len(drawn))
-
-    areas = np.array([np.clip(hi - lo + 1, 0, None).sum() for lo, hi, _ in drawn], dtype=np.int64)
-    shared = np.zeros((h, w), dtype=bool)
-    for (lo_a, hi_a, _), (lo_b, hi_b, _) in itertools.combinations(drawn, 2):
-        _fill_runs(shared, np.maximum(lo_a, lo_b), np.minimum(hi_a, hi_b), True)
-    flat = np.flatnonzero(shared)
-    if flat.size:
-        ys = flat // w
-        xs = flat - ys * w
-        u, v = xs.astype(float), ys.astype(float)
-        nearest = np.full(flat.shape, np.inf)
-        winner = np.zeros(flat.shape, dtype=np.int32)
-        for plane_id, (lo, hi, depth) in enumerate(drawn, 1):
-            covered = (lo[ys] <= xs) & (xs <= hi[ys])
-            areas[plane_id - 1] -= np.count_nonzero(covered)
-            d = depth(u, v)
-            win = covered & (d < nearest)
-            nearest = np.where(win, d, nearest)
-            winner[win] = plane_id
-        labels.ravel()[flat] = winner
-        areas += np.bincount(winner, minlength=len(drawn) + 1)[1:]
+    if not drawn:
+        return PlaneSegmentMap._trusted(np.zeros((h, w), np.int32), np.zeros(0, np.int64))
+    lo = np.array([runs[0] for runs in drawn])
+    hi = np.array([runs[1] for runs in drawn])
+    planes = np.array([(*n_c, c_c) for _, _, (n_c, c_c) in drawn])  # (K, 4)
+    row, first, length, covered = _row_segments(lo, hi, w)
+    for p, q in itertools.combinations(range(len(drawn)), 2):
+        if planes[p].tobytes() == planes[q].tobytes():
+            covered[q] &= ~covered[p]
+    label = np.where(covered.any(axis=0), covered.argmax(axis=0) + 1, 0)
+    contested = covered.sum(axis=0) > 1
+    if contested.any():
+        decided = _nearest_segments(
+            row[contested], first[contested], length[contested], covered[:, contested],
+            (planes[:, None, None, :3], planes[:, None, None, 3]), intr,
+        )
+        row, first, length, label = (
+            np.concatenate([part[~contested], more])
+            for part, more in zip((row, first, length, label), decided)
+        )
+        order = np.argsort(row * w + first)
+        length, label = length[order], label[order]
+    areas = np.bincount(label, weights=length, minlength=len(drawn) + 1)[1:].astype(np.int64)
     if not areas.all():  # a patch lost every pixel: recompact the ids
         keep = areas > 0
-        labels = np.concatenate([[0], np.cumsum(keep)]).astype(np.int32)[labels]
+        label = np.concatenate([[0], np.cumsum(keep)])[label]
         areas = areas[keep]
+    labels = np.repeat(label.astype(np.int32), length).reshape(h, w)
     return PlaneSegmentMap._trusted(labels, areas)
 
 

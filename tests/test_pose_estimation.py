@@ -697,6 +697,40 @@ def _quadruples(seed, count):
     return a, b
 
 
+def _hartley_oracle(pts):
+    """Hartley normalization through ``mean``, ``linalg.norm`` and a 3x3
+    transform filled entry by entry."""
+    centroid = pts.mean(axis=-2)
+    d = np.linalg.norm(pts - centroid[..., None, :], axis=-1).mean(axis=-1)
+    scale = np.sqrt(2.0) / np.where(d > 1e-12, d, np.sqrt(2.0))
+    t = np.zeros(d.shape + (3, 3))
+    t[..., 0, 0] = scale
+    t[..., 0, 2] = -scale * centroid[..., 0]
+    t[..., 1, 1] = scale
+    t[..., 1, 2] = -scale * centroid[..., 1]
+    t[..., 2, 2] = 1.0
+    return (pts - centroid[..., None, :]) * scale[..., None, None], t
+
+
+class TestNormalizePoints:
+    @pytest.mark.parametrize("shape", [(4, 2), (1, 4, 2), (37, 4, 2), (5, 8, 2), (3, 200, 2), (2, 3, 9, 2)])
+    def test_bits_equal_the_oracle(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-2])
+        pts = rng.uniform(-50.0, 1500.0, shape)
+        if pts.ndim > 2:
+            pts[..., 0, :, :] = pts[..., 0, :1, :]  # coincident points: scale 1
+            pts[..., -1, :, :] = 1e-16 * pts[..., -1, :, :]  # spread under the 1e-12 floor
+        for got, want in zip(pose_estimation._normalize_points(pts), _hartley_oracle(pts)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_coincident_points_keep_scale_one(self):
+        pts = np.full((4, 2), 321.5)
+        normalized, t = pose_estimation._normalize_points(pts)
+        assert not normalized.any()
+        np.testing.assert_array_equal(t, [[1.0, 0.0, -321.5], [0.0, 1.0, -321.5], [0.0, 0.0, 1.0]])
+
+
 class TestFourPointHomography:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_svd_oracle(self, seed):

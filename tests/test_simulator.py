@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,50 @@ class TestGenerateScene:
         assert not in_plane[world.plane_index == 0].any()
         assert not in_plane[world.plane_index == 4].any()  # undetected wall
         assert in_plane[world.plane_index == 1].all()
+
+
+def _fresh_geometry(plane):
+    """The plane's unit normal, basis and world polygon, computed afresh as
+    the simulator computed them before it cached them."""
+    n = np.asarray(plane.normal, dtype=float)
+    n = n / np.linalg.norm(n)
+    helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    e_u = np.cross(helper, n)
+    e_u = e_u / np.linalg.norm(e_u)
+    e_v = np.cross(n, e_u)
+    if plane.center is not None:
+        origin = np.asarray(plane.center, dtype=float)
+        origin = origin + (plane.offset - float(n @ origin)) * n
+    else:
+        origin = plane.offset * n
+    poly = plane.local_polygon()
+    return n, origin, e_u, e_v, origin + poly[:, 0:1] * e_u + poly[:, 1:2] * e_v
+
+
+class TestPlaneSpecGeometry:
+    PLANES = (
+        corner_scene(seed=3).planes
+        + mural_scene(seed=3).planes
+        + single_plane_scene().planes
+        + (PlaneSpec(normal=(0.1, 0.2, 0.97), offset=0.8, polygon=((0, 0), (0.2, 0), (0.1, 0.3))),)
+    )
+
+    @pytest.mark.parametrize("index", range(len(PLANES)))
+    def test_cached_equals_fresh_and_is_read_only(self, index):
+        plane = self.PLANES[index]
+        cached = (plane.unit_normal(), *plane.basis(), plane._world_polygon)
+        for got, want in zip(cached, _fresh_geometry(plane)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+        assert plane.unit_normal() is cached[0] and plane.basis()[0] is cached[1]
+
+    def test_zero_normal_raises_on_every_use(self):
+        plane = PlaneSpec(normal=(0.0, 0.0, 0.0), offset=1.0)
+        for use in (plane.unit_normal, plane.basis, plane.unit_normal):
+            with pytest.raises(InvalidSceneError):
+                use()
 
 
 class TestObserve:
@@ -315,15 +361,33 @@ def _patch(center, half_extents, normal=(0.0, 0.0, 1.0), detected=True, polygon=
     )
 
 
+def _random_stack(seed: int, count: int) -> tuple:
+    """Patches of random centre, size and tilt in front of the small camera."""
+    rng = np.random.default_rng(seed)
+    return tuple(
+        _patch(
+            (rng.uniform(-0.25, 0.25), rng.uniform(-0.2, 0.2), rng.uniform(0.8, 1.5)),
+            tuple(rng.uniform(0.05, 0.25, size=2)),
+            normal=(*rng.uniform(-0.6, 0.6, size=2), 1.0),
+        )
+        for _ in range(count)
+    )
+
+
 # Scenes for the small camera, each built to reach one branch of the
 # renderer; test_cases_cover_what_they_name checks that they do.
 _BACKDROP = _patch((0.0, 0.0, 1.5), (0.1, 0.1))
+_TILTED = _patch((0.0, 0.0, 1.0), (0.2, 0.15), normal=(0.3, 0.2, 1.0))
 RENDER_CASES = {
     "clipped-left": (_patch((-0.5, 0.0, 1.0), (0.3, 0.2)),),
     "clipped-right": (_patch((0.5, 0.0, 1.0), (0.3, 0.2)),),
     "clipped-top": (_patch((0.0, -0.4, 1.0), (0.3, 0.2)),),
     "clipped-bottom": (_patch((0.0, 0.4, 1.0), (0.3, 0.2)),),
     "off-image": (_patch((2.0, 0.0, 1.0), (0.3, 0.2)), _BACKDROP),
+    "nothing-drawn": (
+        _patch((2.0, 0.0, 1.0), (0.3, 0.2)),
+        _patch((0.0, 0.0, 1.0), (0.1, 0.1), detected=False),
+    ),
     "vertex-behind": (
         _patch((0.0, 0.3, 0.5), (1.0, 1.0), normal=(0.0, 0.95, 0.3)),
         _BACKDROP,
@@ -350,12 +414,50 @@ RENDER_CASES = {
         _patch((0.05, 0.0, 1.0), (0.2, 0.15)),  # coplanar: ties keep the first
     ),
     "sub-pixel": (_patch((0.0, 0.0, 1.0), (0.0005, 0.0005)), _BACKDROP),
+    # Two tilted patches through one point: their crease runs diagonally,
+    # so it crosses each row inside the shared run.
+    "crease": (
+        _patch((0.0, 0.0, 1.0), (0.2, 0.15), normal=(0.4, 0.5, 1.0)),
+        _patch((0.0, 0.0, 1.0), (0.2, 0.15), normal=(-0.4, -0.2, 1.0)),
+    ),
+    # A tilted plane one ulp farther, then the plane itself: along a ray
+    # their depths tie or differ by an ulp, so only single pixels decide.
+    "near-parallel": (
+        dataclasses.replace(_TILTED, offset=float(np.nextafter(_TILTED.offset, np.inf))),
+        dataclasses.replace(_TILTED, center=(0.05, 0.0, 1.0)),
+    ),
+    # Tilted coplanar patches with a wide overlap: equal planes give equal
+    # depth bits, so the first keeps the overlap without a depth test.
+    "coplanar-wide": (_TILTED, dataclasses.replace(_TILTED, center=(0.1, 0.03, 1.0))),
+    "five-stacked": (
+        _patch((0.0, 0.0, 1.2), (0.3, 0.2), normal=(0.2, -0.1, 1.0)),
+        _patch((-0.1, 0.0, 1.0), (0.15, 0.15), normal=(0.5, 0.0, 1.0)),
+        _patch((0.1, 0.0, 1.05), (0.15, 0.15), normal=(-0.5, 0.1, 1.0)),
+        _patch((0.0, 0.05, 0.95), (0.2, 0.08), normal=(0.0, 0.6, 1.0)),
+        _patch((0.0, -0.05, 1.1), (0.12, 0.12)),
+    ),
+    "random-stack": _random_stack(seed=7, count=8),
 }
 _CASE_POSES = (Pose.identity(), Pose(Rotation.about_z(7.0), np.array([0.01, -0.02, 0.0])))
 
 
 def _case_world(name):
     return generate_scene(SceneSpec(planes=RENDER_CASES[name], seed=0))
+
+
+def _record_contests(monkeypatch) -> list:
+    """Record each call of the segment z-buffer as ``(length, covered,
+    result)`` in the list returned."""
+    calls = []
+    nearest = simulator._nearest_segments
+
+    def record(row, first, length, covered, *args):
+        result = nearest(row, first, length, covered, *args)
+        calls.append((length, covered, result))
+        return result
+
+    monkeypatch.setattr(simulator, "_nearest_segments", record)
+    return calls
 
 
 class TestRenderPlaneMask:
@@ -431,6 +533,7 @@ class TestRenderPlaneMask:
         px = projected("off-image")
         assert px is not None and px[:, 0].min() > w
         assert set(np.unique(raw("off-image"))) == {0, 2}
+        assert not raw("nothing-drawn").any()
         assert projected("vertex-behind") is None
         assert set(np.unique(raw("vertex-behind"))) == {0, 2}
         lab = raw("hidden")
@@ -454,6 +557,53 @@ class TestRenderPlaneMask:
         monkeypatch.setattr(simulator, "_cover", spy)
         render_plane_mask(_case_world("grazing"), pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE)
         assert any(mixed)
+
+        # The segment z-buffer: what the contested segments come to.
+        calls = _record_contests(monkeypatch)
+        contests = {}
+        for name in ("crease", "near-parallel", "coplanar-wide", "five-stacked", "random-stack"):
+            before = len(calls)
+            render_plane_mask(_case_world(name), pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE)
+            if len(calls) > before:
+                contests[name] = calls[-1]
+        # The crease: shared runs are split, and which patch wins changes
+        # inside the runs, at a column that moves from row to row.
+        length, covered, (row, first, _, winner) = contests["crease"]
+        assert winner.size > length.size
+        both = np.intersect1d(row[winner == 1], row[winner == 2])
+        assert both.size > 20
+        switch = [first[(row == r) & (winner == 2)].min() for r in both]
+        assert np.unique(switch).size > 10
+        # Near-parallel planes: every contested pixel ends a segment of its
+        # own, and both patches win some of them.
+        length, covered, (_, _, pieces, winner) = contests["near-parallel"]
+        assert (pieces == 1).all() and pieces.size == length.sum() > 1000
+        assert set(winner.tolist()) == {1, 2}
+        # Coplanar patches never reach the depth test (see the next test).
+        assert "coplanar-wide" not in contests
+        # Five patches, three or more over one segment.
+        length, covered, _ = contests["five-stacked"]
+        assert covered.sum(axis=0).max() >= 3
+        assert np.unique(raw("five-stacked")).size == 6
+        # The random stack splits, stacks three deep and hides a patch.
+        length, covered, (_, _, pieces, _) = contests["random-stack"]
+        assert pieces.size > length.size and covered.sum(axis=0).max() >= 3
+        assert 0 < np.unique(raw("random-stack")).size - 1 < len(RENDER_CASES["random-stack"])
+
+    def test_coplanar_overlap_is_not_split(self, monkeypatch):
+        # Along the rows of a tilted plane the depth changes from pixel to
+        # pixel, so end depths alone would split the overlap of two coplanar
+        # patches down to single pixels.  Equal planes give equal depth bits,
+        # so the first patch keeps the overlap without a depth test.
+        planes = RENDER_CASES["coplanar-wide"]
+        world = _case_world("coplanar-wide")
+        second = generate_scene(SceneSpec(planes=planes[1:], seed=0))
+        contests = _record_contests(monkeypatch)
+        for pose in _CASE_POSES:
+            labels = render_plane_mask(world, pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE).labels
+            alone = _oracle_labels(second, pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE)
+            assert np.count_nonzero((alone == 1) & (labels == 1)) > 1000
+        assert contests == []
 
 
 class TestSimulatedExecutor:
