@@ -42,7 +42,7 @@ from .plane_match import (
     erode_mask,
     solve_matching,
 )
-from .fusion import FusionWeights, I2peConfig, PoseEstimate, fuse_poses, hypothesis_weight, i2pe
+from .fusion import FusionWeights, PoseEstimate, fuse_poses, hypothesis_weight, i2pe
 from .acr_loop import (
     AcrConfig,
     AcrTrace,

@@ -29,7 +29,7 @@ against the reference can drive the loop.  The simulated executor lives in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -42,7 +42,7 @@ from .errors import (
     EstimationFailureError,
     InvalidInputError,
 )
-from .fusion import I2peConfig, PoseEstimate, i2pe, reselect_candidates
+from .fusion import PoseEstimate, i2pe, reselect_candidates
 from .geometry import (
     DirectionalPose,
     Intrinsics,
@@ -122,12 +122,6 @@ class AcrConfig:
     rotation_epsilon: float = 0.02  # degrees
     max_iterations: int = 30
     init_translation: tuple = (0.0, 0.0, 0.05)  # meters, hand frame
-    i2pe: I2peConfig = field(default_factory=I2peConfig)
-    epipolar_threshold_px: float = 1.0
-    epipolar_max_iters: int = 2000
-    parallax_min_deg: float = 0.1
-    min_scale_points: int = 8
-    max_scale_points: int = 512
 
     def __post_init__(self):
         if self.scale_epsilon <= 0 or self.rotation_epsilon <= 0:
@@ -141,12 +135,6 @@ class AcrConfig:
             raise InvalidInputError("init_translation must be three numbers") from exc
         if t.shape != (3,) or not np.all(np.isfinite(t)) or not np.linalg.norm(t) > 0:
             raise InvalidInputError("init_translation must be a finite, nonzero 3-vector")
-        if self.min_scale_points < MIN_SYSTEM_POINTS:
-            raise InvalidInputError(
-                f"min_scale_points must be at least {MIN_SYSTEM_POINTS}"
-            )
-        if self.max_scale_points < self.min_scale_points:
-            raise InvalidInputError("max_scale_points must be at least min_scale_points")
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,25 +227,6 @@ def _depth_pairs(
     return c.subset(keep)
 
 
-def _solve_scale(
-    c: CorrespondenceSet,
-    intr: Intrinsics,
-    pose: DirectionalPose,
-    cfg: AcrConfig,
-    seed: int,
-):
-    """The scale system of ``c`` under ``pose`` with the configured point
-    limits; ``seed`` fixes the subsample of an oversized set."""
-    return solve_scale_system(
-        c,
-        intr,
-        pose,
-        max_points=cfg.max_scale_points,
-        min_points=cfg.min_scale_points,
-        subsample_seed=seed,
-    )
-
-
 def _pure_translation_chooser(candidates, inliers):
     """Candidate prior for the initialization pair.
 
@@ -271,7 +240,7 @@ def _pure_translation_chooser(candidates, inliers):
     ]
 
 
-def _depth_profile_chooser(intr: Intrinsics, depth_map, side: str, cfg: AcrConfig):
+def _depth_profile_chooser(intr: Intrinsics, depth_map, side: str):
     """Candidate prior from already-recovered metric structure.
 
     Both factorizations of a plane homography explain the pixels equally
@@ -288,7 +257,7 @@ def _depth_profile_chooser(intr: Intrinsics, depth_map, side: str, cfg: AcrConfi
         if len(candidates) == 1:
             return 0
         usable = depth_map.known(inliers.track_id)
-        if int(usable.sum()) < cfg.min_scale_points:
+        if int(usable.sum()) < MIN_SYSTEM_POINTS:
             return 0
         subset = inliers.subset(usable)
         best = 0
@@ -297,7 +266,7 @@ def _depth_profile_chooser(intr: Intrinsics, depth_map, side: str, cfg: AcrConfi
             if cand.zero_motion:
                 continue
             try:
-                sol = _solve_scale(subset, intr, cand.pose, cfg, cfg.i2pe.seed)
+                sol = solve_scale_system(subset, intr, cand.pose)
             except AcrError:
                 continue
             reference = depth_map.lookup(sol.track_id)
@@ -373,21 +342,19 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
 
         pair_0i = join_on_tracks(obs0.correspondences, obs_init.correspondences)
         est_0i = reselect_candidates(
-            i2pe(pair_0i, obs0.mask_cur, obs_init.mask_cur, intr, cfg.i2pe),
+            i2pe(pair_0i, obs0.mask_cur, obs_init.mask_cur, intr),
             _pure_translation_chooser,
         )
         if est_0i.zero_motion:
             raise EstimationFailureError("init translation produced no parallax")
         s_init = init_scale(t_init, est_0i.pose)
-        sol_init = _solve_scale(
-            _depth_pairs(pair_0i, est_0i), intr, est_0i.pose, cfg, cfg.i2pe.seed
-        )
+        sol_init = solve_scale_system(_depth_pairs(pair_0i, est_0i), intr, est_0i.pose)
         d_current = depth_map_current(sol_init, s_init)
 
         # The current image is the B side of the (reference, current) pair.
         est_r0 = reselect_candidates(
-            i2pe(obs0.correspondences, obs0.mask_ref, obs0.mask_cur, intr, cfg.i2pe),
-            _depth_profile_chooser(intr, d_current, "b", cfg),
+            i2pe(obs0.correspondences, obs0.mask_ref, obs0.mask_cur, intr),
+            _depth_profile_chooser(intr, d_current, "b"),
         )
         if est_r0.zero_motion:
             # Already at the reference up to parallax; reuse current depths
@@ -396,7 +363,7 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
         else:
             pair_r0 = _depth_pairs(obs0.correspondences, est_r0, d_current)
             try:
-                sol_r0 = _solve_scale(pair_r0, intr, est_r0.pose, cfg, cfg.i2pe.seed)
+                sol_r0 = solve_scale_system(pair_r0, intr, est_r0.pose)
                 d_ref = depth_map_reference(sol_r0, d_current)
             except AmbiguousNullspaceError:
                 # Start pose so close to the reference that the pair carries
@@ -406,14 +373,14 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
 
         def step(obs, index):
             estimate = reselect_candidates(
-                i2pe(obs.correspondences, obs.mask_ref, obs.mask_cur, intr, cfg.i2pe),
-                _depth_profile_chooser(intr, d_ref, "a", cfg),
+                i2pe(obs.correspondences, obs.mask_ref, obs.mask_cur, intr),
+                _depth_profile_chooser(intr, d_ref, "a"),
             )
             if estimate.zero_motion:
                 return estimate.pose, 0.0, True
             pair = _depth_pairs(obs.correspondences, estimate, d_ref)
             try:
-                sol = _solve_scale(pair, intr, estimate.pose, cfg, cfg.i2pe.seed + index)
+                sol = solve_scale_system(pair, intr, estimate.pose, subsample_seed=index)
                 return estimate.pose, iteration_scale(sol, d_ref), False
             except (AmbiguousNullspaceError, CheiralityError):
                 # An unobservable or sign-inconsistent scale is the
@@ -451,14 +418,7 @@ def run_bisection_baseline(executor: MotionExecutor, cfg: AcrConfig = None) -> A
 
     def step(obs, index):
         nonlocal step_m, prev_direction, frame_drift
-        hyp = estimate_epipolar(
-            obs.correspondences,
-            executor.intrinsics,
-            threshold_px=cfg.epipolar_threshold_px,
-            max_iters=cfg.epipolar_max_iters,
-            seed=cfg.i2pe.seed + index,
-            parallax_min_deg=cfg.parallax_min_deg,
-        )
+        hyp = estimate_epipolar(obs.correspondences, executor.intrinsics, seed=index)
         estimate = hyp.pose  # maps reference frame to current frame
         scale = 0.0  # correct only the rotation
         if not (hyp.unstable_translation or step_m < cfg.scale_epsilon):

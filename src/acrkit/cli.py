@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 import time
@@ -30,7 +29,7 @@ import numpy as np
 
 from .acr_loop import AcrConfig, run_acr, run_bisection_baseline
 from .errors import AcrError, InvalidInputError, MissingInputError
-from .fusion import I2peConfig, _select_consistent, i2pe, reselect_candidates
+from .fusion import EROSION_RADIUS, _select_consistent, i2pe, reselect_candidates
 from .geometry import DirectionalPose, Intrinsics, Pose, Rotation
 from .metrics import afd
 from .plane_match import PlaneSegmentMap, erode_mask, match_plane_maps
@@ -179,19 +178,6 @@ ACR_SCHEMA = {
         "rotation_epsilon": "deg, stop threshold on the estimated remaining rotation",
         "max_iterations": "int",
         "init_translation": "[3] m, hand frame",
-        "i2pe": {
-            "erosion_radius": "px",
-            "ransac_threshold_px": "px",
-            "ransac_max_iters": "int",
-            "seed": "int",
-            "edge_sigma_frac": "fraction of the reference image diagonal",
-            "min_pair_correspondences": "int",
-        },
-        "epipolar_threshold_px": "px, baseline only",
-        "epipolar_max_iters": "int, baseline only",
-        "parallax_min_deg": "deg, baseline only",
-        "min_scale_points": "int",
-        "max_scale_points": "int",
     },
     "baseline": "bool, use the scale-guessing epipolar loop",
     "output_dir": "directory for trace.jsonl and summary.csv",
@@ -276,22 +262,14 @@ def _acr_config_from(doc, cls=AcrConfig, where: str = "acr"):
     defaults) found at ``where``.
 
     Every key must be a field of the dataclass ``cls`` and every value must
-    have its field's type (see :func:`_checked`); a nested config is an
-    object read the same way.
+    have its field's type (see :func:`_checked`).
     """
     doc = _checked({} if doc is None else doc, dict, where)
     kinds = typing.get_type_hints(cls)
     unknown = sorted(set(doc) - set(kinds))
     if unknown:
         raise InvalidInputError(f"unknown {where} key(s): {', '.join(unknown)}")
-    kwargs = {}
-    for key, value in doc.items():
-        kind, name = kinds[key], f"{where}.{key}"
-        if dataclasses.is_dataclass(kind):
-            kwargs[key] = _acr_config_from(value, kind, name)
-        else:
-            kwargs[key] = _checked(value, kind, name)
-    return cls(**kwargs)
+    return cls(**{k: _checked(v, kinds[k], f"{where}.{k}") for k, v in doc.items()})
 
 
 def cmd_estimate_pose(args) -> int:
@@ -307,9 +285,9 @@ def cmd_estimate_pose(args) -> int:
                     raise MissingInputError(f"missing mask file: {path}")
             m_ref = PlaneSegmentMap.load(args.ref_mask)
             m_cur = PlaneSegmentMap.load(args.cur_mask)
-            cfg = I2peConfig(seed=args.seed, ransac_threshold_px=args.threshold)
             estimate = reselect_candidates(
-                i2pe(corr, m_ref, m_cur, intr, cfg), _select_consistent
+                i2pe(corr, m_ref, m_cur, intr, threshold_px=args.threshold, seed=args.seed),
+                _select_consistent,
             )
             pose_doc = {
                 "r": [float(v) for v in estimate.pose.rotation.matrix.reshape(-1)],
@@ -668,7 +646,7 @@ def main(argv=None) -> int:
     p.add_argument("correspondences")
     p.add_argument("--ref-mask", required=True)
     p.add_argument("--cur-mask", required=True)
-    p.add_argument("--erosion", type=int, default=5)
+    p.add_argument("--erosion", type=int, default=EROSION_RADIUS)
     p.add_argument("--output")
     p.set_defaults(func=cmd_match_planes)
 

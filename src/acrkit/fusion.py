@@ -19,7 +19,6 @@ nothing else is known) and the loop's structural priors in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,28 +113,10 @@ def fuse_poses(hypotheses, weights: FusionWeights) -> DirectionalPose:
     return DirectionalPose(rotation, summed / norm)
 
 
-@dataclass(frozen=True)
-class I2peConfig:
-    """Knobs of the plane-mediated estimation pipeline.
-
-    Plane matching always solves the normalized affinity exactly (spectral
-    past the enumeration budget) and the hypotheses are always fused by
-    weight; only the thresholds, budgets and seed are configurable.
-    """
-
-    erosion_radius: int = 5
-    ransac_threshold_px: float = 1.0
-    ransac_max_iters: int = 2000
-    seed: int = 0
-    edge_sigma_frac: float = 0.1  # of the reference image diagonal
-    min_pair_correspondences: int = 4
-
-    def __post_init__(self):
-        # What erode_mask and assemble_affinity would reject mid-run.
-        if self.erosion_radius < 0:
-            raise InvalidInputError("erosion_radius must be non-negative")
-        if not self.edge_sigma_frac > 0:
-            raise InvalidInputError("edge_sigma_frac must be positive")
+# Disk radius (px) by which i2pe and ``acrkit match-planes`` erode every
+# plane region before matching: a correspondence near a region's edge may
+# lie on its neighbour.
+EROSION_RADIUS = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,25 +221,26 @@ def i2pe(
     m_ref: PlaneSegmentMap,
     m_cur: PlaneSegmentMap,
     intr: Intrinsics,
-    cfg: I2peConfig = None,
+    threshold_px: float = 1.0,
+    seed: int = 0,
 ) -> PlaneCandidates:
     """Per-plane pose candidates between a reference and a current image.
 
     The A side of ``c`` must hold reference-image pixels and the B side
     current-image pixels; every candidate pose maps reference-camera
     coordinates into current-camera coordinates.  Pass the result to
-    :func:`reselect_candidates` for one fused pose.
+    :func:`reselect_candidates` for one fused pose.  ``threshold_px`` is
+    the homography RANSAC inlier gate, and pair ``k`` draws its samples
+    from ``seed + k``.
 
     Raises:
         EstimationFailureError: no matched plane pair yields a usable
-            homography (fewer than the configured in-plane correspondences,
-            or every decomposition fails).
+            homography (fewer than four in-plane correspondences, or every
+            decomposition fails).
     """
-    cfg = cfg or I2peConfig()
-    ref = m_ref.eroded(cfg.erosion_radius)
-    cur = m_cur.eroded(cfg.erosion_radius)
-    sigma = cfg.edge_sigma_frac * math.hypot(m_ref.width, m_ref.height)
-    pairs = match_plane_maps(ref, cur, c, sigma=sigma)
+    ref = m_ref.eroded(EROSION_RADIUS)
+    cur = m_cur.eroded(EROSION_RADIUS)
+    pairs = match_plane_maps(ref, cur, c)
     if not pairs:
         raise EstimationFailureError("no matchable plane pairs")
 
@@ -271,16 +253,12 @@ def i2pe(
     inlier_sets = []
     for index, (ref_id, cur_id) in enumerate(pairs):
         mask = (labels_ref == ref_id) & (labels_cur == cur_id)
-        if int(mask.sum()) < max(cfg.min_pair_correspondences, 4):
+        if int(mask.sum()) < 4:
             continue
         subset = c.subset(mask)
         try:
             h, inliers = estimate_homography_ransac(
-                subset,
-                intr,
-                threshold_px=cfg.ransac_threshold_px,
-                max_iters=cfg.ransac_max_iters,
-                seed=cfg.seed + index,
+                subset, intr, threshold_px=threshold_px, seed=seed + index
             )
             inlier_set = subset.subset(inliers)
             candidates = decompose_homography_candidates(

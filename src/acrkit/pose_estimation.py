@@ -15,7 +15,7 @@ A-camera coordinates into B-camera coordinates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from .geometry import DirectionalPose, Intrinsics, Rotation, _project_to_so3
+from .geometry import DirectionalPose, Intrinsics, Rotation
 
 # Label value used in memory for "no plane label" (JSON files use null).
 NO_LABEL = -1
@@ -412,21 +412,8 @@ def _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed)
         )
         models = fit(idx)
         ok = ~np.isnan(models).any(axis=(1, 2))
-        try:
-            err = score(models[ok])
-        except np.linalg.LinAlgError:
-            # The scorer raised on one of the models (neither built-in
-            # scorer inverts a model, a custom one may): score them one by
-            # one, and let a model it cannot score skip its own draw only.
-            err = np.full((k, n), np.inf)
-            for j in np.flatnonzero(ok):
-                try:
-                    err[j] = score(models[j : j + 1])[0]
-                except np.linalg.LinAlgError:
-                    ok[j] = False
-            err = err[ok]
         inliers = np.zeros((k, n), dtype=bool)
-        inliers[ok] = err <= threshold_px
+        inliers[ok] = score(models[ok]) <= threshold_px
         counts = inliers.sum(axis=1)
         for j in range(k):
             if it >= target:

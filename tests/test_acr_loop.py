@@ -118,14 +118,11 @@ class TestChoosers:
             raise AmbiguousNullspaceError("no scale signal")
 
         monkeypatch.setattr(acr_loop, "solve_scale_system", failing_solve)
-        cfg = AcrConfig()
-        n = cfg.min_scale_points
+        n = MIN_SYSTEM_POINTS
         inliers = CorrespondenceSet(np.zeros((n, 2)), np.zeros((n, 2)))
         thin = inliers.subset(np.arange(n) > 0)
         depth = SparseDepthMap(np.arange(n), np.ones(n))
-        chooser = acr_loop._depth_profile_chooser(
-            simulator.DESK_INTRINSICS, depth, "a", cfg
-        )
+        chooser = acr_loop._depth_profile_chooser(simulator.DESK_INTRINSICS, depth, "a")
         two = (_hyp(2.0), _hyp(-0.5))
         picks = chooser(((_hyp(1.0),), two, two), (inliers, thin, inliers))
         assert picks == [0, 0, 0]
@@ -140,9 +137,6 @@ class TestAcrConfig:
             {"init_translation": (0.0, float("nan"), 0.05)},
             {"init_translation": (0.0, 0.05)},
             {"init_translation": ("a", "b", "c")},
-            {"min_scale_points": 7},
-            {"max_scale_points": 4},
-            {"min_scale_points": 20, "max_scale_points": 19},
         ],
     )
     def test_rejected_before_any_move(self, kwargs):
@@ -150,7 +144,6 @@ class TestAcrConfig:
             AcrConfig(**kwargs)
 
     def test_limits_at_their_bounds_are_accepted(self):
-        AcrConfig(min_scale_points=MIN_SYSTEM_POINTS, max_scale_points=MIN_SYSTEM_POINTS)
         AcrConfig(init_translation=(0.0, 0.0, -1e-6))
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from acrkit import cli, fusion, simulator
 from acrkit.acr_loop import AcrConfig
-from acrkit.fusion import I2peConfig, i2pe, reselect_candidates
+from acrkit.fusion import i2pe, reselect_candidates
 from acrkit.plane_match import PlaneSegmentMap
 from acrkit.pose_estimation import CorrespondenceSet
 from acrkit.geometry import Intrinsics, Pose, Rotation
@@ -261,9 +261,10 @@ class TestEstimatePose:
         assert code == 2
         assert self._last_json(capsys)["error"] == "missing-input"
 
-    def test_i2pe_writes_the_agreed_fusion(self, tmp_path, capsys):
-        # A corner observation with both masks: the pose is the agreement
-        # choice fused, and the report holds one hypothesis per fused pair.
+    @staticmethod
+    def _corner_inputs(tmp_path):
+        """``estimate-pose`` arguments for a clean corner observation with
+        both masks, and the ``i2pe`` inputs read back from those files."""
         world = simulator.generate_scene(simulator.corner_scene(seed=1))
         offset = Pose(Rotation.about_z(5.0), np.array([0.03, -0.02, 0.025]))
         intr = simulator.DESK_INTRINSICS
@@ -274,42 +275,67 @@ class TestEstimatePose:
         (tmp_path / "intr.json").write_text(
             json.dumps({"fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy})
         )
-        code = cli.main(
-            [
-                "estimate-pose",
-                str(tmp_path / "corr.json"),
-                "--intrinsics",
-                str(tmp_path / "intr.json"),
-                "--ref-mask",
-                str(tmp_path / "ref.pgm"),
-                "--cur-mask",
-                str(tmp_path / "cur.pgm"),
-                "--output",
-                str(tmp_path / "pose.json"),
-            ]
+        argv = [
+            "estimate-pose",
+            str(tmp_path / "corr.json"),
+            "--intrinsics",
+            str(tmp_path / "intr.json"),
+            "--ref-mask",
+            str(tmp_path / "ref.pgm"),
+            "--cur-mask",
+            str(tmp_path / "cur.pgm"),
+            "--output",
+            str(tmp_path / "pose.json"),
+        ]
+        inputs = (
+            CorrespondenceSet.load(tmp_path / "corr.json"),
+            PlaneSegmentMap.load(tmp_path / "ref.pgm"),
+            PlaneSegmentMap.load(tmp_path / "cur.pgm"),
+            cli._intrinsics_from(json.loads((tmp_path / "intr.json").read_text())),
         )
+        return argv, inputs
+
+    @staticmethod
+    def _pose_doc(estimate):
+        return {
+            "r": estimate.pose.rotation.matrix.reshape(-1).tolist(),
+            "direction": estimate.pose.direction.tolist(),
+            "zero_motion": estimate.zero_motion,
+        }
+
+    def test_i2pe_writes_the_agreed_fusion(self, tmp_path, capsys):
+        # A corner observation with both masks: the pose is the agreement
+        # choice fused, and the report holds one hypothesis per fused pair.
+        argv, inputs = self._corner_inputs(tmp_path)
+        code = cli.main(argv)
         assert code == 0
         paths = self._last_json(capsys)
-        expected = reselect_candidates(
-            i2pe(
-                CorrespondenceSet.load(tmp_path / "corr.json"),
-                PlaneSegmentMap.load(tmp_path / "ref.pgm"),
-                PlaneSegmentMap.load(tmp_path / "cur.pgm"),
-                cli._intrinsics_from(json.loads((tmp_path / "intr.json").read_text())),
-            ),
-            fusion._select_consistent,
-        )
-        assert json.loads(Path(paths["pose"]).read_text()) == {
-            "r": expected.pose.rotation.matrix.reshape(-1).tolist(),
-            "direction": expected.pose.direction.tolist(),
-            "zero_motion": expected.zero_motion,
-        }
+        expected = reselect_candidates(i2pe(*inputs), fusion._select_consistent)
+        assert json.loads(Path(paths["pose"]).read_text()) == self._pose_doc(expected)
         report = json.loads(Path(paths["report"]).read_text())
         assert report["plane_pairs"] == [list(pair) for pair in expected.plane_pairs]
         assert len(report["hypotheses"]) == len(expected.plane_pairs) == 3
         assert [[h["ref_plane"], h["cur_plane"]] for h in report["hypotheses"]] == report[
             "plane_pairs"
         ]
+
+    def test_i2pe_threshold_and_seed_reach_the_estimator(self, tmp_path, capsys, monkeypatch):
+        argv, inputs = self._corner_inputs(tmp_path)
+        seen = []
+
+        def recording_i2pe(*args, **kwargs):
+            seen.append(kwargs)
+            return i2pe(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "i2pe", recording_i2pe)
+        code = cli.main(argv + ["--method", "i2pe", "--threshold", "2.0", "--seed", "5"])
+        assert code == 0
+        assert seen == [{"threshold_px": 2.0, "seed": 5}]
+        expected = reselect_candidates(
+            i2pe(*inputs, threshold_px=2.0, seed=5), fusion._select_consistent
+        )
+        pose = json.loads(Path(self._last_json(capsys)["pose"]).read_text())
+        assert pose == self._pose_doc(expected)
 
     def test_missing_intrinsics_is_missing_input(self, tmp_path, capsys):
         argv = self._inputs(tmp_path)
@@ -358,11 +384,26 @@ class TestSimulateAcr:
         )
         assert "scale_epsilom" in message
 
-    def test_removed_key_is_invalid_input(self, tmp_path, monkeypatch, capsys):
-        message = self._rejected(
-            {"i2pe": {"fusion": "winner"}}, tmp_path, monkeypatch, capsys
-        )
-        assert "acr.i2pe" in message and "fusion" in message
+    # Keys of earlier releases, each at its old default value.
+    REMOVED_ACR_KEYS = {
+        "i2pe": {},
+        "erosion_radius": 5,
+        "ransac_threshold_px": 1.0,
+        "ransac_max_iters": 2000,
+        "edge_sigma_frac": 0.1,
+        "min_pair_correspondences": 4,
+        "epipolar_threshold_px": 1.0,
+        "epipolar_max_iters": 2000,
+        "parallax_min_deg": 0.1,
+        "min_scale_points": 8,
+        "max_scale_points": 512,
+    }
+
+    @pytest.mark.parametrize("key", list(REMOVED_ACR_KEYS))
+    def test_removed_key_is_invalid_input(self, key, tmp_path, monkeypatch, capsys):
+        doc = {key: self.REMOVED_ACR_KEYS[key]}
+        message = self._rejected(doc, tmp_path, monkeypatch, capsys)
+        assert "unknown acr key" in message and key in message
 
     @pytest.mark.parametrize(
         "acr_doc, key",
@@ -370,7 +411,6 @@ class TestSimulateAcr:
             ({"max_iterations": "x"}, "acr.max_iterations"),
             ({"scale_epsilon": "x"}, "acr.scale_epsilon"),
             ({"init_translation": 5}, "acr.init_translation"),
-            ({"min_scale_points": "x"}, "acr.min_scale_points"),
         ],
     )
     def test_wrongly_typed_value_is_invalid_input(
@@ -379,21 +419,9 @@ class TestSimulateAcr:
         assert key in self._rejected(acr_doc, tmp_path, monkeypatch, capsys)
 
     @pytest.mark.parametrize(
-        "i2pe_doc, key",
-        [({"erosion_radius": -1}, "erosion_radius"), ({"edge_sigma_frac": 0}, "edge_sigma_frac")],
-    )
-    def test_out_of_range_i2pe_value_is_invalid_input(
-        self, i2pe_doc, key, tmp_path, monkeypatch, capsys
-    ):
-        message = self._rejected({"i2pe": i2pe_doc}, tmp_path, monkeypatch, capsys)
-        assert key in message
-
-    @pytest.mark.parametrize(
         "acr_doc, key",
         [
             ({"init_translation": [0, 0, 0]}, "init_translation"),
-            ({"max_scale_points": 4}, "max_scale_points"),
-            ({"min_scale_points": 3}, "min_scale_points"),
         ],
     )
     def test_out_of_range_acr_value_is_invalid_input(
@@ -493,13 +521,16 @@ class TestSimulateAcr:
         assert lines == [{"status": "failed", "failure": report["failure"]}]
 
     def test_every_field_accepted_at_its_default(self):
-        # Every field of AcrConfig and of its nested I2peConfig, as JSON.
+        # Every field of the flat AcrConfig, as JSON, and the schema lists
+        # exactly those fields.
         doc = json.loads(json.dumps(dataclasses.asdict(AcrConfig())))
-        assert set(doc["i2pe"]) == {f.name for f in dataclasses.fields(I2peConfig)}
         assert cli._acr_config_from(doc) == AcrConfig()
-        schema = cli.ACR_SCHEMA["acr"]
-        assert set(schema) == set(doc)
-        assert set(schema["i2pe"]) == set(doc["i2pe"])
+        assert set(cli.ACR_SCHEMA["acr"]) == set(doc) == {
+            "scale_epsilon",
+            "rotation_epsilon",
+            "max_iterations",
+            "init_translation",
+        }
 
     def test_default_config_converges(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # the bundled config writes to acr_out/

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from acrkit import fusion, plane_match
-from acrkit.errors import InsufficientDataError, InvalidInputError
+from acrkit.errors import InsufficientDataError
 from acrkit.fusion import (
     FusionWeights,
-    I2peConfig,
     fuse_poses,
     fuse_rotation_only,
     hypothesis_weight,
@@ -44,12 +43,10 @@ def _hyp(rotation, direction, support=10, spread=0.5):
     )
 
 
-def _agreed(c, m_ref, m_cur, cfg=None):
+def _agreed(c, m_ref, m_cur):
     """The per-plane candidates of ``i2pe`` chosen by cross-plane agreement
     and fused, as ``acrkit estimate-pose`` does."""
-    return reselect_candidates(
-        i2pe(c, m_ref, m_cur, DESK_INTRINSICS, cfg), fusion._select_consistent
-    )
+    return reselect_candidates(i2pe(c, m_ref, m_cur, DESK_INTRINSICS), fusion._select_consistent)
 
 
 @pytest.fixture(scope="module")
@@ -218,24 +215,6 @@ class TestSelectConsistent:
         assert len(calls) == len(set(calls)) == 6 * 2 * 2
 
 
-class TestI2peConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"erosion_radius": -1},
-            {"edge_sigma_frac": 0.0},
-            {"edge_sigma_frac": -0.1},
-            {"edge_sigma_frac": float("nan")},
-        ],
-    )
-    def test_values_the_pipeline_rejects_are_invalid_input(self, kwargs):
-        with pytest.raises(InvalidInputError):
-            I2peConfig(**kwargs)
-
-    def test_zero_erosion_is_accepted(self):
-        assert I2peConfig(erosion_radius=0).erosion_radius == 0
-
-
 class TestI2pe:
     def test_each_map_is_eroded_and_graphed_once(self, corner_observation, monkeypatch):
         # Counting wrappers on the names a tracer patches: the module's
@@ -255,7 +234,7 @@ class TestI2pe:
             PlaneGraph, "from_mask", staticmethod(counting("graph", PlaneGraph.from_mask))
         )
         ref, cur = PlaneSegmentMap(obs.mask_ref.labels), PlaneSegmentMap(obs.mask_cur.labels)
-        radius = I2peConfig().erosion_radius
+        radius = fusion.EROSION_RADIUS
         i2pe(obs.correspondences, ref, cur, DESK_INTRINSICS)
         expected = [("erode", ref), ("erode", cur)]
         expected += [("graph", ref.eroded(radius)), ("graph", cur.eroded(radius))]
@@ -268,7 +247,7 @@ class TestI2pe:
     def test_candidate_spread_is_its_pair_inlier_spread(self, corner_observation):
         _, _, obs = corner_observation
         evidence = i2pe(
-            obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS, I2peConfig()
+            obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS
         )
         size = (obs.mask_ref.width, obs.mask_ref.height)
         for candidates, inliers in zip(evidence.candidates, evidence.inliers):
@@ -277,7 +256,7 @@ class TestI2pe:
 
     def test_zero_noise_recovery(self, corner_observation):
         world, offset, obs = corner_observation
-        est = _agreed(obs.correspondences, obs.mask_ref, obs.mask_cur, I2peConfig())
+        est = _agreed(obs.correspondences, obs.mask_ref, obs.mask_cur)
         assert rotation_angle(est.pose.rotation.compose(offset.rotation.inverse())) < 1e-5
         truth_d = offset.translation / np.linalg.norm(offset.translation)
         assert direction_angle(est.pose.direction, truth_d) < 1e-4
@@ -288,8 +267,7 @@ class TestI2pe:
         # Adding correspondences outside every matched plane changes the
         # output bit for bit not at all.
         world, offset, obs = corner_observation
-        cfg = I2peConfig()
-        base = _agreed(obs.correspondences, obs.mask_ref, obs.mask_cur, cfg)
+        base = _agreed(obs.correspondences, obs.mask_ref, obs.mask_cur)
         rng = np.random.default_rng(0)
         n_junk = 150
         junk_a = np.column_stack(
@@ -305,7 +283,7 @@ class TestI2pe:
                 [c.track_id, np.arange(n_junk) + 10_000_000]
             ),
         )
-        est = _agreed(contaminated, obs.mask_ref, obs.mask_cur, cfg)
+        est = _agreed(contaminated, obs.mask_ref, obs.mask_cur)
         assert np.array_equal(est.pose.rotation.matrix, base.pose.rotation.matrix)
         assert np.array_equal(est.pose.direction, base.pose.direction)
 
@@ -315,7 +293,7 @@ class TestI2pe:
         labels = obs.mask_cur.labels.copy()
         labels[labels == 3] = 0
         m_cur = PlaneSegmentMap(labels)
-        est = _agreed(obs.correspondences, obs.mask_ref, m_cur, I2peConfig())
+        est = _agreed(obs.correspondences, obs.mask_ref, m_cur)
         assert rotation_angle(est.pose.rotation.compose(offset.rotation.inverse())) < 1e-5
         assert len(est.plane_pairs) == 2
 
@@ -328,7 +306,6 @@ class TestI2pe:
             identity_obs.correspondences,
             identity_obs.mask_ref,
             identity_obs.mask_cur,
-            I2peConfig(),
         )
         assert est.zero_motion
         assert rotation_angle(est.pose.rotation) < 1e-6
@@ -337,7 +314,7 @@ class TestI2pe:
         import json
 
         world, offset, obs = corner_observation
-        est = _agreed(obs.correspondences, obs.mask_ref, obs.mask_cur, I2peConfig())
+        est = _agreed(obs.correspondences, obs.mask_ref, obs.mask_cur)
         doc = est.report()
         json.dumps(doc)
         assert len(doc["hypotheses"]) == len(est.plane_pairs)
@@ -363,7 +340,7 @@ class TestI2pe:
             fusion, "decompose_homography_candidates", middle_pair_zero_motion
         )
         evidence = i2pe(
-            obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS, I2peConfig()
+            obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS
         )
         assert len(evidence.plane_pairs) == len(evidence.candidates) == 3
         est = reselect_candidates(evidence, fusion._select_consistent)

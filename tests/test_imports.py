@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -23,3 +24,28 @@ def test_importing_the_library_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     assert json.loads(out.stdout) == []
+
+
+def _unused_imports(path: Path) -> list:
+    """Names that the module at ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_no_library_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export, so it is the one exception.
+    unused = {
+        path.name: names
+        for path in sorted((SRC / "acrkit").glob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(path))
+    }
+    assert unused == {}
