@@ -13,7 +13,6 @@ from .geometry import (
     Rotation,
     compose,
     direction_angle,
-    invert,
     rotation_angle,
 )
 from .pose_estimation import (

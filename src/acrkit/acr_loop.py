@@ -199,8 +199,8 @@ def hand_motion_from_estimate(est: DirectionalPose, scale: float) -> Pose:
     inverse of the metric estimate: rotation transposed and translation
     ``-R^-1 (scale * direction)``.
     """
-    if scale < 0:
-        raise ValueError("scale must be non-negative")
+    if not scale >= 0:  # NaN too
+        raise InvalidInputError(f"scale must be non-negative, got {scale}")
     r_inv = est.rotation.matrix.T
     return Pose(Rotation(r_inv), -(r_inv @ (est.direction * float(scale))))
 

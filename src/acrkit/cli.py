@@ -11,8 +11,11 @@ Subcommands::
 All configuration is JSON (``--print-schema`` per subcommand documents the
 fields), every output is machine-readable, and every run is deterministic
 under a fixed seed.  Exit codes: 0 success (a non-converged but valid loop
-run is still success), 1 configuration error, 2 runtime estimation
-failure.
+run is still success); 1 for a bad config of ``simulate-acr`` or
+``bench-noise``, with ``invalid-input``, before any work starts; 2 for a
+missing or malformed input file of ``estimate-pose``, ``match-planes`` or
+``solve-scale``, and for a runtime estimation failure, with the error's
+code.
 """
 
 from __future__ import annotations
@@ -66,7 +69,10 @@ def _load_json(path):
     p = Path(path)
     if not p.exists():
         raise MissingInputError(f"missing input file: {path}")
-    return json.loads(p.read_text())
+    try:
+        return json.loads(p.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise InvalidInputError(f"{path} is not a JSON file: {exc}") from exc
 
 
 def _intrinsics_from(doc, where: str = "intrinsics") -> Intrinsics:
@@ -274,7 +280,7 @@ def _acr_config_from(doc, cls=AcrConfig, where: str = "acr"):
 
 def cmd_estimate_pose(args) -> int:
     try:
-        corr = CorrespondenceSet.load(args.correspondences)
+        corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
         intr = _intrinsics_from(_load_json(args.intrinsics))
         report = {"method": args.method, "warnings": []}
         if args.method == "i2pe":
@@ -310,7 +316,7 @@ def cmd_estimate_pose(args) -> int:
             # epipolar inliers the essential matrix is ill-determined.
             try:
                 _, h_mask = estimate_homography_ransac(
-                    corr, intr, threshold_px=args.threshold, seed=args.seed
+                    corr, threshold_px=args.threshold, seed=args.seed
                 )
                 ratio = float(h_mask.sum()) / max(hyp.support, 1)
                 if ratio >= 0.9:
@@ -336,7 +342,7 @@ def cmd_match_planes(args) -> int:
                 raise MissingInputError(f"missing mask file: {path}")
         m_ref = PlaneSegmentMap.load(args.ref_mask)
         m_cur = PlaneSegmentMap.load(args.cur_mask)
-        corr = CorrespondenceSet.load(args.correspondences)
+        corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
         m_ref = erode_mask(m_ref, args.erosion)
         m_cur = erode_mask(m_cur, args.erosion)
         pairs = match_plane_maps(m_ref, m_cur, corr)
@@ -351,15 +357,13 @@ def cmd_match_planes(args) -> int:
 
 def cmd_solve_scale(args) -> int:
     try:
-        corr = CorrespondenceSet.load(args.correspondences)
+        corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
         intr = _intrinsics_from(_load_json(args.intrinsics))
-        pose_doc = _load_json(args.pose)
+        pose_doc = _checked(_load_json(args.pose), dict, "pose")
         rotation = Rotation.from_matrix(
-            np.asarray(pose_doc["r"], dtype=float).reshape(3, 3), reproject=True
+            np.reshape(_numbers(pose_doc.get("r"), "pose.r", 9), (3, 3)), reproject=True
         )
-        direction = np.asarray(
-            pose_doc.get("direction", pose_doc.get("t")), dtype=float
-        )
+        direction = _numbers(pose_doc.get("direction", pose_doc.get("t")), "pose.direction", 3)
         solution = solve_scale_system(
             corr, intr, DirectionalPose(rotation, direction)
         )
@@ -431,7 +435,8 @@ def cmd_simulate_acr(args) -> int:
         rng = np.random.default_rng(seed)
         hand_eye = _pose_spec(rig_doc.get("hand_eye"), rng, "rig.hand_eye")
         initial = _pose_spec(doc.get("initial_offset"), rng, "initial_offset")
-    except (AcrError, json.JSONDecodeError) as exc:
+        out_dir = Path(_checked(doc.get("output_dir", "acr_out"), str, "output_dir"))
+    except AcrError as exc:
         return _fail(1, "invalid-input", str(exc))
     try:
         world = generate_scene(scene)
@@ -444,7 +449,6 @@ def cmd_simulate_acr(args) -> int:
         trace = runner(executor, cfg)
         elapsed = time.perf_counter() - t0
 
-        out_dir = Path(doc.get("output_dir", "acr_out"))
         out_dir.mkdir(parents=True, exist_ok=True)
         trace.save_jsonl(out_dir / "trace.jsonl")
 
@@ -531,7 +535,7 @@ def cmd_bench_noise(args) -> int:
             raise InvalidInputError(f"r_values must not be negative, got {list(r_values)}")
         if not all(0.0 <= mu <= 1.0 for mu in mu_values):
             raise InvalidInputError(f"mu_values must lie in [0, 1], got {list(mu_values)}")
-    except (AcrError, json.JSONDecodeError) as exc:
+    except AcrError as exc:
         return _fail(1, "invalid-input", str(exc))
     try:
         rows = bench_noise_sweep(

@@ -258,7 +258,7 @@ def i2pe(
         subset = c.subset(mask)
         try:
             h, inliers = estimate_homography_ransac(
-                subset, intr, threshold_px=threshold_px, seed=seed + index
+                subset, threshold_px=threshold_px, seed=seed + index
             )
             inlier_set = subset.subset(inliers)
             candidates = decompose_homography_candidates(

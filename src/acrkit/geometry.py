@@ -247,10 +247,6 @@ class DirectionalPose:
         d.flags.writeable = False
         object.__setattr__(self, "direction", d)
 
-    def with_scale(self, scale_m: float) -> Pose:
-        """Metric pose obtained by applying ``scale_m`` to the direction."""
-        return Pose(self.rotation, self.direction * float(scale_m))
-
     def inverse(self) -> "DirectionalPose":
         rt = self.rotation.matrix.T
         return DirectionalPose(Rotation(rt), -(rt @ self.direction))
@@ -289,10 +285,6 @@ def compose(a: Pose, b: Pose) -> Pose:
     r = a.rotation.compose(b.rotation)
     t = a.rotation.matrix @ b.translation + a.translation
     return Pose(r, t)
-
-
-def invert(p: Pose) -> Pose:
-    return p.inverse()
 
 
 def rotation_angle(r: Rotation) -> float:

@@ -418,20 +418,12 @@ def assemble_affinity(
     flat = idx_c.ravel() * h + idx_a.ravel()
     w[flat, flat] = nodes[idx_a.ravel(), idx_c.ravel()]
     if h > 1 and m > 1:
-        edges = np.zeros((n, n))
-        for a in range(h):
-            for b in range(h):
-                if a == b:
-                    continue
-                d_ab = graph_ref.distances[a, b]
-                diff = np.abs(d_ab - graph_cur.distances)  # (M, M) over (c, d)
-                sim = np.exp(-diff / sigma)
-                for c_i in range(m):
-                    row = c_i * h + a
-                    cols = np.arange(m) * h + b
-                    vals = sim[c_i].copy()
-                    vals[c_i] = 0.0  # c == d is infeasible
-                    edges[row, cols] = vals
+        # edges[c, a, d, b] is entry ((a, c), (b, d)); a == b or c == d is 0.
+        ref, cur = graph_ref.distances, graph_cur.distances
+        edges = np.exp(-np.abs(ref[None, :, None, :] - cur[:, None, :, None]) / sigma)
+        edges[:, np.arange(h), :, np.arange(h)] = 0.0
+        edges[np.arange(m), :, np.arange(m), :] = 0.0
+        edges = edges.reshape(n, n)
         if edges.max() > 0:
             edges = edges / edges.max()
         w = w + edges  # edge entries never touch the diagonal (a != b)
@@ -530,10 +522,7 @@ def solve_matching(w: np.ndarray, h: int, m: int, mode: str = "exact") -> Assign
 
 
 def match_plane_maps(
-    m_ref: PlaneSegmentMap,
-    m_cur: PlaneSegmentMap,
-    c: CorrespondenceSet,
-    sigma: float = None,
+    m_ref: PlaneSegmentMap, m_cur: PlaneSegmentMap, c: CorrespondenceSet
 ) -> list:
     """Full matching pipeline between two already-eroded masks.
 
@@ -541,17 +530,15 @@ def match_plane_maps(
     planes than the current one the inputs are swapped internally and the
     assignment transposed, honoring the H <= M orientation.  The normalized
     affinity is solved exactly, or spectrally when exact enumeration would
-    exceed its budget.
-
-    ``sigma`` defaults to 10% of the reference image diagonal.
+    exceed its budget.  The edge affinity's ``sigma`` is 10% of the
+    reference image diagonal.
     """
     if m_ref.num_planes == 0 or m_cur.num_planes == 0:
         return []
-    if sigma is None:
-        sigma = 0.1 * math.hypot(m_ref.width, m_ref.height)
-    if m_ref.num_planes > m_cur.num_planes:
-        swapped = match_plane_maps(m_cur, m_ref, c.swapped(), sigma=sigma)
-        return [(r, c_id) for c_id, r in swapped]
+    sigma = 0.1 * math.hypot(m_ref.width, m_ref.height)
+    swap = m_ref.num_planes > m_cur.num_planes
+    if swap:
+        m_ref, m_cur, c = m_cur, m_ref, c.swapped()
     node_aff = node_affinity_matrix(c, m_ref, m_cur)
     w = assemble_affinity(node_aff, m_ref.graph(), m_cur.graph(), sigma)
     h, m = node_aff.shape
@@ -559,4 +546,4 @@ def match_plane_maps(
         assignment = solve_matching(w, h, m)
     except BudgetExceededError:
         assignment = solve_matching(w, h, m, mode="spectral")
-    return assignment.pairs
+    return [(r, c_id) for c_id, r in assignment.pairs] if swap else assignment.pairs

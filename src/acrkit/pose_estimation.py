@@ -28,12 +28,13 @@ from .errors import (
 )
 from .geometry import DirectionalPose, Intrinsics, Rotation
 
-# Label value used in memory for "no plane label" (JSON files use null).
-NO_LABEL = -1
-
 # Singular-value spread below which a homography is treated as a pure
 # rotation (zero baseline); the translation direction is undefined there.
 ZERO_MOTION_SPREAD = 1e-6
+
+# Median triangulation parallax below which the epipolar translation
+# direction is flagged unstable.
+PARALLAX_MIN_DEG = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,14 +44,12 @@ class CorrespondenceSet:
     Attributes:
         a: (N, 2) pixel coordinates in image A.
         b: (N, 2) pixel coordinates in image B.
-        plane_label: (N,) integer labels; ``NO_LABEL`` where absent.
         track_id: (N,) stable integer identity of each correspondence
             across image pairs (assigned by the simulator or ingest layer).
     """
 
     a: np.ndarray
     b: np.ndarray
-    plane_label: np.ndarray = None
     track_id: np.ndarray = None
 
     def __post_init__(self):
@@ -59,63 +58,53 @@ class CorrespondenceSet:
         if a.ndim != 2 or a.shape[1] != 2 or b.shape != a.shape:
             raise InvalidInputError("correspondence arrays must both be (N, 2)")
         n = a.shape[0]
-        labels = self.plane_label
-        if labels is None:
-            labels = np.full(n, NO_LABEL, dtype=np.int64)
-        labels = np.asarray(labels, dtype=np.int64)
         tracks = self.track_id
         if tracks is None:
             tracks = np.arange(n, dtype=np.int64)
         tracks = np.asarray(tracks, dtype=np.int64)
-        if labels.shape != (n,) or tracks.shape != (n,):
-            raise InvalidInputError("label/track arrays must have length N")
-        for arr in (a, b, labels, tracks):
+        if tracks.shape != (n,):
+            raise InvalidInputError("track array must have length N")
+        for arr in (a, b, tracks):
             arr.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "plane_label", labels)
         object.__setattr__(self, "track_id", tracks)
 
     def __len__(self) -> int:
         return self.a.shape[0]
 
     def subset(self, index) -> "CorrespondenceSet":
-        return CorrespondenceSet(
-            self.a[index], self.b[index], self.plane_label[index], self.track_id[index]
-        )
+        return CorrespondenceSet(self.a[index], self.b[index], self.track_id[index])
 
     def swapped(self) -> "CorrespondenceSet":
         """The same pairs with the A and B sides exchanged."""
-        return CorrespondenceSet(self.b, self.a, self.plane_label, self.track_id)
+        return CorrespondenceSet(self.b, self.a, self.track_id)
 
     def to_json_dict(self) -> dict:
         pairs = np.hstack([self.a, self.b])
-        doc = {
-            "pairs": [[float(v) for v in row] for row in pairs],
-            "plane_label": [
-                None if int(l) == NO_LABEL else int(l) for l in self.plane_label
-            ],
-        }
+        doc = {"pairs": [[float(v) for v in row] for row in pairs]}
         if not np.array_equal(self.track_id, np.arange(len(self))):
             doc["track_id"] = [int(t) for t in self.track_id]
         return doc
 
     @staticmethod
-    def from_json_dict(doc: dict) -> "CorrespondenceSet":
-        pairs = np.asarray(doc["pairs"], dtype=float)
+    def from_json_dict(doc) -> "CorrespondenceSet":
+        """The set of a JSON object with ``pairs`` and optional ``track_id``;
+        other keys, such as the ``plane_label`` of older files, are ignored."""
+        if not isinstance(doc, dict) or "pairs" not in doc:
+            raise InvalidInputError("a correspondence file must be an object with pairs")
+        tracks = doc.get("track_id")
+        try:
+            pairs = np.asarray(doc["pairs"], dtype=float)
+            if tracks is not None:
+                tracks = np.asarray(tracks, dtype=np.int64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"malformed correspondence file: {exc}") from exc
         if pairs.size == 0:
             pairs = pairs.reshape(0, 4)
         if pairs.ndim != 2 or pairs.shape[1] != 4:
             raise InvalidInputError("pairs must be rows of [uA, vA, uB, vB]")
-        labels = doc.get("plane_label")
-        if labels is not None:
-            labels = np.array(
-                [NO_LABEL if l is None else int(l) for l in labels], dtype=np.int64
-            )
-        tracks = doc.get("track_id")
-        if tracks is not None:
-            tracks = np.asarray(tracks, dtype=np.int64)
-        return CorrespondenceSet(pairs[:, :2], pairs[:, 2:], labels, tracks)
+        return CorrespondenceSet(pairs[:, :2], pairs[:, 2:], tracks)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()))
@@ -137,12 +126,7 @@ def join_on_tracks(first: CorrespondenceSet, second: CorrespondenceSet) -> Corre
     )
     if common.size == 0:
         raise InsufficientDataError("no shared tracks between observations")
-    return CorrespondenceSet(
-        first.b[idx_first],
-        second.b[idx_second],
-        first.plane_label[idx_first],
-        common,
-    )
+    return CorrespondenceSet(first.b[idx_first], second.b[idx_second], common)
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,9 +410,34 @@ def _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed)
     return best_mask, best_count
 
 
+def _ransac_refit(n, sample_size, fit, score, threshold_px, max_iters, seed, refine_iters):
+    """:func:`_ransac_consensus`, then up to ``refine_iters`` least-squares
+    fits on the consensus, each re-gating at ``threshold_px`` with the
+    previous model; the minimal-sample consensus is biased toward its own
+    noise realization, and a couple of rounds remove most of that bias.
+
+    ``fit`` and ``score`` are the consensus ones; ``fit`` also takes a
+    boolean pair mask and ``score`` a single model.  Returns the last
+    (model, mask), the mask the pairs that model was fitted on.
+
+    Raises:
+        DegenerateModelError: no model with ``sample_size`` inliers.
+    """
+    mask, count = _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed)
+    if mask is None or count < sample_size:
+        raise DegenerateModelError(f"RANSAC found no model with {sample_size} inliers")
+    model = fit(mask)
+    for _ in range(max(0, refine_iters - 1)):
+        new_mask = score(model) <= threshold_px
+        if int(new_mask.sum()) < sample_size or np.array_equal(new_mask, mask):
+            break
+        mask = new_mask
+        model = fit(mask)
+    return model, mask
+
+
 def estimate_homography_ransac(
     c: CorrespondenceSet,
-    intr: Intrinsics,
     threshold_px: float = 1.0,
     max_iters: int = 2000,
     seed: int = 0,
@@ -452,8 +461,6 @@ def estimate_homography_ransac(
 
     Args:
         c: correspondence set (at least 4 pairs).
-        intr: accepted for interface symmetry with the epipolar path; the
-            pixel-space estimation itself does not use it.
         threshold_px: inlier gate on the symmetric transfer error.
         max_iters: RANSAC budget of minimal samples (adaptively shrunk).
         seed: RNG seed.
@@ -469,7 +476,7 @@ def estimate_homography_ransac(
     if n < 4:
         raise InsufficientDataError(f"homography RANSAC needs >= 4 pairs, got {n}")
     a, b = c.a, c.b
-    best_mask, best_count = _ransac_consensus(
+    h, mask = _ransac_refit(
         n,
         4,
         lambda idx: homography_dlt(a[idx], b[idx]),
@@ -477,21 +484,8 @@ def estimate_homography_ransac(
         threshold_px,
         max_iters,
         seed,
+        refine_iters,
     )
-    if best_mask is None or best_count < 4:
-        raise DegenerateModelError("RANSAC found no homography with 4 inliers")
-    # Refit on the consensus and optionally let the consensus
-    # re-stabilize: the minimal-sample consensus is biased toward its own
-    # noise realization, and a couple of least-squares rounds remove most
-    # of that bias.
-    mask = best_mask
-    h = homography_dlt(a[mask], b[mask])
-    for _ in range(max(0, refine_iters - 1)):
-        new_mask = symmetric_transfer_error(h, a, b) <= threshold_px
-        if int(new_mask.sum()) < 4 or np.array_equal(new_mask, mask):
-            break
-        mask = new_mask
-        h = homography_dlt(a[mask], b[mask])
     # Local optimisation (LO-RANSAC, Chum et al. 2003; the sigma-consensus
     # of MAGSAC++): gate again at a threshold from the consensus residual
     # spread and refit once.  Pairs that the wide gate let in from a
@@ -798,7 +792,6 @@ def estimate_epipolar(
     threshold_px: float = 1.0,
     max_iters: int = 2000,
     seed: int = 0,
-    parallax_min_deg: float = 0.1,
     refine_iters: int = 3,
 ) -> PoseHypothesis:
     """Relative pose via a normalized 8-point solver inside RANSAC.
@@ -806,7 +799,7 @@ def estimate_epipolar(
     The essential matrix is estimated on calibrated rays with Sampson error
     (in pixels) as the inlier gate, decomposed into the four (R, t)
     candidates, and disambiguated by a positive-depth vote.  When the median
-    triangulation parallax falls below ``parallax_min_deg`` the translation
+    triangulation parallax falls below ``PARALLAX_MIN_DEG`` the translation
     direction is unreliable and the result carries the
     ``unstable_translation`` flag.
 
@@ -823,7 +816,7 @@ def estimate_epipolar(
     k = intr.matrix()
     k_inv = intr.inverse_matrix()
 
-    best_mask, best_count = _ransac_consensus(
+    e, best_mask = _ransac_refit(
         n,
         8,
         lambda idx: _essential_from_rays(xa[idx], xb[idx]),
@@ -831,20 +824,9 @@ def estimate_epipolar(
         threshold_px,
         max_iters,
         seed,
+        refine_iters,
     )
-    if best_mask is None or best_count < 8:
-        raise DegenerateModelError("RANSAC found no essential matrix with 8 inliers")
-    mask = best_mask
-    e = _essential_from_rays(xa[mask], xb[mask])
-    for _ in range(max(0, refine_iters - 1)):
-        f = k_inv.T @ e @ k_inv
-        new_mask = sampson_error(f, c.a, c.b) <= threshold_px
-        if int(new_mask.sum()) < 8 or np.array_equal(new_mask, mask):
-            break
-        mask = new_mask
-        e = _essential_from_rays(xa[mask], xb[mask])
-    best_mask = mask
-    best_count = int(mask.sum())
+    best_count = int(best_mask.sum())
 
     u, _, vt = np.linalg.svd(e)
     if np.linalg.det(u) < 0:
@@ -877,7 +859,7 @@ def estimate_epipolar(
         np.einsum("ij,ij->i", rays1, rays2)[ok] / nrm[ok], -1.0, 1.0
     )
     parallax = float(np.median(np.degrees(np.arccos(cosang)))) if ok.any() else 0.0
-    unstable = parallax < parallax_min_deg
+    unstable = parallax < PARALLAX_MIN_DEG
 
     return PoseHypothesis(
         pose=DirectionalPose(Rotation.from_matrix(r_m, reproject=True), t_c),

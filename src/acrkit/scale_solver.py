@@ -44,9 +44,8 @@ from .pose_estimation import CorrespondenceSet
 # exceeds one and the geometry cannot fix the scale.
 AMBIGUITY_GAP = 1e-8
 
-# Default cap on correspondences fed into one solve.
+# Cap on correspondences fed into one solve, and the fewest it accepts.
 MAX_SYSTEM_POINTS = 512
-
 MIN_SYSTEM_POINTS = 8
 
 # One track's symmetric stationarity block over (da, db, s): indices into
@@ -203,25 +202,24 @@ def solve_scale_system(
     c: CorrespondenceSet,
     intr: Intrinsics,
     pose: DirectionalPose,
-    max_points: int = MAX_SYSTEM_POINTS,
-    min_points: int = MIN_SYSTEM_POINTS,
     subsample_seed: int = 0,
 ) -> ScaleSolution:
     """Build and solve the system for one correspondence set.
 
-    Sets larger than ``max_points`` are subsampled deterministically to
-    keep the solve cheap; smaller than ``min_points`` is rejected for
-    noise resilience.  The solve is exact and O(N), through the secular
-    equation of the block-arrowhead ``A^T A``.
+    Sets larger than ``MAX_SYSTEM_POINTS`` are subsampled deterministically
+    (by ``subsample_seed``) to keep the solve cheap; smaller than
+    ``MIN_SYSTEM_POINTS`` is rejected for noise resilience.  The solve is
+    exact and O(N), through the secular equation of the block-arrowhead
+    ``A^T A``.
     """
-    if len(c) < min_points:
+    if len(c) < MIN_SYSTEM_POINTS:
         raise InsufficientDataError(
-            f"scale system needs >= {min_points} correspondences, got {len(c)}"
+            f"scale system needs >= {MIN_SYSTEM_POINTS} correspondences, got {len(c)}"
         )
     use = c
-    if len(c) > max_points:
+    if len(c) > MAX_SYSTEM_POINTS:
         rng = np.random.default_rng(subsample_seed)
-        idx = np.sort(rng.choice(len(c), size=max_points, replace=False))
+        idx = np.sort(rng.choice(len(c), size=MAX_SYSTEM_POINTS, replace=False))
         use = c.subset(idx)
     w, y = _arrowhead_eigen(coefficient_arrays(use.a, use.b, intr, pose))
     return _checked_solution(w, y, use.track_id)

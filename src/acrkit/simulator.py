@@ -587,14 +587,13 @@ def observe(
     noise: NoiseSpec = None,
     lighting: LightingProxySpec = None,
     seed: int = 0,
-    reference_pose: Pose = None,
     render_masks: bool = True,
     reference_mask: PlaneSegmentMap = None,
 ) -> Observation:
     """One observation of the current view paired against the reference.
 
-    ``camera_pose`` and ``reference_pose`` are extrinsics in the world
-    frame (the reference defaults to identity).  Tracks must be visible
+    ``camera_pose`` is the current extrinsic in the world frame, which is
+    the reference camera's (extrinsic identity).  Tracks must be visible
     (positive depth, inside the image) in both views to appear.  Noise and
     the lighting proxy corrupt only the current-view pixels.
 
@@ -604,11 +603,11 @@ def observe(
     """
     noise = noise or NoiseSpec()
     lighting = lighting or LightingProxySpec()
-    reference_pose = reference_pose or Pose.identity()
+    reference = Pose.identity()
     w, h = int(image_size[0]), int(image_size[1])
     rng = np.random.default_rng(seed)
 
-    px_ref, d_ref = project_points(intr, reference_pose, world.points)
+    px_ref, d_ref = project_points(intr, reference, world.points)
     px_cur, d_cur = project_points(intr, camera_pose, world.points)
 
     def _in_view(px, depths):
@@ -622,7 +621,7 @@ def observe(
 
     visible = _in_view(px_ref, d_ref) & _in_view(px_cur, d_cur)
     if visible.any():
-        blocked = _occluded(world, reference_pose, intr, px_ref, d_ref) | _occluded(
+        blocked = _occluded(world, reference, intr, px_ref, d_ref) | _occluded(
             world, camera_pose, intr, px_cur, d_cur
         )
         visible &= ~blocked
@@ -634,7 +633,6 @@ def observe(
     b_clean = px_cur[idx].copy()
     b = b_clean.copy()
     tracks = world.track_id[idx]
-    plane_ids = world.plane_index[idx]
     n = idx.size
 
     # Matching noise on a mu-fraction of current pixels.
@@ -668,11 +666,9 @@ def observe(
         if keep.size == 0:
             raise EmptyObservationError("dropout removed every correspondence")
 
-    correspondences = CorrespondenceSet(
-        a[keep], b[keep], plane_ids[keep], tracks[keep]
-    )
+    correspondences = CorrespondenceSet(a[keep], b[keep], tracks[keep])
     truth = ObservationTruth(
-        relative_pose=compose(camera_pose, reference_pose.inverse()),
+        relative_pose=camera_pose,
         clean_a=a[keep],
         clean_b=b_clean[keep],
     )
@@ -680,7 +676,7 @@ def observe(
     mask_cur = None
     if render_masks:
         mask_ref = reference_mask or render_plane_mask(
-            world, reference_pose, intr, image_size
+            world, reference, intr, image_size
         )
         mask_cur = render_plane_mask(world, camera_pose, intr, image_size)
     return Observation(
@@ -931,7 +927,7 @@ def _bench_errors(
         refine_iters=BENCH_REFINE_ITERS,
     )
     try:
-        h, mask = estimate_homography_ransac(c, intr, **ransac)
+        h, mask = estimate_homography_ransac(c, **ransac)
         hyp = decompose_homography(h, intr, c.subset(mask))
         rot_err = rotation_angle(hyp.pose.rotation.compose(truth_r.inverse()))
         dir_err = (

@@ -147,6 +147,14 @@ class TestAcrConfig:
         AcrConfig(init_translation=(0.0, 0.0, -1e-6))
 
 
+class TestHandMotion:
+    @pytest.mark.parametrize("scale", [-1e-9, float("nan")])
+    def test_scale_below_zero_or_nan_is_invalid_input(self, scale):
+        est = DirectionalPose(Rotation.about_z(2.0), [0.0, 0.0, 1.0])
+        with pytest.raises(InvalidInputError, match="scale must be non-negative"):
+            acr_loop.hand_motion_from_estimate(est, scale)
+
+
 class TestBisectionBaseline:
     def test_ends_without_failure(self):
         trace, _ = _run(run_bisection_baseline)

@@ -405,6 +405,10 @@ class TestSimulateAcr:
         message = self._rejected(doc, tmp_path, monkeypatch, capsys)
         assert "unknown acr key" in message and key in message
 
+    def test_wrongly_typed_output_dir_is_invalid_input(self, tmp_path, monkeypatch, capsys):
+        message = self._rejected(5, tmp_path, monkeypatch, capsys, section="output_dir")
+        assert "output_dir" in message
+
     @pytest.mark.parametrize(
         "acr_doc, key",
         [
@@ -594,3 +598,50 @@ class TestSolveScale:
         code = cli.main(argv)
         assert code == 2
         assert self._last_json(capsys)["error"] == "missing-input"
+
+
+class TestFileInputs:
+    """A file command that cannot use an input file exits 2 with the
+    error's code, never with a traceback."""
+
+    COMMANDS = {
+        "estimate-pose": TestEstimatePose._inputs,
+        "match-planes": TestMatchPlanes._inputs,
+        "solve-scale": TestSolveScale._inputs,
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag, content, error",
+        [
+            ("solve-scale", "--pose", {"direction": [0.0, 0.0, 1.0]}, "invalid-input"),
+            ("solve-scale", "--pose", {"r": [1.0] * 8, "t": [0.0, 0.0, 1.0]}, "invalid-input"),
+            ("solve-scale", "--pose", [1.0, 0.0, 0.0], "invalid-input"),
+            ("solve-scale", "--pose", "{not json", "invalid-input"),
+            ("solve-scale", "--intrinsics", "{not json", "invalid-input"),
+            ("solve-scale", None, {}, "invalid-input"),
+            ("solve-scale", None, [[1.0, 2.0, 3.0, 4.0]], "invalid-input"),
+            ("solve-scale", None, "{not json", "invalid-input"),
+            ("solve-scale", None, None, "missing-input"),
+            ("estimate-pose", None, {}, "invalid-input"),
+            ("estimate-pose", None, [], "invalid-input"),
+            ("estimate-pose", None, "{not json", "invalid-input"),
+            ("estimate-pose", "--intrinsics", "{not json", "invalid-input"),
+            ("estimate-pose", None, None, "missing-input"),
+            ("match-planes", None, {"track_id": [0]}, "invalid-input"),
+            ("match-planes", None, {"pairs": [["x", 1.0, 2.0, 3.0]]}, "invalid-input"),
+            ("match-planes", None, None, "missing-input"),
+        ],
+    )
+    def test_unusable_file_is_a_typed_error(self, command, flag, content, error, tmp_path, capsys):
+        """``content`` is written as JSON, a string verbatim, None not at all."""
+        argv = self.COMMANDS[command](tmp_path)
+        path = tmp_path / "input.json"
+        if isinstance(content, str):
+            path.write_text(content)
+        elif content is not None:
+            path.write_text(json.dumps(content))
+        argv[1 if flag is None else argv.index(flag) + 1] = str(path)
+        if command == "estimate-pose":
+            argv += ["--method", "epipolar"]
+        assert cli.main(argv) == 2
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"] == error

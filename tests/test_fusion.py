@@ -278,7 +278,6 @@ class TestI2pe:
         contaminated = CorrespondenceSet(
             np.vstack([c.a, junk_a]),
             np.vstack([c.b, junk_b]),
-            np.concatenate([c.plane_label, np.zeros(n_junk, dtype=np.int64)]),
             np.concatenate(
                 [c.track_id, np.arange(n_junk) + 10_000_000]
             ),

@@ -20,7 +20,6 @@ from acrkit.geometry import (
     Rotation,
     compose,
     direction_angle,
-    invert,
     project_points,
     rotation_angle,
 )
@@ -78,7 +77,7 @@ class TestCompose:
     def test_inverse_composition(self):
         rng = np.random.default_rng(1)
         p = random_pose_sample(rng, 120.0, 2.0)
-        result = compose(p, invert(p))
+        result = compose(p, p.inverse())
         np.testing.assert_allclose(result.matrix(), np.eye(4), atol=1e-9)
 
     def test_z_rotations_add(self):
@@ -110,18 +109,18 @@ class TestCompose:
 
 class TestInvert:
     def test_identity(self):
-        np.testing.assert_allclose(invert(Pose.identity()).matrix(), np.eye(4))
+        np.testing.assert_allclose(Pose.identity().inverse().matrix(), np.eye(4))
 
     def test_pure_translation(self):
         p = Pose(Rotation.identity(), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(invert(p).translation, [-1.0, -2.0, -3.0])
+        np.testing.assert_allclose(p.inverse().translation, [-1.0, -2.0, -3.0])
 
     def test_random_pose_composition_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             p = random_pose_sample(rng, 170.0, 3.0)
             np.testing.assert_allclose(
-                compose(p, invert(p)).matrix(), np.eye(4), atol=1e-9
+                compose(p, p.inverse()).matrix(), np.eye(4), atol=1e-9
             )
 
 
@@ -231,10 +230,6 @@ class TestDirectionalPose:
             back = dp.inverse().inverse()
             np.testing.assert_allclose(back.rotation.matrix, dp.rotation.matrix, atol=1e-12)
             np.testing.assert_allclose(back.direction, dp.direction, atol=1e-12)
-
-    def test_with_scale(self):
-        dp = DirectionalPose(Rotation.identity(), [0, 0, 1])
-        assert np.allclose(dp.with_scale(0.25).translation, [0, 0, 0.25])
 
 
 class TestSerialization:

@@ -1,4 +1,4 @@
-"""The library's import footprint."""
+"""The library's import footprint, and the names it takes but never reads."""
 
 from __future__ import annotations
 
@@ -49,3 +49,47 @@ def test_no_library_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py" and (names := _unused_imports(path))
     }
     assert unused == {}
+
+
+# The chooser protocol passes (candidates, inliers) to every chooser; these
+# two decide from the candidates alone.
+CHOOSER_PROTOCOL = {("_pure_translation_chooser", "inliers"), ("_select_consistent", "inliers")}
+
+
+def _is_stub(body: list) -> bool:
+    """A body of only a docstring and ``...``, as in a ``Protocol``."""
+    return all(
+        isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant) for stmt in body
+    ) and any(stmt.value.value is Ellipsis for stmt in body)
+
+
+def _unread_parameters(path: Path) -> list:
+    """Parameters of the functions and lambdas at ``path`` that their body
+    never reads, outside stubs and the chooser protocol."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        body = node.body if isinstance(node.body, list) else [node.body]
+        if _is_stub(body):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        found += [
+            f"{name}({param}) line {node.lineno}"
+            for param in params
+            if param not in read and (name, param) not in CHOOSER_PROTOCOL
+        ]
+    return found
+
+
+def test_no_library_function_takes_a_parameter_it_never_reads():
+    unread = {
+        path.name: names
+        for path in sorted((SRC / "acrkit").glob("*.py"))
+        if (names := _unread_parameters(path))
+    }
+    assert unread == {}

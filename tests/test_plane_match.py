@@ -553,7 +553,40 @@ class TestAffinities:
             assemble_affinity(np.ones((2, 3)), g_ref, g_cur, sigma=0.0)
 
 
+def _loop_edges(graph_ref: PlaneGraph, graph_cur: PlaneGraph, sigma: float) -> np.ndarray:
+    """The unscaled edge block of W, filled by a loop over (a, b), then c:
+    the construction ``assemble_affinity`` used before it broadcast."""
+    h, m = len(graph_ref.plane_ids), len(graph_cur.plane_ids)
+    edges = np.zeros((h * m, h * m))
+    for a in range(h):
+        for b in range(h):
+            if a == b:
+                continue
+            diff = np.abs(graph_ref.distances[a, b] - graph_cur.distances)
+            sim = np.exp(-diff / sigma)
+            for c_i in range(m):
+                vals = sim[c_i].copy()
+                vals[c_i] = 0.0
+                edges[c_i * h + a, np.arange(m) * h + b] = vals
+    return edges
+
+
 class TestAssembleAffinity:
+    def test_edges_equal_the_loop_oracle_bit_for_bit(self):
+        # Zero node affinities leave W the scaled edge block alone.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            h = int(rng.integers(1, 6))
+            m = int(rng.integers(h, 8))
+            graphs = []
+            for k in (h, m):
+                d = rng.uniform(0, 400, size=(k, k)) * (rng.random((k, k)) < 0.8)
+                graphs.append(PlaneGraph(tuple(range(1, k + 1)), np.triu(d, 1) + np.triu(d, 1).T))
+            sigma = float(rng.choice([0.5, 8.0, 160.0]))
+            edges = _loop_edges(*graphs, sigma)
+            expected = edges / edges.max() if edges.max() > 0 else edges
+            assert np.array_equal(assemble_affinity(np.zeros((h, m)), *graphs, sigma), expected)
+
     def test_one_by_one(self):
         g = PlaneGraph((1,), np.zeros((1, 1)))
         w = assemble_affinity(np.array([[7.0]]), g, g, sigma=5.0)

@@ -46,11 +46,10 @@ def _pixel_homography(intr, rotation, translation, normal, distance):
 
 
 class TestCorrespondenceSet:
-    def test_json_round_trip_with_null_labels(self, tmp_path):
+    def test_json_round_trip(self, tmp_path):
         c = CorrespondenceSet(
             np.array([[1.0, 2.0], [3.0, 4.0]]),
             np.array([[5.0, 6.0], [7.0, 8.0]]),
-            plane_label=np.array([3, -1]),
             track_id=np.array([10, 20]),
         )
         path = tmp_path / "c.json"
@@ -58,13 +57,20 @@ class TestCorrespondenceSet:
         back = CorrespondenceSet.load(path)
         np.testing.assert_allclose(back.a, c.a)
         np.testing.assert_allclose(back.b, c.b)
-        assert back.plane_label.tolist() == [3, -1]
         assert back.track_id.tolist() == [10, 20]
         import json
 
         doc = json.loads(path.read_text())
-        assert doc["plane_label"] == [3, None]
+        assert "plane_label" not in doc
         assert doc["pairs"][0] == [1.0, 2.0, 5.0, 6.0]
+
+    def test_file_with_plane_labels_still_loads(self):
+        # Files written before the labels were dropped carry them.
+        back = CorrespondenceSet.from_json_dict(
+            {"pairs": [[1.0, 2.0, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]], "plane_label": [3, None]}
+        )
+        assert back.a.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert back.track_id.tolist() == [0, 1]
 
     def test_shape_validation(self):
         with pytest.raises(Exception):
@@ -104,7 +110,7 @@ class TestHomographyRansac:
         ah = np.hstack([a, np.ones((4, 1))]) @ h_true.T
         b = ah[:, :2] / ah[:, 2:]
         c = CorrespondenceSet(a, b)
-        h, mask = estimate_homography_ransac(c, intr, 1.0, 100, seed=0)
+        h, mask = estimate_homography_ransac(c, 1.0, 100, seed=0)
         assert mask.all()
         got = h.matrix / h.matrix[2, 2]
         expected = h_true / h_true[2, 2]
@@ -114,7 +120,7 @@ class TestHomographyRansac:
         rng = np.random.default_rng(1)
         a = rng.uniform(0, 1000, size=(30, 2))
         c = CorrespondenceSet(a, a)
-        h, mask = estimate_homography_ransac(c, intr, 1.0, 100, seed=0)
+        h, mask = estimate_homography_ransac(c, 1.0, 100, seed=0)
         got = h.matrix / h.matrix[2, 2]
         np.testing.assert_allclose(got, np.eye(3), atol=1e-9)
 
@@ -129,7 +135,7 @@ class TestHomographyRansac:
         full = CorrespondenceSet(
             np.vstack([c.a, a_out]), np.vstack([c.b, b_out])
         )
-        h, mask = estimate_homography_ransac(full, intr, 1.0, 2000, seed=2)
+        h, mask = estimate_homography_ransac(full, 1.0, 2000, seed=2)
         assert not mask[70:].any(), "all planted outliers must be excluded"
         assert mask[:70].sum() >= 66
 
@@ -137,14 +143,14 @@ class TestHomographyRansac:
         c, _ = plane_pair_set(
             intr, Rotation.about_z(4.0), [0.08, 0.0, 0.02], [0, 0, 1], 2.0, count=60
         )
-        _, m1 = estimate_homography_ransac(c, intr, 1.0, 500, seed=9)
-        _, m2 = estimate_homography_ransac(c, intr, 1.0, 500, seed=9)
+        _, m1 = estimate_homography_ransac(c, 1.0, 500, seed=9)
+        _, m2 = estimate_homography_ransac(c, 1.0, 500, seed=9)
         assert np.array_equal(m1, m2)
 
     def test_too_few_pairs(self, intr):
         c = CorrespondenceSet(np.zeros((3, 2)), np.zeros((3, 2)))
         with pytest.raises(InsufficientDataError):
-            estimate_homography_ransac(c, intr, 1.0, 10, 0)
+            estimate_homography_ransac(c, 1.0, 10, 0)
 
     def test_exact_crease_returns_dominant_plane(self, intr):
         # Two planes meet at the crease x = 0: the dominant one at z = 2,
@@ -177,7 +183,7 @@ class TestHomographyRansac:
         assert crease.sum() >= 4, "the data must put crease pairs inside the gate"
 
         h, mask = estimate_homography_ransac(
-            c, intr, 1.0, 500, seed=0, refine_iters=1
+            c, 1.0, 500, seed=0, refine_iters=1
         )
         got = h.matrix / np.linalg.norm(h.matrix)
         expected = h_true / np.linalg.norm(h_true)
@@ -213,7 +219,7 @@ class TestDecomposeHomography:
         rng = np.random.default_rng(0)
         a = rng.uniform(100, 1000, size=(12, 2))
         c = CorrespondenceSet(a, a)
-        h, mask = estimate_homography_ransac(c, intr, 1.0, 100, seed=0)
+        h, mask = estimate_homography_ransac(c, 1.0, 100, seed=0)
         hyp = decompose_homography(h, intr, c)
         assert hyp.zero_motion
         assert rotation_angle(hyp.pose.rotation) < 1e-6
@@ -221,7 +227,7 @@ class TestDecomposeHomography:
     def test_forward_model_recovery(self, intr):
         rotation = Rotation.about_z(5.0)
         c, _ = plane_pair_set(intr, rotation, [0.1, 0, 0], [0, 0, 1], 2.0)
-        h, mask = estimate_homography_ransac(c, intr, 1.0, 500, seed=0)
+        h, mask = estimate_homography_ransac(c, 1.0, 500, seed=0)
         hyp = decompose_homography(h, intr, c.subset(mask))
         assert rotation_angle(hyp.pose.rotation.compose(rotation.inverse())) < 1e-6
         assert direction_angle(hyp.pose.direction, [1, 0, 0]) < 1e-4
@@ -238,7 +244,7 @@ class TestDecomposeHomography:
             n[2] = abs(n[2]) + 1.5
             n /= np.linalg.norm(n)
             c, _ = plane_pair_set(intr, rot, t, n, rng.uniform(1.0, 3.0), seed=trial)
-            h, mask = estimate_homography_ransac(c, intr, 1.0, 500, seed=trial)
+            h, mask = estimate_homography_ransac(c, 1.0, 500, seed=trial)
             cands = decompose_homography_candidates(h, intr, c.subset(mask))
             errors = [
                 rotation_angle(x.pose.rotation.compose(rot.inverse())) for x in cands
@@ -248,7 +254,7 @@ class TestDecomposeHomography:
 
     def test_scale_invariance(self, intr):
         c, _ = plane_pair_set(intr, Rotation.about_z(5.0), [0.1, 0, 0], [0, 0, 1], 2.0)
-        h, mask = estimate_homography_ransac(c, intr, 1.0, 200, seed=0)
+        h, mask = estimate_homography_ransac(c, 1.0, 200, seed=0)
         inl = c.subset(mask)
         hyp1 = decompose_homography(h, intr, inl)
         hyp2 = decompose_homography(Homography(-3.7 * h.matrix), intr, inl)
@@ -267,7 +273,7 @@ class TestDecomposeHomography:
         corrupt = rng.choice(len(c), size=len(c) // 2, replace=False)
         b[corrupt] += rng.uniform(-10, 10, size=(len(corrupt), 2))
         noisy = CorrespondenceSet(c.a, b)
-        h, mask = estimate_homography_ransac(noisy, intr, 1.0, 2000, seed=1)
+        h, mask = estimate_homography_ransac(noisy, 1.0, 2000, seed=1)
         deh = decompose_homography(h, intr, noisy.subset(mask))
         deh_err = rotation_angle(deh.pose.rotation.compose(rotation.inverse()))
         epi = estimate_epipolar(noisy, intr, 1.0, 2000, seed=1)
@@ -340,7 +346,7 @@ class TestEstimateEpipolar:
         # noise magnitude.
         epi = estimate_epipolar(noisy, intr, 2.0, 1000, seed=2)
         epi_err = rotation_angle(epi.pose.rotation.compose(rotation.inverse()))
-        h, mask = estimate_homography_ransac(noisy, intr, 2.0, 1000, seed=2)
+        h, mask = estimate_homography_ransac(noisy, 2.0, 1000, seed=2)
         deh = decompose_homography(h, intr, noisy.subset(mask))
         deh_err = rotation_angle(deh.pose.rotation.compose(rotation.inverse()))
         assert epi_err >= 10.0 * deh_err
@@ -463,7 +469,7 @@ def _both(monkeypatch, c, intr, method, max_iters, seed):
     """
     kwargs = dict(threshold_px=1.0, max_iters=max_iters, seed=seed, refine_iters=2)
     if method == "homography":
-        estimate = lambda: estimate_homography_ransac(c, intr, **kwargs)
+        estimate = lambda: estimate_homography_ransac(c, **kwargs)
         reference = lambda *args: _per_draw_homography(c, 1.0, max_iters, seed)
     else:
         estimate = lambda: estimate_epipolar(c, intr, **kwargs)
@@ -551,7 +557,7 @@ class TestChunkedRansac:
             c, _ = general_pair_set(intr, rotation, t, count=150)
         choices = _count_choices(monkeypatch)
         if method == "homography":
-            _, mask = estimate_homography_ransac(c, intr, 1.0, 200, seed=0)
+            _, mask = estimate_homography_ransac(c, 1.0, 200, seed=0)
             assert mask.all()
         else:
             assert estimate_epipolar(c, intr, 1.0, 200, seed=0).support == len(c)
@@ -563,8 +569,10 @@ class TestChunkedRansac:
         # which chunks of 1, 1, 2 and 4 would overrun.
         c = _contaminated(intr, method, 80, 0.3, 0)
         choices = _count_choices(monkeypatch)
-        estimate = estimate_homography_ransac if method == "homography" else estimate_epipolar
-        _run(lambda: estimate(c, intr, 1.0, 7, seed=0))
+        if method == "homography":
+            _run(lambda: estimate_homography_ransac(c, 1.0, 7, seed=0))
+        else:
+            _run(lambda: estimate_epipolar(c, intr, 1.0, 7, seed=0))
         assert len(choices) == 7
 
 
@@ -1002,7 +1010,7 @@ class TestStackedDecomposition:
     def test_general_motion_equals_oracle(self, intr, seed):
         rot, t, n, dist = _random_plane_motion(seed)
         c, _ = plane_pair_set(intr, rot, t, n, dist, seed=seed)
-        h, mask = estimate_homography_ransac(c, intr, 1.0, 300, seed=seed)
+        h, mask = estimate_homography_ransac(c, 1.0, 300, seed=seed)
         inl = c.subset(mask)
         expected = _decompose_oracle(h, intr, inl, self.IMAGE_SIZE)
         _assert_same_hypotheses(decompose_homography_candidates(h, intr, inl, self.IMAGE_SIZE), expected)
@@ -1013,7 +1021,7 @@ class TestStackedDecomposition:
         c, _ = plane_pair_set(intr, rot, t, n, dist, count=300, seed=seed)
         rng = np.random.default_rng(seed)
         noisy = CorrespondenceSet(c.a, c.b + rng.normal(0.0, 0.7, size=c.b.shape))
-        h, mask = estimate_homography_ransac(noisy, intr, 2.0, 300, seed=seed)
+        h, mask = estimate_homography_ransac(noisy, 2.0, 300, seed=seed)
         inl = noisy.subset(mask)
         _assert_same_hypotheses(decompose_homography_candidates(h, intr, inl), _decompose_oracle(h, intr, inl))
 

@@ -25,6 +25,7 @@ from acrkit.pose_estimation import CorrespondenceSet
 from acrkit.scale_solver import (
     _BLOCK,
     _SIGN,
+    MAX_SYSTEM_POINTS,
     ScaleSolution,
     SparseDepthMap,
     _arrowhead_eigen,
@@ -255,10 +256,9 @@ class TestSolveNullspace:
         rotation = Rotation.about_z(3.0)
         t_dir = np.array([1.0, 0.0, 0.0])
         c, _, _ = _two_view(intr, rotation, t_dir * 0.05, count=700)
-        sol = solve_scale_system(
-            c, intr, DirectionalPose(rotation, t_dir), max_points=128
-        )
-        assert sol.n_points == 128
+        assert len(c) > MAX_SYSTEM_POINTS
+        sol = solve_scale_system(c, intr, DirectionalPose(rotation, t_dir))
+        assert sol.n_points == MAX_SYSTEM_POINTS
         assert np.isin(sol.track_id, c.track_id).all()
 
 

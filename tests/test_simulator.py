@@ -189,9 +189,10 @@ class TestObserve:
         pose = Pose(Rotation.about_z(3.0), np.array([0.02, -0.01, 0.01]))
         obs = observe(world, pose, DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=2)
         c = obs.correspondences
-        in_plane = c.plane_label > 0
+        own = world.plane_index[c.track_id]
+        in_plane = own > 0
         labels = obs.mask_ref.label_at(c.a[in_plane])
-        assert (labels == c.plane_label[in_plane]).all()
+        assert (labels == own[in_plane]).all()
 
     def test_mask_ids_contiguous_when_plane_out_of_view(self):
         scene = corner_scene(seed=1)
@@ -228,7 +229,7 @@ class TestObserve:
         world = generate_scene(scene)
         obs = observe(world, Pose.identity(), DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=0)
         c = obs.correspondences
-        behind = c.plane_label == 2
+        behind = world.plane_index[c.track_id] == 2
         labels_at = obs.mask_ref.label_at(c.a[behind])
         assert not (labels_at == 1).any()
 
@@ -276,7 +277,7 @@ class TestVisibilityRule:
         obs = observe(world, pose, DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=0)
         c = obs.correspondences
         assert set(np.unique(obs.mask_cur.labels)) == {0, 1, 2}
-        behind = c.plane_label == 2
+        behind = world.plane_index[c.track_id] == 2
         assert behind.sum() > 100
         assert not (obs.mask_cur.label_at(c.b[behind]) == 1).any()
 
@@ -290,8 +291,9 @@ class TestVisibilityRule:
         obs = observe(world, pose, DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=seed)
         c = obs.correspondences
         assert obs.mask_cur.num_planes == 3
-        np.testing.assert_array_equal(obs.mask_ref.label_at(c.a), c.plane_label)
-        np.testing.assert_array_equal(obs.mask_cur.label_at(c.b), c.plane_label)
+        own = world.plane_index[c.track_id]
+        np.testing.assert_array_equal(obs.mask_ref.label_at(c.a), own)
+        np.testing.assert_array_equal(obs.mask_cur.label_at(c.b), own)
 
 
 def _oracle_labels(world, extrinsic, intr, image_size):
