@@ -7,18 +7,25 @@ returns its records so far, the first observation and the step.
 estimated relative pose (reference camera into current camera) as a
 :class:`DirectionalPose`, the metric length of the remaining translation,
 and whether the estimate has no usable direction (its scale is then 0).
-The driver owns everything else: the stop test (scale below
+``start`` also returns the method's estimate of the hidden hand-eye pose
+X.  The driver owns everything else: the stop test (scale below
 ``scale_epsilon`` and estimated rotation below ``rotation_epsilon``), the
-corrective command through :func:`hand_motion_from_estimate` (hand-eye
-pose treated as identity), the ``"iter"`` :class:`AcrRecord` of each pass,
-and the conversion of an :class:`AcrError` into a ``failed`` trace.
+corrective command, the ``"iter"`` :class:`AcrRecord` of each pass, and
+the conversion of an :class:`AcrError` into a ``failed`` trace.  The
+command is the hand motion X^-1 C X for the camera-frame motion C from
+:func:`hand_motion_from_estimate` and the estimated X, so that the
+executor's X M X^-1 moves the camera by C when X is right.
 
 :func:`run_acr` is the scale-computing loop: its start executes one known
 init translation to anchor metric depths, and its step estimates the pose
-from matched plane regions and the scale from one linear system.
+from matched plane regions and the scale from one linear system.  The init
+move also measures the swing of X's rotation, the part that turns the
+commanded translation's direction (:func:`_hand_eye_swing`); the twist
+about that direction and X's offset stay unseen and are taken as zero.
 :func:`run_bisection_baseline` is the scale-guessing prior strategy: it
-has no init, and its step halves a guessed scale whenever the epipolar
-direction reverses.
+has no init, and its start takes X as the identity, so its commands are
+exactly :func:`hand_motion_from_estimate`'s.  Its step halves a guessed
+scale whenever the epipolar direction reverses.
 
 The hardware seam is the :class:`MotionExecutor` protocol: anything that
 can execute a hand-frame pose command and return a fresh observation
@@ -48,6 +55,7 @@ from .geometry import (
     Intrinsics,
     Pose,
     Rotation,
+    compose,
     rotation_angle,
 )
 from .plane_match import PlaneSegmentMap
@@ -97,8 +105,10 @@ class MotionExecutor(Protocol):
 
     ``execute`` applies a hand-frame pose command through the (hidden)
     hand-eye pose and returns a new observation; ``observe`` returns one
-    without moving.  Implementations must expose the camera intrinsics and
-    image size used for the observations.
+    without moving.  The loop assumes the same hand-eye pose for every
+    command: :func:`run_acr` estimates part of it from the init move and
+    conjugates every later command by that estimate.  Implementations must
+    expose the camera intrinsics and image size used for the observations.
     """
 
     intrinsics: Intrinsics
@@ -121,6 +131,8 @@ class AcrConfig:
     scale_epsilon: float = 1e-3  # meters
     rotation_epsilon: float = 0.02  # degrees
     max_iterations: int = 30
+    # The init move's length anchors the metric scale; its direction, as
+    # the camera sees it, also measures the swing of the hand-eye rotation.
     init_translation: tuple = (0.0, 0.0, 0.05)  # meters, hand frame
 
     def __post_init__(self):
@@ -139,7 +151,11 @@ class AcrConfig:
 
 @dataclass(frozen=True, eq=False)
 class AcrRecord:
-    """One row of the relocalization trace."""
+    """One row of the relocalization trace.
+
+    ``hand_eye_swing_deg`` is the angle of the hand-eye rotation's swing
+    that the init move measured; only the ``"init"`` record carries it.
+    """
 
     index: int
     stage: str  # "init" or "iter"
@@ -149,9 +165,10 @@ class AcrRecord:
     rot_err_deg: float = None
     trans_err_m: float = None
     zero_motion: bool = False
+    hand_eye_swing_deg: float = None
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "iter": self.index,
             "stage": self.stage,
             "S_i_m": self.scale_m,
@@ -159,6 +176,9 @@ class AcrRecord:
             "trans_err_m": self.trans_err_m,
             "zero_motion": self.zero_motion,
         }
+        if self.stage == "init":
+            doc["hand_eye_swing_deg"] = self.hand_eye_swing_deg
+        return doc
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,16 +213,47 @@ class AcrTrace:
 
 
 def hand_motion_from_estimate(est: DirectionalPose, scale: float) -> Pose:
-    """Corrective hand motion for an estimated relative camera pose.
+    """Corrective motion for an estimated relative camera pose, in the
+    camera frame.
 
-    With the hand-eye pose guessed as identity, the command is the exact
-    inverse of the metric estimate: rotation transposed and translation
-    ``-R^-1 (scale * direction)``.
+    The motion is the exact inverse of the metric estimate: rotation
+    transposed and translation ``-R^-1 (scale * direction)``.  It is the
+    hand command when the hand-eye pose is the identity; the driver
+    conjugates it by its estimate of that pose.
     """
     if not scale >= 0:  # NaN too
         raise InvalidInputError(f"scale must be non-negative, got {scale}")
     r_inv = est.rotation.matrix.T
     return Pose(Rotation(r_inv), -(r_inv @ (est.direction * float(scale))))
+
+
+def _hand_eye_swing(hand_translation, camera_direction) -> Rotation:
+    """The shortest-arc rotation taking the direction t of
+    ``hand_translation`` onto the direction m of ``camera_direction``.
+
+    A pure hand translation t moves the camera along R_X t, so with m
+    measured for that move this is the swing of R_X in its swing-twist
+    split about t.  The twist about t cannot be seen and is left out; for
+    an exact m the error left, the twist alone, is never a larger rotation
+    than R_X.  Rodrigues' formula about the unit axis of t x m, with sine
+    |t x m| and cosine t . m.  Parallel directions give exactly the
+    identity; opposite ones a half turn about a fixed axis perpendicular
+    to t.
+    """
+    t = np.asarray(hand_translation, dtype=float)
+    t = t / np.linalg.norm(t)
+    m = np.asarray(camera_direction, dtype=float)
+    m = m / np.linalg.norm(m)
+    axis = np.cross(t, m)
+    sin, cos = float(np.linalg.norm(axis)), float(t @ m)
+    if sin == 0.0:
+        if cos > 0.0:
+            return Rotation.identity()
+        axis = np.cross(t, np.eye(3)[np.argmin(np.abs(t))])
+    k = axis / np.abs(axis).max()  # a tiny axis keeps its direction
+    k = k / np.linalg.norm(k)
+    kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return Rotation(np.eye(3) + sin * kx + (1.0 - cos) * (kx @ kx))
 
 
 def _truth_errors(obs: Observation):
@@ -292,7 +343,7 @@ def _relocalize(executor: MotionExecutor, cfg: AcrConfig, start) -> AcrTrace:
     """
     records = []
     try:
-        records, obs, step = start()
+        records, obs, step, hand_eye = start()
         for index in range(1, cfg.max_iterations + 1):
             estimate, scale, zero_motion = step(obs, index)
             converged = (
@@ -305,7 +356,8 @@ def _relocalize(executor: MotionExecutor, cfg: AcrConfig, start) -> AcrTrace:
                 correction = estimate.inverse() if not zero_motion else (
                     DirectionalPose(estimate.rotation.inverse(), (0.0, 0.0, 1.0))
                 )
-                command = hand_motion_from_estimate(correction, scale)
+                camera = hand_motion_from_estimate(correction, scale)
+                command = compose(compose(hand_eye.inverse(), camera), hand_eye)
             rot_err, trans_err = _truth_errors(obs)
             records.append(
                 AcrRecord(
@@ -347,6 +399,9 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
         )
         if est_0i.zero_motion:
             raise EstimationFailureError("init translation produced no parallax")
+        # The estimate maps the start camera into the init camera, so the
+        # camera moved along minus its direction.
+        hand_eye = Pose(_hand_eye_swing(t_init, -est_0i.pose.direction))
         s_init = init_scale(t_init, est_0i.pose)
         sol_init = solve_scale_system(_depth_pairs(pair_0i, est_0i), intr, est_0i.pose)
         d_current = depth_map_current(sol_init, s_init)
@@ -390,8 +445,11 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
                 return estimate.pose, 0.0, False
 
         rot0, trans0 = _truth_errors(obs_init)
-        init = AcrRecord(0, "init", s_init, est_0i.pose, init_cmd, rot0, trans0)
-        return [init], obs_init, step
+        init = AcrRecord(
+            0, "init", s_init, est_0i.pose, init_cmd, rot0, trans0,
+            hand_eye_swing_deg=rotation_angle(hand_eye.rotation),
+        )
+        return [init], obs_init, step, hand_eye
 
     return _relocalize(executor, cfg, start)
 
@@ -432,4 +490,4 @@ def run_bisection_baseline(executor: MotionExecutor, cfg: AcrConfig = None) -> A
         frame_drift = frame_drift @ estimate.rotation.matrix
         return estimate, scale, hyp.unstable_translation
 
-    return _relocalize(executor, cfg, lambda: ([], executor.observe(), step))
+    return _relocalize(executor, cfg, lambda: ([], executor.observe(), step, Pose.identity()))

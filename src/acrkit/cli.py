@@ -33,7 +33,7 @@ import numpy as np
 from .acr_loop import AcrConfig, run_acr, run_bisection_baseline
 from .errors import AcrError, InvalidInputError, MissingInputError
 from .fusion import EROSION_RADIUS, _select_consistent, i2pe, reselect_candidates
-from .geometry import DirectionalPose, Intrinsics, Pose, Rotation
+from .geometry import DirectionalPose, Intrinsics, Pose, Rotation, rotation_angle
 from .metrics import afd
 from .plane_match import PlaneSegmentMap, erode_mask, match_plane_maps
 from .pose_estimation import CorrespondenceSet, estimate_epipolar, estimate_homography_ransac
@@ -52,6 +52,11 @@ from .simulator import (
 )
 
 _FLOAT_FMT = "%.12g"
+
+# simulate-acr's truth gate on the final residual: 0.1 degrees is where
+# misalignment starts to corrupt change detection (see AcrConfig).
+GATE_ROT_DEG = 0.1
+GATE_TRANS_M = 2e-3
 
 
 def _fmt(x) -> str:
@@ -453,10 +458,15 @@ def cmd_simulate_acr(args) -> int:
         trace.save_jsonl(out_dir / "trace.jsonl")
 
         final = trace.records[-1] if trace.records else None
-        final_afd = None
+        final_afd = in_gate = None
         obs = executor.observe()
         if obs.truth is not None:
             final_afd = afd(obs.truth.clean_a, obs.truth.clean_b).afd
+            residual = obs.truth.relative_pose
+            in_gate = (
+                rotation_angle(residual.rotation) <= GATE_ROT_DEG
+                and float(np.linalg.norm(residual.translation)) <= GATE_TRANS_M
+            )
         with open(out_dir / "summary.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -467,6 +477,7 @@ def cmd_simulate_acr(args) -> int:
                     "final_rot_err_deg",
                     "final_trans_err_m",
                     "final_afd_px",
+                    "in_gate",
                     "wall_time_s",
                 ]
             )
@@ -478,6 +489,7 @@ def cmd_simulate_acr(args) -> int:
                     _fmt(final.rot_err_deg if final else None),
                     _fmt(final.trans_err_m if final else None),
                     _fmt(final_afd),
+                    "" if in_gate is None else str(in_gate).lower(),
                     _fmt(round(elapsed, 3)),
                 ]
             )

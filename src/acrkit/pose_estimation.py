@@ -90,16 +90,25 @@ class CorrespondenceSet:
     @staticmethod
     def from_json_dict(doc) -> "CorrespondenceSet":
         """The set of a JSON object with ``pairs`` and optional ``track_id``;
-        other keys, such as the ``plane_label`` of older files, are ignored."""
+        other keys, such as the ``plane_label`` of older files, are ignored.
+        Track ids must be distinct integers: track joins and depth maps key
+        on them."""
         if not isinstance(doc, dict) or "pairs" not in doc:
             raise InvalidInputError("a correspondence file must be an object with pairs")
         tracks = doc.get("track_id")
+        if tracks is not None and not (
+            isinstance(tracks, list)
+            and all(isinstance(t, int) and not isinstance(t, bool) for t in tracks)
+        ):
+            raise InvalidInputError("track_id must be a list of integers")
         try:
             pairs = np.asarray(doc["pairs"], dtype=float)
             if tracks is not None:
                 tracks = np.asarray(tracks, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed correspondence file: {exc}") from exc
+        if tracks is not None and np.unique(tracks).size != tracks.size:
+            raise InvalidInputError("track_id holds duplicate ids")
         if pairs.size == 0:
             pairs = pairs.reshape(0, 4)
         if pairs.ndim != 2 or pairs.shape[1] != 4:

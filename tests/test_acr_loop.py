@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acrkit import acr_loop, cli, fusion, simulator
 from acrkit.acr_loop import (
@@ -17,7 +19,7 @@ from acrkit.acr_loop import (
     run_bisection_baseline,
 )
 from acrkit.errors import AmbiguousNullspaceError, InvalidInputError
-from acrkit.geometry import DirectionalPose, Rotation, rotation_angle
+from acrkit.geometry import DirectionalPose, Pose, Rotation, compose, rotation_angle
 from acrkit.pose_estimation import CorrespondenceSet, PoseHypothesis
 from acrkit.scale_solver import MIN_SYSTEM_POINTS, SparseDepthMap
 
@@ -153,6 +155,118 @@ class TestHandMotion:
         est = DirectionalPose(Rotation.about_z(2.0), [0.0, 0.0, 1.0])
         with pytest.raises(InvalidInputError, match="scale must be non-negative"):
             acr_loop.hand_motion_from_estimate(est, scale)
+
+
+def _fixed_hand_eye(rotation: Rotation) -> dict:
+    """The bundled rig with a hand-eye pose of ``rotation`` and no offset."""
+    r = [float(v) for v in rotation.matrix.reshape(-1)]
+    return {**cli.default_acr_config()["rig"], "hand_eye": {"r": r, "t": [0.0, 0.0, 0.0]}}
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+_vectors = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 1e-3
+)
+_quaternions = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4).filter(
+    lambda q: np.linalg.norm(q) > 1e-3
+)
+
+
+@pytest.fixture(scope="module")
+def swing_only_run():
+    """``simulate-acr --seed 0`` with an 8 degree hand-eye rotation about x,
+    a pure swing for the init translation along z, and no offset."""
+    return _run(run_acr, rig=_fixed_hand_eye(Rotation.about_x(8.0)))
+
+
+class TestHandEyeSwing:
+    """The init move's estimate of the hand-eye rotation's swing."""
+
+    def test_maps_the_hand_direction_onto_the_measured_one(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            t, m = _unit(rng.normal(size=3)), _unit(rng.normal(size=3))
+            swing = acr_loop._hand_eye_swing(t, m)
+            np.testing.assert_allclose(swing.apply(t), m, atol=1e-12)
+            # The shortest arc turns by no more than the angle from t to m.
+            angle = np.degrees(np.arccos(np.clip(t @ m, -1.0, 1.0)))
+            assert rotation_angle(swing) == pytest.approx(angle, abs=1e-9)
+
+    # Unit (0.1, 0.2, 0.3) and (1, 1, 1) have a dot product with themselves
+    # one ulp off 1, so only the explicit branch gives the exact identity.
+    @pytest.mark.parametrize("t", [(0.0, 0.0, 0.05), (0.1, 0.2, 0.3), (1.0, 1.0, 1.0)])
+    def test_parallel_is_exactly_the_identity(self, t):
+        swing = acr_loop._hand_eye_swing(t, 2.0 * np.asarray(t))
+        assert np.array_equal(swing.matrix, np.eye(3))
+
+    @pytest.mark.parametrize("t", [(0.0, 0.0, 0.05), (0.1, 0.2, 0.3), (-2.0, 0.0, 0.0)])
+    def test_antiparallel_is_a_half_turn(self, t):
+        swing = acr_loop._hand_eye_swing(t, -np.asarray(t))
+        np.testing.assert_allclose(swing.apply(_unit(t)), -_unit(t), atol=1e-15)
+        assert rotation_angle(swing) == pytest.approx(180.0)
+        np.testing.assert_allclose(swing.matrix @ swing.matrix, np.eye(3), atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_quaternions, _vectors)
+    def test_never_leaves_more_rotation_than_the_identity_guess(self, q, t):
+        hand_eye = Rotation.from_quaternion(q)
+        swing = acr_loop._hand_eye_swing(t, hand_eye.apply(_unit(t)))
+        left = swing.inverse().compose(hand_eye)
+        assert rotation_angle(left) <= rotation_angle(hand_eye) + 1e-9
+        # What is left is a twist about the hand translation.
+        np.testing.assert_allclose(left.apply(_unit(t)), _unit(t), atol=1e-9)
+
+    def test_swing_only_hand_eye_converges_in_two_moves(self, swing_only_run):
+        trace, executor = swing_only_run
+        assert trace.status == "converged", trace.failure
+        assert executor.motions_executed == 2
+        residual = executor.true_residual
+        assert rotation_angle(residual.rotation) < 0.1
+        assert np.linalg.norm(residual.translation) < 2e-3
+        init, *rest = (json.loads(line) for line in trace.to_jsonl().splitlines())
+        assert init["stage"] == "init"
+        assert init["hand_eye_swing_deg"] == pytest.approx(8.0, abs=1e-6)
+        assert all("hand_eye_swing_deg" not in doc for doc in rest)
+
+    def test_commands_are_conjugated_by_the_swing(self, swing_only_run):
+        trace, _ = swing_only_run
+        init, first = trace.records[:2]
+        swing = Pose(acr_loop._hand_eye_swing(init.command.translation, -init.estimate.direction))
+        camera = acr_loop.hand_motion_from_estimate(first.estimate.inverse(), first.scale_m)
+        expected = compose(compose(swing.inverse(), camera), swing)
+        assert np.array_equal(first.command.matrix(), expected.matrix())
+
+    def test_twist_only_hand_eye_keeps_the_identity_guess_move_count(self, monkeypatch):
+        rig = _fixed_hand_eye(Rotation.about_z(8.0))
+        trace, executor = _run(run_acr, rig=rig)
+        assert trace.status == "converged", trace.failure
+        assert trace.records[0].hand_eye_swing_deg < 1e-6
+        monkeypatch.setattr(acr_loop, "_hand_eye_swing", lambda t, m: Rotation.identity())
+        guess_trace, guess = _run(run_acr, rig=rig)
+        assert guess_trace.status == "converged", guess_trace.failure
+        assert executor.motions_executed == guess.motions_executed
+
+    def test_baseline_commands_are_not_conjugated(self):
+        trace, executor = _run(
+            run_bisection_baseline, rig=_fixed_hand_eye(Rotation.about_x(8.0))
+        )
+        assert trace.status in ("converged", "exhausted"), trace.failure
+        moves = [r for r in trace.records if r.command is not None]
+        assert len(moves) == executor.motions_executed
+        for r in moves:
+            correction = (
+                DirectionalPose(r.estimate.rotation.inverse(), (0.0, 0.0, 1.0))
+                if r.zero_motion
+                else r.estimate.inverse()
+            )
+            expected = acr_loop.hand_motion_from_estimate(correction, r.scale_m)
+            assert np.array_equal(r.command.matrix(), expected.matrix())
+        lines = trace.to_jsonl().splitlines()
+        assert all("hand_eye_swing_deg" not in json.loads(line) for line in lines)
 
 
 class TestBisectionBaseline:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -546,6 +547,44 @@ class TestSimulateAcr:
         assert lines[-1]["status"] == "converged" and "failure" not in lines[-1]
         assert Path(report["summary"]).read_text().splitlines()[1].startswith("i2acr,converged,")
 
+    def test_summary_gates_the_final_truth(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate-acr", "--seed", "0"]) == 0
+        with open(self._last_json(capsys)["summary"], newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == [
+            "method",
+            "status",
+            "iterations",
+            "final_rot_err_deg",
+            "final_trans_err_m",
+            "final_afd_px",
+            "in_gate",
+            "wall_time_s",
+        ]
+        [row] = [dict(zip(header, r)) for r in rows]
+        assert row["method"] == "i2acr" and row["status"] == "converged"
+        assert row["in_gate"] == "true"
+        assert float(row["final_rot_err_deg"]) < cli.GATE_ROT_DEG
+        assert float(row["final_trans_err_m"]) < cli.GATE_TRANS_M
+
+    def test_summary_gate_reads_false_off_the_reference(self, tmp_path, capsys):
+        # One corrective move from a 25 degree start cannot reach the gate.
+        config = tmp_path / "acr.json"
+        doc = {
+            **cli.default_acr_config(),
+            "initial_offset": {"random": {"max_rotation_deg": 25.0, "max_offset_m": 0.4}},
+            "acr": {"max_iterations": 1},
+            "output_dir": str(tmp_path / "out"),
+        }
+        config.write_text(json.dumps(doc))
+        assert cli.main(["simulate-acr", str(config), "--seed", "1"]) == 0
+        report = self._last_json(capsys)
+        assert report["status"] == "exhausted"
+        with open(report["summary"], newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert row["in_gate"] == "false"
+
 
 class TestSolveScale:
     @staticmethod
@@ -600,6 +639,9 @@ class TestSolveScale:
         assert self._last_json(capsys)["error"] == "missing-input"
 
 
+_TWO_PAIRS = [[1.0, 2.0, 3.0, 4.0]] * 2
+
+
 class TestFileInputs:
     """A file command that cannot use an input file exits 2 with the
     error's code, never with a traceback."""
@@ -630,6 +672,14 @@ class TestFileInputs:
             ("match-planes", None, {"track_id": [0]}, "invalid-input"),
             ("match-planes", None, {"pairs": [["x", 1.0, 2.0, 3.0]]}, "invalid-input"),
             ("match-planes", None, None, "missing-input"),
+            # Track ids key the track joins and depth maps, so a file's
+            # ids must be distinct integers, never truncated floats.
+            ("match-planes", None, {"pairs": _TWO_PAIRS, "track_id": [1.5, 1.9]}, "invalid-input"),
+            ("estimate-pose", None, {"pairs": _TWO_PAIRS, "track_id": [4, 4]}, "invalid-input"),
+            ("solve-scale", None, {"pairs": _TWO_PAIRS, "track_id": [1.0, 2]}, "invalid-input"),
+            ("solve-scale", None, {"pairs": _TWO_PAIRS[:1], "track_id": [True]}, "invalid-input"),
+            ("solve-scale", None, {"pairs": _TWO_PAIRS[:1], "track_id": [2**64]}, "invalid-input"),
+            ("solve-scale", None, {"pairs": _TWO_PAIRS[:1], "track_id": 3}, "invalid-input"),
         ],
     )
     def test_unusable_file_is_a_typed_error(self, command, flag, content, error, tmp_path, capsys):

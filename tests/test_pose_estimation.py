@@ -11,6 +11,7 @@ from acrkit.errors import (
     CheiralityError,
     DegenerateModelError,
     InsufficientDataError,
+    InvalidInputError,
 )
 from acrkit.geometry import (
     DirectionalPose,
@@ -71,6 +72,15 @@ class TestCorrespondenceSet:
         )
         assert back.a.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert back.track_id.tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "tracks, message",
+        [([1.5, 1.9], "integers"), ([2.0, 3.0], "integers"), ([4, 7, 4], "duplicate")],
+    )
+    def test_file_track_ids_are_distinct_integers(self, tracks, message):
+        doc = {"pairs": [[1.0, 2.0, 3.0, 4.0]] * len(tracks), "track_id": tracks}
+        with pytest.raises(InvalidInputError, match=message):
+            CorrespondenceSet.from_json_dict(doc)
 
     def test_shape_validation(self):
         with pytest.raises(Exception):
