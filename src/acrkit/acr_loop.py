@@ -56,6 +56,7 @@ from .geometry import (
     Pose,
     Rotation,
     compose,
+    rodrigues,
     rotation_angle,
 )
 from .plane_match import PlaneSegmentMap
@@ -251,9 +252,7 @@ def _hand_eye_swing(hand_translation, camera_direction) -> Rotation:
             return Rotation.identity()
         axis = np.cross(t, np.eye(3)[np.argmin(np.abs(t))])
     k = axis / np.abs(axis).max()  # a tiny axis keeps its direction
-    k = k / np.linalg.norm(k)
-    kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return Rotation(np.eye(3) + sin * kx + (1.0 - cos) * (kx @ kx))
+    return Rotation(rodrigues(k / np.linalg.norm(k), sin, cos))
 
 
 def _truth_errors(obs: Observation):

@@ -30,12 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .acr_loop import AcrConfig, run_acr, run_bisection_baseline
+from .acr_loop import AcrConfig, _truth_errors, run_acr, run_bisection_baseline
 from .errors import AcrError, InvalidInputError, MissingInputError
-from .fusion import EROSION_RADIUS, _select_consistent, i2pe, reselect_candidates
-from .geometry import DirectionalPose, Intrinsics, Pose, Rotation, rotation_angle
+from .fusion import _select_consistent, i2pe, reselect_candidates
+from .geometry import DirectionalPose, Intrinsics, Pose, Rotation
 from .metrics import afd
-from .plane_match import PlaneSegmentMap, erode_mask, match_plane_maps
+from .plane_match import EROSION_RADIUS, PlaneSegmentMap, erode_mask, match_plane_maps
 from .pose_estimation import CorrespondenceSet, estimate_epipolar, estimate_homography_ransac
 from .scale_solver import solve_scale_system
 from . import simulator
@@ -78,6 +78,12 @@ def _load_json(path):
         return json.loads(p.read_text())
     except ValueError as exc:  # not JSON, or not UTF-8 text
         raise InvalidInputError(f"{path} is not a JSON file: {exc}") from exc
+
+
+def _load_mask(path) -> PlaneSegmentMap:
+    if not Path(path).exists():
+        raise MissingInputError(f"missing mask file: {path}")
+    return PlaneSegmentMap.load(path)
 
 
 def _intrinsics_from(doc, where: str = "intrinsics") -> Intrinsics:
@@ -291,11 +297,7 @@ def cmd_estimate_pose(args) -> int:
         if args.method == "i2pe":
             if not args.ref_mask or not args.cur_mask:
                 raise MissingInputError("i2pe needs --ref-mask and --cur-mask")
-            for path in (args.ref_mask, args.cur_mask):
-                if not Path(path).exists():
-                    raise MissingInputError(f"missing mask file: {path}")
-            m_ref = PlaneSegmentMap.load(args.ref_mask)
-            m_cur = PlaneSegmentMap.load(args.cur_mask)
+            m_ref, m_cur = _load_mask(args.ref_mask), _load_mask(args.cur_mask)
             estimate = reselect_candidates(
                 i2pe(corr, m_ref, m_cur, intr, threshold_px=args.threshold, seed=args.seed),
                 _select_consistent,
@@ -342,11 +344,7 @@ def cmd_estimate_pose(args) -> int:
 
 def cmd_match_planes(args) -> int:
     try:
-        for path in (args.ref_mask, args.cur_mask):
-            if not Path(path).exists():
-                raise MissingInputError(f"missing mask file: {path}")
-        m_ref = PlaneSegmentMap.load(args.ref_mask)
-        m_cur = PlaneSegmentMap.load(args.cur_mask)
+        m_ref, m_cur = _load_mask(args.ref_mask), _load_mask(args.cur_mask)
         corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
         m_ref = erode_mask(m_ref, args.erosion)
         m_cur = erode_mask(m_cur, args.erosion)
@@ -366,7 +364,7 @@ def cmd_solve_scale(args) -> int:
         intr = _intrinsics_from(_load_json(args.intrinsics))
         pose_doc = _checked(_load_json(args.pose), dict, "pose")
         rotation = Rotation.from_matrix(
-            np.reshape(_numbers(pose_doc.get("r"), "pose.r", 9), (3, 3)), reproject=True
+            np.reshape(_numbers(pose_doc.get("r"), "pose.r", 9), (3, 3))
         )
         direction = _numbers(pose_doc.get("direction", pose_doc.get("t")), "pose.direction", 3)
         solution = solve_scale_system(
@@ -457,16 +455,14 @@ def cmd_simulate_acr(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         trace.save_jsonl(out_dir / "trace.jsonl")
 
-        final = trace.records[-1] if trace.records else None
+        # The final figures describe the pose after the last move, from one
+        # more observation; the last record holds the pose before it.
         final_afd = in_gate = None
         obs = executor.observe()
+        final_rot, final_trans = _truth_errors(obs)
         if obs.truth is not None:
             final_afd = afd(obs.truth.clean_a, obs.truth.clean_b).afd
-            residual = obs.truth.relative_pose
-            in_gate = (
-                rotation_angle(residual.rotation) <= GATE_ROT_DEG
-                and float(np.linalg.norm(residual.translation)) <= GATE_TRANS_M
-            )
+            in_gate = final_rot <= GATE_ROT_DEG and final_trans <= GATE_TRANS_M
         with open(out_dir / "summary.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -486,8 +482,8 @@ def cmd_simulate_acr(args) -> int:
                     "bisection" if use_baseline else "i2acr",
                     trace.status,
                     trace.iterations,
-                    _fmt(final.rot_err_deg if final else None),
-                    _fmt(final.trans_err_m if final else None),
+                    _fmt(final_rot),
+                    _fmt(final_trans),
                     _fmt(final_afd),
                     "" if in_gate is None else str(in_gate).lower(),
                     _fmt(round(elapsed, 3)),

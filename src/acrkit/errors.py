@@ -50,10 +50,6 @@ class MissingDepthError(AcrError):
     code = "missing-depth"
 
 
-class BudgetExceededError(AcrError):
-    code = "budget-exceeded"
-
-
 class EstimationFailureError(AcrError):
     code = "estimation-failure"
 

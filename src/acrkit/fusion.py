@@ -113,12 +113,6 @@ def fuse_poses(hypotheses, weights: FusionWeights) -> DirectionalPose:
     return DirectionalPose(rotation, summed / norm)
 
 
-# Disk radius (px) by which i2pe and ``acrkit match-planes`` erode every
-# plane region before matching: a correspondence near a region's edge may
-# lie on its neighbour.
-EROSION_RADIUS = 5
-
-
 @dataclass(frozen=True, eq=False)
 class PlaneCandidates:
     """Per-plane evidence of one image pair, before any choice.
@@ -238,8 +232,8 @@ def i2pe(
             homography (fewer than four in-plane correspondences, or every
             decomposition fails).
     """
-    ref = m_ref.eroded(EROSION_RADIUS)
-    cur = m_cur.eroded(EROSION_RADIUS)
+    ref = m_ref.eroded()
+    cur = m_cur.eroded()
     pairs = match_plane_maps(ref, cur, c)
     if not pairs:
         raise EstimationFailureError("no matchable plane pairs")

@@ -52,6 +52,14 @@ def _project_to_so3(m: np.ndarray) -> np.ndarray:
     return r
 
 
+def rodrigues(k: np.ndarray, sin: float, cos: float) -> np.ndarray:
+    """Rodrigues' formula ``I + sin K + (1 - cos) K^2``: the rotation by the
+    angle of sine ``sin`` and cosine ``cos`` about the unit axis ``k``, whose
+    cross-product matrix is ``K``."""
+    kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + sin * kx + (1.0 - cos) * (kx @ kx)
+
+
 @dataclass(frozen=True, eq=False)
 class Rotation:
     """Element of SO(3), stored as a 3x3 matrix."""
@@ -72,12 +80,11 @@ class Rotation:
         return Rotation(np.eye(3))
 
     @staticmethod
-    def from_matrix(m: np.ndarray, reproject: bool = False) -> "Rotation":
-        """Wrap ``m``; with ``reproject`` the nearest rotation is used."""
-        m = np.asarray(m, dtype=float)
-        if reproject:
-            m = _project_to_so3(m)
-        return Rotation(m)
+    def from_matrix(m: np.ndarray) -> "Rotation":
+        """The rotation nearest to ``m`` in the Frobenius sense, so that an
+        estimate or a parsed matrix with rounding drift still wraps; use the
+        constructor to require ``m`` itself to be a rotation."""
+        return Rotation(_project_to_so3(np.asarray(m, dtype=float)))
 
     @staticmethod
     def from_axis_angle(axis, degrees: float) -> "Rotation":
@@ -85,13 +92,8 @@ class Rotation:
         norm = np.linalg.norm(axis)
         if norm < 1e-15:
             raise InvalidInputError("rotation axis must be nonzero")
-        k = axis / norm
         theta = math.radians(degrees)
-        kx = np.array(
-            [[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]]
-        )
-        m = np.eye(3) + math.sin(theta) * kx + (1.0 - math.cos(theta)) * (kx @ kx)
-        return Rotation(m)
+        return Rotation(rodrigues(axis / norm, math.sin(theta), math.cos(theta)))
 
     @staticmethod
     def about_x(degrees: float) -> "Rotation":
@@ -120,7 +122,7 @@ class Rotation:
                 [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
             ]
         )
-        return Rotation.from_matrix(m, reproject=True)
+        return Rotation.from_matrix(m)
 
     def quaternion(self) -> np.ndarray:
         """Unit quaternion (w, x, y, z) with non-negative w."""
@@ -226,7 +228,7 @@ class Pose:
     @staticmethod
     def from_json_dict(d: dict) -> "Pose":
         r = np.asarray(d["r"], dtype=float).reshape(3, 3)
-        return Pose(Rotation.from_matrix(r, reproject=True), np.asarray(d["t"], dtype=float))
+        return Pose(Rotation.from_matrix(r), np.asarray(d["t"], dtype=float))
 
 
 @dataclass(frozen=True, eq=False)

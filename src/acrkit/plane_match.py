@@ -5,7 +5,10 @@ maximizing a quadratic assignment objective: node affinities count shared
 feature correspondences between region pairs, edge affinities compare the
 minimum inter-region pixel distances within each image.  The assignment is
 constrained to a one-to-one mapping of all reference planes into the
-(equal or larger) set of current planes.
+(equal or larger) set of current planes.  It is found by enumerating every
+injection while their count stays within ``EXACT_ENUMERATION_BUDGET``, and
+by a spectral relaxation past it.  Every region is first eroded by
+``EROSION_RADIUS`` pixels (:meth:`PlaneSegmentMap.eroded`).
 
 Region masks are integer label maps (0 = background) with contiguous ids;
 the file format is a 16-bit binary PGM whose pixel value is the label id.
@@ -34,14 +37,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    InvalidInputError,
-    OrientationError,
-)
+from .errors import InvalidInputError, OrientationError
 from .pose_estimation import CorrespondenceSet
 
+# Injection counts up to this are enumerated exactly; past it the spectral
+# relaxation solves the matching (see solve_matching).
 EXACT_ENUMERATION_BUDGET = 1_000_000
+
+# Disk radius (px) by which every plane region is eroded before matching
+# (see PlaneSegmentMap.eroded): a correspondence near a region's edge may
+# lie on its neighbour.
+EROSION_RADIUS = 5
 
 _SUBSAMPLE_STRIDE = 32
 
@@ -126,10 +132,13 @@ class PlaneSegmentMap:
             raise InvalidInputError("not a binary PGM (P5) stream")
         width, height, maxval = (int(m.group(i)) for i in (1, 2, 3))
         pixels = data[m.end():]
-        if maxval > 255:
-            arr = np.frombuffer(pixels, dtype=">u2", count=width * height)
-        else:
-            arr = np.frombuffer(pixels, dtype=np.uint8, count=width * height)
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        size = width * height * dtype.itemsize
+        if len(pixels) < size:
+            raise InvalidInputError(
+                f"PGM pixel block has {len(pixels)} bytes, its header needs {size}"
+            )
+        arr = np.frombuffer(pixels, dtype=dtype, count=width * height)
         return PlaneSegmentMap(arr.reshape(height, width).astype(np.int32))
 
     def save(self, path) -> None:
@@ -141,15 +150,14 @@ class PlaneSegmentMap:
         with open(path, "rb") as fh:
             return PlaneSegmentMap.from_pgm_bytes(fh.read())
 
-    def eroded(self, radius: int) -> "PlaneSegmentMap":
-        """Cached :func:`erode_mask`; safe because label maps are immutable."""
-        cache = getattr(self, "_eroded_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_eroded_cache", cache)
-        if radius not in cache:
-            cache[radius] = erode_mask(self, radius)
-        return cache[radius]
+    def eroded(self) -> "PlaneSegmentMap":
+        """Cached :func:`erode_mask` by :data:`EROSION_RADIUS`, the map that
+        plane matching reads; safe because label maps are immutable."""
+        eroded = getattr(self, "_eroded", None)
+        if eroded is None:
+            eroded = erode_mask(self, EROSION_RADIUS)
+            object.__setattr__(self, "_eroded", eroded)
+        return eroded
 
     def graph(self) -> "PlaneGraph":
         """Cached :meth:`PlaneGraph.from_mask`, for the same reason."""
@@ -455,48 +463,40 @@ class Assignment:
         return [(int(r) + 1, int(c) + 1) for r, c in zip(rows, cols)]
 
 
-def _selection_indices(columns, h: int) -> np.ndarray:
-    return np.array([c * h + a for a, c in enumerate(columns)])
-
-
-def solve_matching(w: np.ndarray, h: int, m: int, mode: str = "exact") -> Assignment:
+def solve_matching(w: np.ndarray, h: int, m: int) -> Assignment:
     """Maximize the quadratic assignment objective under the row/column
     constraints.
 
-    ``exact`` enumerates every injection of the H reference planes into the
-    M current planes (budget-limited); ``spectral`` takes the leading
-    eigenvector of W and discretizes it greedily.  The spectral score never
-    exceeds the exact one.
-
-    Raises:
-        BudgetExceededError: exact enumeration above the budget; callers
-            fall back to spectral mode.
+    The method follows the input size.  When the ``perm(M, H)`` injections
+    of the H reference planes into the M current planes number at most
+    :data:`EXACT_ENUMERATION_BUDGET` (read at call time), every one is
+    scored and the first best, in lexicographic order of its columns, is
+    kept.  Past the budget the spectral relaxation
+    (:func:`_spectral_matching`) solves it; its score never exceeds the
+    exact one.
     """
     w = np.asarray(w, dtype=float)
     if h > m:
         raise OrientationError("solve_matching requires H <= M")
     if w.shape != (h * m, h * m):
         raise InvalidInputError("W must be (H*M) x (H*M)")
-    if mode == "exact":
-        count = math.perm(m, h)
-        if count > EXACT_ENUMERATION_BUDGET:
-            raise BudgetExceededError(
-                f"{count} assignments exceed the exact enumeration budget"
-            )
-        best_score = -np.inf
-        best = None
-        for columns in itertools.permutations(range(m), h):
-            sel = _selection_indices(columns, h)
-            score = float(w[np.ix_(sel, sel)].sum())
-            if score > best_score:
-                best_score = score
-                best = columns
-        u = np.zeros((h, m), dtype=np.uint8)
-        u[np.arange(h), list(best)] = 1
-        return Assignment(u)
-    if mode != "spectral":
-        raise InvalidInputError(f"unknown matching mode {mode!r}")
+    if math.perm(m, h) > EXACT_ENUMERATION_BUDGET:
+        return _spectral_matching(w, h, m)
+    best_score = -np.inf
+    best = None
+    for columns in itertools.permutations(range(m), h):
+        sel = np.array([c * h + a for a, c in enumerate(columns)])
+        score = float(w[np.ix_(sel, sel)].sum())
+        if score > best_score:
+            best_score = score
+            best = columns
+    u = np.zeros((h, m), dtype=np.uint8)
+    u[np.arange(h), list(best)] = 1
+    return Assignment(u)
 
+
+def _spectral_matching(w: np.ndarray, h: int, m: int) -> Assignment:
+    """The leading eigenvector of W, discretized greedily into an injection."""
     vals, vecs = np.linalg.eigh(w)
     lead = np.abs(vecs[:, -1])
     u = np.zeros((h, m), dtype=np.uint8)
@@ -529,9 +529,12 @@ def match_plane_maps(
     Returns (ref_id, cur_id) plane pairs.  When the reference mask has more
     planes than the current one the inputs are swapped internally and the
     assignment transposed, honoring the H <= M orientation.  The normalized
-    affinity is solved exactly, or spectrally when exact enumeration would
-    exceed its budget.  The edge affinity's ``sigma`` is 10% of the
-    reference image diagonal.
+    affinity goes to :func:`solve_matching` once, which picks exact
+    enumeration or the spectral relaxation from the injection count.  The
+    pairs come in ascending row of the solved orientation: ascending
+    reference id, or ascending current id after a swap (``i2pe`` seeds each
+    pair's RANSAC by its position).  The edge affinity's ``sigma`` is 10% of
+    the reference image diagonal.
     """
     if m_ref.num_planes == 0 or m_cur.num_planes == 0:
         return []
@@ -541,9 +544,5 @@ def match_plane_maps(
         m_ref, m_cur, c = m_cur, m_ref, c.swapped()
     node_aff = node_affinity_matrix(c, m_ref, m_cur)
     w = assemble_affinity(node_aff, m_ref.graph(), m_cur.graph(), sigma)
-    h, m = node_aff.shape
-    try:
-        assignment = solve_matching(w, h, m)
-    except BudgetExceededError:
-        assignment = solve_matching(w, h, m, mode="spectral")
+    assignment = solve_matching(w, *node_aff.shape)
     return [(r, c_id) for c_id, r in assignment.pairs] if swap else assignment.pairs

@@ -359,14 +359,18 @@ def symmetric_transfer_error(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
 LO_GATE_FLOOR = 0.01
 
 
-def _adaptive_iters(inlier_ratio: float, sample_size: int, confidence: float = 0.9999) -> int:
+# Probability that some draw up to the adaptive RANSAC target is all inliers.
+RANSAC_CONFIDENCE = 0.9999
+
+
+def _adaptive_iters(inlier_ratio: float, sample_size: int) -> int:
     w = min(max(inlier_ratio, 0.0), 1.0 - 1e-12)
     p_good = w**sample_size
     if p_good >= 1.0 - 1e-12:
         return 1
     if p_good <= 1e-9:
         return np.iinfo(np.int64).max  # never below the caller's budget
-    return int(np.ceil(np.log(1.0 - confidence) / np.log1p(-p_good)))
+    return int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / np.log1p(-p_good)))
 
 
 # Cap on models x pairs scored in one RANSAC chunk, which bounds its memory.
@@ -622,9 +626,7 @@ def decompose_homography_candidates(
     spread_val = point_spread(c.a, image_size) if image_size else 1.0
     rotations, translations, normals, _ = _faugeras_candidates(h_cal)
     if rotations is None:
-        r = Rotation.from_matrix(
-            h_cal / np.linalg.svd(h_cal, compute_uv=False)[1], reproject=True
-        )
+        r = Rotation.from_matrix(h_cal / np.linalg.svd(h_cal, compute_uv=False)[1])
         return [
             PoseHypothesis(
                 pose=DirectionalPose(r, np.array([0.0, 0.0, 1.0])),
@@ -664,7 +666,7 @@ def decompose_homography_candidates(
     surviving.sort(key=lambda item: (round(item[0], 9), -item[4]))
     return [
         PoseHypothesis(
-            pose=DirectionalPose(Rotation.from_matrix(r_m, reproject=True), t_dir),
+            pose=DirectionalPose(Rotation.from_matrix(r_m), t_dir),
             plane_normal=n,
             support=len(c),
             spread=spread_val,
@@ -673,24 +675,20 @@ def decompose_homography_candidates(
     ]
 
 
-def decompose_homography(
-    h: Homography,
-    intr: Intrinsics,
-    c: CorrespondenceSet,
-    image_size=None,
-) -> PoseHypothesis:
+def decompose_homography(h: Homography, intr: Intrinsics, c: CorrespondenceSet) -> PoseHypothesis:
     """Best factorization of a plane-induced homography.
 
     Among the analytic solutions, keeps those giving every input pair
     positive depth in both views and returns the one with the lowest
     reprojection residual (ties resolved toward the camera-facing plane
-    normal, see :func:`decompose_homography_candidates`).
+    normal, see :func:`decompose_homography_candidates`).  No image size
+    is given, so its ``spread`` is 1.0.
 
     Raises:
         CheiralityError: no solution places all points in front of both
             cameras.
     """
-    return decompose_homography_candidates(h, intr, c, image_size)[0]
+    return decompose_homography_candidates(h, intr, c)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +869,7 @@ def estimate_epipolar(
     unstable = parallax < PARALLAX_MIN_DEG
 
     return PoseHypothesis(
-        pose=DirectionalPose(Rotation.from_matrix(r_m, reproject=True), t_c),
+        pose=DirectionalPose(Rotation.from_matrix(r_m), t_c),
         plane_normal=None,
         support=best_count,
         spread=1.0,

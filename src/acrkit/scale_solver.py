@@ -38,7 +38,7 @@ from .errors import (
     MissingDepthError,
 )
 from .geometry import DirectionalPose, Intrinsics
-from .pose_estimation import CorrespondenceSet
+from .pose_estimation import CorrespondenceSet, _rays
 
 # Matching singular values closer than this mean the nullspace dimension
 # exceeds one and the geometry cannot fix the scale.
@@ -65,11 +65,10 @@ def coefficient_arrays(
     ``a_px`` holds (N, 2) pixels of image A and ``b_px`` those of image B;
     ``pose`` maps A-camera coordinates into B-camera coordinates.
     """
-    k_inv = intr.inverse_matrix()
     r_inv = pose.rotation.matrix.T
     t_dir = pose.direction
-    xa = np.hstack([a_px, np.ones((a_px.shape[0], 1))]) @ k_inv.T
-    xb = np.hstack([b_px, np.ones((b_px.shape[0], 1))]) @ k_inv.T
+    xa = _rays(intr, a_px)
+    xb = _rays(intr, b_px)
     xb_w = xb @ r_inv.T  # R^-1 K^-1 qb
     t_w = r_inv @ t_dir  # R^-1 t_dir
     alpha = np.einsum("ij,ij->i", xa, xa)

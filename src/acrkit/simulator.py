@@ -775,8 +775,9 @@ DESK_IMAGE_SIZE = (1280, 960)
 DESK_INTRINSICS = Intrinsics(fx=1200.0, fy=1200.0, cx=640.0, cy=480.0)
 
 
-def corner_scene(points_per_plane: int = 240, seed: int = 0) -> SceneSpec:
-    """Three mutually tilted patches (a desk corner): good epipolar geometry."""
+def corner_scene(seed: int = 0) -> SceneSpec:
+    """Three mutually tilted patches (a desk corner), 240 points on each:
+    good epipolar geometry."""
     n_left = (0.70, 0.0, 0.714)
     n_top = (0.0, 0.70, 0.714)
     planes = (
@@ -785,21 +786,21 @@ def corner_scene(points_per_plane: int = 240, seed: int = 0) -> SceneSpec:
             offset=0.6,
             center=(0.0, 0.0, 0.6),
             half_extents=(0.21, 0.15),
-            count=points_per_plane,
+            count=240,
         ),
         PlaneSpec(
             normal=n_left,
             offset=float(np.array(n_left) @ np.array((-0.17, 0.0, 0.62))),
             center=(-0.17, 0.0, 0.62),
             half_extents=(0.10, 0.13),
-            count=points_per_plane,
+            count=240,
         ),
         PlaneSpec(
             normal=n_top,
             offset=float(np.array(n_top) @ np.array((0.15, -0.13, 0.63))),
             center=(0.15, -0.13, 0.63),
             half_extents=(0.10, 0.10),
-            count=points_per_plane,
+            count=240,
         ),
     )
     return SceneSpec(planes=planes, seed=seed)
@@ -809,17 +810,13 @@ MURAL_IMAGE_SIZE = (1706, 1280)
 MURAL_INTRINSICS = Intrinsics(fx=2400.0, fy=2400.0, cx=853.0, cy=640.0)
 
 
-def mural_scene(
-    points_per_patch: int = 350,
-    background_points: int = 700,
-    clutter: int = 80,
-    seed: int = 0,
-) -> SceneSpec:
+def mural_scene(seed: int = 0) -> SceneSpec:
     """A flat heritage wall: detected patches plus undetected texture.
 
-    Three detected segments lie on one tilted wall plane together with a
-    large undetected background region of the same wall (the texture a
-    segmentation would miss) and a little true 3-D clutter.  Because the
+    Three detected segments of 350 points lie on one tilted wall plane
+    together with a large undetected background region of the same wall
+    (700 points: the texture a segmentation would miss) and 80 points of
+    true 3-D clutter.  Because the
     clean geometry is dominated by a single plane, the unrestricted
     epipolar path is structurally degenerate here while the plane-mediated
     path remains perfectly posed; this is the regime where the
@@ -830,7 +827,7 @@ def mural_scene(
     wall_point = np.array([0.0, 0.0, 0.62])
     offset = float(n @ wall_point)
 
-    def patch(center_uv, extents, count, detected=True, polygon=None):
+    def patch(center_uv, extents, count, detected=True):
         # Centers given in wall-local (u, v) meters around the wall point.
         helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
         e_u = np.cross(helper, n)
@@ -842,27 +839,27 @@ def mural_scene(
             offset=offset,
             center=tuple(center),
             half_extents=extents,
-            polygon=polygon,
             count=count,
             detected=detected,
         )
 
     planes = (
-        patch((-0.14, 0.08), (0.105, 0.080), points_per_patch),
-        patch((0.14, 0.07), (0.105, 0.080), points_per_patch),
-        patch((0.0, -0.12), (0.115, 0.075), points_per_patch),
-        patch((0.0, 0.0), (0.30, 0.22), background_points, detected=False),
+        patch((-0.14, 0.08), (0.105, 0.080), 350),
+        patch((0.14, 0.07), (0.105, 0.080), 350),
+        patch((0.0, -0.12), (0.115, 0.075), 350),
+        patch((0.0, 0.0), (0.30, 0.22), 700, detected=False),
     )
     return SceneSpec(
         planes=planes,
         seed=seed,
-        clutter_count=clutter,
+        clutter_count=80,
         clutter_box=((-0.24, 0.24), (-0.18, 0.18), (0.56, 0.66)),
     )
 
 
-def single_plane_scene(points: int = 1000, seed: int = 0) -> SceneSpec:
-    """The noise-benchmark scene: one fronto-parallel plane, Canon optics."""
+def single_plane_scene(seed: int = 0) -> SceneSpec:
+    """The noise-benchmark scene: one fronto-parallel plane of 1000 points,
+    Canon optics."""
     return SceneSpec(
         planes=(
             PlaneSpec(
@@ -870,7 +867,7 @@ def single_plane_scene(points: int = 1000, seed: int = 0) -> SceneSpec:
                 offset=1.5,
                 center=(0.0, 0.0, 1.5),
                 half_extents=(0.20, 0.14),
-                count=points,
+                count=1000,
             ),
         ),
         seed=seed,

@@ -15,7 +15,7 @@ from acrkit.acr_loop import AcrConfig
 from acrkit.fusion import i2pe, reselect_candidates
 from acrkit.plane_match import PlaneSegmentMap
 from acrkit.pose_estimation import CorrespondenceSet
-from acrkit.geometry import Intrinsics, Pose, Rotation
+from acrkit.geometry import Intrinsics, Pose, Rotation, rotation_angle
 from acrkit.simulator import BenchRow
 from conftest import general_pair_set, plane_pair_set
 
@@ -585,6 +585,34 @@ class TestSimulateAcr:
             [row] = list(csv.DictReader(fh))
         assert row["in_gate"] == "false"
 
+    def test_exhausted_summary_reports_the_final_pose(self, tmp_path, monkeypatch, capsys):
+        # The last trace record holds the pose before its own move; the
+        # summary must report the pose the run ends at.
+        executors = []
+
+        def recording(*args, **kwargs):
+            executors.append(simulator.SimulatedExecutor(*args, **kwargs))
+            return executors[-1]
+
+        monkeypatch.setattr(cli, "SimulatedExecutor", recording)
+        config = tmp_path / "acr.json"
+        doc = {
+            **cli.default_acr_config(),
+            "initial_offset": {"random": {"max_rotation_deg": 25.0, "max_offset_m": 0.4}},
+            "acr": {"max_iterations": 1},
+            "output_dir": str(tmp_path / "out"),
+        }
+        config.write_text(json.dumps(doc))
+        assert cli.main(["simulate-acr", str(config), "--seed", "1"]) == 0
+        report = self._last_json(capsys)
+        assert report["status"] == "exhausted"
+        with open(report["summary"], newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        [executor] = executors
+        residual = executor.true_residual
+        assert row["final_rot_err_deg"] == cli._fmt(rotation_angle(residual.rotation))
+        assert row["final_trans_err_m"] == cli._fmt(np.linalg.norm(residual.translation))
+
 
 class TestSolveScale:
     @staticmethod
@@ -651,6 +679,20 @@ class TestFileInputs:
         "match-planes": TestMatchPlanes._inputs,
         "solve-scale": TestSolveScale._inputs,
     }
+
+    @pytest.mark.parametrize("command", ["estimate-pose", "match-planes"])
+    @pytest.mark.parametrize("maxval, sample_bytes", [(255, 1), (65535, 2)], ids=["8-bit", "16-bit"])
+    def test_truncated_mask_is_invalid_input(self, command, maxval, sample_bytes, tmp_path, capsys):
+        # The pixel block is one byte shorter than the header's 8 x 6 samples.
+        argv = self.COMMANDS[command](tmp_path)
+        path = tmp_path / "short.pgm"
+        path.write_bytes(f"P5\n8 6\n{maxval}\n".encode("ascii") + bytes(8 * 6 * sample_bytes - 1))
+        if command == "estimate-pose":
+            argv += ["--ref-mask", str(path), "--cur-mask", str(path)]
+        else:
+            argv[argv.index("--ref-mask") + 1] = str(path)
+        assert cli.main(argv) == 2
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"] == "invalid-input"
 
     @pytest.mark.parametrize(
         "command, flag, content, error",

@@ -234,10 +234,9 @@ class TestI2pe:
             PlaneGraph, "from_mask", staticmethod(counting("graph", PlaneGraph.from_mask))
         )
         ref, cur = PlaneSegmentMap(obs.mask_ref.labels), PlaneSegmentMap(obs.mask_cur.labels)
-        radius = fusion.EROSION_RADIUS
         i2pe(obs.correspondences, ref, cur, DESK_INTRINSICS)
         expected = [("erode", ref), ("erode", cur)]
-        expected += [("graph", ref.eroded(radius)), ("graph", cur.eroded(radius))]
+        expected += [("graph", ref.eroded()), ("graph", cur.eroded())]
         assert sorted(map(id, (m for _, m in calls))) == sorted(map(id, (m for _, m in expected)))
         assert sorted(name for name, _ in calls) == ["erode", "erode", "graph", "graph"]
         calls.clear()

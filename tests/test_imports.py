@@ -93,3 +93,85 @@ def test_no_library_function_takes_a_parameter_it_never_reads():
         if (names := _unread_parameters(path))
     }
     assert unread == {}
+
+
+# Defaults that serve callers outside the library: the CLI calls the two
+# loops through a variable, and the console script calls ``main()``.
+ENTRY_POINTS = {("run_acr", "cfg"), ("run_bisection_baseline", "cfg"), ("main", "argv")}
+
+
+def _is_method(func: ast.FunctionDef, parents: dict) -> bool:
+    """A function defined in a class body that is not a static method, so
+    that a call through an instance or the class name passes its first
+    parameter implicitly."""
+    return isinstance(parents.get(func), ast.ClassDef) and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list
+    )
+
+
+def _defaulted_parameters(trees: list) -> list:
+    """(function name, parameter, call position or None, where) of every
+    parameter with a default; the call position counts the positional
+    arguments a caller writes, so a method's first parameter is not one."""
+    found = []
+    for path, tree in trees:
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            shift = 1 if _is_method(func, parents) else 0
+            where = f"{path.name}:{func.lineno}"
+            first = len(positional) - len(args.defaults)
+            found += [
+                (func.name, a.arg, i - shift, where)
+                for i, a in enumerate(positional)
+                if i >= first
+            ]
+            found += [
+                (func.name, a.arg, None, where)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None
+            ]
+    return found
+
+
+def _calls(trees: list) -> dict:
+    """Callee name -> [(positional count, keyword names, passes every
+    parameter)] for every call in ``trees``; a call by a class's name is a
+    call to its ``__init__``."""
+    classes = {n.name for _, tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    calls = {}
+    for _, tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            name = "__init__" if name in classes else name
+            starred = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            )
+            calls.setdefault(name, []).append(
+                (len(call.args), {k.arg for k in call.keywords}, starred)
+            )
+    return calls
+
+
+def test_no_library_default_goes_unset():
+    # A default that no library call overrides is a constant in disguise.
+    trees = [(p, ast.parse(p.read_text())) for p in sorted((SRC / "acrkit").glob("*.py"))]
+    calls = _calls(trees)
+    unset = [
+        f"{name}({param}) {where}"
+        for name, param, position, where in _defaulted_parameters(trees)
+        if (name, param) not in ENTRY_POINTS
+        and not any(
+            starred or param in keywords or (position is not None and count > position)
+            for count, keywords, starred in calls.get(name, [])
+        )
+    ]
+    assert unset == []

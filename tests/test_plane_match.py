@@ -13,16 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acrkit import plane_match, simulator
-from acrkit.errors import (
-    BudgetExceededError,
-    InvalidInputError,
-    OrientationError,
-)
+from acrkit.errors import InvalidInputError, OrientationError
 from acrkit.geometry import Intrinsics, Pose, Rotation
 from acrkit.plane_match import (
     Assignment,
     PlaneGraph,
     PlaneSegmentMap,
+    _spectral_matching,
     assemble_affinity,
     disk_structuring_element,
     erode_mask,
@@ -666,7 +663,7 @@ def _objective(w: np.ndarray, assignment: Assignment) -> float:
 class TestSolveMatching:
     def test_single_assignment(self):
         w = np.array([[2.0]])
-        a = solve_matching(w, 1, 1, "exact")
+        a = solve_matching(w, 1, 1)
         assert a.pairs == [(1, 1)]
 
     def test_exact_matches_brute_force(self):
@@ -674,7 +671,7 @@ class TestSolveMatching:
         for h, m in [(2, 2), (3, 3), (3, 5), (4, 5), (5, 5)]:
             w = rng.uniform(0, 1, size=(h * m, h * m))
             w = (w + w.T) / 2
-            best = solve_matching(w, h, m, "exact")
+            best = solve_matching(w, h, m)
             best_score = _objective(w, best)
             for columns in itertools.permutations(range(m), h):
                 u = np.zeros((h, m), dtype=np.uint8)
@@ -688,8 +685,8 @@ class TestSolveMatching:
             h, m = 3, 5
             w = rng.uniform(0, 1, size=(h * m, h * m))
             w = (w + w.T) / 2
-            exact = solve_matching(w, h, m, "exact")
-            spectral = solve_matching(w, h, m, "spectral")
+            exact = solve_matching(w, h, m)
+            spectral = _spectral_matching(w, h, m)
             assert spectral.matrix.sum(axis=1).tolist() == [1] * h
             assert (spectral.matrix.sum(axis=0) <= 1).all()
             se = _objective(w, spectral)
@@ -699,19 +696,6 @@ class TestSolveMatching:
         # Soft quality check: logged, not asserted (relaxation quality is
         # data-dependent).
         print(f"spectral/exact objective ratio: median {np.median(gaps):.3f}")
-
-    def test_budget_exceeded(self):
-        h, m = 2, 2
-        w = np.eye(4)
-        import acrkit.plane_match as pm
-
-        old = pm.EXACT_ENUMERATION_BUDGET
-        pm.EXACT_ENUMERATION_BUDGET = 1
-        try:
-            with pytest.raises(BudgetExceededError):
-                solve_matching(w, h, m, "exact")
-        finally:
-            pm.EXACT_ENUMERATION_BUDGET = old
 
     def test_label_permutation_equivariance(self):
         rng = np.random.default_rng(6)
@@ -726,14 +710,14 @@ class TestSolveMatching:
         w = assemble_affinity(
             node, PlaneGraph((1, 2, 3), d_ref), PlaneGraph((1, 2, 3), d_cur), 5.0
         )
-        base = solve_matching(w, h, m, "exact")
+        base = solve_matching(w, h, m)
         perm = np.array([2, 0, 1])  # relabel the reference planes
         node_p = node[perm]
         d_ref_p = d_ref[np.ix_(perm, perm)]
         w_p = assemble_affinity(
             node_p, PlaneGraph((1, 2, 3), d_ref_p), PlaneGraph((1, 2, 3), d_cur), 5.0
         )
-        permuted = solve_matching(w_p, h, m, "exact")
+        permuted = solve_matching(w_p, h, m)
         assert _objective(w_p, permuted) == pytest.approx(
             _objective(w, base)
         )
@@ -777,6 +761,58 @@ class TestMatchPlaneMaps:
         m = _mask((10, 10), {1: (slice(2, 8), slice(2, 8))})
         c = CorrespondenceSet(np.zeros((0, 2)), np.zeros((0, 2)))
         assert match_plane_maps(empty, m, c) == []
+
+
+class TestMethodChoice:
+    """match_plane_maps solves exactly while the injection count is within
+    the budget and by the spectral relaxation past it."""
+
+    # Correspondences from reference plane i to current plane j, on a case
+    # where the relaxation keeps another injection than exact enumeration.
+    COUNTS = [[4, 1, 1], [5, 1, 1]]
+    CENTERS = [(5.0, 5.0), (23.0, 5.0), (5.0, 23.0)]
+    BOXES = [(slice(2, 8), slice(2, 8)), (slice(2, 8), slice(20, 26)), (slice(20, 26), slice(2, 8))]
+
+    def _case(self):
+        ref = _mask((32, 32), dict(enumerate(self.BOXES[:2], start=1)))
+        cur = _mask((32, 32), dict(enumerate(self.BOXES, start=1)))
+        a, b = [], []
+        for i, row in enumerate(self.COUNTS):
+            for j, n in enumerate(row):
+                a += [self.CENTERS[i]] * n
+                b += [self.CENTERS[j]] * n
+        c = CorrespondenceSet(np.array(a), np.array(b))
+        node = node_affinity_matrix(c, ref, cur)
+        w = assemble_affinity(node, ref.graph(), cur.graph(), 0.1 * math.hypot(32, 32))
+        return ref, cur, c, w
+
+    @staticmethod
+    def _brute_force(w, h, m) -> list:
+        """The first best injection, by the objective, in column order."""
+        best, best_score = None, -np.inf
+        for columns in itertools.permutations(range(m), h):
+            u = np.zeros((h, m), dtype=np.uint8)
+            u[np.arange(h), columns] = 1
+            score = _objective(w, Assignment(u))
+            if score > best_score:
+                best, best_score = Assignment(u), score
+        return best.pairs
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["ref-fewer", "ref-more"])
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-budget", "past-budget"])
+    def test_budget_boundary(self, monkeypatch, swap, over):
+        ref, cur, c, w = self._case()
+        exact = self._brute_force(w, 2, 3)
+        spectral = _spectral_matching(w, 2, 3).pairs
+        assert exact != spectral  # the case tells the two methods apart
+        monkeypatch.setattr(plane_match, "EXACT_ENUMERATION_BUDGET", math.perm(3, 2) - over)
+        expected = spectral if over else exact
+        if swap:
+            pairs = match_plane_maps(cur, ref, c.swapped())
+            expected = [(j, i) for i, j in expected]
+        else:
+            pairs = match_plane_maps(ref, cur, c)
+        assert pairs == expected
 
 
 class TestAssignment:

@@ -944,7 +944,7 @@ def _decompose_oracle(h, intr, c, image_size=None):
     spread_val = point_spread(c.a, image_size) if image_size else 1.0
     candidates = _faugeras_oracle(h_cal)
     if not candidates:
-        r = Rotation.from_matrix(h_cal / np.linalg.svd(h_cal, compute_uv=False)[1], reproject=True)
+        r = Rotation.from_matrix(h_cal / np.linalg.svd(h_cal, compute_uv=False)[1])
         return [
             pose_estimation.PoseHypothesis(
                 pose=DirectionalPose(r, np.array([0.0, 0.0, 1.0])),
@@ -980,7 +980,7 @@ def _decompose_oracle(h, intr, c, image_size=None):
     surviving.sort(key=lambda item: (round(item[0], 9), -item[4]))
     return [
         pose_estimation.PoseHypothesis(
-            pose=DirectionalPose(Rotation.from_matrix(r_m, reproject=True), t_dir),
+            pose=DirectionalPose(Rotation.from_matrix(r_m), t_dir),
             plane_normal=n,
             support=len(c),
             spread=spread_val,

@@ -34,9 +34,15 @@ from acrkit.simulator import (
 )
 
 
+def _counted(scene: SceneSpec, count: int) -> SceneSpec:
+    """``scene`` with ``count`` points on every plane."""
+    planes = tuple(dataclasses.replace(p, count=count) for p in scene.planes)
+    return dataclasses.replace(scene, planes=planes)
+
+
 class TestGenerateScene:
     def test_points_lie_on_their_planes(self):
-        world = generate_scene(single_plane_scene(points=500))
+        world = generate_scene(_counted(single_plane_scene(), 500))
         plane = world.spec.planes[0]
         n = plane.unit_normal()
         residual = np.abs(world.points @ n - plane.offset)
@@ -49,7 +55,7 @@ class TestGenerateScene:
         assert np.array_equal(a.plane_index, b.plane_index)
 
     def test_label_histogram(self):
-        scene = corner_scene(points_per_plane=111, seed=2)
+        scene = _counted(corner_scene(seed=2), 111)
         world = generate_scene(scene)
         counts = np.bincount(world.plane_index)
         assert counts[1] == counts[2] == counts[3] == 111
@@ -59,7 +65,7 @@ class TestGenerateScene:
             PlaneSpec(normal=(0, 0, 1), offset=1.0, half_extents=(0.0, 0.1)).local_polygon()
 
     def test_off_plane_classification(self):
-        world = generate_scene(mural_scene(seed=0, clutter=25))
+        world = generate_scene(dataclasses.replace(mural_scene(seed=0), clutter_count=25))
         in_plane = world.in_plane_tracks()
         detected = world.detected_plane_ids
         assert set(detected) == {1, 2, 3}
@@ -241,7 +247,7 @@ class TestVisibilityRule:
     def test_coplanar_patches_never_occlude(self):
         # Every patch of the mural lies on one wall; without clutter every
         # track in view must survive.
-        world = generate_scene(mural_scene(clutter=0, seed=0))
+        world = generate_scene(dataclasses.replace(mural_scene(seed=0), clutter_count=0))
         obs = observe(
             world, Pose.identity(), MURAL_INTRINSICS, MURAL_IMAGE_SIZE, seed=0
         )
@@ -665,7 +671,7 @@ class TestSimulatedExecutor:
             )
 
     def test_executor_state_matches_conjugation(self):
-        world = generate_scene(corner_scene(points_per_plane=60, seed=1))
+        world = generate_scene(_counted(corner_scene(seed=1), 60))
         rng = np.random.default_rng(12)
         x = random_pose(rng, 60.0, 0.2)
         start = random_pose(rng, 5.0, 0.03)
@@ -711,7 +717,7 @@ class TestBenchSweep:
         # On a non-degenerate scene both estimators are essentially exact
         # at zero noise.
         rows = bench_noise_sweep(
-            corner_scene(points_per_plane=120, seed=2),
+            _counted(corner_scene(seed=2), 120),
             Pose(Rotation.about_z(4.0), np.array([0.03, -0.02, 0.02])),
             r_values=[0.0],
             mu_values=[0.0],
@@ -725,7 +731,7 @@ class TestBenchSweep:
 
     def test_row_count_and_determinism(self):
         args = dict(
-            scene=single_plane_scene(points=300),
+            scene=_counted(single_plane_scene(), 300),
             motion=BENCH_MOTION,
             r_values=[0, 10],
             mu_values=[0.1, 0.5],
