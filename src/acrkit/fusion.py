@@ -1,4 +1,4 @@
-"""Plane-mediated relative pose: per-plane candidates, one choice, one fusion.
+"""Plane-mediated relative pose: per-plane candidates, one choice, one joint fit.
 
 :func:`i2pe` erodes the two plane masks, matches plane regions across
 them, fits one homography per matched pair from the correspondences inside
@@ -14,11 +14,16 @@ one candidate per pair, and the picks are fused, weighted by
 correspondence count and spatial spread, into one relative pose.  The
 choosers are cross-plane agreement (:func:`_select_consistent`, used when
 nothing else is known) and the loop's structural priors in
-:mod:`acrkit.acr_loop`.
+:mod:`acrkit.acr_loop`.  Every plane pair shares that one pose:
+H_k ~ K (R + t m_k^T) K^-1 with m_k the pair's plane normal over its
+distance.  So :func:`refine_pose` fits (R, t) and every m_k jointly to all
+the pairs' consensus inliers, by Gauss-Newton on the forward transfer
+error in pixels, and the fused pose is its start.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +36,19 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from .geometry import DirectionalPose, Intrinsics, Rotation, rotation_angle, direction_angle
+from .geometry import (
+    DirectionalPose,
+    Intrinsics,
+    Rotation,
+    direction_angle,
+    rodrigues,
+    rotation_angle,
+)
 from .plane_match import PlaneSegmentMap, match_plane_maps
 from .pose_estimation import (
     CorrespondenceSet,
     PoseHypothesis,
+    _rays,
     decompose_homography_candidates,
     estimate_homography_ransac,
 )
@@ -121,19 +134,34 @@ class PlaneCandidates:
     ids, the cheirality-valid decompositions and the consensus
     correspondences behind them.  ``inlier_track_ids`` are the tracks of
     every pair's consensus; downstream consumers (the scale system in
-    particular) must not see anything else.
+    particular) must not see anything else.  ``intrinsics`` are the
+    camera's, which the joint refinement needs to measure in pixels.
     """
 
     plane_pairs: tuple
     candidates: tuple
     inliers: tuple
     inlier_track_ids: np.ndarray
+    intrinsics: Intrinsics
+
+
+@dataclass(frozen=True)
+class Refinement:
+    """What :func:`refine_pose` did: the steps it kept and the RMS forward
+    transfer error over the inliers, in pixels, at its start and at its
+    end (both None when the start could not be set up)."""
+
+    iterations: int
+    rms_before_px: float
+    rms_after_px: float
 
 
 @dataclass(frozen=True, eq=False)
 class PoseEstimate:
-    """Fused estimate plus the chosen per-plane hypotheses behind it;
-    ``inlier_track_ids`` are those of the :class:`PlaneCandidates` fused."""
+    """Refined estimate plus the chosen per-plane hypotheses behind it;
+    ``inlier_track_ids`` are those of the :class:`PlaneCandidates` fused.
+    ``refinement`` is None for a zero-motion estimate, which is not
+    refined."""
 
     pose: DirectionalPose
     zero_motion: bool
@@ -141,12 +169,20 @@ class PoseEstimate:
     weights: FusionWeights
     plane_pairs: tuple
     inlier_track_ids: np.ndarray
+    refinement: Refinement
 
     def report(self) -> dict:
-        """JSON-ready summary of the per-plane hypotheses."""
+        """JSON-ready summary of the per-plane hypotheses and the joint
+        refinement."""
+        refined = self.refinement
         return {
             "zero_motion": self.zero_motion,
             "plane_pairs": [list(p) for p in self.plane_pairs],
+            "refinement": None if refined is None else {
+                "iterations": refined.iterations,
+                "rms_before_px": refined.rms_before_px,
+                "rms_after_px": refined.rms_after_px,
+            },
             "hypotheses": [
                 {
                     "ref_plane": pair[0],
@@ -272,11 +308,12 @@ def i2pe(
         candidates=tuple(candidate_lists),
         inliers=tuple(inlier_sets),
         inlier_track_ids=np.unique(np.concatenate([s.track_id for s in inlier_sets])),
+        intrinsics=intr,
     )
 
 
 def reselect_candidates(evidence: PlaneCandidates, chooser) -> PoseEstimate:
-    """Choose one candidate per plane pair and fuse the choices.
+    """Choose one candidate per plane pair, fuse the choices and refine.
 
     A plane-induced homography factors into up to two physically valid
     poses that the image data alone cannot separate.  ``chooser`` receives
@@ -285,7 +322,10 @@ def reselect_candidates(evidence: PlaneCandidates, chooser) -> PoseEstimate:
     (:func:`_select_consistent`) or a structural prior of the loop (a
     commanded pure translation, or consistency with the recovered depth
     map).  Zero-motion picks are dropped from the fusion unless they hold
-    most of the weight, in which case only the rotation is fused.
+    most of the weight, in which case only the rotation is fused and the
+    estimate is final.  Otherwise the fused pose starts
+    :func:`refine_pose` over the consensus inliers of the pairs it fused,
+    and the estimate carries the refined pose.
     """
     picks = chooser(evidence.candidates, evidence.inliers)
     hypotheses = [lst[int(k)] for lst, k in zip(evidence.candidates, picks)]
@@ -294,6 +334,7 @@ def reselect_candidates(evidence: PlaneCandidates, chooser) -> PoseEstimate:
 
     zero_flags = np.array([h.zero_motion for h in hypotheses])
     zero_motion = float(weights.values[zero_flags].sum()) > 0.5
+    refinement = None
     if zero_motion:
         # Dominant zero-baseline evidence: rotation is still meaningful,
         # the direction is not.
@@ -301,8 +342,11 @@ def reselect_candidates(evidence: PlaneCandidates, chooser) -> PoseEstimate:
     else:
         hypotheses = [h for h, z in zip(hypotheses, zero_flags) if not z]
         kept_pairs = [p for p, z in zip(kept_pairs, zero_flags) if not z]
+        inliers = [s for s, z in zip(evidence.inliers, zero_flags) if not z]
         weights = weights_from_hypotheses(hypotheses)
-        pose = fuse_poses(hypotheses, weights)
+        pose, refinement = refine_pose(
+            fuse_poses(hypotheses, weights), inliers, evidence.intrinsics
+        )
     return PoseEstimate(
         pose=pose,
         zero_motion=zero_motion,
@@ -310,6 +354,7 @@ def reselect_candidates(evidence: PlaneCandidates, chooser) -> PoseEstimate:
         weights=weights,
         plane_pairs=tuple(kept_pairs),
         inlier_track_ids=evidence.inlier_track_ids,
+        refinement=refinement,
     )
 
 
@@ -318,3 +363,188 @@ def fuse_rotation_only(hypotheses, weights: FusionWeights) -> DirectionalPose:
     return DirectionalPose(
         _chordal_mean(hypotheses, weights.values), np.array([0.0, 0.0, 1.0])
     )
+
+
+# Joint refinement: Gauss-Newton, damped in the Levenberg-Marquardt way
+# only after a step that fails to lower the cost.  The damping then starts
+# at REFINE_DAMPING of the unit-diagonal normal matrix (Marquardt's 1e-3)
+# and moves tenfold: up after every failed step, down after every kept
+# one.  The fit has converged once a step, kept or predicted by the linear
+# model, lowers the summed squared transfer error by less than
+# REFINE_TOLERANCE times the noise variance the residuals show (the cost
+# over its 2N - 5 - 3K degrees of freedom): such a step moves the estimate
+# by under a tenth of its own standard error.  At a minimum the prediction
+# goes to zero, and it also does once the damping has shrunk the step to
+# nothing.  The cap on trial steps only ends a fit that fails to converge.
+REFINE_DAMPING = 1e-3
+REFINE_TOLERANCE = 1e-2
+REFINE_MAX_ITERATIONS = 50
+
+# Right-multiplied by a rotation, this puts its columns in the orders
+# (2, 0, 1) and (1, 2, 0): the turned columns of a cross product.
+_TURN = np.eye(3)[:, [2, 0, 1, 1, 2, 0]]
+
+
+def _scaled_eigen(h: np.ndarray):
+    """The diagonal scale ``d`` of a symmetric positive semidefinite ``h``
+    and the eigen-decomposition ``(w, v)`` of ``h / (d d^T)``, which has a
+    unit diagonal; None when ``h`` is singular to working precision.  The
+    test is on the scaled matrix, so it does not depend on the units of
+    the unknowns."""
+    d = np.sqrt(np.diag(h))
+    if not (d > 0).all():
+        return None
+    w, v = np.linalg.eigh(h / d / d[:, None])
+    if not w[0] > len(d) * np.finfo(float).eps * w[-1]:
+        return None
+    return d, w, v
+
+
+def _tangent_basis(t: np.ndarray) -> np.ndarray:
+    """(3, 2) orthonormal basis of the plane perpendicular to the unit ``t``:
+    the first two columns of the Householder reflection that takes ``t``
+    onto the z axis."""
+    v = t.copy()
+    v[2] += math.copysign(1.0, t[2])
+    basis = np.outer(v, v[:2]) * (-2.0 / (v @ v))
+    basis[0, 0] += 1.0
+    basis[1, 1] += 1.0
+    return basis
+
+
+def _retract(t: np.ndarray, basis: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The unit ``t`` moved by ``step`` in the tangent ``basis`` and put back
+    on the sphere, which keeps the scale gauge fixed."""
+    moved = t + basis @ step
+    return moved / math.sqrt(moved @ moved)
+
+
+def _transfer(rotation, t, planes, rays_a, rays_b, planes_a, focal):
+    """Forward transfer residuals, (2, N) pixels, and the parts of the
+    transfer its Jacobian needs: ``y = R x_a + t (m_k . x_a)`` for point
+    ``x_a`` of pair ``k``, projected against ``x_b``; points are columns.
+    None when a point lands behind the camera, where the transfer means
+    nothing."""
+    s = planes.ravel() @ planes_a
+    y = rotation @ rays_a + t[:, None] * s
+    if not (y[2] > 0).all():
+        return None
+    proj = y[:2] / y[2]
+    return (proj - rays_b[:2]) * focal, (s, focal / y[2], proj)
+
+
+def _transfer_jacobian(rotation, t, basis, turned, planes_a, parts):
+    """(5 + 3K, 2N) transposed Jacobian of the raveled residuals of
+    :func:`_transfer`: rows for a right rotation increment, for the two
+    tangent coordinates of ``t`` in ``basis`` and for the ``m_k``.
+    ``turned`` holds the rays ``x_a`` with their components in the orders
+    (1, 2, 0) and (2, 0, 1); ``planes_a`` holds each ``x_a`` in its pair's
+    block of three rows."""
+    s, scale, proj = parts
+    n = len(s)
+    # Column r, i of dy is d(residual r of point i)/dy, (f / y_z) times
+    # (1, 0, -p) or (0, 1, -q).  y moves along R (w x x_a) for a rotation
+    # increment w, s B d for a tangent step d and t (x_a . dm) for a plane
+    # step dm; dy R (w x x_a) is w . (x_a x dy R), a cross product by
+    # turned components.
+    dy = np.zeros((3, 2, n))
+    dy[0, 0], dy[1, 1] = scale
+    np.multiply(scale, proj, out=dy[2])
+    dy[2] *= -1.0
+    g = (np.hstack([rotation @ _TURN, basis, t[:, None]]).T @ dy.reshape(3, -1)).reshape(9, 2, n)
+    jac = np.empty((5 + len(planes_a), 2, n))
+    np.multiply(turned[0], g[0:3], out=jac[0:3])
+    jac[0:3] -= turned[1] * g[3:6]
+    np.multiply(s, g[6:8], out=jac[3:5])
+    np.multiply(planes_a[:, None], g[8], out=jac[5:])
+    return jac.reshape(len(jac), -1)
+
+
+def refine_pose(pose: DirectionalPose, inliers, intr: Intrinsics):
+    """Joint Gauss-Newton fit of one pose to several plane pairs.
+
+    ``inliers`` holds one :class:`CorrespondenceSet` per plane pair, the
+    pair's consensus.  The unknowns are a rotation increment, the unit
+    translation direction moved in its tangent plane (so the sphere fixes
+    the scale gauge) and one ``m_k`` per pair: 5 + 3K.  Each ``m_k``
+    starts from the least-squares solve of ``[x_b]_x (R x_a + t x_a^T m_k)
+    = 0`` at ``pose``.  The cost is the summed squared forward transfer
+    error in pixels.  A step is kept only if it lowers the cost; a failed
+    one is retried with damping.  The fit stops on the convergence test of
+    :data:`REFINE_TOLERANCE`, when the residuals are down to rounding, or
+    when the normal matrix is singular.  So the cost never rises, and a
+    start whose system is singular, or from which no step lowers the
+    cost, comes back as ``pose`` itself.
+
+    Returns the refined pose and its :class:`Refinement`.
+    """
+    sizes = [len(c) for c in inliers]
+    n = sum(sizes)
+    rays = _rays(intr, np.vstack([c.a for c in inliers] + [c.b for c in inliers])).T
+    rays_a, rays_b = rays[:, :n], rays[:, n:]
+    turned = (rays_a[[1, 2, 0], None], rays_a[[2, 0, 1], None])
+    planes_a = np.zeros((len(sizes), 3, n))
+    for k, (lo, hi) in enumerate(zip(np.cumsum(sizes) - sizes, np.cumsum(sizes))):
+        planes_a[k, :, lo:hi] = rays_a[:, lo:hi]
+    planes_a = planes_a.reshape(-1, n)
+    focal = np.array([[intr.fx], [intr.fy]])
+    rotation, t = pose.rotation.matrix, pose.direction
+
+    # The plane start: per point, (x_b x t)(x_a . m) = -(x_b x R x_a),
+    # whose normal equations hold |x_b x t|^2 and (x_b x t).(x_b x R x_a)
+    # (Lagrange's identity); they are block diagonal over the pairs.
+    z = rotation @ rays_a
+    bb, bt = (rays_b * rays_b).sum(axis=0), t @ rays_b
+    coupling = bb * (t @ z) - (rays_b * z).sum(axis=0) * bt
+    eigen = _scaled_eigen((planes_a * (bb - bt * bt)) @ planes_a.T)
+    state = None
+    if eigen is not None:
+        d, w, v = eigen
+        planes = (v @ ((planes_a @ coupling / -d) @ v / w) / d).reshape(-1, 3)
+        state = _transfer(rotation, t, planes, rays_a, rays_b, planes_a, focal)
+    if state is None:
+        return pose, Refinement(0, None, None)
+    residual, parts = state
+    cost = before = float(np.vdot(residual, residual))
+    # Below this the residuals are rounding: eps of each normalized
+    # coordinate, times the focal length.
+    floor = n * float(np.finfo(float).eps * focal.max()) ** 2
+    # The smallest decrease that counts, as a fraction of the cost.
+    tolerance = REFINE_TOLERANCE / max(2 * n - 5 - 3 * len(sizes), 1)
+    damping, iterations, trials = 0.0, 0, 0
+    eigen = None
+    while trials < REFINE_MAX_ITERATIONS and cost > floor:
+        if eigen is None:  # a new point: linearize there
+            basis = _tangent_basis(t)
+            jac = _transfer_jacobian(rotation, t, basis, turned, planes_a, parts)
+            eigen = _scaled_eigen(jac @ jac.T)
+            if eigen is None:
+                break
+            d, w, v = eigen
+            c = (jac @ residual.ravel() / d) @ v
+        # The damped step and the decrease |r|^2 - |r + J step|^2 that the
+        # linear model predicts for it, in the scaled eigenbasis.
+        scaled = c / (w + damping)
+        if float(scaled * scaled @ (w + 2.0 * damping)) <= tolerance * cost:
+            break
+        trials += 1
+        step = (v @ scaled) / -d
+        angle = math.sqrt(step[:3] @ step[:3])
+        turn = rodrigues(step[:3] / angle, math.sin(angle), math.cos(angle)) if angle else np.eye(3)
+        trial = (rotation @ turn, _retract(t, basis, step[3:5]), planes + step[5:].reshape(-1, 3))
+        state = _transfer(*trial, rays_a, rays_b, planes_a, focal)
+        decrease = -np.inf if state is None else cost - float(np.vdot(state[0], state[0]))
+        if not decrease > 0:
+            damping = 10.0 * damping or REFINE_DAMPING
+            continue
+        (rotation, t, planes), (residual, parts) = trial, state
+        cost -= decrease
+        iterations += 1
+        if decrease <= tolerance * (cost + decrease):
+            break
+        damping /= 10.0
+        eigen = None
+    refinement = Refinement(iterations, math.sqrt(before / n), math.sqrt(cost / n))
+    if not iterations:
+        return pose, refinement
+    return DirectionalPose(Rotation(rotation), t), refinement

@@ -77,18 +77,23 @@ class PlaneSegmentMap:
         object.__setattr__(self, "_areas", areas)  # pixels per region
 
     @classmethod
-    def _trusted(cls, labels: np.ndarray, areas: np.ndarray) -> "PlaneSegmentMap":
+    def _trusted(cls, labels: np.ndarray, areas: np.ndarray, box=None) -> "PlaneSegmentMap":
         """A map the package built itself, without the checks and the count.
 
         ``labels`` is a fresh int32 array that the map takes over, with ids
         1..len(areas), and ``areas`` (int64) holds each region's pixel
-        count, every one positive.
+        count, every one positive.  ``box``, when given, is what
+        :func:`_labelled_box` returns for these labels, which then reads it
+        instead of scanning the frame.
         """
         m = object.__new__(cls)
         labels.flags.writeable = False
         object.__setattr__(m, "labels", labels)
         object.__setattr__(m, "_num_planes", len(areas))
         object.__setattr__(m, "_areas", areas)
+        if box is not None:
+            box[0].flags.writeable = False
+            object.__setattr__(m, "_box", box)
         return m
 
     @property
@@ -182,8 +187,12 @@ def _labelled_box(m: PlaneSegmentMap):
     Every pixel outside the box is background.  The labels come as uint8,
     or as int32 past 255 planes, so that comparing them reads few bytes;
     the box is found after that cast, for the same reason.  ``m`` must hold
-    at least one plane.
+    at least one plane.  A map from :func:`erode_mask` carries its box,
+    found while eroding, and the frame is not scanned again.
     """
+    box = getattr(m, "_box", None)
+    if box is not None:
+        return box
     lab = m.labels.astype(np.uint8 if m.num_planes < 256 else np.int32)
     rows = np.flatnonzero(lab.any(axis=1))
     top, bottom = rows[0], rows[-1] + 1
@@ -266,7 +275,16 @@ def erode_mask(m: PlaneSegmentMap, radius: float) -> PlaneSegmentMap:
     if not areas.all():  # a region vanished: recompact the ids
         out_box[...] = np.concatenate([[0], np.cumsum(areas > 0)]).astype(out.dtype)[out_box]
         areas = areas[areas > 0]
-    return PlaneSegmentMap._trusted(out, areas)
+    # The eroded labels' own box, for _labelled_box: the rows with a kept
+    # word, and the columns of the words ORed down the rows.
+    rows = np.flatnonzero(keep.any(axis=1))
+    if not rows.size:
+        return PlaneSegmentMap._trusted(out, areas)
+    column_bits = np.bitwise_or.reduce(keep, axis=0).view(np.uint8)
+    cols = np.flatnonzero(np.unpackbits(column_bits, count=bw, bitorder="little"))
+    inner = out_box[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    inner = inner.astype(np.uint8 if len(areas) < 256 else np.int32)
+    return PlaneSegmentMap._trusted(out, areas, (inner, (top + rows[0], left + cols[0])))
 
 
 @dataclass(frozen=True, eq=False)

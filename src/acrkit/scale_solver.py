@@ -159,27 +159,77 @@ def _secular_root(rho, mu, q2, lo, hi, lam) -> float:
     return lam
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of the columns of two (3, N) arrays."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+
+
+def _block_factors(b1: np.ndarray, b2: np.ndarray):
+    """Per track, the factorization ``B_i = V_i S_i U_i^T`` that a thin
+    SVD gives the (3, 2) block ``B_i = [b1_i b2_i]``, in closed form; the
+    tracks are the columns of ``b1`` and ``b2``.
+
+    ``U_i`` holds the eigenvectors of the 2x2 ``B_i^T B_i``, larger first.
+    The larger eigenvalue comes from the half-sum and half-difference;
+    the smaller is ``|b1 x b2|^2`` over it (Lagrange's identity), so it
+    keeps its relative accuracy where the two columns are nearly
+    parallel.  ``V_i`` is ``B_i u_1 / s_1``, the unit normal ``b1 x b2``
+    of the columns' plane crossed with it, and that normal: the plane's
+    orientation makes ``B_i u_2 = s_2 v_2``.  A block whose smaller
+    singular value is below eps times the larger, where rounding decides
+    it, gets 0 for it and no ``v_2`` or normal: its columns span one
+    direction.  Returns ``(mu, u1, v1, v2, normal, full)``: the (2, N)
+    squared singular values, the (2, N) ``u_1``, the (3, N) ``v_1``,
+    ``v_2`` and unit normal, and the mask of full-rank blocks.
+    """
+    p, q, r = (b1 * b1).sum(axis=0), (b2 * b2).sum(axis=0), (b1 * b2).sum(axis=0)
+    half = 0.5 * (p - q)
+    d = np.hypot(half, r)
+    big = 0.5 * (p + q) + d
+    normal = _cross(b1, b2)
+    area = (normal * normal).sum(axis=0)
+    full = area > _EPS**2 * big * big
+    # (big - q, r) and (r, big - p) both span u_1; the one that starts
+    # from the larger diagonal entry has no cancellation.  Equal
+    # eigenvalues (d = 0) take (1, 0).
+    u1 = np.where(half >= 0, [half + d, r], [r, d - half])
+    length = np.hypot(u1[0], u1[1])
+    u1 = np.where(length > 0, u1 / np.where(length > 0, length, 1.0), [[1.0], [0.0]])
+    v1 = (b1 * u1[0] + b2 * u1[1]) / np.sqrt(big)
+    normal = normal / np.sqrt(np.where(full, area, 1.0))
+    mu = np.array([big, np.where(full, area / big, 0.0)])
+    return mu, u1, v1, _cross(normal, v1), normal, full
+
+
 def _arrowhead_eigen(arr: np.ndarray):
     """Two smallest eigenvalues of ``A^T A`` and an eigenvector of the smallest.
 
     Track i gives ``A`` the rows ``[B_i | c_i]`` (da/db columns, s column).
-    With ``B_i = V_i S_i U_i^T``, the arrowhead's poles are ``mu = S_i^2``
-    and its weights ``g = S_i q``, ``q = V_i^T c_i``; at s = 1 the track
-    unknowns are ``x = -g / (mu - lam)`` in the ``U_i`` basis, which leaves
-    ``rho = lam (1 + sum q^2 / (mu - lam))``.  ``rho``, the part of the
-    ``c_i`` off ``span(B_i)`` and along zero-weight poles, keeps this free
-    of the cancellation in ``zeta - sum g^2 / (mu - lam)``.  Its root below
-    the first pole is the smallest eigenvalue; the second lies between the
-    first two poles (Golub 1973; O'Leary & Stewart 1990).  Repeated and
-    zero-weight poles are eigenvalues themselves, the latter with s = 0.
+    With ``B_i = V_i S_i U_i^T`` (:func:`_block_factors`), the arrowhead's
+    poles are ``mu = S_i^2`` and its weights ``g = S_i q``, ``q = V_i^T
+    c_i``; at s = 1 the track unknowns are ``x = -g / (mu - lam)`` in the
+    ``U_i`` basis, which leaves ``rho = lam (1 + sum q^2 / (mu - lam))``.
+    ``rho``, the part of the ``c_i`` off ``span(B_i)`` and along
+    zero-weight poles, keeps this free of the cancellation in ``zeta - sum
+    g^2 / (mu - lam)``; the part off ``span(B_i)`` is taken along the
+    normal, or, for a block of one direction, as what ``c_i`` keeps after
+    its ``v_1`` part goes.  Its root below the first pole is the smallest
+    eigenvalue; the second lies between the first two poles (Golub 1973;
+    O'Leary & Stewart 1990).  Repeated and zero-weight poles are
+    eigenvalues themselves, the latter with s = 0.
     """
-    m = arr[:, _BLOCK] * _SIGN
-    v, sv, uh = np.linalg.svd(m[:, :, :2])
-    q = np.einsum("nji,nj->ni", v, m[:, :, 2])
-    mu, g, q2 = (sv * sv).ravel(), (sv * q[:, :2]).ravel(), (q[:, :2] ** 2).ravel()
-    live = (mu > 0) & (q2 > _EPS**2 * np.repeat((q * q).sum(axis=1), 2))
-    rho = float((q[:, 2] ** 2).sum() + q2[~live].sum())
-    bound = 2.0 * float(mu.sum() + (q * q).sum())  # above every eigenvalue
+    m = arr.T[_BLOCK] * _SIGN[:, :, None]  # (row, column, track)
+    c = m[:, 2]
+    mu, u1, v1, v2, normal, full = _block_factors(m[:, 0], m[:, 1])
+    q = np.array([(v1 * c).sum(axis=0), np.where(full, (v2 * c).sum(axis=0), 0.0)])
+    rest = c - v1 * q[0]
+    off = np.where(full, (normal * c).sum(axis=0) ** 2, (rest * rest).sum(axis=0))
+    cc = (c * c).sum(axis=0)
+    # Pole order: track by track, the larger first.
+    mu, g, q2 = mu.T.ravel(), (np.sqrt(mu) * q).T.ravel(), (q * q).T.ravel()
+    live = (mu > 0) & (q2 > _EPS**2 * np.repeat(cc, 2))
+    rho = float(off.sum() + q2[~live].sum())
+    bound = 2.0 * float(mu.sum() + cc.sum())  # above every eigenvalue
     p1, p2 = np.partition(np.where(live, mu, bound), 1)[:2]
     mu_l, q2_l = mu[live], q2[live]
     lam1 = _secular_root(rho, mu_l, q2_l, 0.0, p1, 0.0)
@@ -193,8 +243,10 @@ def _arrowhead_eigen(arr: np.ndarray):
         x[live] = -g[live] / (mu_l - lam1)
     else:
         x[np.argmin(dead)] = 1.0
-    y = np.einsum("nji,nj->ni", uh, x.reshape(-1, 2)).ravel()
-    return np.partition(np.append(dead, [lam1, lam2]), 1)[:2], np.append(y, s)
+    x = x.reshape(-1, 2).T
+    # y_i = U_i x_i, with u_2 = u_1 turned a quarter.
+    y = u1 * x[0] + np.array([-u1[1], u1[0]]) * x[1]
+    return np.partition(np.append(dead, [lam1, lam2]), 1)[:2], np.append(y.T.ravel(), s)
 
 
 def solve_scale_system(

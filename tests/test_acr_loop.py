@@ -240,6 +240,20 @@ class TestHandEyeSwing:
         expected = compose(compose(swing.inverse(), camera), swing)
         assert np.array_equal(first.command.matrix(), expected.matrix())
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_noisy_init_measures_the_swing_within_a_degree(self, seed):
+        # r = 1 px on half the points; the swing comes from the refined
+        # init pair, so one step past the init is enough.
+        executor, cfg = _scenario(
+            seed, noise={"magnitude_r": 1.0, "ratio_mu": 0.5}, acr={"max_iterations": 1}
+        )
+        init = run_acr(executor, cfg).records[0]
+        t = np.asarray(cfg.init_translation)
+        estimated = acr_loop._hand_eye_swing(t, -init.estimate.direction)
+        true = acr_loop._hand_eye_swing(t, executor._rig.hand_eye.rotation.apply(t))
+        assert init.hand_eye_swing_deg == rotation_angle(estimated)
+        assert rotation_angle(estimated.compose(true.inverse())) < 1.0
+
     def test_twist_only_hand_eye_keeps_the_identity_guess_move_count(self, monkeypatch):
         rig = _fixed_hand_eye(Rotation.about_z(8.0))
         trace, executor = _run(run_acr, rig=rig)

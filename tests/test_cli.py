@@ -306,7 +306,8 @@ class TestEstimatePose:
 
     def test_i2pe_writes_the_agreed_fusion(self, tmp_path, capsys):
         # A corner observation with both masks: the pose is the agreement
-        # choice fused, and the report holds one hypothesis per fused pair.
+        # choice fused and refined, and the report holds one hypothesis per
+        # fused pair.
         argv, inputs = self._corner_inputs(tmp_path)
         code = cli.main(argv)
         assert code == 0
@@ -319,6 +320,14 @@ class TestEstimatePose:
         assert [[h["ref_plane"], h["cur_plane"]] for h in report["hypotheses"]] == report[
             "plane_pairs"
         ]
+        # The joint refinement's iterations and RMS transfer error, in px.
+        refined = expected.refinement
+        assert report["refinement"] == {
+            "iterations": refined.iterations,
+            "rms_before_px": refined.rms_before_px,
+            "rms_after_px": refined.rms_after_px,
+        }
+        assert 0.0 <= refined.rms_after_px <= refined.rms_before_px < 1e-6
 
     def test_i2pe_threshold_and_seed_reach_the_estimator(self, tmp_path, capsys, monkeypatch):
         argv, inputs = self._corner_inputs(tmp_path)

@@ -11,22 +11,32 @@ from acrkit import fusion, plane_match
 from acrkit.errors import InsufficientDataError
 from acrkit.fusion import (
     FusionWeights,
+    PlaneCandidates,
+    Refinement,
     fuse_poses,
     fuse_rotation_only,
     hypothesis_weight,
     i2pe,
+    refine_pose,
     reselect_candidates,
     weights_from_hypotheses,
 )
 from acrkit.geometry import (
     DirectionalPose,
+    Intrinsics,
     Pose,
     Rotation,
     direction_angle,
     rotation_angle,
 )
 from acrkit.plane_match import PlaneGraph, PlaneSegmentMap
-from acrkit.pose_estimation import CorrespondenceSet, PoseHypothesis, point_spread
+from acrkit.pose_estimation import (
+    CorrespondenceSet,
+    PoseHypothesis,
+    decompose_homography_candidates,
+    estimate_homography_ransac,
+    point_spread,
+)
 from acrkit.simulator import (
     DESK_IMAGE_SIZE,
     DESK_INTRINSICS,
@@ -34,7 +44,7 @@ from acrkit.simulator import (
     generate_scene,
     observe,
 )
-from conftest import random_rotation
+from conftest import plane_pair_set, random_rotation
 
 
 def _hyp(rotation, direction, support=10, spread=0.5):
@@ -347,3 +357,121 @@ class TestI2pe:
         again = reselect_candidates(evidence, lambda candidates, inliers: [0] * len(candidates))
         assert again.plane_pairs == est.plane_pairs
         assert len(again.report()["hypotheses"]) == len(again.hypotheses) == 2
+
+
+# Three planes facing the camera at different tilts and depths, A frame.
+_PLANES = (([0.1, 0.0, 1.0], 2.0), ([0.8, 0.1, 0.6], 1.5), ([-0.6, 0.2, 0.8], 1.8))
+_INTR = Intrinsics(fx=1100.0, fy=1100.0, cx=640.0, cy=480.0)
+
+
+def _evidence(rotation, translation, planes, noise_px=0.0, seed=0):
+    """``i2pe``'s evidence for correspondences of ``planes`` under the pose,
+    each pair fitted and decomposed as ``i2pe`` does; the B pixels get
+    Gaussian noise of ``noise_px``."""
+    rng = np.random.default_rng(seed)
+    candidates, inliers = [], []
+    for k, (normal, distance) in enumerate(planes):
+        c, _ = plane_pair_set(
+            _INTR, rotation, translation, normal, distance, count=130, seed=100 * seed + k, extent=0.5
+        )
+        c = CorrespondenceSet(c.a, c.b + rng.normal(0.0, noise_px, c.b.shape), c.track_id + 1000 * k)
+        h, mask = estimate_homography_ransac(c, threshold_px=1.0 + 4.0 * noise_px, seed=k)
+        inliers.append(c.subset(mask))
+        candidates.append(tuple(decompose_homography_candidates(h, _INTR, inliers[-1])))
+    return PlaneCandidates(
+        plane_pairs=tuple((k + 1, k + 1) for k in range(len(planes))),
+        candidates=tuple(candidates),
+        inliers=tuple(inliers),
+        inlier_track_ids=np.unique(np.concatenate([c.track_id for c in inliers])),
+        intrinsics=_INTR,
+    )
+
+
+def _errors(pose, rotation, translation):
+    return (
+        rotation_angle(pose.rotation.compose(rotation.inverse())),
+        direction_angle(pose.direction, translation),
+    )
+
+
+class TestRefinePose:
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_exact_on_clean_pairs_from_a_perturbed_start(self, count):
+        rotation, translation = Rotation.about_y(4.0), np.array([0.08, -0.03, 0.05])
+        evidence = _evidence(rotation, translation, _PLANES[:count])
+        start = DirectionalPose(
+            Rotation.about_x(0.5).compose(rotation), translation + [0.0, 0.004, -0.003]
+        )
+        assert min(_errors(start, rotation, translation)) > 0.4
+        refined, refinement = refine_pose(start, evidence.inliers, _INTR)
+        assert max(_errors(refined, rotation, translation)) <= 1e-8
+        assert refinement.iterations > 0
+        assert refinement.rms_after_px < 1e-9 < refinement.rms_before_px
+
+    def test_beats_the_fused_rotation_under_noise(self):
+        fused_errors, refined_errors = [], []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            rotation = random_rotation(rng, 3.0)
+            translation = rng.normal(size=3) * 0.03
+            evidence = _evidence(rotation, translation, _PLANES, noise_px=0.5, seed=seed)
+            est = reselect_candidates(evidence, fusion._select_consistent)
+            fused = fuse_poses(est.hypotheses, est.weights)
+            fused_errors.append(_errors(fused, rotation, translation)[0])
+            refined_errors.append(_errors(est.pose, rotation, translation)[0])
+        assert np.median(refined_errors) < 0.5 * np.median(fused_errors)
+
+    def test_the_transfer_cost_never_rises(self):
+        rng = np.random.default_rng(11)
+        for seed in range(10):
+            rotation = random_rotation(rng, 3.0)
+            translation = rng.normal(size=3) * 0.03
+            evidence = _evidence(rotation, translation, _PLANES, noise_px=1.0, seed=seed)
+            for _ in range(3):  # starts up to several degrees off
+                start = DirectionalPose(
+                    random_rotation(rng, 2.0).compose(rotation),
+                    translation + rng.normal(size=3) * 0.01,
+                )
+                refined, refinement = refine_pose(start, evidence.inliers, _INTR)
+                assert refinement.rms_after_px <= refinement.rms_before_px
+                if refinement.iterations == 0:
+                    assert refined is start
+
+    def test_zero_motion_estimate_comes_back_unchanged(self, corner_observation):
+        world, _, _ = corner_observation
+        obs = observe(world, Pose.identity(), DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=4)
+        est = _agreed(obs.correspondences, obs.mask_ref, obs.mask_cur)
+        assert est.zero_motion and est.refinement is None
+        fused = fuse_rotation_only(est.hypotheses, est.weights)
+        assert np.array_equal(est.pose.rotation.matrix, fused.rotation.matrix)
+        assert est.report()["refinement"] is None
+
+    def test_singular_start_keeps_the_fused_pose(self):
+        # Points on one line of one plane: their rays span a plane through
+        # the camera centre, so the plane vector's normal matrix is
+        # singular.
+        rotation, translation = Rotation.about_y(4.0), np.array([0.08, -0.03, 0.05])
+        c, _ = plane_pair_set(_INTR, rotation, translation, [0.1, 0.0, 1.0], 2.0, count=50)
+        line = c.a[:, 0] - c.a[0, 0]
+        on_line = CorrespondenceSet(
+            np.column_stack([c.a[:, 0], c.a[0, 1] + 0.3 * line]),
+            np.column_stack([c.b[:, 0], c.b[0, 1] + 0.3 * line]),
+        )
+        start = DirectionalPose(rotation, translation)
+        refined, refinement = refine_pose(start, [on_line], _INTR)
+        assert refined is start
+        assert refinement == Refinement(0, None, None)
+
+    def test_the_direction_stays_on_the_sphere(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            t = rng.normal(size=3)
+            t /= np.linalg.norm(t)
+            basis = fusion._tangent_basis(t)
+            np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-15)
+            np.testing.assert_allclose(basis.T @ t, 0.0, atol=1e-15)
+            step = rng.normal(size=2)
+            moved = fusion._retract(t, basis, step)
+            assert abs(np.linalg.norm(moved) - 1.0) < 1e-15
+            assert np.linalg.det(np.column_stack([t, basis @ step, moved])) == pytest.approx(0.0, abs=1e-12)
+            np.testing.assert_allclose(fusion._retract(t, basis, np.zeros(2)), t, rtol=0, atol=4e-16)

@@ -403,6 +403,28 @@ class TestPlaneGraphFromMask:
         for m in (full_corner, erode_mask(full_corner, 5)):
             np.testing.assert_array_equal(PlaneGraph.from_mask(m).distances, _whole_image_graph(m))
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_eroded_loop_masks_read_their_box_from_the_erosion(self, seed):
+        world = simulator.generate_scene(simulator.corner_scene(seed=seed))
+        offset = Pose(Rotation.about_y(2.0), np.array([0.02, -0.01, 0.01]))
+        obs = simulator.observe(
+            world, offset, simulator.DESK_INTRINSICS, simulator.DESK_IMAGE_SIZE, seed=seed
+        )
+        for eroded in (obs.mask_ref.eroded(), obs.mask_cur.eroded(), erode_mask(_aliasing_stripes(), 1)):
+            self._same_as_a_fresh_scan(eroded)
+
+    @staticmethod
+    def _same_as_a_fresh_scan(eroded):
+        fresh = PlaneSegmentMap(eroded.labels)
+        box, corner = plane_match._labelled_box(eroded)
+        fresh_box, fresh_corner = plane_match._labelled_box(fresh)
+        assert box is eroded._box[0] and not hasattr(fresh, "_box")
+        assert box.dtype == fresh_box.dtype and np.array_equal(box, fresh_box)
+        assert tuple(map(int, corner)) == tuple(map(int, fresh_corner))
+        graph, fresh_graph = PlaneGraph.from_mask(eroded), PlaneGraph.from_mask(fresh)
+        assert graph.plane_ids == fresh_graph.plane_ids
+        assert graph.distances.tobytes() == fresh_graph.distances.tobytes()
+
     def test_diagonal_contact_reads_zero(self):
         lab = np.zeros((8, 8), dtype=np.int32)
         lab[0:3, 0:3] = 1

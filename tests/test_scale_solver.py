@@ -28,8 +28,10 @@ from acrkit.scale_solver import (
     MAX_SYSTEM_POINTS,
     ScaleSolution,
     SparseDepthMap,
+    _EPS,
     _arrowhead_eigen,
     _checked_solution,
+    _secular_root,
     coefficient_arrays,
     depth_map_current,
     depth_map_reference,
@@ -423,6 +425,59 @@ class TestNearConvergedSolve:
         s, v = _svd_oracle(arr)
         np.testing.assert_allclose(_unit(y, v), v, rtol=0, atol=1e-9)
         np.testing.assert_allclose(np.sqrt(w[1]), s[1], rtol=1e-9)
+
+
+def _svd_arrowhead_eigen(arr):
+    """The secular solve with every track block factored by LAPACK's SVD:
+    the reference for the closed-form block factors."""
+    m = arr[:, _BLOCK] * _SIGN
+    v, sv, uh = np.linalg.svd(m[:, :, :2])
+    q = np.einsum("nji,nj->ni", v, m[:, :, 2])
+    mu, g, q2 = (sv * sv).ravel(), (sv * q[:, :2]).ravel(), (q[:, :2] ** 2).ravel()
+    live = (mu > 0) & (q2 > _EPS**2 * np.repeat((q * q).sum(axis=1), 2))
+    rho = float((q[:, 2] ** 2).sum() + q2[~live].sum())
+    bound = 2.0 * float(mu.sum() + (q * q).sum())
+    p1, p2 = np.partition(np.where(live, mu, bound), 1)[:2]
+    mu_l, q2_l = mu[live], q2[live]
+    lam1 = _secular_root(rho, mu_l, q2_l, 0.0, p1, 0.0)
+    lam2 = p1
+    if p2 - p1 > 4 * _EPS * p2:
+        lam2 = _secular_root(rho, mu_l, q2_l, p1, p2, 0.5 * (p1 + p2))
+    dead = np.where(live, np.inf, mu)
+    x = np.zeros(mu.size)
+    s = float(dead.min() >= lam1)
+    if s:
+        x[live] = -g[live] / (mu_l - lam1)
+    else:
+        x[np.argmin(dead)] = 1.0
+    y = np.einsum("nji,nj->ni", uh, x.reshape(-1, 2)).ravel()
+    return np.partition(np.append(dead, [lam1, lam2]), 1)[:2], np.append(y, s)
+
+
+class TestClosedFormBlocks:
+    """The closed-form block factors against the per-block SVD.
+
+    Near convergence the smallest eigenvalue is a rounding residue in both
+    solves, so the eigenvalues are compared on the scale of the second.
+    """
+
+    @pytest.mark.parametrize("n", [8, 100, 512])
+    def test_random_arrays_match_the_svd_path(self, n):
+        self._check(np.random.default_rng(10 + n).uniform(-1.0, 1.0, size=(n, 6)))
+
+    @pytest.mark.parametrize("fraction", [1e-2, 1e-3, 1e-4, 1e-5])
+    def test_near_converged_arrays_match_the_svd_path(self, intr, fraction):
+        self._check(_near_converged_arrays(intr, fraction, seed=9))
+
+    def test_noisy_geometry_matches_the_svd_path(self, intr):
+        self._check(_noisy_arrays(intr, 233, seed=8)[2])
+
+    @staticmethod
+    def _check(arr):
+        w, y = _arrowhead_eigen(arr)
+        w_ref, y_ref = _svd_arrowhead_eigen(arr)
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-8 * w_ref[1])
+        np.testing.assert_allclose(_unit(y, y_ref), y_ref / np.linalg.norm(y_ref), rtol=0, atol=1e-8)
 
 
 class TestGradientIdentity:
