@@ -10,15 +10,15 @@ injection while their count stays within ``EXACT_ENUMERATION_BUDGET``, and
 by a spectral relaxation past it.  Every region is first eroded by
 ``EROSION_RADIUS`` pixels (:meth:`PlaneSegmentMap.eroded`).
 
-Region masks are integer label maps (0 = background) with contiguous ids;
-the file format is a 16-bit binary PGM whose pixel value is the label id.
-Disk erosion and the inter-region distances each take one pass, not one
-per region, over the bounding box of the labelled pixels, with the labels
-cast to uint8 where they fit.  The erosion runs on rows packed 64 pixels
-to a uint64 word.
+Region masks hold their row runs, the maximal stretches of one label
+along a row (:class:`PlaneSegmentMap`); 0 is background and ids are
+contiguous.  The file format is a 16-bit binary PGM whose pixel value is
+the label id, and the per-pixel label array is built only for it or for a
+caller that reads it.  Disk erosion works on the runs by interval coding
+(:func:`erode_mask`), and so do the label lookup and the inter-region
+distances.
 
-The distances run on row runs, the maximal stretches of one label along a
-row.  Two runs ``dy`` rows apart with ``gap`` columns between them are
+Two runs ``dy`` rows apart with ``gap`` columns between them are
 ``sqrt(dy**2 + gap**2)`` apart, and the minimum over two regions' run pairs
 is the minimum over their boundary pixels: a region's pixel nearest another
 region is a boundary pixel, since from an interior one a step toward the
@@ -52,74 +52,103 @@ EROSION_RADIUS = 5
 _SUBSAMPLE_STRIDE = 32
 
 
-@dataclass(frozen=True, eq=False)
 class PlaneSegmentMap:
-    """Per-pixel plane labeling; 0 is background, ids run 1..H contiguously."""
+    """Per-pixel plane labeling; 0 is background, ids run 1..H contiguously.
 
-    labels: np.ndarray
+    A map holds its shape and its row runs: the maximal stretches of one
+    nonzero label along a row, in raster order.  ``runs`` is a read-only
+    (4, n) int64 array of their rows, first columns, last columns and
+    labels.  The per-pixel ``labels`` array is built from the runs on first
+    read; the constructor takes one and extracts the runs once.
+    """
 
-    def __post_init__(self):
-        lab = np.asarray(self.labels)
+    def __init__(self, labels: np.ndarray):
+        lab = np.asarray(labels)
         if lab.ndim != 2:
             raise InvalidInputError("label map must be 2-D")
         if lab.size and lab.min() < 0:
             raise InvalidInputError("labels must be non-negative")
         lab = lab.astype(np.int32, copy=True)
-        # A count per id is several times faster than np.unique here.
-        areas = np.bincount(lab.ravel())[1:]
-        present = np.flatnonzero(areas)
-        h = int(present[-1]) + 1 if present.size else 0
-        if present.size != h:
+        runs = _row_runs(lab)
+        areas = np.bincount(runs[3], weights=runs[2] - runs[1] + 1)[1:].astype(np.int64)
+        if not areas.all():
             raise InvalidInputError("plane ids must be contiguous 1..H")
         lab.flags.writeable = False
-        object.__setattr__(self, "labels", lab)
-        object.__setattr__(self, "_num_planes", h)
-        object.__setattr__(self, "_areas", areas)  # pixels per region
+        runs.flags.writeable = False
+        self._shape, self._runs, self._areas, self._labels = lab.shape, runs, areas, lab
 
     @classmethod
-    def _trusted(cls, labels: np.ndarray, areas: np.ndarray, box=None) -> "PlaneSegmentMap":
-        """A map the package built itself, without the checks and the count.
+    def _of_runs(cls, shape, runs: np.ndarray, num_labels: int) -> "PlaneSegmentMap":
+        """A map the package built itself, without the checks.
 
-        ``labels`` is a fresh int32 array that the map takes over, with ids
-        1..len(areas), and ``areas`` (int64) holds each region's pixel
-        count, every one positive.  ``box``, when given, is what
-        :func:`_labelled_box` returns for these labels, which then reads it
-        instead of scanning the frame.
+        ``runs`` is a fresh (4, n) int64 array, laid out as :attr:`runs`, of
+        the maximal row runs of a ``shape`` frame in raster order, with
+        labels in 1..``num_labels``.  Labels that no run carries drop and
+        the rest recompact; the areas (int64, pixels per region) are the
+        run lengths summed.
         """
+        areas = np.bincount(runs[3], weights=runs[2] - runs[1] + 1, minlength=num_labels + 1)
+        areas = areas[1:].astype(np.int64)
+        if not areas.all():  # a region has no run: recompact the ids
+            runs[3] = np.concatenate([[0], np.cumsum(areas > 0)])[runs[3]]
+            areas = areas[areas > 0]
+        runs.flags.writeable = False
         m = object.__new__(cls)
-        labels.flags.writeable = False
-        object.__setattr__(m, "labels", labels)
-        object.__setattr__(m, "_num_planes", len(areas))
-        object.__setattr__(m, "_areas", areas)
-        if box is not None:
-            box[0].flags.writeable = False
-            object.__setattr__(m, "_box", box)
+        m._shape, m._runs, m._areas, m._labels = tuple(shape), runs, areas, None
         return m
 
     @property
+    def runs(self) -> np.ndarray:
+        return self._runs
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The (height, width) int32 label array, read-only; built on first
+        read by a running sum of label steps at the run ends."""
+        if self._labels is None:
+            h, w = self._shape
+            row, lo, hi, label = self._runs
+            steps = np.zeros(h * w + 1, np.int32)
+            steps[row * w + lo] = label
+            steps[row * w + hi + 1] -= label  # after the starts: a run may end where one starts
+            self._labels = np.cumsum(steps[:-1], dtype=np.int32).reshape(h, w)
+            self._labels.flags.writeable = False
+        return self._labels
+
+    @property
     def width(self) -> int:
-        return self.labels.shape[1]
+        return self._shape[1]
 
     @property
     def height(self) -> int:
-        return self.labels.shape[0]
+        return self._shape[0]
 
     @property
     def num_planes(self) -> int:
-        return self._num_planes
+        return len(self._areas)
 
     @property
     def plane_ids(self) -> range:
         return range(1, self.num_planes + 1)
 
     def label_at(self, points_xy: np.ndarray) -> np.ndarray:
-        """Labels under (u, v) pixel coordinates; out-of-image maps to 0."""
+        """Labels under (u, v) pixel coordinates; out-of-image maps to 0.
+
+        Each rounded pixel's raster key is looked up among the runs' start
+        keys: the run starting at or before it holds the pixel when it also
+        ends at or after it.
+        """
         pts = np.asarray(points_xy, dtype=float)
         col = np.rint(pts[:, 0]).astype(int)
         row = np.rint(pts[:, 1]).astype(int)
         inside = (row >= 0) & (row < self.height) & (col >= 0) & (col < self.width)
         out = np.zeros(len(pts), dtype=np.int32)
-        out[inside] = self.labels[row[inside], col[inside]]
+        if self.num_planes:
+            r, lo, hi, label = self._runs
+            key = row[inside] * self.width + col[inside]
+            k = np.searchsorted(r * self.width + lo, key, side="right") - 1
+            held = (k >= 0) & (r[k] * self.width + hi[k] >= key)
+            out[inside] = np.where(held, label[k], 0)
         return out
 
     def to_pgm_bytes(self) -> bytes:
@@ -161,7 +190,7 @@ class PlaneSegmentMap:
         eroded = getattr(self, "_eroded", None)
         if eroded is None:
             eroded = erode_mask(self, EROSION_RADIUS)
-            object.__setattr__(self, "_eroded", eroded)
+            self._eroded = eroded
         return eroded
 
     def graph(self) -> "PlaneGraph":
@@ -169,7 +198,7 @@ class PlaneSegmentMap:
         graph = getattr(self, "_graph", None)
         if graph is None:
             graph = PlaneGraph.from_mask(self)
-            object.__setattr__(self, "_graph", graph)
+            self._graph = graph
         return graph
 
 
@@ -180,111 +209,65 @@ def disk_structuring_element(radius: float) -> np.ndarray:
     return np.sqrt(yy * yy + xx * xx) <= radius
 
 
-def _labelled_box(m: PlaneSegmentMap):
-    """The labels inside the bounding box of ``m``'s labelled pixels, and
-    the box's top-left (row, column).
-
-    Every pixel outside the box is background.  The labels come as uint8,
-    or as int32 past 255 planes, so that comparing them reads few bytes;
-    the box is found after that cast, for the same reason.  ``m`` must hold
-    at least one plane.  A map from :func:`erode_mask` carries its box,
-    found while eroding, and the frame is not scanned again.
-    """
-    box = getattr(m, "_box", None)
-    if box is not None:
-        return box
-    lab = m.labels.astype(np.uint8 if m.num_planes < 256 else np.int32)
-    rows = np.flatnonzero(lab.any(axis=1))
-    top, bottom = rows[0], rows[-1] + 1
-    cols = np.flatnonzero(lab[top:bottom].any(axis=0))
-    return lab[top:bottom, cols[0] : cols[-1] + 1], (top, cols[0])
-
-
-def _packed(bits: np.ndarray) -> np.ndarray:
-    """Boolean rows, a multiple of 64 wide, packed 64 pixels to a word:
-    pixel x is bit x % 64 of word x // 64."""
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
-
-
-def _shifted(words: np.ndarray, s: int) -> np.ndarray:
-    """Packed rows moved along the row so that pixel x holds pixel x + s;
-    pixels from past either end read 0."""
-    q, b = divmod(abs(s), 64)
-    n = words.shape[1] - q
-    out = np.zeros_like(words)
-    if n <= 0:
-        return out
-    if s >= 0:
-        out[:, :n] = words[:, q:] >> b
-        if b:  # the low bits of the next word move in at the top
-            out[:, : n - 1] |= words[:, q + 1 :] << (64 - b)
-    else:
-        out[:, q:] = words[:, :n] << b
-        if b:
-            out[:, q + 1 :] |= words[:, : n - 1] >> (64 - b)
-    return out
+def _row_runs(lab: np.ndarray) -> np.ndarray:
+    """The maximal row runs of ``lab``'s nonzero labels in raster order, as
+    a (4, n) int64 array of rows, first columns, last columns and labels."""
+    if not lab.size:
+        return np.zeros((4, 0), np.int64)
+    w = lab.shape[1]
+    flat = lab.ravel()
+    starts = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::w] = True
+    start = np.flatnonzero(starts)
+    end = np.append(start[1:], flat.size) - 1
+    label = flat[start]
+    start, end, label = start[label > 0], end[label > 0], label[label > 0]
+    row = start // w
+    return np.stack([row, start - row * w, end - row * w, label]).astype(np.int64, copy=False)
 
 
 def erode_mask(m: PlaneSegmentMap, radius: float) -> PlaneSegmentMap:
     """Erode every region by a disk; empty regions drop, ids recompact.
 
     Equivalent to per-label binary erosion with :func:`disk_structuring_element`
-    (pixels outside the image count as background).  A disk is a stack of row
-    chords: a pixel survives iff the column run through its disk and, at each
-    row offset, the row run of that chord's half width carry its label.  Runs
-    grow by running ANDs (van Herk, Pattern Recognit. Lett. 1992).
-
-    The work stays inside the labelled box (:func:`_labelled_box`), whose
-    outside is background like the outside of the image.  There, "carries
-    the label of the pixel below" and "of the pixel to the right" are bit
-    rows packed 64 pixels to a uint64 word: a column step ANDs whole word
-    rows, a row step ANDs word rows shifted by one bit more.  Areas are the
-    old ones less the pixels the erosion removed.
+    (pixels outside the image count as background), by interval coding on
+    the row runs (Ji, Piper & Tang, Pattern Recognit. Lett. 1989).  A disk
+    is a stack of row chords, of half width ``hw(dy)`` at row offset
+    ``dy``: a pixel survives iff each of its ``2r + 1`` chords lies inside
+    one run of its label.  A run ``[lo, hi]`` in row ``y`` holds the chord
+    at offset ``dy`` of exactly the pixels ``[lo + hw(dy), hi - hw(dy)]`` of
+    row ``y - dy``.  The runs of one label in one row are disjoint, so each
+    chord row covers a pixel at most once, and the pixels covered
+    ``2r + 1`` times survive: one sort of the interval ends, keyed by
+    (label, row, column), and a running count find them.  Twice a key stays
+    below 2**42 for 65535 labels on a 5760 x 3840 frame, so int64 holds it.
     """
     if radius < 0:
         raise InvalidInputError("erosion radius must be non-negative")
     if radius == 0 or m.num_planes == 0:
         return m
-    box, (top, left) = _labelled_box(m)
-    bh, bw = box.shape
-    if not radius < (min(bh, bw) + 1) // 2:  # no disk fits; nan erodes everything too
-        return PlaneSegmentMap._trusted(np.zeros_like(m.labels), m._areas[:0])
-    half_width = disk_structuring_element(radius).sum(axis=1) // 2
+    row, lo, hi, label = m.runs
+    h, w = m.height, m.width
+    box_h, box_w = row[-1] - row[0] + 1, hi.max() - lo.min() + 1
+    if not radius < (min(box_h, box_w) + 1) // 2:  # no disk fits; nan erodes everything too
+        return PlaneSegmentMap._of_runs((h, w), np.zeros((4, 0), np.int64), 0)
+    half_width = disk_structuring_element(radius).sum(axis=1)[:, None] // 2
     r = len(half_width) // 2  # chords sit at row offsets -r..r
-    labelled, right, below = np.zeros((3, bh, 64 * -(-bw // 64)), dtype=bool)
-    np.greater(box, 0, out=labelled[:, :bw])
-    np.equal(box[:, 1:], box[:, :-1], out=right[:, : bw - 1])
-    np.equal(box[1:], box[:-1], out=below[: bh - 1, :bw])
-    right, below = _packed(right), _packed(below)
-    keep = np.zeros_like(right)  # no column run fits the top and bottom r rows
-    keep[r : bh - r] = _packed(labelled)[r : bh - r]
-    for k in range(-r, r):
-        keep[r : bh - r] &= below[r + k : bh - r + k]
-    run = ~np.zeros_like(right)  # the row runs of half width w = 0, 1, ...
-    for w in range(1, r + 1):
-        run &= _shifted(right, -w) & _shifted(right, w - 1)
-        for dy in np.flatnonzero(half_width == w) - r:
-            keep[max(-dy, 0) : bh - max(dy, 0)] &= run[max(dy, 0) : bh + min(dy, 0)]
-    kept = np.unpackbits(keep.view(np.uint8), axis=1, count=bw, bitorder="little").view(bool)
-    # np.zeros, unlike zeros_like, leaves the pages outside the box untouched.
-    out = np.zeros(m.labels.shape, m.labels.dtype)
-    out_box = out[top : top + bh, left : left + bw]
-    np.multiply(box, kept, out=out_box)
-    lost = box[np.logical_xor(kept, labelled[:, :bw], out=kept)]
-    areas = m._areas - np.bincount(lost, minlength=m.num_planes + 1)[1:]
-    if not areas.all():  # a region vanished: recompact the ids
-        out_box[...] = np.concatenate([[0], np.cumsum(areas > 0)]).astype(out.dtype)[out_box]
-        areas = areas[areas > 0]
-    # The eroded labels' own box, for _labelled_box: the rows with a kept
-    # word, and the columns of the words ORed down the rows.
-    rows = np.flatnonzero(keep.any(axis=1))
-    if not rows.size:
-        return PlaneSegmentMap._trusted(out, areas)
-    column_bits = np.bitwise_or.reduce(keep, axis=0).view(np.uint8)
-    cols = np.flatnonzero(np.unpackbits(column_bits, count=bw, bitorder="little"))
-    inner = out_box[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-    inner = inner.astype(np.uint8 if len(areas) < 256 else np.int32)
-    return PlaneSegmentMap._trusted(out, areas, (inner, (top + rows[0], left + cols[0])))
+    y = row - np.arange(-r, r + 1)[:, None]
+    start, stop = lo + half_width, hi - half_width + 1  # (2r + 1, n) intervals
+    sent = (start < stop) & (0 <= y) & (y < h)
+    base = ((label * h + y) * (w + 1))[sent]
+    # Twice the key, plus 1 at a start, so the low bit gives the step.  Ends
+    # sort first at a tie, so the count reaches 2r + 1 only after a column's
+    # last event; each such event starts a surviving run, the next ends it.
+    keys = np.sort(np.concatenate([2 * (base + start[sent]) + 1, 2 * (base + stop[sent])]))
+    count = np.cumsum(2 * (keys & 1) - 1)
+    at = keys >> 1
+    k = np.flatnonzero(count == 2 * r + 1)
+    col, block = at[k] % (w + 1), at[k] // (w + 1)
+    runs = np.stack([block % h, col, at[k + 1] % (w + 1) - 1, block // h])
+    return PlaneSegmentMap._of_runs((h, w), runs[:, np.argsort(runs[0] * w + col)], m.num_planes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,13 +306,12 @@ class PlaneGraph:
         d = np.zeros((h, h))
         if h < 2:
             return PlaneGraph(ids, d)
-        # Distances do not depend on where the box sits.
-        lab, _ = _labelled_box(m)
-        bh, bw = lab.shape
-        row, lo, hi, owner = _row_runs(lab)
+        w = m.width
+        row, lo, hi, owner = m.runs[:, np.argsort(m.runs[3], kind="stable")]  # region by region
+        owner = owner - 1
         first = np.searchsorted(owner, np.arange(h + 1))  # region k: first[k]:first[k + 1]
         n = len(row)
-        no_run = bh + bw  # a gap no pair of pixels in the box reaches
+        no_run = m.height + w  # a gap no pair of pixels in the frame reaches
         for i in range(h - 1):  # the last region is only ever visited
             a, later = slice(first[i], first[i + 1]), np.arange(first[i + 1], n)
             bound = _upper_bounds(row, lo, hi, owner, first, i)
@@ -340,10 +322,10 @@ class PlaneGraph:
             count = np.maximum(np.minimum(row[later] + reach, row[first[i + 1] - 1]) - top + 1, 0)
             run = np.repeat(later, count)
             y = np.repeat(top - np.cumsum(count) + count, count) + np.arange(len(run))
-            # i's runs are in raster order, so row * bw + lo sorts them;
+            # i's runs are in raster order, so row * w + lo sorts them;
             # k - 1 is i's last run in row y that starts at or left of the
             # visiting run's end, k the next one: the nearest on each side.
-            k = np.searchsorted(row[a] * bw + lo[a], y * bw + hi[run], side="right") + first[i]
+            k = np.searchsorted(row[a] * w + lo[a], y * w + hi[run], side="right") + first[i]
             gap = np.full(len(run), no_run)
             for c in (np.maximum(k - 1, first[i]), np.minimum(k, first[i + 1] - 1)):
                 g = np.maximum(np.maximum(lo[c] - hi[run], lo[run] - hi[c]), 0)
@@ -353,27 +335,6 @@ class PlaneGraph:
             dist[bound <= 2] = 0.0
             d[i, i + 1 :] = d[i + 1 :, i] = dist
         return PlaneGraph(ids, d)
-
-
-def _row_runs(lab: np.ndarray):
-    """The row runs of ``lab``: maximal stretches of one nonzero label along
-    a row, as (row, first column, last column, region index) int64 arrays.
-
-    Runs are ordered by region (index = label - 1) and, within one region,
-    in raster order.
-    """
-    bw = lab.shape[1]
-    flat = lab.ravel()
-    starts = np.ones(flat.size, dtype=bool)
-    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-    starts[::bw] = True
-    start = np.flatnonzero(starts)
-    end = np.append(start[1:], flat.size) - 1
-    label = flat[start].astype(np.int64)
-    order = np.argsort(label, kind="stable")[np.count_nonzero(label == 0) :]
-    start, end = start[order], end[order]
-    row = start // bw
-    return row, start - row * bw, end - row * bw, label[order] - 1
 
 
 def _upper_bounds(row, lo, hi, owner, first, i) -> np.ndarray:

@@ -537,10 +537,11 @@ def render_plane_mask(
     covers is that patch's.  A patch whose plane equals an earlier covering
     one's bit for bit has the same depth bits on every ray, so it never
     wins there and leaves the contest.  Where several patches remain, depths
-    are taken at segment ends only (:func:`_nearest_segments`).  Ids are
-    contiguous in plane order over the patches that keep a pixel, and the
-    region areas are the segment lengths, so the map is built without a
-    recount.
+    are taken at segment ends only (:func:`_nearest_segments`).  The map is
+    built straight from the decided segments: neighbours in a row with one
+    label merge into that label's run, background drops, and no per-pixel
+    array is painted.  Ids are contiguous in plane order over the patches
+    that keep a pixel, and the region areas are the run lengths.
     """
     w, h = int(image_size[0]), int(image_size[1])
     drawn = []  # (lo, hi, plane_c) of each patch that covers a pixel
@@ -549,7 +550,7 @@ def render_plane_mask(
         if runs is not None:
             drawn.append(runs)
     if not drawn:
-        return PlaneSegmentMap._trusted(np.zeros((h, w), np.int32), np.zeros(0, np.int64))
+        return PlaneSegmentMap._of_runs((h, w), np.zeros((4, 0), np.int64), 0)
     lo = np.array([runs[0] for runs in drawn])
     hi = np.array([runs[1] for runs in drawn])
     planes = np.array([(*n_c, c_c) for _, _, (n_c, c_c) in drawn])  # (K, 4)
@@ -569,14 +570,12 @@ def render_plane_mask(
             for part, more in zip((row, first, length, label), decided)
         )
         order = np.argsort(row * w + first)
-        length, label = length[order], label[order]
-    areas = np.bincount(label, weights=length, minlength=len(drawn) + 1)[1:].astype(np.int64)
-    if not areas.all():  # a patch lost every pixel: recompact the ids
-        keep = areas > 0
-        label = np.concatenate([[0], np.cumsum(keep)])[label]
-        areas = areas[keep]
-    labels = np.repeat(label.astype(np.int32), length).reshape(h, w)
-    return PlaneSegmentMap._trusted(labels, areas)
+        row, first, length, label = row[order], first[order], length[order], label[order]
+    # The segments tile each row: a run starts wherever the label or the row changes.
+    starts = np.flatnonzero(np.diff(label, prepend=-1) | np.diff(row, prepend=-1))
+    last = (first + length - 1)[np.append(starts[1:], len(row)) - 1]
+    runs = np.stack([row[starts], first[starts], last, label[starts]])
+    return PlaneSegmentMap._of_runs((h, w), runs[:, runs[3] > 0], len(drawn))
 
 
 def observe(

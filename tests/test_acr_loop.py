@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acrkit import acr_loop, cli, fusion, simulator
+from acrkit import acr_loop, cli, fusion, plane_match, simulator
 from acrkit.acr_loop import (
     AcrConfig,
     AcrRecord,
@@ -94,6 +94,18 @@ class TestRunAcr:
             raise AssertionError("the loop chose candidates by cross-plane agreement")
 
         monkeypatch.setattr(fusion, "_select_consistent", unreachable)
+        trace, _ = _run(run_acr)
+        assert trace.status == "converged", trace.failure
+        assert _signature(trace) == _signature(acr_run[0])
+
+    def test_masks_stay_row_runs_from_render_to_match(self, acr_run, monkeypatch):
+        # No full-frame label array is built: none is read from a map, and
+        # no map extracts its runs from one.
+        def unreachable(*args):
+            raise AssertionError("the loop built a full-frame label array")
+
+        monkeypatch.setattr(plane_match.PlaneSegmentMap, "labels", property(unreachable))
+        monkeypatch.setattr(plane_match, "_row_runs", unreachable)
         trace, _ = _run(run_acr)
         assert trace.status == "converged", trace.failure
         assert _signature(trace) == _signature(acr_run[0])

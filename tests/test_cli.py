@@ -13,7 +13,7 @@ import pytest
 from acrkit import cli, fusion, simulator
 from acrkit.acr_loop import AcrConfig
 from acrkit.fusion import i2pe, reselect_candidates
-from acrkit.plane_match import PlaneSegmentMap
+from acrkit.plane_match import PlaneSegmentMap, erode_mask
 from acrkit.pose_estimation import CorrespondenceSet
 from acrkit.geometry import Intrinsics, Pose, Rotation, rotation_angle
 from acrkit.simulator import BenchRow
@@ -181,14 +181,18 @@ class TestBenchNoise:
 
 class TestMatchPlanes:
     @staticmethod
-    def _inputs(tmp_path):
-        # Two 20 px squares side by side in both masks; the correspondences
+    def _squares():
+        # Two 20 px squares side by side; the correspondences of _inputs
         # cross them, so the assignment must pair each with the other.
         lab = np.zeros((30, 60), dtype=np.int32)
         lab[5:25, 5:25] = 1
         lab[5:25, 35:55] = 2
+        return lab
+
+    @classmethod
+    def _inputs(cls, tmp_path):
         for name in ("ref.pgm", "cur.pgm"):
-            PlaneSegmentMap(lab).save(tmp_path / name)
+            PlaneSegmentMap(cls._squares()).save(tmp_path / name)
         a = np.array([[15.0, 15.0]] * 7 + [[45.0, 15.0]] * 9)
         b = np.array([[45.0, 15.0]] * 7 + [[15.0, 15.0]] * 9)
         CorrespondenceSet(a, b).save(tmp_path / "corr.json")
@@ -204,6 +208,17 @@ class TestMatchPlanes:
     @staticmethod
     def _last_json(capsys):
         return json.loads(capsys.readouterr().out.splitlines()[-1])
+
+    def test_mask_files_hold_each_label_as_a_big_endian_pixel(self, tmp_path):
+        self._inputs(tmp_path)
+        header = b"P5\n60 30\n65535\n"
+        assert (tmp_path / "ref.pgm").read_bytes() == header + self._squares().astype(">u2").tobytes()
+        # An eroded map builds its labels from its runs for the file.
+        lab = np.zeros((30, 60), dtype=np.int32)  # a 3 px disk erodes 3 px off each side
+        lab[8:22, 8:22] = 1
+        lab[8:22, 38:52] = 2
+        eroded = erode_mask(PlaneSegmentMap.load(tmp_path / "ref.pgm"), 3)
+        assert eroded.to_pgm_bytes() == header + lab.astype(">u2").tobytes()
 
     def test_pairs_after_default_erosion(self, tmp_path, capsys):
         code = cli.main(self._inputs(tmp_path))

@@ -81,6 +81,16 @@ def _small_render(scene: simulator.SceneSpec) -> PlaneSegmentMap:
     return simulator.render_plane_mask(world, Pose.identity(), intr, (160, 120))
 
 
+def _posed_render(seed: int) -> PlaneSegmentMap:
+    """The corner (even seeds) or the mural (odd ones) on the desk rig scaled
+    down 16x, 80 x 60 pixels, from a random pose within 8 degrees and 5 cm
+    of the reference."""
+    world = simulator.generate_scene((simulator.corner_scene, simulator.mural_scene)[seed % 2](seed=seed))
+    rng = np.random.default_rng(seed)
+    pose = Pose(Rotation.from_axis_angle(rng.standard_normal(3), rng.uniform(0, 8)), rng.uniform(-0.05, 0.05, 3))
+    return simulator.render_plane_mask(world, pose, Intrinsics(fx=75.0, fy=75.0, cx=40.0, cy=30.0), (80, 60))
+
+
 def _twelve_planes() -> PlaneSegmentMap:
     lab = np.zeros((40, 60), dtype=np.int32)
     for k in range(12):
@@ -175,7 +185,7 @@ EROSION_CASES = {
     "bottom-right": lambda: _mask(
         (26, 90), {1: (slice(14, 26), slice(20, 90)), 2: (slice(3, 14), slice(77, 90))}
     ),
-    # Rows that straddle the 64-pixel words of the packed erosion.
+    # Random regions of widths around 64 and 128 that reach both side borders.
     **{f"width-{w}": (lambda w=w: _random_width_mask(w, w)) for w in (63, 64, 65, 127, 129)},
     "aliasing-stripes": _aliasing_stripes,
     "background": lambda: PlaneSegmentMap(np.zeros((9, 70), dtype=np.int32)),
@@ -185,6 +195,15 @@ EROSION_CASES = {
     "mural-render": lambda: _small_render(simulator.mural_scene(seed=0)),
 }
 RADII = [0, 1, 2, 2.5, 3, 4, 5, 6, 7]
+# Maps from each source of row runs: a label array, the renderer and
+# erosion.  The label maps hold up to 800 planes on at most 48 x 48 pixels;
+# test_sources_cover_what_they_name checks what they reach.
+RUN_SOURCES = {
+    "labels": lambda seed: _random_mask(seed, max_planes=800, max_side=48),
+    "render": _posed_render,
+    "erosion": lambda seed: erode_mask(_random_mask(seed, max_side=60), 1),
+}
+SOURCE_SEEDS = range(8)
 # The cases small enough for the pixel-pair oracle of the plane graph.
 GRAPH_CASES = sorted(set(EROSION_CASES) - {"corner-render", "mural-render"})
 
@@ -222,6 +241,14 @@ class TestPlaneSegmentMap:
         m = PlaneSegmentMap(lab)
         back = PlaneSegmentMap.from_pgm_bytes(m.to_pgm_bytes())
         assert np.array_equal(back.labels, m.labels)
+
+    def test_rendered_map_round_trips_through_pgm(self, tmp_path):
+        m = _posed_render(3)
+        m.save(tmp_path / "m.pgm")
+        back = PlaneSegmentMap.load(tmp_path / "m.pgm")
+        np.testing.assert_array_equal(back.labels, m.labels)
+        np.testing.assert_array_equal(back.runs, m.runs)
+        np.testing.assert_array_equal(back._areas, m._areas)
 
     def test_graph_cached_per_map(self):
         m = _mask(
@@ -318,19 +345,6 @@ class TestErodeMask:
         m = _random_mask(seed)
         np.testing.assert_array_equal(erode_mask(m, radius).labels, _erosion_oracle(m, radius))
 
-    @pytest.mark.parametrize("s", [-200, -129, -64, -63, -1, 0, 1, 5, 63, 64, 65, 130, 192])
-    def test_word_shift_equals_a_pixel_shift(self, s):
-        # Shifts of 64 or more pixels occur from radius 64 on.
-        bits = np.random.default_rng(7).random((3, 192)) < 0.5
-        expected = np.zeros_like(bits)  # pixel x holds pixel x + s
-        for x in range(192):
-            if 0 <= x + s < 192:
-                expected[:, x] = bits[:, x + s]
-        words = plane_match._shifted(plane_match._packed(bits), s)
-        np.testing.assert_array_equal(
-            np.unpackbits(words.view(np.uint8), axis=1, bitorder="little").view(bool), expected
-        )
-
     def test_full_size_corner_render(self, full_corner):
         m = full_corner
         rows = np.flatnonzero(m.labels.any(axis=1))
@@ -338,6 +352,22 @@ class TestErodeMask:
         e = erode_mask(m, 5)
         np.testing.assert_array_equal(e.labels, _erosion_oracle(m, 5))
         np.testing.assert_array_equal(e._areas, np.bincount(e.labels.ravel())[1:])
+
+    def test_keys_hold_65535_labels_on_a_5760_by_3840_frame(self):
+        # 3 x 3 blocks, the last in the bottom-right corner, where the
+        # interval keys are largest; a radius-1 disk keeps each centre.
+        # Built from runs, so that no 22 Mpx label array is made.
+        k = np.arange(65535)
+        top, left = 3837 - 3 * (k // 1920), 5757 - 3 * (k % 1920)
+        rows = (top + np.arange(3)[:, None]).T.ravel()
+        runs = np.stack([rows, np.repeat(left, 3), np.repeat(left + 2, 3), np.repeat(65535 - k, 3)])
+        order = np.argsort(runs[0] * 5760 + runs[1])
+        m = PlaneSegmentMap._of_runs((3840, 5760), runs[:, order], 65535)
+        e = erode_mask(m, 1)
+        assert e.num_planes == 65535
+        centres = np.column_stack([left + 1, top + 1])
+        np.testing.assert_array_equal(e.label_at(centres), 65535 - k)
+        np.testing.assert_array_equal(e.runs[2] - e.runs[1], 0)
 
     def test_negative_radius_rejected(self):
         m = _mask((10, 10), {1: (slice(2, 8), slice(2, 8))})
@@ -404,23 +434,20 @@ class TestPlaneGraphFromMask:
             np.testing.assert_array_equal(PlaneGraph.from_mask(m).distances, _whole_image_graph(m))
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_eroded_loop_masks_read_their_box_from_the_erosion(self, seed):
+    def test_eroded_runs_equal_a_fresh_extraction(self, seed):
         world = simulator.generate_scene(simulator.corner_scene(seed=seed))
         offset = Pose(Rotation.about_y(2.0), np.array([0.02, -0.01, 0.01]))
         obs = simulator.observe(
             world, offset, simulator.DESK_INTRINSICS, simulator.DESK_IMAGE_SIZE, seed=seed
         )
         for eroded in (obs.mask_ref.eroded(), obs.mask_cur.eroded(), erode_mask(_aliasing_stripes(), 1)):
-            self._same_as_a_fresh_scan(eroded)
+            self._same_as_a_fresh_extraction(eroded)
 
     @staticmethod
-    def _same_as_a_fresh_scan(eroded):
+    def _same_as_a_fresh_extraction(eroded):
         fresh = PlaneSegmentMap(eroded.labels)
-        box, corner = plane_match._labelled_box(eroded)
-        fresh_box, fresh_corner = plane_match._labelled_box(fresh)
-        assert box is eroded._box[0] and not hasattr(fresh, "_box")
-        assert box.dtype == fresh_box.dtype and np.array_equal(box, fresh_box)
-        assert tuple(map(int, corner)) == tuple(map(int, fresh_corner))
+        assert eroded.runs.dtype == fresh.runs.dtype == np.int64
+        np.testing.assert_array_equal(eroded.runs, fresh.runs)
         graph, fresh_graph = PlaneGraph.from_mask(eroded), PlaneGraph.from_mask(fresh)
         assert graph.plane_ids == fresh_graph.plane_ids
         assert graph.distances.tobytes() == fresh_graph.distances.tobytes()
@@ -434,6 +461,66 @@ class TestPlaneGraphFromMask:
         assert g.distances[0, 1] == 0.0
         assert g.distances[0, 2] == pytest.approx(5.0)
         np.testing.assert_allclose(g.distances, _graph_oracle(PlaneSegmentMap(lab)))
+
+
+class TestRunSources:
+    """The erosion and graph oracles, and the per-pixel label lookup, on
+    maps whose runs come from each source."""
+
+    @pytest.mark.parametrize("seed", SOURCE_SEEDS)
+    @pytest.mark.parametrize("source", sorted(RUN_SOURCES))
+    def test_erosion_equals_oracle(self, source, seed):
+        m = RUN_SOURCES[source](seed)
+        for radius in RADII:
+            np.testing.assert_array_equal(erode_mask(m, radius).labels, _erosion_oracle(m, radius))
+
+    @pytest.mark.parametrize("seed", SOURCE_SEEDS)
+    @pytest.mark.parametrize("source", sorted(RUN_SOURCES))
+    def test_graph_equals_brute_force(self, source, seed):
+        for m in (RUN_SOURCES[source](seed), erode_mask(RUN_SOURCES[source](seed), 2)):
+            g = PlaneGraph.from_mask(m)
+            assert g.plane_ids == tuple(m.plane_ids)
+            np.testing.assert_allclose(g.distances, _graph_oracle(m), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", SOURCE_SEEDS)
+    @pytest.mark.parametrize("source", sorted(RUN_SOURCES))
+    def test_runs_equal_a_fresh_extraction(self, source, seed):
+        m = RUN_SOURCES[source](seed)
+        fresh = PlaneSegmentMap(m.labels)
+        np.testing.assert_array_equal(m.runs, fresh.runs)
+        np.testing.assert_array_equal(m._areas, fresh._areas)
+        assert m.runs.dtype == np.int64 and not m.runs.flags.writeable
+        assert m.labels.dtype == np.int32 and not m.labels.flags.writeable
+
+    @pytest.mark.parametrize("seed", SOURCE_SEEDS)
+    @pytest.mark.parametrize("source", sorted(RUN_SOURCES))
+    def test_label_at_equals_indexing_the_labels(self, source, seed):
+        m = RUN_SOURCES[source](seed)
+        rows, cols = np.mgrid[0 : m.height, 0 : m.width]
+        pixels = np.column_stack([cols.ravel(), rows.ravel()]).astype(float)
+        np.testing.assert_array_equal(m.label_at(pixels), m.labels.ravel())
+        rng = np.random.default_rng(seed)
+        off = rng.uniform(-3, 3, (400, 2)) + rng.choice([[0, 0], [m.width, m.height]], 400)
+        off = np.concatenate([off, [[-1, 0], [0, -1], [m.width, 0], [0, m.height]]])
+        halves = np.concatenate([pixels + 0.5, pixels - 0.5, pixels + [0.5, -0.5]])
+        for pts in (off, halves, rng.uniform(-2, max(m.width, m.height) + 2, (500, 2))):
+            col, row = np.rint(pts).astype(int).T
+            inside = (row >= 0) & (row < m.height) & (col >= 0) & (col < m.width)
+            expected = np.zeros(len(pts), dtype=np.int32)
+            expected[inside] = m.labels[row[inside], col[inside]]
+            np.testing.assert_array_equal(m.label_at(pts), expected)
+
+    def test_sources_cover_what_they_name(self):
+        maps = {name: [build(seed) for seed in SOURCE_SEEDS] for name, build in RUN_SOURCES.items()}
+        for m in maps["labels"]:
+            row, lo, hi, label = m.runs
+            # Several runs of one label in a row, and regions on all four borders.
+            assert len(np.unique(row * m.width + label)) < len(label)
+            assert row[0] == 0 and row[-1] == m.height - 1 and lo.min() == 0 and hi.max() == m.width - 1
+        assert max(m.num_planes for m in maps["labels"]) > 255
+        assert all(erode_mask(m, 1).num_planes < m.num_planes for m in maps["labels"])
+        assert any(len(np.unique(m.runs[0] * m.width + m.runs[3])) < m.runs.shape[1] for m in maps["erosion"])
+        assert all(m.num_planes >= 2 for m in maps["render"])
 
 
 def _parallel_lines(bump: bool) -> PlaneSegmentMap:
@@ -534,9 +621,9 @@ class TestBoundedGraphQueries:
         # The sampled bound equals the minimum, which every pixel of the
         # second line ties: pruning at the bound must keep the tie.
         m = _parallel_lines(bump=False)
-        runs = plane_match._row_runs(plane_match._labelled_box(m)[0])
-        first = np.searchsorted(runs[3], np.arange(3))
-        np.testing.assert_array_equal(plane_match._upper_bounds(*runs, first, 0), [10**2])
+        row, lo, hi, label = m.runs  # one run per region: raster order is region order
+        first = np.searchsorted(label - 1, np.arange(3))
+        np.testing.assert_array_equal(plane_match._upper_bounds(row, lo, hi, label - 1, first, 0), [10**2])
         assert PlaneGraph.from_mask(m).distances[0, 1] == 10.0
 
 

@@ -496,6 +496,17 @@ class TestRenderPlaneMask:
                 _oracle_mask(world, pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE),
             )
 
+    @pytest.mark.parametrize("name", sorted(RENDER_CASES))
+    def test_runs_equal_the_oracle_extraction(self, name):
+        # The renderer merges its segments into runs itself: they must be
+        # the maximal runs that a label array yields.
+        world = _case_world(name)
+        for pose in _CASE_POSES:
+            mask = render_plane_mask(world, pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE)
+            expected = _oracle_mask(world, pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE)
+            np.testing.assert_array_equal(mask.runs, expected.runs)
+            assert mask.runs.dtype == np.int64 and not mask.runs.flags.writeable
+
     def test_edge_ends_settle_from_any_guess(self):
         # The edge lines give each run end a first guess; the walk that
         # follows must land on the exact end wherever the guess starts.
