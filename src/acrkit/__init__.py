@@ -34,7 +34,6 @@ from .scale_solver import (
     iteration_scale,
 )
 from .plane_match import (
-    Assignment,
     PlaneGraph,
     PlaneSegmentMap,
     assemble_affinity,

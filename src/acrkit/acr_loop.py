@@ -352,10 +352,7 @@ def _relocalize(executor: MotionExecutor, cfg: AcrConfig, start) -> AcrTrace:
             command = None  # a converged pass commands no move
             if not converged:
                 # scale is 0 for a zero-motion estimate, whose direction is void.
-                correction = estimate.inverse() if not zero_motion else (
-                    DirectionalPose(estimate.rotation.inverse(), (0.0, 0.0, 1.0))
-                )
-                camera = hand_motion_from_estimate(correction, scale)
+                camera = hand_motion_from_estimate(estimate.inverse(), scale)
                 command = compose(compose(hand_eye.inverse(), camera), hand_eye)
             rot_err, trans_err = _truth_errors(obs)
             records.append(

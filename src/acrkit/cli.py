@@ -348,7 +348,7 @@ def cmd_match_planes(args) -> int:
         corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
         m_ref = erode_mask(m_ref, args.erosion)
         m_cur = erode_mask(m_cur, args.erosion)
-        pairs = match_plane_maps(m_ref, m_cur, corr)
+        pairs = match_plane_maps(m_ref, m_cur, m_ref.label_at(corr.a), m_cur.label_at(corr.b))
         doc = {"pairs": [list(p) for p in pairs]}
         if args.output:
             Path(args.output).write_text(json.dumps(doc))

@@ -85,24 +85,22 @@ def weights_from_hypotheses(hypotheses) -> FusionWeights:
 
 
 def _chordal_mean(hypotheses, weights: np.ndarray) -> Rotation:
-    """Weighted chordal-L2 mean rotation: the largest eigenvector of the
-    weighted quaternion outer-product sum, which is blind to q/-q signs."""
-    acc = np.zeros((4, 4))
-    for h, wi in zip(hypotheses, weights):
-        q = h.pose.rotation.quaternion()
-        acc += wi * np.outer(q, q)
-    _, vecs = np.linalg.eigh(acc)
-    return Rotation.from_quaternion(vecs[:, -1])
+    """Weighted chordal-L2 mean rotation: the rotation nearest, in the
+    Frobenius sense, to the weighted sum of the rotation matrices (Hartley
+    et al., "Rotation Averaging", IJCV 2013).  For unit quaternions q and
+    q_i, tr(R(q)^T R(q_i)) = 4 (q . q_i)^2 - 1, so this is also the leading
+    eigenvector of the weighted sum of q_i q_i^T, blind to q/-q signs."""
+    total = sum(w * h.pose.rotation.matrix for h, w in zip(hypotheses, weights))
+    return Rotation.from_matrix(total)
 
 
 def fuse_poses(hypotheses, weights: FusionWeights) -> DirectionalPose:
     """Weighted fusion of directional poses.
 
-    The rotation is the weighted chordal-L2 mean (largest eigenvector of
-    the weighted quaternion outer-product sum, which handles the q/-q sign
-    ambiguity); the direction is the normalized weighted sum of the unit
-    directions after aligning every direction to the hemisphere of the
-    highest-weight hypothesis.
+    The rotation is the weighted chordal-L2 mean (:func:`_chordal_mean`);
+    the direction is the normalized weighted sum of the unit directions
+    after aligning every direction to the hemisphere of the highest-weight
+    hypothesis.
     """
     hyps = list(hypotheses)
     if not hyps:
@@ -270,12 +268,11 @@ def i2pe(
     """
     ref = m_ref.eroded()
     cur = m_cur.eroded()
-    pairs = match_plane_maps(ref, cur, c)
-    if not pairs:
-        raise EstimationFailureError("no matchable plane pairs")
-
     labels_ref = ref.label_at(c.a)
     labels_cur = cur.label_at(c.b)
+    pairs = match_plane_maps(ref, cur, labels_ref, labels_cur)
+    if not pairs:
+        raise EstimationFailureError("no matchable plane pairs")
     image_size = (m_ref.width, m_ref.height)
 
     kept_pairs = []

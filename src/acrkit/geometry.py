@@ -7,8 +7,8 @@ Conventions used throughout the toolkit:
   correspondence pair ``(image A, image B)`` maps A-camera coordinates into
   B-camera coordinates.
 * Rotations are stored as 3x3 row-major orthonormal matrices with
-  determinant +1.  Quaternions appear only internally, for angle extraction
-  and for averaging.
+  determinant +1, and every operation on them, averaging included, works
+  on the matrices.
 * Image coordinates are ``(u, v)`` pixels with ``u`` along the image width.
 
 All types are immutable values and all operations are pure functions, so
@@ -106,75 +106,6 @@ class Rotation:
     @staticmethod
     def about_z(degrees: float) -> "Rotation":
         return Rotation.from_axis_angle((0.0, 0.0, 1.0), degrees)
-
-    @staticmethod
-    def from_quaternion(q) -> "Rotation":
-        """Quaternion (w, x, y, z), not necessarily normalized."""
-        q = np.asarray(q, dtype=float)
-        n = np.linalg.norm(q)
-        if n < 1e-15:
-            raise InvalidInputError("zero quaternion")
-        w, x, y, z = q / n
-        m = np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-        return Rotation.from_matrix(m)
-
-    def quaternion(self) -> np.ndarray:
-        """Unit quaternion (w, x, y, z) with non-negative w."""
-        m = self.matrix
-        # Shepperd's method: pick the largest pivot for stability.
-        tr = np.trace(m)
-        cand = np.array([tr, m[0, 0], m[1, 1], m[2, 2]])
-        case = int(np.argmax(cand))
-        if case == 0:
-            s = math.sqrt(tr + 1.0) * 2.0
-            q = np.array(
-                [
-                    0.25 * s,
-                    (m[2, 1] - m[1, 2]) / s,
-                    (m[0, 2] - m[2, 0]) / s,
-                    (m[1, 0] - m[0, 1]) / s,
-                ]
-            )
-        elif case == 1:
-            s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            q = np.array(
-                [
-                    (m[2, 1] - m[1, 2]) / s,
-                    0.25 * s,
-                    (m[0, 1] + m[1, 0]) / s,
-                    (m[0, 2] + m[2, 0]) / s,
-                ]
-            )
-        elif case == 2:
-            s = math.sqrt(1.0 - m[0, 0] + m[1, 1] - m[2, 2]) * 2.0
-            q = np.array(
-                [
-                    (m[0, 2] - m[2, 0]) / s,
-                    (m[0, 1] + m[1, 0]) / s,
-                    0.25 * s,
-                    (m[1, 2] + m[2, 1]) / s,
-                ]
-            )
-        else:
-            s = math.sqrt(1.0 - m[0, 0] - m[1, 1] + m[2, 2]) * 2.0
-            q = np.array(
-                [
-                    (m[1, 0] - m[0, 1]) / s,
-                    (m[0, 2] + m[2, 0]) / s,
-                    (m[1, 2] + m[2, 1]) / s,
-                    0.25 * s,
-                ]
-            )
-        q = q / np.linalg.norm(q)
-        if q[0] < 0:
-            q = -q
-        return q
 
     def inverse(self) -> "Rotation":
         return Rotation(self.matrix.T)

@@ -1,14 +1,16 @@
 """Plane-region matching across two segmentations.
 
 Detected plane regions of the reference and current images are matched by
-maximizing a quadratic assignment objective: node affinities count shared
-feature correspondences between region pairs, edge affinities compare the
-minimum inter-region pixel distances within each image.  The assignment is
-constrained to a one-to-one mapping of all reference planes into the
-(equal or larger) set of current planes.  It is found by enumerating every
-injection while their count stays within ``EXACT_ENUMERATION_BUDGET``, and
-by a spectral relaxation past it.  Every region is first eroded by
-``EROSION_RADIUS`` pixels (:meth:`PlaneSegmentMap.eroded`).
+maximizing a quadratic assignment objective: node affinities count the
+feature correspondences per region pair, from the two region labels under
+each correspondence, and edge affinities compare the minimum inter-region
+pixel distances within each image.  The assignment is a one-to-one mapping
+of every plane of the side with fewer planes into the other side's: when
+the reference has more, the counts are transposed and the graphs
+exchanged.  It is found by enumerating every injection while their count
+stays within ``EXACT_ENUMERATION_BUDGET``, and by a spectral relaxation
+past it.  Every region is first eroded by ``EROSION_RADIUS`` pixels
+(:meth:`PlaneSegmentMap.eroded`).
 
 Region masks hold their row runs, the maximal stretches of one label
 along a row (:class:`PlaneSegmentMap`); 0 is background and ids are
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, OrientationError
-from .pose_estimation import CorrespondenceSet
 
 # Injection counts up to this are enumerated exactly; past it the spectral
 # relaxation solves the matching (see solve_matching).
@@ -357,19 +358,6 @@ def _upper_bounds(row, lo, hi, owner, first, i) -> np.ndarray:
     return bound
 
 
-def node_affinity_matrix(
-    c: CorrespondenceSet, m_ref: PlaneSegmentMap, m_cur: PlaneSegmentMap
-) -> np.ndarray:
-    """(H, M) matrix of correspondence counts per region pair."""
-    h, m = m_ref.num_planes, m_cur.num_planes
-    la = m_ref.label_at(c.a)
-    lb = m_cur.label_at(c.b)
-    counts = np.zeros((h, m), dtype=float)
-    valid = (la > 0) & (lb > 0)
-    np.add.at(counts, (la[valid] - 1, lb[valid] - 1), 1.0)
-    return counts
-
-
 def assemble_affinity(
     node_aff: np.ndarray,
     graph_ref: PlaneGraph,
@@ -417,34 +405,9 @@ def assemble_affinity(
     return w
 
 
-@dataclass(frozen=True, eq=False)
-class Assignment:
-    """Binary H x M matching matrix; rows sum to 1, columns to at most 1."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.matrix)
-        if u.ndim != 2 or not np.isin(u, (0, 1)).all():
-            raise InvalidInputError("assignment must be a binary matrix")
-        if not np.all(u.sum(axis=1) == 1) or np.any(u.sum(axis=0) > 1):
-            raise InvalidInputError(
-                "assignment must map every row to exactly one distinct column"
-            )
-        u = u.astype(np.uint8)
-        u.flags.writeable = False
-        object.__setattr__(self, "matrix", u)
-
-    @property
-    def pairs(self) -> list:
-        """(row_id, col_id) pairs, 1-based to match plane ids."""
-        rows, cols = np.nonzero(self.matrix)
-        return [(int(r) + 1, int(c) + 1) for r, c in zip(rows, cols)]
-
-
-def solve_matching(w: np.ndarray, h: int, m: int) -> Assignment:
+def solve_matching(w: np.ndarray, h: int, m: int) -> list:
     """Maximize the quadratic assignment objective under the row/column
-    constraints.
+    constraints; returns each row's column, distinct and 0-based.
 
     The method follows the input size.  When the ``perm(M, H)`` injections
     of the H reference planes into the M current planes number at most
@@ -460,7 +423,7 @@ def solve_matching(w: np.ndarray, h: int, m: int) -> Assignment:
     if w.shape != (h * m, h * m):
         raise InvalidInputError("W must be (H*M) x (H*M)")
     if math.perm(m, h) > EXACT_ENUMERATION_BUDGET:
-        return _spectral_matching(w, h, m)
+        return _spectral_matching(w, h)
     best_score = -np.inf
     best = None
     for columns in itertools.permutations(range(m), h):
@@ -469,59 +432,53 @@ def solve_matching(w: np.ndarray, h: int, m: int) -> Assignment:
         if score > best_score:
             best_score = score
             best = columns
-    u = np.zeros((h, m), dtype=np.uint8)
-    u[np.arange(h), list(best)] = 1
-    return Assignment(u)
+    return list(best)
 
 
-def _spectral_matching(w: np.ndarray, h: int, m: int) -> Assignment:
-    """The leading eigenvector of W, discretized greedily into an injection."""
-    vals, vecs = np.linalg.eigh(w)
-    lead = np.abs(vecs[:, -1])
-    u = np.zeros((h, m), dtype=np.uint8)
-    used_rows = set()
-    used_cols = set()
-    order = np.argsort(-lead)
-    for flat in order:
-        a = flat % h
-        c = flat // h
-        if a in used_rows or c in used_cols:
-            continue
-        u[a, c] = 1
-        used_rows.add(a)
-        used_cols.add(c)
-        if len(used_rows) == h:
-            break
-    for a in range(h):  # rows starved by ties still need a column
-        if a not in used_rows:
-            c = next(i for i in range(m) if i not in used_cols)
-            u[a, c] = 1
-            used_cols.add(c)
-    return Assignment(u)
+def _spectral_matching(w: np.ndarray, h: int) -> list:
+    """The leading eigenvector of W, discretized greedily into an injection:
+    entries in descending magnitude, each kept while its row and its column
+    are both free.  Every row gets a column, since H <= M."""
+    lead = np.abs(np.linalg.eigh(w)[1][:, -1])
+    columns = {}
+    for flat in np.argsort(-lead):
+        c, a = divmod(int(flat), h)
+        if a not in columns and c not in columns.values():
+            columns[a] = c
+    return [columns[a] for a in range(h)]
 
 
 def match_plane_maps(
-    m_ref: PlaneSegmentMap, m_cur: PlaneSegmentMap, c: CorrespondenceSet
+    m_ref: PlaneSegmentMap,
+    m_cur: PlaneSegmentMap,
+    labels_ref: np.ndarray,
+    labels_cur: np.ndarray,
 ) -> list:
-    """Full matching pipeline between two already-eroded masks.
+    """(ref_id, cur_id) plane pairs between two already-eroded masks.
 
-    Returns (ref_id, cur_id) plane pairs.  When the reference mask has more
-    planes than the current one the inputs are swapped internally and the
-    assignment transposed, honoring the H <= M orientation.  The normalized
-    affinity goes to :func:`solve_matching` once, which picks exact
-    enumeration or the spectral relaxation from the injection count.  The
-    pairs come in ascending row of the solved orientation: ascending
-    reference id, or ascending current id after a swap (``i2pe`` seeds each
-    pair's RANSAC by its position).  The edge affinity's ``sigma`` is 10% of
-    the reference image diagonal.
+    ``labels_ref`` and ``labels_cur`` are the labels under each
+    correspondence's reference and current pixel
+    (:meth:`PlaneSegmentMap.label_at`), and their counts per region pair
+    are the node affinities.  The solve needs H <= M, so when the reference
+    mask has more planes the counts are transposed and the two graphs
+    exchanged.  The normalized affinity goes to :func:`solve_matching`
+    once, which picks exact enumeration or the spectral relaxation from the
+    injection count.  The pairs come in ascending row of the solved
+    orientation: ascending reference id, or ascending current id after a
+    transpose (``i2pe`` seeds each pair's RANSAC by its position).  The
+    edge affinity's ``sigma`` is 10% of the reference image diagonal.
     """
-    if m_ref.num_planes == 0 or m_cur.num_planes == 0:
+    h, m = m_ref.num_planes, m_cur.num_planes
+    if not h or not m:
         return []
-    sigma = 0.1 * math.hypot(m_ref.width, m_ref.height)
-    swap = m_ref.num_planes > m_cur.num_planes
+    counts = np.zeros((h, m))
+    held = (labels_ref > 0) & (labels_cur > 0)
+    np.add.at(counts, (labels_ref[held] - 1, labels_cur[held] - 1), 1.0)
+    graphs = m_ref.graph(), m_cur.graph()
+    swap = h > m
     if swap:
-        m_ref, m_cur, c = m_cur, m_ref, c.swapped()
-    node_aff = node_affinity_matrix(c, m_ref, m_cur)
-    w = assemble_affinity(node_aff, m_ref.graph(), m_cur.graph(), sigma)
-    assignment = solve_matching(w, *node_aff.shape)
-    return [(r, c_id) for c_id, r in assignment.pairs] if swap else assignment.pairs
+        counts, graphs = counts.T, graphs[::-1]
+    sigma = 0.1 * math.hypot(m_ref.width, m_ref.height)
+    w = assemble_affinity(counts, *graphs, sigma)
+    pairs = [(a + 1, c + 1) for a, c in enumerate(solve_matching(w, *counts.shape))]
+    return [(c, a) for a, c in pairs] if swap else pairs

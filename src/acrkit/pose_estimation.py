@@ -76,10 +76,6 @@ class CorrespondenceSet:
     def subset(self, index) -> "CorrespondenceSet":
         return CorrespondenceSet(self.a[index], self.b[index], self.track_id[index])
 
-    def swapped(self) -> "CorrespondenceSet":
-        """The same pairs with the A and B sides exchanged."""
-        return CorrespondenceSet(self.b, self.a, self.track_id)
-
     def to_json_dict(self) -> dict:
         pairs = np.hstack([self.a, self.b])
         doc = {"pairs": [[float(v) for v in row] for row in pairs]}

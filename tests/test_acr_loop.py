@@ -188,6 +188,18 @@ _quaternions = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4).filter
 )
 
 
+def _from_quaternion(q) -> Rotation:
+    """The rotation of the quaternion (w, x, y, z), not necessarily unit."""
+    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
+    return Rotation.from_matrix(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
 @pytest.fixture(scope="module")
 def swing_only_run():
     """``simulate-acr --seed 0`` with an 8 degree hand-eye rotation about x,
@@ -225,7 +237,7 @@ class TestHandEyeSwing:
     @settings(max_examples=200, deadline=None)
     @given(_quaternions, _vectors)
     def test_never_leaves_more_rotation_than_the_identity_guess(self, q, t):
-        hand_eye = Rotation.from_quaternion(q)
+        hand_eye = _from_quaternion(q)
         swing = acr_loop._hand_eye_swing(t, hand_eye.apply(_unit(t)))
         left = swing.inverse().compose(hand_eye)
         assert rotation_angle(left) <= rotation_angle(hand_eye) + 1e-9
@@ -405,6 +417,27 @@ class _StillExecutor:
     def execute(self, command):
         self.commands.append(command)
         return self.observe()
+
+
+def test_zero_motion_step_commands_its_rotation_alone(monkeypatch):
+    # A step without a usable direction reports scale 0, so the one
+    # command rule leaves the rotation that inverts the estimate and no
+    # translation, whatever the void direction holds.
+    rotation = Rotation.from_axis_angle((1.0, 2.0, 3.0), 2.0)
+
+    def no_parallax(c, intr, seed, **kwargs):
+        pose = DirectionalPose(rotation, (0.3, -0.2, 0.9))
+        return PoseHypothesis(pose=pose, unstable_translation=True)
+
+    monkeypatch.setattr(acr_loop, "estimate_epipolar", no_parallax)
+    executor = _StillExecutor()
+    trace = run_bisection_baseline(executor, AcrConfig(max_iterations=1))
+    assert trace.status == "exhausted"
+    (record,) = trace.records
+    assert record.zero_motion and record.scale_m == 0.0
+    (command,) = executor.commands
+    assert np.array_equal(command.rotation.matrix, rotation.matrix)
+    assert not np.any(command.translation)
 
 
 def test_baseline_stops_once_its_halved_step_is_inside_scale_epsilon(monkeypatch):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation as ScipyRotation
 
 from acrkit import fusion, plane_match
 from acrkit.errors import InsufficientDataError
@@ -173,6 +174,23 @@ class TestFusePoses:
         assert np.array_equal(only.rotation.matrix, full.rotation.matrix)
         assert only.direction.tolist() == [0.0, 0.0, 1.0]
 
+    def test_chordal_mean_equals_scipys_weighted_mean(self):
+        # scipy averages quaternions (Markley et al., 2007); its inputs
+        # here carry quaternions of both signs, which neither mean may see.
+        rng = np.random.default_rng(11)
+        signs_mixed = 0
+        for _ in range(200):
+            k = int(rng.integers(1, 7))
+            hyps = [_hyp(random_rotation(rng, 60.0), [0, 0, 1]) for _ in range(k)]
+            w = rng.uniform(0.05, 1.0, size=k)
+            quats = ScipyRotation.from_matrix([h.pose.rotation.matrix for h in hyps]).as_quat()
+            quats *= rng.choice([-1.0, 1.0], size=(k, 1))
+            signs_mixed += len(set(np.sign(quats @ quats[0]))) > 1
+            expected = ScipyRotation.from_quat(quats).mean(weights=w).as_matrix()
+            mean = fusion._chordal_mean(hyps, w)
+            np.testing.assert_allclose(mean.matrix, expected, atol=1e-12)
+        assert signs_mixed > 100
+
 
 def _brute_force_selection(candidate_lists) -> list:
     """Every combination's disagreements computed and summed pair by pair."""
@@ -252,6 +270,20 @@ class TestI2pe:
         calls.clear()
         i2pe(obs.correspondences, ref, cur, DESK_INTRINSICS)
         assert calls == []
+
+    def test_labels_are_looked_up_once_per_side(self, corner_observation, monkeypatch):
+        # The matcher counts the labels that i2pe then selects pairs by.
+        _, _, obs = corner_observation
+        calls = []
+        label_at = PlaneSegmentMap.label_at
+
+        def counting(m, points_xy):
+            calls.append(m)
+            return label_at(m, points_xy)
+
+        monkeypatch.setattr(PlaneSegmentMap, "label_at", counting)
+        i2pe(obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS)
+        assert calls == [obs.mask_ref.eroded(), obs.mask_cur.eroded()]
 
     def test_candidate_spread_is_its_pair_inlier_spread(self, corner_observation):
         _, _, obs = corner_observation

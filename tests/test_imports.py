@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -175,3 +176,47 @@ def test_no_library_default_goes_unset():
         )
     ]
     assert unset == []
+
+
+# Public conveniences that no library code calls, each with its reason.
+NO_LIBRARY_CALLER = {
+    "final": "AcrTrace.final, the record a caller of either loop reads first",
+    "about_x": "Rotation.about_x, an axis rotation for scripts and tests",
+    "about_y": "Rotation.about_y, an axis rotation for scripts and tests",
+    "about_z": "Rotation.about_z, an axis rotation for scripts and tests",
+    "save": "PlaneSegmentMap.save and CorrespondenceSet.save, the writers of the files"
+    " that their load methods and the CLI read",
+}
+
+
+def _identifiers(node: ast.AST) -> list:
+    """The names that ``node`` and its children read: variables,
+    attributes, and string constants, by which ``getattr`` and the tracer
+    find a function.  Imports do not count: a re-export calls nothing."""
+    found = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.append(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found.append(n.value)
+    return found
+
+
+def test_every_library_definition_has_a_library_caller():
+    # A helper needs a library caller; tests are not one.
+    roots = (SRC, SRC.parent / "perfbench")
+    trees = {p: ast.parse(p.read_text()) for root in roots for p in sorted(root.rglob("*.py"))}
+    named = Counter(name for tree in trees.values() for name in _identifiers(tree))
+    uncalled = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        if path.is_relative_to(SRC)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in NO_LIBRARY_CALLER
+        and named[node.name] == _identifiers(node).count(node.name)
+    ]
+    assert uncalled == []

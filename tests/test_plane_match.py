@@ -16,7 +16,6 @@ from acrkit import plane_match, simulator
 from acrkit.errors import InvalidInputError, OrientationError
 from acrkit.geometry import Intrinsics, Pose, Rotation
 from acrkit.plane_match import (
-    Assignment,
     PlaneGraph,
     PlaneSegmentMap,
     _spectral_matching,
@@ -24,7 +23,6 @@ from acrkit.plane_match import (
     disk_structuring_element,
     erode_mask,
     match_plane_maps,
-    node_affinity_matrix,
     solve_matching,
 )
 from acrkit.pose_estimation import CorrespondenceSet
@@ -627,20 +625,50 @@ class TestBoundedGraphQueries:
         assert PlaneGraph.from_mask(m).distances[0, 1] == 10.0
 
 
+def _spy_affinity(monkeypatch) -> list:
+    """The arguments of every ``assemble_affinity`` call that
+    ``match_plane_maps`` makes, recorded as it passes them on."""
+    calls = []
+
+    def spy(node_aff, graph_ref, graph_cur, sigma):
+        calls.append((np.array(node_aff), graph_ref, graph_cur))
+        return assemble(node_aff, graph_ref, graph_cur, sigma)
+
+    assemble = plane_match.assemble_affinity
+    monkeypatch.setattr(plane_match, "assemble_affinity", spy)
+    return calls
+
+
 class TestAffinities:
-    def test_node_affinity_counts(self):
+    def test_node_affinity_counts(self, monkeypatch):
         m_ref = _mask((30, 30), {1: (slice(2, 9), slice(2, 9)), 2: (slice(18, 25), slice(18, 25))})
         m_cur = m_ref
-        a = np.array([[4.0, 4.0]] * 12 + [[20.0, 20.0]] * 5)
-        b = np.array([[20.0, 20.0]] * 12 + [[4.0, 4.0]] * 5)
-        c = CorrespondenceSet(a, b)
-        counts = node_affinity_matrix(c, m_ref, m_cur)
-        np.testing.assert_array_equal(counts, [[0.0, 12.0], [5.0, 0.0]])
+        # Labels 0 (background) on either side count nowhere.
+        labels_ref = np.array([1] * 12 + [2] * 5 + [0, 1])
+        labels_cur = np.array([2] * 12 + [1] * 5 + [1, 0])
+        calls = _spy_affinity(monkeypatch)
+        match_plane_maps(m_ref, m_cur, labels_ref, labels_cur)
+        np.testing.assert_array_equal(calls[0][0], [[0.0, 12.0], [5.0, 0.0]])
 
-    def test_node_affinity_empty(self):
+    def test_node_affinity_empty(self, monkeypatch):
         m = _mask((10, 10), {1: (slice(2, 8), slice(2, 8))})
-        c = CorrespondenceSet(np.zeros((0, 2)), np.zeros((0, 2)))
-        np.testing.assert_array_equal(node_affinity_matrix(c, m, m), [[0.0]])
+        calls = _spy_affinity(monkeypatch)
+        none = np.zeros(0, np.int32)
+        assert match_plane_maps(m, m, none, none) == [(1, 1)]
+        np.testing.assert_array_equal(calls[0][0], [[0.0]])
+
+    def test_counts_transpose_when_the_reference_has_more_planes(self, monkeypatch):
+        m_ref = _mask((30, 30), {k: (slice(2, 6), slice(8 * k - 6, 8 * k - 2)) for k in (1, 2, 3)})
+        m_cur = _mask((30, 30), {1: (slice(20, 25), slice(2, 9)), 2: (slice(20, 25), slice(18, 25))})
+        labels_ref = np.array([1] * 4 + [2] * 3 + [3] * 7)
+        labels_cur = np.array([2] * 4 + [1] * 3 + [1] * 7)
+        calls = _spy_affinity(monkeypatch)
+        pairs = match_plane_maps(m_ref, m_cur, labels_ref, labels_cur)
+        (counts, graph_first, graph_second), = calls
+        np.testing.assert_array_equal(counts, [[0.0, 3.0, 7.0], [4.0, 0.0, 0.0]])
+        assert graph_first is m_cur.graph() and graph_second is m_ref.graph()
+        # Ascending current id, each with the reference plane it drew.
+        assert pairs == [(3, 1), (1, 2)]
 
     def test_edge_affinity_values(self):
         # Edge (1, 2) of the reference graph is 5 px long; the current
@@ -747,13 +775,10 @@ class TestAssembleAffinity:
                 for c, d in itertools.permutations(range(m), 2)
             )
             for columns in itertools.permutations(range(m), h):
-                u = np.zeros((h, m), dtype=np.uint8)
-                u[np.arange(h), columns] = 1
-                assignment = Assignment(u)
                 expected = sum(node[a, columns[a]] for a in range(h)) / node.max()
                 for a, b in itertools.permutations(range(h), 2):
                     expected += edge(a, b, columns[a], columns[b]) / edge_max
-                assert _objective(w, assignment) == pytest.approx(expected)
+                assert _objective(w, columns) == pytest.approx(expected)
 
     def test_orientation_error(self):
         node = np.zeros((3, 2))
@@ -763,29 +788,39 @@ class TestAssembleAffinity:
             assemble_affinity(node, g3, g2, sigma=1.0)
 
 
-def _objective(w: np.ndarray, assignment: Assignment) -> float:
-    """Quadratic objective u^T W u, u the column expansion of the assignment."""
-    u = assignment.matrix.T.reshape(-1).astype(float)
+def _objective(w: np.ndarray, columns) -> float:
+    """Quadratic objective u^T W u, u the column expansion of the binary
+    assignment matrix that puts row ``a`` in column ``columns[a]``."""
+    h = len(columns)
+    u = np.zeros((h, len(w) // h))
+    u[np.arange(h), list(columns)] = 1.0
+    u = u.T.reshape(-1)
     return float(u @ w @ u)
 
 
 class TestSolveMatching:
     def test_single_assignment(self):
         w = np.array([[2.0]])
-        a = solve_matching(w, 1, 1)
-        assert a.pairs == [(1, 1)]
+        assert solve_matching(w, 1, 1) == [0]
+
+    @pytest.mark.parametrize("budget", [math.perm(6, 4), 0], ids=["exact", "spectral"])
+    def test_every_row_gets_one_distinct_column(self, monkeypatch, budget):
+        monkeypatch.setattr(plane_match, "EXACT_ENUMERATION_BUDGET", budget)
+        rng = np.random.default_rng(5)
+        for h, m in [(1, 4), (2, 2), (3, 5), (4, 4), (4, 6)]:
+            w = rng.uniform(0, 1, size=(h * m, h * m))
+            columns = solve_matching((w + w.T) / 2, h, m)
+            assert len(columns) == h
+            assert len(set(columns)) == h and set(columns) <= set(range(m))
 
     def test_exact_matches_brute_force(self):
         rng = np.random.default_rng(1)
         for h, m in [(2, 2), (3, 3), (3, 5), (4, 5), (5, 5)]:
             w = rng.uniform(0, 1, size=(h * m, h * m))
             w = (w + w.T) / 2
-            best = solve_matching(w, h, m)
-            best_score = _objective(w, best)
+            best_score = _objective(w, solve_matching(w, h, m))
             for columns in itertools.permutations(range(m), h):
-                u = np.zeros((h, m), dtype=np.uint8)
-                u[np.arange(h), columns] = 1
-                assert best_score >= _objective(w, Assignment(u)) - 1e-12
+                assert best_score >= _objective(w, columns) - 1e-12
 
     def test_spectral_feasible_and_bounded(self):
         rng = np.random.default_rng(2)
@@ -795,9 +830,8 @@ class TestSolveMatching:
             w = rng.uniform(0, 1, size=(h * m, h * m))
             w = (w + w.T) / 2
             exact = solve_matching(w, h, m)
-            spectral = _spectral_matching(w, h, m)
-            assert spectral.matrix.sum(axis=1).tolist() == [1] * h
-            assert (spectral.matrix.sum(axis=0) <= 1).all()
+            spectral = _spectral_matching(w, h)
+            assert len(spectral) == h and len(set(spectral)) == h
             se = _objective(w, spectral)
             ee = _objective(w, exact)
             assert se <= ee + 1e-12
@@ -830,9 +864,8 @@ class TestSolveMatching:
         assert _objective(w_p, permuted) == pytest.approx(
             _objective(w, base)
         )
-        base_pairs = dict(base.pairs)
-        for a_new, c in permuted.pairs:
-            assert base_pairs[perm[a_new - 1] + 1] == c
+        for a_new, c in enumerate(permuted):
+            assert base[perm[a_new]] == c
 
 
 class TestMatchPlaneMaps:
@@ -843,7 +876,7 @@ class TestMatchPlaneMaps:
         )
         a = np.array([[5.0, 5.0]] * 7 + [[20.0, 20.0]] * 9)
         b = np.array([[20.0, 20.0]] * 7 + [[5.0, 5.0]] * 9)
-        pairs = match_plane_maps(m, m, CorrespondenceSet(a, b))
+        pairs = match_plane_maps(m, m, m.label_at(a), m.label_at(b))
         assert sorted(pairs) == [(1, 2), (2, 1)]
 
     def test_swap_when_ref_has_more_planes(self):
@@ -861,15 +894,15 @@ class TestMatchPlaneMaps:
         )
         a = np.array([[4.0, 4.0]] * 6 + [[22.0, 4.0]] * 6)
         b = np.array([[4.0, 4.0]] * 6 + [[22.0, 4.0]] * 6)
-        pairs = match_plane_maps(m_ref, m_cur, CorrespondenceSet(a, b))
+        pairs = match_plane_maps(m_ref, m_cur, m_ref.label_at(a), m_cur.label_at(b))
         assert len(pairs) == 2
         assert (1, 1) in pairs and (2, 2) in pairs
 
     def test_empty_masks(self):
         empty = PlaneSegmentMap(np.zeros((10, 10), dtype=np.int32))
         m = _mask((10, 10), {1: (slice(2, 8), slice(2, 8))})
-        c = CorrespondenceSet(np.zeros((0, 2)), np.zeros((0, 2)))
-        assert match_plane_maps(empty, m, c) == []
+        none = np.zeros(0, np.int32)
+        assert match_plane_maps(empty, m, none, none) == []
 
 
 class TestMethodChoice:
@@ -890,45 +923,34 @@ class TestMethodChoice:
             for j, n in enumerate(row):
                 a += [self.CENTERS[i]] * n
                 b += [self.CENTERS[j]] * n
-        c = CorrespondenceSet(np.array(a), np.array(b))
-        node = node_affinity_matrix(c, ref, cur)
+        labels = ref.label_at(np.array(a)), cur.label_at(np.array(b))
+        node = np.array(self.COUNTS, dtype=float)
         w = assemble_affinity(node, ref.graph(), cur.graph(), 0.1 * math.hypot(32, 32))
-        return ref, cur, c, w
+        return ref, cur, labels, w
 
     @staticmethod
     def _brute_force(w, h, m) -> list:
         """The first best injection, by the objective, in column order."""
         best, best_score = None, -np.inf
         for columns in itertools.permutations(range(m), h):
-            u = np.zeros((h, m), dtype=np.uint8)
-            u[np.arange(h), columns] = 1
-            score = _objective(w, Assignment(u))
+            score = _objective(w, columns)
             if score > best_score:
-                best, best_score = Assignment(u), score
-        return best.pairs
+                best, best_score = columns, score
+        return [(a + 1, c + 1) for a, c in enumerate(best)]
 
     @pytest.mark.parametrize("swap", [False, True], ids=["ref-fewer", "ref-more"])
     @pytest.mark.parametrize("over", [0, 1], ids=["at-budget", "past-budget"])
     def test_budget_boundary(self, monkeypatch, swap, over):
-        ref, cur, c, w = self._case()
+        ref, cur, (labels_ref, labels_cur), w = self._case()
         exact = self._brute_force(w, 2, 3)
-        spectral = _spectral_matching(w, 2, 3).pairs
+        spectral = [(a + 1, c + 1) for a, c in enumerate(_spectral_matching(w, 2))]
         assert exact != spectral  # the case tells the two methods apart
         monkeypatch.setattr(plane_match, "EXACT_ENUMERATION_BUDGET", math.perm(3, 2) - over)
         expected = spectral if over else exact
         if swap:
-            pairs = match_plane_maps(cur, ref, c.swapped())
+            pairs = match_plane_maps(cur, ref, labels_cur, labels_ref)
             expected = [(j, i) for i, j in expected]
         else:
-            pairs = match_plane_maps(ref, cur, c)
+            pairs = match_plane_maps(ref, cur, labels_ref, labels_cur)
         assert pairs == expected
 
-
-class TestAssignment:
-    def test_row_sum_enforced(self):
-        with pytest.raises(InvalidInputError):
-            Assignment(np.array([[1, 1], [0, 0]]))
-
-    def test_column_sum_enforced(self):
-        with pytest.raises(InvalidInputError):
-            Assignment(np.array([[1, 0], [1, 0]]))

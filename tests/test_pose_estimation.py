@@ -86,12 +86,6 @@ class TestCorrespondenceSet:
         with pytest.raises(Exception):
             CorrespondenceSet(np.zeros((3, 2)), np.zeros((4, 2)))
 
-    def test_swapped(self):
-        c = CorrespondenceSet(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
-        s = c.swapped()
-        np.testing.assert_allclose(s.a, c.b)
-        np.testing.assert_allclose(s.b, c.a)
-
 
 class TestPointSpread:
     def test_full_image(self):
