@@ -539,6 +539,8 @@ def cmd_bench_noise(args) -> int:
             raise InvalidInputError(f"trials must be at least 1, got {trials}")
         if not threshold_px > 0:
             raise InvalidInputError(f"threshold_px must be positive, got {threshold_px}")
+        if max_iters < 1:
+            raise InvalidInputError(f"max_iters must be at least 1, got {max_iters}")
         if min(r_values, default=0.0) < 0:
             raise InvalidInputError(f"r_values must not be negative, got {list(r_values)}")
         if not all(0.0 <= mu <= 1.0 for mu in mu_values):

@@ -369,6 +369,132 @@ def _adaptive_iters(inlier_ratio: float, sample_size: int) -> int:
     return int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / np.log1p(-p_good)))
 
 
+# Chunks of fewer samples take the scalar steps: there the vector path's
+# fixed cost, about forty numpy calls, exceeds them.
+SCALAR_CHUNK_SAMPLES = 8
+
+
+class _ChoiceSampler:
+    """Minimal samples drawn K at a time, each the one that
+    ``rng.choice(n, size, replace=False)`` returns, call after call, on
+    ``rng = np.random.default_rng(seed)``.
+
+    numpy draws such a sample by Floyd's algorithm, then shuffles it
+    (Fisher-Yates): for j = n - size, ..., n - 1 a word gives v in [0, j]
+    and the sample takes v, or j when v is already in it (j = 0 takes no
+    word); then for i = size - 1, ..., 1 a word gives s in [0, i] and
+    entries i and s swap.  Each bound b maps a 32-bit word w to
+    (w * (b + 1)) >> 32 unless the low 32 bits of that product fall below
+    2**32 mod (b + 1); then it takes another word (Lemire, ACM TOMACS
+    2019).  The words are the bit generator's 64-bit outputs, low half
+    first.
+
+    A chunk of ``SCALAR_CHUNK_SAMPLES`` or more runs each step on all its
+    samples at once; a sample with a rejected word, rare below n = 10**4,
+    is drawn alone by the scalar copy of the same steps, which also draws
+    the smaller chunks.
+    """
+
+    def __init__(self, n: int, size: int, seed):
+        # numpy bounds 64-bit words from n = 2**32 on, and shuffles a whole
+        # arange in place of Floyd's algorithm for large samples.
+        if not 0 < size <= n < 1 << 32 or (n > 10000 and size > n // 50):
+            raise ValueError(f"no Floyd sample of {size} from {n}")
+        self._raw = np.random.default_rng(seed).bit_generator.random_raw
+        self._spare = []  # words drawn but not yet used
+        self._floyd = range(n - size, n)
+        self._size = size
+        excl = [j + 1 for j in self._floyd if j > 0] + list(range(size, 1, -1))
+        self._width = len(excl)
+        self._excl = np.array(excl, np.uint64)
+        self._threshold = np.array([(1 << 32) % e for e in excl], np.uint64)
+
+    def draw(self, k: int) -> np.ndarray:
+        """The next ``k`` samples, (k, size) int64."""
+        if k < SCALAR_CHUNK_SAMPLES:
+            return np.array(self._scalar(k), np.int64)
+        out = np.empty((k, self._size), np.int64)
+        done = 0
+        while done < k:
+            words = self._array((k - done) * self._width).reshape(-1, self._width)
+            m = words * self._excl
+            rejected = ((m & np.uint64(0xFFFFFFFF)) < self._threshold).any(axis=1)
+            good = int(rejected.argmax()) if rejected.any() else k - done
+            out[done : done + good] = self._assemble((m[:good] >> np.uint64(32)).astype(np.int64))
+            done += good
+            if done < k:
+                self._spare = words[good:].ravel().tolist() + self._spare
+                out[done] = self._scalar(1)[0]
+                done += 1
+        return out
+
+    def _assemble(self, values: np.ndarray) -> np.ndarray:
+        """The samples of rows of bounded words with no rejection."""
+        g = values.shape[0]
+        idx = np.zeros((g, self._size), np.int64)
+        col = 0
+        for t, j in enumerate(self._floyd):
+            if j > 0:
+                v = values[:, col]
+                col += 1
+                idx[:, t] = np.where((idx[:, :t] == v[:, None]).any(axis=1), j, v)
+        rows = np.arange(g)
+        for i in range(self._size - 1, 0, -1):
+            s = values[:, col]
+            col += 1
+            swap = idx[rows, s]
+            idx[rows, s] = idx[:, i]
+            idx[:, i] = swap
+        return idx
+
+    def _scalar(self, k: int) -> list:
+        """``k`` samples by the scalar steps.  Each sample uses at least
+        ``_width`` words, so every word taken up front gets used."""
+        words = self._words(k * self._width)[::-1]
+        samples = []
+        for _ in range(k):
+            sample = []
+            for j in self._floyd:
+                v = self._bounded(j, words)
+                sample.append(j if v in sample else v)
+            for i in range(self._size - 1, 0, -1):
+                s = self._bounded(i, words)
+                sample[i], sample[s] = sample[s], sample[i]
+            samples.append(sample)
+        return samples
+
+    def _bounded(self, bound: int, words: list) -> int:
+        """A draw in [0, bound], popping the reversed ``words`` and then
+        the stream."""
+        if bound == 0:
+            return 0
+        excl = bound + 1
+        threshold = (1 << 32) % excl
+        while True:
+            m = (words.pop() if words else self._words(1)[0]) * excl
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def _words(self, count: int) -> list:
+        """The next ``count`` 32-bit words of the stream."""
+        spare = self._spare
+        for r in self._raw(max(0, count - len(spare) + 1) // 2).tolist():
+            spare += (r & 0xFFFFFFFF, r >> 32)
+        self._spare = spare[count:]
+        return spare[:count]
+
+    def _array(self, count: int) -> np.ndarray:
+        """The next ``count`` 32-bit words of the stream, as uint64."""
+        spare = self._spare
+        raw = self._raw(max(0, count - len(spare) + 1) // 2)
+        words = np.empty(len(spare) + 2 * raw.size, np.uint64)
+        words[: len(spare)] = spare
+        words[len(spare) :: 2] = raw & np.uint64(0xFFFFFFFF)
+        words[len(spare) + 1 :: 2] = raw >> np.uint64(32)
+        self._spare = words[count:].tolist()
+        return words[:count]
+
+
 # Cap on models x pairs scored in one RANSAC chunk, which bounds its memory.
 RANSAC_CHUNK_ELEMENTS = 1 << 16
 
@@ -376,33 +502,33 @@ RANSAC_CHUNK_ELEMENTS = 1 << 16
 def _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed):
     """Largest consensus of minimal-sample RANSAC, drawn and scored in chunks.
 
-    Draws ``rng.choice(n, sample_size, replace=False)`` one sample at a
-    time, as a draw-by-draw loop does, but fits a chunk of samples with one
+    Draws a chunk of samples at once, each the one that successive
+    ``rng.choice(n, sample_size, replace=False)`` calls give a draw-by-draw
+    loop (see :class:`_ChoiceSampler`).  It fits the chunk with one
     stacked ``fit`` (sample indices (K, sample_size) to models (K, 3, 3),
-    NaN for a degenerate sample) and scores them with one ``score`` pass
+    NaN for a degenerate sample) and scores it with one ``score`` pass
     (models (M, 3, 3) to residuals (M, n)).  The draw-by-draw accept rule
     is then replayed over the chunk: every draw, degenerate or not, uses up
     one draw of the budget; a model is kept only when its inlier count
     beats the best so far; and each kept model shrinks the adaptive target.
     Draws past that target were never made, so the result is the one the
-    draw-by-draw loop picks.  Chunks grow 1, 1, 2, 4, ..., never past the
-    remaining target or ``RANSAC_CHUNK_ELEMENTS`` models x pairs: exact
-    data stops after one model.
+    draw-by-draw loop picks.  Chunks grow 1, 7, 56, ... (eight times the
+    draws so far), never past the remaining target or
+    ``RANSAC_CHUNK_ELEMENTS`` models x pairs: exact data stops after one
+    model.
 
     Returns:
         (mask, count) of the best model, or (None, -1) when every draw was
         degenerate.
     """
-    rng = np.random.default_rng(seed)
+    sampler = _ChoiceSampler(n, sample_size, seed)
     best_mask = None
     best_count = -1
     target = max(1, int(max_iters))
     it = 0
     while it < target:
-        k = min(max(it, 1), target - it, max(1, RANSAC_CHUNK_ELEMENTS // n))
-        idx = np.array(
-            [rng.choice(n, size=sample_size, replace=False) for _ in range(k)]
-        )
+        k = min(max(7 * it, 1), target - it, max(1, RANSAC_CHUNK_ELEMENTS // n))
+        idx = sampler.draw(k)
         models = fit(idx)
         ok = ~np.isnan(models).any(axis=(1, 2))
         inliers = np.zeros((k, n), dtype=bool)
@@ -463,10 +589,11 @@ def estimate_homography_ransac(
     give that plane's homography exactly.  Deterministic for a fixed
     ``seed``.
 
-    The minimal samples are drawn one at a time but fitted and scored in
-    chunks of 1, 1, 2, 4, ... stacked models (see ``_ransac_consensus``);
-    the consensus is the one a draw-by-draw loop over the same draws
-    picks, and exact data stops after one sample.
+    The minimal samples are drawn, fitted and scored in chunks of 1, 7,
+    56, ... stacked models (see ``_ransac_consensus``); each sample is the
+    one successive ``rng.choice`` calls draw, the consensus is the one a
+    draw-by-draw loop over the same draws picks, and exact data stops
+    after one sample.
 
     Args:
         c: correspondence set (at least 4 pairs).
@@ -806,9 +933,9 @@ def estimate_epipolar(
     direction is unreliable and the result carries the
     ``unstable_translation`` flag.
 
-    As in :func:`estimate_homography_ransac`, the 8-point samples are drawn
-    one at a time and fitted and scored in growing chunks of stacked
-    models, with the consensus a draw-by-draw loop would pick; at most
+    As in :func:`estimate_homography_ransac`, the 8-point samples are
+    drawn, fitted and scored in chunks of 1, 7, 56, ... stacked models,
+    with the consensus a draw-by-draw loop would pick; at most
     ``max_iters`` samples are drawn, fewer as the adaptive target shrinks.
     """
     n = len(c)

@@ -74,6 +74,8 @@ class TestBenchNoise:
             ({"threshold_px": "wide"}, "threshold_px"),
             ({"threshold_px": 0}, "threshold_px"),
             ({"max_iters": 2.5}, "max_iters"),
+            ({"max_iters": 0}, "max_iters"),
+            ({"max_iters": -3}, "max_iters"),
             ({"r_values": ["a"]}, "r_values"),
             ({"r_values": 4}, "r_values"),
             ({"r_values": [-1]}, "r_values"),
@@ -104,6 +106,8 @@ class TestBenchNoise:
             "string-threshold",
             "zero-threshold",
             "fractional-budget",
+            "zero-budget",
+            "negative-budget",
             "string-r",
             "scalar-r",
             "negative-r",

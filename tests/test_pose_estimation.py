@@ -559,42 +559,133 @@ class TestChunkedRansac:
             c, _ = plane_pair_set(intr, rotation, t, [0, 0, 1], 2.0, count=150)
         else:
             c, _ = general_pair_set(intr, rotation, t, count=150)
-        choices = _count_choices(monkeypatch)
+        samples = _count_samples(monkeypatch)
         if method == "homography":
             _, mask = estimate_homography_ransac(c, 1.0, 200, seed=0)
             assert mask.all()
         else:
             assert estimate_epipolar(c, intr, 1.0, 200, seed=0).support == len(c)
-        assert len(choices) == 1
+        assert len(samples) == 1
 
     @pytest.mark.parametrize("method", METHODS)
     def test_draws_stop_at_the_budget(self, monkeypatch, intr, method):
         # At 30 % inliers the adaptive target stays above a budget of 7,
-        # which chunks of 1, 1, 2 and 4 would overrun.
+        # which chunks of 1 and 7 would overrun.
         c = _contaminated(intr, method, 80, 0.3, 0)
-        choices = _count_choices(monkeypatch)
+        samples = _count_samples(monkeypatch)
         if method == "homography":
             _run(lambda: estimate_homography_ransac(c, 1.0, 7, seed=0))
         else:
             _run(lambda: estimate_epipolar(c, intr, 1.0, 7, seed=0))
-        assert len(choices) == 7
+        assert len(samples) == 7
+
+    def test_growing_chunks_fit_a_plane_in_few_stacks(self, monkeypatch, intr):
+        # 131 of 200 pairs are exact: the adaptive target ends at 46 draws,
+        # which chunks of 1, 7 and 56 reach in three stacked fits and
+        # chunks of 1, 1, 2, 4, ... in seven.
+        c, _ = plane_pair_set(
+            intr, Rotation.about_y(7.0), [0.15, 0.05, 0.02], [0.1, 0.0, 1.0], 2.0, 200, seed=1
+        )
+        rng = np.random.default_rng(1)
+        b = c.b.copy()
+        out = rng.random(200) >= 0.66
+        b[out] = rng.uniform(0.0, 1000.0, (int(out.sum()), 2))
+        c = CorrespondenceSet(c.a, b)
+        real_fit = pose_estimation.homography_dlt
+        stacks = []
+
+        def counting_fit(a, b):
+            if np.ndim(a) == 3:
+                stacks.append(len(a))
+            return real_fit(a, b)
+
+        real_rng = np.random.default_rng
+        choices = []
+
+        class Recording:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+                self.bit_generator = self._rng.bit_generator
+
+            def choice(self, *args, **kwargs):
+                choices.append(args)
+                return self._rng.choice(*args, **kwargs)
+
+        monkeypatch.setattr(pose_estimation, "homography_dlt", counting_fit)
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        _, mask = estimate_homography_ransac(c, 1.0, 2000, seed=1)
+        assert np.array_equal(mask, ~out)
+        assert len(stacks) <= 4
+        assert choices == []
 
 
-def _count_choices(monkeypatch) -> list:
-    """Record every ``choice`` call on generators from ``np.random.default_rng``."""
-    real = np.random.default_rng
-    calls = []
+def _count_samples(monkeypatch) -> list:
+    """Record every minimal sample that ``_ChoiceSampler.draw`` hands out."""
+    real = pose_estimation._ChoiceSampler.draw
+    samples = []
 
-    class Counting:
-        def __init__(self, seed):
-            self._rng = real(seed)
+    def counting(self, k):
+        drawn = real(self, k)
+        samples.extend(drawn)
+        return drawn
 
-        def choice(self, *args, **kwargs):
-            calls.append(args)
-            return self._rng.choice(*args, **kwargs)
+    monkeypatch.setattr(pose_estimation._ChoiceSampler, "draw", counting)
+    return samples
 
-    monkeypatch.setattr(np.random, "default_rng", Counting)
-    return calls
+
+# Chunk sizes for the sampler oracle: the first four take the scalar steps,
+# the rest the vector path.
+ORACLE_CHUNKS = (1, 1, 2, 4, 8, 16, 32)
+ORACLE_DRAWS = [
+    (n, size)
+    for n in (4, 5, 8, 9, 37, 199, 500, 10000, 3 * 10**9)
+    for size in (4, 8)
+    if size <= n
+]
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("n, size", ORACLE_DRAWS)
+    def test_equals_successive_choice_calls(self, monkeypatch, n, size):
+        real = pose_estimation._ChoiceSampler._scalar
+        scalar_calls = []
+
+        def recording(self, k):
+            scalar_calls.append(k)
+            return real(self, k)
+
+        monkeypatch.setattr(pose_estimation._ChoiceSampler, "_scalar", recording)
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            sampler = pose_estimation._ChoiceSampler(n, size, seed)
+            for k in ORACLE_CHUNKS:
+                expected = [rng.choice(n, size, replace=False) for _ in range(k)]
+                assert np.array_equal(sampler.draw(k), expected)
+        small = sum(k < pose_estimation.SCALAR_CHUNK_SAMPLES for k in ORACLE_CHUNKS)
+        if n == 3 * 10**9:
+            # Lemire's test rejects about 30 % of the words bounded near
+            # 3e9, so vector chunks hand samples to the scalar copy.
+            assert len(scalar_calls) > 100 * small
+
+    @pytest.mark.parametrize("size", [4, 8])
+    def test_n_equal_to_size_takes_no_word_for_j_zero(self, size):
+        rng = np.random.default_rng(0)
+        sampler = pose_estimation._ChoiceSampler(size, size, 0)
+        assert np.array_equal(sampler.draw(1)[0], rng.choice(size, size, replace=False))
+        # 2 * size - 2 words, an even count: both sides drew the same 64-bit
+        # outputs and neither keeps a half back.
+        drawn, expected = sampler._raw.__self__.state, rng.bit_generator.state
+        assert drawn["state"] == expected["state"]
+        assert expected["has_uint32"] == 0
+        assert sampler._spare == []
+
+    def test_rejects_n_of_two_to_the_32(self):
+        n = (1 << 32) - 1
+        rng = np.random.default_rng(3)
+        expected = [rng.choice(n, 4, replace=False) for _ in range(8)]
+        assert np.array_equal(pose_estimation._ChoiceSampler(n, 4, 3).draw(8), expected)
+        with pytest.raises(ValueError):
+            pose_estimation._ChoiceSampler(n + 1, 4, 3)
 
 
 # ---------------------------------------------------------------------------
