@@ -12,7 +12,8 @@ All configuration is JSON (``--print-schema`` per subcommand documents the
 fields), every output is machine-readable, and every run is deterministic
 under a fixed seed.  Exit codes: 0 success (a non-converged but valid loop
 run is still success); 1 for a bad config of ``simulate-acr`` or
-``bench-noise``, with ``invalid-input``, before any work starts; 2 for a
+``bench-noise`` or a bad seed or threshold of ``estimate-pose``, with
+``invalid-input``, before any work starts; 2 for a
 missing or malformed input file of ``estimate-pose``, ``match-planes`` or
 ``solve-scale``, and for a runtime estimation failure, with the error's
 code.
@@ -151,7 +152,7 @@ def _scene_from(doc) -> SceneSpec:
         )
     return SceneSpec(
         planes=tuple(planes),
-        seed=_checked(doc.get("seed", 0), int, "scene.seed"),
+        seed=_checked(doc.get("seed", 0), "seed", "scene.seed"),
         clutter_count=_checked(doc.get("clutter_count", 0), int, "scene.clutter_count"),
         clutter_box=clutter_box,
     )
@@ -176,7 +177,7 @@ def _scene_spec(doc, seed: int) -> SceneSpec:
 
 
 ACR_SCHEMA = {
-    "seed": "int, master seed",
+    "seed": "int >= 0, master seed",
     "scene": "object with planes[] (normal, offset, half_extents|polygon, count, center, detected), clutter_count, clutter_box, seed; or {'builtin': 'corner'|'mural'|'single-plane'}",
     "rig": {
         "intrinsics": {"fx": "px", "fy": "px", "cx": "px", "cy": "px"},
@@ -201,7 +202,7 @@ ACR_SCHEMA = {
 }
 
 BENCH_SCHEMA = {
-    "seed": "int",
+    "seed": "int >= 0",
     "scene": "as in simulate-acr (default: the built-in single-plane scene)",
     "intrinsics": "fx/fy/cx/cy (default Canon-like)",
     "image_size": "[w, h] (default 5760x3840)",
@@ -209,7 +210,7 @@ BENCH_SCHEMA = {
     "r_values": "[px, ...] noise magnitudes (default 0..50 step 2)",
     "mu_values": "[fraction, ...] noise ratios (default [.01,.1,.3,.5,.8,.9])",
     "trials": "int per grid cell",
-    "threshold_px": "RANSAC inlier gate",
+    "threshold_px": "px, finite and > 0, RANSAC inlier gate",
     "max_iters": f"RANSAC budget (default {simulator.BENCH_RANSAC_ITERS})",
     "output": "CSV path",
 }
@@ -226,6 +227,8 @@ def _is_integral(value) -> bool:
 _KINDS = {
     float: ("a number", _is_number),
     int: ("an integer", _is_integral),
+    "seed": ("a non-negative integer", lambda v: _is_integral(v) and v >= 0),
+    "threshold": ("a positive, finite number", lambda v: _is_number(v) and 0 < v < np.inf),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     dict: ("an object", lambda v: isinstance(v, dict)),
     list: ("a list", lambda v: isinstance(v, list)),
@@ -238,16 +241,20 @@ _KINDS = {
 
 
 def _checked(value, kind, name: str):
-    """``value``, a JSON value found at ``name``, as the type ``kind``: a
-    float from a number, an int from an integral number, a bool, a dict, a
-    list, a string, or a tuple of three floats; anything else is
+    """``value``, a JSON value or flag found at ``name``, as the type
+    ``kind``: a float from a number, an int from an integral number, a
+    ``"seed"`` int from a non-negative one, a ``"threshold"`` float from a
+    positive, finite one (a RANSAC inlier gate in pixels), a bool, a dict,
+    a list, a string, or a tuple of three floats; anything else is
     ``InvalidInputError``."""
     wanted, accepts = _KINDS[kind]
     if not accepts(value):
         raise InvalidInputError(f"{name} must be {wanted}, got {value!r}")
     if kind is tuple:
         return tuple(float(v) for v in value)
-    return kind(value) if kind in (float, int) else value
+    if kind in (float, "threshold"):
+        return float(value)
+    return int(value) if kind in (int, "seed") else value
 
 
 def _numbers(value, name: str, size: int = None) -> tuple:
@@ -290,6 +297,11 @@ def _acr_config_from(doc, cls=AcrConfig, where: str = "acr"):
 
 
 def cmd_estimate_pose(args) -> int:
+    try:
+        _checked(args.seed, "seed", "--seed")
+        _checked(args.threshold, "threshold", "--threshold")
+    except AcrError as exc:
+        return _fail(1, "invalid-input", str(exc))
     try:
         corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
         intr = _intrinsics_from(_load_json(args.intrinsics))
@@ -421,8 +433,8 @@ def cmd_simulate_acr(args) -> int:
         cfg = _acr_config_from(doc.get("acr"))
         noise = _acr_config_from(doc.get("noise"), NoiseSpec, "noise")
         lighting = _acr_config_from(doc.get("lighting"), LightingProxySpec, "lighting")
-        seed = _checked(doc.get("seed", 0), int, "seed")
-        seed = seed if args.seed is None else args.seed
+        seed = _checked(doc.get("seed", 0), "seed", "seed")
+        seed = seed if args.seed is None else _checked(args.seed, "seed", "--seed")
         use_baseline = _checked(doc.get("baseline", False), bool, "baseline")
         use_baseline = use_baseline or args.baseline
         scene = _scene_spec(doc.get("scene", {"builtin": "corner"}), seed)
@@ -509,8 +521,8 @@ def cmd_bench_noise(args) -> int:
     try:
         doc = _load_json(args.config) if args.config else {}
         doc = _checked(doc, dict, "the configuration")
-        seed = _checked(doc.get("seed", 0), int, "seed")
-        seed = seed if args.seed is None else args.seed
+        seed = _checked(doc.get("seed", 0), "seed", "seed")
+        seed = seed if args.seed is None else _checked(args.seed, "seed", "--seed")
         scene = _scene_spec(doc.get("scene", {"builtin": "single-plane"}), seed)
         intr = (
             _intrinsics_from(doc["intrinsics"])
@@ -530,15 +542,13 @@ def cmd_bench_noise(args) -> int:
             doc.get("mu_values", [0.01, 0.1, 0.3, 0.5, 0.8, 0.9]), "mu_values"
         )
         trials = _checked(doc.get("trials", args.trials), int, "trials")
-        threshold_px = _checked(doc.get("threshold_px", 1.0), float, "threshold_px")
+        threshold_px = _checked(doc.get("threshold_px", 1.0), "threshold", "threshold_px")
         max_iters = _checked(
             doc.get("max_iters", simulator.BENCH_RANSAC_ITERS), int, "max_iters"
         )
         out = Path(_checked(doc.get("output", args.output), str, "output"))
         if trials < 1:
             raise InvalidInputError(f"trials must be at least 1, got {trials}")
-        if not threshold_px > 0:
-            raise InvalidInputError(f"threshold_px must be positive, got {threshold_px}")
         if max_iters < 1:
             raise InvalidInputError(f"max_iters must be at least 1, got {max_iters}")
         if min(r_values, default=0.0) < 0:

@@ -369,11 +369,6 @@ def _adaptive_iters(inlier_ratio: float, sample_size: int) -> int:
     return int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / np.log1p(-p_good)))
 
 
-# Chunks of fewer samples take the scalar steps: there the vector path's
-# fixed cost, about forty numpy calls, exceeds them.
-SCALAR_CHUNK_SAMPLES = 8
-
-
 class _ChoiceSampler:
     """Minimal samples drawn K at a time, each the one that
     ``rng.choice(n, size, replace=False)`` returns, call after call, on
@@ -385,14 +380,16 @@ class _ChoiceSampler:
     word); then for i = size - 1, ..., 1 a word gives s in [0, i] and
     entries i and s swap.  Each bound b maps a 32-bit word w to
     (w * (b + 1)) >> 32 unless the low 32 bits of that product fall below
-    2**32 mod (b + 1); then it takes another word (Lemire, ACM TOMACS
-    2019).  The words are the bit generator's 64-bit outputs, low half
-    first.
+    2**32 mod (b + 1); then the next word takes the same bound (Lemire,
+    ACM TOMACS 2019).  The words are the bit generator's 64-bit outputs,
+    low half first.
 
-    A chunk of ``SCALAR_CHUNK_SAMPLES`` or more runs each step on all its
-    samples at once; a sample with a rejected word, rare below n = 10**4,
-    is drawn alone by the scalar copy of the same steps, which also draws
-    the smaller chunks.
+    A chunk takes the words its samples need, all at once; each word that
+    fails Lemire's test is dropped, the stream's next word joins the end
+    and the chunk is checked again.  The Floyd and shuffle steps then run
+    on every sample of the chunk at once.  So the sampler reads exactly
+    the words that successive ``choice`` calls read, and keeps back at
+    most the unused high half of the last 64-bit output.
     """
 
     def __init__(self, n: int, size: int, seed):
@@ -401,89 +398,35 @@ class _ChoiceSampler:
         if not 0 < size <= n < 1 << 32 or (n > 10000 and size > n // 50):
             raise ValueError(f"no Floyd sample of {size} from {n}")
         self._raw = np.random.default_rng(seed).bit_generator.random_raw
-        self._spare = []  # words drawn but not yet used
-        self._floyd = range(n - size, n)
+        self._spare = []  # the high half of the last output, not yet used
+        self._floyd = [(t, j) for t, j in enumerate(range(n - size, n)) if j > 0]
         self._size = size
-        excl = [j + 1 for j in self._floyd if j > 0] + list(range(size, 1, -1))
-        self._width = len(excl)
+        excl = [j + 1 for _, j in self._floyd] + list(range(size, 1, -1))
         self._excl = np.array(excl, np.uint64)
         self._threshold = np.array([(1 << 32) % e for e in excl], np.uint64)
 
     def draw(self, k: int) -> np.ndarray:
         """The next ``k`` samples, (k, size) int64."""
-        if k < SCALAR_CHUNK_SAMPLES:
-            return np.array(self._scalar(k), np.int64)
-        out = np.empty((k, self._size), np.int64)
-        done = 0
-        while done < k:
-            words = self._array((k - done) * self._width).reshape(-1, self._width)
-            m = words * self._excl
-            rejected = ((m & np.uint64(0xFFFFFFFF)) < self._threshold).any(axis=1)
-            good = int(rejected.argmax()) if rejected.any() else k - done
-            out[done : done + good] = self._assemble((m[:good] >> np.uint64(32)).astype(np.int64))
-            done += good
-            if done < k:
-                self._spare = words[good:].ravel().tolist() + self._spare
-                out[done] = self._scalar(1)[0]
-                done += 1
-        return out
-
-    def _assemble(self, values: np.ndarray) -> np.ndarray:
-        """The samples of rows of bounded words with no rejection."""
-        g = values.shape[0]
-        idx = np.zeros((g, self._size), np.int64)
-        col = 0
-        for t, j in enumerate(self._floyd):
-            if j > 0:
-                v = values[:, col]
-                col += 1
-                idx[:, t] = np.where((idx[:, :t] == v[:, None]).any(axis=1), j, v)
-        rows = np.arange(g)
-        for i in range(self._size - 1, 0, -1):
-            s = values[:, col]
-            col += 1
-            swap = idx[rows, s]
-            idx[rows, s] = idx[:, i]
-            idx[:, i] = swap
-        return idx
-
-    def _scalar(self, k: int) -> list:
-        """``k`` samples by the scalar steps.  Each sample uses at least
-        ``_width`` words, so every word taken up front gets used."""
-        words = self._words(k * self._width)[::-1]
-        samples = []
-        for _ in range(k):
-            sample = []
-            for j in self._floyd:
-                v = self._bounded(j, words)
-                sample.append(j if v in sample else v)
-            for i in range(self._size - 1, 0, -1):
-                s = self._bounded(i, words)
-                sample[i], sample[s] = sample[s], sample[i]
-            samples.append(sample)
-        return samples
-
-    def _bounded(self, bound: int, words: list) -> int:
-        """A draw in [0, bound], popping the reversed ``words`` and then
-        the stream."""
-        if bound == 0:
-            return 0
-        excl = bound + 1
-        threshold = (1 << 32) % excl
+        words = self._words(k * len(self._excl))
         while True:
-            m = (words.pop() if words else self._words(1)[0]) * excl
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
+            m = words.reshape(k, -1) * self._excl
+            rejected = np.flatnonzero((m & np.uint64(0xFFFFFFFF)) < self._threshold)
+            if not rejected.size:
+                break
+            words = np.concatenate((np.delete(words, rejected[0]), self._words(1)))
+        values = iter((m >> np.uint64(32)).T.astype(np.int64))
+        idx = np.zeros((self._size, k), np.int64)
+        for t, j in self._floyd:
+            v = next(values)
+            idx[t] = np.where((idx[:t] == v).any(axis=0), j, v)
+        cols = np.arange(k)
+        for i, s in zip(range(self._size - 1, 0, -1), values):
+            swap = idx[s, cols]
+            idx[s, cols] = idx[i]
+            idx[i] = swap
+        return np.ascontiguousarray(idx.T)
 
-    def _words(self, count: int) -> list:
-        """The next ``count`` 32-bit words of the stream."""
-        spare = self._spare
-        for r in self._raw(max(0, count - len(spare) + 1) // 2).tolist():
-            spare += (r & 0xFFFFFFFF, r >> 32)
-        self._spare = spare[count:]
-        return spare[:count]
-
-    def _array(self, count: int) -> np.ndarray:
+    def _words(self, count: int) -> np.ndarray:
         """The next ``count`` 32-bit words of the stream, as uint64."""
         spare = self._spare
         raw = self._raw(max(0, count - len(spare) + 1) // 2)
@@ -504,10 +447,12 @@ def _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed)
 
     Draws a chunk of samples at once, each the one that successive
     ``rng.choice(n, sample_size, replace=False)`` calls give a draw-by-draw
-    loop (see :class:`_ChoiceSampler`).  It fits the chunk with one
-    stacked ``fit`` (sample indices (K, sample_size) to models (K, 3, 3),
-    NaN for a degenerate sample) and scores it with one ``score`` pass
-    (models (M, 3, 3) to residuals (M, n)).  The draw-by-draw accept rule
+    loop: :class:`_ChoiceSampler` runs numpy's steps on the whole chunk,
+    and a word that Lemire's test rejects is dropped and the stream's next
+    word appended, so every chunk size takes that one path.  It fits the
+    chunk with one stacked ``fit`` (sample indices (K, sample_size) to
+    models (K, 3, 3), NaN for a degenerate sample) and scores it with one
+    ``score`` pass (models (M, 3, 3) to residuals (M, n)).  The draw-by-draw accept rule
     is then replayed over the chunk: every draw, degenerate or not, uses up
     one draw of the budget; a model is kept only when its inlier count
     beats the best so far; and each kept model shrinks the adaptive target.

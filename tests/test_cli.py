@@ -69,10 +69,12 @@ class TestBenchNoise:
         [
             ({"seed": "x"}, "seed"),
             ({"seed": 1.5}, "seed"),
+            ({"seed": -3}, "seed"),
             ({"trials": "many"}, "trials"),
             ({"trials": 0}, "trials"),
             ({"threshold_px": "wide"}, "threshold_px"),
             ({"threshold_px": 0}, "threshold_px"),
+            ({"threshold_px": float("inf")}, "threshold_px"),
             ({"max_iters": 2.5}, "max_iters"),
             ({"max_iters": 0}, "max_iters"),
             ({"max_iters": -3}, "max_iters"),
@@ -101,10 +103,12 @@ class TestBenchNoise:
         ids=[
             "string-seed",
             "fractional-seed",
+            "negative-seed",
             "string-trials",
             "zero-trials",
             "string-threshold",
             "zero-threshold",
+            "infinite-threshold",
             "fractional-budget",
             "zero-budget",
             "negative-budget",
@@ -137,6 +141,16 @@ class TestBenchNoise:
         report = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert report["error"] == "invalid-input"
         assert key in report["message"]
+
+    def test_negative_seed_flag_is_invalid_input(self, monkeypatch, tmp_path, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep run for an invalid seed")
+
+        monkeypatch.setattr(cli, "bench_noise_sweep", no_sweep)
+        code = cli.main(["bench-noise", "--seed", "-1", "--output", str(tmp_path / "b.csv")])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert report["error"] == "invalid-input" and "--seed" in report["message"]
 
     def test_tiny_real_grid(self, tmp_path, capsys):
         # The real sweep on a 2x2 grid: every (r, mu) cell appears once per
@@ -366,6 +380,35 @@ class TestEstimatePose:
         pose = json.loads(Path(self._last_json(capsys)["pose"]).read_text())
         assert pose == self._pose_doc(expected)
 
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--seed", "-1"], "--seed"),
+            (["--threshold", "0"], "--threshold"),
+            (["--threshold", "-1"], "--threshold"),
+            (["--threshold", "nan"], "--threshold"),
+            (["--threshold", "inf"], "--threshold"),
+        ],
+        ids=[
+            "negative-seed",
+            "zero-threshold",
+            "negative-threshold",
+            "nan-threshold",
+            "infinite-threshold",
+        ],
+    )
+    def test_bad_seed_or_threshold_is_invalid_input(
+        self, flags, key, tmp_path, monkeypatch, capsys
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("input read for an invalid flag")
+
+        monkeypatch.setattr(cli, "_load_json", no_read)
+        code = cli.main(self._inputs(tmp_path) + ["--method", "epipolar"] + flags)
+        assert code == 1
+        report = self._last_json(capsys)
+        assert report["error"] == "invalid-input" and key in report["message"]
+
     def test_missing_intrinsics_is_missing_input(self, tmp_path, capsys):
         argv = self._inputs(tmp_path)
         argv[argv.index("--intrinsics") + 1] = str(tmp_path / "absent.json")
@@ -482,6 +525,7 @@ class TestSimulateAcr:
         [
             ("seed", "seven", "seed"),
             ("seed", True, "seed"),
+            ("seed", -2, "seed"),
             ("baseline", "no", "baseline"),
             (
                 "rig",
@@ -502,10 +546,12 @@ class TestSimulateAcr:
             ),
             ("scene", 5, "scene"),
             ("scene", {"builtin": "nope"}, "nope"),
+            ("scene", {"planes": [{"normal": [0, 0, 1], "offset": 1}], "seed": -1}, "scene.seed"),
         ],
         ids=[
             "string-seed",
             "bool-seed",
+            "negative-seed",
             "string-baseline",
             "string-fx",
             "short-image-size",
@@ -514,6 +560,7 @@ class TestSimulateAcr:
             "list-hand-eye-bound",
             "number-scene",
             "unknown-builtin-scene",
+            "negative-scene-seed",
         ],
     )
     def test_bad_scenario_field_is_invalid_input(
@@ -536,6 +583,17 @@ class TestSimulateAcr:
     ):
         doc = {"planes": [plane]}
         assert key in self._rejected(doc, tmp_path, monkeypatch, capsys, "scene")
+
+    def test_negative_seed_flag_is_invalid_input(self, tmp_path, monkeypatch, capsys):
+        def no_executor(*args, **kwargs):
+            raise AssertionError("executor built for an invalid seed")
+
+        monkeypatch.setattr(cli, "SimulatedExecutor", no_executor)
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["simulate-acr", "--seed", "-1"])
+        assert code == 1
+        report = self._last_json(capsys)
+        assert report["error"] == "invalid-input" and "--seed" in report["message"]
 
     def test_failed_run_reports_its_failure(self, tmp_path, capsys):
         config = tmp_path / "acr.json"

@@ -178,7 +178,7 @@ def test_no_library_default_goes_unset():
     assert unset == []
 
 
-# Public conveniences that no library code calls, each with its reason.
+# Public names that no library code calls or reads, each with its reason.
 NO_LIBRARY_CALLER = {
     "final": "AcrTrace.final, the record a caller of either loop reads first",
     "about_x": "Rotation.about_x, an axis rotation for scripts and tests",
@@ -186,6 +186,8 @@ NO_LIBRARY_CALLER = {
     "about_z": "Rotation.about_z, an axis rotation for scripts and tests",
     "save": "PlaneSegmentMap.save and CorrespondenceSet.save, the writers of the files"
     " that their load methods and the CLI read",
+    "MURAL_IMAGE_SIZE": "the mural rig's image size, with which tests render the mural",
+    "MURAL_INTRINSICS": "the mural rig's intrinsics, with which tests render the mural",
 }
 
 
@@ -204,19 +206,33 @@ def _identifiers(node: ast.AST) -> list:
     return found
 
 
+def _definitions(tree: ast.Module) -> list:
+    """(name, node) of every function and class in ``tree`` and of every
+    name that a module-level statement assigns, a constant."""
+    found = [
+        (node.name, node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(n.id, node) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return found
+
+
 def test_every_library_definition_has_a_library_caller():
-    # A helper needs a library caller; tests are not one.
+    # A helper or a constant needs a library reader; tests are not one.
     roots = (SRC, SRC.parent / "perfbench")
     trees = {p: ast.parse(p.read_text()) for root in roots for p in sorted(root.rglob("*.py"))}
     named = Counter(name for tree in trees.values() for name in _identifiers(tree))
     uncalled = [
-        f"{path.name}:{node.lineno} {node.name}"
+        f"{path.name}:{node.lineno} {name}"
         for path, tree in trees.items()
         if path.is_relative_to(SRC)
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in NO_LIBRARY_CALLER
-        and named[node.name] == _identifiers(node).count(node.name)
+        for name, node in _definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in NO_LIBRARY_CALLER
+        and named[name] == _identifiers(node).count(name)
     ]
     assert uncalled == []

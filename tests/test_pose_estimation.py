@@ -633,8 +633,8 @@ def _count_samples(monkeypatch) -> list:
     return samples
 
 
-# Chunk sizes for the sampler oracle: the first four take the scalar steps,
-# the rest the vector path.
+# Chunk sizes for the sampler oracle: the one-sample chunk that starts every
+# RANSAC call, then growing chunks.
 ORACLE_CHUNKS = (1, 1, 2, 4, 8, 16, 32)
 ORACLE_DRAWS = [
     (n, size)
@@ -646,26 +646,28 @@ ORACLE_DRAWS = [
 
 class TestBatchedDraws:
     @pytest.mark.parametrize("n, size", ORACLE_DRAWS)
-    def test_equals_successive_choice_calls(self, monkeypatch, n, size):
-        real = pose_estimation._ChoiceSampler._scalar
-        scalar_calls = []
-
-        def recording(self, k):
-            scalar_calls.append(k)
-            return real(self, k)
-
-        monkeypatch.setattr(pose_estimation._ChoiceSampler, "_scalar", recording)
+    def test_equals_successive_choice_calls(self, n, size):
+        # Bounded words per sample: one per Floyd step but j = 0, one per swap.
+        width = 2 * size - 1 - (n == size)
         for seed in range(100):
             rng = np.random.default_rng(seed)
             sampler = pose_estimation._ChoiceSampler(n, size, seed)
+            bit_generator, raw = sampler._raw.__self__, sampler._raw
+            outputs = []
+            sampler._raw = lambda count: outputs.append(count) or raw(count)
             for k in ORACLE_CHUNKS:
                 expected = [rng.choice(n, size, replace=False) for _ in range(k)]
                 assert np.array_equal(sampler.draw(k), expected)
-        small = sum(k < pose_estimation.SCALAR_CHUNK_SAMPLES for k in ORACLE_CHUNKS)
-        if n == 3 * 10**9:
-            # Lemire's test rejects about 30 % of the words bounded near
-            # 3e9, so vector chunks hand samples to the scalar copy.
-            assert len(scalar_calls) > 100 * small
+                # The stream stands where ``choice`` leaves it, and the
+                # sampler holds back only the half ``choice`` keeps.
+                state = rng.bit_generator.state
+                assert bit_generator.state["state"] == state["state"]
+                assert sampler._spare == ([state["uinteger"]] if state["has_uint32"] else [])
+            if n == 3 * 10**9:
+                # Lemire's test rejects about 30 % of the words bounded near
+                # 3e9, so the chunks dropped words and read past their width.
+                read = 2 * sum(outputs) - len(sampler._spare)
+                assert read > sum(ORACLE_CHUNKS) * width
 
     @pytest.mark.parametrize("size", [4, 8])
     def test_n_equal_to_size_takes_no_word_for_j_zero(self, size):
