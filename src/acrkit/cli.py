@@ -12,11 +12,11 @@ All configuration is JSON (``--print-schema`` per subcommand documents the
 fields), every output is machine-readable, and every run is deterministic
 under a fixed seed.  Exit codes: 0 success (a non-converged but valid loop
 run is still success); 1 for a bad config of ``simulate-acr`` or
-``bench-noise`` or a bad seed or threshold of ``estimate-pose``, with
-``invalid-input``, before any work starts; 2 for a
-missing or malformed input file of ``estimate-pose``, ``match-planes`` or
-``solve-scale``, and for a runtime estimation failure, with the error's
-code.
+``bench-noise``, a bad seed or threshold of ``estimate-pose`` or a
+negative ``--erosion`` of ``match-planes``, with ``invalid-input``, before
+any work starts; 2 for a missing or malformed input file of
+``estimate-pose``, ``match-planes`` or ``solve-scale``, and for a runtime
+estimation failure, with the error's code.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def _scene_from(doc) -> SceneSpec:
         )
     return SceneSpec(
         planes=tuple(planes),
-        seed=_checked(doc.get("seed", 0), "seed", "scene.seed"),
+        seed=_checked(doc.get("seed", 0), "non-negative", "scene.seed"),
         clutter_count=_checked(doc.get("clutter_count", 0), int, "scene.clutter_count"),
         clutter_box=clutter_box,
     )
@@ -227,7 +227,7 @@ def _is_integral(value) -> bool:
 _KINDS = {
     float: ("a number", _is_number),
     int: ("an integer", _is_integral),
-    "seed": ("a non-negative integer", lambda v: _is_integral(v) and v >= 0),
+    "non-negative": ("a non-negative integer", lambda v: _is_integral(v) and v >= 0),
     "threshold": ("a positive, finite number", lambda v: _is_number(v) and 0 < v < np.inf),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     dict: ("an object", lambda v: isinstance(v, dict)),
@@ -243,10 +243,10 @@ _KINDS = {
 def _checked(value, kind, name: str):
     """``value``, a JSON value or flag found at ``name``, as the type
     ``kind``: a float from a number, an int from an integral number, a
-    ``"seed"`` int from a non-negative one, a ``"threshold"`` float from a
-    positive, finite one (a RANSAC inlier gate in pixels), a bool, a dict,
-    a list, a string, or a tuple of three floats; anything else is
-    ``InvalidInputError``."""
+    ``"non-negative"`` int (a seed or an erosion radius) from a
+    non-negative one, a ``"threshold"`` float from a positive, finite one
+    (a RANSAC inlier gate in pixels), a bool, a dict, a list, a string, or
+    a tuple of three floats; anything else is ``InvalidInputError``."""
     wanted, accepts = _KINDS[kind]
     if not accepts(value):
         raise InvalidInputError(f"{name} must be {wanted}, got {value!r}")
@@ -254,7 +254,7 @@ def _checked(value, kind, name: str):
         return tuple(float(v) for v in value)
     if kind in (float, "threshold"):
         return float(value)
-    return int(value) if kind in (int, "seed") else value
+    return int(value) if kind in (int, "non-negative") else value
 
 
 def _numbers(value, name: str, size: int = None) -> tuple:
@@ -298,7 +298,7 @@ def _acr_config_from(doc, cls=AcrConfig, where: str = "acr"):
 
 def cmd_estimate_pose(args) -> int:
     try:
-        _checked(args.seed, "seed", "--seed")
+        _checked(args.seed, "non-negative", "--seed")
         _checked(args.threshold, "threshold", "--threshold")
     except AcrError as exc:
         return _fail(1, "invalid-input", str(exc))
@@ -355,6 +355,10 @@ def cmd_estimate_pose(args) -> int:
 
 
 def cmd_match_planes(args) -> int:
+    try:
+        _checked(args.erosion, "non-negative", "--erosion")
+    except AcrError as exc:
+        return _fail(1, "invalid-input", str(exc))
     try:
         m_ref, m_cur = _load_mask(args.ref_mask), _load_mask(args.cur_mask)
         corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
@@ -433,8 +437,8 @@ def cmd_simulate_acr(args) -> int:
         cfg = _acr_config_from(doc.get("acr"))
         noise = _acr_config_from(doc.get("noise"), NoiseSpec, "noise")
         lighting = _acr_config_from(doc.get("lighting"), LightingProxySpec, "lighting")
-        seed = _checked(doc.get("seed", 0), "seed", "seed")
-        seed = seed if args.seed is None else _checked(args.seed, "seed", "--seed")
+        seed = _checked(doc.get("seed", 0), "non-negative", "seed")
+        seed = seed if args.seed is None else _checked(args.seed, "non-negative", "--seed")
         use_baseline = _checked(doc.get("baseline", False), bool, "baseline")
         use_baseline = use_baseline or args.baseline
         scene = _scene_spec(doc.get("scene", {"builtin": "corner"}), seed)
@@ -521,8 +525,8 @@ def cmd_bench_noise(args) -> int:
     try:
         doc = _load_json(args.config) if args.config else {}
         doc = _checked(doc, dict, "the configuration")
-        seed = _checked(doc.get("seed", 0), "seed", "seed")
-        seed = seed if args.seed is None else _checked(args.seed, "seed", "--seed")
+        seed = _checked(doc.get("seed", 0), "non-negative", "seed")
+        seed = seed if args.seed is None else _checked(args.seed, "non-negative", "--seed")
         scene = _scene_spec(doc.get("scene", {"builtin": "single-plane"}), seed)
         intr = (
             _intrinsics_from(doc["intrinsics"])

@@ -137,7 +137,8 @@ class PlaneSegmentMap:
 
         Each rounded pixel's raster key is looked up among the runs' start
         keys: the run starting at or before it holds the pixel when it also
-        ends at or after it.
+        ends at or after it.  The runs' start and end keys are computed on
+        the first call and kept, as the map is immutable.
         """
         pts = np.asarray(points_xy, dtype=float)
         col = np.rint(pts[:, 0]).astype(int)
@@ -145,11 +146,15 @@ class PlaneSegmentMap:
         inside = (row >= 0) & (row < self.height) & (col >= 0) & (col < self.width)
         out = np.zeros(len(pts), dtype=np.int32)
         if self.num_planes:
-            r, lo, hi, label = self._runs
+            run_keys = getattr(self, "_run_keys", None)
+            if run_keys is None:
+                r, lo, hi, _ = self._runs
+                run_keys = self._run_keys = r * self.width + np.stack([lo, hi])
+            starts, ends = run_keys
             key = row[inside] * self.width + col[inside]
-            k = np.searchsorted(r * self.width + lo, key, side="right") - 1
-            held = (k >= 0) & (r[k] * self.width + hi[k] >= key)
-            out[inside] = np.where(held, label[k], 0)
+            k = np.searchsorted(starts, key, side="right") - 1
+            held = (k >= 0) & (ends[k] >= key)
+            out[inside] = np.where(held, self._runs[3][k], 0)
         return out
 
     def to_pgm_bytes(self) -> bytes:

@@ -15,6 +15,8 @@ A-camera coordinates into B-camera coordinates.
 from __future__ import annotations
 
 import json
+import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -319,35 +321,60 @@ def homography_dlt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h
 
 
-def _transfer(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Homogeneous rows (3, N) through each model of m, (..., 3, N): one
-    GEMM for the whole stack, whose every output row depends only on its
-    own model's row, so a stack scores each model with a single call's bits."""
-    return (m.reshape(-1, 3) @ rows).reshape(m.shape[:-1] + rows.shape[-1:])
+def _transfer(m: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Homogeneous rows (3, N) through each model of m, written into the
+    contiguous (..., 3, N) ``out``: one GEMM for the whole stack, whose
+    every output row depends only on its own model's row, so a stack scores
+    each model with a single call's bits."""
+    np.matmul(m.reshape(-1, 3), rows, out=out.reshape(-1, rows.shape[-1]))
 
 
-def symmetric_transfer_error(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _scratch(work, *shapes) -> list:
+    """Float64 arrays of ``shapes``: fresh ones when ``work`` is None, else
+    consecutive views into the flat workspace ``work``."""
+    if work is None:
+        return [np.empty(shape) for shape in shapes]
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(work[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def symmetric_transfer_error(h: np.ndarray, a: np.ndarray, b: np.ndarray, work=None) -> np.ndarray:
     """Per-pair symmetric transfer error sqrt(d_fwd^2 + d_bwd^2) in pixels.
 
     ``h`` is (3, 3), giving (N,) errors, or (K, 3, 3), giving (K, N).  The
     backward map is the adjugate, H^-1 up to scale, so no model needs a
-    LAPACK inverse.
-    """
+    LAPACK inverse.  A NaN error reads as inf.
 
-    def _squared(m, src, dst):
-        p = _transfer(m, _homogeneous_rows(src))
+    Without ``work`` every intermediate and the result are fresh arrays.
+    ``_ransac_consensus`` passes its flat float64 workspace as ``work`` when
+    it scores a chunk: the two (K, 3, N) transfers take its first 6 K N
+    entries, every later step runs in place, and the returned errors are a
+    view into it, valid until the workspace is used again.  The arithmetic
+    is the same on both paths.
+    """
+    shape = h.shape[:-1] + a.shape[:1]
+    fwd, bwd = _scratch(work, shape, shape)
+
+    def _squared(m, src, dst, p):
+        _transfer(m, _homogeneous_rows(src), p)
         d = p[..., :2, :]
         d /= p[..., 2:, :]
         d -= dst.T
         d *= d
-        return d[..., 0, :] + d[..., 1, :]
+        d[..., 0, :] += d[..., 1, :]
+        return d[..., 0, :]
 
     # A pair sent to the line at infinity divides by zero: its error is inf.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        err = _squared(h, a, b)
-        err += _squared(_adjugate(h), b, a)
+        err = _squared(h, a, b, fwd)
+        err += _squared(_adjugate(h), b, a, bwd)
         np.sqrt(err, out=err)
-    return np.where(np.isfinite(err), err, np.inf)
+    # fmin drops a NaN for its other operand; no error is -inf.
+    return np.fmin(err, np.inf, out=None if work is None else err)
 
 
 # Floor of the local-optimisation gate, as a fraction of the inlier
@@ -438,8 +465,44 @@ class _ChoiceSampler:
         return words[:count]
 
 
-# Cap on models x pairs scored in one RANSAC chunk, which bounds its memory.
+# Cap on models x pairs scored in one RANSAC chunk, which bounds its memory
+# and so the scoring workspace: 7 x 65,536 float64 and a 65,536-entry mask
+# (under 4 MB) per thread.
 RANSAC_CHUNK_ELEMENTS = 1 << 16
+
+# Float64 rows of N per model that scoring a chunk takes from the
+# workspace: sampson_error's seven (symmetric_transfer_error takes six).
+_SCORE_ROWS = 7
+
+
+class _ScoreWorkspace(threading.local):
+    """One thread's memory for scoring RANSAC chunks, kept between calls.
+
+    It grows to the largest chunk scored so far and never shrinks, so
+    repeated estimates score in memory already mapped instead of faulting
+    in fresh megabyte temporaries for every chunk.  Each thread has its
+    own, and no result depends on what an earlier chunk left in it: the
+    scorers write every entry before they read it.
+    """
+
+    def __init__(self):
+        self.floats = np.empty(0)
+        self.mask = np.empty(0, dtype=bool)
+
+    def take(self, k: int, n: int):
+        """(floats, mask): a flat float64 workspace of at least
+        ``_SCORE_ROWS`` k n entries and a (k, n) bool view, valid until
+        the next ``take`` on this thread."""
+        size = k * n
+        if size > RANSAC_CHUNK_ELEMENTS:  # one model on more pairs: fresh memory, not kept
+            return np.empty(_SCORE_ROWS * size), np.empty((k, n), dtype=bool)
+        if self.mask.size < size:
+            self.floats = np.empty(_SCORE_ROWS * size)
+            self.mask = np.empty(size, dtype=bool)
+        return self.floats, self.mask[:size].reshape(k, n)
+
+
+_WORKSPACE = _ScoreWorkspace()
 
 
 def _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed):
@@ -451,8 +514,13 @@ def _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed)
     and a word that Lemire's test rejects is dropped and the stream's next
     word appended, so every chunk size takes that one path.  It fits the
     chunk with one stacked ``fit`` (sample indices (K, sample_size) to
-    models (K, 3, 3), NaN for a degenerate sample) and scores it with one
-    ``score`` pass (models (M, 3, 3) to residuals (M, n)).  The draw-by-draw accept rule
+    models (K, 3, 3), NaN for a degenerate sample) and scores its M
+    non-degenerate models with one ``score(models, work)`` pass (models
+    (M, 3, 3) to residuals (M, n)).  ``work`` is this thread's scoring
+    workspace (:class:`_ScoreWorkspace`): the scorer takes every (M, ., n)
+    intermediate from it, and the inlier masks are gated into its (M, n)
+    bool part, so a chunk allocates nothing of its size; the best model's
+    mask is copied out before the next chunk.  The draw-by-draw accept rule
     is then replayed over the chunk: every draw, degenerate or not, uses up
     one draw of the budget; a model is kept only when its inlier count
     beats the best so far; and each kept model shrinks the adaptive target.
@@ -476,17 +544,20 @@ def _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed)
         idx = sampler.draw(k)
         models = fit(idx)
         ok = ~np.isnan(models).any(axis=(1, 2))
-        inliers = np.zeros((k, n), dtype=bool)
-        inliers[ok] = score(models[ok]) <= threshold_px
-        counts = inliers.sum(axis=1)
+        work, inliers = _WORKSPACE.take(int(ok.sum()), n)
+        np.less_equal(score(models[ok], work), threshold_px, out=inliers)
+        counts = np.full(k, -1)
+        counts[ok] = inliers.sum(axis=1)
+        kept = None
         for j in range(k):
             if it >= target:
                 break
             it += 1
-            if ok[j] and counts[j] > best_count:
-                best_count = int(counts[j])
-                best_mask = inliers[j]
+            if counts[j] > best_count:
+                best_count, kept = int(counts[j]), j
                 target = min(target, _adaptive_iters(best_count / n, sample_size))
+        if kept is not None:
+            best_mask = inliers[np.count_nonzero(ok[:kept])].copy()
     return best_mask, best_count
 
 
@@ -497,8 +568,10 @@ def _ransac_refit(n, sample_size, fit, score, threshold_px, max_iters, seed, ref
     noise realization, and a couple of rounds remove most of that bias.
 
     ``fit`` and ``score`` are the consensus ones; ``fit`` also takes a
-    boolean pair mask and ``score`` a single model.  Returns the last
-    (model, mask), the mask the pairs that model was fitted on.
+    boolean pair mask and ``score`` a single model with ``work`` None.
+    Returns the last (model, mask, errors): the mask holds the pairs that
+    model was fitted on, and the errors are the model's own scores when a
+    refit stopped on an unchanged mask or on too few inliers, else None.
 
     Raises:
         DegenerateModelError: no model with ``sample_size`` inliers.
@@ -506,14 +579,15 @@ def _ransac_refit(n, sample_size, fit, score, threshold_px, max_iters, seed, ref
     mask, count = _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed)
     if mask is None or count < sample_size:
         raise DegenerateModelError(f"RANSAC found no model with {sample_size} inliers")
-    model = fit(mask)
+    model, err = fit(mask), None
     for _ in range(max(0, refine_iters - 1)):
-        new_mask = score(model) <= threshold_px
+        err = score(model, None)
+        new_mask = err <= threshold_px
         if int(new_mask.sum()) < sample_size or np.array_equal(new_mask, mask):
             break
         mask = new_mask
-        model = fit(mask)
-    return model, mask
+        model, err = fit(mask), None
+    return model, mask, err
 
 
 def estimate_homography_ransac(
@@ -557,11 +631,11 @@ def estimate_homography_ransac(
     if n < 4:
         raise InsufficientDataError(f"homography RANSAC needs >= 4 pairs, got {n}")
     a, b = c.a, c.b
-    h, mask = _ransac_refit(
+    h, mask, err = _ransac_refit(
         n,
         4,
         lambda idx: homography_dlt(a[idx], b[idx]),
-        lambda h: symmetric_transfer_error(h, a, b),
+        lambda h, work: symmetric_transfer_error(h, a, b, work),
         threshold_px,
         max_iters,
         seed,
@@ -572,7 +646,8 @@ def estimate_homography_ransac(
     # spread and refit once.  Pairs that the wide gate let in from a
     # neighbouring plane (a crease) sit far out in that spread and stop
     # biasing the model.
-    err = symmetric_transfer_error(h, a, b)
+    if err is None:
+        err = symmetric_transfer_error(h, a, b)
     sigma = 1.4826 * float(np.median(err[mask]))
     gate = min(threshold_px, max(3.0 * sigma, LO_GATE_FLOOR * threshold_px))
     core = err <= gate
@@ -789,21 +864,28 @@ def _essential_from_rays(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return u @ d @ vt
 
 
-def sampson_error(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sampson_error(f: np.ndarray, a: np.ndarray, b: np.ndarray, work=None) -> np.ndarray:
     """First-order geometric (Sampson) distance in pixels for b^T F a = 0.
 
     ``f`` is (3, 3), giving (N,) distances, or (K, 3, 3), giving (K, N);
     a stack scores each model with a single call's bits.
+
+    ``work`` is as in :func:`symmetric_transfer_error`: given, the two
+    (K, 3, N) transfers and the (K, N) result take the first 7 K N entries
+    of that flat workspace and every other step runs in place in them.
     """
     ah, bh = _homogeneous_rows(a), _homogeneous_rows(b)
-    fa = _transfer(f, ah)
-    ftb = _transfer(np.swapaxes(f, -1, -2), bh)
-    num = bh[0] * fa[..., 0, :]
-    num += bh[1] * fa[..., 1, :]
+    shape = f.shape[:-1] + a.shape[:1]
+    fa, ftb, num = _scratch(work, shape, shape, shape[:-2] + shape[-1:])
+    _transfer(f, ah, fa)
+    _transfer(np.swapaxes(f, -1, -2), bh, ftb)
+    np.multiply(bh[0], fa[..., 0, :], out=num)
+    num += np.multiply(bh[1], fa[..., 1, :], out=ftb[..., 2, :])  # a row no step reads
     num += fa[..., 2, :]
-    fa *= fa
-    ftb *= ftb
-    den = fa[..., 0, :] + fa[..., 1, :]
+    fa[..., :2, :] *= fa[..., :2, :]
+    ftb[..., :2, :] *= ftb[..., :2, :]
+    den = fa[..., 0, :]
+    den += fa[..., 1, :]
     den += ftb[..., 0, :]
     den += ftb[..., 1, :]
     np.maximum(den, 1e-18, out=den)
@@ -891,11 +973,11 @@ def estimate_epipolar(
     k = intr.matrix()
     k_inv = intr.inverse_matrix()
 
-    e, best_mask = _ransac_refit(
+    e, best_mask, _ = _ransac_refit(
         n,
         8,
         lambda idx: _essential_from_rays(xa[idx], xb[idx]),
-        lambda e: sampson_error(k_inv.T @ e @ k_inv, c.a, c.b),
+        lambda e, work: sampson_error(k_inv.T @ e @ k_inv, c.a, c.b, work),
         threshold_px,
         max_iters,
         seed,

@@ -244,8 +244,10 @@ class TestMatchPlanes:
         assert sorted(self._last_json(capsys)["pairs"]) == [[1, 2], [2, 1]]
 
     def test_negative_erosion_is_invalid_input(self, tmp_path, capsys):
-        code = cli.main(self._inputs(tmp_path) + ["--erosion", "-1"])
-        assert code == 2
+        # None of the three input files exists: the flag is checked first.
+        args = ["match-planes", str(tmp_path / "corr.json"), "--ref-mask", str(tmp_path / "ref.pgm")]
+        code = cli.main(args + ["--cur-mask", str(tmp_path / "cur.pgm"), "--erosion", "-1"])
+        assert code == 1
         assert self._last_json(capsys)["error"] == "invalid-input"
 
     def test_missing_mask_is_missing_input(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -896,6 +897,189 @@ class TestStackedScoring:
         a = np.array([[-1000.0, 5.0], [10.0, 5.0]])
         err = symmetric_transfer_error(h, a, a)
         assert err[0] == np.inf and np.isfinite(err[1])
+
+
+def _allocating_transfer_error(h, a, b):
+    """Symmetric transfer error as scored on fresh temporaries at every step."""
+
+    def squared(m, src, dst):
+        rows = pose_estimation._homogeneous_rows(src)
+        p = (m.reshape(-1, 3) @ rows).reshape(m.shape[:-1] + (len(src),))
+        d = p[..., :2, :]
+        d /= p[..., 2:, :]
+        d -= dst.T
+        d *= d
+        return d[..., 0, :] + d[..., 1, :]
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        err = squared(h, a, b)
+        err += squared(pose_estimation._adjugate(h), b, a)
+        np.sqrt(err, out=err)
+    return np.where(np.isfinite(err), err, np.inf)
+
+
+def _allocating_sampson(f, a, b):
+    """Sampson distance as scored on fresh temporaries at every step."""
+    ah, bh = pose_estimation._homogeneous_rows(a), pose_estimation._homogeneous_rows(b)
+    fa = (f.reshape(-1, 3) @ ah).reshape(f.shape[:-1] + (len(a),))
+    ft = np.swapaxes(f, -1, -2)
+    ftb = (ft.reshape(-1, 3) @ bh).reshape(f.shape[:-1] + (len(b),))
+    num = bh[0] * fa[..., 0, :]
+    num += bh[1] * fa[..., 1, :]
+    num += fa[..., 2, :]
+    fa *= fa
+    ftb *= ftb
+    den = fa[..., 0, :] + fa[..., 1, :]
+    den += ftb[..., 0, :]
+    den += ftb[..., 1, :]
+    np.maximum(den, 1e-18, out=den)
+    np.sqrt(den, out=den)
+    np.abs(num, out=num)
+    num /= den
+    return num
+
+
+def _scoring_case(method, k, n, seed):
+    """(scorer, oracle, models, a, b): k models on n pairs, with a NaN model
+    among them when k > 1, and pairs that a model sends to infinity or that
+    give 0 / 0 (homography) or that overflow (Sampson)."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1280.0, (n, 2))
+    if method == "homography":
+        models = homography_dlt(*_quadruples(seed, k))
+        b = a + rng.normal(0.0, 2.0, a.shape)
+        # (-1000, 5) lies on the line at infinity of the first model and
+        # (-1, 7) maps to (0, 7, 0) under the second, a singular one.
+        models[0] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.001, 0.0, 1.0]]
+        a[:2] = [[-1000.0, 5.0], [-1.0, 7.0]]
+        if k > 2:
+            models[1] = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
+        scorer, oracle = symmetric_transfer_error, _allocating_transfer_error
+    else:
+        models = rng.normal(0.0, 1e-3, (k, 3, 3))
+        b = a + rng.normal(0.0, 2.0, a.shape)
+        a[0] = [1e200, -1e200]
+        scorer, oracle = sampson_error, _allocating_sampson
+    if k > 1:
+        models[k // 2] = np.nan
+    return scorer, oracle, models, a, b
+
+
+class TestScoringWorkspace:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("k", [1, 7, 65])
+    @pytest.mark.parametrize("n", [90, 1000])
+    def test_masks_equal_the_allocating_scores(self, method, k, n):
+        scorer, oracle, models, a, b = _scoring_case(method, k, n, k + n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = oracle(models, a, b)
+            fresh = scorer(models, a, b)
+            work, mask = pose_estimation._WORKSPACE.take(k, n)
+            work[:] = np.nan  # stale contents must not show
+            scored = scorer(models, a, b, work)
+        assert fresh.tobytes() == expected.tobytes()
+        assert scored.shape == (k, n) and np.shares_memory(scored, work)
+        np.testing.assert_array_equal(scored, expected)
+        if method == "homography":
+            assert not np.isnan(scored).any() and np.isinf(scored).any()
+        for threshold in (1.0, 4.0, np.inf):
+            np.less_equal(scored, threshold, out=mask)
+            assert np.array_equal(mask, expected <= threshold)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_calls_of_any_size_in_turn_give_fresh_results(self, monkeypatch, intr, method):
+        # Big, small, big: each call reads only what it wrote, even when
+        # the workspace holds another call's rows or garbage.
+        sets = [
+            _contaminated(intr, method, count, 0.5, seed)
+            for count, seed in ((1000, 0), (90, 1), (1000, 2))
+        ]
+
+        def estimate(c):
+            if method == "homography":
+                return estimate_homography_ransac(c, 1.0, 200, seed=3)
+            return estimate_epipolar(c, intr, 1.0, 200, seed=3)
+
+        got = []
+        for c in sets:
+            got.append(_run(lambda: estimate(c)))
+            pose_estimation._WORKSPACE.floats[:] = np.nan
+            pose_estimation._WORKSPACE.mask[:] = True
+        for c, result in zip(sets, got):
+            monkeypatch.setattr(pose_estimation, "_WORKSPACE", pose_estimation._ScoreWorkspace())
+            _assert_same(result, _run(lambda: estimate(c)))
+
+    def test_chunks_without_a_model_score_nothing(self):
+        # Every sample degenerate: chunks of 1, 7, 56 and 65 models score
+        # empty stacks into the workspace.
+        n = 1000
+        a = np.random.default_rng(0).uniform(0.0, 1280.0, (n, 2))
+        scored = []
+
+        def score(models, work):
+            scored.append(len(models))
+            return symmetric_transfer_error(models, a, a, work)
+
+        mask, count = pose_estimation._ransac_consensus(
+            n, 4, lambda idx: np.full((len(idx), 3, 3), np.nan), score, 1.0, 200, 0
+        )
+        assert (mask, count) == (None, -1)
+        assert scored == [0, 0, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_warm_full_budget_call_allocates_less_than_one_chunk(self, intr, method):
+        # 30 % inliers keep the adaptive target above the budget of 200
+        # draws, so chunks of 1, 7, 56, 65, 65 and 6 models are scored.
+        c = _contaminated(intr, method, 1000, 0.3, 0)
+        if method == "homography":
+            estimate = lambda: estimate_homography_ransac(c, 1.0, 200, seed=0)
+        else:
+            estimate = lambda: estimate_epipolar(c, intr, 1.0, 200, seed=0)
+        estimate()
+        tracemalloc.start()
+        try:
+            estimate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 65 * 3 * 1000 * 8
+
+
+class TestRefitScores:
+    @pytest.mark.parametrize("refine_iters", [1, 2, 3])
+    def test_refit_errors_are_its_models_own(self, intr, refine_iters):
+        # Noisy pairs keep changing the mask until the refits run out; exact
+        # ones stop on an unchanged mask.
+        exact = [plane_pair_set(intr, Rotation.about_y(7.0), [0.15, 0.05, 0.02], [0, 0, 1], 2.0, 150)[0]]
+        noisy = [_contaminated(intr, "homography", 200, 0.6, seed) for seed in range(3)]
+        stopped = []
+        for c in exact + noisy:
+            score = lambda h, work: symmetric_transfer_error(h, c.a, c.b, work)
+            fit = lambda idx: homography_dlt(c.a[idx], c.b[idx])
+            model, _, err = pose_estimation._ransac_refit(
+                len(c), 4, fit, score, 1.0, 200, 0, refine_iters
+            )
+            stopped.append(err is not None)
+            if err is not None:
+                assert np.array_equal(err, score(model, None))
+        assert stopped == [refine_iters > 1] + [False] * len(noisy)
+
+    def test_exact_plane_scores_its_final_model_once(self, monkeypatch, intr):
+        c, _ = plane_pair_set(intr, Rotation.about_y(7.0), [0.15, 0.05, 0.02], [0, 0, 1], 2.0, 150)
+        real = pose_estimation.symmetric_transfer_error
+        single = []
+
+        def counting(h, a, b, work=None):
+            if work is None:
+                single.append(h.shape)
+            return real(h, a, b, work)
+
+        monkeypatch.setattr(pose_estimation, "symmetric_transfer_error", counting)
+        _, mask = estimate_homography_ransac(c, 1.0, 200, seed=0)
+        assert mask.all()
+        # The refit stops on an unchanged mask; its scores serve the
+        # local-optimisation gate, which keeps every pair and refits nothing.
+        assert single == [(3, 3)]
 
 
 def _essential_candidates(xa, xb):
