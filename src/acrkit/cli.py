@@ -27,6 +27,7 @@ import json
 import sys
 import time
 import typing
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -408,13 +409,14 @@ def cmd_solve_scale(args) -> int:
 
 
 def default_acr_config() -> dict:
-    """Bundled simulate-acr configuration (a corner scene, random rig)."""
+    """Bundled simulate-acr configuration as plain JSON: a corner scene seen
+    by the simulator's desk rig with a random hand-eye pose."""
     return {
         "seed": 7,
         "scene": {"builtin": "corner"},
         "rig": {
-            "intrinsics": {"fx": 1200.0, "fy": 1200.0, "cx": 640.0, "cy": 480.0},
-            "image_size": [1280, 960],
+            "intrinsics": asdict(simulator.DESK_INTRINSICS),
+            "image_size": list(simulator.DESK_IMAGE_SIZE),
             "hand_eye": {"random": {"max_rotation_deg": 8.0, "max_offset_m": 0.12}},
         },
         "initial_offset": {"random": {"max_rotation_deg": 3.0, "max_offset_m": 0.045}},

@@ -4,7 +4,8 @@ Two estimation paths are provided:
 
 * the primary path estimates a plane-induced homography with RANSAC and
   factors it analytically into rotation, translation direction and plane
-  normal (cheirality plus reprojection residual resolve the ambiguity);
+  normal (cheirality leaves at most two solutions, ordered by how squarely
+  the plane faces the camera);
 * a normalized eight-point epipolar path serves as the comparison baseline.
 
 Both paths consume a :class:`CorrespondenceSet` whose A-side points live in
@@ -672,57 +673,45 @@ def _rays(intr: Intrinsics, px: np.ndarray) -> np.ndarray:
 
 
 def _faugeras_candidates(h_cal: np.ndarray):
-    """All analytic factorizations H ~ R + t n^T of a calibrated homography.
+    """The two analytic factorizations H ~ R + t n^T of a calibrated
+    homography that can pass the cheirality tests.
 
-    Returns ``(rotations, translations, normals, spread)``: the eight
-    candidates as (8, 3, 3), (8, 3) and (8, 3) stacks, or None for each
-    below the zero-baseline spread, and the relative singular-value spread
-    ``(d1 - d3) / d2``.  Each triple is gauge-consistent, i.e.
-    ``h_cal = c (R + t n^T)`` for a positive or negative scalar ``c``, with
-    a unit ``n`` and ``|t|`` of ``(d1 - d3) / d2`` or ``(d1 + d3) / d2``,
-    never below the spread; the plane-in-front and positive-depth tests
-    (left to the caller) reject the triples with ``c < 0``.  The first four
-    candidates take ``d' = +d2``, the last four ``d' = -d2``; within each
-    half the signs (e1, e3) run (+, +), (+, -), (-, +), (-, -).
+    Returns ``(rotations, translations, normals)`` as (2, 3, 3), (2, 3) and
+    (2, 3) stacks, or None when the singular-value spread ``(d1 - d3) / d2``
+    is below ``ZERO_MOTION_SPREAD``.  Of the eight factorizations
+    (Faugeras & Lustman, IJPRAI 1988), each reads
+    ``h_cal = s d' (R + t n^T)`` with ``s = det U det V`` and
+    ``d' = +-d2``.  Once the caller has signed ``h_cal`` so that
+    ``x_b^T H x_a > 0``, the four with ``s d' < 0`` put every genuine pair
+    behind camera B, and those with ``e1 = -1`` are exact negations
+    ``(R, -t, -n)`` of the ``e1 = +1`` ones, which the plane-in-front flip
+    maps to the same bits.  So d' takes the sign of s, e1 is +1, and the
+    two candidates run e3 = +1, -1.
     """
     u, d, vt = np.linalg.svd(h_cal)
     d1, d2, d3 = d
-    spread = (d1 - d3) / d2
-    if spread < ZERO_MOTION_SPREAD:
-        return None, None, None, spread
+    if (d1 - d3) / d2 < ZERO_MOTION_SPREAD:
+        return None
     s = np.linalg.det(u) * np.linalg.det(vt)
-
+    sigma = 1.0 if s > 0 else -1.0
     denom = d1 * d1 - d3 * d3
     x1 = np.sqrt(max((d1 * d1 - d2 * d2) / denom, 0.0))
     x3 = np.sqrt(max((d2 * d2 - d3 * d3) / denom, 0.0))
     root = np.sqrt(max((d1 * d1 - d2 * d2) * (d2 * d2 - d3 * d3), 0.0))
-    ct = (d2 * d2 + d1 * d3) / ((d1 + d3) * d2)
-    cp = (d1 * d3 - d2 * d2) / ((d1 - d3) * d2)
-    e1 = np.array([1.0, 1.0, -1.0, -1.0])
-    e3 = np.array([1.0, -1.0, 1.0, -1.0])
-    st = e1 * e3 * (root / ((d1 + d3) * d2))
-    sp = e1 * e3 * (root / ((d1 - d3) * d2))
-    rp = np.zeros((8, 3, 3))
-    rp[:, 0, 0] = np.repeat([ct, cp], 4)
-    rp[:, 1, 1] = np.repeat([1.0, -1.0], 4)
-    rp[:, 2, 2] = np.repeat([ct, -cp], 4)
-    rp[:, 0, 2] = np.concatenate([-st, sp])
-    rp[:, 2, 0] = np.concatenate([st, sp])
-    zero = np.zeros(4)
-    tp = np.concatenate([
-        (d1 - d3) * np.stack([e1 * x1, zero, -e3 * x3], axis=1),
-        (d1 + d3) * np.stack([e1 * x1, zero, e3 * x3], axis=1),
-    ])
-    npl = np.tile(np.stack([e1 * x1, zero, e3 * x3], axis=1), (2, 1))
-    # The factorization reads h_cal = s d' R + t_raw n^T; dividing t_raw
-    # by (s d') restores the unit plane-distance gauge of the cheirality
-    # tests.  Each stacked product is the same BLAS call, with the same
-    # bits, as the one for its candidate alone.
-    scale = np.repeat([s * d2, -s * d2], 4)[:, None]
-    rotations = s * (u @ rp @ vt)
-    translations = (u @ tp[..., None])[..., 0] / scale
-    normals = (vt.T @ npl[..., None])[..., 0]
-    return rotations, translations, normals, spread
+    cos = (d1 * d3 + sigma * d2 * d2) / ((d1 + sigma * d3) * d2)
+    rp, tp, npl = [], [], []
+    for e3 in (1.0, -1.0):
+        sin = e3 * (root / ((d1 + sigma * d3) * d2))
+        rp.append([[cos, 0.0, -sigma * sin], [0.0, sigma, 0.0], [sin, 0.0, sigma * cos]])
+        tp.append((d1 - sigma * d3) * np.array([x1, 0.0, -sigma * e3 * x3]))
+        npl.append([x1, 0.0, e3 * x3])
+    # Dividing t by s d' = |s| d2 gives the unit plane-distance gauge of
+    # the cheirality tests.  Each stacked product is the same BLAS call,
+    # with the same bits, as the one for its candidate alone.
+    rotations = s * (u @ np.array(rp) @ vt)
+    translations = (u @ np.array(tp)[..., None])[..., 0] / (abs(s) * d2)
+    normals = (vt.T @ np.array(npl)[..., None])[..., 0]
+    return rotations, translations, normals
 
 
 def decompose_homography_candidates(
@@ -735,20 +724,17 @@ def decompose_homography_candidates(
 
     After the cheirality tests (plane in front of the first camera,
     positive point depths in both views) at most two distinct solutions
-    survive; they reproduce the homography equally well, so the residual
-    cannot break the tie for a single plane.  The list is ordered by
-    reprojection residual, with ties resolved toward the solution whose
-    plane normal is most aligned with the mean viewing ray (a plane facing
-    the camera is the likelier physical interpretation).  Callers
-    with several planes should instead pick the mutually consistent
-    combination; see :func:`acrkit.fusion._select_consistent`.
+    survive.  Both reproduce the homography exactly (Malis & Vargas,
+    INRIA RR-6303, 2007), so no residual can tell them apart for a single
+    plane.  The list is ordered by the alignment of the plane normal with
+    the mean viewing ray, most aligned first: a plane facing the camera is
+    the likelier physical interpretation.  Callers with several planes
+    should instead pick the mutually consistent combination; see
+    :func:`acrkit.fusion._select_consistent`.
 
     A homography with (numerically) equal singular values is returned as a
     single zero-motion hypothesis with the rotation recovered and the
     translation direction undefined.
-
-    The cheirality tests run on all eight candidates at once, the
-    residuals on all that pass them at once.
     """
     if len(c) < 1:
         raise InsufficientDataError("decomposition needs correspondences")
@@ -767,46 +753,42 @@ def decompose_homography_candidates(
         h_cal = -h_cal
 
     spread_val = point_spread(c.a, image_size) if image_size else 1.0
-    rotations, translations, normals, _ = _faugeras_candidates(h_cal)
-    if rotations is None:
+    candidates = _faugeras_candidates(h_cal)
+    if candidates is None:
         r = Rotation.from_matrix(h_cal / np.linalg.svd(h_cal, compute_uv=False)[1])
         return [
             PoseHypothesis(
                 pose=DirectionalPose(r, np.array([0.0, 0.0, 1.0])),
-                plane_normal=None,
                 support=len(c),
                 spread=spread_val,
                 zero_motion=True,
             )
         ]
+    rotations, translations, normals = candidates
 
     # Plane must lie in front of camera A; (t, n) -> (-t, -n) is the same
     # factorization, so flip to make that so.  The tests read only signs:
     # they use the normals as built, unit up to rounding, and the depth in
     # B, (R X_a)_z + t_z with X_a = x_a / (n . x_a), times the positive
     # n . x_a.
-    front = normals @ rays_a.T  # (8, N)
+    front = normals @ rays_a.T  # (2, N)
     flip = np.where(np.median(front, axis=1) < 0, -1.0, 1.0)[:, None]
     front *= flip
     depth_b = rotations[:, 2] @ rays_a.T + (flip * translations[:, 2:]) * front
     passed = np.flatnonzero((front > 0).all(axis=1) & (depth_b > 0).all(axis=1))
     if not passed.size:
         raise CheiralityError("no decomposition with full positive-depth support")
-    r_pass = rotations[passed]
-    n_pass = [flip[i] * (normals[i] / np.linalg.norm(normals[i])) for i in passed]
-    t_pass = flip[passed] * translations[passed]
-    h_cand = k @ (r_pass + t_pass[:, :, None] * np.array(n_pass)[:, None, :]) @ k_inv
-    residuals = np.mean(symmetric_transfer_error(h_cand, c.a, c.b), axis=1)
-
     surviving = []
-    for residual, r_m, t, n in zip(residuals, r_pass, t_pass, n_pass):
-        t_dir = t / np.linalg.norm(t)
-        if not any(
-            np.abs(other[1] - r_m).max() < 1e-9 and float(other[2] @ t_dir) > 1.0 - 1e-12
-            for other in surviving
-        ):
-            surviving.append((float(residual), r_m, t_dir, n, float(n @ mean_ray)))
-    surviving.sort(key=lambda item: (round(item[0], 9), -item[4]))
+    for i in passed:
+        t = flip[i] * translations[i]
+        n = flip[i] * (normals[i] / np.linalg.norm(normals[i]))
+        surviving.append((rotations[i], t / np.linalg.norm(t), n))
+    # The twins coincide when B's centre moves along the normal: keep one.
+    if len(surviving) == 2:
+        (r0, t0, _), (r1, t1, _) = surviving
+        if np.abs(r0 - r1).max() < 1e-9 and float(t0 @ t1) > 1.0 - 1e-12:
+            surviving.pop()
+    surviving.sort(key=lambda item: -float(item[2] @ mean_ray))
     return [
         PoseHypothesis(
             pose=DirectionalPose(Rotation.from_matrix(r_m), t_dir),
@@ -814,7 +796,7 @@ def decompose_homography_candidates(
             support=len(c),
             spread=spread_val,
         )
-        for _, r_m, t_dir, n, _ in surviving
+        for r_m, t_dir, n in surviving
     ]
 
 
@@ -822,10 +804,10 @@ def decompose_homography(h: Homography, intr: Intrinsics, c: CorrespondenceSet) 
     """Best factorization of a plane-induced homography.
 
     Among the analytic solutions, keeps those giving every input pair
-    positive depth in both views and returns the one with the lowest
-    reprojection residual (ties resolved toward the camera-facing plane
-    normal, see :func:`decompose_homography_candidates`).  No image size
-    is given, so its ``spread`` is 1.0.
+    positive depth in both views and returns the one whose plane normal
+    is most aligned with the mean viewing ray (see
+    :func:`decompose_homography_candidates`).  No image size is given, so
+    its ``spread`` is 1.0.
 
     Raises:
         CheiralityError: no solution places all points in front of both
@@ -970,7 +952,6 @@ def estimate_epipolar(
         raise InsufficientDataError(f"epipolar estimation needs >= 8 pairs, got {n}")
     xa = _rays(intr, c.a)
     xb = _rays(intr, c.b)
-    k = intr.matrix()
     k_inv = intr.inverse_matrix()
 
     e, best_mask, _ = _ransac_refit(

@@ -424,6 +424,14 @@ class TestSimulateAcr:
     def _last_json(capsys):
         return json.loads(capsys.readouterr().out.splitlines()[-1])
 
+    def test_default_rig_is_the_desk_rig_as_plain_json(self):
+        rig = cli.default_acr_config()["rig"]
+        assert json.loads(json.dumps(rig)) == rig
+        assert Intrinsics(**rig["intrinsics"]) == simulator.DESK_INTRINSICS
+        assert all(type(v) is float for v in rig["intrinsics"].values())
+        assert rig["image_size"] == list(simulator.DESK_IMAGE_SIZE)
+        assert all(type(v) is int for v in rig["image_size"])
+
     def test_malformed_config_is_invalid_input(self, tmp_path, capsys):
         config = tmp_path / "acr.json"
         config.write_text('{"seed": 0, "scene": ')

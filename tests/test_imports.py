@@ -1,4 +1,4 @@
-"""The library's import footprint, and the names it takes but never reads."""
+"""The library's import footprint, and the names it takes or assigns but never reads."""
 
 from __future__ import annotations
 
@@ -92,6 +92,33 @@ def test_no_library_function_takes_a_parameter_it_never_reads():
         path.name: names
         for path in sorted((SRC / "acrkit").glob("*.py"))
         if (names := _unread_parameters(path))
+    }
+    assert unread == {}
+
+
+def _unread_locals(path: Path) -> list:
+    """Names that a function at ``path`` assigns and never reads, in its
+    body or in a function nested in it; ``_`` is the discard name."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        names = [n for stmt in func.body for n in ast.walk(stmt) if isinstance(n, ast.Name)]
+        read = {n.id for n in names if not isinstance(n.ctx, ast.Store)}
+        stored = {n.id: n.lineno for n in reversed(names) if isinstance(n.ctx, ast.Store)}
+        found += [
+            f"{func.name}({name}) line {line}"
+            for name, line in stored.items()
+            if name not in read and name != "_"
+        ]
+    return found
+
+
+def test_no_library_function_assigns_a_name_it_never_reads():
+    unread = {
+        path.name: names
+        for path in sorted((SRC / "acrkit").glob("*.py"))
+        if (names := _unread_locals(path))
     }
     assert unread == {}
 

@@ -1168,8 +1168,8 @@ class TestEightPointNullVector:
 
 
 def _faugeras_oracle(h_cal):
-    """The candidate-by-candidate factorization the stacked one replaces:
-    a list of (R, t, n) triples, empty below the zero-baseline spread."""
+    """All eight factorizations, candidate by candidate: a list of
+    (R, t, n) triples, empty below the zero-baseline spread."""
     u, d, vt = np.linalg.svd(h_cal)
     d1, d2, d3 = d
     if (d1 - d3) / d2 < pose_estimation.ZERO_MOTION_SPREAD:
@@ -1203,8 +1203,8 @@ def _faugeras_oracle(h_cal):
 
 
 def _decompose_oracle(h, intr, c, image_size=None):
-    """The per-candidate cheirality and residual loop that the stacked
-    decomposition replaces, kept as the reference for its output bits."""
+    """The cheirality and residual loop over all eight candidates, kept as
+    the reference for the two-candidate decomposition's output bits."""
     k, k_inv = intr.matrix(), intr.inverse_matrix()
     h_cal = k_inv @ h.matrix @ k
     rays_a, rays_b = _rays(intr, c.a), _rays(intr, c.b)
@@ -1281,9 +1281,26 @@ def _random_plane_motion(seed):
     return rot, t, n / np.linalg.norm(n), rng.uniform(1.0, 3.0)
 
 
+def _plane_between_motion(angle_deg):
+    """The plane z = 2 between the camera centres: B sits at z = 3.6 and
+    turns about y to look back at it, so det H < 0 and the factorization
+    takes d' = -d2."""
+    rot = Rotation.about_y(angle_deg)
+    centre_b = np.array([0.3, -0.1, 3.6])
+    return rot, -rot.matrix @ centre_b, np.array([0.0, 0.0, 1.0]), 2.0
+
+
+def _signed_det(h, intr, c):
+    """det of the calibrated homography after the decomposition's sign fix:
+    its sign is s = det U det V of the factorization."""
+    h_cal = intr.inverse_matrix() @ h.matrix @ intr.matrix()
+    signs = np.einsum("ij,ij->i", _rays(intr, c.b), _rays(intr, c.a) @ h_cal.T)
+    return np.linalg.det(h_cal) * (-1.0 if np.median(signs) < 0 else 1.0)
+
+
 class TestStackedDecomposition:
-    """All eight candidates tested and scored as one stack give the
-    per-candidate loop's hypotheses bit for bit, in its order."""
+    """The two candidates that can pass cheirality, tested as one stack,
+    give the eight-candidate loop's hypotheses bit for bit, in its order."""
 
     IMAGE_SIZE = (1280, 960)
 
@@ -1314,9 +1331,19 @@ class TestStackedDecomposition:
         assert len(got) == 1 and got[0].zero_motion
         _assert_same_hypotheses(got, _decompose_oracle(h, intr, c, self.IMAGE_SIZE))
 
+    def test_coincident_twins_merge_into_one(self, intr):
+        # Translation along the normal of a fronto-parallel plane: the two
+        # factorizations are the same solution, returned once.
+        rot, t = Rotation.identity(), [0.0, 0.0, -0.3]
+        c, _ = plane_pair_set(intr, rot, t, [0, 0, 1], 2.0)
+        h = Homography(_pixel_homography(intr, rot, t, [0, 0, 1], 2.0))
+        got = decompose_homography_candidates(h, intr, c, self.IMAGE_SIZE)
+        assert len(got) == 1 and not got[0].zero_motion
+        _assert_same_hypotheses(got, _decompose_oracle(h, intr, c, self.IMAGE_SIZE))
+
     def test_cheirality_rejections_equal_oracle(self, intr):
-        # A patch on one side of the plane: the tests drop most of the
-        # eight candidates, and the twins left come back in the same order.
+        # A patch on one side of the plane: the oracle's tests drop most of
+        # its eight candidates, and the twins left come back in its order.
         rot, t = Rotation.about_y(6.0), np.array([0.04, 0.0, 0.01])
         n = np.array([0.9, 0.0, 0.436]) / np.linalg.norm([0.9, 0.0, 0.436])
         h_pix = _pixel_homography(intr, rot, t, n, float(n @ [0.0, 0.0, 2.0]))
@@ -1341,14 +1368,38 @@ class TestStackedDecomposition:
         with pytest.raises(CheiralityError):
             decompose_homography_candidates(Homography(h_pix), intr, c_bad)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_candidate_stack_equals_the_loop(self, intr, seed):
-        rot, t, n, dist = _random_plane_motion(200 + seed)
+    @pytest.mark.parametrize("angle", [150.0, 165.0, 180.0])
+    @pytest.mark.parametrize("noise_px", [0.0, 0.5])
+    def test_plane_between_the_cameras_equals_oracle(self, intr, angle, noise_px):
+        rot, t, n, dist = _plane_between_motion(angle)
+        c, _ = plane_pair_set(intr, rot, t, n, dist, count=300, seed=5)
+        rng = np.random.default_rng(5)
+        c = CorrespondenceSet(c.a, c.b + rng.normal(0.0, noise_px, size=c.b.shape))
+        h, mask = estimate_homography_ransac(c, 2.0, 300, seed=5)
+        inl = c.subset(mask)
+        assert _signed_det(h, intr, inl) < 0
+        got = decompose_homography_candidates(h, intr, inl, self.IMAGE_SIZE)
+        _assert_same_hypotheses(got, _decompose_oracle(h, intr, inl, self.IMAGE_SIZE))
+        errors = [rotation_angle(x.pose.rotation.compose(rot.inverse())) for x in got]
+        assert min(errors) < (1e-6 if noise_px == 0 else 0.5)
+
+    @pytest.mark.parametrize(
+        "motion",
+        [_random_plane_motion(200 + seed) for seed in range(6)]
+        + [_plane_between_motion(angle) for angle in (150.0, 165.0, 180.0)],
+        ids=[str(seed) for seed in range(6)] + ["between-150", "between-165", "between-180"],
+    )
+    def test_candidate_stack_equals_the_loop(self, motion):
+        # The two built are the loop's e1 = +1 pair on the side of s:
+        # entries 0, 1 (d' = +d2) or 4, 5 (d' = -d2).
+        rot, t, n, dist = motion
         h_cal = rot.matrix + np.outer(t / dist, n)
-        rotations, translations, normals, _ = pose_estimation._faugeras_candidates(h_cal)
+        u, _, vt = np.linalg.svd(h_cal)
+        s = np.linalg.det(u) * np.linalg.det(vt)
+        rotations, translations, normals = pose_estimation._faugeras_candidates(h_cal)
         expected = _faugeras_oracle(h_cal)
-        assert len(expected) == 8
-        for k, (r_m, t_k, n_k) in enumerate(expected):
+        assert len(expected) == 8 and len(rotations) == 2
+        for k, (r_m, t_k, n_k) in enumerate(expected[:2] if s > 0 else expected[4:6]):
             np.testing.assert_array_equal(rotations[k], r_m)
             np.testing.assert_array_equal(translations[k], t_k)
             np.testing.assert_array_equal(normals[k], n_k)
