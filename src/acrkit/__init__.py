@@ -22,7 +22,6 @@ from .pose_estimation import (
     decompose_homography,
     estimate_epipolar,
     estimate_homography_ransac,
-    point_spread,
 )
 from .scale_solver import (
     ScaleSolution,
@@ -40,7 +39,7 @@ from .plane_match import (
     erode_mask,
     solve_matching,
 )
-from .fusion import FusionWeights, PoseEstimate, fuse_poses, hypothesis_weight, i2pe
+from .fusion import PoseEstimate, i2pe, point_spread
 from .acr_loop import (
     AcrConfig,
     AcrTrace,

@@ -160,11 +160,11 @@ class AcrRecord:
 
     index: int
     stage: str  # "init" or "iter"
-    scale_m: float = None
-    estimate: DirectionalPose = None
-    command: Pose = None
-    rot_err_deg: float = None
-    trans_err_m: float = None
+    scale_m: float
+    estimate: DirectionalPose
+    command: Pose
+    rot_err_deg: float
+    trans_err_m: float
     zero_motion: bool = False
     hand_eye_swing_deg: float = None
 

@@ -117,46 +117,49 @@ def _explicit_pose(doc, where: str) -> Pose:
     return Pose.from_json_dict({"r": r, "t": _checked(doc.get("t"), tuple, f"{where}.t")})
 
 
+def _clutter_box(value, where: str):
+    """A clutter box found at ``where``: null, or three (low, high) ranges."""
+    if value is None:
+        return None
+    box = _checked(value, list, where)
+    if len(box) != 3:
+        raise InvalidInputError(f"{where} must be three ranges, got {box!r}")
+    return tuple(_numbers(v, f"{where}[{k}]", 2) for k, v in enumerate(box))
+
+
+def _present(doc: dict, readers: dict, where: str) -> dict:
+    """The keys of ``doc`` that ``readers`` name, each read by its reader;
+    a key that ``doc`` leaves out keeps its dataclass default."""
+    return {k: read(doc[k], f"{where}.{k}") for k, read in readers.items() if k in doc}
+
+
 def _scene_from(doc) -> SceneSpec:
+    plane_keys = {
+        "half_extents": lambda v, where: _numbers(v, where, 2),
+        "polygon": lambda v, where: None
+        if v is None
+        else tuple(_numbers(p, f"{where}[{k}]", 2) for k, p in enumerate(_checked(v, list, where))),
+        "count": lambda v, where: _checked(v, int, where),
+        "center": lambda v, where: None if v is None else _checked(v, tuple, where),
+        "detected": lambda v, where: _checked(v, bool, where),
+    }
+    scene_keys = {
+        "seed": lambda v, where: _checked(v, "non-negative", where),
+        "clutter_count": lambda v, where: _checked(v, int, where),
+        "clutter_box": _clutter_box,
+    }
     planes = []
     for i, p in enumerate(_checked(doc.get("planes", []), list, "scene.planes")):
         where = f"scene.planes[{i}]"
         p = _checked(p, dict, where)
-        polygon, center = p.get("polygon"), p.get("center")
         planes.append(
             PlaneSpec(
                 normal=_checked(p.get("normal"), tuple, f"{where}.normal"),
                 offset=_checked(p.get("offset"), float, f"{where}.offset"),
-                half_extents=_numbers(
-                    p.get("half_extents", [0.2, 0.15]), f"{where}.half_extents", 2
-                ),
-                polygon=None
-                if polygon is None
-                else tuple(
-                    _numbers(v, f"{where}.polygon[{k}]", 2)
-                    for k, v in enumerate(_checked(polygon, list, f"{where}.polygon"))
-                ),
-                count=_checked(p.get("count", 250), int, f"{where}.count"),
-                center=None if center is None else _checked(center, tuple, f"{where}.center"),
-                detected=_checked(p.get("detected", True), bool, f"{where}.detected"),
+                **_present(p, plane_keys, where),
             )
         )
-    clutter_box = doc.get("clutter_box")
-    if clutter_box is not None:
-        clutter_box = _checked(clutter_box, list, "scene.clutter_box")
-        if len(clutter_box) != 3:
-            raise InvalidInputError(
-                f"scene.clutter_box must be three ranges, got {clutter_box!r}"
-            )
-        clutter_box = tuple(
-            _numbers(v, f"scene.clutter_box[{k}]", 2) for k, v in enumerate(clutter_box)
-        )
-    return SceneSpec(
-        planes=tuple(planes),
-        seed=_checked(doc.get("seed", 0), "non-negative", "scene.seed"),
-        clutter_count=_checked(doc.get("clutter_count", 0), int, "scene.clutter_count"),
-        clutter_box=clutter_box,
-    )
+    return SceneSpec(planes=tuple(planes), **_present(doc, scene_keys, "scene"))
 
 
 def _builtin_scene(name: str, doc: dict):

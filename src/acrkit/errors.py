@@ -42,10 +42,6 @@ class AmbiguousNullspaceError(AcrError):
     code = "ambiguous-nullspace"
 
 
-class AmbiguousDirectionError(AcrError):
-    code = "ambiguous-direction"
-
-
 class MissingDepthError(AcrError):
     code = "missing-depth"
 

@@ -4,21 +4,22 @@
 them, fits one homography per matched pair from the correspondences inside
 that pair and decomposes it.  It stops there and returns the per-plane
 evidence (:class:`PlaneCandidates`): each pair's cheirality-valid
-decompositions, of which there are at most two, and the consensus inliers
-behind them.  Correspondences outside the matched plane regions never
-reach the estimators, which is what makes the estimate insensitive to
-off-plane contamination.
+decompositions, of which there are at most two, the consensus inliers
+behind them and the pair's fusion weight: the consensus size times its
+:func:`point_spread`, which both candidates share.  Correspondences
+outside the matched plane regions never reach the estimators, which is
+what makes the estimate insensitive to off-plane contamination.
 
 :func:`reselect_candidates` is the one step that chooses: a chooser picks
-one candidate per pair, and the picks are fused, weighted by
-correspondence count and spatial spread, into one relative pose.  The
-choosers are cross-plane agreement (:func:`_select_consistent`, used when
-nothing else is known) and the loop's structural priors in
-:mod:`acrkit.acr_loop`.  Every plane pair shares that one pose:
+one candidate per pair, and the picks are fused into one relative pose
+with the pairs' normalized weights (:func:`_fuse`).  The choosers are
+cross-plane agreement (:func:`_select_consistent`, used when nothing else
+is known) and the loop's structural priors in :mod:`acrkit.acr_loop`.
+Every plane pair shares that one pose:
 H_k ~ K (R + t m_k^T) K^-1 with m_k the pair's plane normal over its
 distance.  So :func:`refine_pose` fits (R, t) and every m_k jointly to all
 the pairs' consensus inliers, by Gauss-Newton on the forward transfer
-error in pixels, and the fused pose is its start.
+error in pixels, and the fused pose is only its start.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AmbiguousDirectionError,
     CheiralityError,
     DegenerateModelError,
     EstimationFailureError,
@@ -54,34 +54,28 @@ from .pose_estimation import (
 )
 
 
-@dataclass(frozen=True)
-class FusionWeights:
-    """Non-negative per-hypothesis weights normalized to sum 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise InvalidInputError("weights must be a non-empty vector")
-        if np.any(v < 0):
-            raise InvalidInputError("weights must be non-negative")
-        total = v.sum()
-        v = v / total if total > 0 else np.full(v.size, 1.0 / v.size)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
+def point_spread(points, image_size) -> float:
+    """Bounding-box area of ``points`` divided by the image area, in [0, 1]."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(1, -1)
+    if pts.shape[0] < 1:
+        raise InsufficientDataError("point_spread needs at least one point")
+    w, h = float(image_size[0]), float(image_size[1])
+    if w <= 0 or h <= 0:
+        raise InvalidInputError("image size must be positive")
+    extent = pts.max(axis=0) - pts.min(axis=0)
+    return float(min(1.0, (extent[0] * extent[1]) / (w * h)))
 
 
-def hypothesis_weight(h: PoseHypothesis) -> float:
-    """Unnormalized reliability: correspondence count times spatial spread."""
-    return float(h.support) * float(h.spread)
-
-
-def weights_from_hypotheses(hypotheses) -> FusionWeights:
-    return FusionWeights(np.array([hypothesis_weight(h) for h in hypotheses]))
+def _normalized(raw) -> np.ndarray:
+    """Read-only non-negative ``raw`` weights over their sum, or uniform
+    weights when they sum to 0."""
+    w = np.asarray(raw, dtype=float)
+    total = w.sum()
+    w = w / total if total > 0 else np.full(w.size, 1.0 / w.size)
+    w.flags.writeable = False
+    return w
 
 
 def _chordal_mean(hypotheses, weights: np.ndarray) -> Rotation:
@@ -94,34 +88,25 @@ def _chordal_mean(hypotheses, weights: np.ndarray) -> Rotation:
     return Rotation.from_matrix(total)
 
 
-def fuse_poses(hypotheses, weights: FusionWeights) -> DirectionalPose:
-    """Weighted fusion of directional poses.
+def _fuse(hypotheses, w: np.ndarray) -> DirectionalPose:
+    """Weighted fusion of directional poses under normalized weights ``w``.
 
     The rotation is the weighted chordal-L2 mean (:func:`_chordal_mean`);
     the direction is the normalized weighted sum of the unit directions
     after aligning every direction to the hemisphere of the highest-weight
-    hypothesis.
+    hypothesis.  Aligned, each direction has a non-negative component
+    along that anchor and the anchor's own is 1, so the sum has norm at
+    least the largest weight, at least 1/K for K hypotheses.
     """
-    hyps = list(hypotheses)
-    if not hyps:
-        raise InsufficientDataError("no hypotheses to fuse")
-    if len(weights) != len(hyps):
-        raise InvalidInputError("one weight per hypothesis required")
-    w = weights.values
-
-    rotation = _chordal_mean(hyps, w)
-
-    anchor = hyps[int(np.argmax(w))].pose.direction
+    rotation = _chordal_mean(hypotheses, w)
+    anchor = hypotheses[int(np.argmax(w))].pose.direction
     summed = np.zeros(3)
-    for h, wi in zip(hyps, w):
+    for h, wi in zip(hypotheses, w):
         d = h.pose.direction
         if float(d @ anchor) < 0:
             d = -d
         summed += wi * d
-    norm = np.linalg.norm(summed)
-    if norm < 1e-9:
-        raise AmbiguousDirectionError("weighted direction sum vanished")
-    return DirectionalPose(rotation, summed / norm)
+    return DirectionalPose(rotation, summed / np.linalg.norm(summed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,16 +114,19 @@ class PlaneCandidates:
     """Per-plane evidence of one image pair, before any choice.
 
     Per matched plane pair with a usable homography: the (ref, cur) plane
-    ids, the cheirality-valid decompositions and the consensus
-    correspondences behind them.  ``inlier_track_ids`` are the tracks of
-    every pair's consensus; downstream consumers (the scale system in
-    particular) must not see anything else.  ``intrinsics`` are the
-    camera's, which the joint refinement needs to measure in pixels.
+    ids, the cheirality-valid decompositions, the consensus
+    correspondences behind them and the pair's raw fusion weight, the
+    consensus size times its :func:`point_spread` in the reference image.
+    ``inlier_track_ids`` are the tracks of every pair's consensus;
+    downstream consumers (the scale system in particular) must not see
+    anything else.  ``intrinsics`` are the camera's, which the joint
+    refinement needs to measure in pixels.
     """
 
     plane_pairs: tuple
     candidates: tuple
     inliers: tuple
+    weights: tuple
     inlier_track_ids: np.ndarray
     intrinsics: Intrinsics
 
@@ -156,7 +144,8 @@ class Refinement:
 
 @dataclass(frozen=True, eq=False)
 class PoseEstimate:
-    """Refined estimate plus the chosen per-plane hypotheses behind it;
+    """Refined estimate plus the chosen per-plane hypotheses behind it and
+    their normalized fusion weights, a read-only array;
     ``inlier_track_ids`` are those of the :class:`PlaneCandidates` fused.
     ``refinement`` is None for a zero-motion estimate, which is not
     refined."""
@@ -164,7 +153,7 @@ class PoseEstimate:
     pose: DirectionalPose
     zero_motion: bool
     hypotheses: tuple
-    weights: FusionWeights
+    weights: np.ndarray
     plane_pairs: tuple
     inlier_track_ids: np.ndarray
     refinement: Refinement
@@ -186,7 +175,6 @@ class PoseEstimate:
                     "ref_plane": pair[0],
                     "cur_plane": pair[1],
                     "support": h.support,
-                    "spread": h.spread,
                     "weight": float(w),
                     "zero_motion": h.zero_motion,
                     "rotation": [float(v) for v in h.pose.rotation.matrix.reshape(-1)],
@@ -195,9 +183,7 @@ class PoseEstimate:
                     if h.plane_normal is None
                     else [float(v) for v in h.plane_normal],
                 }
-                for pair, h, w in zip(
-                    self.plane_pairs, self.hypotheses, self.weights.values
-                )
+                for pair, h, w in zip(self.plane_pairs, self.hypotheses, self.weights)
             ],
         }
 
@@ -278,6 +264,7 @@ def i2pe(
     kept_pairs = []
     candidate_lists = []
     inlier_sets = []
+    weights = []
     for index, (ref_id, cur_id) in enumerate(pairs):
         mask = (labels_ref == ref_id) & (labels_cur == cur_id)
         if int(mask.sum()) < 4:
@@ -288,14 +275,13 @@ def i2pe(
                 subset, threshold_px=threshold_px, seed=seed + index
             )
             inlier_set = subset.subset(inliers)
-            candidates = decompose_homography_candidates(
-                h, intr, inlier_set, image_size=image_size
-            )
+            candidates = decompose_homography_candidates(h, intr, inlier_set)
         except (DegenerateModelError, CheiralityError, InsufficientDataError):
             continue
         kept_pairs.append((ref_id, cur_id))
         candidate_lists.append(tuple(candidates))
         inlier_sets.append(inlier_set)
+        weights.append(len(inlier_set) * point_spread(inlier_set.a, image_size))
     if not candidate_lists:
         raise EstimationFailureError(
             "no plane pair with enough consistent correspondences"
@@ -304,6 +290,7 @@ def i2pe(
         plane_pairs=tuple(kept_pairs),
         candidates=tuple(candidate_lists),
         inliers=tuple(inlier_sets),
+        weights=tuple(weights),
         inlier_track_ids=np.unique(np.concatenate([s.track_id for s in inlier_sets])),
         intrinsics=intr,
     )
@@ -318,32 +305,33 @@ def reselect_candidates(evidence: PlaneCandidates, chooser) -> PoseEstimate:
     the candidate to keep for every pair: cross-plane agreement
     (:func:`_select_consistent`) or a structural prior of the loop (a
     commanded pure translation, or consistency with the recovered depth
-    map).  Zero-motion picks are dropped from the fusion unless they hold
-    most of the weight, in which case only the rotation is fused and the
-    estimate is final.  Otherwise the fused pose starts
-    :func:`refine_pose` over the consensus inliers of the pairs it fused,
-    and the estimate carries the refined pose.
+    map).  The pairs' weights are normalized over all pairs, and
+    zero-motion picks are dropped from the fusion unless they hold most of
+    that weight, in which case only the rotation is fused and the estimate
+    is final.  Otherwise the moving pairs' weights are normalized again,
+    and their fused pose starts :func:`refine_pose` over the consensus
+    inliers of the pairs it fused, and the estimate carries the refined
+    pose.
     """
     picks = chooser(evidence.candidates, evidence.inliers)
     hypotheses = [lst[int(k)] for lst, k in zip(evidence.candidates, picks)]
     kept_pairs = list(evidence.plane_pairs)
-    weights = weights_from_hypotheses(hypotheses)
+    raw = np.array(evidence.weights)
+    weights = _normalized(raw)
 
     zero_flags = np.array([h.zero_motion for h in hypotheses])
-    zero_motion = float(weights.values[zero_flags].sum()) > 0.5
+    zero_motion = float(weights[zero_flags].sum()) > 0.5
     refinement = None
     if zero_motion:
         # Dominant zero-baseline evidence: rotation is still meaningful,
         # the direction is not.
-        pose = fuse_rotation_only(hypotheses, weights)
+        pose = DirectionalPose(_chordal_mean(hypotheses, weights), np.array([0.0, 0.0, 1.0]))
     else:
         hypotheses = [h for h, z in zip(hypotheses, zero_flags) if not z]
         kept_pairs = [p for p, z in zip(kept_pairs, zero_flags) if not z]
         inliers = [s for s, z in zip(evidence.inliers, zero_flags) if not z]
-        weights = weights_from_hypotheses(hypotheses)
-        pose, refinement = refine_pose(
-            fuse_poses(hypotheses, weights), inliers, evidence.intrinsics
-        )
+        weights = _normalized(raw[~zero_flags])
+        pose, refinement = refine_pose(_fuse(hypotheses, weights), inliers, evidence.intrinsics)
     return PoseEstimate(
         pose=pose,
         zero_motion=zero_motion,
@@ -352,13 +340,6 @@ def reselect_candidates(evidence: PlaneCandidates, chooser) -> PoseEstimate:
         plane_pairs=tuple(kept_pairs),
         inlier_track_ids=evidence.inlier_track_ids,
         refinement=refinement,
-    )
-
-
-def fuse_rotation_only(hypotheses, weights: FusionWeights) -> DirectionalPose:
-    """Chordal-mean rotation with a placeholder direction (zero motion)."""
-    return DirectionalPose(
-        _chordal_mean(hypotheses, weights.values), np.array([0.0, 0.0, 1.0])
     )
 
 

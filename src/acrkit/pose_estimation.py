@@ -161,10 +161,8 @@ class Homography:
 
 @dataclass(frozen=True, eq=False)
 class PoseHypothesis:
-    """One candidate relative pose with its reliability ingredients.
+    """One candidate relative pose and the inlier count behind it.
 
-    ``support`` is the inlier count behind the estimate and ``spread`` the
-    bounding-box area ratio of those inliers; both feed pose fusion.
     ``zero_motion`` marks a homography indistinguishable from a pure
     rotation (translation direction undefined); ``unstable_translation``
     marks an epipolar estimate with too little parallax to trust the
@@ -172,9 +170,8 @@ class PoseHypothesis:
     """
 
     pose: DirectionalPose
+    support: int
     plane_normal: np.ndarray = None
-    support: int = 0
-    spread: float = 1.0
     zero_motion: bool = False
     unstable_translation: bool = False
 
@@ -184,20 +181,6 @@ class PoseHypothesis:
             n = n / np.linalg.norm(n)
             n.flags.writeable = False
             object.__setattr__(self, "plane_normal", n)
-
-
-def point_spread(points, image_size) -> float:
-    """Bounding-box area of ``points`` divided by the image area, in [0, 1]."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    if pts.shape[0] < 1:
-        raise InsufficientDataError("point_spread needs at least one point")
-    w, h = float(image_size[0]), float(image_size[1])
-    if w <= 0 or h <= 0:
-        raise InvalidInputError("image size must be positive")
-    extent = pts.max(axis=0) - pts.min(axis=0)
-    return float(min(1.0, (extent[0] * extent[1]) / (w * h)))
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +701,6 @@ def decompose_homography_candidates(
     h: Homography,
     intr: Intrinsics,
     c: CorrespondenceSet,
-    image_size=None,
 ) -> list:
     """All physically valid factorizations of a plane-induced homography.
 
@@ -734,7 +716,8 @@ def decompose_homography_candidates(
 
     A homography with (numerically) equal singular values is returned as a
     single zero-motion hypothesis with the rotation recovered and the
-    translation direction undefined.
+    translation direction undefined.  Every hypothesis carries ``len(c)``
+    as its support.
     """
     if len(c) < 1:
         raise InsufficientDataError("decomposition needs correspondences")
@@ -752,7 +735,6 @@ def decompose_homography_candidates(
     if np.median(signs) < 0:
         h_cal = -h_cal
 
-    spread_val = point_spread(c.a, image_size) if image_size else 1.0
     candidates = _faugeras_candidates(h_cal)
     if candidates is None:
         r = Rotation.from_matrix(h_cal / np.linalg.svd(h_cal, compute_uv=False)[1])
@@ -760,7 +742,6 @@ def decompose_homography_candidates(
             PoseHypothesis(
                 pose=DirectionalPose(r, np.array([0.0, 0.0, 1.0])),
                 support=len(c),
-                spread=spread_val,
                 zero_motion=True,
             )
         ]
@@ -794,7 +775,6 @@ def decompose_homography_candidates(
             pose=DirectionalPose(Rotation.from_matrix(r_m), t_dir),
             plane_normal=n,
             support=len(c),
-            spread=spread_val,
         )
         for r_m, t_dir, n in surviving
     ]
@@ -806,8 +786,7 @@ def decompose_homography(h: Homography, intr: Intrinsics, c: CorrespondenceSet) 
     Among the analytic solutions, keeps those giving every input pair
     positive depth in both views and returns the one whose plane normal
     is most aligned with the mean viewing ray (see
-    :func:`decompose_homography_candidates`).  No image size is given, so
-    its ``spread`` is 1.0.
+    :func:`decompose_homography_candidates`).
 
     Raises:
         CheiralityError: no solution places all points in front of both
@@ -1003,6 +982,5 @@ def estimate_epipolar(
         pose=DirectionalPose(Rotation.from_matrix(r_m), t_c),
         plane_normal=None,
         support=best_count,
-        spread=1.0,
         unstable_translation=unstable,
     )

@@ -91,16 +91,13 @@ class ScaleSolution:
 
     y: np.ndarray
     residual: float
-    track_id: np.ndarray = None
+    track_id: np.ndarray
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
-        tracks = self.track_id
-        if tracks is None:
-            tracks = np.arange(self.n_points, dtype=np.int64)
-        tracks = np.asarray(tracks, dtype=np.int64)
+        tracks = np.asarray(self.track_id, dtype=np.int64)
         if tracks.shape != (self.n_points,):
             raise InvalidInputError("track_id must have one entry per point")
         tracks.flags.writeable = False

@@ -196,8 +196,8 @@ class RigSpec:
     """Camera intrinsics plus the hidden hand-eye pose of the platform."""
 
     hand_eye: Pose
-    intrinsics: Intrinsics = CANON_INTRINSICS
-    image_size: tuple = CANON_IMAGE_SIZE
+    intrinsics: Intrinsics
+    image_size: tuple
 
 
 @dataclass(frozen=True, eq=False)

@@ -392,7 +392,8 @@ class TestTerminalStates:
         assert calls == [r.scale_m for r in moves]
 
     def test_failure_is_on_the_last_trace_line(self):
-        trace = AcrTrace((AcrRecord(0, "init"), AcrRecord(1, "iter")), "failed", "x: y")
+        records = tuple(AcrRecord(i, stage, *[None] * 5) for i, stage in enumerate(("init", "iter")))
+        trace = AcrTrace(records, "failed", "x: y")
         first, last = (json.loads(line) for line in trace.to_jsonl().splitlines())
         assert first["status"] == "running" and "failure" not in first
         assert last["status"] == "failed" and last["failure"] == "x: y"
@@ -427,7 +428,7 @@ def test_zero_motion_step_commands_its_rotation_alone(monkeypatch):
 
     def no_parallax(c, intr, seed, **kwargs):
         pose = DirectionalPose(rotation, (0.3, -0.2, 0.9))
-        return PoseHypothesis(pose=pose, unstable_translation=True)
+        return PoseHypothesis(pose=pose, support=8, unstable_translation=True)
 
     monkeypatch.setattr(acr_loop, "estimate_epipolar", no_parallax)
     executor = _StillExecutor()
@@ -447,7 +448,7 @@ def test_baseline_stops_once_its_halved_step_is_inside_scale_epsilon(monkeypatch
     # and the driver's one stop test ends the run there without a move.
     def reversing(c, intr, seed, **kwargs):
         direction = [0.0, 0.0, 1.0 if seed % 2 else -1.0]
-        return PoseHypothesis(pose=DirectionalPose(Rotation.identity(), direction))
+        return PoseHypothesis(pose=DirectionalPose(Rotation.identity(), direction), support=8)
 
     monkeypatch.setattr(acr_loop, "estimate_epipolar", reversing)
     executor = _StillExecutor()

@@ -364,6 +364,18 @@ class TestEstimatePose:
         }
         assert 0.0 <= refined.rms_after_px <= refined.rms_before_px < 1e-6
 
+    def test_i2pe_report_weights_sum_to_one_and_carry_no_spread(self, tmp_path, capsys):
+        argv, _ = self._corner_inputs(tmp_path)
+        assert cli.main(argv) == 0
+        report = json.loads(Path(self._last_json(capsys)["report"]).read_text())
+        hypotheses = report["hypotheses"]
+        assert sum(h["weight"] for h in hypotheses) == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert all(h["support"] > 0 < h["weight"] for h in hypotheses)
+        assert {key for h in hypotheses for key in h} == {
+            "ref_plane", "cur_plane", "support", "weight", "zero_motion",
+            "rotation", "direction", "plane_normal",
+        }
+
     def test_i2pe_threshold_and_seed_reach_the_estimator(self, tmp_path, capsys, monkeypatch):
         argv, inputs = self._corner_inputs(tmp_path)
         seen = []
@@ -593,6 +605,26 @@ class TestSimulateAcr:
     ):
         doc = {"planes": [plane]}
         assert key in self._rejected(doc, tmp_path, monkeypatch, capsys, "scene")
+
+    def test_a_listed_scene_passes_only_the_keys_it_holds(self):
+        def fields(spec):
+            return {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+
+        plane = {"normal": [0, 0, 1], "offset": 1}
+        bare = cli._scene_from({"planes": [plane]})
+        default = simulator.PlaneSpec(normal=(0.0, 0.0, 1.0), offset=1.0)
+        assert fields(bare.planes[0]) == fields(default)
+        assert (bare.seed, bare.clutter_count, bare.clutter_box) == (0, 0, None)
+        given = {"half_extents": [0.3, 0.1], "count": 40, "center": [0, 0, 1], "detected": False}
+        full = cli._scene_from(
+            {"planes": [{**plane, **given}], "seed": 4, "clutter_count": 5,
+             "clutter_box": [[0, 1], [0, 1], [1, 2]]}
+        )
+        read = fields(full.planes[0])
+        assert {k: read[k] for k in given} == {
+            "half_extents": (0.3, 0.1), "count": 40, "center": (0.0, 0.0, 1.0), "detected": False
+        }
+        assert (full.seed, full.clutter_count, full.clutter_box) == (4, 5, ((0.0, 1.0), (0.0, 1.0), (1.0, 2.0)))
 
     def test_negative_seed_flag_is_invalid_input(self, tmp_path, monkeypatch, capsys):
         def no_executor(*args, **kwargs):

@@ -1,4 +1,4 @@
-"""Unit tests for hypothesis weighting, pose fusion and the i2pe pipeline."""
+"""Unit tests for the plane-pair weights, pose fusion and the i2pe pipeline."""
 
 from __future__ import annotations
 
@@ -6,21 +6,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from acrkit import fusion, plane_match
-from acrkit.errors import InsufficientDataError
 from acrkit.fusion import (
-    FusionWeights,
     PlaneCandidates,
     Refinement,
-    fuse_poses,
-    fuse_rotation_only,
-    hypothesis_weight,
     i2pe,
+    point_spread,
     refine_pose,
     reselect_candidates,
-    weights_from_hypotheses,
 )
 from acrkit.geometry import (
     DirectionalPose,
@@ -36,7 +33,6 @@ from acrkit.pose_estimation import (
     PoseHypothesis,
     decompose_homography_candidates,
     estimate_homography_ransac,
-    point_spread,
 )
 from acrkit.simulator import (
     DESK_IMAGE_SIZE,
@@ -48,10 +44,13 @@ from acrkit.simulator import (
 from conftest import plane_pair_set, random_rotation
 
 
-def _hyp(rotation, direction, support=10, spread=0.5):
-    return PoseHypothesis(
-        pose=DirectionalPose(rotation, direction), support=support, spread=spread
-    )
+def _hyp(rotation, direction, support=10):
+    return PoseHypothesis(pose=DirectionalPose(rotation, direction), support=support)
+
+
+def _fuse(hyps, raw):
+    """The fused pose of ``hyps`` under the raw weights ``raw``."""
+    return fusion._fuse(hyps, fusion._normalized(raw))
 
 
 def _agreed(c, m_ref, m_cur):
@@ -69,57 +68,66 @@ def corner_observation():
 
 
 class TestHypothesisWeight:
-    def test_product(self):
-        assert hypothesis_weight(_hyp(Rotation.identity(), [0, 0, 1], 100, 0.5)) == 50.0
+    def test_product(self, corner_observation):
+        # Each kept pair's raw weight is its consensus size times the
+        # consensus's spread in the reference image, as one float product.
+        _, _, obs = corner_observation
+        evidence = i2pe(obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS)
+        size = (obs.mask_ref.width, obs.mask_ref.height)
+        assert len(evidence.weights) == len(evidence.inliers) == 3
+        for weight, s, candidates in zip(evidence.weights, evidence.inliers, evidence.candidates):
+            assert type(weight) is float
+            assert weight == len(s) * point_spread(s.a, size)
+            assert all(c.support == len(s) for c in candidates)
 
     def test_zero_spread_kills_weight(self):
-        assert hypothesis_weight(_hyp(Rotation.identity(), [0, 0, 1], 100, 0.0)) == 0.0
+        w = fusion._normalized([0.0, 50.0, 0.0])
+        assert w.tolist() == [0.0, 1.0, 0.0]
 
     def test_equal_hypotheses_equal_weights(self):
-        hyps = [_hyp(Rotation.about_z(1.0), [1, 0, 0], 20, 0.3) for _ in range(3)]
-        w = weights_from_hypotheses(hyps)
-        np.testing.assert_allclose(w.values, [1 / 3] * 3)
+        w = fusion._normalized([6.0] * 3)
+        np.testing.assert_allclose(w, [1 / 3] * 3)
+
+    def test_all_zero_weights_are_uniform_and_read_only(self):
+        w = fusion._normalized(np.zeros(4))
+        assert w.tolist() == [0.25] * 4
+        assert not w.flags.writeable
+        assert not fusion._normalized([1.0, 3.0]).flags.writeable
+
+
+_directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3)
+_raw_weights = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
 
 
 class TestFusePoses:
     def test_single_hypothesis_unchanged(self):
         h = _hyp(Rotation.about_z(7.0), [0, 1, 0])
-        fused = fuse_poses([h], FusionWeights([1.0]))
+        fused = _fuse([h], [1.0])
         np.testing.assert_allclose(fused.rotation.matrix, h.pose.rotation.matrix, atol=1e-12)
         np.testing.assert_allclose(fused.direction, h.pose.direction, atol=1e-12)
 
     def test_identical_hypotheses_idempotent(self):
         h = _hyp(Rotation.about_x(11.0), [0.6, 0.8, 0.0])
-        fused = fuse_poses([h, h], FusionWeights([0.9, 0.1]))
+        fused = _fuse([h, h], [0.9, 0.1])
         np.testing.assert_allclose(fused.rotation.matrix, h.pose.rotation.matrix, atol=1e-10)
         np.testing.assert_allclose(fused.direction, h.pose.direction, atol=1e-12)
 
-    def test_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            fuse_poses([], FusionWeights([1.0]))
-
     def test_weight_scaling_invariance(self):
         rng = np.random.default_rng(0)
-        hyps = [
-            _hyp(random_rotation(rng, 10.0), rng.standard_normal(3), 10, 0.5)
-            for _ in range(4)
-        ]
+        hyps = [_hyp(random_rotation(rng, 10.0), rng.standard_normal(3)) for _ in range(4)]
         raw = np.array([2.0, 1.0, 3.0, 0.5])
-        a = fuse_poses(hyps, FusionWeights(raw))
-        b = fuse_poses(hyps, FusionWeights(raw * 17.0))
+        a = _fuse(hyps, raw)
+        b = _fuse(hyps, raw * 17.0)
         np.testing.assert_allclose(a.rotation.matrix, b.rotation.matrix, atol=1e-12)
         np.testing.assert_allclose(a.direction, b.direction, atol=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
-        hyps = [
-            _hyp(random_rotation(rng, 5.0), rng.standard_normal(3), 5 + i, 0.4)
-            for i in range(4)
-        ]
+        hyps = [_hyp(random_rotation(rng, 5.0), rng.standard_normal(3), 5 + i) for i in range(4)]
         w = np.array([1.0, 2.0, 3.0, 4.0])
-        a = fuse_poses(hyps, FusionWeights(w))
+        a = _fuse(hyps, w)
         order = [2, 0, 3, 1]
-        b = fuse_poses([hyps[i] for i in order], FusionWeights(w[order]))
+        b = _fuse([hyps[i] for i in order], w[order])
         np.testing.assert_allclose(a.rotation.matrix, b.rotation.matrix, atol=1e-10)
         np.testing.assert_allclose(a.direction, b.direction, atol=1e-10)
 
@@ -129,18 +137,14 @@ class TestFusePoses:
         rng = np.random.default_rng(7)
         truth_r = Rotation.about_z(4.0)
         truth_d = np.array([0.0, 0.6, 0.8])
-        worst_gap = 0.0
         fused_gaps = []
         for _ in range(30):
             hyps = []
             for _ in range(3):
                 perturb = random_rotation(rng, 0.2)
                 d = truth_d + rng.normal(0, 0.003, 3)
-                hyps.append(
-                    _hyp(perturb.compose(truth_r), d, int(rng.integers(30, 200)), 0.5)
-                )
-            weights = weights_from_hypotheses(hyps)
-            fused = fuse_poses(hyps, weights)
+                hyps.append(_hyp(perturb.compose(truth_r), d, int(rng.integers(30, 200))))
+            fused = _fuse(hyps, [0.5 * h.support for h in hyps])
             errors = [
                 rotation_angle(h.pose.rotation.compose(truth_r.inverse()))
                 for h in hyps
@@ -148,31 +152,66 @@ class TestFusePoses:
             fused_err = rotation_angle(fused.rotation.compose(truth_r.inverse()))
             assert fused_err <= max(errors) + 1e-12
             fused_gaps.append(fused_err)
-            worst_gap = max(worst_gap, fused_err)
         assert np.median(fused_gaps) < 0.1
 
     def test_antipodal_directions_align(self):
         # Hemisphere alignment folds the sign ambiguity of per-plane
         # directions onto the anchor, so antipodal inputs reinforce instead
-        # of canceling (the ambiguous-direction guard stays defensive: with
-        # normalized weights the aligned sum always keeps norm >= 1/K).
-        h1 = _hyp(Rotation.identity(), [1, 0, 0], 10, 0.5)
-        h2 = _hyp(Rotation.identity(), [-1, 0, 0], 10, 0.5)
-        fused = fuse_poses([h1, h2], FusionWeights([0.5, 0.5]))
+        # of canceling.
+        h1 = _hyp(Rotation.identity(), [1, 0, 0])
+        h2 = _hyp(Rotation.identity(), [-1, 0, 0])
+        fused = _fuse([h1, h2], [0.5, 0.5])
         assert direction_angle(fused.direction, [1, 0, 0]) < 1e-9
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda k: st.tuples(
+                st.lists(_directions, min_size=k, max_size=k),
+                st.lists(_raw_weights, min_size=k, max_size=k),
+            )
+        )
+    )
+    @example(([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], [0.0, 0.0, 0.0]))
+    @example(([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)], [2.0, 2.0]))
+    def test_the_direction_sum_never_vanishes(self, case):
+        # Every aligned direction has a non-negative component along the
+        # anchor's, and the weights sum to 1, so the summed direction's
+        # component along the anchor is at least the largest weight, at
+        # least 1/K, while its norm is at most 1.  The fused direction's
+        # component along the anchor keeps that bound.
+        directions, raw = case
+        hyps = [_hyp(Rotation.identity(), d) for d in directions]
+        w = fusion._normalized(raw)
+        fused = fusion._fuse(hyps, w)
+        anchor = hyps[int(np.argmax(w))].pose.direction
+        assert w.max() >= 1.0 / len(w)
+        assert np.isfinite(fused.direction).all()
+        assert float(fused.direction @ anchor) >= w.max() - 1e-12
 
     def test_rotation_only_is_the_same_chordal_mean(self):
+        # Zero-motion picks holding most of the weight: only the rotation
+        # is fused, with the moving fusion's chordal mean bit for bit.
         rng = np.random.default_rng(3)
         hyps = [
-            _hyp(random_rotation(rng, 20.0), rng.standard_normal(3), 5 + i, 0.4)
+            replace(_hyp(random_rotation(rng, 20.0), rng.standard_normal(3), 5 + i), zero_motion=True)
             for i in range(5)
         ]
-        weights = FusionWeights(np.array([1.0, 4.0, 2.0, 0.5, 3.0]))
-        full = fuse_poses(hyps, weights)
-        only = fuse_rotation_only(hyps, weights)
-        assert np.array_equal(only.rotation.matrix, full.rotation.matrix)
-        assert only.direction.tolist() == [0.0, 0.0, 1.0]
+        raw = (1.0, 4.0, 2.0, 0.5, 3.0)
+        evidence = PlaneCandidates(
+            plane_pairs=tuple((k, k) for k in range(5)),
+            candidates=tuple((h,) for h in hyps),
+            inliers=(None,) * 5,
+            weights=raw,
+            inlier_track_ids=np.arange(0),
+            intrinsics=DESK_INTRINSICS,
+        )
+        est = reselect_candidates(evidence, lambda candidates, inliers: [0] * len(candidates))
+        assert est.zero_motion and est.refinement is None
+        assert np.array_equal(est.weights, fusion._normalized(raw))
+        full = fusion._fuse(hyps, est.weights)
+        assert np.array_equal(est.pose.rotation.matrix, full.rotation.matrix)
+        assert est.pose.direction.tolist() == [0.0, 0.0, 1.0]
 
     def test_chordal_mean_equals_scipys_weighted_mean(self):
         # scipy averages quaternions (Markley et al., 2007); its inputs
@@ -286,14 +325,20 @@ class TestI2pe:
         assert calls == [obs.mask_ref.eroded(), obs.mask_cur.eroded()]
 
     def test_candidate_spread_is_its_pair_inlier_spread(self, corner_observation):
+        # A pair's weight over its consensus size is the spread of that
+        # pair's own inliers in the reference image: not of another pair's
+        # inliers, nor of its inliers in the current image.
         _, _, obs = corner_observation
-        evidence = i2pe(
-            obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS
-        )
+        evidence = i2pe(obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS)
         size = (obs.mask_ref.width, obs.mask_ref.height)
-        for candidates, inliers in zip(evidence.candidates, evidence.inliers):
-            for cand in candidates:
-                assert cand.spread == point_spread(inliers.a, size)
+        spreads = [point_spread(s.a, size) for s in evidence.inliers]
+        assert len(set(spreads)) == len(spreads) == 3
+        for k, (weight, s) in enumerate(zip(evidence.weights, evidence.inliers)):
+            assert 0.0 < spreads[k] <= 1.0
+            assert weight / len(s) == pytest.approx(spreads[k], rel=1e-12)
+            assert weight / len(s) != pytest.approx(point_spread(s.b, size), rel=1e-12)
+            others = spreads[:k] + spreads[k + 1 :]
+            assert all(weight / len(s) != pytest.approx(o, rel=1e-12) for o in others)
 
     def test_zero_noise_recovery(self, corner_observation):
         world, offset, obs = corner_observation
@@ -398,10 +443,12 @@ _INTR = Intrinsics(fx=1100.0, fy=1100.0, cx=640.0, cy=480.0)
 
 def _evidence(rotation, translation, planes, noise_px=0.0, seed=0):
     """``i2pe``'s evidence for correspondences of ``planes`` under the pose,
-    each pair fitted and decomposed as ``i2pe`` does; the B pixels get
-    Gaussian noise of ``noise_px``."""
+    each pair fitted, decomposed and weighted as ``i2pe`` does in an image
+    centred on the principal point; the B pixels get Gaussian noise of
+    ``noise_px``."""
     rng = np.random.default_rng(seed)
     candidates, inliers = [], []
+    size = (2.0 * _INTR.cx, 2.0 * _INTR.cy)
     for k, (normal, distance) in enumerate(planes):
         c, _ = plane_pair_set(
             _INTR, rotation, translation, normal, distance, count=130, seed=100 * seed + k, extent=0.5
@@ -414,6 +461,7 @@ def _evidence(rotation, translation, planes, noise_px=0.0, seed=0):
         plane_pairs=tuple((k + 1, k + 1) for k in range(len(planes))),
         candidates=tuple(candidates),
         inliers=tuple(inliers),
+        weights=tuple(len(s) * point_spread(s.a, size) for s in inliers),
         inlier_track_ids=np.unique(np.concatenate([c.track_id for c in inliers])),
         intrinsics=_INTR,
     )
@@ -448,7 +496,7 @@ class TestRefinePose:
             translation = rng.normal(size=3) * 0.03
             evidence = _evidence(rotation, translation, _PLANES, noise_px=0.5, seed=seed)
             est = reselect_candidates(evidence, fusion._select_consistent)
-            fused = fuse_poses(est.hypotheses, est.weights)
+            fused = fusion._fuse(est.hypotheses, est.weights)
             fused_errors.append(_errors(fused, rotation, translation)[0])
             refined_errors.append(_errors(est.pose, rotation, translation)[0])
         assert np.median(refined_errors) < 0.5 * np.median(fused_errors)
@@ -474,8 +522,8 @@ class TestRefinePose:
         obs = observe(world, Pose.identity(), DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=4)
         est = _agreed(obs.correspondences, obs.mask_ref, obs.mask_cur)
         assert est.zero_motion and est.refinement is None
-        fused = fuse_rotation_only(est.hypotheses, est.weights)
-        assert np.array_equal(est.pose.rotation.matrix, fused.rotation.matrix)
+        fused = fusion._chordal_mean(est.hypotheses, est.weights)
+        assert np.array_equal(est.pose.rotation.matrix, fused.matrix)
         assert est.report()["refinement"] is None
 
     def test_singular_start_keeps_the_fused_pose(self):

@@ -140,36 +140,63 @@ def _is_method(func: ast.FunctionDef, parents: dict) -> bool:
 def _defaulted_parameters(trees: list) -> list:
     """(function name, parameter, call position or None, where) of every
     parameter with a default; the call position counts the positional
-    arguments a caller writes, so a method's first parameter is not one."""
+    arguments a caller writes, so a method's first parameter is not one.
+    A class's ``__init__`` goes by the class's name, by which it is called."""
     found = []
     for path, tree in trees:
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for func in ast.walk(tree):
             if not isinstance(func, ast.FunctionDef):
                 continue
+            name = func.name
+            if name == "__init__" and isinstance(parents.get(func), ast.ClassDef):
+                name = parents[func].name
             args = func.args
             positional = args.posonlyargs + args.args
             shift = 1 if _is_method(func, parents) else 0
             where = f"{path.name}:{func.lineno}"
             first = len(positional) - len(args.defaults)
             found += [
-                (func.name, a.arg, i - shift, where)
+                (name, a.arg, i - shift, where)
                 for i, a in enumerate(positional)
                 if i >= first
             ]
             found += [
-                (func.name, a.arg, None, where)
+                (name, a.arg, None, where)
                 for a, d in zip(args.kwonlyargs, args.kw_defaults)
                 if d is not None
             ]
     return found
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def _field_defaults(trees: list) -> list:
+    """(class name, field, call position, where) of every dataclass field
+    with a default; the call position counts the fields before it."""
+    found = []
+    for path, tree in trees:
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            fields = [stmt for stmt in cls.body if isinstance(stmt, ast.AnnAssign)]
+            found += [
+                (cls.name, stmt.target.id, i, f"{path.name}:{stmt.lineno}")
+                for i, stmt in enumerate(fields)
+                if stmt.value is not None
+            ]
+    return found
+
+
 def _calls(trees: list) -> dict:
-    """Callee name -> [(positional count, keyword names, passes every
-    parameter)] for every call in ``trees``; a call by a class's name is a
-    call to its ``__init__``."""
-    classes = {n.name for _, tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    """Callee name -> [(positional count, keyword names, starred)] for
+    every call in ``trees``, where a starred call may pass any parameter;
+    a class is called by its name."""
     calls = {}
     for _, tree in trees:
         for call in ast.walk(tree):
@@ -179,7 +206,6 @@ def _calls(trees: list) -> dict:
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name is None:
                 continue
-            name = "__init__" if name in classes else name
             starred = any(isinstance(a, ast.Starred) for a in call.args) or any(
                 k.arg is None for k in call.keywords
             )
@@ -189,8 +215,28 @@ def _calls(trees: list) -> dict:
     return calls
 
 
+# Field defaults that every library construction sets, each with the
+# caller outside the library that relies on it.
+KEPT_FIELD_DEFAULTS = {
+    ("Observation", "truth"): "the hardware seam: an executor on a real rig has no ground truth",
+    ("CorrespondenceSet", "track_id"): "pixel pairs from a script or a matcher without tracks,"
+    " numbered from 0",
+}
+
+
+def _always_set(calls: list, field: str, position: int) -> bool:
+    """Whether every one of ``calls``, and there is one, surely sets the
+    field: a starred call may leave it to its default."""
+    return bool(calls) and all(
+        not starred and (field in keywords or count > position)
+        for count, keywords, starred in calls
+    )
+
+
 def test_no_library_default_goes_unset():
-    # A default that no library call overrides is a constant in disguise.
+    # A parameter default that no library call overrides is a constant in
+    # disguise; a field default that every library construction overrides
+    # is one that nothing in the library uses.
     trees = [(p, ast.parse(p.read_text())) for p in sorted((SRC / "acrkit").glob("*.py"))]
     calls = _calls(trees)
     unset = [
@@ -202,7 +248,13 @@ def test_no_library_default_goes_unset():
             for count, keywords, starred in calls.get(name, [])
         )
     ]
-    assert unset == []
+    overridden = [
+        f"{cls}.{field} {where}"
+        for cls, field, position, where in _field_defaults(trees)
+        if (cls, field) not in KEPT_FIELD_DEFAULTS
+        and _always_set(calls.get(cls, []), field, position)
+    ]
+    assert (unset, overridden) == ([], [])
 
 
 # Public names that no library code calls or reads, each with its reason.

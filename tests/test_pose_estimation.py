@@ -21,6 +21,7 @@ from acrkit.geometry import (
     rotation_angle,
 )
 from acrkit import pose_estimation
+from acrkit.fusion import point_spread
 from acrkit.pose_estimation import (
     CorrespondenceSet,
     Homography,
@@ -32,7 +33,6 @@ from acrkit.pose_estimation import (
     estimate_epipolar,
     estimate_homography_ransac,
     homography_dlt,
-    point_spread,
     sampson_error,
     symmetric_transfer_error,
 )
@@ -1202,7 +1202,7 @@ def _faugeras_oracle(h_cal):
     return candidates
 
 
-def _decompose_oracle(h, intr, c, image_size=None):
+def _decompose_oracle(h, intr, c):
     """The cheirality and residual loop over all eight candidates, kept as
     the reference for the two-candidate decomposition's output bits."""
     k, k_inv = intr.matrix(), intr.inverse_matrix()
@@ -1212,7 +1212,6 @@ def _decompose_oracle(h, intr, c, image_size=None):
     mean_ray = mean_ray / np.linalg.norm(mean_ray)
     if np.median(np.einsum("ij,ij->i", rays_b, rays_a @ h_cal.T)) < 0:
         h_cal = -h_cal
-    spread_val = point_spread(c.a, image_size) if image_size else 1.0
     candidates = _faugeras_oracle(h_cal)
     if not candidates:
         r = Rotation.from_matrix(h_cal / np.linalg.svd(h_cal, compute_uv=False)[1])
@@ -1220,7 +1219,6 @@ def _decompose_oracle(h, intr, c, image_size=None):
             pose_estimation.PoseHypothesis(
                 pose=DirectionalPose(r, np.array([0.0, 0.0, 1.0])),
                 support=len(c),
-                spread=spread_val,
                 zero_motion=True,
             )
         ]
@@ -1254,7 +1252,6 @@ def _decompose_oracle(h, intr, c, image_size=None):
             pose=DirectionalPose(Rotation.from_matrix(r_m), t_dir),
             plane_normal=n,
             support=len(c),
-            spread=spread_val,
         )
         for _, r_m, t_dir, n, _ in surviving
     ]
@@ -1269,7 +1266,7 @@ def _assert_same_hypotheses(got, expected):
             assert x.plane_normal is None
         else:
             np.testing.assert_array_equal(x.plane_normal, y.plane_normal)
-        assert (x.support, x.spread, x.zero_motion) == (y.support, y.spread, y.zero_motion)
+        assert (x.support, x.zero_motion) == (y.support, y.zero_motion)
 
 
 def _random_plane_motion(seed):
@@ -1302,16 +1299,14 @@ class TestStackedDecomposition:
     """The two candidates that can pass cheirality, tested as one stack,
     give the eight-candidate loop's hypotheses bit for bit, in its order."""
 
-    IMAGE_SIZE = (1280, 960)
-
     @pytest.mark.parametrize("seed", range(12))
     def test_general_motion_equals_oracle(self, intr, seed):
         rot, t, n, dist = _random_plane_motion(seed)
         c, _ = plane_pair_set(intr, rot, t, n, dist, seed=seed)
         h, mask = estimate_homography_ransac(c, 1.0, 300, seed=seed)
         inl = c.subset(mask)
-        expected = _decompose_oracle(h, intr, inl, self.IMAGE_SIZE)
-        _assert_same_hypotheses(decompose_homography_candidates(h, intr, inl, self.IMAGE_SIZE), expected)
+        expected = _decompose_oracle(h, intr, inl)
+        _assert_same_hypotheses(decompose_homography_candidates(h, intr, inl), expected)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_noisy_inliers_equal_oracle(self, intr, seed):
@@ -1327,9 +1322,9 @@ class TestStackedDecomposition:
         rot = Rotation.from_axis_angle([0.2, 1.0, 0.1], 4.0)
         c, _ = plane_pair_set(intr, rot, [0.0, 0.0, 0.0], [0, 0, 1], 2.0)
         h = Homography(_pixel_homography(intr, rot, [0.0, 0.0, 0.0], [0, 0, 1], 2.0))
-        got = decompose_homography_candidates(h, intr, c, self.IMAGE_SIZE)
+        got = decompose_homography_candidates(h, intr, c)
         assert len(got) == 1 and got[0].zero_motion
-        _assert_same_hypotheses(got, _decompose_oracle(h, intr, c, self.IMAGE_SIZE))
+        _assert_same_hypotheses(got, _decompose_oracle(h, intr, c))
 
     def test_coincident_twins_merge_into_one(self, intr):
         # Translation along the normal of a fronto-parallel plane: the two
@@ -1337,9 +1332,9 @@ class TestStackedDecomposition:
         rot, t = Rotation.identity(), [0.0, 0.0, -0.3]
         c, _ = plane_pair_set(intr, rot, t, [0, 0, 1], 2.0)
         h = Homography(_pixel_homography(intr, rot, t, [0, 0, 1], 2.0))
-        got = decompose_homography_candidates(h, intr, c, self.IMAGE_SIZE)
+        got = decompose_homography_candidates(h, intr, c)
         assert len(got) == 1 and not got[0].zero_motion
-        _assert_same_hypotheses(got, _decompose_oracle(h, intr, c, self.IMAGE_SIZE))
+        _assert_same_hypotheses(got, _decompose_oracle(h, intr, c))
 
     def test_cheirality_rejections_equal_oracle(self, intr):
         # A patch on one side of the plane: the oracle's tests drop most of
@@ -1378,8 +1373,8 @@ class TestStackedDecomposition:
         h, mask = estimate_homography_ransac(c, 2.0, 300, seed=5)
         inl = c.subset(mask)
         assert _signed_det(h, intr, inl) < 0
-        got = decompose_homography_candidates(h, intr, inl, self.IMAGE_SIZE)
-        _assert_same_hypotheses(got, _decompose_oracle(h, intr, inl, self.IMAGE_SIZE))
+        got = decompose_homography_candidates(h, intr, inl)
+        _assert_same_hypotheses(got, _decompose_oracle(h, intr, inl))
         errors = [rotation_angle(x.pose.rotation.compose(rot.inverse())) for x in got]
         assert min(errors) < (1e-6 if noise_px == 0 else 0.5)
 

@@ -65,9 +65,10 @@ def assemble_system(coefficients) -> np.ndarray:
 def solve_nullspace(a, track_id=None) -> ScaleSolution:
     """Oracle: the minimum non-zero solution of an assembled system, from a
     dense eigensolve of the normal matrix, checked as the O(N) solve checks
-    its own eigenpair."""
+    its own eigenpair.  The tracks are numbered from 0 unless given."""
     w, v = scipy.linalg.eigh(a.T @ a, subset_by_index=[0, 1])
-    return _checked_solution(w, v[:, 0], track_id)
+    tracks = np.arange(a.shape[1] // 2) if track_id is None else track_id
+    return _checked_solution(w, v[:, 0], tracks)
 
 
 def _two_view(intr, rotation, translation, count=30, seed=3, depth_range=(1.5, 2.5)):
@@ -323,7 +324,7 @@ class TestArrowheadSolve:
         s, v = _svd_oracle(arr)
         np.testing.assert_allclose(np.sqrt(w), s, rtol=1e-9)
         np.testing.assert_allclose(_unit(y, v), v, atol=1e-9)
-        sol = _checked_solution(w, y, None)
+        sol = _checked_solution(w, y, np.arange(len(arr)))
         np.testing.assert_allclose(sol.d_a[0::2], sol.d_a[1::2], rtol=1e-12)
 
     def test_zero_weight_pole_above_the_root(self, intr):
@@ -338,7 +339,7 @@ class TestArrowheadSolve:
         np.testing.assert_allclose(_unit(y, v), v, atol=1e-9)
         assert y[14] == y[15] == 0.0
         with pytest.raises(CheiralityError):
-            _checked_solution(w, y, None)
+            _checked_solution(w, y, np.arange(len(arr)))
         with pytest.raises(CheiralityError):
             solve_nullspace(assemble_system(arr))
 
@@ -354,7 +355,7 @@ class TestArrowheadSolve:
         np.testing.assert_allclose(np.sqrt(w[1]), s[1], rtol=1e-9)
         assert y[-1] == 0.0
         with pytest.raises(CheiralityError):
-            _checked_solution(w, y, None)
+            _checked_solution(w, y, np.arange(len(arr)))
         with pytest.raises(CheiralityError):
             solve_nullspace(assemble_system(arr))
 
@@ -530,6 +531,7 @@ class TestMetricChain:
         sol = ScaleSolution(
             y=np.array([10.0, 11.0, 0.5]) / np.linalg.norm([10.0, 11.0, 0.5]),
             residual=0.0,
+            track_id=[0],
         )
         d = depth_map_current(sol, 0.05)
         assert d.lookup([0])[0] == pytest.approx(1.0)
