@@ -305,12 +305,14 @@ def homography_dlt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h
 
 
-def _transfer(m: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """Homogeneous rows (3, N) through each model of m, written into the
-    contiguous (..., 3, N) ``out``: one GEMM for the whole stack, whose
-    every output row depends only on its own model's row, so a stack scores
-    each model with a single call's bits."""
-    np.matmul(m.reshape(-1, 3), rows, out=out.reshape(-1, rows.shape[-1]))
+def _map_rows(m: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Homogeneous rows (3, N) through each of the K models of the
+    (K, 3, 3) ``m``, written coordinate-major into the contiguous (3, K, N)
+    ``out``: one GEMM of the models' stacked rows, x rows first, so each
+    coordinate is one contiguous (K, N) plane.  Every output entry is still
+    one model row times one pair column, so a stack scores each model with
+    a single call's bits."""
+    np.matmul(np.moveaxis(m, -2, 0).reshape(-1, 3), rows, out=out.reshape(-1, rows.shape[-1]))
 
 
 def _scratch(work, *shapes) -> list:
@@ -326,39 +328,52 @@ def _scratch(work, *shapes) -> list:
     return views
 
 
-def symmetric_transfer_error(h: np.ndarray, a: np.ndarray, b: np.ndarray, work=None) -> np.ndarray:
-    """Per-pair symmetric transfer error sqrt(d_fwd^2 + d_bwd^2) in pixels.
+def _transfer_scorer(a: np.ndarray, b: np.ndarray):
+    """``score(h, work=None)``: the per-pair symmetric transfer error
+    sqrt(d_fwd^2 + d_bwd^2), in pixels, of homographies ``h`` on the pairs
+    (a, b).
 
     ``h`` is (3, 3), giving (N,) errors, or (K, 3, 3), giving (K, N).  The
     backward map is the adjugate, H^-1 up to scale, so no model needs a
     LAPACK inverse.  A NaN error reads as inf.
 
-    Without ``work`` every intermediate and the result are fresh arrays.
-    ``_ransac_consensus`` passes its flat float64 workspace as ``work`` when
-    it scores a chunk: the two (K, 3, N) transfers take its first 6 K N
-    entries, every later step runs in place, and the returned errors are a
-    view into it, valid until the workspace is used again.  The arithmetic
-    is the same on both paths.
+    The (3, N) homogeneous rows of both sides are built once here, so a
+    prepared scorer holds its pairs for one estimate; their first two rows
+    are the contiguous (2, N) targets.  Each direction is one GEMM into a
+    coordinate-major (3, K, N) transfer, so the division by w, the
+    subtraction of the target, the squares and the sums all run on
+    contiguous (K, N) planes.  Without ``work`` every intermediate and the
+    result are fresh arrays.  ``_ransac_consensus`` passes its flat float64
+    workspace as ``work`` when it scores a chunk: the two transfers take
+    its first 6 K N entries, every later step runs in place, and the
+    returned errors are a view into it, valid until the workspace is used
+    again.  The arithmetic is the same on both paths.
     """
-    shape = h.shape[:-1] + a.shape[:1]
-    fwd, bwd = _scratch(work, shape, shape)
+    rows_a, rows_b = _homogeneous_rows(a), _homogeneous_rows(b)
+    n = rows_a.shape[-1]
 
-    def _squared(m, src, dst, p):
-        _transfer(m, _homogeneous_rows(src), p)
-        d = p[..., :2, :]
-        d /= p[..., 2:, :]
-        d -= dst.T
+    def squared(m, rows, target, p):
+        _map_rows(m, rows, p)
+        d = p[:2]
+        d /= p[2]
+        d -= target[:2, None]
         d *= d
-        d[..., 0, :] += d[..., 1, :]
-        return d[..., 0, :]
+        p[0] += p[1]
+        return p[0]
 
-    # A pair sent to the line at infinity divides by zero: its error is inf.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        err = _squared(h, a, b, fwd)
-        err += _squared(_adjugate(h), b, a, bwd)
-        np.sqrt(err, out=err)
-    # fmin drops a NaN for its other operand; no error is -inf.
-    return np.fmin(err, np.inf, out=None if work is None else err)
+    def score(h, work=None):
+        shape = (3, math.prod(h.shape[:-2]), n)
+        fwd, bwd = _scratch(work, shape, shape)
+        # A pair sent to the line at infinity divides by zero: its error is inf.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            err = squared(h, rows_a, rows_b, fwd)
+            err += squared(_adjugate(h), rows_b, rows_a, bwd)
+            np.sqrt(err, out=err)
+        # fmin drops a NaN for its other operand; no error is -inf.
+        err = np.fmin(err, np.inf, out=None if work is None else err)
+        return err.reshape(h.shape[:-2] + (n,))
+
+    return score
 
 
 # Floor of the local-optimisation gate, as a fraction of the inlier
@@ -454,19 +469,23 @@ class _ChoiceSampler:
 # (under 4 MB) per thread.
 RANSAC_CHUNK_ELEMENTS = 1 << 16
 
-# Float64 rows of N per model that scoring a chunk takes from the
-# workspace: sampson_error's seven (symmetric_transfer_error takes six).
+# Float64 (K, N) planes that scoring a chunk of K models takes from the
+# workspace: the Sampson scorer's two (3, K, N) transfers and its (K, N)
+# result make seven (the transfer scorer's two (3, K, N) transfers, six).
 _SCORE_ROWS = 7
 
 
 class _ScoreWorkspace(threading.local):
     """One thread's memory for scoring RANSAC chunks, kept between calls.
 
-    It grows to the largest chunk scored so far and never shrinks, so
-    repeated estimates score in memory already mapped instead of faulting
-    in fresh megabyte temporaries for every chunk.  Each thread has its
-    own, and no result depends on what an earlier chunk left in it: the
-    scorers write every entry before they read it.
+    A chunk of K models on N pairs is scored in coordinate-major (3, K, N)
+    transfers, whose (K, N) planes are consecutive slices of the flat
+    float64 buffer; the (K, N) bool part holds the chunk's inlier masks.
+    The buffer grows to the largest chunk scored so far and never shrinks,
+    so repeated estimates score in memory already mapped instead of
+    faulting in fresh megabyte temporaries for every chunk.  Each thread
+    has its own, and no result depends on what an earlier chunk left in
+    it: the scorers write every entry before they read it.
     """
 
     def __init__(self):
@@ -501,7 +520,7 @@ def _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed)
     models (K, 3, 3), NaN for a degenerate sample) and scores its M
     non-degenerate models with one ``score(models, work)`` pass (models
     (M, 3, 3) to residuals (M, n)).  ``work`` is this thread's scoring
-    workspace (:class:`_ScoreWorkspace`): the scorer takes every (M, ., n)
+    workspace (:class:`_ScoreWorkspace`): the scorer takes every (., M, n)
     intermediate from it, and the inlier masks are gated into its (M, n)
     bool part, so a chunk allocates nothing of its size; the best model's
     mask is copied out before the next chunk.  The draw-by-draw accept rule
@@ -615,11 +634,12 @@ def estimate_homography_ransac(
     if n < 4:
         raise InsufficientDataError(f"homography RANSAC needs >= 4 pairs, got {n}")
     a, b = c.a, c.b
+    score = _transfer_scorer(a, b)
     h, mask, err = _ransac_refit(
         n,
         4,
         lambda idx: homography_dlt(a[idx], b[idx]),
-        lambda h, work: symmetric_transfer_error(h, a, b, work),
+        score,
         threshold_px,
         max_iters,
         seed,
@@ -631,14 +651,14 @@ def estimate_homography_ransac(
     # neighbouring plane (a crease) sit far out in that spread and stop
     # biasing the model.
     if err is None:
-        err = symmetric_transfer_error(h, a, b)
+        err = score(h)
     sigma = 1.4826 * float(np.median(err[mask]))
     gate = min(threshold_px, max(3.0 * sigma, LO_GATE_FLOOR * threshold_px))
     core = err <= gate
     if int(core.sum()) >= 4 and not np.array_equal(core, mask):
         try:
             h = homography_dlt(a[core], b[core])
-            err = symmetric_transfer_error(h, a, b)
+            err = score(h)
         except DegenerateModelError:
             pass
     return Homography(h), err <= threshold_px
@@ -825,35 +845,43 @@ def _essential_from_rays(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return u @ d @ vt
 
 
-def sampson_error(f: np.ndarray, a: np.ndarray, b: np.ndarray, work=None) -> np.ndarray:
-    """First-order geometric (Sampson) distance in pixels for b^T F a = 0.
+def _sampson_scorer(a: np.ndarray, b: np.ndarray):
+    """``score(f, work=None)``: the first-order geometric (Sampson)
+    distance, in pixels, of fundamental matrices ``f`` for b^T F a = 0 on
+    the pairs (a, b).
 
     ``f`` is (3, 3), giving (N,) distances, or (K, 3, 3), giving (K, N);
-    a stack scores each model with a single call's bits.
-
-    ``work`` is as in :func:`symmetric_transfer_error`: given, the two
-    (K, 3, N) transfers and the (K, N) result take the first 7 K N entries
-    of that flat workspace and every other step runs in place in them.
+    a stack scores each model with a single call's bits.  As in
+    :func:`_transfer_scorer`, the (3, N) homogeneous rows are built once
+    here and held for one estimate, and ``work`` is a flat workspace:
+    given, the two coordinate-major (3, K, N) transfers, F a and F^T b,
+    and the (K, N) result take its first 7 K N entries, and every other
+    step runs in place on their contiguous (K, N) planes.
     """
     ah, bh = _homogeneous_rows(a), _homogeneous_rows(b)
-    shape = f.shape[:-1] + a.shape[:1]
-    fa, ftb, num = _scratch(work, shape, shape, shape[:-2] + shape[-1:])
-    _transfer(f, ah, fa)
-    _transfer(np.swapaxes(f, -1, -2), bh, ftb)
-    np.multiply(bh[0], fa[..., 0, :], out=num)
-    num += np.multiply(bh[1], fa[..., 1, :], out=ftb[..., 2, :])  # a row no step reads
-    num += fa[..., 2, :]
-    fa[..., :2, :] *= fa[..., :2, :]
-    ftb[..., :2, :] *= ftb[..., :2, :]
-    den = fa[..., 0, :]
-    den += fa[..., 1, :]
-    den += ftb[..., 0, :]
-    den += ftb[..., 1, :]
-    np.maximum(den, 1e-18, out=den)
-    np.sqrt(den, out=den)
-    np.abs(num, out=num)
-    num /= den
-    return num
+    n = ah.shape[-1]
+
+    def score(f, work=None):
+        k = math.prod(f.shape[:-2])
+        fa, ftb, num = _scratch(work, (3, k, n), (3, k, n), (k, n))
+        _map_rows(f, ah, fa)
+        _map_rows(np.swapaxes(f, -1, -2), bh, ftb)
+        np.multiply(bh[0], fa[0], out=num)
+        num += np.multiply(bh[1], fa[1], out=ftb[2])  # a plane no step reads
+        num += fa[2]
+        fa[:2] *= fa[:2]
+        ftb[:2] *= ftb[:2]
+        den = fa[0]
+        den += fa[1]
+        den += ftb[0]
+        den += ftb[1]
+        np.maximum(den, 1e-18, out=den)
+        np.sqrt(den, out=den)
+        np.abs(num, out=num)
+        num /= den
+        return num.reshape(f.shape[:-2] + (n,))
+
+    return score
 
 
 def _triangulate(r_m: np.ndarray, t: np.ndarray, xa: np.ndarray, xb: np.ndarray):
@@ -932,12 +960,13 @@ def estimate_epipolar(
     xa = _rays(intr, c.a)
     xb = _rays(intr, c.b)
     k_inv = intr.inverse_matrix()
+    sampson = _sampson_scorer(c.a, c.b)
 
     e, best_mask, _ = _ransac_refit(
         n,
         8,
         lambda idx: _essential_from_rays(xa[idx], xb[idx]),
-        lambda e, work: sampson_error(k_inv.T @ e @ k_inv, c.a, c.b, work),
+        lambda e, work: sampson(k_inv.T @ e @ k_inv, work),
         threshold_px,
         max_iters,
         seed,

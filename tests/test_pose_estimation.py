@@ -28,13 +28,13 @@ from acrkit.pose_estimation import (
     _adaptive_iters,
     _essential_from_rays,
     _rays,
+    _sampson_scorer,
+    _transfer_scorer,
     decompose_homography,
     decompose_homography_candidates,
     estimate_epipolar,
     estimate_homography_ransac,
     homography_dlt,
-    sampson_error,
-    symmetric_transfer_error,
 )
 from conftest import general_pair_set, plane_pair_set, project_pixels
 
@@ -184,7 +184,7 @@ class TestHomographyRansac:
         k = intr.matrix()
         c = CorrespondenceSet(project_pixels(k, pts_a), project_pixels(k, pts_b))
         h_true = _pixel_homography(intr, rotation, t, [0.0, 0.0, 1.0], 2.0)
-        crease = symmetric_transfer_error(h_true, c.a[150:], c.b[150:]) <= 1.0
+        crease = _transfer_scorer(c.a[150:], c.b[150:])(h_true) <= 1.0
         assert crease.sum() >= 4, "the data must put crease pairs inside the gate"
 
         h, mask = estimate_homography_ransac(
@@ -206,7 +206,7 @@ class TestSymmetricTransfer:
         a = rng.uniform(100, 900, size=(20, 2))
         ah = np.hstack([a, np.ones((20, 1))]) @ h.T
         b = ah[:, :2] / ah[:, 2:]
-        err = symmetric_transfer_error(h, a, b)
+        err = _transfer_scorer(a, b)(h)
         assert err.max() < 1e-9
 
     def test_detects_displacement(self):
@@ -214,7 +214,7 @@ class TestSymmetricTransfer:
         a = np.array([[10.0, 10.0]])
         b = np.array([[13.0, 14.0]])
         # Forward and backward displacements are both 5 px.
-        assert symmetric_transfer_error(h, a, b)[0] == pytest.approx(
+        assert _transfer_scorer(a, b)(h)[0] == pytest.approx(
             np.sqrt(50.0), abs=1e-12
         )
 
@@ -376,7 +376,7 @@ class TestEstimateEpipolar:
         e = tx @ rotation.matrix
         k_inv = intr.inverse_matrix()
         f = k_inv.T @ e @ k_inv
-        assert sampson_error(f, c.a, c.b).max() < 1e-6
+        assert _sampson_scorer(c.a, c.b)(f).max() < 1e-6
 
 
 class TestHomographyType:
@@ -429,7 +429,7 @@ def _per_draw_homography(c, threshold_px, max_iters, seed):
             h = pose_estimation.homography_dlt(c.a[idx], c.b[idx])
         except DegenerateModelError:
             continue
-        mask = pose_estimation.symmetric_transfer_error(h, c.a, c.b) <= threshold_px
+        mask = _transfer_scorer(c.a, c.b)(h) <= threshold_px
         count = int(mask.sum())
         if count > best_count:
             best_count, best_mask = count, mask
@@ -450,7 +450,7 @@ def _per_draw_epipolar(c, intr, threshold_px, max_iters, seed):
         it += 1
         idx = rng.choice(n, size=8, replace=False)
         e = _essential_from_rays(xa[idx], xb[idx])
-        err = sampson_error(k_inv.T @ e @ k_inv, c.a, c.b)
+        err = _sampson_scorer(c.a, c.b)(k_inv.T @ e @ k_inv)
         mask = err <= threshold_px
         count = int(mask.sum())
         if count > best_count:
@@ -822,7 +822,7 @@ class TestFourPointHomography:
         a, b = _quadruples(seed, 50)
         # The SVD oracle reaches 2.4e-9 px on the worst-conditioned of these.
         for h, qa, qb in zip(homography_dlt(a, b), a, b):
-            assert symmetric_transfer_error(h, qa, qb).max() < 1e-8
+            assert _transfer_scorer(qa, qb)(h).max() < 1e-8
 
     @staticmethod
     def _degenerate_cases():
@@ -870,10 +870,11 @@ class TestStackedScoring:
         a = rng.uniform(0.0, 1280.0, (90, 2))
         b = a + rng.normal(0.0, 5.0, a.shape)
         models = self._models(k, k)
-        stacked = symmetric_transfer_error(models, a, b)
+        score = _transfer_scorer(a, b)
+        stacked = score(models)
         assert stacked.shape == (k, 90)
         for j in range(k):
-            assert np.array_equal(stacked[j], symmetric_transfer_error(models[j], a, b))
+            assert np.array_equal(stacked[j], score(models[j]))
         np.testing.assert_allclose(stacked, _inverse_transfer_error(models, a, b), rtol=1e-9)
 
     @pytest.mark.parametrize("k", [1, 2, 7, 65])
@@ -885,17 +886,18 @@ class TestStackedScoring:
         k_inv = intr.inverse_matrix()
         f = k_inv.T @ _essential_from_rays(xa[idx], xb[idx]) @ k_inv
         b = c.b + rng.normal(0.0, 2.0, c.b.shape)
-        stacked = sampson_error(f, c.a, b)
+        score = _sampson_scorer(c.a, b)
+        stacked = score(f)
         assert stacked.shape == (k, len(c))
         for j in range(k):
-            assert np.array_equal(stacked[j], sampson_error(f[j], c.a, b))
+            assert np.array_equal(stacked[j], score(f[j]))
         np.testing.assert_allclose(stacked, _einsum_sampson(f, c.a, b), rtol=1e-9)
 
     def test_point_at_infinity_is_never_an_inlier(self):
         # The first point maps onto the line at infinity of the model.
         h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.001, 0.0, 1.0]])
         a = np.array([[-1000.0, 5.0], [10.0, 5.0]])
-        err = symmetric_transfer_error(h, a, a)
+        err = _transfer_scorer(a, a)(h)
         assert err[0] == np.inf and np.isfinite(err[1])
 
 
@@ -954,12 +956,12 @@ def _scoring_case(method, k, n, seed):
         a[:2] = [[-1000.0, 5.0], [-1.0, 7.0]]
         if k > 2:
             models[1] = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
-        scorer, oracle = symmetric_transfer_error, _allocating_transfer_error
+        scorer, oracle = _transfer_scorer, _allocating_transfer_error
     else:
         models = rng.normal(0.0, 1e-3, (k, 3, 3))
         b = a + rng.normal(0.0, 2.0, a.shape)
         a[0] = [1e200, -1e200]
-        scorer, oracle = sampson_error, _allocating_sampson
+        scorer, oracle = _sampson_scorer, _allocating_sampson
     if k > 1:
         models[k // 2] = np.nan
     return scorer, oracle, models, a, b
@@ -970,16 +972,46 @@ class TestScoringWorkspace:
     @pytest.mark.parametrize("k", [1, 7, 65])
     @pytest.mark.parametrize("n", [90, 1000])
     def test_masks_equal_the_allocating_scores(self, method, k, n):
-        scorer, oracle, models, a, b = _scoring_case(method, k, n, k + n)
+        self._check_masks(*_scoring_case(method, k, n, k + n), method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_chunk_past_the_cap_scores_on_fresh_memory(self, monkeypatch, method):
+        # One model on more pairs than RANSAC_CHUNK_ELEMENTS: the workspace
+        # hands out memory it does not keep.
+        n = 70_000
+        assert n > pose_estimation.RANSAC_CHUNK_ELEMENTS
+        kept = pose_estimation._ScoreWorkspace()
+        monkeypatch.setattr(pose_estimation, "_WORKSPACE", kept)
+        self._check_masks(*_scoring_case(method, 1, n, n), method)
+        assert kept.floats.size == 0 and kept.mask.size == 0
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("layout", ["every-other-row", "fortran"])
+    def test_strided_pairs_score_like_contiguous_ones(self, method, layout):
+        scorer, oracle, models, a, b = _scoring_case(method, 7, 1000, 7)
+        if layout == "every-other-row":
+            a2, b2 = np.repeat(a, 2, axis=0), np.repeat(b, 2, axis=0)
+            a, b = a2[::2], b2[::2]
+        else:
+            a, b = np.asfortranarray(a), np.asfortranarray(b)
+        assert not (a.flags.c_contiguous or b.flags.c_contiguous)
+        self._check_masks(scorer, oracle, models, a, b, method)
+
+    @staticmethod
+    def _check_masks(scorer, oracle, models, a, b, method):
+        """The scores of ``models`` on (a, b), fresh and in the workspace,
+        equal the allocating ones byte for byte, and so do their masks."""
+        k, n = len(models), len(a)
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = oracle(models, a, b)
-            fresh = scorer(models, a, b)
+            expected = oracle(models, np.ascontiguousarray(a), np.ascontiguousarray(b))
+            score = scorer(a, b)
+            fresh = score(models)
             work, mask = pose_estimation._WORKSPACE.take(k, n)
             work[:] = np.nan  # stale contents must not show
-            scored = scorer(models, a, b, work)
+            scored = score(models, work)
         assert fresh.tobytes() == expected.tobytes()
         assert scored.shape == (k, n) and np.shares_memory(scored, work)
-        np.testing.assert_array_equal(scored, expected)
+        assert scored.tobytes() == expected.tobytes()
         if method == "homography":
             assert not np.isnan(scored).any() and np.isinf(scored).any()
         for threshold in (1.0, 4.0, np.inf):
@@ -1015,10 +1047,11 @@ class TestScoringWorkspace:
         n = 1000
         a = np.random.default_rng(0).uniform(0.0, 1280.0, (n, 2))
         scored = []
+        transfer = _transfer_scorer(a, a)
 
         def score(models, work):
             scored.append(len(models))
-            return symmetric_transfer_error(models, a, a, work)
+            return transfer(models, work)
 
         mask, count = pose_estimation._ransac_consensus(
             n, 4, lambda idx: np.full((len(idx), 3, 3), np.nan), score, 1.0, 200, 0
@@ -1054,7 +1087,7 @@ class TestRefitScores:
         noisy = [_contaminated(intr, "homography", 200, 0.6, seed) for seed in range(3)]
         stopped = []
         for c in exact + noisy:
-            score = lambda h, work: symmetric_transfer_error(h, c.a, c.b, work)
+            score = _transfer_scorer(c.a, c.b)
             fit = lambda idx: homography_dlt(c.a[idx], c.b[idx])
             model, _, err = pose_estimation._ransac_refit(
                 len(c), 4, fit, score, 1.0, 200, 0, refine_iters
@@ -1066,15 +1099,20 @@ class TestRefitScores:
 
     def test_exact_plane_scores_its_final_model_once(self, monkeypatch, intr):
         c, _ = plane_pair_set(intr, Rotation.about_y(7.0), [0.15, 0.05, 0.02], [0, 0, 1], 2.0, 150)
-        real = pose_estimation.symmetric_transfer_error
+        real = pose_estimation._transfer_scorer
         single = []
 
-        def counting(h, a, b, work=None):
-            if work is None:
-                single.append(h.shape)
-            return real(h, a, b, work)
+        def counting(a, b):
+            score = real(a, b)
 
-        monkeypatch.setattr(pose_estimation, "symmetric_transfer_error", counting)
+            def counted(h, work=None):
+                if work is None:
+                    single.append(h.shape)
+                return score(h, work)
+
+            return counted
+
+        monkeypatch.setattr(pose_estimation, "_transfer_scorer", counting)
         _, mask = estimate_homography_ransac(c, 1.0, 200, seed=0)
         assert mask.all()
         # The refit stops on an unchanged mask; its scores serve the
@@ -1237,7 +1275,7 @@ def _decompose_oracle(h, intr, c):
         if np.any(pts_b[:, 2] <= 0):
             continue
         h_cand = k @ (r_m + np.outer(t, n)) @ k_inv
-        residual = float(np.mean(symmetric_transfer_error(h_cand, c.a, c.b)))
+        residual = float(np.mean(_transfer_scorer(c.a, c.b)(h_cand)))
         t_dir = t / np.linalg.norm(t)
         if not any(
             np.abs(o[1] - r_m).max() < 1e-9 and float(o[2] @ t_dir) > 1.0 - 1e-12
