@@ -24,10 +24,12 @@ Two runs ``dy`` rows apart with ``gap`` columns between them are
 ``sqrt(dy**2 + gap**2)`` apart, and the minimum over two regions' run pairs
 is the minimum over their boundary pixels: a region's pixel nearest another
 region is a boundary pixel, since from an interior one a step toward the
-other region stays inside and comes nearer.  A bound from a sample of run
-ends limits the run pairs compared.  The bound is itself the distance of a
-real pixel pair, and the comparison keeps every pair at or below it, so no
-tie at the bound is lost (see :meth:`PlaneGraph.from_mask`).
+other region stays inside and comes nearer.  A bound from the regions'
+row ends limits the run pairs compared: each row of one region against
+the other's nearest rows above and below, by their leftmost and rightmost
+pixels.  The bound is itself the distance of a real pixel pair, and the
+comparison keeps every pair at or below it, so no tie at the bound is lost
+(see :meth:`PlaneGraph.from_mask`).
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ EXACT_ENUMERATION_BUDGET = 1_000_000
 # (see PlaneSegmentMap.eroded): a correspondence near a region's edge may
 # lie on its neighbour.
 EROSION_RADIUS = 5
-
-_SUBSAMPLE_STRIDE = 32
-
 
 class PlaneSegmentMap:
     """Per-pixel plane labeling; 0 is background, ids run 1..H contiguously.
@@ -298,7 +297,7 @@ class PlaneGraph:
         pixels returns.  Regions at most sqrt(2) apart touch and read 0.
 
         Region i is compared with all later regions at once.  Each later
-        region j gets an upper bound ``U**2`` from :func:`_upper_bounds`.
+        region j gets an upper bound ``U**2`` from :func:`_row_end_bounds`.
         A run r of j at horizontal gap ``hg`` from i's column span then
         visits only i's rows within ``sqrt(U**2 - hg**2)`` of its own row,
         and in each such row only i's run nearest to it, found by one
@@ -316,11 +315,13 @@ class PlaneGraph:
         row, lo, hi, owner = m.runs[:, np.argsort(m.runs[3], kind="stable")]  # region by region
         owner = owner - 1
         first = np.searchsorted(owner, np.arange(h + 1))  # region k: first[k]:first[k + 1]
+        ends = _row_ends(row, lo, hi, owner)
+        first_end = np.searchsorted(ends[3], np.arange(h + 1))
         n = len(row)
         no_run = m.height + w  # a gap no pair of pixels in the frame reaches
         for i in range(h - 1):  # the last region is only ever visited
             a, later = slice(first[i], first[i + 1]), np.arange(first[i + 1], n)
-            bound = _upper_bounds(row, lo, hi, owner, first, i)
+            bound = _row_end_bounds(ends, first_end, i)
             hg = np.maximum(np.maximum(lo[later] - hi[a].max(), lo[a].min() - hi[later]), 0)
             reach2 = bound[owner[later] - i - 1] - hg * hg
             reach = np.where(reach2 < 0, -1, np.sqrt(np.maximum(reach2, 0)).astype(np.int64))
@@ -343,24 +344,35 @@ class PlaneGraph:
         return PlaneGraph(ids, d)
 
 
-def _upper_bounds(row, lo, hi, owner, first, i) -> np.ndarray:
+def _row_ends(row, lo, hi, owner):
+    """Each region's leftmost and rightmost pixel in each of its rows, from
+    its runs in raster order region by region: ``(row, left, right,
+    owner)`` arrays, region by region and row by row."""
+    start = np.flatnonzero(np.diff(row, prepend=-1) | np.diff(owner, prepend=-1))
+    end = np.append(start[1:], len(row)) - 1  # runs of one row are disjoint, in order
+    return row[start], lo[start], hi[end], owner[start]
+
+
+def _row_end_bounds(ends, first, i) -> np.ndarray:
     """Squared distances of real pixel pairs, one per region after region
     ``i``, each at least that region's squared distance to ``i``.
 
-    Both ends of every ``_SUBSAMPLE_STRIDE``-th later run, and of each
-    later region's first run, against both ends of every run of ``i``.  The
-    float64 products are exact integers while coordinates stay below 2**25.
+    ``ends`` are :func:`_row_ends`, region k's rows at
+    ``first[k]:first[k + 1]``.  Every row of a later region meets region
+    i's nearest rows above and below it (the same row, where i has it):
+    the end pixels of the two rows, four pairs a row, give the candidates.
     """
-    a = slice(first[i], first[i + 1])
-    sample = np.union1d(np.arange(first[i + 1], len(row), _SUBSAMPLE_STRIDE), first[i + 1 : -1])
-    p, q = (
-        np.column_stack([np.tile(row[s], 2), np.concatenate([lo[s], hi[s]])]).astype(float)
-        for s in (sample, a)
-    )
-    sq = (p * p).sum(axis=1)[:, None] + (q * q).sum(axis=1) - 2.0 * (p @ q.T)
-    bound = np.full(len(first) - i - 2, np.iinfo(np.int64).max)
-    np.minimum.at(bound, np.tile(owner[sample], 2) - i - 1, sq.min(axis=1).astype(np.int64))
-    return bound
+    row, left, right, _ = ends
+    a, later = slice(first[i], first[i + 1]), slice(first[i + 1], None)
+    k = np.searchsorted(row[a], row[later]) + first[i]
+    d2 = []
+    for c in (np.maximum(k - 1, first[i]), np.minimum(k, first[i + 1] - 1)):
+        gap = np.minimum(
+            np.minimum(np.abs(left[later] - left[c]), np.abs(left[later] - right[c])),
+            np.minimum(np.abs(right[later] - left[c]), np.abs(right[later] - right[c])),
+        )
+        d2.append((row[later] - row[c]) ** 2 + gap * gap)
+    return np.minimum.reduceat(np.minimum(*d2), first[i + 1 : -1] - first[i + 1])
 
 
 def assemble_affinity(

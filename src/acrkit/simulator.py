@@ -328,6 +328,16 @@ def _in_camera(plane: PlaneSpec, extrinsic: Pose):
     return n_c, plane.offset + float(n_c @ extrinsic.translation)
 
 
+def _ray_terms(n_c, intr: Intrinsics, u, v):
+    """The three terms whose sum, left to right, is :func:`_ray_depth`'s
+    denominator along the rays of pixels (u, v)."""
+    return (
+        n_c[..., 0] * ((u - intr.cx) / intr.fx),
+        n_c[..., 1] * ((v - intr.cy) / intr.fy),
+        n_c[..., 2],
+    )
+
+
 def _ray_depth(plane_c, intr: Intrinsics, u, v):
     """Elementwise depth of a plane ``(n_c, c_c)`` from :func:`_in_camera`
     along the rays of pixels (u, v).  A stack of planes, ``n_c`` (..., 3)
@@ -337,13 +347,9 @@ def _ray_depth(plane_c, intr: Intrinsics, u, v):
     floating point.
     """
     n_c, c_c = plane_c
-    denom = (
-        n_c[..., 0] * ((u - intr.cx) / intr.fx)
-        + n_c[..., 1] * ((v - intr.cy) / intr.fy)
-        + n_c[..., 2]
-    )
+    t0, t1, t2 = _ray_terms(n_c, intr, u, v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return c_c / denom
+        return c_c / (t0 + t1 + t2)
 
 
 def _cover(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics, verts_px, u, v):
@@ -463,52 +469,133 @@ def _cover_rows(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics, w: int, h: 
     return lo_all, hi_all, plane_c
 
 
-def _row_segments(lo: np.ndarray, hi: np.ndarray, w: int):
-    """Every row of a w-wide view cut at the ends of the drawn runs.
+def _crossing_cuts(lo: np.ndarray, hi: np.ndarray, planes: np.ndarray, intr: Intrinsics):
+    """Cuts around the depth crossings of every two drawn patches.
+
+    ``lo`` and ``hi`` are (K, h) run ends as in :func:`_row_segments` and
+    ``planes`` the (K, 4) planes ``(*n_c, c_c)`` from :func:`_in_camera`.
+    Along row v a plane's ray-depth denominator is ``alpha * u + beta(v)``
+    in real numbers, so two planes' depths cross at the one root of
+    ``c_p * den_q(u) = c_q * den_p(u)``.  Where it falls inside the two
+    patches' shared run, the cuts at ``floor(root)``, ``+ 1`` and ``+ 2``
+    make the two pixels nearest it segments of their own.  Returns the
+    cuts' rows and columns.  The roots only place cuts;
+    :func:`_nearest_segments` certifies every label.
+    """
+    p, q = np.array(list(itertools.combinations(range(len(planes)), 2)), np.int64).reshape(-1, 2).T
+    shared_lo, shared_hi = np.maximum(lo[p], lo[q]), np.minimum(hi[p], hi[q])
+    pair, row = np.nonzero(shared_lo < shared_hi)
+    p, q = p[pair], q[pair]
+    n, c = planes[:, :3], planes[:, 3]
+    alpha = n[:, 0] / intr.fx
+    beta = n[:, 1] * ((row[:, None] - intr.cy) / intr.fy) + (n[:, 2] - alpha * intr.cx)
+    at = np.arange(len(row))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = (c[q] * beta[at, p] - c[p] * beta[at, q]) / (c[p] * alpha[q] - c[q] * alpha[p])
+        cuts = np.floor(root)[:, None] + np.arange(3)  # nan where the depths never cross
+        inside = (shared_lo[pair, row, None] < cuts) & (cuts <= shared_hi[pair, row, None])
+    return np.repeat(row, 3)[inside.ravel()], cuts[inside].astype(np.int64)
+
+
+def _row_segments(lo: np.ndarray, hi: np.ndarray, cuts, w: int):
+    """Every row of a w-wide view cut at the ends of the drawn runs and at
+    ``cuts``.
 
     ``lo`` and ``hi`` are (K, h): row by row, the run ends of each drawn
-    patch from :func:`_cover_rows`.  Returns the segments in raster order,
-    which tile the view, as ``(row, first column, length)`` arrays, and
-    which patches cover each one, (K, n) bool: a segment lies wholly inside
-    or wholly outside every run.
+    patch from :func:`_cover_rows`; ``cuts`` holds the rows and columns of
+    more cuts.  Returns the segments that a patch covers, in raster order,
+    as ``(row, first column, length)`` arrays, with how many patches cover
+    each one and the sum of their ids (index + 1): a segment lies wholly
+    inside or wholly outside every run.  Both sums run over the cuts in
+    order, each run adding at its start what it takes back past its end.
     """
+    k, h = lo.shape
     ran = lo <= hi
-    zero = np.zeros((1, lo.shape[1]), np.int64)
-    cuts = np.vstack([zero, np.where(ran, lo, w), np.where(ran, hi + 1, w), zero + w]).T
-    cuts.sort(axis=1)
-    lengths = np.diff(cuts, axis=1)
-    row, k = np.nonzero(lengths)
-    first = cuts[row, k]
-    return row, first, lengths[row, k], (lo[:, row] <= first) & (first <= hi[:, row])
+    ids = np.arange(1, k + 1)[:, None]
+    # A cut at (row, column) of kind c sorts by (row * (w + 1) + column) *
+    # kinds + c.  Kind 0 is a plain cut, kind id starts patch id's run and
+    # kind k + id ends it, and the last kind ends a row, so that it comes
+    # last among the cuts at a row's end.
+    kinds = 2 * k + 2
+    at = np.arange(h) * (w + 1)
+    keys = np.concatenate([
+        at * kinds, (at + w) * kinds + kinds - 1, (cuts[0] * (w + 1) + cuts[1]) * kinds,
+        ((at + np.where(ran, lo, w)) * kinds + np.where(ran, ids, 0)).ravel(),
+        ((at + np.where(ran, hi + 1, w)) * kinds + np.where(ran, k + ids, 0)).ravel(),
+    ])
+    keys.sort()
+    position, kind = np.divmod(keys, kinds)
+    # Each start adds its run's id times k + 1, plus 1; each end takes it back.
+    step = np.concatenate([[0], ids[:, 0] * (k + 1) + 1, -ids[:, 0] * (k + 1) - 1, [0]])
+    covers = np.cumsum(step[kind])[:-1]
+    cut = np.flatnonzero((np.diff(position) > 0) & (kind[:-1] < kinds - 1) & (covers > 0))
+    total, count = np.divmod(covers[cut], k + 1)
+    row, first = np.divmod(position[cut], w + 1)
+    return row, first, position[cut + 1] - position[cut], count, total
+
+
+# A patch is nearer than another over a whole piece of a row when its depth
+# is below 1 - _DEPTH_MARGIN times the other's at both piece ends.  The
+# margin holds against _ray_depth's rounding wherever the magnitudes of its
+# denominator's terms sum to at most _CONDITION_LIMIT times the denominator
+# (see _nearest_segments).
+_DEPTH_MARGIN = 1e-9
+_CONDITION_LIMIT = _DEPTH_MARGIN / (32 * np.finfo(float).eps)
 
 
 def _nearest_segments(row, first, length, covered, planes_c, intr: Intrinsics):
-    """Segments split until one covering patch is nearest over each whole
-    segment, with that patch's id (its index in ``covered`` + 1).
+    """The covering patch nearest over each whole segment, with that
+    patch's id (its index in ``covered`` + 1); a segment that no test
+    decides is halved until one does.
 
     ``planes_c`` stacks the K planes from :func:`_in_camera` to broadcast
-    over (K, 2, n) segment ends.  Along a covered run a plane's depth is
-    monotone in floating point (see :func:`_ray_depth`), so its values at
-    a segment's two end pixels bound it over the segment.  A patch wins the
-    segment when its largest end depth lies strictly below the smallest of
-    every earlier covering patch and at most at the smallest of every later
-    one: pixel by pixel, that is the strict ``<`` of a z-buffer pass in
-    patch order.  A segment that no patch wins is halved and tried again;
-    on one pixel both ends are the pixel, so the test is the z-buffer's own
-    and always decides.  Returns ``(row, first, length, winner)`` in no
-    particular order.
+    over (K, 2, n) segment ends.  A patch wins a segment when, against
+    every other covering patch, one of two certificates shows it nearer
+    at every pixel, strictly so against an earlier patch and at most
+    equally against a later one: pixel by pixel, the strict ``<`` of a
+    z-buffer pass in patch order.
+
+    * End depths.  Along a covered run a plane's depth is monotone in
+      floating point (see :func:`_ray_depth`), so its values at the two end
+      pixels bound it.  The patch's largest end depth lies below the
+      other's smallest.  On one pixel both ends are the pixel, so this is
+      the z-buffer's own test and always decides.
+    * End ratios.  The patch's depth is below ``1 - _DEPTH_MARGIN`` times
+      the other's at both ends.  In real numbers the ratio of two depths
+      along a row, ``c_k den_j(u) / (c_j den_k(u))``, is a ratio of affine
+      functions, and it has no pole where the denominators keep their
+      signs, so it is monotone and its end values bound it.  In floating
+      point each of the denominator's terms (:func:`_ray_terms`) carries
+      at most three roundings and their sum two more, so with R the sum
+      of the terms' magnitudes over the denominator's, a computed depth is
+      the real one within a relative ``(5 R + 1) eps / 2``.  R is a convex
+      function over an affine one, so its end values bound it too.  Both
+      patches' R must stay within ``_CONDITION_LIMIT`` at both ends; then
+      the denominators keep their signs, and the roundings at an end and
+      at any pixel inside together stay below a third of the margin.
+
+    :func:`_crossing_cuts` gives each crossing's nearest pixels their own
+    segments, so one pass decides all but near-parallel patches.  Returns
+    ``(row, first, length, winner)`` in no particular order.
     """
     out = []
+    order = np.arange(len(covered))
+    later = (order[:, None] < order)[:, :, None]  # later[k, j]: j comes after k
+    itself = (order[:, None] == order)[:, :, None]
+    n_c, c_c = planes_c
     while row.size:
         ends = np.stack([first, first + length - 1]).astype(float)
-        d = _ray_depth(planes_c, intr, ends, row.astype(float))  # (K, 2, n)
-        near = np.where(covered, np.minimum(d[:, 0], d[:, 1]), np.inf)
-        far = np.maximum(d[:, 0], d[:, 1])
-        earlier, later = np.full((2,) + near.shape, np.inf)  # running minima of near
-        for k in range(1, len(near)):
-            earlier[k] = np.minimum(earlier[k - 1], near[k - 1])
-            later[-k - 1] = np.minimum(later[-k], near[-k])
-        wins = covered & (far < earlier) & (far <= later)
+        t0, t1, t2 = _ray_terms(n_c, intr, ends, row.astype(float))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            den = t0 + t1 + t2
+            d = c_c / den  # _ray_depth's bits, (K, 2, n)
+            size = np.abs(t0) + np.abs(t1) + np.abs(t2)
+            sure = (size <= _CONDITION_LIMIT * np.abs(den)).all(axis=1)
+            near, far = d.min(axis=1)[None], d.max(axis=1)[:, None]
+            beats = (far < near) | (later & (far <= near)) | itself | ~covered[None]
+            ratio = (d[:, None] < (1.0 - _DEPTH_MARGIN) * d[None]).all(axis=2)
+            beats |= sure[:, None] & sure[None] & ratio
+        wins = covered & beats.all(axis=1)
         won = wins.any(axis=0)
         out.append((row[won], first[won], length[won], wins[:, won].argmax(axis=0) + 1))
         row, first, length, covered = row[~won], first[~won], length[~won], covered[:, ~won]
@@ -532,16 +619,19 @@ def render_plane_mask(
     :func:`_inside_convex` itself, so the 0.71 px margin is decided exactly
     as there; the plane's depth is checked at the two ends alone.
 
-    The z-buffer works on row segments cut at every run end
-    (:func:`_row_segments`), not on pixels.  A segment that one patch
-    covers is that patch's.  A patch whose plane equals an earlier covering
-    one's bit for bit has the same depth bits on every ray, so it never
-    wins there and leaves the contest.  Where several patches remain, depths
-    are taken at segment ends only (:func:`_nearest_segments`).  The map is
-    built straight from the decided segments: neighbours in a row with one
-    label merge into that label's run, background drops, and no per-pixel
-    array is painted.  Ids are contiguous in plane order over the patches
-    that keep a pixel, and the region areas are the run lengths.
+    The z-buffer works on row segments, not on pixels: each row is cut at
+    every run end and around every two patches' depth crossing
+    (:func:`_crossing_cuts`), and only the segments that a patch covers are
+    kept (:func:`_row_segments`).  A segment that one patch covers is that
+    patch's.  A patch whose plane equals an earlier covering one's bit for
+    bit has the same depth bits on every ray, so it never wins there and
+    leaves the contest.  Where several patches remain, depths are taken at
+    segment ends only, and one pass decides every segment but those of
+    near-parallel patches, which are halved (:func:`_nearest_segments`).
+    The map is built straight from the decided segments: neighbours in a
+    row with one label merge into that label's run, and no per-pixel array
+    is painted.  Ids are contiguous in plane order over the patches that
+    keep a pixel, and the region areas are the run lengths.
     """
     w, h = int(image_size[0]), int(image_size[1])
     drawn = []  # (lo, hi, plane_c) of each patch that covers a pixel
@@ -554,28 +644,84 @@ def render_plane_mask(
     lo = np.array([runs[0] for runs in drawn])
     hi = np.array([runs[1] for runs in drawn])
     planes = np.array([(*n_c, c_c) for _, _, (n_c, c_c) in drawn])  # (K, 4)
-    row, first, length, covered = _row_segments(lo, hi, w)
-    for p, q in itertools.combinations(range(len(drawn)), 2):
+    row, first, length, count, label = _row_segments(lo, hi, _crossing_cuts(lo, hi, planes, intr), w)
+    contested = np.flatnonzero(count > 1)
+    seg_row, seg_first = row[contested], first[contested]
+    covered = (np.take(lo, seg_row, axis=1) <= seg_first) & (seg_first <= np.take(hi, seg_row, axis=1))
+    for p, q in itertools.combinations(range(len(planes)), 2):
         if planes[p].tobytes() == planes[q].tobytes():
             covered[q] &= ~covered[p]
-    label = np.where(covered.any(axis=0), covered.argmax(axis=0) + 1, 0)
-    contested = covered.sum(axis=0) > 1
-    if contested.any():
+    alone = covered.sum(axis=0) == 1  # where coplanar patches leave one
+    label[contested[alone]] = covered[:, alone].argmax(axis=0) + 1
+    contested, covered = contested[~alone], covered[:, ~alone]
+    if contested.size:
         decided = _nearest_segments(
-            row[contested], first[contested], length[contested], covered[:, contested],
+            row[contested], first[contested], length[contested], covered,
             (planes[:, None, None, :3], planes[:, None, None, 3]), intr,
         )
+        rest = np.ones(len(row), bool)
+        rest[contested] = False
         row, first, length, label = (
-            np.concatenate([part[~contested], more])
+            np.concatenate([part[rest], more])
             for part, more in zip((row, first, length, label), decided)
         )
         order = np.argsort(row * w + first)
         row, first, length, label = row[order], first[order], length[order], label[order]
-    # The segments tile each row: a run starts wherever the label or the row changes.
+    # A run starts wherever the label or the row changes: a patch covers
+    # one run of columns per row, so no background lies between two
+    # segments of one label in a row.
     starts = np.flatnonzero(np.diff(label, prepend=-1) | np.diff(row, prepend=-1))
     last = (first + length - 1)[np.append(starts[1:], len(row)) - 1]
     runs = np.stack([row[starts], first[starts], last, label[starts]])
-    return PlaneSegmentMap._of_runs((h, w), runs[:, runs[3] > 0], len(drawn))
+    return PlaneSegmentMap._of_runs((h, w), runs, len(planes))
+
+
+def _in_view(px: np.ndarray, depths: np.ndarray, image_size) -> np.ndarray:
+    """Tracks in front of a camera whose pixels lie inside its image."""
+    w, h = int(image_size[0]), int(image_size[1])
+    return (
+        (depths > 1e-9)
+        & (px[:, 0] >= 0)
+        & (px[:, 0] <= w - 1)
+        & (px[:, 1] >= 0)
+        & (px[:, 1] <= h - 1)
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceView:
+    """What every observation of a world takes from the reference view
+    (extrinsic identity), built once by :func:`reference_view`.
+
+    ``world``, ``intr`` and ``image_size`` (w, h) are what it was built
+    for.  ``pixels`` are the tracks' reference pixels, (N, 2); ``seen``
+    marks the tracks the reference camera sees, in front of it, inside the
+    image and hidden by no other patch (:func:`_occluded`); ``in_plane``
+    marks the tracks on detected planes; ``mask`` is the reference plane
+    mask, or None when the view was built without it.
+    """
+
+    world: World
+    intr: Intrinsics
+    image_size: tuple
+    pixels: np.ndarray
+    seen: np.ndarray
+    in_plane: np.ndarray
+    mask: PlaneSegmentMap | None
+
+
+def reference_view(world: World, intr: Intrinsics, image_size, render_mask: bool) -> ReferenceView:
+    """The reference view of ``world`` through a camera ``intr`` with
+    ``image_size``, with its plane mask when ``render_mask``."""
+    reference = Pose.identity()
+    px, depths = project_points(intr, reference, world.points)
+    seen = _in_view(px, depths, image_size) & ~_occluded(world, reference, intr, px, depths)
+    in_plane = world.in_plane_tracks()
+    for a in (px, seen, in_plane):
+        a.flags.writeable = False
+    mask = render_plane_mask(world, reference, intr, image_size) if render_mask else None
+    size = (int(image_size[0]), int(image_size[1]))
+    return ReferenceView(world, intr, size, px, seen, in_plane, mask)
 
 
 def observe(
@@ -587,49 +733,45 @@ def observe(
     lighting: LightingProxySpec = None,
     seed: int = 0,
     render_masks: bool = True,
-    reference_mask: PlaneSegmentMap = None,
+    reference: ReferenceView | None = None,
 ) -> Observation:
     """One observation of the current view paired against the reference.
 
     ``camera_pose`` is the current extrinsic in the world frame, which is
     the reference camera's (extrinsic identity).  Tracks must be visible
-    (positive depth, inside the image) in both views to appear.  Noise and
-    the lighting proxy corrupt only the current-view pixels.
+    (positive depth, inside the image, hidden by no other patch) in both
+    views to appear.  Noise and the lighting proxy corrupt only the
+    current-view pixels.
 
     Mask rendering dominates the cost at full resolution; callers that
-    only need correspondences pass ``render_masks=False``, and loop
-    drivers reuse a precomputed ``reference_mask``.
+    only need correspondences pass ``render_masks=False``.  What the
+    reference view gives is the same in every observation of a world, so
+    a caller that observes one world many times builds it once with
+    :func:`reference_view`, for the same intrinsics and image size, and
+    passes it as ``reference``; without one, the observation builds its
+    own.  Either way the result is the same bit for bit.  A view built for
+    another world, intrinsics or image size raises
+    :class:`InvalidInputError`.
     """
     noise = noise or NoiseSpec()
     lighting = lighting or LightingProxySpec()
-    reference = Pose.identity()
     w, h = int(image_size[0]), int(image_size[1])
+    if reference is None:
+        reference = reference_view(world, intr, image_size, False)
+    elif reference.world is not world or reference.intr != intr or reference.image_size != (w, h):
+        raise InvalidInputError("reference view built for another world, camera or image size")
     rng = np.random.default_rng(seed)
 
-    px_ref, d_ref = project_points(intr, reference, world.points)
     px_cur, d_cur = project_points(intr, camera_pose, world.points)
-
-    def _in_view(px, depths):
-        return (
-            (depths > 1e-9)
-            & (px[:, 0] >= 0)
-            & (px[:, 0] <= w - 1)
-            & (px[:, 1] >= 0)
-            & (px[:, 1] <= h - 1)
-        )
-
-    visible = _in_view(px_ref, d_ref) & _in_view(px_cur, d_cur)
+    visible = reference.seen & _in_view(px_cur, d_cur, image_size)
     if visible.any():
-        blocked = _occluded(world, reference, intr, px_ref, d_ref) | _occluded(
-            world, camera_pose, intr, px_cur, d_cur
-        )
-        visible &= ~blocked
+        visible &= ~_occluded(world, camera_pose, intr, px_cur, d_cur)
     if not visible.any():
         raise EmptyObservationError("no track visible in both views")
 
     idx = np.flatnonzero(visible)
-    a = px_ref[idx].copy()
-    b_clean = px_cur[idx].copy()
+    a = reference.pixels[idx]
+    b_clean = px_cur[idx]
     b = b_clean.copy()
     tracks = world.track_id[idx]
     n = idx.size
@@ -645,7 +787,7 @@ def observe(
         rng.choice(n, size=n_noisy, replace=False)  # keep the stream aligned
 
     # Lighting proxy: replace fractions of in-plane and off-plane pixels.
-    in_plane = world.in_plane_tracks()[idx]
+    in_plane = reference.in_plane[idx]
     for selector, fraction in (
         (~in_plane, lighting.off_plane_outlier_fraction),
         (in_plane, lighting.in_plane_outlier_fraction),
@@ -674,9 +816,9 @@ def observe(
     mask_ref = None
     mask_cur = None
     if render_masks:
-        mask_ref = reference_mask or render_plane_mask(
-            world, reference, intr, image_size
-        )
+        mask_ref = reference.mask
+        if mask_ref is None:
+            mask_ref = render_plane_mask(world, Pose.identity(), intr, image_size)
         mask_cur = render_plane_mask(world, camera_pose, intr, image_size)
     return Observation(
         correspondences=correspondences,
@@ -704,7 +846,9 @@ class SimulatedExecutor:
     Commands pass through the hidden hand-eye pose X: a hand motion M
     induces the camera motion X M X^-1.  The executor tracks the current
     camera extrinsic and returns observations against the reference view;
-    the ground truth goes only into the observation sidecar.
+    the ground truth goes only into the observation sidecar.  The reference
+    view, its plane mask included, is built once, on construction
+    (:func:`reference_view`), and every observation reuses it.
     """
 
     def __init__(
@@ -724,9 +868,7 @@ class SimulatedExecutor:
         self._seed = seed
         self._observations = 0
         self.motions_executed = 0
-        self._mask_ref = render_plane_mask(
-            world, Pose.identity(), rig.intrinsics, rig.image_size
-        )
+        self._reference = reference_view(world, rig.intrinsics, rig.image_size, True)
 
     @property
     def intrinsics(self) -> Intrinsics:
@@ -755,7 +897,7 @@ class SimulatedExecutor:
             noise=self._noise,
             lighting=self._lighting,
             seed=int(child.integers(0, 2**63 - 1)),
-            reference_mask=self._mask_ref,
+            reference=self._reference,
         )
 
     def execute(self, command: Pose) -> Observation:
@@ -962,6 +1104,7 @@ def bench_noise_sweep(
     data.  Deterministic per seed.
     """
     world = generate_scene(scene)
+    reference = reference_view(world, intr, image_size, False)
     rows = []
     for i_r, r in enumerate(r_values):
         for i_mu, mu in enumerate(mu_values):
@@ -976,6 +1119,7 @@ def bench_noise_sweep(
                     noise=NoiseSpec(magnitude_r=float(r), ratio_mu=float(mu)),
                     seed=obs_seed,
                     render_masks=False,
+                    reference=reference,
                 )
                 errors = _bench_errors(
                     obs.correspondences,

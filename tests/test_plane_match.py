@@ -522,10 +522,10 @@ class TestRunSources:
 
 
 def _parallel_lines(bump: bool) -> PlaneSegmentMap:
-    """Two 200 px lines 10 rows apart, so that the sampled run ends already
-    sit at the minimum and every pixel of the second line ties the bound;
-    with ``bump`` one pixel comes a row nearer, below the bound at a pair
-    the sample does not hold."""
+    """Two 200 px lines 10 rows apart, so that the row ends already sit at
+    the minimum and every pixel of the second line ties the bound; with
+    ``bump`` one pixel comes a row nearer, below the bound at a pair the
+    bound does not hold."""
     lab = np.zeros((16, 220), dtype=np.int32)
     lab[2, 10:210] = 1
     lab[12, 10:210] = 2
@@ -537,9 +537,9 @@ def _parallel_lines(bump: bool) -> PlaneSegmentMap:
 def _u_wrap() -> PlaneSegmentMap:
     """Region 2 is a U wrapping regions 1 and 3: two runs in each of its
     upper rows, and a column span that bounds nothing (gap 0).  Region 3's
-    first row stops short of the U's right arm, so the sampled bound is
-    loose and only the arm's run, right of region 3's runs, holds the
-    minimum."""
+    first row stops short of the U's right arm, and the U's row ends are
+    its outer edges, so the bound is loose and only the arm's run, right
+    of region 3's runs, holds the minimum."""
     lab = np.zeros((30, 40), dtype=np.int32)
     lab[:, :5] = lab[:, 35:] = lab[25:] = 2
     lab[2:9, 8:21] = 1
@@ -571,7 +571,7 @@ BOUNDED_QUERY_CASES = {
     "far-pair": lambda: _mask(
         (40, 360), {1: (slice(5, 35), slice(0, 30)), 2: (slice(10, 30), slice(330, 360))}
     ),
-    # 8 boundary pixels, fewer than one subsample stride.
+    # 8 boundary pixels.
     "few-boundary-pixels": lambda: _mask(
         (60, 90), {1: (slice(5, 55), slice(0, 50)), 2: (slice(20, 23), slice(80, 83))}
     ),
@@ -592,7 +592,7 @@ BOUNDED_QUERY_CASES = {
 
 
 class TestBoundedGraphQueries:
-    """The sampled bound prunes the run visits without moving a minimum:
+    """The row-end bound prunes the run visits without moving a minimum:
     each map's distances equal the unbounded oracle's bits."""
 
     @pytest.mark.parametrize("case", sorted(BOUNDED_QUERY_CASES))
@@ -616,12 +616,13 @@ class TestBoundedGraphQueries:
         assert d["far-pair-full-size"][0, 1] == math.hypot(466, 1261)
 
     def test_ties_at_the_bound_are_kept(self):
-        # The sampled bound equals the minimum, which every pixel of the
+        # The row-end bound equals the minimum, which every pixel of the
         # second line ties: pruning at the bound must keep the tie.
         m = _parallel_lines(bump=False)
         row, lo, hi, label = m.runs  # one run per region: raster order is region order
-        first = np.searchsorted(label - 1, np.arange(3))
-        np.testing.assert_array_equal(plane_match._upper_bounds(row, lo, hi, label - 1, first, 0), [10**2])
+        ends = plane_match._row_ends(row, lo, hi, label - 1)
+        first = np.searchsorted(ends[3], np.arange(3))
+        np.testing.assert_array_equal(plane_match._row_end_bounds(ends, first, 0), [10**2])
         assert PlaneGraph.from_mask(m).distances[0, 1] == 10.0
 
 

@@ -6,6 +6,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acrkit import simulator
 from acrkit.errors import InvalidInputError, InvalidSceneError
@@ -239,6 +241,23 @@ class TestObserve:
         labels_at = obs.mask_ref.label_at(c.a[behind])
         assert not (labels_at == 1).any()
 
+    def test_reference_view_of_another_setup_is_refused(self):
+        world = generate_scene(corner_scene(seed=1))
+        view = simulator.reference_view(world, DESK_INTRINSICS, DESK_IMAGE_SIZE, False)
+        assert view.mask is None and view.image_size == tuple(DESK_IMAGE_SIZE)
+        pose = Pose(Rotation.about_z(2.0), np.array([0.02, 0.0, 0.01]))
+        obs = observe(world, pose, DESK_INTRINSICS, DESK_IMAGE_SIZE, reference=view)
+        assert obs.mask_ref is not None
+        w, h = DESK_IMAGE_SIZE
+        other_intr = dataclasses.replace(DESK_INTRINSICS, fx=DESK_INTRINSICS.fx * 1.01)
+        for args in (
+            (generate_scene(corner_scene(seed=1)), pose, DESK_INTRINSICS, DESK_IMAGE_SIZE),
+            (world, pose, other_intr, DESK_IMAGE_SIZE),
+            (world, pose, DESK_INTRINSICS, (w // 2, h // 2)),
+        ):
+            with pytest.raises(InvalidInputError):
+                observe(*args, reference=view)
+
 
 class TestVisibilityRule:
     """Culling and the plane masks follow one rule: a track is hidden when
@@ -379,6 +398,53 @@ def _random_stack(seed: int, count: int) -> tuple:
             normal=(*rng.uniform(-0.6, 0.6, size=2), 1.0),
         )
         for _ in range(count)
+    )
+
+
+def _hinged(plane: PlaneSpec, direction) -> PlaneSpec:
+    """A patch that shares ``plane``'s first edge, swung out of its plane
+    along ``direction``."""
+    v0, v1 = plane._world_polygon[:2]
+    normal = np.cross(v1 - v0, direction)
+    base = _patch(v0, (0.1, 0.1), normal=normal if normal @ v0 > 0 else -normal)
+    origin, e_u, e_v = base.basis()
+    quad = np.array([v0, v1, v1 + direction, v0 + direction]) - origin
+    return dataclasses.replace(base, polygon=tuple(zip(quad @ e_u, quad @ e_v)))
+
+
+def _stress_stack(seed: int, count: int, hinged: bool, near_parallel: bool, coplanar: bool):
+    """``count`` patches in random order: a random stack, and with it, as
+    asked and while the count allows, a patch sharing an edge with the
+    stack's first patch, a near-parallel patch through its centre and a
+    coplanar copy of it shifted inside its plane."""
+    rng = np.random.default_rng(seed)
+    wanted = [hinged, near_parallel, coplanar][: count - 1]
+    planes = list(_random_stack(seed, count - sum(wanted)))
+    first = planes[0]
+    n, (origin, e_u, e_v) = first.unit_normal(), first.basis()
+    extras = (
+        lambda: _hinged(first, rng.uniform(-0.2, 0.2, size=3)),
+        lambda: _patch(
+            origin, tuple(rng.uniform(0.05, 0.25, size=2)), normal=n + rng.normal(scale=1e-7, size=3)
+        ),
+        lambda: dataclasses.replace(
+            first, center=tuple(origin + rng.uniform(-0.1, 0.1) * e_u + rng.uniform(-0.1, 0.1) * e_v)
+        ),
+    )
+    planes += [make() for make, want in zip(extras, wanted) if want]
+    return tuple(planes[i] for i in rng.permutation(count))
+
+
+def _drawn_runs(planes, pose: Pose) -> tuple:
+    """The run ends and camera-frame planes ``(*n_c, c_c)`` of the patches
+    that cover a pixel of the small view, stacked as the renderer stacks
+    them."""
+    drawn = [simulator._cover_rows(p, pose, SMALL_INTRINSICS, *SMALL_IMAGE_SIZE) for p in planes]
+    drawn = [runs for runs in drawn if runs is not None]
+    return (
+        np.array([lo for lo, _, _ in drawn]),
+        np.array([hi for _, hi, _ in drawn]),
+        np.array([(*n_c, c_c) for _, _, (n_c, c_c) in drawn]),
     )
 
 
@@ -585,17 +651,27 @@ class TestRenderPlaneMask:
             render_plane_mask(_case_world(name), pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE)
             if len(calls) > before:
                 contests[name] = calls[-1]
-        # The crease: shared runs are split, and which patch wins changes
-        # inside the runs, at a column that moves from row to row.
-        length, covered, (row, first, _, winner) = contests["crease"]
-        assert winner.size > length.size
-        both = np.intersect1d(row[winner == 1], row[winner == 2])
-        assert both.size > 20
-        switch = [first[(row == r) & (winner == 2)].min() for r in both]
-        assert np.unique(switch).size > 10
-        # Near-parallel planes: every contested pixel ends a segment of its
-        # own, and both patches win some of them.
+        # The crease: which patch wins changes inside the shared runs, at a
+        # column that moves from row to row.  Every change falls on a cut
+        # at the two planes' depth crossing, and one pass decides every
+        # segment: the contest returns its segments as they came.
+        length, covered, (row, first, pieces, winner) = contests["crease"]
+        np.testing.assert_array_equal(pieces, length)
+        lo, hi, planes = _drawn_runs(RENDER_CASES["crease"], pose)
+        cut_row, cut_column = simulator._crossing_cuts(lo, hi, planes, SMALL_INTRINSICS)
+        switches = []
+        for r in np.intersect1d(row[winner == 1], row[winner == 2]):
+            in_row = np.flatnonzero(row == r)
+            in_row = in_row[np.argsort(first[in_row])]
+            changes = in_row[1:][np.diff(winner[in_row]) != 0]
+            assert np.isin(first[changes], cut_column[cut_row == r]).all()
+            switches += first[changes].tolist()
+        assert len(switches) > 20 and np.unique(switches).size > 10
+        # Near-parallel planes: no certificate holds over more than one
+        # pixel, so the halving still runs, down to single pixels, and both
+        # patches win some of them.
         length, covered, (_, _, pieces, winner) = contests["near-parallel"]
+        assert pieces.size > length.size
         assert (pieces == 1).all() and pieces.size == length.sum() > 1000
         assert set(winner.tolist()) == {1, 2}
         # Coplanar patches never reach the depth test (see the next test).
@@ -604,10 +680,81 @@ class TestRenderPlaneMask:
         length, covered, _ = contests["five-stacked"]
         assert covered.sum(axis=0).max() >= 3
         assert np.unique(raw("five-stacked")).size == 6
-        # The random stack splits, stacks three deep and hides a patch.
-        length, covered, (_, _, pieces, _) = contests["random-stack"]
-        assert pieces.size > length.size and covered.sum(axis=0).max() >= 3
+        # The random stack stacks three deep and hides a patch, and one pass
+        # decides it: segments longer than a pixel win where their end
+        # depths overlap another covering patch's, which only the end
+        # ratios certify.
+        length, covered, (row, first, pieces, winner) = contests["random-stack"]
+        np.testing.assert_array_equal(pieces, length)
+        assert covered.sum(axis=0).max() >= 3
         assert 0 < np.unique(raw("random-stack")).size - 1 < len(RENDER_CASES["random-stack"])
+        lo, hi, planes = _drawn_runs(RENDER_CASES["random-stack"], pose)
+        ends = np.stack([first, first + length - 1]).astype(float)
+        stack = (planes[:, None, None, :3], planes[:, None, None, 3])
+        d = simulator._ray_depth(stack, SMALL_INTRINSICS, ends, row.astype(float))
+        near = np.where(covered, d.min(axis=1), np.inf)
+        far = d.max(axis=1)[winner - 1, np.arange(len(row))]
+        near[winner - 1, np.arange(len(row))] = np.inf
+        assert ((length > 1) & (far >= near.min(axis=0))).any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_random_stacks_equal_the_oracle(self, seed, count, hinged, near_parallel, coplanar):
+        planes = _stress_stack(seed, count, hinged, near_parallel, coplanar)
+        world = generate_scene(SceneSpec(planes=planes, seed=0))
+        pose = random_pose(np.random.default_rng(seed), 10.0, 0.1)
+        _assert_same_mask(
+            render_plane_mask(world, pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE),
+            _oracle_mask(world, pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE),
+        )
+
+    @pytest.mark.parametrize("gap, one_pass", [(0.5, True), (1e-4, False)])
+    def test_ill_conditioned_ends_fall_back_to_halving(self, gap, one_pass):
+        # Two parallel planes, the first a quarter as far as the second,
+        # that the rays of row 0 meet ever more obliquely towards column
+        # 10 + gap: their end depths overlap over the 11-pixel segment, so
+        # only the end ratios can decide it in one pass.  With the last
+        # ray 1e-4 px short of parallel, the denominators are too small
+        # against their terms for the ratios' rounding bound, and the
+        # halving decides instead.
+        n = np.array([[1.0, 0.0, (80.0 - 10.0 - gap) / 150.0]] * 2)
+        c = np.array([-1.0, -4.0])
+        planes_c = (n[:, None, None, :], c[:, None, None])
+        one = np.zeros(1, np.int64)
+        row, first, length, winner = simulator._nearest_segments(
+            one, one, one + 11, np.ones((2, 1), bool), planes_c, SMALL_INTRINSICS
+        )
+        assert (len(row) == 1) == one_pass
+        assert length.sum() == 11 and (winner == 1).all()
+        u = np.arange(11.0)
+        d = simulator._ray_depth((n[:, None, :], c[:, None]), SMALL_INTRINSICS, u, np.zeros(11))
+        assert (d[0] < d[1]).all() and d[0].max() > d[1].min()
+
+    def test_misplaced_crossing_cuts_change_no_label(self, monkeypatch):
+        # The roots only place cuts; the certificates decide every label.
+        # Cuts moved off the crossings, or none at all, leave the masks as
+        # they were, and the halving decides what one pass cannot.
+        cuts, w = simulator._crossing_cuts, SMALL_IMAGE_SIZE[0]
+        rng = np.random.default_rng(5)
+        moves = (
+            lambda c: (c[0][:0], c[1][:0]),
+            lambda c: (c[0], np.clip(c[1] + rng.integers(-3, 4, len(c[1])), 0, w)),
+        )
+        for move in moves:
+            monkeypatch.setattr(simulator, "_crossing_cuts", lambda *args: move(cuts(*args)))
+            for name in ("crease", "five-stacked", "random-stack"):
+                world = _case_world(name)
+                for pose in _CASE_POSES:
+                    _assert_same_mask(
+                        render_plane_mask(world, pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE),
+                        _oracle_mask(world, pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE),
+                    )
 
     def test_coplanar_overlap_is_not_split(self, monkeypatch):
         # Along the rows of a tilted plane the depth changes from pixel to
@@ -651,6 +798,37 @@ class TestSimulatedExecutor:
         np.testing.assert_allclose(
             rel.translation, -(x.rotation.matrix @ t), atol=1e-12
         )
+
+    def test_observations_equal_those_built_without_a_view(self):
+        # The executor builds the reference view once; an observation
+        # that builds its own must come out the same, bit for bit.
+        world = generate_scene(corner_scene(seed=3))
+        rng = np.random.default_rng(11)
+        x, offset = random_pose(rng, 30.0, 0.1), random_pose(rng, 6.0, 0.06)
+        noise = NoiseSpec(magnitude_r=1.0, ratio_mu=0.5)
+        lighting = LightingProxySpec(0.5, 0.3, 0.2)
+        ex = SimulatedExecutor(world, self._rig(x), offset, noise=noise, lighting=lighting, seed=5)
+        for k in range(4):
+            obs = ex.observe() if k == 0 else ex.execute(random_pose(rng, 3.0, 0.03))
+            cell = np.random.default_rng(np.random.SeedSequence((5, k)))
+            plain = observe(
+                world, ex.true_residual, DESK_INTRINSICS, DESK_IMAGE_SIZE, noise=noise,
+                lighting=lighting, seed=int(cell.integers(0, 2**63 - 1)),
+            )
+            pairs = (
+                (obs.correspondences.a, plain.correspondences.a),
+                (obs.correspondences.b, plain.correspondences.b),
+                (obs.correspondences.track_id, plain.correspondences.track_id),
+                (obs.truth.clean_a, plain.truth.clean_a),
+                (obs.truth.clean_b, plain.truth.clean_b),
+                (obs.truth.relative_pose.matrix(), plain.truth.relative_pose.matrix()),
+                (obs.mask_ref.runs, plain.mask_ref.runs),
+                (obs.mask_cur.runs, plain.mask_cur.runs),
+            )
+            for got, expected in pairs:
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+            assert obs.mask_ref.num_planes == plain.mask_ref.num_planes
 
     def test_exact_inverse_command_relocates(self):
         world = generate_scene(corner_scene(seed=1))
