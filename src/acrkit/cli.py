@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .acr_loop import AcrConfig, _truth_errors, run_acr, run_bisection_baseline
-from .errors import AcrError, InvalidInputError, MissingInputError
+from .errors import AcrError, EmptyObservationError, InvalidInputError, MissingInputError
 from .fusion import _select_consistent, i2pe, reselect_candidates
 from .geometry import DirectionalPose, Intrinsics, Pose, Rotation
 from .metrics import afd
@@ -477,11 +477,15 @@ def cmd_simulate_acr(args) -> int:
         trace.save_jsonl(out_dir / "trace.jsonl")
 
         # The final figures describe the pose after the last move, from one
-        # more observation; the last record holds the pose before it.
-        final_afd = in_gate = None
-        obs = executor.observe()
-        final_rot, final_trans = _truth_errors(obs)
-        if obs.truth is not None:
+        # more observation; the last record holds the pose before it.  A
+        # final pose that sees no track leaves them empty.
+        final_rot = final_trans = final_afd = in_gate = None
+        try:
+            obs = executor.observe()
+        except EmptyObservationError:
+            obs = None
+        if obs is not None and obs.truth is not None:
+            final_rot, final_trans = _truth_errors(obs)
             final_afd = afd(obs.truth.clean_a, obs.truth.clean_b).afd
             in_gate = final_rot <= GATE_ROT_DEG and final_trans <= GATE_TRANS_M
         with open(out_dir / "summary.csv", "w", newline="") as fh:

@@ -14,6 +14,10 @@ ways:
   survive lighting change while others mismatch, without simulating
   photometry.
 
+Every observation is made from a :class:`ReferenceView`: the world, the
+camera, the image size and what the reference camera sees, its plane mask
+included when the view has one.
+
 The :class:`SimulatedExecutor` drives the relocalization loop through a
 hidden hand-eye pose: every commanded hand motion is conjugated by it
 before moving the camera, and the executor never reveals it.
@@ -358,15 +362,19 @@ def _cover(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics, verts_px, u, v):
     The one visibility rule of the simulator: a patch covers a pixel when
     the pixel centre lies within ``COVER_MARGIN_PX`` of its projected
     polygon ``verts_px`` (from :func:`_projected_polygon`; None covers
-    nothing) and its plane lies in front of the camera along the pixel's
-    ray.  The depth is that of the plane along the ray, computed
-    elementwise so that a pixel gets the same depth bit for bit whatever
-    array it comes in.
+    nothing) and inside its pixel bounding box, and its plane lies in front
+    of the camera along the pixel's ray.  The box, the vertices' extremes
+    rounded outwards, ends the margin past a vertex sharper than 90
+    degrees, where the edges' lines reach out beyond it.  The depth is that
+    of the plane along the ray, computed elementwise so that a pixel gets
+    the same depth bit for bit whatever array it comes in.
     """
     depth = _ray_depth(_in_camera(plane, extrinsic), intr, u, v)
     if verts_px is None:
         return np.zeros(np.shape(u), dtype=bool), depth
-    return _inside_convex(verts_px, u, v, COVER_MARGIN_PX) & (depth > 0), depth
+    (x0, y0), (x1, y1) = np.floor(verts_px.min(axis=0)), np.ceil(verts_px.max(axis=0))
+    in_box = (x0 <= u) & (u <= x1) & (y0 <= v) & (v <= y1)
+    return in_box & _inside_convex(verts_px, u, v, COVER_MARGIN_PX) & (depth > 0), depth
 
 
 def _occluded(
@@ -421,8 +429,6 @@ def _cover_rows(plane: PlaneSpec, extrinsic: Pose, intr: Intrinsics, w: int, h: 
     ``(lo, hi)`` per row read lo > hi where it covers nothing.  Returns
     ``(lo, hi, plane_c)`` with the plane from :func:`_in_camera`, or None
     when the patch covers no pixel.
-
-    Like a pass over the patch's bounding box, only pixels in that box count.
     """
     px = _projected_polygon(plane, extrinsic, intr)
     if px is None:
@@ -504,34 +510,29 @@ def _row_segments(lo: np.ndarray, hi: np.ndarray, cuts, w: int):
     ``lo`` and ``hi`` are (K, h): row by row, the run ends of each drawn
     patch from :func:`_cover_rows`; ``cuts`` holds the rows and columns of
     more cuts.  Returns the segments that a patch covers, in raster order,
-    as ``(row, first column, length)`` arrays, with how many patches cover
-    each one and the sum of their ids (index + 1): a segment lies wholly
-    inside or wholly outside every run.  Both sums run over the cuts in
-    order, each run adding at its start what it takes back past its end.
+    as ``(row, first column, length)`` arrays: a segment lies wholly inside
+    or wholly outside every run.  How many runs cover a segment is a
+    running count over the cuts in order, each run adding one at its start
+    and taking it back past its end.
     """
-    k, h = lo.shape
+    h = lo.shape[1]
     ran = lo <= hi
-    ids = np.arange(1, k + 1)[:, None]
     # A cut at (row, column) of kind c sorts by (row * (w + 1) + column) *
-    # kinds + c.  Kind 0 is a plain cut, kind id starts patch id's run and
-    # kind k + id ends it, and the last kind ends a row, so that it comes
-    # last among the cuts at a row's end.
-    kinds = 2 * k + 2
+    # 4 + c.  Kind 0 is a plain cut, 1 starts a run and 2 ends one, and
+    # kind 3 ends a row, so that it comes last among the cuts at a row's
+    # end.
     at = np.arange(h) * (w + 1)
     keys = np.concatenate([
-        at * kinds, (at + w) * kinds + kinds - 1, (cuts[0] * (w + 1) + cuts[1]) * kinds,
-        ((at + np.where(ran, lo, w)) * kinds + np.where(ran, ids, 0)).ravel(),
-        ((at + np.where(ran, hi + 1, w)) * kinds + np.where(ran, k + ids, 0)).ravel(),
+        at * 4, (at + w) * 4 + 3, (cuts[0] * (w + 1) + cuts[1]) * 4,
+        ((at + np.where(ran, lo, w)) * 4 + ran).ravel(),
+        ((at + np.where(ran, hi + 1, w)) * 4 + 2 * ran).ravel(),
     ])
     keys.sort()
-    position, kind = np.divmod(keys, kinds)
-    # Each start adds its run's id times k + 1, plus 1; each end takes it back.
-    step = np.concatenate([[0], ids[:, 0] * (k + 1) + 1, -ids[:, 0] * (k + 1) - 1, [0]])
-    covers = np.cumsum(step[kind])[:-1]
-    cut = np.flatnonzero((np.diff(position) > 0) & (kind[:-1] < kinds - 1) & (covers > 0))
-    total, count = np.divmod(covers[cut], k + 1)
+    position, kind = np.divmod(keys, 4)
+    covers = np.cumsum(np.array([0, 1, -1, 0])[kind])[:-1]
+    cut = np.flatnonzero((np.diff(position) > 0) & (kind[:-1] < 3) & (covers > 0))
     row, first = np.divmod(position[cut], w + 1)
-    return row, first, position[cut + 1] - position[cut], count, total
+    return row, first, position[cut + 1] - position[cut]
 
 
 # A patch is nearer than another over a whole piece of a row when its depth
@@ -550,11 +551,13 @@ def _nearest_segments(row, first, length, covered, planes_c, intr: Intrinsics):
 
     ``planes_c`` stacks the K planes from :func:`_in_camera` to broadcast
     over (K, 2, n) segment ends.  A patch wins a segment when, against
-    every other covering patch, one of two certificates shows it nearer
+    every other covering patch, one of three certificates shows it nearer
     at every pixel, strictly so against an earlier patch and at most
     equally against a later one: pixel by pixel, the strict ``<`` of a
     z-buffer pass in patch order.
 
+    * Equal planes.  A later patch whose plane equals the patch's bit for
+      bit has the same depth bits on every ray, so it never wins a tie.
     * End depths.  Along a covered run a plane's depth is monotone in
       floating point (see :func:`_ray_depth`), so its values at the two end
       pixels bound it.  The patch's largest end depth lies below the
@@ -579,10 +582,13 @@ def _nearest_segments(row, first, length, covered, planes_c, intr: Intrinsics):
     ``(row, first, length, winner)`` in no particular order.
     """
     out = []
-    order = np.arange(len(covered))
+    k = len(covered)
+    order = np.arange(k)
     later = (order[:, None] < order)[:, :, None]  # later[k, j]: j comes after k
-    itself = (order[:, None] == order)[:, :, None]
     n_c, c_c = planes_c
+    bits = np.hstack([n_c.reshape(k, 3), c_c.reshape(k, 1)]).view(np.int64)
+    # given[k, j]: j is k itself or a later patch on k's plane, bit for bit.
+    given = (order[:, None] <= order) & (bits[:, None] == bits[None]).all(axis=2)
     while row.size:
         ends = np.stack([first, first + length - 1]).astype(float)
         t0, t1, t2 = _ray_terms(n_c, intr, ends, row.astype(float))
@@ -592,7 +598,7 @@ def _nearest_segments(row, first, length, covered, planes_c, intr: Intrinsics):
             size = np.abs(t0) + np.abs(t1) + np.abs(t2)
             sure = (size <= _CONDITION_LIMIT * np.abs(den)).all(axis=1)
             near, far = d.min(axis=1)[None], d.max(axis=1)[:, None]
-            beats = (far < near) | (later & (far <= near)) | itself | ~covered[None]
+            beats = (far < near) | (later & (far <= near)) | given[:, :, None] | ~covered[None]
             ratio = (d[:, None] < (1.0 - _DEPTH_MARGIN) * d[None]).all(axis=2)
             beats |= sure[:, None] & sure[None] & ratio
         wins = covered & beats.all(axis=1)
@@ -622,16 +628,15 @@ def render_plane_mask(
     The z-buffer works on row segments, not on pixels: each row is cut at
     every run end and around every two patches' depth crossing
     (:func:`_crossing_cuts`), and only the segments that a patch covers are
-    kept (:func:`_row_segments`).  A segment that one patch covers is that
-    patch's.  A patch whose plane equals an earlier covering one's bit for
-    bit has the same depth bits on every ray, so it never wins there and
-    leaves the contest.  Where several patches remain, depths are taken at
-    segment ends only, and one pass decides every segment but those of
-    near-parallel patches, which are halved (:func:`_nearest_segments`).
-    The map is built straight from the decided segments: neighbours in a
-    row with one label merge into that label's run, and no per-pixel array
-    is painted.  Ids are contiguous in plane order over the patches that
-    keep a pixel, and the region areas are the run lengths.
+    kept (:func:`_row_segments`).  One test decides every segment
+    (:func:`_nearest_segments`): depths are taken at segment ends only, a
+    segment that one patch covers is that patch's, a patch keeps what it
+    shares with later patches on its own plane, bit for bit, and only the
+    segments of near-parallel patches are halved.  The map is built
+    straight from the decided segments: neighbours in a row with one label
+    merge into that label's run, and no per-pixel array is painted.  Ids
+    are contiguous in plane order over the patches that keep a pixel, and
+    the region areas are the run lengths.
     """
     w, h = int(image_size[0]), int(image_size[1])
     drawn = []  # (lo, hi, plane_c) of each patch that covers a pixel
@@ -644,29 +649,13 @@ def render_plane_mask(
     lo = np.array([runs[0] for runs in drawn])
     hi = np.array([runs[1] for runs in drawn])
     planes = np.array([(*n_c, c_c) for _, _, (n_c, c_c) in drawn])  # (K, 4)
-    row, first, length, count, label = _row_segments(lo, hi, _crossing_cuts(lo, hi, planes, intr), w)
-    contested = np.flatnonzero(count > 1)
-    seg_row, seg_first = row[contested], first[contested]
-    covered = (np.take(lo, seg_row, axis=1) <= seg_first) & (seg_first <= np.take(hi, seg_row, axis=1))
-    for p, q in itertools.combinations(range(len(planes)), 2):
-        if planes[p].tobytes() == planes[q].tobytes():
-            covered[q] &= ~covered[p]
-    alone = covered.sum(axis=0) == 1  # where coplanar patches leave one
-    label[contested[alone]] = covered[:, alone].argmax(axis=0) + 1
-    contested, covered = contested[~alone], covered[:, ~alone]
-    if contested.size:
-        decided = _nearest_segments(
-            row[contested], first[contested], length[contested], covered,
-            (planes[:, None, None, :3], planes[:, None, None, 3]), intr,
-        )
-        rest = np.ones(len(row), bool)
-        rest[contested] = False
-        row, first, length, label = (
-            np.concatenate([part[rest], more])
-            for part, more in zip((row, first, length, label), decided)
-        )
-        order = np.argsort(row * w + first)
-        row, first, length, label = row[order], first[order], length[order], label[order]
+    row, first, length = _row_segments(lo, hi, _crossing_cuts(lo, hi, planes, intr), w)
+    covered = (np.take(lo, row, axis=1) <= first) & (first <= np.take(hi, row, axis=1))
+    row, first, length, label = _nearest_segments(
+        row, first, length, covered, (planes[:, None, None, :3], planes[:, None, None, 3]), intr
+    )
+    order = np.argsort(row * w + first)
+    row, first, length, label = row[order], first[order], length[order], label[order]
     # A run starts wherever the label or the row changes: a patch covers
     # one run of columns per row, so no background lies between two
     # segments of one label in a row.
@@ -694,11 +683,12 @@ class ReferenceView:
     (extrinsic identity), built once by :func:`reference_view`.
 
     ``world``, ``intr`` and ``image_size`` (w, h) are what it was built
-    for.  ``pixels`` are the tracks' reference pixels, (N, 2); ``seen``
-    marks the tracks the reference camera sees, in front of it, inside the
-    image and hidden by no other patch (:func:`_occluded`); ``in_plane``
-    marks the tracks on detected planes; ``mask`` is the reference plane
-    mask, or None when the view was built without it.
+    for, and what every observation from it sees through.  ``pixels`` are
+    the tracks' reference pixels, (N, 2); ``seen`` marks the tracks the
+    reference camera sees, in front of it, inside the image and hidden by
+    no other patch (:func:`_occluded`); ``in_plane`` marks the tracks on
+    detected planes; ``mask`` is the reference plane mask, or None when the
+    view was built without it, and then observations come without masks.
     """
 
     world: World
@@ -725,45 +715,31 @@ def reference_view(world: World, intr: Intrinsics, image_size, render_mask: bool
 
 
 def observe(
-    world: World,
+    reference: ReferenceView,
     camera_pose: Pose,
-    intr: Intrinsics,
-    image_size,
     noise: NoiseSpec = None,
     lighting: LightingProxySpec = None,
     seed: int = 0,
-    render_masks: bool = True,
-    reference: ReferenceView | None = None,
 ) -> Observation:
     """One observation of the current view paired against the reference.
 
-    ``camera_pose`` is the current extrinsic in the world frame, which is
-    the reference camera's (extrinsic identity).  Tracks must be visible
-    (positive depth, inside the image, hidden by no other patch) in both
-    views to appear.  Noise and the lighting proxy corrupt only the
-    current-view pixels.
-
-    Mask rendering dominates the cost at full resolution; callers that
-    only need correspondences pass ``render_masks=False``.  What the
-    reference view gives is the same in every observation of a world, so
-    a caller that observes one world many times builds it once with
-    :func:`reference_view`, for the same intrinsics and image size, and
-    passes it as ``reference``; without one, the observation builds its
-    own.  Either way the result is the same bit for bit.  A view built for
-    another world, intrinsics or image size raises
-    :class:`InvalidInputError`.
+    The world, the camera and the image size are those ``reference`` was
+    built for (:func:`reference_view`); a caller that observes one world
+    many times builds the view once.  ``camera_pose`` is the current
+    extrinsic in the world frame, which is the reference camera's
+    (extrinsic identity).  Tracks must be visible (positive depth, inside
+    the image, hidden by no other patch) in both views to appear.  Noise
+    and the lighting proxy corrupt only the current-view pixels.  The
+    plane masks come with the observation when the view holds its own:
+    mask rendering dominates the cost at full resolution.
     """
     noise = noise or NoiseSpec()
     lighting = lighting or LightingProxySpec()
-    w, h = int(image_size[0]), int(image_size[1])
-    if reference is None:
-        reference = reference_view(world, intr, image_size, False)
-    elif reference.world is not world or reference.intr != intr or reference.image_size != (w, h):
-        raise InvalidInputError("reference view built for another world, camera or image size")
+    world, intr, (w, h) = reference.world, reference.intr, reference.image_size
     rng = np.random.default_rng(seed)
 
     px_cur, d_cur = project_points(intr, camera_pose, world.points)
-    visible = reference.seen & _in_view(px_cur, d_cur, image_size)
+    visible = reference.seen & _in_view(px_cur, d_cur, reference.image_size)
     if visible.any():
         visible &= ~_occluded(world, camera_pose, intr, px_cur, d_cur)
     if not visible.any():
@@ -808,24 +784,11 @@ def observe(
             raise EmptyObservationError("dropout removed every correspondence")
 
     correspondences = CorrespondenceSet(a[keep], b[keep], tracks[keep])
-    truth = ObservationTruth(
-        relative_pose=camera_pose,
-        clean_a=a[keep],
-        clean_b=b_clean[keep],
-    )
-    mask_ref = None
-    mask_cur = None
-    if render_masks:
-        mask_ref = reference.mask
-        if mask_ref is None:
-            mask_ref = render_plane_mask(world, Pose.identity(), intr, image_size)
-        mask_cur = render_plane_mask(world, camera_pose, intr, image_size)
-    return Observation(
-        correspondences=correspondences,
-        mask_ref=mask_ref,
-        mask_cur=mask_cur,
-        truth=truth,
-    )
+    truth = ObservationTruth(relative_pose=camera_pose, clean_a=a[keep], clean_b=b_clean[keep])
+    if reference.mask is None:
+        return Observation(correspondences, None, None, truth)
+    mask_cur = render_plane_mask(world, camera_pose, intr, reference.image_size)
+    return Observation(correspondences, reference.mask, mask_cur, truth)
 
 
 def random_pose(rng, max_rotation_deg: float, max_offset_m: float) -> Pose:
@@ -848,7 +811,8 @@ class SimulatedExecutor:
     camera extrinsic and returns observations against the reference view;
     the ground truth goes only into the observation sidecar.  The reference
     view, its plane mask included, is built once, on construction
-    (:func:`reference_view`), and every observation reuses it.
+    (:func:`reference_view`); it holds the world, the camera and the image
+    size, and every observation is made from it, masks included.
     """
 
     def __init__(
@@ -860,7 +824,6 @@ class SimulatedExecutor:
         lighting: LightingProxySpec = None,
         seed: int = 0,
     ):
-        self._world = world
         self._rig = rig
         self._extrinsic = initial_offset  # maps reference frame to current
         self._noise = noise or NoiseSpec()
@@ -889,16 +852,8 @@ class SimulatedExecutor:
             np.random.SeedSequence((self._seed, self._observations))
         )
         self._observations += 1
-        return observe(
-            self._world,
-            self._extrinsic,
-            self._rig.intrinsics,
-            self._rig.image_size,
-            noise=self._noise,
-            lighting=self._lighting,
-            seed=int(child.integers(0, 2**63 - 1)),
-            reference=self._reference,
-        )
+        seed = int(child.integers(0, 2**63 - 1))
+        return observe(self._reference, self._extrinsic, self._noise, self._lighting, seed)
 
     def execute(self, command: Pose) -> Observation:
         x = self._rig.hand_eye
@@ -1111,16 +1066,8 @@ def bench_noise_sweep(
             for trial in range(trials):
                 cell = np.random.SeedSequence((seed, i_r, i_mu, trial))
                 obs_seed = int(np.random.default_rng(cell).integers(0, 2**63 - 1))
-                obs = observe(
-                    world,
-                    motion,
-                    intr,
-                    image_size,
-                    noise=NoiseSpec(magnitude_r=float(r), ratio_mu=float(mu)),
-                    seed=obs_seed,
-                    render_masks=False,
-                    reference=reference,
-                )
+                noise = NoiseSpec(magnitude_r=float(r), ratio_mu=float(mu))
+                obs = observe(reference, motion, noise=noise, seed=obs_seed)
                 errors = _bench_errors(
                     obs.correspondences,
                     intr,

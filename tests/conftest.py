@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from acrkit import simulator
 from acrkit.geometry import Intrinsics, Pose, Rotation
 from acrkit.pose_estimation import CorrespondenceSet
 
@@ -94,3 +95,16 @@ def random_pose_sample(rng, max_rotation_deg: float, max_offset_m: float) -> Pos
     return Pose(
         random_rotation(rng, max_rotation_deg), d * rng.uniform(0.0, max_offset_m)
     )
+
+
+def observe_world(
+    world,
+    pose: Pose,
+    intr: Intrinsics = simulator.DESK_INTRINSICS,
+    image_size=simulator.DESK_IMAGE_SIZE,
+    **kwargs,
+):
+    """``simulator.observe`` of ``world`` at ``pose``, from a reference view
+    through ``intr`` and ``image_size`` built with its plane mask."""
+    reference = simulator.reference_view(world, intr, image_size, True)
+    return simulator.observe(reference, pose, **kwargs)

@@ -17,7 +17,7 @@ from acrkit.plane_match import PlaneSegmentMap, erode_mask
 from acrkit.pose_estimation import CorrespondenceSet
 from acrkit.geometry import Intrinsics, Pose, Rotation, rotation_angle
 from acrkit.simulator import BenchRow
-from conftest import general_pair_set, plane_pair_set
+from conftest import general_pair_set, observe_world, plane_pair_set
 
 
 class TestBenchNoise:
@@ -304,7 +304,7 @@ class TestEstimatePose:
         world = simulator.generate_scene(simulator.corner_scene(seed=1))
         offset = Pose(Rotation.about_z(5.0), np.array([0.03, -0.02, 0.025]))
         intr = simulator.DESK_INTRINSICS
-        obs = simulator.observe(world, offset, intr, simulator.DESK_IMAGE_SIZE, seed=3)
+        obs = observe_world(world, offset, seed=3)
         obs.correspondences.save(tmp_path / "corr.json")
         obs.mask_ref.save(tmp_path / "ref.pgm")
         obs.mask_cur.save(tmp_path / "cur.pgm")
@@ -652,6 +652,26 @@ class TestSimulateAcr:
         assert report["failure"].startswith("estimation-failure")
         lines = [json.loads(line) for line in Path(report["trace"]).read_text().splitlines()]
         assert lines == [{"status": "failed", "failure": report["failure"]}]
+
+    def test_final_pose_that_sees_nothing_leaves_the_final_figures_empty(self, tmp_path, capsys):
+        # Three metres to the side no track is in view, so the run fails at
+        # its first observation and the final observation sees nothing too.
+        config = tmp_path / "acr.json"
+        doc = {
+            **cli.default_acr_config(),
+            "initial_offset": {"r": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [3.0, 0.0, 0.0]},
+            "output_dir": str(tmp_path / "out"),
+        }
+        config.write_text(json.dumps(doc))
+        assert cli.main(["simulate-acr", str(config), "--seed", "0"]) == 0
+        report = self._last_json(capsys)
+        assert report["status"] == "failed"
+        assert report["failure"].startswith("empty-observation:")
+        with open(report["summary"], newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert row["method"] == "i2acr" and row["status"] == "failed"
+        for column in ("final_rot_err_deg", "final_trans_err_m", "final_afd_px", "in_gate"):
+            assert row[column] == "", column
 
     def test_every_field_accepted_at_its_default(self):
         # Every field of the flat AcrConfig, as JSON, and the schema lists

@@ -34,14 +34,8 @@ from acrkit.pose_estimation import (
     decompose_homography_candidates,
     estimate_homography_ransac,
 )
-from acrkit.simulator import (
-    DESK_IMAGE_SIZE,
-    DESK_INTRINSICS,
-    corner_scene,
-    generate_scene,
-    observe,
-)
-from conftest import plane_pair_set, random_rotation
+from acrkit.simulator import DESK_INTRINSICS, corner_scene, generate_scene
+from conftest import observe_world, plane_pair_set, random_rotation
 
 
 def _hyp(rotation, direction, support=10):
@@ -63,7 +57,7 @@ def _agreed(c, m_ref, m_cur):
 def corner_observation():
     world = generate_scene(corner_scene(seed=1))
     offset = Pose(Rotation.about_z(5.0), np.array([0.03, -0.02, 0.025]))
-    obs = observe(world, offset, DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=3)
+    obs = observe_world(world, offset, seed=3)
     return world, offset, obs
 
 
@@ -384,9 +378,7 @@ class TestI2pe:
 
     def test_zero_motion_signal(self, corner_observation):
         world, offset, obs = corner_observation
-        identity_obs = observe(
-            world, Pose.identity(), DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=4
-        )
+        identity_obs = observe_world(world, Pose.identity(), seed=4)
         est = _agreed(
             identity_obs.correspondences,
             identity_obs.mask_ref,
@@ -519,7 +511,7 @@ class TestRefinePose:
 
     def test_zero_motion_estimate_comes_back_unchanged(self, corner_observation):
         world, _, _ = corner_observation
-        obs = observe(world, Pose.identity(), DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=4)
+        obs = observe_world(world, Pose.identity(), seed=4)
         est = _agreed(obs.correspondences, obs.mask_ref, obs.mask_cur)
         assert est.zero_motion and est.refinement is None
         fused = fusion._chordal_mean(est.hypotheses, est.weights)

@@ -26,6 +26,7 @@ from acrkit.plane_match import (
     solve_matching,
 )
 from acrkit.pose_estimation import CorrespondenceSet
+from conftest import observe_world
 
 
 def _mask(shape, regions):
@@ -435,9 +436,7 @@ class TestPlaneGraphFromMask:
     def test_eroded_runs_equal_a_fresh_extraction(self, seed):
         world = simulator.generate_scene(simulator.corner_scene(seed=seed))
         offset = Pose(Rotation.about_y(2.0), np.array([0.02, -0.01, 0.01]))
-        obs = simulator.observe(
-            world, offset, simulator.DESK_INTRINSICS, simulator.DESK_IMAGE_SIZE, seed=seed
-        )
+        obs = observe_world(world, offset, seed=seed)
         for eroded in (obs.mask_ref.eroded(), obs.mask_cur.eroded(), erode_mask(_aliasing_stripes(), 1)):
             self._same_as_a_fresh_extraction(eroded)
 

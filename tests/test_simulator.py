@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acrkit import simulator
-from acrkit.errors import InvalidInputError, InvalidSceneError
-from acrkit.geometry import Intrinsics, Pose, Rotation, compose, rotation_angle
+from acrkit.acr_loop import run_acr
+from acrkit.errors import EmptyObservationError, InvalidInputError, InvalidSceneError
+from acrkit.geometry import Intrinsics, Pose, Rotation, compose, project_points, rotation_angle
 from acrkit.plane_match import PlaneSegmentMap
 from acrkit.simulator import (
     BENCH_MOTION,
@@ -34,6 +35,7 @@ from acrkit.simulator import (
     render_plane_mask,
     single_plane_scene,
 )
+from conftest import observe_world
 
 
 def _counted(scene: SceneSpec, count: int) -> SceneSpec:
@@ -123,21 +125,14 @@ class TestPlaneSpecGeometry:
 class TestObserve:
     def test_identity_motion_zero_noise(self):
         world = generate_scene(corner_scene(seed=1))
-        obs = observe(world, Pose.identity(), DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=0)
+        obs = observe_world(world, Pose.identity(), seed=0)
         np.testing.assert_allclose(obs.correspondences.a, obs.correspondences.b)
         assert rotation_angle(obs.truth.relative_pose.rotation) == 0.0
 
     def test_noise_bound_and_mean(self):
         world = generate_scene(corner_scene(seed=1))
         pose = Pose(Rotation.about_z(2.0), np.array([0.02, 0.0, 0.01]))
-        obs = observe(
-            world,
-            pose,
-            DESK_INTRINSICS,
-            DESK_IMAGE_SIZE,
-            noise=NoiseSpec(magnitude_r=10.0, ratio_mu=1.0),
-            seed=3,
-        )
+        obs = observe_world(world, pose, noise=NoiseSpec(magnitude_r=10.0, ratio_mu=1.0), seed=3)
         delta = obs.correspondences.b - obs.truth.clean_b
         n = delta.shape[0]
         assert np.abs(delta).max() <= 10.0 + 1e-9
@@ -164,9 +159,7 @@ class TestObserve:
         lighting = LightingProxySpec(
             off_plane_outlier_fraction=0.6, in_plane_outlier_fraction=0.05
         )
-        obs = observe(
-            world, pose, DESK_INTRINSICS, DESK_IMAGE_SIZE, lighting=lighting, seed=9
-        )
+        obs = observe_world(world, pose, lighting=lighting, seed=9)
         moved = (
             np.abs(obs.correspondences.b - obs.truth.clean_b).max(axis=1) > 1e-9
         )
@@ -178,14 +171,9 @@ class TestObserve:
 
     def test_dropout_removes_pairs(self):
         world = generate_scene(corner_scene(seed=1))
-        base = observe(world, Pose.identity(), DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=0)
-        dropped = observe(
-            world,
-            Pose.identity(),
-            DESK_INTRINSICS,
-            DESK_IMAGE_SIZE,
-            lighting=LightingProxySpec(dropout_fraction=0.25),
-            seed=0,
+        base = observe_world(world, Pose.identity(), seed=0)
+        dropped = observe_world(
+            world, Pose.identity(), lighting=LightingProxySpec(dropout_fraction=0.25), seed=0
         )
         assert len(dropped.correspondences) == pytest.approx(
             0.75 * len(base.correspondences), abs=1.0
@@ -195,7 +183,7 @@ class TestObserve:
         # Visibility consistency for in-plane tracks.
         world = generate_scene(corner_scene(seed=1))
         pose = Pose(Rotation.about_z(3.0), np.array([0.02, -0.01, 0.01]))
-        obs = observe(world, pose, DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=2)
+        obs = observe_world(world, pose, seed=2)
         c = obs.correspondences
         own = world.plane_index[c.track_id]
         in_plane = own > 0
@@ -235,28 +223,56 @@ class TestObserve:
             seed=0,
         )
         world = generate_scene(scene)
-        obs = observe(world, Pose.identity(), DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=0)
+        obs = observe_world(world, Pose.identity(), seed=0)
         c = obs.correspondences
         behind = world.plane_index[c.track_id] == 2
         labels_at = obs.mask_ref.label_at(c.a[behind])
         assert not (labels_at == 1).any()
 
-    def test_reference_view_of_another_setup_is_refused(self):
+    def test_masks_come_exactly_with_a_view_that_holds_one(self):
+        world = generate_scene(corner_scene(seed=1))
+        pose = Pose(Rotation.about_z(2.0), np.array([0.02, 0.0, 0.01]))
+        noise, lighting = NoiseSpec(1.0, 0.5), LightingProxySpec(0.5, 0.3, 0.2)
+        plain, masked = (
+            simulator.reference_view(world, DESK_INTRINSICS, DESK_IMAGE_SIZE, render_mask)
+            for render_mask in (False, True)
+        )
+        assert plain.mask is None and plain.image_size == tuple(DESK_IMAGE_SIZE)
+        without = observe(plain, pose, noise=noise, lighting=lighting, seed=4)
+        with_masks = observe(masked, pose, noise=noise, lighting=lighting, seed=4)
+        assert without.mask_ref is None and without.mask_cur is None
+        assert with_masks.mask_ref is masked.mask
+        _assert_same_mask(
+            with_masks.mask_cur, render_plane_mask(world, pose, DESK_INTRINSICS, DESK_IMAGE_SIZE)
+        )
+        for got, expected in (
+            (without.correspondences.a, with_masks.correspondences.a),
+            (without.correspondences.b, with_masks.correspondences.b),
+            (without.correspondences.track_id, with_masks.correspondences.track_id),
+        ):
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "pose, lighting, message",
+        [
+            (Pose(Rotation.identity(), np.array([3.0, 0.0, 0.0])), None, "no track visible"),
+            (Pose.identity(), LightingProxySpec(dropout_fraction=1.0), "dropout removed"),
+        ],
+    )
+    def test_empty_observation_is_typed(self, pose, lighting, message):
         world = generate_scene(corner_scene(seed=1))
         view = simulator.reference_view(world, DESK_INTRINSICS, DESK_IMAGE_SIZE, False)
-        assert view.mask is None and view.image_size == tuple(DESK_IMAGE_SIZE)
-        pose = Pose(Rotation.about_z(2.0), np.array([0.02, 0.0, 0.01]))
-        obs = observe(world, pose, DESK_INTRINSICS, DESK_IMAGE_SIZE, reference=view)
-        assert obs.mask_ref is not None
-        w, h = DESK_IMAGE_SIZE
-        other_intr = dataclasses.replace(DESK_INTRINSICS, fx=DESK_INTRINSICS.fx * 1.01)
-        for args in (
-            (generate_scene(corner_scene(seed=1)), pose, DESK_INTRINSICS, DESK_IMAGE_SIZE),
-            (world, pose, other_intr, DESK_IMAGE_SIZE),
-            (world, pose, DESK_INTRINSICS, (w // 2, h // 2)),
-        ):
-            with pytest.raises(InvalidInputError):
-                observe(*args, reference=view)
+        with pytest.raises(EmptyObservationError, match=message) as info:
+            observe(view, pose, lighting=lighting, seed=0)
+        assert info.value.code == "empty-observation"
+
+    def test_a_start_that_sees_nothing_fails_the_loop(self):
+        world = generate_scene(corner_scene(seed=1))
+        rig = RigSpec(Pose.identity(), DESK_INTRINSICS, DESK_IMAGE_SIZE)
+        start = Pose(Rotation.identity(), np.array([3.0, 0.0, 0.0]))
+        trace = run_acr(SimulatedExecutor(world, rig, start, seed=0))
+        assert trace.status == "failed" and trace.iterations == 0
+        assert trace.failure.startswith("empty-observation:")
 
 
 class TestVisibilityRule:
@@ -267,9 +283,7 @@ class TestVisibilityRule:
         # Every patch of the mural lies on one wall; without clutter every
         # track in view must survive.
         world = generate_scene(dataclasses.replace(mural_scene(seed=0), clutter_count=0))
-        obs = observe(
-            world, Pose.identity(), MURAL_INTRINSICS, MURAL_IMAGE_SIZE, seed=0
-        )
+        obs = observe_world(world, Pose.identity(), MURAL_INTRINSICS, MURAL_IMAGE_SIZE, seed=0)
         w, h = MURAL_IMAGE_SIZE
         k = MURAL_INTRINSICS.matrix()
         px = world.points @ k.T
@@ -299,7 +313,7 @@ class TestVisibilityRule:
         )
         world = generate_scene(scene)
         pose = Pose(Rotation.about_y(3.0), np.array([0.03, -0.01, 0.0]))
-        obs = observe(world, pose, DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=0)
+        obs = observe_world(world, pose, seed=0)
         c = obs.correspondences
         assert set(np.unique(obs.mask_cur.labels)) == {0, 1, 2}
         behind = world.plane_index[c.track_id] == 2
@@ -313,12 +327,36 @@ class TestVisibilityRule:
         # only where the mask names its own patch, in both views.
         world = generate_scene(corner_scene(seed=seed))
         pose = random_pose(np.random.default_rng(seed), 6.0, 0.06)
-        obs = observe(world, pose, DESK_INTRINSICS, DESK_IMAGE_SIZE, seed=seed)
+        obs = observe_world(world, pose, seed=seed)
         c = obs.correspondences
         assert obs.mask_cur.num_planes == 3
         own = world.plane_index[c.track_id]
         np.testing.assert_array_equal(obs.mask_ref.label_at(c.a), own)
         np.testing.assert_array_equal(obs.mask_cur.label_at(c.b), own)
+
+    def test_culling_agrees_with_the_mask_past_a_sharp_vertex(self):
+        # Past the thin triangle's sharp vertex, its edges' margin lines
+        # reach pixels outside its box; the mask gives those to the square
+        # behind it, so the square's tracks there must not be culled.
+        triangle = ((-0.2003, 0.0), (0.2, -0.03), (0.2, 0.03))
+        spec = SceneSpec(
+            planes=(
+                _patch((0.0, 0.0, 1.0), (0.1, 0.1), polygon=triangle),
+                _patch((0.0, 0.0, 2.0), (0.6, 0.6)),
+            ),
+            seed=0,
+        )
+        # One track of the square behind at every pixel centre.
+        w, h = SMALL_IMAGE_SIZE
+        intr = SMALL_INTRINSICS
+        u, v = (a.ravel().astype(float) for a in np.meshgrid(np.arange(w), np.arange(h)))
+        points = 2.0 * np.stack([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, np.ones(u.size)], axis=1)
+        world = simulator.World(points, np.full(u.size, 2), np.arange(u.size), spec)
+        px, depths = project_points(intr, Pose.identity(), points)
+        hidden = simulator._occluded(world, Pose.identity(), intr, px, depths)
+        labels = render_plane_mask(world, Pose.identity(), intr, SMALL_IMAGE_SIZE).label_at(px)
+        np.testing.assert_array_equal(hidden, labels == 1)
+        assert hidden.sum() > 50 and labels[95 * w + 80] == 2
 
 
 def _oracle_labels(world, extrinsic, intr, image_size):
@@ -643,20 +681,22 @@ class TestRenderPlaneMask:
         render_plane_mask(_case_world("grazing"), pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE)
         assert any(mixed)
 
-        # The segment z-buffer: what the contested segments come to.
+        # The segment z-buffer: one call decides every covered segment.
         calls = _record_contests(monkeypatch)
         contests = {}
         for name in ("crease", "near-parallel", "coplanar-wide", "five-stacked", "random-stack"):
-            before = len(calls)
             render_plane_mask(_case_world(name), pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE)
-            if len(calls) > before:
-                contests[name] = calls[-1]
+            contests[name] = calls[-1]
+        assert len(calls) == len(contests)
         # The crease: which patch wins changes inside the shared runs, at a
-        # column that moves from row to row.  Every change falls on a cut
-        # at the two planes' depth crossing, and one pass decides every
-        # segment: the contest returns its segments as they came.
+        # column that moves from row to row.  Among the segments that both
+        # patches cover, every change falls on a cut at the two planes'
+        # depth crossing, and one pass decides every segment: the contest
+        # returns its segments as they came.
         length, covered, (row, first, pieces, winner) = contests["crease"]
         np.testing.assert_array_equal(pieces, length)
+        shared = covered.sum(axis=0) >= 2
+        row, first, winner = row[shared], first[shared], winner[shared]
         lo, hi, planes = _drawn_runs(RENDER_CASES["crease"], pose)
         cut_row, cut_column = simulator._crossing_cuts(lo, hi, planes, SMALL_INTRINSICS)
         switches = []
@@ -668,14 +708,21 @@ class TestRenderPlaneMask:
             switches += first[changes].tolist()
         assert len(switches) > 20 and np.unique(switches).size > 10
         # Near-parallel planes: no certificate holds over more than one
-        # pixel, so the halving still runs, down to single pixels, and both
-        # patches win some of them.
-        length, covered, (_, _, pieces, winner) = contests["near-parallel"]
+        # pixel, so the halving still runs over the shared runs, down to
+        # single pixels, and both patches win some of them.
+        length, covered, (row, first, pieces, winner) = contests["near-parallel"]
         assert pieces.size > length.size
-        assert (pieces == 1).all() and pieces.size == length.sum() > 1000
-        assert set(winner.tolist()) == {1, 2}
-        # Coplanar patches never reach the depth test (see the next test).
-        assert "coplanar-wide" not in contests
+        lo, hi, _ = _drawn_runs(RENDER_CASES["near-parallel"], pose)
+        shared = ((lo[:, row] <= first) & (first <= hi[:, row])).all(axis=0)
+        assert (pieces[shared] == 1).all()
+        assert shared.sum() == length[covered.all(axis=0)].sum() > 1000
+        assert set(winner[shared].tolist()) == {1, 2}
+        # Coplanar patches: one pass gives the first the whole overlap (see
+        # the next test).
+        length, covered, (_, _, pieces, winner) = contests["coplanar-wide"]
+        np.testing.assert_array_equal(pieces, length)
+        shared = covered.all(axis=0)
+        assert shared.any() and (winner[shared] == 1).all()
         # Five patches, three or more over one segment.
         length, covered, _ = contests["five-stacked"]
         assert covered.sum(axis=0).max() >= 3
@@ -760,7 +807,8 @@ class TestRenderPlaneMask:
         # Along the rows of a tilted plane the depth changes from pixel to
         # pixel, so end depths alone would split the overlap of two coplanar
         # patches down to single pixels.  Equal planes give equal depth bits,
-        # so the first patch keeps the overlap without a depth test.
+        # so the first patch keeps the overlap, one segment per row, in the
+        # first pass.
         planes = RENDER_CASES["coplanar-wide"]
         world = _case_world("coplanar-wide")
         second = generate_scene(SceneSpec(planes=planes[1:], seed=0))
@@ -769,7 +817,12 @@ class TestRenderPlaneMask:
             labels = render_plane_mask(world, pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE).labels
             alone = _oracle_labels(second, pose, SMALL_INTRINSICS, SMALL_IMAGE_SIZE)
             assert np.count_nonzero((alone == 1) & (labels == 1)) > 1000
-        assert contests == []
+            length, covered, (row, _, pieces, winner) = contests[-1]
+            np.testing.assert_array_equal(pieces, length)
+            shared = covered.all(axis=0)
+            assert np.unique(row[shared]).size == shared.sum() > 50
+            assert (winner[shared] == 1).all()
+        assert len(contests) == len(_CASE_POSES)
 
 
 class TestSimulatedExecutor:
@@ -798,37 +851,6 @@ class TestSimulatedExecutor:
         np.testing.assert_allclose(
             rel.translation, -(x.rotation.matrix @ t), atol=1e-12
         )
-
-    def test_observations_equal_those_built_without_a_view(self):
-        # The executor builds the reference view once; an observation
-        # that builds its own must come out the same, bit for bit.
-        world = generate_scene(corner_scene(seed=3))
-        rng = np.random.default_rng(11)
-        x, offset = random_pose(rng, 30.0, 0.1), random_pose(rng, 6.0, 0.06)
-        noise = NoiseSpec(magnitude_r=1.0, ratio_mu=0.5)
-        lighting = LightingProxySpec(0.5, 0.3, 0.2)
-        ex = SimulatedExecutor(world, self._rig(x), offset, noise=noise, lighting=lighting, seed=5)
-        for k in range(4):
-            obs = ex.observe() if k == 0 else ex.execute(random_pose(rng, 3.0, 0.03))
-            cell = np.random.default_rng(np.random.SeedSequence((5, k)))
-            plain = observe(
-                world, ex.true_residual, DESK_INTRINSICS, DESK_IMAGE_SIZE, noise=noise,
-                lighting=lighting, seed=int(cell.integers(0, 2**63 - 1)),
-            )
-            pairs = (
-                (obs.correspondences.a, plain.correspondences.a),
-                (obs.correspondences.b, plain.correspondences.b),
-                (obs.correspondences.track_id, plain.correspondences.track_id),
-                (obs.truth.clean_a, plain.truth.clean_a),
-                (obs.truth.clean_b, plain.truth.clean_b),
-                (obs.truth.relative_pose.matrix(), plain.truth.relative_pose.matrix()),
-                (obs.mask_ref.runs, plain.mask_ref.runs),
-                (obs.mask_cur.runs, plain.mask_cur.runs),
-            )
-            for got, expected in pairs:
-                assert got.dtype == expected.dtype and got.shape == expected.shape
-                assert got.tobytes() == expected.tobytes()
-            assert obs.mask_ref.num_planes == plain.mask_ref.num_planes
 
     def test_exact_inverse_command_relocates(self):
         world = generate_scene(corner_scene(seed=1))
