@@ -32,13 +32,7 @@ from .scale_solver import (
     init_scale,
     iteration_scale,
 )
-from .plane_match import (
-    PlaneGraph,
-    PlaneSegmentMap,
-    assemble_affinity,
-    erode_mask,
-    solve_matching,
-)
+from .plane_match import PlaneSegmentMap, erode_mask
 from .fusion import PoseEstimate, i2pe, point_spread
 from .acr_loop import (
     AcrConfig,

@@ -75,6 +75,12 @@ from .scale_solver import (
     solve_scale_system,
 )
 
+# A solve with no scale signal never ends a run, at the init or in a step.
+# An unobservable or sign-inconsistent scale is the zero-baseline signature:
+# the (reference, current) system degenerates as the remaining motion
+# shrinks, and noise decides which of the two errors it raises.
+NO_SCALE_SIGNAL = (AmbiguousNullspaceError, CheiralityError)
+
 
 @dataclass(frozen=True, eq=False)
 class ObservationTruth:
@@ -416,10 +422,10 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
             try:
                 sol_r0 = solve_scale_system(pair_r0, intr, est_r0.pose)
                 d_ref = depth_map_reference(sol_r0, d_current)
-            except AmbiguousNullspaceError:
-                # Start pose so close to the reference that the pair carries
-                # no scale signal; the current depths are the reference
-                # depths to within the (tiny) remaining motion.
+            except NO_SCALE_SIGNAL:
+                # The start is so close to the reference that the current
+                # depths are the reference depths to within the (tiny)
+                # remaining motion.
                 d_ref = d_current
 
         def step(obs, index):
@@ -433,11 +439,8 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
             try:
                 sol = solve_scale_system(pair, intr, estimate.pose, subsample_seed=index)
                 return estimate.pose, iteration_scale(sol, d_ref), False
-            except (AmbiguousNullspaceError, CheiralityError):
-                # An unobservable or sign-inconsistent scale is the
-                # zero-baseline signature (the system degenerates as the
-                # remaining motion shrinks): correct only the rotation and
-                # re-measure after the move.
+            except NO_SCALE_SIGNAL:
+                # Correct only the rotation and re-measure after the move.
                 return estimate.pose, 0.0, False
 
         rot0, trans0 = _truth_errors(obs_init)

@@ -62,13 +62,5 @@ class EmptyObservationError(AcrError):
     code = "empty-observation"
 
 
-class OrientationError(AcrError):
-    """Raised when graph inputs arrive with more reference planes than
-    current planes; the caller is expected to swap the inputs and transpose
-    the resulting assignment."""
-
-    code = "swap-inputs"
-
-
 class MissingInputError(AcrError):
     code = "missing-input"

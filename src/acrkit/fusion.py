@@ -251,6 +251,8 @@ def i2pe(
         EstimationFailureError: no matched plane pair yields a usable
             homography (fewer than four in-plane correspondences, or every
             decomposition fails).
+        InvalidInputError: the masks hold more planes than
+            :func:`match_plane_maps` compares.
     """
     ref = m_ref.eroded()
     cur = m_cur.eroded()

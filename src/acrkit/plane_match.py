@@ -1,35 +1,23 @@
 """Plane-region matching across two segmentations.
 
-Detected plane regions of the reference and current images are matched by
-maximizing a quadratic assignment objective: node affinities count the
-feature correspondences per region pair, from the two region labels under
-each correspondence, and edge affinities compare the minimum inter-region
-pixel distances within each image.  The assignment is a one-to-one mapping
-of every plane of the side with fewer planes into the other side's: when
-the reference has more, the counts are transposed and the graphs
-exchanged.  It is found by enumerating every injection while their count
-stays within ``EXACT_ENUMERATION_BUDGET``, and by a spectral relaxation
-past it.  Every region is first eroded by ``EROSION_RADIUS`` pixels
-(:meth:`PlaneSegmentMap.eroded`).
+Detected plane regions of the reference and current images are paired by
+their feature correspondences: each correspondence counts for the region
+pair under its two pixels, and every plane of the side with fewer planes
+goes to a distinct plane of the other side, by the injection with the
+largest summed count (:func:`match_plane_maps`).  The injections are
+enumerated, which at the paper's few planes is a handful; past
+``MAX_INJECTIONS`` the matcher refuses the input.  Every region is first
+eroded by ``EROSION_RADIUS`` pixels (:meth:`PlaneSegmentMap.eroded`).
 
 Region masks hold their row runs, the maximal stretches of one label
 along a row (:class:`PlaneSegmentMap`); 0 is background and ids are
 contiguous.  The file format is a 16-bit binary PGM whose pixel value is
 the label id, and the per-pixel label array is built only for it or for a
 caller that reads it.  Disk erosion works on the runs by interval coding
-(:func:`erode_mask`), and so do the label lookup and the inter-region
-distances.
-
-Two runs ``dy`` rows apart with ``gap`` columns between them are
-``sqrt(dy**2 + gap**2)`` apart, and the minimum over two regions' run pairs
-is the minimum over their boundary pixels: a region's pixel nearest another
-region is a boundary pixel, since from an interior one a step toward the
-other region stays inside and comes nearer.  A bound from the regions'
-row ends limits the run pairs compared: each row of one region against
-the other's nearest rows above and below, by their leftmost and rightmost
-pixels.  The bound is itself the distance of a real pixel pair, and the
-comparison keeps every pair at or below it, so no tie at the bound is lost
-(see :meth:`PlaneGraph.from_mask`).
+(:func:`erode_mask`), and so does the label lookup.  :class:`PlaneGraph`,
+the minimum pixel distances between regions, takes no part in matching
+and remains only because the benchmark harness under ``perfbench/``
+imports it and patches :meth:`PlaneGraph.from_mask`.
 """
 
 from __future__ import annotations
@@ -41,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, OrientationError
+from .errors import InvalidInputError
 
-# Injection counts up to this are enumerated exactly; past it the spectral
-# relaxation solves the matching (see solve_matching).
-EXACT_ENUMERATION_BUDGET = 1_000_000
+# The most plane injections match_plane_maps compares; more is refused.
+MAX_INJECTIONS = 1_000_000
 
 # Disk radius (px) by which every plane region is eroded before matching
 # (see PlaneSegmentMap.eroded): a correspondence near a region's edge may
@@ -197,14 +184,6 @@ class PlaneSegmentMap:
             eroded = erode_mask(self, EROSION_RADIUS)
             self._eroded = eroded
         return eroded
-
-    def graph(self) -> "PlaneGraph":
-        """Cached :meth:`PlaneGraph.from_mask`, for the same reason."""
-        graph = getattr(self, "_graph", None)
-        if graph is None:
-            graph = PlaneGraph.from_mask(self)
-            self._graph = graph
-        return graph
 
 
 def disk_structuring_element(radius: float) -> np.ndarray:
@@ -375,96 +354,6 @@ def _row_end_bounds(ends, first, i) -> np.ndarray:
     return np.minimum.reduceat(np.minimum(*d2), first[i + 1 : -1] - first[i + 1])
 
 
-def assemble_affinity(
-    node_aff: np.ndarray,
-    graph_ref: PlaneGraph,
-    graph_cur: PlaneGraph,
-    sigma: float,
-) -> np.ndarray:
-    """Affinity matrix W over the column expansion of the assignment.
-
-    Index (a, c) maps to ``c * H + a``.  Diagonal entries carry the node
-    affinities; entry ((a, c), (b, d)) with a != b and c != d carries the
-    edge affinity ``exp(-|D_ref(a, b) - D_cur(c, d)| / sigma)``.  The node
-    and edge classes are each scaled by their maximum so neither dominates
-    by units alone.  The quadratic objective of an assignment U is
-    ``u^T W u`` with u its column expansion.
-    """
-    node_aff = np.asarray(node_aff, dtype=float)
-    h, m = node_aff.shape
-    if h > m:
-        raise OrientationError(
-            "more reference planes than current planes; swap the inputs and"
-            " transpose the assignment"
-        )
-    if len(graph_ref.plane_ids) != h or len(graph_cur.plane_ids) != m:
-        raise InvalidInputError("graph sizes must match the affinity matrix")
-    if not sigma > 0:
-        raise InvalidInputError("sigma must be positive")
-    nodes = node_aff.copy()
-    if nodes.max() > 0:
-        nodes = nodes / nodes.max()
-    n = h * m
-    w = np.zeros((n, n))
-    idx_a, idx_c = np.meshgrid(np.arange(h), np.arange(m), indexing="ij")
-    flat = idx_c.ravel() * h + idx_a.ravel()
-    w[flat, flat] = nodes[idx_a.ravel(), idx_c.ravel()]
-    if h > 1 and m > 1:
-        # edges[c, a, d, b] is entry ((a, c), (b, d)); a == b or c == d is 0.
-        ref, cur = graph_ref.distances, graph_cur.distances
-        edges = np.exp(-np.abs(ref[None, :, None, :] - cur[:, None, :, None]) / sigma)
-        edges[:, np.arange(h), :, np.arange(h)] = 0.0
-        edges[np.arange(m), :, np.arange(m), :] = 0.0
-        edges = edges.reshape(n, n)
-        if edges.max() > 0:
-            edges = edges / edges.max()
-        w = w + edges  # edge entries never touch the diagonal (a != b)
-    return w
-
-
-def solve_matching(w: np.ndarray, h: int, m: int) -> list:
-    """Maximize the quadratic assignment objective under the row/column
-    constraints; returns each row's column, distinct and 0-based.
-
-    The method follows the input size.  When the ``perm(M, H)`` injections
-    of the H reference planes into the M current planes number at most
-    :data:`EXACT_ENUMERATION_BUDGET` (read at call time), every one is
-    scored and the first best, in lexicographic order of its columns, is
-    kept.  Past the budget the spectral relaxation
-    (:func:`_spectral_matching`) solves it; its score never exceeds the
-    exact one.
-    """
-    w = np.asarray(w, dtype=float)
-    if h > m:
-        raise OrientationError("solve_matching requires H <= M")
-    if w.shape != (h * m, h * m):
-        raise InvalidInputError("W must be (H*M) x (H*M)")
-    if math.perm(m, h) > EXACT_ENUMERATION_BUDGET:
-        return _spectral_matching(w, h)
-    best_score = -np.inf
-    best = None
-    for columns in itertools.permutations(range(m), h):
-        sel = np.array([c * h + a for a, c in enumerate(columns)])
-        score = float(w[np.ix_(sel, sel)].sum())
-        if score > best_score:
-            best_score = score
-            best = columns
-    return list(best)
-
-
-def _spectral_matching(w: np.ndarray, h: int) -> list:
-    """The leading eigenvector of W, discretized greedily into an injection:
-    entries in descending magnitude, each kept while its row and its column
-    are both free.  Every row gets a column, since H <= M."""
-    lead = np.abs(np.linalg.eigh(w)[1][:, -1])
-    columns = {}
-    for flat in np.argsort(-lead):
-        c, a = divmod(int(flat), h)
-        if a not in columns and c not in columns.values():
-            columns[a] = c
-    return [columns[a] for a in range(h)]
-
-
 def match_plane_maps(
     m_ref: PlaneSegmentMap,
     m_cur: PlaneSegmentMap,
@@ -475,27 +364,35 @@ def match_plane_maps(
 
     ``labels_ref`` and ``labels_cur`` are the labels under each
     correspondence's reference and current pixel
-    (:meth:`PlaneSegmentMap.label_at`), and their counts per region pair
-    are the node affinities.  The solve needs H <= M, so when the reference
-    mask has more planes the counts are transposed and the two graphs
-    exchanged.  The normalized affinity goes to :func:`solve_matching`
-    once, which picks exact enumeration or the spectral relaxation from the
-    injection count.  The pairs come in ascending row of the solved
-    orientation: ascending reference id, or ascending current id after a
-    transpose (``i2pe`` seeds each pair's RANSAC by its position).  The
-    edge affinity's ``sigma`` is 10% of the reference image diagonal.
+    (:meth:`PlaneSegmentMap.label_at`); a correspondence with background
+    on either side counts nowhere.  Every plane of the side with fewer
+    planes is paired with a distinct plane of the other side, by the
+    injection with the largest summed correspondence count, the first in
+    lexicographic order at a tie; when the reference has more planes the
+    counts are transposed first.  The pairs come in ascending row of the
+    solved orientation: ascending reference id, or ascending current id
+    after a transpose (``i2pe`` seeds each pair's RANSAC by its position).
+    More than :data:`MAX_INJECTIONS` injections is an
+    :class:`InvalidInputError`.
     """
     h, m = m_ref.num_planes, m_cur.num_planes
     if not h or not m:
         return []
-    counts = np.zeros((h, m))
+    if math.perm(max(h, m), min(h, m)) > MAX_INJECTIONS:
+        raise InvalidInputError(
+            f"{h} reference and {m} current planes give more than {MAX_INJECTIONS}"
+            " plane assignments to compare"
+        )
+    counts = np.zeros((h, m), np.int64)
     held = (labels_ref > 0) & (labels_cur > 0)
-    np.add.at(counts, (labels_ref[held] - 1, labels_cur[held] - 1), 1.0)
-    graphs = m_ref.graph(), m_cur.graph()
+    np.add.at(counts, (labels_ref[held] - 1, labels_cur[held] - 1), 1)
     swap = h > m
     if swap:
-        counts, graphs = counts.T, graphs[::-1]
-    sigma = 0.1 * math.hypot(m_ref.width, m_ref.height)
-    w = assemble_affinity(counts, *graphs, sigma)
-    pairs = [(a + 1, c + 1) for a, c in enumerate(solve_matching(w, *counts.shape))]
+        counts = counts.T
+    rows = np.arange(len(counts))
+    columns = max(
+        itertools.permutations(range(counts.shape[1]), len(counts)),
+        key=lambda cols: counts[rows, cols].sum(),
+    )
+    pairs = [(a + 1, c + 1) for a, c in enumerate(columns)]
     return [(c, a) for a, c in pairs] if swap else pairs

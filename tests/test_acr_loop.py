@@ -346,6 +346,27 @@ class TestRunAcrMatrix:
         assert rotation_angle(residual.rotation) < 0.1
         assert np.linalg.norm(residual.translation) < 2e-3
 
+    @pytest.mark.parametrize(
+        "seed, max_rotation_deg, max_offset_m",
+        [(0, 3.0, 0.0), (4, 0.5, 0.005)],
+        ids=["pure-rotation", "near-start"],
+    )
+    def test_noisy_start_near_the_reference_converges(self, seed, max_rotation_deg, max_offset_m):
+        # Noise at a near-zero baseline makes the (reference, start) scale
+        # solve raise CheiralityError; the init keeps the current depths.
+        trace, executor = _run(
+            run_acr,
+            seed,
+            noise={"magnitude_r": 1.0, "ratio_mu": 0.5},
+            initial_offset={
+                "random": {"max_rotation_deg": max_rotation_deg, "max_offset_m": max_offset_m}
+            },
+        )
+        assert trace.status == "converged", trace.failure
+        residual = executor.true_residual
+        assert rotation_angle(residual.rotation) < 0.1
+        assert np.linalg.norm(residual.translation) < 2e-3
+
     def test_zero_baseline_reuses_the_current_depths(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("reference depths solved at the reference")

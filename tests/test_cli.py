@@ -250,6 +250,21 @@ class TestMatchPlanes:
         assert code == 1
         assert self._last_json(capsys)["error"] == "invalid-input"
 
+    def test_ten_planes_a_side_is_invalid_input(self, tmp_path, capsys):
+        # 10! injections of ten 20 px squares, each 10 px after erosion:
+        # past the matcher's limit of a million.
+        argv = self._inputs(tmp_path)
+        lab = np.zeros((30, 300), dtype=np.int32)
+        for k in range(10):
+            lab[5:25, 30 * k + 5 : 30 * k + 25] = k + 1
+        for name in ("ref.pgm", "cur.pgm"):
+            PlaneSegmentMap(lab).save(tmp_path / name)
+        code = cli.main(argv)
+        assert code == 2
+        doc = self._last_json(capsys)
+        assert doc["error"] == "invalid-input"
+        assert "10 reference and 10 current planes" in doc["message"]
+
     def test_missing_mask_is_missing_input(self, tmp_path, capsys):
         argv = self._inputs(tmp_path)
         argv[argv.index("--cur-mask") + 1] = str(tmp_path / "absent.pgm")

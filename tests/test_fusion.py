@@ -277,9 +277,10 @@ class TestSelectConsistent:
 
 
 class TestI2pe:
-    def test_each_map_is_eroded_and_graphed_once(self, corner_observation, monkeypatch):
+    def test_each_map_is_eroded_once_and_no_graph_is_built(self, corner_observation, monkeypatch):
         # Counting wrappers on the names a tracer patches: the module's
-        # erode_mask and the static PlaneGraph.from_mask.
+        # erode_mask and the static PlaneGraph.from_mask, which the count
+        # rule never calls.
         _, _, obs = corner_observation
         calls = []
 
@@ -296,10 +297,8 @@ class TestI2pe:
         )
         ref, cur = PlaneSegmentMap(obs.mask_ref.labels), PlaneSegmentMap(obs.mask_cur.labels)
         i2pe(obs.correspondences, ref, cur, DESK_INTRINSICS)
-        expected = [("erode", ref), ("erode", cur)]
-        expected += [("graph", ref.eroded()), ("graph", cur.eroded())]
-        assert sorted(map(id, (m for _, m in calls))) == sorted(map(id, (m for _, m in expected)))
-        assert sorted(name for name, _ in calls) == ["erode", "erode", "graph", "graph"]
+        assert sorted(map(id, (m for _, m in calls))) == sorted(map(id, (ref, cur)))
+        assert sorted(name for name, _ in calls) == ["erode", "erode"]
         calls.clear()
         i2pe(obs.correspondences, ref, cur, DESK_INTRINSICS)
         assert calls == []
