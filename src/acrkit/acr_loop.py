@@ -143,8 +143,8 @@ class AcrConfig:
     init_translation: tuple = (0.0, 0.0, 0.05)  # meters, hand frame
 
     def __post_init__(self):
-        if self.scale_epsilon <= 0 or self.rotation_epsilon <= 0:
-            raise InvalidInputError("epsilons must be positive")
+        if not (0 < self.scale_epsilon < np.inf and 0 < self.rotation_epsilon < np.inf):
+            raise InvalidInputError("epsilons must be positive and finite")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be at least 1")
         # The init move anchors the metric scale, so it must be a real move.

@@ -162,13 +162,13 @@ def _scene_from(doc) -> SceneSpec:
     return SceneSpec(planes=tuple(planes), **_present(doc, scene_keys, "scene"))
 
 
-def _builtin_scene(name: str, doc: dict):
+def _builtin_scene(name: str, seed: int):
     if name == "corner":
-        return simulator.corner_scene(seed=int(doc.get("seed", 0)))
+        return simulator.corner_scene(seed=seed)
     if name == "mural":
-        return simulator.mural_scene(seed=int(doc.get("seed", 0)))
+        return simulator.mural_scene(seed=seed)
     if name == "single-plane":
-        return simulator.single_plane_scene(seed=int(doc.get("seed", 0)))
+        return simulator.single_plane_scene(seed=seed)
     raise InvalidInputError(f"unknown built-in scene {name!r}")
 
 
@@ -176,7 +176,7 @@ def _scene_spec(doc, seed: int) -> SceneSpec:
     """The scene of a ``scene`` object: a built-in one, seeded by ``seed``,
     or the planes it lists."""
     if "builtin" in _checked(doc, dict, "scene"):
-        return _builtin_scene(doc["builtin"], {**doc, "seed": seed})
+        return _builtin_scene(doc["builtin"], seed)
     return _scene_from(doc)
 
 
@@ -564,8 +564,10 @@ def cmd_bench_noise(args) -> int:
             raise InvalidInputError(f"trials must be at least 1, got {trials}")
         if max_iters < 1:
             raise InvalidInputError(f"max_iters must be at least 1, got {max_iters}")
-        if min(r_values, default=0.0) < 0:
-            raise InvalidInputError(f"r_values must not be negative, got {list(r_values)}")
+        if not all(0.0 <= r < np.inf for r in r_values):
+            raise InvalidInputError(
+                f"r_values must be finite and non-negative, got {list(r_values)}"
+            )
         if not all(0.0 <= mu <= 1.0 for mu in mu_values):
             raise InvalidInputError(f"mu_values must lie in [0, 1], got {list(mu_values)}")
     except AcrError as exc:

@@ -401,46 +401,28 @@ class _ChoiceSampler:
     ``rng = np.random.default_rng(seed)``.
 
     numpy draws such a sample by Floyd's algorithm, then shuffles it
-    (Fisher-Yates): for j = n - size, ..., n - 1 a word gives v in [0, j]
-    and the sample takes v, or j when v is already in it (j = 0 takes no
-    word); then for i = size - 1, ..., 1 a word gives s in [0, i] and
-    entries i and s swap.  Each bound b maps a 32-bit word w to
-    (w * (b + 1)) >> 32 unless the low 32 bits of that product fall below
-    2**32 mod (b + 1); then the next word takes the same bound (Lemire,
-    ACM TOMACS 2019).  The words are the bit generator's 64-bit outputs,
-    low half first.
-
-    A chunk takes the words its samples need, all at once; each word that
-    fails Lemire's test is dropped, the stream's next word joins the end
-    and the chunk is checked again.  The Floyd and shuffle steps then run
-    on every sample of the chunk at once.  So the sampler reads exactly
-    the words that successive ``choice`` calls read, and keeps back at
-    most the unused high half of the last 64-bit output.
+    (Fisher-Yates): for j = n - size, ..., n - 1 it draws v in [0, j] and
+    the sample takes v, or j when v is already in it (j = 0 draws nothing);
+    then for i = size - 1, ..., 1 it draws s in [0, i] and entries i and s
+    swap.  ``Generator.integers`` with an array of bounds makes the same
+    bounded draws from the same stream, in order, so a chunk takes all of
+    its samples' draws from one call, and the Floyd and shuffle steps run
+    on every sample of the chunk at once.
     """
 
     def __init__(self, n: int, size: int, seed):
-        # numpy bounds 64-bit words from n = 2**32 on, and shuffles a whole
-        # arange in place of Floyd's algorithm for large samples.
-        if not 0 < size <= n < 1 << 32 or (n > 10000 and size > n // 50):
+        # numpy shuffles a whole arange in place of Floyd's algorithm for
+        # large samples.
+        if not 0 < size <= n or (n > 10000 and size > n // 50):
             raise ValueError(f"no Floyd sample of {size} from {n}")
-        self._raw = np.random.default_rng(seed).bit_generator.random_raw
-        self._spare = []  # the high half of the last output, not yet used
+        self._rng = np.random.default_rng(seed)
         self._floyd = [(t, j) for t, j in enumerate(range(n - size, n)) if j > 0]
         self._size = size
-        excl = [j + 1 for _, j in self._floyd] + list(range(size, 1, -1))
-        self._excl = np.array(excl, np.uint64)
-        self._threshold = np.array([(1 << 32) % e for e in excl], np.uint64)
+        self._bounds = np.array([j + 1 for _, j in self._floyd] + list(range(size, 1, -1)))
 
     def draw(self, k: int) -> np.ndarray:
         """The next ``k`` samples, (k, size) int64."""
-        words = self._words(k * len(self._excl))
-        while True:
-            m = words.reshape(k, -1) * self._excl
-            rejected = np.flatnonzero((m & np.uint64(0xFFFFFFFF)) < self._threshold)
-            if not rejected.size:
-                break
-            words = np.concatenate((np.delete(words, rejected[0]), self._words(1)))
-        values = iter((m >> np.uint64(32)).T.astype(np.int64))
+        values = iter(self._rng.integers(0, np.tile(self._bounds, k)).reshape(k, -1).T)
         idx = np.zeros((self._size, k), np.int64)
         for t, j in self._floyd:
             v = next(values)
@@ -451,17 +433,6 @@ class _ChoiceSampler:
             idx[s, cols] = idx[i]
             idx[i] = swap
         return np.ascontiguousarray(idx.T)
-
-    def _words(self, count: int) -> np.ndarray:
-        """The next ``count`` 32-bit words of the stream, as uint64."""
-        spare = self._spare
-        raw = self._raw(max(0, count - len(spare) + 1) // 2)
-        words = np.empty(len(spare) + 2 * raw.size, np.uint64)
-        words[: len(spare)] = spare
-        words[len(spare) :: 2] = raw & np.uint64(0xFFFFFFFF)
-        words[len(spare) + 1 :: 2] = raw >> np.uint64(32)
-        self._spare = words[count:].tolist()
-        return words[:count]
 
 
 # Cap on models x pairs scored in one RANSAC chunk, which bounds its memory
@@ -513,9 +484,9 @@ def _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed)
 
     Draws a chunk of samples at once, each the one that successive
     ``rng.choice(n, sample_size, replace=False)`` calls give a draw-by-draw
-    loop: :class:`_ChoiceSampler` runs numpy's steps on the whole chunk,
-    and a word that Lemire's test rejects is dropped and the stream's next
-    word appended, so every chunk size takes that one path.  It fits the
+    loop: :class:`_ChoiceSampler` takes the chunk's bounded draws from one
+    ``Generator.integers`` call and runs numpy's steps on the whole chunk,
+    so every chunk size takes that one path.  It fits the
     chunk with one stacked ``fit`` (sample indices (K, sample_size) to
     models (K, 3, 3), NaN for a degenerate sample) and scores its M
     non-degenerate models with one ``score(models, work)`` pass (models
@@ -731,8 +702,8 @@ def decompose_homography_candidates(
     plane.  The list is ordered by the alignment of the plane normal with
     the mean viewing ray, most aligned first: a plane facing the camera is
     the likelier physical interpretation.  Callers with several planes
-    should instead pick the mutually consistent combination; see
-    :func:`acrkit.fusion._select_consistent`.
+    should instead choose per plane with
+    :func:`acrkit.fusion.reselect_candidates` and one of its choosers.
 
     A homography with (numerically) equal singular values is returned as a
     single zero-motion hypothesis with the rotation recovered and the

@@ -167,8 +167,8 @@ class NoiseSpec:
     ratio_mu: float = 0.0
 
     def __post_init__(self):
-        if self.magnitude_r < 0:
-            raise InvalidInputError("noise magnitude must be non-negative")
+        if not 0 <= self.magnitude_r < np.inf:
+            raise InvalidInputError("noise magnitude must be non-negative and finite")
         if not 0.0 <= self.ratio_mu <= 1.0:
             raise InvalidInputError("noise ratio must be within [0, 1]")
 

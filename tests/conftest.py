@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -14,6 +17,12 @@ from acrkit.pose_estimation import CorrespondenceSet
 # database, so a tier-1 result depends on the code alone.
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+
+# Hypothesis still caches the constants it collects from the tested modules;
+# keep that cache in a directory of this session, not in the checkout.
+if "HYPOTHESIS_STORAGE_DIRECTORY" not in os.environ:
+    _hypothesis_storage = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = _hypothesis_storage.name
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def _scenario(seed: int, **overrides):
     the top-level ``overrides`` applied."""
     doc = {**cli.default_acr_config(), **overrides}
     rng = np.random.default_rng(seed)
-    scene = cli._builtin_scene(doc["scene"]["builtin"], {"seed": seed})
+    scene = cli._builtin_scene(doc["scene"]["builtin"], seed)
     rig_doc = doc["rig"]
     rig = simulator.RigSpec(
         hand_eye=cli._pose_spec(rig_doc["hand_eye"], rng),
@@ -42,7 +43,7 @@ def _scenario(seed: int, **overrides):
         rig,
         cli._pose_spec(doc["initial_offset"], rng),
         noise=simulator.NoiseSpec(**doc["noise"]),
-        lighting=simulator.LightingProxySpec(),
+        lighting=simulator.LightingProxySpec(**doc["lighting"]),
         seed=seed,
     )
     return executor, cli._acr_config_from(doc["acr"])
@@ -151,6 +152,10 @@ class TestAcrConfig:
             {"init_translation": (0.0, float("nan"), 0.05)},
             {"init_translation": (0.0, 0.05)},
             {"init_translation": ("a", "b", "c")},
+            {"scale_epsilon": float("nan")},
+            {"rotation_epsilon": float("nan")},
+            {"scale_epsilon": float("inf")},
+            {"rotation_epsilon": 0.0},
         ],
     )
     def test_rejected_before_any_move(self, kwargs):
@@ -324,6 +329,24 @@ class TestBisectionBaseline:
             assert np.linalg.norm(r.command.translation) == pytest.approx(r.scale_m)
 
 
+# perfbench's matching noise, r = 1 px on half of the points; a lighting
+# change; and the mural scene seen by its own rig.
+_NOISY = {"magnitude_r": 1.0, "ratio_mu": 0.5}
+_LIT = {
+    "off_plane_outlier_fraction": 0.5,
+    "in_plane_outlier_fraction": 0.3,
+    "dropout_fraction": 0.2,
+}
+_MURAL = {
+    "scene": {"builtin": "mural"},
+    "rig": {
+        **cli.default_acr_config()["rig"],
+        "intrinsics": asdict(simulator.MURAL_INTRINSICS),
+        "image_size": list(simulator.MURAL_IMAGE_SIZE),
+    },
+}
+
+
 class TestRunAcrMatrix:
     """Seeded ``simulate-acr --seed 0`` variants, bounded on the outcome."""
 
@@ -334,9 +357,30 @@ class TestRunAcrMatrix:
             # the current depths serve as reference depths.
             ({"initial_offset": None}, 4),
             # r = 1 px matching noise on half of the points.
-            ({"noise": {"magnitude_r": 1.0, "ratio_mu": 0.5}}, 10),
+            ({"noise": _NOISY}, 10),
+            # The paper's regimes, measured at 2, 2, 4, 3 and 3 moves.
+            (_MURAL, 4),
+            ({**_MURAL, "noise": _NOISY}, 6),
+            ({**_MURAL, "noise": _NOISY, "lighting": _LIT}, 8),
+            ({"noise": _NOISY, "lighting": _LIT}, 8),
+            (
+                {
+                    "noise": _NOISY,
+                    "lighting": _LIT,
+                    "initial_offset": {"random": {"max_rotation_deg": 3.0, "max_offset_m": 0.0}},
+                },
+                8,
+            ),
         ],
-        ids=["zero-baseline", "noise"],
+        ids=[
+            "zero-baseline",
+            "noise",
+            "mural-clean",
+            "mural-noisy",
+            "mural-lit-noisy",
+            "corner-lit-noisy",
+            "pure-rotation-lit-noisy",
+        ],
     )
     def test_converges_close_to_the_reference(self, overrides, max_moves):
         trace, executor = _run(run_acr, **overrides)

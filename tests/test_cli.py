@@ -81,6 +81,8 @@ class TestBenchNoise:
             ({"r_values": ["a"]}, "r_values"),
             ({"r_values": 4}, "r_values"),
             ({"r_values": [-1]}, "r_values"),
+            ({"r_values": [float("nan")]}, "r_values"),
+            ({"r_values": [2.0, float("inf")]}, "r_values"),
             ({"mu_values": [0.5, "b"]}, "mu_values"),
             ({"mu_values": [1.5]}, "mu_values"),
             ({"mu_values": [-0.1]}, "mu_values"),
@@ -115,6 +117,8 @@ class TestBenchNoise:
             "string-r",
             "scalar-r",
             "negative-r",
+            "nan-r",
+            "infinite-r",
             "string-mu",
             "mu-above-one",
             "negative-mu",
@@ -535,6 +539,9 @@ class TestSimulateAcr:
         "acr_doc, key",
         [
             ({"init_translation": [0, 0, 0]}, "init_translation"),
+            ({"scale_epsilon": float("nan")}, "epsilon"),
+            ({"rotation_epsilon": float("nan")}, "epsilon"),
+            ({"scale_epsilon": float("inf")}, "epsilon"),
         ],
     )
     def test_out_of_range_acr_value_is_invalid_input(
@@ -546,11 +553,20 @@ class TestSimulateAcr:
         "section, doc, key",
         [
             ("noise", {"magnitude_r": -1}, "noise magnitude"),
+            ("noise", {"magnitude_r": float("nan"), "ratio_mu": 0.5}, "noise magnitude"),
+            ("noise", {"magnitude_r": float("inf"), "ratio_mu": 0.5}, "noise magnitude"),
             ("noise", {"magnitud_r": 5}, "magnitud_r"),
             ("lighting", {"dropout_fraction": "lots"}, "lighting.dropout_fraction"),
             ("lighting", [], "lighting"),
         ],
-        ids=["negative-noise", "misspelled-noise-key", "untyped-lighting", "lighting-list"],
+        ids=[
+            "negative-noise",
+            "nan-noise",
+            "infinite-noise",
+            "misspelled-noise-key",
+            "untyped-lighting",
+            "lighting-list",
+        ],
     )
     def test_bad_noise_or_lighting_is_invalid_input(
         self, section, doc, key, tmp_path, monkeypatch, capsys

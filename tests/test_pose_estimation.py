@@ -606,7 +606,9 @@ class TestChunkedRansac:
         class Recording:
             def __init__(self, seed):
                 self._rng = real_rng(seed)
-                self.bit_generator = self._rng.bit_generator
+
+            def integers(self, *args, **kwargs):
+                return self._rng.integers(*args, **kwargs)
 
             def choice(self, *args, **kwargs):
                 choices.append(args)
@@ -648,27 +650,23 @@ ORACLE_DRAWS = [
 class TestBatchedDraws:
     @pytest.mark.parametrize("n, size", ORACLE_DRAWS)
     def test_equals_successive_choice_calls(self, n, size):
-        # Bounded words per sample: one per Floyd step but j = 0, one per swap.
+        # Bounded draws per sample: one per Floyd step but j = 0, one per swap.
         width = 2 * size - 1 - (n == size)
         for seed in range(100):
             rng = np.random.default_rng(seed)
             sampler = pose_estimation._ChoiceSampler(n, size, seed)
-            bit_generator, raw = sampler._raw.__self__, sampler._raw
-            outputs = []
-            sampler._raw = lambda count: outputs.append(count) or raw(count)
             for k in ORACLE_CHUNKS:
                 expected = [rng.choice(n, size, replace=False) for _ in range(k)]
                 assert np.array_equal(sampler.draw(k), expected)
-                # The stream stands where ``choice`` leaves it, and the
-                # sampler holds back only the half ``choice`` keeps.
-                state = rng.bit_generator.state
-                assert bit_generator.state["state"] == state["state"]
-                assert sampler._spare == ([state["uinteger"]] if state["has_uint32"] else [])
+                # The stream stands where ``choice`` leaves it, spare half
+                # word included.
+                assert sampler._rng.bit_generator.state == rng.bit_generator.state
             if n == 3 * 10**9:
                 # Lemire's test rejects about 30 % of the words bounded near
-                # 3e9, so the chunks dropped words and read past their width.
-                read = 2 * sum(outputs) - len(sampler._spare)
-                assert read > sum(ORACLE_CHUNKS) * width
+                # 3e9, so the chunks read past their width in 32-bit words.
+                words = np.random.default_rng(seed)
+                words.integers(0, 1 << 32, sum(ORACLE_CHUNKS) * width)
+                assert words.bit_generator.state != rng.bit_generator.state
 
     @pytest.mark.parametrize("size", [4, 8])
     def test_n_equal_to_size_takes_no_word_for_j_zero(self, size):
@@ -677,18 +675,21 @@ class TestBatchedDraws:
         assert np.array_equal(sampler.draw(1)[0], rng.choice(size, size, replace=False))
         # 2 * size - 2 words, an even count: both sides drew the same 64-bit
         # outputs and neither keeps a half back.
-        drawn, expected = sampler._raw.__self__.state, rng.bit_generator.state
-        assert drawn["state"] == expected["state"]
-        assert expected["has_uint32"] == 0
-        assert sampler._spare == []
+        assert sampler._rng.bit_generator.state == rng.bit_generator.state
+        assert rng.bit_generator.state["has_uint32"] == 0
 
-    def test_rejects_n_of_two_to_the_32(self):
-        n = (1 << 32) - 1
+    def test_draws_64_bit_words_past_two_to_the_32(self):
+        n = (1 << 32) + 5
         rng = np.random.default_rng(3)
         expected = [rng.choice(n, 4, replace=False) for _ in range(8)]
-        assert np.array_equal(pose_estimation._ChoiceSampler(n, 4, 3).draw(8), expected)
+        sampler = pose_estimation._ChoiceSampler(n, 4, 3)
+        assert np.array_equal(sampler.draw(8), expected)
+        assert sampler._rng.bit_generator.state == rng.bit_generator.state
+
+    def test_rejects_samples_numpy_draws_from_a_shuffled_arange(self):
         with pytest.raises(ValueError):
-            pose_estimation._ChoiceSampler(n + 1, 4, 3)
+            pose_estimation._ChoiceSampler(20000, 401, 3)
+        pose_estimation._ChoiceSampler(20000, 400, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -962,6 +962,9 @@ class TestSpecValidation:
             NoiseSpec(magnitude_r=-1.0)
         with pytest.raises(InvalidInputError):
             NoiseSpec(ratio_mu=1.5)
+        for r in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError, match="finite"):
+                NoiseSpec(magnitude_r=r, ratio_mu=0.5)
 
     def test_lighting_ordering(self):
         with pytest.raises(InvalidInputError):
