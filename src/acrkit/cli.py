@@ -12,11 +12,13 @@ All configuration is JSON (``--print-schema`` per subcommand documents the
 fields), every output is machine-readable, and every run is deterministic
 under a fixed seed.  Exit codes: 0 success (a non-converged but valid loop
 run is still success); 1 for a bad config of ``simulate-acr`` or
-``bench-noise``, a bad seed or threshold of ``estimate-pose`` or a
-negative ``--erosion`` of ``match-planes``, with ``invalid-input``, before
-any work starts; 2 for a missing or malformed input file of
-``estimate-pose``, ``match-planes`` or ``solve-scale``, and for a runtime
-estimation failure, with the error's code.
+``bench-noise``, a bad seed or threshold of ``estimate-pose`` or a negative
+``--erosion`` of ``match-planes``, with ``invalid-input``, before any work
+starts; 2 for a missing or malformed input file of ``estimate-pose``,
+``match-planes`` or ``solve-scale``, and for a runtime estimation failure,
+with the error's code.  An unknown key, or a NaN, an infinity or a number
+beyond a float's range, is a bad config (exit 1) or a malformed file
+(exit 2); a correspondence file's unread keys are ignored.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
-import typing
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,12 @@ from .fusion import _select_consistent, i2pe, reselect_candidates
 from .geometry import DirectionalPose, Intrinsics, Pose, Rotation
 from .metrics import afd
 from .plane_match import EROSION_RADIUS, PlaneSegmentMap, erode_mask, match_plane_maps
-from .pose_estimation import CorrespondenceSet, estimate_epipolar, estimate_homography_ransac
+from .pose_estimation import (
+    RANSAC_THRESHOLD_PX,
+    CorrespondenceSet,
+    estimate_epipolar,
+    estimate_homography_ransac,
+)
 from .scale_solver import solve_scale_system
 from . import simulator
 from .simulator import (
@@ -73,151 +80,51 @@ def _fail(code: int, error_code: str, message: str) -> int:
 
 
 def _load_json(path):
+    """The JSON document in the file at ``path``, the one place the CLI
+    parses JSON.  A number that no float holds (NaN, Infinity, 1e400, a
+    400-digit integer) is refused here, by its key, so every reader sees
+    finite numbers only."""
     p = Path(path)
     if not p.exists():
         raise MissingInputError(f"missing input file: {path}")
+    refused = []
+
+    def finite(parse):
+        def number(token):
+            if math.isfinite(float(token)):
+                return parse(token)
+            refused.append(token)
+            return math.nan  # for _nan_key to find
+        return number
+
+    hooks = dict(parse_int=finite(int), parse_float=finite(float), parse_constant=finite(float))
     try:
-        return json.loads(p.read_text())
+        doc = json.loads(p.read_text(), **hooks)
     except ValueError as exc:  # not JSON, or not UTF-8 text
         raise InvalidInputError(f"{path} is not a JSON file: {exc}") from exc
+    if refused:
+        where = _nan_key(doc, "") or "the document"
+        raise InvalidInputError(f"{path}: {where} must be a finite number, got {refused[0]}")
+    return doc
+
+
+def _nan_key(value, where: str):
+    """The key path, below ``where``, of the first NaN in ``value``, or None."""
+    if isinstance(value, float) and math.isnan(value):
+        return where
+    if isinstance(value, dict):
+        items = ((f"{where}.{k}" if where else k, v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    return next((at for w, v in items if (at := _nan_key(v, w)) is not None), None)
 
 
 def _load_mask(path) -> PlaneSegmentMap:
     if not Path(path).exists():
         raise MissingInputError(f"missing mask file: {path}")
     return PlaneSegmentMap.load(path)
-
-
-def _intrinsics_from(doc, where: str = "intrinsics") -> Intrinsics:
-    doc = _checked(doc, dict, where)
-    fields = ("fx", "fy", "cx", "cy")
-    return Intrinsics(**{k: _checked(doc.get(k), float, f"{where}.{k}") for k in fields})
-
-
-def _pose_spec(doc, rng, where: str = "pose") -> Pose:
-    """Pose from JSON: explicit {"r", "t"} or {"random": {...}} bounds."""
-    if doc is None:
-        return Pose.identity()
-    if "random" in _checked(doc, dict, where):
-        spec = _checked(doc["random"], dict, f"{where}.random")
-        return random_pose(
-            rng,
-            *(
-                _checked(spec.get(k, 0.0), float, f"{where}.random.{k}")
-                for k in ("max_rotation_deg", "max_offset_m")
-            ),
-        )
-    return _explicit_pose(doc, where)
-
-
-def _explicit_pose(doc, where: str) -> Pose:
-    """Pose from a JSON {"r": nine numbers, "t": three numbers} object."""
-    _checked(doc, dict, where)
-    r = _numbers(doc.get("r"), f"{where}.r", 9)
-    return Pose.from_json_dict({"r": r, "t": _checked(doc.get("t"), tuple, f"{where}.t")})
-
-
-def _clutter_box(value, where: str):
-    """A clutter box found at ``where``: null, or three (low, high) ranges."""
-    if value is None:
-        return None
-    box = _checked(value, list, where)
-    if len(box) != 3:
-        raise InvalidInputError(f"{where} must be three ranges, got {box!r}")
-    return tuple(_numbers(v, f"{where}[{k}]", 2) for k, v in enumerate(box))
-
-
-def _present(doc: dict, readers: dict, where: str) -> dict:
-    """The keys of ``doc`` that ``readers`` name, each read by its reader;
-    a key that ``doc`` leaves out keeps its dataclass default."""
-    return {k: read(doc[k], f"{where}.{k}") for k, read in readers.items() if k in doc}
-
-
-def _scene_from(doc) -> SceneSpec:
-    plane_keys = {
-        "half_extents": lambda v, where: _numbers(v, where, 2),
-        "polygon": lambda v, where: None
-        if v is None
-        else tuple(_numbers(p, f"{where}[{k}]", 2) for k, p in enumerate(_checked(v, list, where))),
-        "count": lambda v, where: _checked(v, int, where),
-        "center": lambda v, where: None if v is None else _checked(v, tuple, where),
-        "detected": lambda v, where: _checked(v, bool, where),
-    }
-    scene_keys = {
-        "seed": lambda v, where: _checked(v, "non-negative", where),
-        "clutter_count": lambda v, where: _checked(v, int, where),
-        "clutter_box": _clutter_box,
-    }
-    planes = []
-    for i, p in enumerate(_checked(doc.get("planes", []), list, "scene.planes")):
-        where = f"scene.planes[{i}]"
-        p = _checked(p, dict, where)
-        planes.append(
-            PlaneSpec(
-                normal=_checked(p.get("normal"), tuple, f"{where}.normal"),
-                offset=_checked(p.get("offset"), float, f"{where}.offset"),
-                **_present(p, plane_keys, where),
-            )
-        )
-    return SceneSpec(planes=tuple(planes), **_present(doc, scene_keys, "scene"))
-
-
-def _builtin_scene(name: str, seed: int):
-    if name == "corner":
-        return simulator.corner_scene(seed=seed)
-    if name == "mural":
-        return simulator.mural_scene(seed=seed)
-    if name == "single-plane":
-        return simulator.single_plane_scene(seed=seed)
-    raise InvalidInputError(f"unknown built-in scene {name!r}")
-
-
-def _scene_spec(doc, seed: int) -> SceneSpec:
-    """The scene of a ``scene`` object: a built-in one, seeded by ``seed``,
-    or the planes it lists."""
-    if "builtin" in _checked(doc, dict, "scene"):
-        return _builtin_scene(doc["builtin"], seed)
-    return _scene_from(doc)
-
-
-ACR_SCHEMA = {
-    "seed": "int >= 0, master seed",
-    "scene": "object with planes[] (normal, offset, half_extents|polygon, count, center, detected), clutter_count, clutter_box, seed; or {'builtin': 'corner'|'mural'|'single-plane'}",
-    "rig": {
-        "intrinsics": {"fx": "px", "fy": "px", "cx": "px", "cy": "px"},
-        "image_size": "[width, height]",
-        "hand_eye": "pose {'r': [9], 't': [3]} or {'random': {'max_rotation_deg', 'max_offset_m'}}",
-    },
-    "initial_offset": "pose or {'random': ...}; current-camera extrinsic in the reference frame",
-    "noise": {"magnitude_r": "px", "ratio_mu": "fraction"},
-    "lighting": {
-        "off_plane_outlier_fraction": "fraction",
-        "in_plane_outlier_fraction": "fraction",
-        "dropout_fraction": "fraction",
-    },
-    "acr": {
-        "scale_epsilon": "m, stop threshold on the estimated remaining translation",
-        "rotation_epsilon": "deg, stop threshold on the estimated remaining rotation",
-        "max_iterations": "int",
-        "init_translation": "[3] m, hand frame",
-    },
-    "baseline": "bool, use the scale-guessing epipolar loop",
-    "output_dir": "directory for trace.jsonl and summary.csv",
-}
-
-BENCH_SCHEMA = {
-    "seed": "int >= 0",
-    "scene": "as in simulate-acr (default: the built-in single-plane scene)",
-    "intrinsics": "fx/fy/cx/cy (default Canon-like)",
-    "image_size": "[w, h] (default 5760x3840)",
-    "motion": "pose {'r': [9], 't': [3]} (default built-in bench motion)",
-    "r_values": "[px, ...] noise magnitudes (default 0..50 step 2)",
-    "mu_values": "[fraction, ...] noise ratios (default [.01,.1,.3,.5,.8,.9])",
-    "trials": "int per grid cell",
-    "threshold_px": "px, finite and > 0, RANSAC inlier gate",
-    "max_iters": f"RANSAC budget (default {simulator.BENCH_RANSAC_ITERS})",
-    "output": "CSV path",
-}
 
 
 def _is_number(value) -> bool:
@@ -232,72 +139,256 @@ _KINDS = {
     float: ("a number", _is_number),
     int: ("an integer", _is_integral),
     "non-negative": ("a non-negative integer", lambda v: _is_integral(v) and v >= 0),
+    "positive": ("a positive integer", lambda v: _is_integral(v) and v > 0),
     "threshold": ("a positive, finite number", lambda v: _is_number(v) and 0 < v < np.inf),
+    "bound": ("a non-negative number", lambda v: _is_number(v) and v >= 0),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     dict: ("an object", lambda v: isinstance(v, dict)),
-    list: ("a list", lambda v: isinstance(v, list)),
+    list: ("a list", lambda v: isinstance(v, (list, tuple))),  # a tuple as a default
     str: ("a string", lambda v: isinstance(v, str)),
-    tuple: (
-        "three numbers",
-        lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
-    ),
 }
 
 
 def _checked(value, kind, name: str):
-    """``value``, a JSON value or flag found at ``name``, as the type
-    ``kind``: a float from a number, an int from an integral number, a
-    ``"non-negative"`` int (a seed or an erosion radius) from a
-    non-negative one, a ``"threshold"`` float from a positive, finite one
-    (a RANSAC inlier gate in pixels), a bool, a dict, a list, a string, or
-    a tuple of three floats; anything else is ``InvalidInputError``."""
+    """``value``, a JSON value or flag found at ``name``, as ``kind`` (see
+    ``_KINDS``; a ``"threshold"`` is a RANSAC inlier gate in pixels, a
+    ``"bound"`` a random pose's limit): a float from a number, an int from
+    an integral number; anything else is ``InvalidInputError``."""
     wanted, accepts = _KINDS[kind]
     if not accepts(value):
         raise InvalidInputError(f"{name} must be {wanted}, got {value!r}")
-    if kind is tuple:
-        return tuple(float(v) for v in value)
-    if kind in (float, "threshold"):
+    if kind in (float, "threshold", "bound"):
         return float(value)
-    return int(value) if kind in (int, "non-negative") else value
+    return int(value) if kind in (int, "non-negative", "positive") else value
 
 
-def _numbers(value, name: str, size: int = None) -> tuple:
-    """``value`` found at ``name`` as a tuple of floats: a list of numbers,
-    exactly ``size`` of them when given."""
-    if not (
-        isinstance(value, list)
-        and all(map(_is_number, value))
-        and (size is None or len(value) == size)
-    ):
-        count = "numbers" if size is None else f"{size} numbers"
-        raise InvalidInputError(f"{name} must be a list of {count}, got {value!r}")
-    return tuple(float(v) for v in value)
+# A reader turns the JSON value at the key path ``where`` into what a
+# command uses, or raises InvalidInputError naming ``where``.  A key table
+# maps each key of a JSON object to (reader, default, schema text): the
+# default is read like a given value (a tuple as a list), or is REQUIRED;
+# the schema text is what --print-schema prints, or the key table of a
+# nested object.
+REQUIRED = object()
 
 
-def _image_size(value, name: str) -> tuple:
-    """``value`` found at ``name`` as a (width, height) of positive integers."""
-    if not (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(_is_integral(v) and v > 0 for v in value)
-    ):
-        raise InvalidInputError(f"{name} must be two positive integers, got {value!r}")
-    return tuple(int(v) for v in value)
+def _of(kind):
+    """The reader of one value of ``kind`` (see :func:`_checked`)."""
+    return lambda value, where: _checked(value, kind, where)
 
 
-def _acr_config_from(doc, cls=AcrConfig, where: str = "acr"):
-    """The ``cls`` configuration of the JSON object ``doc`` (null for the
-    defaults) found at ``where``.
+def _each(read, size: int = None):
+    """The reader of a list, exactly ``size`` items long when given: the
+    tuple of its items, each read by ``read``."""
 
-    Every key must be a field of the dataclass ``cls`` and every value must
-    have its field's type (see :func:`_checked`).
-    """
-    doc = _checked({} if doc is None else doc, dict, where)
-    kinds = typing.get_type_hints(cls)
-    unknown = sorted(set(doc) - set(kinds))
+    def read_list(value, where):
+        if size not in (None, len(_checked(value, list, where))):
+            raise InvalidInputError(f"{where} must be a list of {size} items, got {value!r}")
+        return tuple(read(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+    return read_list
+
+
+def _nullable(read):
+    """The reader of null, as None, or of a value that ``read`` reads."""
+    return lambda value, where: None if value is None else read(value, where)
+
+
+def _read(doc, table: dict, where: str) -> dict:
+    """The value of every key of ``table`` in the JSON object ``doc`` at
+    ``where`` ("" for a whole configuration), read from the object or from
+    the key's default.  An unknown key, or a missing required one, is
+    ``InvalidInputError``."""
+    name = where or "configuration"
+    unknown = sorted(set(_checked(doc, dict, name)) - set(table))
     if unknown:
-        raise InvalidInputError(f"unknown {where} key(s): {', '.join(unknown)}")
-    return cls(**{k: _checked(v, kinds[k], f"{where}.{k}") for k, v in doc.items()})
+        raise InvalidInputError(f"unknown {name} key(s): {', '.join(unknown)}")
+    values = {}
+    for key, (read, default, _) in table.items():
+        if key not in doc and default is REQUIRED:
+            raise InvalidInputError(f"missing {name} key: {key}")
+        values[key] = read(doc.get(key, default), f"{where}.{key}" if where else key)
+    return values
+
+
+def _object(table: dict, build=dict):
+    """The reader of an object with the keys of ``table``: ``build(**values)``."""
+    return lambda value, where: build(**_read(value, table, where))
+
+
+def _fields(cls, **keys) -> dict:
+    """The key table of fields of the dataclass ``cls``: ``keys`` maps each
+    to its (reader, schema text), and its default is the field's own (a
+    tuple for a list), or REQUIRED where it has none."""
+    defaults = {f.name: REQUIRED if f.default is MISSING else f.default for f in fields(cls)}
+    return {key: (read, defaults[key], doc) for key, (read, doc) in keys.items()}
+
+
+def _schema(table: dict) -> dict:
+    """What ``--print-schema`` prints for ``table``."""
+    return {k: _schema(doc) if isinstance(doc, dict) else doc for k, (_, _, doc) in table.items()}
+
+
+def _config(doc, table: dict, **flags) -> dict:
+    """A command's configuration: the JSON object ``doc`` read by
+    ``table``, with each flag that was given read in place of its key."""
+    cfg = _read(doc, table, "")
+    cfg.update({k: table[k][0](v, f"--{k}") for k, v in flags.items() if v is not None})
+    return cfg
+
+
+_NUMBER = _of(float)
+_VECTOR = _each(_NUMBER, 3)
+_IMAGE_SIZE = _each(_of("positive"), 2)
+
+INTRINSICS_KEYS = _fields(
+    Intrinsics, fx=(_NUMBER, "px"), fy=(_NUMBER, "px"), cx=(_NUMBER, "px"), cy=(_NUMBER, "px")
+)
+_intrinsics = _object(INTRINSICS_KEYS, Intrinsics)
+POSE_KEYS = {"r": (_each(_NUMBER, 9), REQUIRED, "[9], row by row"), "t": (_VECTOR, REQUIRED, "[3]")}
+_rigid = _object(POSE_KEYS, lambda **rt: Pose.from_json_dict(rt))
+_BOUNDS = {"max_rotation_deg": (_of("bound"), 0.0, "deg"), "max_offset_m": (_of("bound"), 0.0, "m")}
+RANDOM_POSE_KEYS = {"random": (_object(_BOUNDS), REQUIRED, "bounds of a uniform random pose")}
+
+
+def _pose(value, where):
+    """A pose: null for none, a rigid pose, or ``{"random": bounds}`` for
+    the bounds, from which :func:`_drawn` draws."""
+    if value is None:
+        return Pose.identity()
+    if isinstance(value, dict) and "random" in value:
+        return _read(value, RANDOM_POSE_KEYS, where)["random"]
+    return _rigid(value, where)
+
+
+def _drawn(pose, rng) -> Pose:
+    """A pose that :func:`_pose` read, its random bounds drawn from ``rng``."""
+    return pose if isinstance(pose, Pose) else random_pose(rng, **pose)
+
+
+PLANE_KEYS = _fields(
+    PlaneSpec,
+    normal=(_VECTOR, "[3]"),
+    offset=(_NUMBER, "m, of normal . X = offset"),
+    half_extents=(_each(_NUMBER, 2), "[2] m"),
+    polygon=(_nullable(_each(_each(_NUMBER, 2))), "[[u, v], ...] m, or null for half_extents"),
+    count=(_of(int), "points"),
+    center=(_nullable(_VECTOR), "[3] m"),
+    detected=(_of(bool), "bool, known to the segmentation"),
+)
+SCENE_KEYS = _fields(
+    SceneSpec,
+    seed=(_of("non-negative"), "int >= 0"),
+    clutter_count=(_of(int), "free points"),
+    clutter_box=(_nullable(_each(_each(_NUMBER, 2), 3)), "[[low, high]] * 3 m"),
+)
+SCENE_KEYS["planes"] = (_each(lambda value, where: PlaneSpec(**_read(value, PLANE_KEYS, where))),
+                        [], "[plane, ...]")
+# Each built-in scene, made with the master seed.
+_BUILTIN_SCENES = {
+    "corner": lambda seed: simulator.corner_scene(seed=seed),
+    "mural": lambda seed: simulator.mural_scene(seed=seed),
+    "single-plane": lambda seed: simulator.single_plane_scene(seed=seed),
+}
+BUILTIN_KEYS = {"builtin": (_of(str), REQUIRED, "'corner'|'mural'|'single-plane'")}
+
+
+def _scene(value, where):
+    """A scene: the SceneSpec of the planes it lists, or for
+    ``{"builtin": name}`` the built-in scene, which :func:`_seeded` makes."""
+    if isinstance(value, dict) and "builtin" in value:
+        name = _read(value, BUILTIN_KEYS, where)["builtin"]
+        if name not in _BUILTIN_SCENES:
+            raise InvalidInputError(f"unknown built-in scene {name!r}")
+        return _BUILTIN_SCENES[name]
+    return SceneSpec(**_read(value, SCENE_KEYS, where))
+
+
+def _seeded(scene, seed: int) -> SceneSpec:
+    """A scene that :func:`_scene` read, a built-in one made with ``seed``."""
+    return scene if isinstance(scene, SceneSpec) else scene(seed)
+
+
+LOOP_KEYS = _fields(
+    AcrConfig,
+    scale_epsilon=(_NUMBER, "m, stop threshold on the estimated remaining translation"),
+    rotation_epsilon=(_NUMBER, "deg, stop threshold on the estimated remaining rotation"),
+    max_iterations=(_of(int), "int"),
+    init_translation=(_VECTOR, "[3] m, hand frame"),
+)
+NOISE_KEYS = _fields(NoiseSpec, magnitude_r=(_NUMBER, "px"), ratio_mu=(_NUMBER, "fraction"))
+LIGHTING_KEYS = _fields(
+    LightingProxySpec,
+    off_plane_outlier_fraction=(_NUMBER, "fraction"),
+    in_plane_outlier_fraction=(_NUMBER, "fraction"),
+    dropout_fraction=(_NUMBER, "fraction"),
+)
+_POSE_TEXT = "pose {'r': [9], 't': [3]}"
+RIG_KEYS = {
+    "intrinsics": (_intrinsics, asdict(simulator.DESK_INTRINSICS), INTRINSICS_KEYS),
+    "image_size": (_IMAGE_SIZE, list(simulator.DESK_IMAGE_SIZE), "[width, height]"),
+    "hand_eye": (_pose, None,
+                 f"{_POSE_TEXT} or {{'random': {{'max_rotation_deg', 'max_offset_m'}}}}"),
+}
+# A null acr, noise or lighting object stands for the defaults.
+ACR_KEYS = {
+    "seed": (_of("non-negative"), 0, "int >= 0, master seed"),
+    "scene": (_scene, {"builtin": "corner"},
+              "object with planes[] (normal, offset, half_extents|polygon, count, center,"
+              " detected), clutter_count, clutter_box, seed; or"
+              " {'builtin': 'corner'|'mural'|'single-plane'}"),
+    "rig": (_object(RIG_KEYS), {}, RIG_KEYS),
+    "initial_offset": (_pose, None,
+                       "pose or {'random': ...}; current-camera extrinsic in the reference frame"),
+    "noise": (_nullable(_object(NOISE_KEYS, NoiseSpec)), {}, NOISE_KEYS),
+    "lighting": (_nullable(_object(LIGHTING_KEYS, LightingProxySpec)), {}, LIGHTING_KEYS),
+    "acr": (_nullable(_object(LOOP_KEYS, AcrConfig)), {}, LOOP_KEYS),
+    "baseline": (_of(bool), False, "bool, use the scale-guessing epipolar loop"),
+    "output_dir": (_of(str), "acr_out", "directory for trace.jsonl and summary.csv"),
+}
+
+
+def _grid(field: str):
+    """The reader of a sweep's noise values: numbers that NoiseSpec takes as
+    its ``field``."""
+
+    def read(value, where):
+        values = _each(_NUMBER)(value, where)
+        try:
+            return tuple(getattr(NoiseSpec(**{field: v}), field) for v in values)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{where}: {exc}, got {list(values)}") from exc
+
+    return read
+
+
+BENCH_KEYS = {
+    "seed": (_of("non-negative"), 0, "int >= 0"),
+    "scene": (_scene, {"builtin": "single-plane"},
+              "as in simulate-acr (default: the built-in single-plane scene)"),
+    "intrinsics": (_intrinsics, asdict(simulator.CANON_INTRINSICS),
+                   "fx/fy/cx/cy (default Canon-like)"),
+    "image_size": (_IMAGE_SIZE, list(simulator.CANON_IMAGE_SIZE), "[w, h] (default 5760x3840)"),
+    # Null for the built-in motion, which no JSON rotation holds bit for bit.
+    "motion": (_nullable(_rigid), None, f"{_POSE_TEXT} (default built-in bench motion)"),
+    "r_values": (_grid("magnitude_r"), list(range(0, 51, 2)),
+                 "[px, ...] noise magnitudes (default 0..50 step 2)"),
+    "mu_values": (_grid("ratio_mu"), [0.01, 0.1, 0.3, 0.5, 0.8, 0.9],
+                  "[fraction, ...] noise ratios (default [.01,.1,.3,.5,.8,.9])"),
+    "trials": (_of("positive"), 20, "int per grid cell"),
+    "threshold_px": (_of("threshold"), RANSAC_THRESHOLD_PX,
+                     "px, finite and > 0, RANSAC inlier gate"),
+    "max_iters": (_of("positive"), simulator.BENCH_RANSAC_ITERS,
+                  f"RANSAC budget (default {simulator.BENCH_RANSAC_ITERS})"),
+    "output": (_of(str), "bench_noise.csv", "CSV path"),
+}
+# estimate-pose's pose file as solve-scale reads it: "t" is an older name
+# of "direction", and "zero_motion" goes unread.
+POSE_FILE_KEYS = {
+    "r": POSE_KEYS["r"],
+    "direction": (_nullable(_VECTOR), None, "[3], the unit translation direction"),
+    "t": (_nullable(_VECTOR), None, "[3], the direction's older name"),
+    "zero_motion": (_of(bool), False, "bool, a pure rotation"),
+}
 
 
 def cmd_estimate_pose(args) -> int:
@@ -308,7 +399,7 @@ def cmd_estimate_pose(args) -> int:
         return _fail(1, "invalid-input", str(exc))
     try:
         corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
-        intr = _intrinsics_from(_load_json(args.intrinsics))
+        intr = _intrinsics(_load_json(args.intrinsics), "intrinsics")
         report = {"method": args.method, "warnings": []}
         if args.method == "i2pe":
             if not args.ref_mask or not args.cur_mask:
@@ -318,21 +409,11 @@ def cmd_estimate_pose(args) -> int:
                 i2pe(corr, m_ref, m_cur, intr, threshold_px=args.threshold, seed=args.seed),
                 _select_consistent,
             )
-            pose_doc = {
-                "r": [float(v) for v in estimate.pose.rotation.matrix.reshape(-1)],
-                "direction": [float(v) for v in estimate.pose.direction],
-                "zero_motion": estimate.zero_motion,
-            }
+            pose, zero_motion = estimate.pose, estimate.zero_motion
             report.update(estimate.report())
-        elif args.method == "epipolar":
-            hyp = estimate_epipolar(
-                corr, intr, threshold_px=args.threshold, seed=args.seed
-            )
-            pose_doc = {
-                "r": [float(v) for v in hyp.pose.rotation.matrix.reshape(-1)],
-                "direction": [float(v) for v in hyp.pose.direction],
-                "zero_motion": False,
-            }
+        else:  # epipolar
+            hyp = estimate_epipolar(corr, intr, threshold_px=args.threshold, seed=args.seed)
+            pose, zero_motion = hyp.pose, False
             report["support"] = hyp.support
             report["unstable_translation"] = hyp.unstable_translation
             # Planar-degeneracy screen: if one homography explains nearly all
@@ -346,8 +427,11 @@ def cmd_estimate_pose(args) -> int:
                     report["warnings"].append("planar-degeneracy")
             except AcrError:
                 pass
-        else:
-            return _fail(1, "invalid-input", f"unknown method {args.method!r}")
+        pose_doc = {
+            "r": [float(v) for v in pose.rotation.matrix.reshape(-1)],
+            "direction": [float(v) for v in pose.direction],
+            "zero_motion": zero_motion,
+        }
         out = Path(args.output or "pose.json")
         out.write_text(json.dumps(pose_doc, indent=2))
         report_path = out.with_name(out.stem + "_report.json")
@@ -381,27 +465,20 @@ def cmd_match_planes(args) -> int:
 def cmd_solve_scale(args) -> int:
     try:
         corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
-        intr = _intrinsics_from(_load_json(args.intrinsics))
-        pose_doc = _checked(_load_json(args.pose), dict, "pose")
-        rotation = Rotation.from_matrix(
-            np.reshape(_numbers(pose_doc.get("r"), "pose.r", 9), (3, 3))
-        )
-        direction = _numbers(pose_doc.get("direction", pose_doc.get("t")), "pose.direction", 3)
-        solution = solve_scale_system(
-            corr, intr, DirectionalPose(rotation, direction)
-        )
+        intr = _intrinsics(_load_json(args.intrinsics), "intrinsics")
+        pose = _read(_load_json(args.pose), POSE_FILE_KEYS, "pose")
+        direction = pose["t"] if pose["direction"] is None else pose["direction"]
+        if direction is None:
+            raise InvalidInputError("missing pose key: direction")
+        rotation = Rotation.from_matrix(np.reshape(pose["r"], (3, 3)))
+        solution = solve_scale_system(corr, intr, DirectionalPose(rotation, direction))
+        tracks = [str(int(t)) for t in solution.track_id]
         doc = {
             "y": [float(v) for v in solution.y],
             "residual": solution.residual,
             "s": solution.s,
-            "depth_ratio_a": {
-                str(int(t)): float(v)
-                for t, v in zip(solution.track_id, solution.d_a / solution.s)
-            },
-            "depth_ratio_b": {
-                str(int(t)): float(v)
-                for t, v in zip(solution.track_id, solution.d_b / solution.s)
-            },
+            "depth_ratio_a": dict(zip(tracks, map(float, solution.d_a / solution.s))),
+            "depth_ratio_b": dict(zip(tracks, map(float, solution.d_b / solution.s))),
         }
         if args.output:
             Path(args.output).write_text(json.dumps(doc))
@@ -424,53 +501,39 @@ def default_acr_config() -> dict:
         },
         "initial_offset": {"random": {"max_rotation_deg": 3.0, "max_offset_m": 0.045}},
         "noise": {"magnitude_r": 0.0, "ratio_mu": 0.0},
-        "lighting": {
-            "off_plane_outlier_fraction": 0.0,
-            "in_plane_outlier_fraction": 0.0,
-            "dropout_fraction": 0.0,
-        },
+        "lighting": dict.fromkeys(LIGHTING_KEYS, 0.0),
         "acr": {},
         "baseline": False,
         "output_dir": "acr_out",
     }
 
 
+def _executor(cfg: dict) -> SimulatedExecutor:
+    """The simulated rig of a read simulate-acr configuration; a random
+    hand-eye pose is drawn before a random start offset."""
+    seed, rig = cfg["seed"], cfg["rig"]
+    rng = np.random.default_rng(seed)
+    hand_eye = _drawn(rig["hand_eye"], rng)
+    return SimulatedExecutor(
+        generate_scene(_seeded(cfg["scene"], seed)),
+        RigSpec(hand_eye=hand_eye, intrinsics=rig["intrinsics"], image_size=rig["image_size"]),
+        _drawn(cfg["initial_offset"], rng),
+        noise=cfg["noise"], lighting=cfg["lighting"], seed=seed,
+    )
+
+
 def cmd_simulate_acr(args) -> int:
     try:
         doc = _load_json(args.config) if args.config else default_acr_config()
-        doc = _checked(doc, dict, "the configuration")
-        cfg = _acr_config_from(doc.get("acr"))
-        noise = _acr_config_from(doc.get("noise"), NoiseSpec, "noise")
-        lighting = _acr_config_from(doc.get("lighting"), LightingProxySpec, "lighting")
-        seed = _checked(doc.get("seed", 0), "non-negative", "seed")
-        seed = seed if args.seed is None else _checked(args.seed, "non-negative", "--seed")
-        use_baseline = _checked(doc.get("baseline", False), bool, "baseline")
-        use_baseline = use_baseline or args.baseline
-        scene = _scene_spec(doc.get("scene", {"builtin": "corner"}), seed)
-        rig_doc = _checked(doc.get("rig", {}), dict, "rig")
-        intr = (
-            _intrinsics_from(rig_doc["intrinsics"], "rig.intrinsics")
-            if "intrinsics" in rig_doc
-            else simulator.DESK_INTRINSICS
-        )
-        image_size = _image_size(
-            rig_doc.get("image_size", list(simulator.DESK_IMAGE_SIZE)), "rig.image_size"
-        )
-        rng = np.random.default_rng(seed)
-        hand_eye = _pose_spec(rig_doc.get("hand_eye"), rng, "rig.hand_eye")
-        initial = _pose_spec(doc.get("initial_offset"), rng, "initial_offset")
-        out_dir = Path(_checked(doc.get("output_dir", "acr_out"), str, "output_dir"))
+        cfg = _config(doc, ACR_KEYS, seed=args.seed)
     except AcrError as exc:
         return _fail(1, "invalid-input", str(exc))
+    use_baseline, out_dir = cfg["baseline"] or args.baseline, Path(cfg["output_dir"])
     try:
-        world = generate_scene(scene)
-        rig = RigSpec(hand_eye=hand_eye, intrinsics=intr, image_size=image_size)
-        executor = SimulatedExecutor(
-            world, rig, initial, noise=noise, lighting=lighting, seed=seed
-        )
+        executor = _executor(cfg)
         runner = run_bisection_baseline if use_baseline else run_acr
         t0 = time.perf_counter()
-        trace = runner(executor, cfg)
+        trace = runner(executor, cfg["acr"])
         elapsed = time.perf_counter() - t0
 
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -488,43 +551,23 @@ def cmd_simulate_acr(args) -> int:
             final_rot, final_trans = _truth_errors(obs)
             final_afd = afd(obs.truth.clean_a, obs.truth.clean_b).afd
             in_gate = final_rot <= GATE_ROT_DEG and final_trans <= GATE_TRANS_M
+        summary = {
+            "method": "bisection" if use_baseline else "i2acr",
+            "status": trace.status,
+            "iterations": trace.iterations,
+            "final_rot_err_deg": _fmt(final_rot),
+            "final_trans_err_m": _fmt(final_trans),
+            "final_afd_px": _fmt(final_afd),
+            "in_gate": "" if in_gate is None else str(in_gate).lower(),
+            "wall_time_s": _fmt(round(elapsed, 3)),
+        }
         with open(out_dir / "summary.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "method",
-                    "status",
-                    "iterations",
-                    "final_rot_err_deg",
-                    "final_trans_err_m",
-                    "final_afd_px",
-                    "in_gate",
-                    "wall_time_s",
-                ]
-            )
-            writer.writerow(
-                [
-                    "bisection" if use_baseline else "i2acr",
-                    trace.status,
-                    trace.iterations,
-                    _fmt(final_rot),
-                    _fmt(final_trans),
-                    _fmt(final_afd),
-                    "" if in_gate is None else str(in_gate).lower(),
-                    _fmt(round(elapsed, 3)),
-                ]
-            )
-        print(
-            json.dumps(
-                {
-                    "status": trace.status,
-                    "failure": trace.failure,
-                    "iterations": trace.iterations,
-                    "trace": str(out_dir / "trace.jsonl"),
-                    "summary": str(out_dir / "summary.csv"),
-                }
-            )
-        )
+            writer = csv.DictWriter(fh, fieldnames=list(summary))
+            writer.writeheader()
+            writer.writerow(summary)
+        report = {"status": trace.status, "failure": trace.failure, "iterations": trace.iterations}
+        report.update(trace=str(out_dir / "trace.jsonl"), summary=str(out_dir / "summary.csv"))
+        print(json.dumps(report))
         return 0
     except AcrError as exc:
         return _fail(2, exc.code, str(exc))
@@ -533,71 +576,24 @@ def cmd_simulate_acr(args) -> int:
 def cmd_bench_noise(args) -> int:
     try:
         doc = _load_json(args.config) if args.config else {}
-        doc = _checked(doc, dict, "the configuration")
-        seed = _checked(doc.get("seed", 0), "non-negative", "seed")
-        seed = seed if args.seed is None else _checked(args.seed, "non-negative", "--seed")
-        scene = _scene_spec(doc.get("scene", {"builtin": "single-plane"}), seed)
-        intr = (
-            _intrinsics_from(doc["intrinsics"])
-            if "intrinsics" in doc
-            else simulator.CANON_INTRINSICS
-        )
-        image_size = _image_size(
-            doc.get("image_size", list(simulator.CANON_IMAGE_SIZE)), "image_size"
-        )
-        motion = (
-            _explicit_pose(doc["motion"], "motion")
-            if "motion" in doc
-            else simulator.BENCH_MOTION
-        )
-        r_values = _numbers(doc.get("r_values", list(range(0, 51, 2))), "r_values")
-        mu_values = _numbers(
-            doc.get("mu_values", [0.01, 0.1, 0.3, 0.5, 0.8, 0.9]), "mu_values"
-        )
-        trials = _checked(doc.get("trials", args.trials), int, "trials")
-        threshold_px = _checked(doc.get("threshold_px", 1.0), "threshold", "threshold_px")
-        max_iters = _checked(
-            doc.get("max_iters", simulator.BENCH_RANSAC_ITERS), int, "max_iters"
-        )
-        out = Path(_checked(doc.get("output", args.output), str, "output"))
-        if trials < 1:
-            raise InvalidInputError(f"trials must be at least 1, got {trials}")
-        if max_iters < 1:
-            raise InvalidInputError(f"max_iters must be at least 1, got {max_iters}")
-        if not all(0.0 <= r < np.inf for r in r_values):
-            raise InvalidInputError(
-                f"r_values must be finite and non-negative, got {list(r_values)}"
-            )
-        if not all(0.0 <= mu <= 1.0 for mu in mu_values):
-            raise InvalidInputError(f"mu_values must lie in [0, 1], got {list(mu_values)}")
+        cfg = _config(doc, BENCH_KEYS, seed=args.seed, trials=args.trials, output=args.output)
     except AcrError as exc:
         return _fail(1, "invalid-input", str(exc))
+    r_values, mu_values, out = cfg["r_values"], cfg["mu_values"], Path(cfg["output"])
     try:
         rows = bench_noise_sweep(
-            scene,
-            motion,
-            r_values,
-            mu_values,
-            trials,
-            seed=seed,
-            intr=intr,
-            image_size=image_size,
-            threshold_px=threshold_px,
-            max_iters=max_iters,
+            _seeded(cfg["scene"], cfg["seed"]), cfg["motion"] or simulator.BENCH_MOTION,
+            r_values, mu_values, cfg["trials"], seed=cfg["seed"], intr=cfg["intrinsics"],
+            image_size=cfg["image_size"], threshold_px=cfg["threshold_px"],
+            max_iters=cfg["max_iters"],
         )
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["r", "mu", "trial", "method", "rot_err_deg", "dir_err_deg"])
             for row in rows:
                 writer.writerow(
-                    [
-                        _fmt(row.r),
-                        _fmt(row.mu),
-                        row.trial,
-                        row.method,
-                        _fmt(row.rot_err_deg),
-                        _fmt(row.dir_err_deg),
-                    ]
+                    [_fmt(row.r), _fmt(row.mu), row.trial, row.method]
+                    + [_fmt(row.rot_err_deg), _fmt(row.dir_err_deg)]
                 )
 
         summary = _bench_summary(rows, r_values, mu_values)
@@ -676,7 +672,7 @@ def main(argv=None) -> int:
     p.add_argument("--ref-mask", help="reference plane mask (PGM)")
     p.add_argument("--cur-mask", help="current plane mask (PGM)")
     p.add_argument("--method", default="i2pe", choices=["i2pe", "epipolar"])
-    p.add_argument("--threshold", type=float, default=1.0)
+    p.add_argument("--threshold", type=float, default=RANSAC_THRESHOLD_PX)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="pose JSON output path")
     p.set_defaults(func=cmd_estimate_pose)
@@ -705,16 +701,16 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bench-noise", help="noise-robustness sweep")
     p.add_argument("config", nargs="?", help="config JSON")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", default="bench_noise.csv")
+    p.add_argument("--trials", type=int, default=None, help="override config trials")
+    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--output", default=None, help="override config output")
     p.add_argument("--print-schema", action="store_true")
     p.set_defaults(func=cmd_bench_noise)
 
     args = parser.parse_args(argv)
     if getattr(args, "print_schema", False):
-        schema = ACR_SCHEMA if args.command == "simulate-acr" else BENCH_SCHEMA
-        print(json.dumps(schema, indent=2))
+        table = ACR_KEYS if args.command == "simulate-acr" else BENCH_KEYS
+        print(json.dumps(_schema(table), indent=2))
         return 0
     return args.func(args)
 

@@ -46,6 +46,7 @@ from .geometry import (
 )
 from .plane_match import PlaneSegmentMap, match_plane_maps
 from .pose_estimation import (
+    RANSAC_THRESHOLD_PX,
     CorrespondenceSet,
     PoseHypothesis,
     _rays,
@@ -235,7 +236,7 @@ def i2pe(
     m_ref: PlaneSegmentMap,
     m_cur: PlaneSegmentMap,
     intr: Intrinsics,
-    threshold_px: float = 1.0,
+    threshold_px: float = RANSAC_THRESHOLD_PX,
     seed: int = 0,
 ) -> PlaneCandidates:
     """Per-plane pose candidates between a reference and a current image.

@@ -384,6 +384,14 @@ LO_GATE_FLOOR = 0.01
 # Probability that some draw up to the adaptive RANSAC target is all inliers.
 RANSAC_CONFIDENCE = 0.9999
 
+# The RANSAC defaults of both estimators, of i2pe and of the CLI (the
+# noise sweep keeps the gate only): a 1 px inlier gate, a budget of 2000
+# minimal samples (adaptively shrunk) and 3 least-squares refits on the
+# consensus.
+RANSAC_THRESHOLD_PX = 1.0
+RANSAC_MAX_ITERS = 2000
+RANSAC_REFINE_ITERS = 3
+
 
 def _adaptive_iters(inlier_ratio: float, sample_size: int) -> int:
     w = min(max(inlier_ratio, 0.0), 1.0 - 1e-12)
@@ -566,10 +574,10 @@ def _ransac_refit(n, sample_size, fit, score, threshold_px, max_iters, seed, ref
 
 def estimate_homography_ransac(
     c: CorrespondenceSet,
-    threshold_px: float = 1.0,
-    max_iters: int = 2000,
+    threshold_px: float = RANSAC_THRESHOLD_PX,
+    max_iters: int = RANSAC_MAX_ITERS,
     seed: int = 0,
-    refine_iters: int = 3,
+    refine_iters: int = RANSAC_REFINE_ITERS,
 ):
     """RANSAC homography under symmetric transfer error.
 
@@ -906,10 +914,10 @@ def _cheirality_votes(rotations, t: np.ndarray, xa: np.ndarray, xb: np.ndarray) 
 def estimate_epipolar(
     c: CorrespondenceSet,
     intr: Intrinsics,
-    threshold_px: float = 1.0,
-    max_iters: int = 2000,
+    threshold_px: float = RANSAC_THRESHOLD_PX,
+    max_iters: int = RANSAC_MAX_ITERS,
     seed: int = 0,
-    refine_iters: int = 3,
+    refine_iters: int = RANSAC_REFINE_ITERS,
 ) -> PoseHypothesis:
     """Relative pose via a normalized 8-point solver inside RANSAC.
 

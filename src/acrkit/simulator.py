@@ -50,6 +50,7 @@ from .geometry import (
 )
 from .plane_match import PlaneSegmentMap
 from .pose_estimation import (
+    RANSAC_THRESHOLD_PX,
     CorrespondenceSet,
     decompose_homography,
     estimate_epipolar,
@@ -979,7 +980,8 @@ BENCH_MOTION = Pose(
 # homography initializer this path mirrors draws 200 minimal samples, and
 # the benchmark keeps that: at 90% contamination a 200-draw search almost
 # never lands on the clean minimal set, which is the regime the benchmark
-# is meant to expose.  The library-wide default elsewhere remains 2000.
+# is meant to expose.  The library-wide default elsewhere remains
+# RANSAC_MAX_ITERS (2000).
 # For the same reason the benchmark keeps the single consensus refit of
 # that implementation rather than the iterated consensus re-stabilization
 # the relocalization loop uses; the homography path then adds its one
@@ -1049,7 +1051,7 @@ def bench_noise_sweep(
     seed: int = 0,
     intr: Intrinsics = CANON_INTRINSICS,
     image_size=CANON_IMAGE_SIZE,
-    threshold_px: float = 1.0,
+    threshold_px: float = RANSAC_THRESHOLD_PX,
     max_iters: int = BENCH_RANSAC_ITERS,
 ) -> list:
     """Rotation/direction errors of both estimators over a noise grid.

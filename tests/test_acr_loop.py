@@ -29,24 +29,8 @@ def _scenario(seed: int, **overrides):
     """Executor and loop config as ``acrkit simulate-acr --seed <seed>``
     builds them from the bundled default config (a clean corner scene) with
     the top-level ``overrides`` applied."""
-    doc = {**cli.default_acr_config(), **overrides}
-    rng = np.random.default_rng(seed)
-    scene = cli._builtin_scene(doc["scene"]["builtin"], seed)
-    rig_doc = doc["rig"]
-    rig = simulator.RigSpec(
-        hand_eye=cli._pose_spec(rig_doc["hand_eye"], rng),
-        intrinsics=cli._intrinsics_from(rig_doc["intrinsics"]),
-        image_size=tuple(rig_doc["image_size"]),
-    )
-    executor = simulator.SimulatedExecutor(
-        simulator.generate_scene(scene),
-        rig,
-        cli._pose_spec(doc["initial_offset"], rng),
-        noise=simulator.NoiseSpec(**doc["noise"]),
-        lighting=simulator.LightingProxySpec(**doc["lighting"]),
-        seed=seed,
-    )
-    return executor, cli._acr_config_from(doc["acr"])
+    cfg = cli._config({**cli.default_acr_config(), **overrides}, cli.ACR_KEYS, seed=seed)
+    return cli._executor(cfg), cfg["acr"]
 
 
 def _run(runner, seed: int = 0, **overrides):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -346,7 +347,7 @@ class TestEstimatePose:
             CorrespondenceSet.load(tmp_path / "corr.json"),
             PlaneSegmentMap.load(tmp_path / "ref.pgm"),
             PlaneSegmentMap.load(tmp_path / "cur.pgm"),
-            cli._intrinsics_from(json.loads((tmp_path / "intr.json").read_text())),
+            cli._intrinsics(json.loads((tmp_path / "intr.json").read_text()), "intrinsics"),
         )
         return argv, inputs
 
@@ -553,8 +554,8 @@ class TestSimulateAcr:
         "section, doc, key",
         [
             ("noise", {"magnitude_r": -1}, "noise magnitude"),
-            ("noise", {"magnitude_r": float("nan"), "ratio_mu": 0.5}, "noise magnitude"),
-            ("noise", {"magnitude_r": float("inf"), "ratio_mu": 0.5}, "noise magnitude"),
+            ("noise", {"magnitude_r": float("nan"), "ratio_mu": 0.5}, "noise.magnitude_r"),
+            ("noise", {"magnitude_r": float("inf"), "ratio_mu": 0.5}, "noise.magnitude_r"),
             ("noise", {"magnitud_r": 5}, "magnitud_r"),
             ("lighting", {"dropout_fraction": "lots"}, "lighting.dropout_fraction"),
             ("lighting", [], "lighting"),
@@ -593,6 +594,11 @@ class TestSimulateAcr:
             ),
             ("initial_offset", {"r": [1.0, 0.0], "t": [0.0, 0.0, 0.0]}, "initial_offset.r"),
             (
+                "initial_offset",
+                {"random": {"max_rotation_deg": -3.0, "max_offset_m": 0.045}},
+                "initial_offset.random.max_rotation_deg",
+            ),
+            (
                 "rig",
                 {"hand_eye": {"random": {"max_offset_m": [0.1]}}},
                 "rig.hand_eye.random.max_offset_m",
@@ -610,6 +616,7 @@ class TestSimulateAcr:
             "short-image-size",
             "string-offset-bound",
             "short-offset-rotation",
+            "negative-offset-bound",
             "list-hand-eye-bound",
             "number-scene",
             "unknown-builtin-scene",
@@ -642,14 +649,15 @@ class TestSimulateAcr:
             return {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
 
         plane = {"normal": [0, 0, 1], "offset": 1}
-        bare = cli._scene_from({"planes": [plane]})
+        bare = cli._scene({"planes": [plane]}, "scene")
         default = simulator.PlaneSpec(normal=(0.0, 0.0, 1.0), offset=1.0)
         assert fields(bare.planes[0]) == fields(default)
         assert (bare.seed, bare.clutter_count, bare.clutter_box) == (0, 0, None)
         given = {"half_extents": [0.3, 0.1], "count": 40, "center": [0, 0, 1], "detected": False}
-        full = cli._scene_from(
+        full = cli._scene(
             {"planes": [{**plane, **given}], "seed": 4, "clutter_count": 5,
-             "clutter_box": [[0, 1], [0, 1], [1, 2]]}
+             "clutter_box": [[0, 1], [0, 1], [1, 2]]},
+            "scene",
         )
         read = fields(full.planes[0])
         assert {k: read[k] for k in given} == {
@@ -704,12 +712,14 @@ class TestSimulateAcr:
         for column in ("final_rot_err_deg", "final_trans_err_m", "final_afd_px", "in_gate"):
             assert row[column] == "", column
 
-    def test_every_field_accepted_at_its_default(self):
+    def test_every_field_accepted_at_its_default(self, capsys):
         # Every field of the flat AcrConfig, as JSON, and the schema lists
         # exactly those fields.
         doc = json.loads(json.dumps(dataclasses.asdict(AcrConfig())))
-        assert cli._acr_config_from(doc) == AcrConfig()
-        assert set(cli.ACR_SCHEMA["acr"]) == set(doc) == {
+        assert cli._read({"acr": doc}, cli.ACR_KEYS, "")["acr"] == AcrConfig()
+        assert cli.main(["simulate-acr", "--print-schema"]) == 0
+        schema = json.loads(capsys.readouterr().out)
+        assert set(schema["acr"]) == set(doc) == {
             "scale_epsilon",
             "rotation_epsilon",
             "max_iterations",
@@ -916,3 +926,276 @@ class TestFileInputs:
             argv += ["--method", "epipolar"]
         assert cli.main(argv) == 2
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"] == error
+
+
+def _raw_json(doc) -> str:
+    """``doc`` as JSON text, each string ``"@token"`` written as the bare
+    token: NaN, Infinity, 1e400 or a 400-digit integer."""
+    return re.sub(r'"@([^"]*)"', r"\1", json.dumps(doc))
+
+
+def _set(doc, path: tuple, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+_LISTED_SCENE = {
+    "planes": [
+        {"normal": [0, 0, 1], "offset": 1.0, "half_extents": [0.3, 0.2], "center": [0, 0, 1]}
+    ],
+    "clutter_count": 5,
+    "clutter_box": [[-1, 1], [-1, 1], [1, 2]],
+}
+_PLANE = ("scene", "planes", 0)
+_IDENTITY = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+
+# Inputs that a typo or a non-finite number once let through to a
+# traceback, to a run that cannot succeed, or to a run of the wrong
+# experiment: (command, the input edited, key path, value, exit code, the
+# message).  A non-finite number is refused with its key path and file.
+PROBES = {
+    "random-rotation-nan": (
+        "simulate-acr", "config", ("initial_offset", "random", "max_rotation_deg"), "@NaN", 1,
+        "initial_offset.random.max_rotation_deg must be a finite number, got NaN",
+    ),
+    "random-offset-infinity": (
+        "simulate-acr", "config", ("initial_offset", "random", "max_offset_m"), "@Infinity", 1,
+        "initial_offset.random.max_offset_m must be a finite number, got Infinity",
+    ),
+    "hand-eye-r-nan": (
+        "simulate-acr", "config", ("rig", "hand_eye", "r", 0), "@NaN", 1,
+        "rig.hand_eye.r[0] must be a finite number, got NaN",
+    ),
+    "half-extents-infinity": (
+        "simulate-acr", "config", (*_PLANE, "half_extents"), ["@Infinity", 0.1], 1,
+        "scene.planes[0].half_extents[0] must be a finite number, got Infinity",
+    ),
+    "clutter-box-nan": (
+        "simulate-acr", "config", ("scene", "clutter_box", 0, 1), "@NaN", 1,
+        "scene.clutter_box[0][1] must be a finite number, got NaN",
+    ),
+    "offset-400-digits": (
+        "simulate-acr", "config", (*_PLANE, "offset"), "@" + "1" * 400, 1,
+        "scene.planes[0].offset must be a finite number, got 111",
+    ),
+    "epsilon-1e400": (
+        "simulate-acr", "config", ("acr", "scale_epsilon"), "@1e400", 1,
+        "acr.scale_epsilon must be a finite number, got 1e400",
+    ),
+    "cx-nan": (
+        "simulate-acr", "config", ("rig", "intrinsics", "cx"), "@NaN", 1,
+        "rig.intrinsics.cx must be a finite number, got NaN",
+    ),
+    "fx-infinity": (
+        "simulate-acr", "config", ("rig", "intrinsics", "fx"), "@Infinity", 1,
+        "rig.intrinsics.fx must be a finite number, got Infinity",
+    ),
+    "offset-nan": (
+        "simulate-acr", "config", (*_PLANE, "offset"), "@NaN", 1,
+        "scene.planes[0].offset must be a finite number, got NaN",
+    ),
+    "offset-infinity": (
+        "simulate-acr", "config", (*_PLANE, "offset"), "@Infinity", 1,
+        "scene.planes[0].offset must be a finite number, got Infinity",
+    ),
+    "normal-nan": (
+        "simulate-acr", "config", (*_PLANE, "normal", 1), "@NaN", 1,
+        "scene.planes[0].normal[1] must be a finite number, got NaN",
+    ),
+    "center-nan": (
+        "simulate-acr", "config", (*_PLANE, "center", 2), "@NaN", 1,
+        "scene.planes[0].center[2] must be a finite number, got NaN",
+    ),
+    "misspelled-initial-offset": (
+        "simulate-acr", "config", ("intial_offset",), {"r": _IDENTITY, "t": [0.1, 0, 0]}, 1,
+        "unknown configuration key(s): intial_offset",
+    ),
+    "misspelled-hand-eye": (
+        "simulate-acr", "config", ("rig", "handeye"), {"r": _IDENTITY, "t": [0.1, 0, 0]}, 1,
+        "unknown rig key(s): handeye",
+    ),
+    "misspelled-half-extents": (
+        "simulate-acr", "config", (*_PLANE, "half_extent"), [0.05, 0.05], 1,
+        "unknown scene.planes[0] key(s): half_extent",
+    ),
+    "motion-r-nan": (
+        "bench-noise", "config", ("motion", "r", 8), "@NaN", 1,
+        "motion.r[8] must be a finite number, got NaN",
+    ),
+    "bench-cx-infinity": (
+        "bench-noise", "config", ("intrinsics", "cx"), "@Infinity", 1,
+        "intrinsics.cx must be a finite number, got Infinity",
+    ),
+    "i2pe-pair-nan": (
+        "i2pe", "corr.json", ("pairs", 0, 1), "@NaN", 2,
+        "pairs[0][1] must be a finite number, got NaN",
+    ),
+    "epipolar-pair-infinity": (
+        "epipolar", "corr.json", ("pairs", 0, 1), "@Infinity", 2,
+        "pairs[0][1] must be a finite number, got Infinity",
+    ),
+    "match-planes-pair-nan": (
+        "match-planes", "corr.json", ("pairs", 0, 1), "@NaN", 2,
+        "pairs[0][1] must be a finite number, got NaN",
+    ),
+    "intrinsics-file-cx-nan": (
+        "epipolar", "intr.json", ("cx",), "@NaN", 2, ": cx must be a finite number, got NaN",
+    ),
+    "pose-direction-nan": (
+        "solve-scale", "pose.json", ("direction", 0), "@NaN", 2,
+        ": direction[0] must be a finite number, got NaN",
+    ),
+    "pose-r-nan": (
+        "solve-scale", "pose.json", ("r", 4), "@NaN", 2, ": r[4] must be a finite number, got NaN",
+    ),
+}
+
+# What a command runs once its inputs are read.
+_WORK = (
+    "SimulatedExecutor",
+    "generate_scene",
+    "bench_noise_sweep",
+    "i2pe",
+    "estimate_epipolar",
+    "estimate_homography_ransac",
+    "match_plane_maps",
+    "erode_mask",
+    "solve_scale_system",
+)
+
+
+class _Reached(Exception):
+    """Raised by a stub of the work a command runs after reading its inputs."""
+
+
+def _stub_work(monkeypatch):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for name in _WORK:
+        monkeypatch.setattr(cli, name, reached)
+
+
+def _probe_argv(command, tmp_path) -> list:
+    """The arguments of ``command`` on valid input files in ``tmp_path``."""
+    if command in ("simulate-acr", "bench-noise"):
+        if command == "simulate-acr":
+            doc = cli.default_acr_config()
+            doc["rig"]["hand_eye"] = {"r": _IDENTITY, "t": [0.05, 0, 0]}
+            doc["scene"] = _LISTED_SCENE
+        else:
+            doc = {
+                "motion": simulator.BENCH_MOTION.to_json_dict(),
+                "intrinsics": dataclasses.asdict(simulator.CANON_INTRINSICS),
+            }
+        (tmp_path / "config").write_text(json.dumps(doc))
+        return [command, str(tmp_path / "config"), "--seed", "0"]
+    if command == "match-planes":
+        return TestMatchPlanes._inputs(tmp_path)
+    if command == "solve-scale":
+        return TestSolveScale._inputs(tmp_path)
+    masks = []
+    for name in ("ref.pgm", "cur.pgm"):
+        PlaneSegmentMap(TestMatchPlanes._squares()).save(tmp_path / name)
+        masks += [f"--{name[:3]}-mask", str(tmp_path / name)]
+    return TestEstimatePose._inputs(tmp_path) + ["--method", command] + masks
+
+
+@pytest.mark.parametrize("probe", list(PROBES))
+def test_probed_input_is_invalid_before_any_work(probe, tmp_path, monkeypatch, capsys):
+    command, name, path, value, code, message = PROBES[probe]
+    argv = _probe_argv(command, tmp_path)
+    _stub_work(monkeypatch)
+    edited = tmp_path / name
+    doc = json.loads(edited.read_text())
+    _set(doc, path, value)
+    edited.write_text(_raw_json(doc))
+    assert cli.main(argv) == code
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["error"] == "invalid-input"
+    assert message in report["message"]
+    if "finite" in message:
+        assert report["message"].startswith(f"{edited}: ")
+
+
+@pytest.mark.parametrize(
+    "command, table", [("simulate-acr", "ACR_KEYS"), ("bench-noise", "BENCH_KEYS")]
+)
+def test_printed_schema_keys_are_the_keys_read(command, table, tmp_path, monkeypatch, capsys):
+    # Every key the schema prints, each at its default, reaches the work;
+    # one more key in any printed object is refused.
+    table = getattr(cli, table)
+    assert cli.main([command, "--print-schema"]) == 0
+    schema = json.loads(capsys.readouterr().out)
+    objects = []
+
+    def at_defaults(schema, table, given, path):
+        # A required key takes the value of its enclosing object's default.
+        assert set(schema) == set(table)
+        objects.append(path)
+        doc = {}
+        for key, text in schema.items():
+            _, default, nested = table[key]
+            default = given[key] if default is cli.REQUIRED else default
+            nested_doc = isinstance(text, dict)
+            doc[key] = at_defaults(text, nested, default, path + (key,)) if nested_doc else default
+        return doc
+
+    full = at_defaults(schema, table, {}, ())
+    assert len(objects) == (6 if command == "simulate-acr" else 1)
+    _stub_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(full))
+    with pytest.raises(_Reached):
+        cli.main([command, str(config)])
+    for path in objects:
+        doc = json.loads(json.dumps(full))
+        _set(doc, path + ("extra_key",), 0)
+        config.write_text(json.dumps(doc))
+        assert cli.main([command, str(config)]) == 1
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert report["error"] == "invalid-input"
+        assert report["message"] == f"unknown {'.'.join(path) or 'configuration'} key(s): extra_key"
+
+
+class TestBenchFlags:
+    def test_flags_override_the_config(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        monkeypatch.setattr(
+            cli, "bench_noise_sweep", lambda *args, **kwargs: calls.append((args, kwargs)) or []
+        )
+        config = tmp_path / "bench.json"
+        in_config = tmp_path / "config.csv"
+        doc = {"r_values": [4], "mu_values": [0.5], "trials": 2, "seed": 3, "output": str(in_config)}
+        config.write_text(json.dumps(doc))
+        flagged = tmp_path / "flag.csv"
+        argv = ["bench-noise", str(config)]
+        assert cli.main(argv + ["--trials", "1", "--seed", "5", "--output", str(flagged)]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["csv"] == str(flagged)
+        assert flagged.exists() and not in_config.exists()
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["csv"] == str(in_config)
+        assert [(args[4], kwargs["seed"]) for args, kwargs in calls] == [(1, 5), (2, 3)]
+
+    def test_zero_trials_flag_is_invalid_input(self, monkeypatch, tmp_path, capsys):
+        _stub_work(monkeypatch)
+        code = cli.main(["bench-noise", "--trials", "0", "--output", str(tmp_path / "b.csv")])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert report["error"] == "invalid-input" and "--trials" in report["message"]
+
+
+@pytest.mark.parametrize("method", ["i2pe", "epipolar"])
+def test_estimate_pose_output_is_a_solve_scale_pose(method, tmp_path, capsys):
+    # The pose file holds r, direction and zero_motion, and solve-scale
+    # reads it back for the same correspondences.
+    argv, _ = TestEstimatePose._corner_inputs(tmp_path)
+    assert cli.main(argv + ["--method", method]) == 0
+    pose = tmp_path / "pose.json"
+    assert set(json.loads(pose.read_text())) == {"r", "direction", "zero_motion"}
+    corr, intr = str(tmp_path / "corr.json"), str(tmp_path / "intr.json")
+    assert cli.main(["solve-scale", corr, "--intrinsics", intr, "--pose", str(pose)]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert set(report) == {"residual", "s"}

@@ -315,3 +315,26 @@ def test_every_library_definition_has_a_library_caller():
         and named[name] == _identifiers(node).count(name)
     ]
     assert uncalled == []
+
+
+def test_the_cli_parses_json_only_in_load_json():
+    # _load_json refuses non-finite numbers, so every JSON input must pass
+    # through it: no other line of cli.py may read JSON text.
+    tree = ast.parse((SRC / "acrkit" / "cli.py").read_text())
+    [boundary] = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_load_json"
+    ]
+    inside = {id(node) for node in ast.walk(boundary)}
+    readers = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "json"
+        and node.attr not in ("dumps", "dump")
+    ]
+    assert [node.attr for node in readers if id(node) in inside] == ["loads"]
+    assert [f"{n.attr} (line {n.lineno})" for n in readers if id(n) not in inside] == []
+    assert not any(
+        isinstance(node, ast.ImportFrom) and node.module == "json" for node in ast.walk(tree)
+    )
