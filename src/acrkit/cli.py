@@ -3,7 +3,7 @@
 Subcommands::
 
     estimate-pose   relative pose from correspondence + mask files
-    match-planes    plane-region assignment between two masks
+    match-planes    plane-region assignment between two masks, in their own ids
     solve-scale     depth/scale ratios for a correspondence file + pose
     simulate-acr    run the relocalization loop in the simulator
     bench-noise     noise-robustness sweep of both estimators (CSV)
@@ -66,6 +66,11 @@ _FLOAT_FMT = "%.12g"
 # misalignment starts to corrupt change detection (see AcrConfig).
 GATE_ROT_DEG = 0.1
 GATE_TRANS_M = 2e-3
+
+# A config's size bounds.  An image side of 2.8x the full frame's 5760 px
+# keeps a label map's int32 pixel array within 1 GiB; 4000x the default 250
+# points per plane, or of clutter, keep every point array in tens of MB.
+MAX_IMAGE_SIDE, MAX_POINTS = 16384, 1_000_000
 
 
 def _fmt(x) -> str:
@@ -140,6 +145,8 @@ _KINDS = {
     int: ("an integer", _is_integral),
     "non-negative": ("a non-negative integer", lambda v: _is_integral(v) and v >= 0),
     "positive": ("a positive integer", lambda v: _is_integral(v) and v > 0),
+    "side": (f"an integer in 1..{MAX_IMAGE_SIDE}", lambda v: _is_integral(v) and 0 < v <= MAX_IMAGE_SIDE),
+    "points": (f"an integer in 0..{MAX_POINTS}", lambda v: _is_integral(v) and 0 <= v <= MAX_POINTS),
     "threshold": ("a positive, finite number", lambda v: _is_number(v) and 0 < v < np.inf),
     "bound": ("a non-negative number", lambda v: _is_number(v) and v >= 0),
     bool: ("true or false", lambda v: isinstance(v, bool)),
@@ -159,7 +166,7 @@ def _checked(value, kind, name: str):
         raise InvalidInputError(f"{name} must be {wanted}, got {value!r}")
     if kind in (float, "threshold", "bound"):
         return float(value)
-    return int(value) if kind in (int, "non-negative", "positive") else value
+    return value if kind in (bool, dict, list, str) else int(value)
 
 
 # A reader turns the JSON value at the key path ``where`` into what a
@@ -238,7 +245,7 @@ def _config(doc, table: dict, **flags) -> dict:
 
 _NUMBER = _of(float)
 _VECTOR = _each(_NUMBER, 3)
-_IMAGE_SIZE = _each(_of("positive"), 2)
+_IMAGE_SIZE = _each(_of("side"), 2)
 
 INTRINSICS_KEYS = _fields(
     Intrinsics, fx=(_NUMBER, "px"), fy=(_NUMBER, "px"), cx=(_NUMBER, "px"), cy=(_NUMBER, "px")
@@ -271,14 +278,14 @@ PLANE_KEYS = _fields(
     offset=(_NUMBER, "m, of normal . X = offset"),
     half_extents=(_each(_NUMBER, 2), "[2] m"),
     polygon=(_nullable(_each(_each(_NUMBER, 2))), "[[u, v], ...] m, or null for half_extents"),
-    count=(_of(int), "points"),
+    count=(_of("points"), "points"),
     center=(_nullable(_VECTOR), "[3] m"),
     detected=(_of(bool), "bool, known to the segmentation"),
 )
 SCENE_KEYS = _fields(
     SceneSpec,
     seed=(_of("non-negative"), "int >= 0"),
-    clutter_count=(_of(int), "free points"),
+    clutter_count=(_of("points"), "free points"),
     clutter_box=(_nullable(_each(_each(_NUMBER, 2), 3)), "[[low, high]] * 3 m"),
 )
 SCENE_KEYS["planes"] = (_each(lambda value, where: PlaneSpec(**_read(value, PLANE_KEYS, where))),
@@ -450,9 +457,8 @@ def cmd_match_planes(args) -> int:
     try:
         m_ref, m_cur = _load_mask(args.ref_mask), _load_mask(args.cur_mask)
         corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
-        m_ref = erode_mask(m_ref, args.erosion)
-        m_cur = erode_mask(m_cur, args.erosion)
-        pairs = match_plane_maps(m_ref, m_cur, m_ref.label_at(corr.a), m_cur.label_at(corr.b))
+        pairs = match_plane_maps(m_ref, m_cur, erode_mask(m_ref, args.erosion, corr.a),
+                                 erode_mask(m_cur, args.erosion, corr.b))
         doc = {"pairs": [list(p) for p in pairs]}
         if args.output:
             Path(args.output).write_text(json.dumps(doc))
@@ -677,11 +683,11 @@ def main(argv=None) -> int:
     p.add_argument("--output", help="pose JSON output path")
     p.set_defaults(func=cmd_estimate_pose)
 
-    p = sub.add_parser("match-planes", help="plane assignment between masks")
+    p = sub.add_parser("match-planes", help="plane assignment in the input masks' ids")
     p.add_argument("correspondences")
     p.add_argument("--ref-mask", required=True)
     p.add_argument("--cur-mask", required=True)
-    p.add_argument("--erosion", type=int, default=EROSION_RADIUS)
+    p.add_argument("--erosion", type=int, default=EROSION_RADIUS, help="erosion disk radius, px")
     p.add_argument("--output")
     p.set_defaults(func=cmd_match_planes)
 

@@ -1,14 +1,15 @@
 """Plane-mediated relative pose: per-plane candidates, one choice, one joint fit.
 
-:func:`i2pe` erodes the two plane masks, matches plane regions across
-them, fits one homography per matched pair from the correspondences inside
-that pair and decomposes it.  It stops there and returns the per-plane
-evidence (:class:`PlaneCandidates`): each pair's cheirality-valid
-decompositions, of which there are at most two, the consensus inliers
-behind them and the pair's fusion weight: the consensus size times its
-:func:`point_spread`, which both candidates share.  Correspondences
-outside the matched plane regions never reach the estimators, which is
-what makes the estimate insensitive to off-plane contamination.
+:func:`i2pe` matches plane regions across the two masks by the eroded
+labels under the correspondences, fits one homography per matched pair
+from the correspondences inside that pair and decomposes it.  It stops
+there and returns the per-plane evidence (:class:`PlaneCandidates`): each
+pair's cheirality-valid decompositions, of which there are at most two,
+the consensus inliers behind them and the pair's fusion weight: the
+consensus size times its :func:`point_spread`, which both candidates
+share.  Correspondences outside the matched plane regions never reach the
+estimators, which is what makes the estimate insensitive to off-plane
+contamination.
 
 :func:`reselect_candidates` is the one step that chooses: a chooser picks
 one candidate per pair, and the picks are fused into one relative pose
@@ -246,7 +247,7 @@ def i2pe(
     coordinates into current-camera coordinates.  Pass the result to
     :func:`reselect_candidates` for one fused pose.  ``threshold_px`` is
     the homography RANSAC inlier gate, and pair ``k`` draws its samples
-    from ``seed + k``.
+    from ``seed + k``.  The plane pairs name the masks' own region ids.
 
     Raises:
         EstimationFailureError: no matched plane pair yields a usable
@@ -255,11 +256,9 @@ def i2pe(
         InvalidInputError: the masks hold more planes than
             :func:`match_plane_maps` compares.
     """
-    ref = m_ref.eroded()
-    cur = m_cur.eroded()
-    labels_ref = ref.label_at(c.a)
-    labels_cur = cur.label_at(c.b)
-    pairs = match_plane_maps(ref, cur, labels_ref, labels_cur)
+    labels_ref = m_ref.eroded(c.a)
+    labels_cur = m_cur.eroded(c.b)
+    pairs = match_plane_maps(m_ref, m_cur, labels_ref, labels_cur)
     if not pairs:
         raise EstimationFailureError("no matchable plane pairs")
     image_size = (m_ref.width, m_ref.height)

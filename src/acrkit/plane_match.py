@@ -7,17 +7,18 @@ goes to a distinct plane of the other side, by the injection with the
 largest summed count (:func:`match_plane_maps`).  The injections are
 enumerated, which at the paper's few planes is a handful; past
 ``MAX_INJECTIONS`` the matcher refuses the input.  Every region is first
-eroded by ``EROSION_RADIUS`` pixels (:meth:`PlaneSegmentMap.eroded`).
+eroded by ``EROSION_RADIUS`` pixels, at the correspondences only
+(:meth:`PlaneSegmentMap.eroded`), so ids stay the mask's own.
 
 Region masks hold their row runs, the maximal stretches of one label
 along a row (:class:`PlaneSegmentMap`); 0 is background and ids are
 contiguous.  The file format is a 16-bit binary PGM whose pixel value is
 the label id, and the per-pixel label array is built only for it or for a
-caller that reads it.  Disk erosion works on the runs by interval coding
-(:func:`erode_mask`), and so does the label lookup.  :class:`PlaneGraph`,
-the minimum pixel distances between regions, takes no part in matching
-and remains only because the benchmark harness under ``perfbench/``
-imports it and patches :meth:`PlaneGraph.from_mask`.
+caller that reads it.  Disk erosion at points works on the runs by
+interval coding (:func:`erode_mask`), and so does the label lookup.
+:class:`PlaneGraph`, the minimum pixel distances between regions, takes
+no part in matching and remains only because the benchmark harness under
+``perfbench/`` imports it and patches :meth:`PlaneGraph.from_mask`.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .errors import InvalidInputError
 # The most plane injections match_plane_maps compares; more is refused.
 MAX_INJECTIONS = 1_000_000
 
-# Disk radius (px) by which every plane region is eroded before matching
-# (see PlaneSegmentMap.eroded): a correspondence near a region's edge may
-# lie on its neighbour.
+# Disk radius (px) by which every plane region is eroded before its labels
+# are counted (see PlaneSegmentMap.eroded): a correspondence near a
+# region's edge may lie on its neighbour.
 EROSION_RADIUS = 5
 
 class PlaneSegmentMap:
@@ -176,21 +177,9 @@ class PlaneSegmentMap:
         with open(path, "rb") as fh:
             return PlaneSegmentMap.from_pgm_bytes(fh.read())
 
-    def eroded(self) -> "PlaneSegmentMap":
-        """Cached :func:`erode_mask` by :data:`EROSION_RADIUS`, the map that
-        plane matching reads; safe because label maps are immutable."""
-        eroded = getattr(self, "_eroded", None)
-        if eroded is None:
-            eroded = erode_mask(self, EROSION_RADIUS)
-            self._eroded = eroded
-        return eroded
-
-
-def disk_structuring_element(radius: float) -> np.ndarray:
-    """Boolean disk of the offsets whose Euclidean length is within ``radius``."""
-    r = int(radius)
-    yy, xx = np.mgrid[-r : r + 1, -r : r + 1]
-    return np.sqrt(yy * yy + xx * xx) <= radius
+    def eroded(self, points_xy: np.ndarray) -> np.ndarray:
+        """Labels under ``points_xy`` after :func:`erode_mask` by :data:`EROSION_RADIUS`."""
+        return erode_mask(self, EROSION_RADIUS, points_xy)
 
 
 def _row_runs(lab: np.ndarray) -> np.ndarray:
@@ -211,47 +200,39 @@ def _row_runs(lab: np.ndarray) -> np.ndarray:
     return np.stack([row, start - row * w, end - row * w, label]).astype(np.int64, copy=False)
 
 
-def erode_mask(m: PlaneSegmentMap, radius: float) -> PlaneSegmentMap:
-    """Erode every region by a disk; empty regions drop, ids recompact.
+def erode_mask(m: PlaneSegmentMap, radius: float, points_xy: np.ndarray) -> np.ndarray:
+    """Labels under (u, v) pixel coordinates after a disk erosion of every region.
 
-    Equivalent to per-label binary erosion with :func:`disk_structuring_element`
-    (pixels outside the image count as background), by interval coding on
-    the row runs (Ji, Piper & Tang, Pattern Recognit. Lett. 1989).  A disk
-    is a stack of row chords, of half width ``hw(dy)`` at row offset
-    ``dy``: a pixel survives iff each of its ``2r + 1`` chords lies inside
-    one run of its label.  A run ``[lo, hi]`` in row ``y`` holds the chord
-    at offset ``dy`` of exactly the pixels ``[lo + hw(dy), hi - hw(dy)]`` of
-    row ``y - dy``.  The runs of one label in one row are disjoint, so each
-    chord row covers a pixel at most once, and the pixels covered
-    ``2r + 1`` times survive: one sort of the interval ends, keyed by
-    (label, row, column), and a running count find them.  Twice a key stays
-    below 2**42 for 65535 labels on a 5760 x 3840 frame, so int64 holds it.
+    Per-label binary erosion by the disk of the offsets within ``radius``
+    (pixels outside the image count as background), each region keeping its
+    id, at the points only, by the chord rule of interval coding (Ji, Piper
+    & Tang, Pattern Recognit. Lett. 1989): a pixel of label L keeps it iff
+    each of the disk's ``2r + 1`` row chords lies in one run of label L,
+    that is, iff the run under the chord's left raster key has label L and
+    reaches its right one.  A run never leaves its row, so no chord off the
+    image lies in one.  Radius 0 is the label lookup.
     """
     if radius < 0:
         raise InvalidInputError("erosion radius must be non-negative")
-    if radius == 0 or m.num_planes == 0:
-        return m
-    row, lo, hi, label = m.runs
-    h, w = m.height, m.width
-    box_h, box_w = row[-1] - row[0] + 1, hi.max() - lo.min() + 1
-    if not radius < (min(box_h, box_w) + 1) // 2:  # no disk fits; nan erodes everything too
-        return PlaneSegmentMap._of_runs((h, w), np.zeros((4, 0), np.int64), 0)
-    half_width = disk_structuring_element(radius).sum(axis=1)[:, None] // 2
-    r = len(half_width) // 2  # chords sit at row offsets -r..r
-    y = row - np.arange(-r, r + 1)[:, None]
-    start, stop = lo + half_width, hi - half_width + 1  # (2r + 1, n) intervals
-    sent = (start < stop) & (0 <= y) & (y < h)
-    base = ((label * h + y) * (w + 1))[sent]
-    # Twice the key, plus 1 at a start, so the low bit gives the step.  Ends
-    # sort first at a tie, so the count reaches 2r + 1 only after a column's
-    # last event; each such event starts a surviving run, the next ends it.
-    keys = np.sort(np.concatenate([2 * (base + start[sent]) + 1, 2 * (base + stop[sent])]))
-    count = np.cumsum(2 * (keys & 1) - 1)
-    at = keys >> 1
-    k = np.flatnonzero(count == 2 * r + 1)
-    col, block = at[k] % (w + 1), at[k] // (w + 1)
-    runs = np.stack([block % h, col, at[k + 1] % (w + 1) - 1, block // h])
-    return PlaneSegmentMap._of_runs((h, w), runs[:, np.argsort(runs[0] * w + col)], m.num_planes)
+    labels = m.label_at(points_xy)
+    at = np.flatnonzero(labels)
+    if radius == 0 or not at.size:
+        return labels
+    if not radius < min(m.height, m.width):  # no disk fits; nan erodes everything too
+        return np.zeros_like(labels)
+    r = int(radius)
+    yy, xx = np.mgrid[-r : r + 1, -r : r + 1]
+    half_width = (np.sqrt(yy * yy + xx * xx) <= radius).sum(axis=1, keepdims=True) // 2
+    pts = np.asarray(points_xy, dtype=float)[at]
+    key = np.rint(pts[:, 1]).astype(int) * m.width + np.rint(pts[:, 0]).astype(int)
+    order = np.argsort(key)  # ascending needles search faster
+    at, key = at[order], key[order]
+    left = key + yy[:, :1] * m.width - half_width  # (2r + 1, n): each chord's left end
+    starts, ends = m._run_keys  # kept by label_at
+    k = np.searchsorted(starts, left, side="right") - 1
+    held = (k >= 0) & (ends[k] >= left + 2 * half_width) & (m.runs[3][k] == labels[at])
+    labels[at[~held.all(axis=0)]] = 0
+    return labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,20 +341,20 @@ def match_plane_maps(
     labels_ref: np.ndarray,
     labels_cur: np.ndarray,
 ) -> list:
-    """(ref_id, cur_id) plane pairs between two already-eroded masks.
+    """(ref_id, cur_id) plane pairs between two masks, in the masks' own ids.
 
     ``labels_ref`` and ``labels_cur`` are the labels under each
     correspondence's reference and current pixel
-    (:meth:`PlaneSegmentMap.label_at`); a correspondence with background
-    on either side counts nowhere.  Every plane of the side with fewer
-    planes is paired with a distinct plane of the other side, by the
-    injection with the largest summed correspondence count, the first in
-    lexicographic order at a tie; when the reference has more planes the
-    counts are transposed first.  The pairs come in ascending row of the
-    solved orientation: ascending reference id, or ascending current id
-    after a transpose (``i2pe`` seeds each pair's RANSAC by its position).
-    More than :data:`MAX_INJECTIONS` injections is an
-    :class:`InvalidInputError`.
+    (:meth:`PlaneSegmentMap.eroded`); one with background on either side
+    counts nowhere, and a region under none keeps zero counts.  Every plane
+    of the side with fewer planes is paired with a distinct plane of the
+    other side, by the injection with the largest summed correspondence
+    count, the first in lexicographic order at a tie; when the reference has
+    more planes the counts are transposed first.  The pairs come in
+    ascending row of the solved orientation: ascending reference id, or
+    ascending current id after a transpose (``i2pe`` seeds each pair's
+    RANSAC by its position).  More than :data:`MAX_INJECTIONS` injections is
+    an :class:`InvalidInputError`.
     """
     h, m = m_ref.num_planes, m_cur.num_planes
     if not h or not m:

@@ -61,6 +61,10 @@ from .pose_estimation import (
 CANON_IMAGE_SIZE = (5760, 3840)
 CANON_INTRINSICS = Intrinsics(fx=5600.0, fy=5600.0, cx=2880.0, cy=1920.0)
 
+# A plane polygon's least area over its bounding box's: the sampler draws in
+# the box by rejection, and a thinner polygon would stall it.
+MIN_POLYGON_FILL = 1e-4
+
 
 @dataclass(frozen=True, eq=False)
 class PlaneSpec:
@@ -84,15 +88,24 @@ class PlaneSpec:
         return self._frame[0]
 
     def local_polygon(self) -> np.ndarray:
-        if self.polygon is not None:
-            poly = np.asarray(self.polygon, dtype=float)
-            if poly.ndim != 2 or poly.shape[0] < 3 or poly.shape[1] != 2:
-                raise InvalidSceneError("polygon needs at least 3 (u, v) vertices")
-            return poly
-        hu, hv = float(self.half_extents[0]), float(self.half_extents[1])
-        if hu <= 0 or hv <= 0:
-            raise InvalidSceneError("degenerate polygon extents")
-        return np.array([[-hu, -hv], [hu, -hv], [hu, hv], [-hu, hv]])
+        """(K, 2) (u, v) vertices, strictly convex and at least MIN_POLYGON_FILL full."""
+        if self.polygon is None:
+            hu, hv = float(self.half_extents[0]), float(self.half_extents[1])
+            if not (0 < hu < math.inf and 0 < hv < math.inf):
+                raise InvalidSceneError("degenerate polygon extents")
+            return np.array([[-hu, -hv], [hu, -hv], [hu, hv], [-hu, hv]])
+        poly = np.asarray(self.polygon, dtype=float)
+        if poly.ndim != 2 or poly.shape[0] < 3 or poly.shape[1] != 2:
+            raise InvalidSceneError("polygon needs at least 3 (u, v) vertices")
+        edge = np.roll(poly, -1, axis=0) - poly
+        after = np.roll(edge, -1, axis=0)
+        turn = edge[:, 0] * after[:, 1] - edge[:, 1] * after[:, 0]
+        winding = np.arctan2(turn, (edge * after).sum(axis=1)).sum()
+        area = abs((poly[:, 0] * edge[:, 1] - poly[:, 1] * edge[:, 0]).sum()) / 2
+        if not (((turn > 0).all() or (turn < 0).all()) and abs(winding) < 3 * math.pi
+                and area >= MIN_POLYGON_FILL * np.ptp(poly, axis=0).prod()):
+            raise InvalidSceneError("polygon must be strictly convex, with a positive area")
+        return poly
 
     def basis(self):
         """(origin, e_u, e_v) of the local frame; deterministic in normal."""

@@ -14,7 +14,7 @@ import pytest
 from acrkit import cli, fusion, simulator
 from acrkit.acr_loop import AcrConfig
 from acrkit.fusion import i2pe, reselect_candidates
-from acrkit.plane_match import PlaneSegmentMap, erode_mask
+from acrkit.plane_match import PlaneSegmentMap
 from acrkit.pose_estimation import CorrespondenceSet
 from acrkit.geometry import Intrinsics, Pose, Rotation, rotation_angle
 from acrkit.simulator import BenchRow
@@ -202,6 +202,25 @@ class TestBenchNoise:
         assert json.loads(lines[-1])["checks_passed"] is None
 
 
+def _strip_inputs(tmp_path) -> list:
+    """Equal masks of a 4 px strip (region 1), which erosion empties, and
+    wide regions 2 and 3; 40 correspondences of one plane, all inside
+    region 3 on both sides, and their intrinsics.  Returns the mask flags."""
+    lab = np.zeros((100, 120), dtype=np.int32)
+    lab[:, 0:4], lab[:, 8:48], lab[:, 52:120] = 1, 2, 3
+    intr = Intrinsics(fx=100.0, fy=100.0, cx=85.0, cy=50.0)
+    c, _ = plane_pair_set(
+        intr, Rotation.about_z(2.0), [0.02, 0.01, 0.0], [0.0, 0.0, 1.0], 2.0, count=40, extent=0.4
+    )
+    c.save(tmp_path / "corr.json")
+    (tmp_path / "intr.json").write_text(json.dumps(dataclasses.asdict(intr)))
+    flags = []
+    for name in ("ref", "cur"):
+        PlaneSegmentMap(lab).save(tmp_path / f"{name}.pgm")
+        flags += [f"--{name}-mask", str(tmp_path / f"{name}.pgm")]
+    return flags
+
+
 class TestMatchPlanes:
     @staticmethod
     def _squares():
@@ -236,17 +255,18 @@ class TestMatchPlanes:
         self._inputs(tmp_path)
         header = b"P5\n60 30\n65535\n"
         assert (tmp_path / "ref.pgm").read_bytes() == header + self._squares().astype(">u2").tobytes()
-        # An eroded map builds its labels from its runs for the file.
-        lab = np.zeros((30, 60), dtype=np.int32)  # a 3 px disk erodes 3 px off each side
-        lab[8:22, 8:22] = 1
-        lab[8:22, 38:52] = 2
-        eroded = erode_mask(PlaneSegmentMap.load(tmp_path / "ref.pgm"), 3)
-        assert eroded.to_pgm_bytes() == header + lab.astype(">u2").tobytes()
 
     def test_pairs_after_default_erosion(self, tmp_path, capsys):
         code = cli.main(self._inputs(tmp_path))
         assert code == 0
         assert sorted(self._last_json(capsys)["pairs"]) == [[1, 2], [2, 1]]
+
+    def test_pairs_name_the_input_masks_ids(self, tmp_path, capsys):
+        # Erosion empties region 1, a 4 px strip; the pair of region 3,
+        # where every correspondence lies, keeps the masks' own id.
+        masks = _strip_inputs(tmp_path)
+        assert cli.main(["match-planes", str(tmp_path / "corr.json")] + masks) == 0
+        assert [3, 3] in self._last_json(capsys)["pairs"]
 
     def test_negative_erosion_is_invalid_input(self, tmp_path, capsys):
         # None of the three input files exists: the flag is checked first.
@@ -311,6 +331,15 @@ class TestEstimatePose:
         assert report["method"] == "epipolar"
         assert "planar-degeneracy" in report["warnings"]
         assert len(json.loads(Path(paths["pose"]).read_text())["r"]) == 9
+
+    def test_i2pe_report_names_the_input_masks_ids(self, tmp_path, capsys):
+        # As in match-planes: the one usable pair is region 3 on both sides.
+        argv = ["estimate-pose", str(tmp_path / "corr.json")] + _strip_inputs(tmp_path)
+        argv += ["--intrinsics", str(tmp_path / "intr.json"), "--output", str(tmp_path / "pose.json")]
+        assert cli.main(argv) == 0
+        report = json.loads(Path(self._last_json(capsys)["report"]).read_text())
+        assert report["plane_pairs"] == [[3, 3]]
+        assert [(h["ref_plane"], h["cur_plane"]) for h in report["hypotheses"]] == [(3, 3)]
 
     def test_i2pe_without_masks_is_missing_input(self, tmp_path, capsys):
         code = cli.main(self._inputs(tmp_path) + ["--method", "i2pe"])
@@ -950,10 +979,12 @@ _LISTED_SCENE = {
 _PLANE = ("scene", "planes", 0)
 _IDENTITY = [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
-# Inputs that a typo or a non-finite number once let through to a
-# traceback, to a run that cannot succeed, or to a run of the wrong
-# experiment: (command, the input edited, key path, value, exit code, the
-# message).  A non-finite number is refused with its key path and file.
+# Inputs that a typo, a non-finite number or a size outside its range once
+# let through to a traceback, to a run that cannot succeed, or to a run of
+# the wrong experiment: (command, the input edited, key path, value, exit
+# code, the message).  A non-finite number is refused with its key path and
+# file.  A size is probed one past its bound only, never far past it: code
+# without the bound would try to allocate what it names.
 PROBES = {
     "random-rotation-nan": (
         "simulate-acr", "config", ("initial_offset", "random", "max_rotation_deg"), "@NaN", 1,
@@ -1048,6 +1079,26 @@ PROBES = {
     ),
     "pose-r-nan": (
         "solve-scale", "pose.json", ("r", 4), "@NaN", 2, ": r[4] must be a finite number, got NaN",
+    ),
+    "rig-image-side-past-bound": (
+        "simulate-acr", "config", ("rig", "image_size"), [16385, 960], 1,
+        "rig.image_size[0] must be an integer in 1..16384, got 16385",
+    ),
+    "bench-image-side-past-bound": (
+        "bench-noise", "config", ("image_size",), [5760, 16385], 1,
+        "image_size[1] must be an integer in 1..16384, got 16385",
+    ),
+    "plane-count-past-bound": (
+        "simulate-acr", "config", (*_PLANE, "count"), 1_000_001, 1,
+        "scene.planes[0].count must be an integer in 0..1000000, got 1000001",
+    ),
+    "clutter-count-past-bound": (
+        "simulate-acr", "config", ("scene", "clutter_count"), 1_000_001, 1,
+        "scene.clutter_count must be an integer in 0..1000000, got 1000001",
+    ),
+    "clutter-count-negative": (
+        "simulate-acr", "config", ("scene", "clutter_count"), -1, 1,
+        "scene.clutter_count must be an integer in 0..1000000, got -1",
     ),
 }
 

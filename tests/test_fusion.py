@@ -280,7 +280,8 @@ class TestI2pe:
     def test_each_map_is_eroded_once_and_no_graph_is_built(self, corner_observation, monkeypatch):
         # Counting wrappers on the names a tracer patches: the module's
         # erode_mask and the static PlaneGraph.from_mask, which the count
-        # rule never calls.
+        # rule never calls.  Erosion is queried at the correspondences, so
+        # every call erodes each map once again: nothing is cached.
         _, _, obs = corner_observation
         calls = []
 
@@ -299,12 +300,14 @@ class TestI2pe:
         i2pe(obs.correspondences, ref, cur, DESK_INTRINSICS)
         assert sorted(map(id, (m for _, m in calls))) == sorted(map(id, (ref, cur)))
         assert sorted(name for name, _ in calls) == ["erode", "erode"]
+        first = list(calls)
         calls.clear()
         i2pe(obs.correspondences, ref, cur, DESK_INTRINSICS)
-        assert calls == []
+        assert calls == first
 
     def test_labels_are_looked_up_once_per_side(self, corner_observation, monkeypatch):
-        # The matcher counts the labels that i2pe then selects pairs by.
+        # The matcher counts the labels that i2pe then selects pairs by:
+        # each input map's, looked up once and then eroded at the points.
         _, _, obs = corner_observation
         calls = []
         label_at = PlaneSegmentMap.label_at
@@ -315,7 +318,7 @@ class TestI2pe:
 
         monkeypatch.setattr(PlaneSegmentMap, "label_at", counting)
         i2pe(obs.correspondences, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS)
-        assert calls == [obs.mask_ref.eroded(), obs.mask_cur.eroded()]
+        assert calls == [obs.mask_ref, obs.mask_cur]
 
     def test_candidate_spread_is_its_pair_inlier_spread(self, corner_observation):
         # A pair's weight over its consensus size is the spread of that

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,24 @@ class TestGenerateScene:
     def test_degenerate_polygon_rejected(self):
         with pytest.raises(InvalidSceneError):
             PlaneSpec(normal=(0, 0, 1), offset=1.0, half_extents=(0.0, 0.1)).local_polygon()
+
+    @pytest.mark.parametrize(
+        "polygon",
+        [
+            [[0, 0], [0.1, 0.1], [0.2, 0.2]],  # collinear: no area
+            [[0, 0], [0.1, 0.1], [0.1, 0], [0, 0.1]],  # self-crossing
+            [[0, 0], [0.2, 0], [0.2, 0.05], [0.05, 0.05], [0.05, 0.2], [0, 0.2]],  # an L
+            [[math.cos(a), math.sin(a)] for a in np.arange(5) * 0.8 * math.pi],  # a pentagram
+            [[0, 0], [0.1, 0.3], [0.3, 0.9]],  # collinear up to rounding
+        ],
+        ids=["collinear", "self-crossing", "l-shape", "pentagram", "rounded-collinear"],
+    )
+    def test_polygon_not_strictly_convex_is_invalid(self, polygon):
+        # The sampler draws inside the polygon by rejection and the renderer
+        # takes it as convex: a collinear or crossing polygon never filled
+        # the sampler, and an L was drawn inside its corner square only.
+        with pytest.raises(InvalidSceneError):
+            PlaneSpec(normal=(0, 0, 1), offset=1.0, polygon=polygon).local_polygon()
 
     def test_off_plane_classification(self):
         world = generate_scene(dataclasses.replace(mural_scene(seed=0), clutter_count=25))
