@@ -11,14 +11,14 @@ Subcommands::
 All configuration is JSON (``--print-schema`` per subcommand documents the
 fields), every output is machine-readable, and every run is deterministic
 under a fixed seed.  Exit codes: 0 success (a non-converged but valid loop
-run is still success); 1 for a bad config of ``simulate-acr`` or
-``bench-noise``, a bad seed or threshold of ``estimate-pose`` or a negative
-``--erosion`` of ``match-planes``, with ``invalid-input``, before any work
-starts; 2 for a missing or malformed input file of ``estimate-pose``,
-``match-planes`` or ``solve-scale``, and for a runtime estimation failure,
-with the error's code.  An unknown key, or a NaN, an infinity or a number
-beyond a float's range, is a bad config (exit 1) or a malformed file
-(exit 2); a correspondence file's unread keys are ignored.
+run is still success); 1 with ``invalid-input``, before any input file is
+read, for a bad flag value, a bad config (its file included) or a bad
+output path (a directory, a file outside an existing directory, an
+``output_dir`` that cannot be made); 2 with the error's code for an input
+file that is malformed or is not a readable file (``missing-input``), and
+for a runtime estimation failure.  An unknown key, a NaN, an infinity or a
+number beyond a float's range is a bad config or a malformed file; a
+correspondence file's unread keys are ignored.
 """
 
 from __future__ import annotations
@@ -84,14 +84,22 @@ def _fail(code: int, error_code: str, message: str) -> int:
     return code
 
 
+def _input(path, what: str):
+    """The ``what`` file at ``path``, a mask or else its bytes: the one place
+    the CLI opens an input file.  A path that is not a readable file is
+    ``MissingInputError``."""
+    try:
+        return PlaneSegmentMap.load(path) if what == "mask" else Path(path).read_bytes()
+    except OSError as exc:
+        reason = "" if isinstance(exc, FileNotFoundError) else f" ({exc.strerror})"
+        raise MissingInputError(f"missing {what} file: {path}{reason}") from exc
+
+
 def _load_json(path):
     """The JSON document in the file at ``path``, the one place the CLI
     parses JSON.  A number that no float holds (NaN, Infinity, 1e400, a
     400-digit integer) is refused here, by its key, so every reader sees
     finite numbers only."""
-    p = Path(path)
-    if not p.exists():
-        raise MissingInputError(f"missing input file: {path}")
     refused = []
 
     def finite(parse):
@@ -104,7 +112,7 @@ def _load_json(path):
 
     hooks = dict(parse_int=finite(int), parse_float=finite(float), parse_constant=finite(float))
     try:
-        doc = json.loads(p.read_text(), **hooks)
+        doc = json.loads(_input(path, "input").decode(), **hooks)
     except ValueError as exc:  # not JSON, or not UTF-8 text
         raise InvalidInputError(f"{path} is not a JSON file: {exc}") from exc
     if refused:
@@ -124,12 +132,6 @@ def _nan_key(value, where: str):
     else:
         return None
     return next((at for w, v in items if (at := _nan_key(v, w)) is not None), None)
-
-
-def _load_mask(path) -> PlaneSegmentMap:
-    if not Path(path).exists():
-        raise MissingInputError(f"missing mask file: {path}")
-    return PlaneSegmentMap.load(path)
 
 
 def _is_number(value) -> bool:
@@ -167,6 +169,14 @@ def _checked(value, kind, name: str):
     if kind in (float, "threshold", "bound"):
         return float(value)
     return value if kind in (bool, dict, list, str) else int(value)
+
+
+def _output(value, where) -> Path:
+    """``value``, found at ``where``, as an output file's path in an existing directory."""
+    path = Path(_checked(value, str, where))
+    if path.is_dir() or not path.parent.is_dir():
+        raise InvalidInputError(f"{where} must be a file in an existing directory, got {value!r}")
+    return path
 
 
 # A reader turns the JSON value at the key path ``where`` into what a
@@ -386,7 +396,7 @@ BENCH_KEYS = {
                      "px, finite and > 0, RANSAC inlier gate"),
     "max_iters": (_of("positive"), simulator.BENCH_RANSAC_ITERS,
                   f"RANSAC budget (default {simulator.BENCH_RANSAC_ITERS})"),
-    "output": (_of(str), "bench_noise.csv", "CSV path"),
+    "output": (_output, "bench_noise.csv", "CSV path"),
 }
 # estimate-pose's pose file as solve-scale reads it: "t" is an older name
 # of "direction", and "zero_motion" goes unread.
@@ -398,100 +408,87 @@ POSE_FILE_KEYS = {
 }
 
 
-def cmd_estimate_pose(args) -> int:
-    try:
-        _checked(args.seed, "non-negative", "--seed")
-        _checked(args.threshold, "threshold", "--threshold")
-    except AcrError as exc:
-        return _fail(1, "invalid-input", str(exc))
-    try:
-        corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
-        intr = _intrinsics(_load_json(args.intrinsics), "intrinsics")
-        report = {"method": args.method, "warnings": []}
-        if args.method == "i2pe":
-            if not args.ref_mask or not args.cur_mask:
-                raise MissingInputError("i2pe needs --ref-mask and --cur-mask")
-            m_ref, m_cur = _load_mask(args.ref_mask), _load_mask(args.cur_mask)
-            estimate = reselect_candidates(
-                i2pe(corr, m_ref, m_cur, intr, threshold_px=args.threshold, seed=args.seed),
-                _select_consistent,
-            )
-            pose, zero_motion = estimate.pose, estimate.zero_motion
-            report.update(estimate.report())
-        else:  # epipolar
-            hyp = estimate_epipolar(corr, intr, threshold_px=args.threshold, seed=args.seed)
-            pose, zero_motion = hyp.pose, False
-            report["support"] = hyp.support
-            report["unstable_translation"] = hyp.unstable_translation
-            # Planar-degeneracy screen: if one homography explains nearly all
-            # epipolar inliers the essential matrix is ill-determined.
-            try:
-                _, h_mask = estimate_homography_ransac(
-                    corr, threshold_px=args.threshold, seed=args.seed
-                )
-                ratio = float(h_mask.sum()) / max(hyp.support, 1)
-                if ratio >= 0.9:
-                    report["warnings"].append("planar-degeneracy")
-            except AcrError:
-                pass
-        pose_doc = {
-            "r": [float(v) for v in pose.rotation.matrix.reshape(-1)],
-            "direction": [float(v) for v in pose.direction],
-            "zero_motion": zero_motion,
-        }
-        out = Path(args.output or "pose.json")
-        out.write_text(json.dumps(pose_doc, indent=2))
-        report_path = out.with_name(out.stem + "_report.json")
-        report_path.write_text(json.dumps(report, indent=2))
-        print(json.dumps({"pose": str(out), "report": str(report_path)}))
-        return 0
-    except AcrError as exc:
-        return _fail(2, exc.code, str(exc))
+def read_estimate_pose(args):
+    _checked(args.seed, "non-negative", "--seed")
+    _checked(args.threshold, "threshold", "--threshold")
+    out = _output(args.output or "pose.json", "--output")
+    return args, out, _output(str(out.with_name(out.stem + "_report.json")), "--output")
 
 
-def cmd_match_planes(args) -> int:
-    try:
-        _checked(args.erosion, "non-negative", "--erosion")
-    except AcrError as exc:
-        return _fail(1, "invalid-input", str(exc))
-    try:
-        m_ref, m_cur = _load_mask(args.ref_mask), _load_mask(args.cur_mask)
-        corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
-        pairs = match_plane_maps(m_ref, m_cur, erode_mask(m_ref, args.erosion, corr.a),
-                                 erode_mask(m_cur, args.erosion, corr.b))
-        doc = {"pairs": [list(p) for p in pairs]}
-        if args.output:
-            Path(args.output).write_text(json.dumps(doc))
-        print(json.dumps(doc))
-        return 0
-    except AcrError as exc:
-        return _fail(2, exc.code, str(exc))
+def run_estimate_pose(args, out: Path, report_path: Path) -> None:
+    corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
+    intr = _intrinsics(_load_json(args.intrinsics), "intrinsics")
+    report = {"method": args.method, "warnings": []}
+    if args.method == "i2pe":
+        if not args.ref_mask or not args.cur_mask:
+            raise MissingInputError("i2pe needs --ref-mask and --cur-mask")
+        m_ref, m_cur = _input(args.ref_mask, "mask"), _input(args.cur_mask, "mask")
+        estimate = reselect_candidates(
+            i2pe(corr, m_ref, m_cur, intr, threshold_px=args.threshold, seed=args.seed),
+            _select_consistent,
+        )
+        pose, zero_motion = estimate.pose, estimate.zero_motion
+        report.update(estimate.report())
+    else:  # epipolar
+        hyp = estimate_epipolar(corr, intr, threshold_px=args.threshold, seed=args.seed)
+        pose, zero_motion = hyp.pose, False
+        report.update(support=hyp.support, unstable_translation=hyp.unstable_translation)
+        # Planar-degeneracy screen: if one homography explains nearly all
+        # epipolar inliers the essential matrix is ill-determined.
+        try:
+            _, h_mask = estimate_homography_ransac(corr, threshold_px=args.threshold,
+                                                   seed=args.seed)
+            if float(h_mask.sum()) / max(hyp.support, 1) >= 0.9:
+                report["warnings"].append("planar-degeneracy")
+        except AcrError:
+            pass
+    pose_doc = {"r": pose.rotation.matrix.reshape(-1).tolist(),
+                "direction": pose.direction.tolist(), "zero_motion": zero_motion}
+    out.write_text(json.dumps(pose_doc, indent=2))
+    report_path.write_text(json.dumps(report, indent=2))
+    print(json.dumps({"pose": str(out), "report": str(report_path)}))
 
 
-def cmd_solve_scale(args) -> int:
-    try:
-        corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
-        intr = _intrinsics(_load_json(args.intrinsics), "intrinsics")
-        pose = _read(_load_json(args.pose), POSE_FILE_KEYS, "pose")
-        direction = pose["t"] if pose["direction"] is None else pose["direction"]
-        if direction is None:
-            raise InvalidInputError("missing pose key: direction")
-        rotation = Rotation.from_matrix(np.reshape(pose["r"], (3, 3)))
-        solution = solve_scale_system(corr, intr, DirectionalPose(rotation, direction))
-        tracks = [str(int(t)) for t in solution.track_id]
-        doc = {
-            "y": [float(v) for v in solution.y],
-            "residual": solution.residual,
-            "s": solution.s,
-            "depth_ratio_a": dict(zip(tracks, map(float, solution.d_a / solution.s))),
-            "depth_ratio_b": dict(zip(tracks, map(float, solution.d_b / solution.s))),
-        }
-        if args.output:
-            Path(args.output).write_text(json.dumps(doc))
-        print(json.dumps({"residual": solution.residual, "s": solution.s}))
-        return 0
-    except AcrError as exc:
-        return _fail(2, exc.code, str(exc))
+def read_match_planes(args):
+    _checked(args.erosion, "non-negative", "--erosion")
+    return args, args.output and _output(args.output, "--output")
+
+
+def run_match_planes(args, out) -> None:
+    m_ref, m_cur = _input(args.ref_mask, "mask"), _input(args.cur_mask, "mask")
+    corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
+    pairs = match_plane_maps(m_ref, m_cur, erode_mask(m_ref, args.erosion, corr.a),
+                             erode_mask(m_cur, args.erosion, corr.b))
+    doc = {"pairs": [list(p) for p in pairs]}
+    if out:
+        out.write_text(json.dumps(doc))
+    print(json.dumps(doc))
+
+
+def read_solve_scale(args):
+    return args, args.output and _output(args.output, "--output")
+
+
+def run_solve_scale(args, out) -> None:
+    corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
+    intr = _intrinsics(_load_json(args.intrinsics), "intrinsics")
+    pose = _read(_load_json(args.pose), POSE_FILE_KEYS, "pose")
+    direction = pose["t"] if pose["direction"] is None else pose["direction"]
+    if direction is None:
+        raise InvalidInputError("missing pose key: direction")
+    rotation = Rotation.from_matrix(np.reshape(pose["r"], (3, 3)))
+    solution = solve_scale_system(corr, intr, DirectionalPose(rotation, direction))
+    tracks = [str(int(t)) for t in solution.track_id]
+    doc = {
+        "y": [float(v) for v in solution.y],
+        "residual": solution.residual,
+        "s": solution.s,
+        "depth_ratio_a": dict(zip(tracks, map(float, solution.d_a / solution.s))),
+        "depth_ratio_b": dict(zip(tracks, map(float, solution.d_b / solution.s))),
+    }
+    if out:
+        out.write_text(json.dumps(doc))
+    print(json.dumps({"residual": solution.residual, "s": solution.s}))
 
 
 def default_acr_config() -> dict:
@@ -528,87 +525,82 @@ def _executor(cfg: dict) -> SimulatedExecutor:
     )
 
 
-def cmd_simulate_acr(args) -> int:
+def read_simulate_acr(args):
+    doc = _load_json(args.config) if args.config else default_acr_config()
+    cfg = _config(doc, ACR_KEYS, seed=args.seed)
     try:
-        doc = _load_json(args.config) if args.config else default_acr_config()
-        cfg = _config(doc, ACR_KEYS, seed=args.seed)
-    except AcrError as exc:
-        return _fail(1, "invalid-input", str(exc))
-    use_baseline, out_dir = cfg["baseline"] or args.baseline, Path(cfg["output_dir"])
+        Path(cfg["output_dir"]).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name, or on its path
+        raise InvalidInputError(f"output_dir cannot be made: {exc}") from exc
+    return cfg, cfg["baseline"] or args.baseline
+
+
+def run_simulate_acr(cfg: dict, use_baseline: bool) -> None:
+    out_dir = Path(cfg["output_dir"])
+    executor = _executor(cfg)
+    runner = run_bisection_baseline if use_baseline else run_acr
+    t0 = time.perf_counter()
+    trace = runner(executor, cfg["acr"])
+    elapsed = time.perf_counter() - t0
+    trace.save_jsonl(out_dir / "trace.jsonl")
+
+    # The final figures describe the pose after the last move, from one
+    # more observation; the last record holds the pose before it.  A
+    # final pose that sees no track leaves them empty.
+    final_rot = final_trans = final_afd = in_gate = None
     try:
-        executor = _executor(cfg)
-        runner = run_bisection_baseline if use_baseline else run_acr
-        t0 = time.perf_counter()
-        trace = runner(executor, cfg["acr"])
-        elapsed = time.perf_counter() - t0
-
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace.save_jsonl(out_dir / "trace.jsonl")
-
-        # The final figures describe the pose after the last move, from one
-        # more observation; the last record holds the pose before it.  A
-        # final pose that sees no track leaves them empty.
-        final_rot = final_trans = final_afd = in_gate = None
-        try:
-            obs = executor.observe()
-        except EmptyObservationError:
-            obs = None
-        if obs is not None and obs.truth is not None:
-            final_rot, final_trans = _truth_errors(obs)
-            final_afd = afd(obs.truth.clean_a, obs.truth.clean_b).afd
-            in_gate = final_rot <= GATE_ROT_DEG and final_trans <= GATE_TRANS_M
-        summary = {
-            "method": "bisection" if use_baseline else "i2acr",
-            "status": trace.status,
-            "iterations": trace.iterations,
-            "final_rot_err_deg": _fmt(final_rot),
-            "final_trans_err_m": _fmt(final_trans),
-            "final_afd_px": _fmt(final_afd),
-            "in_gate": "" if in_gate is None else str(in_gate).lower(),
-            "wall_time_s": _fmt(round(elapsed, 3)),
-        }
-        with open(out_dir / "summary.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(summary))
-            writer.writeheader()
-            writer.writerow(summary)
-        report = {"status": trace.status, "failure": trace.failure, "iterations": trace.iterations}
-        report.update(trace=str(out_dir / "trace.jsonl"), summary=str(out_dir / "summary.csv"))
-        print(json.dumps(report))
-        return 0
-    except AcrError as exc:
-        return _fail(2, exc.code, str(exc))
+        obs = executor.observe()
+    except EmptyObservationError:
+        obs = None
+    if obs is not None and obs.truth is not None:
+        final_rot, final_trans = _truth_errors(obs)
+        final_afd = afd(obs.truth.clean_a, obs.truth.clean_b).afd
+        in_gate = final_rot <= GATE_ROT_DEG and final_trans <= GATE_TRANS_M
+    summary = {
+        "method": "bisection" if use_baseline else "i2acr",
+        "status": trace.status,
+        "iterations": trace.iterations,
+        "final_rot_err_deg": _fmt(final_rot),
+        "final_trans_err_m": _fmt(final_trans),
+        "final_afd_px": _fmt(final_afd),
+        "in_gate": "" if in_gate is None else str(in_gate).lower(),
+        "wall_time_s": _fmt(round(elapsed, 3)),
+    }
+    with open(out_dir / "summary.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(summary))
+        writer.writeheader()
+        writer.writerow(summary)
+    report = {"status": trace.status, "failure": trace.failure, "iterations": trace.iterations}
+    report.update(trace=str(out_dir / "trace.jsonl"), summary=str(out_dir / "summary.csv"))
+    print(json.dumps(report))
 
 
-def cmd_bench_noise(args) -> int:
-    try:
-        doc = _load_json(args.config) if args.config else {}
-        cfg = _config(doc, BENCH_KEYS, seed=args.seed, trials=args.trials, output=args.output)
-    except AcrError as exc:
-        return _fail(1, "invalid-input", str(exc))
-    r_values, mu_values, out = cfg["r_values"], cfg["mu_values"], Path(cfg["output"])
-    try:
-        rows = bench_noise_sweep(
-            _seeded(cfg["scene"], cfg["seed"]), cfg["motion"] or simulator.BENCH_MOTION,
-            r_values, mu_values, cfg["trials"], seed=cfg["seed"], intr=cfg["intrinsics"],
-            image_size=cfg["image_size"], threshold_px=cfg["threshold_px"],
-            max_iters=cfg["max_iters"],
-        )
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "mu", "trial", "method", "rot_err_deg", "dir_err_deg"])
-            for row in rows:
-                writer.writerow(
-                    [_fmt(row.r), _fmt(row.mu), row.trial, row.method]
-                    + [_fmt(row.rot_err_deg), _fmt(row.dir_err_deg)]
-                )
+def read_bench_noise(args):
+    doc = _load_json(args.config) if args.config else {}
+    return (_config(doc, BENCH_KEYS, seed=args.seed, trials=args.trials, output=args.output),)
 
-        summary = _bench_summary(rows, r_values, mu_values)
-        for line in summary["lines"]:
-            print(line)
-        print(json.dumps({"csv": str(out), "checks_passed": summary["passed"]}))
-        return 0
-    except AcrError as exc:
-        return _fail(2, exc.code, str(exc))
+
+def run_bench_noise(cfg: dict) -> None:
+    r_values, mu_values = cfg["r_values"], cfg["mu_values"]
+    rows = bench_noise_sweep(
+        _seeded(cfg["scene"], cfg["seed"]), cfg["motion"] or simulator.BENCH_MOTION,
+        r_values, mu_values, cfg["trials"], seed=cfg["seed"], intr=cfg["intrinsics"],
+        image_size=cfg["image_size"], threshold_px=cfg["threshold_px"],
+        max_iters=cfg["max_iters"],
+    )
+    with open(cfg["output"], "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["r", "mu", "trial", "method", "rot_err_deg", "dir_err_deg"])
+        for row in rows:
+            writer.writerow(
+                [_fmt(row.r), _fmt(row.mu), row.trial, row.method]
+                + [_fmt(row.rot_err_deg), _fmt(row.dir_err_deg)]
+            )
+
+    summary = _bench_summary(rows, r_values, mu_values)
+    for line in summary["lines"]:
+        print(line)
+    print(json.dumps({"csv": str(cfg["output"]), "checks_passed": summary["passed"]}))
 
 
 def _bench_summary(rows, r_values, mu_values) -> dict:
@@ -681,7 +673,7 @@ def main(argv=None) -> int:
     p.add_argument("--threshold", type=float, default=RANSAC_THRESHOLD_PX)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="pose JSON output path")
-    p.set_defaults(func=cmd_estimate_pose)
+    p.set_defaults(read=read_estimate_pose, run=run_estimate_pose)
 
     p = sub.add_parser("match-planes", help="plane assignment in the input masks' ids")
     p.add_argument("correspondences")
@@ -689,36 +681,43 @@ def main(argv=None) -> int:
     p.add_argument("--cur-mask", required=True)
     p.add_argument("--erosion", type=int, default=EROSION_RADIUS, help="erosion disk radius, px")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_match_planes)
+    p.set_defaults(read=read_match_planes, run=run_match_planes)
 
     p = sub.add_parser("solve-scale", help="depth/scale ratios from files")
     p.add_argument("correspondences")
     p.add_argument("--intrinsics", required=True)
     p.add_argument("--pose", required=True, help="directional pose JSON")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_solve_scale)
+    p.set_defaults(read=read_solve_scale, run=run_solve_scale)
 
     p = sub.add_parser("simulate-acr", help="run the relocalization loop")
     p.add_argument("config", nargs="?", help="config JSON (bundled default if omitted)")
     p.add_argument("--baseline", action="store_true", help="scale-guessing baseline")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--print-schema", action="store_true")
-    p.set_defaults(func=cmd_simulate_acr)
+    p.add_argument("--print-schema", dest="schema", action="store_const", const=ACR_KEYS)
+    p.set_defaults(read=read_simulate_acr, run=run_simulate_acr)
 
     p = sub.add_parser("bench-noise", help="noise-robustness sweep")
     p.add_argument("config", nargs="?", help="config JSON")
     p.add_argument("--trials", type=int, default=None, help="override config trials")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--output", default=None, help="override config output")
-    p.add_argument("--print-schema", action="store_true")
-    p.set_defaults(func=cmd_bench_noise)
+    p.add_argument("--print-schema", dest="schema", action="store_const", const=BENCH_KEYS)
+    p.set_defaults(read=read_bench_noise, run=run_bench_noise)
 
     args = parser.parse_args(argv)
-    if getattr(args, "print_schema", False):
-        table = ACR_KEYS if args.command == "simulate-acr" else BENCH_KEYS
-        print(json.dumps(_schema(table), indent=2))
+    if getattr(args, "schema", None):
+        print(json.dumps(_schema(args.schema), indent=2))
         return 0
-    return args.func(args)
+    try:
+        work = args.read(args)
+    except AcrError as exc:
+        return _fail(1, "invalid-input", str(exc))
+    try:
+        args.run(*work)
+    except AcrError as exc:
+        return _fail(2, exc.code, str(exc))
+    return 0
 
 
 if __name__ == "__main__":

@@ -90,8 +90,8 @@ class CorrespondenceSet:
     def from_json_dict(doc) -> "CorrespondenceSet":
         """The set of a JSON object with ``pairs`` and optional ``track_id``;
         other keys, such as the ``plane_label`` of older files, are ignored.
-        Track ids must be distinct integers: track joins and depth maps key
-        on them."""
+        Every pixel must be finite, and track ids distinct integers: track
+        joins and depth maps key on them."""
         if not isinstance(doc, dict) or "pairs" not in doc:
             raise InvalidInputError("a correspondence file must be an object with pairs")
         tracks = doc.get("track_id")
@@ -112,6 +112,10 @@ class CorrespondenceSet:
             pairs = pairs.reshape(0, 4)
         if pairs.ndim != 2 or pairs.shape[1] != 4:
             raise InvalidInputError("pairs must be rows of [uA, vA, uB, vB]")
+        finite = np.isfinite(pairs).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise InvalidInputError(f"pairs[{i}] must be finite numbers, got {pairs[i].tolist()}")
         return CorrespondenceSet(pairs[:, :2], pairs[:, 2:], tracks)
 
     def save(self, path) -> None:

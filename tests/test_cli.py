@@ -1250,3 +1250,79 @@ def test_estimate_pose_output_is_a_solve_scale_pose(method, tmp_path, capsys):
     assert cli.main(["solve-scale", corr, "--intrinsics", intr, "--pose", str(pose)]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert set(report) == {"residual", "s"}
+
+
+# Each file argument of each command, with a path that cannot serve in its
+# place: (command, the argument, what stands in for it, exit code, error
+# code).  The argument is the position of a positional file, a flag, or a
+# key of the command's config file.  An input file is a directory; an
+# output file lies in a directory that does not exist, lies under a plain
+# file, or names a directory itself or in its report; ``output_dir`` names
+# a plain file or lies under one.
+FILE_ARGUMENTS = {
+    "estimate-pose-correspondences": ("i2pe", 1, "directory", 2, "missing-input"),
+    "estimate-pose-intrinsics": ("i2pe", "--intrinsics", "directory", 2, "missing-input"),
+    "estimate-pose-ref-mask": ("i2pe", "--ref-mask", "directory", 2, "missing-input"),
+    "estimate-pose-cur-mask": ("i2pe", "--cur-mask", "directory", 2, "missing-input"),
+    "match-planes-correspondences": ("match-planes", 1, "directory", 2, "missing-input"),
+    "match-planes-ref-mask": ("match-planes", "--ref-mask", "directory", 2, "missing-input"),
+    "match-planes-cur-mask": ("match-planes", "--cur-mask", "directory", 2, "missing-input"),
+    "solve-scale-correspondences": ("solve-scale", 1, "directory", 2, "missing-input"),
+    "solve-scale-intrinsics": ("solve-scale", "--intrinsics", "directory", 2, "missing-input"),
+    "solve-scale-pose": ("solve-scale", "--pose", "directory", 2, "missing-input"),
+    "simulate-acr-config": ("simulate-acr", 1, "directory", 1, "invalid-input"),
+    "bench-noise-config": ("bench-noise", 1, "directory", 1, "invalid-input"),
+    "estimate-pose-output": ("epipolar", "--output", "missing-directory", 1, "invalid-input"),
+    "estimate-pose-output-directory": ("i2pe", "--output", "directory", 1, "invalid-input"),
+    "estimate-pose-report-directory": ("i2pe", "--output", "report-directory", 1, "invalid-input"),
+    "match-planes-output": ("match-planes", "--output", "missing-directory", 1, "invalid-input"),
+    "solve-scale-output": ("solve-scale", "--output", "missing-directory", 1, "invalid-input"),
+    "solve-scale-output-under-file": ("solve-scale", "--output", "under-file", 1, "invalid-input"),
+    "bench-noise-output-flag": ("bench-noise", "--output", "missing-directory", 1, "invalid-input"),
+    "bench-noise-output-key": ("bench-noise", "output", "missing-directory", 1, "invalid-input"),
+    "simulate-acr-output-dir-file": ("simulate-acr", "output_dir", "file", 1, "invalid-input"),
+    "simulate-acr-output-dir-under-file": (
+        "simulate-acr", "output_dir", "under-file", 1, "invalid-input"
+    ),
+}
+
+
+def _stand_in(kind, tmp_path) -> str:
+    """A path of ``kind`` (see FILE_ARGUMENTS) in ``tmp_path``."""
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_dir_report.json").mkdir()
+    (tmp_path / "a_file").write_text("")
+    names = {
+        "directory": "a_dir",
+        "missing-directory": "absent/out",
+        "report-directory": "a_dir.json",
+        "file": "a_file",
+        "under-file": "a_file/out",
+    }
+    return str(tmp_path / names[kind])
+
+
+@pytest.mark.parametrize("case", list(FILE_ARGUMENTS))
+def test_a_file_argument_that_cannot_serve_is_one_json_line(case, tmp_path, monkeypatch, capsys):
+    command, argument, kind, code, error = FILE_ARGUMENTS[case]
+    argv = _probe_argv(command, tmp_path)
+    _stub_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)  # the default output paths are relative
+    path = _stand_in(kind, tmp_path)
+    if isinstance(argument, int):
+        argv[argument] = path
+    elif argument in argv:
+        argv[argv.index(argument) + 1] = path
+    elif argument.startswith("--"):
+        argv += [argument, path]
+    else:
+        doc = json.loads((tmp_path / "config").read_text())
+        (tmp_path / "config").write_text(json.dumps({**doc, argument: path}))
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    [line] = out.splitlines()
+    report = json.loads(line)
+    assert (report["error"], err) == (error, "")
+    # An input file is named by its path, an output by its flag or key.
+    named = path if error == "missing-input" or isinstance(argument, int) else argument
+    assert named in report["message"]

@@ -342,3 +342,55 @@ def test_the_cli_parses_json_only_in_load_json():
     assert not any(
         isinstance(node, ast.ImportFrom) and node.module == "json" for node in ast.walk(tree)
     )
+
+
+def _catches_acr_errors(handler: ast.ExceptHandler) -> bool:
+    """Whether ``handler`` catches an ``AcrError``: it names that class, or
+    ``Exception``, ``BaseException``, or nothing at all."""
+    if handler.type is None:
+        return True
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(getattr(t, "id", None) in ("AcrError", "Exception", "BaseException") for t in types)
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` reads a file: ``read_text``, ``read_bytes``, a
+    ``load`` method, or ``open`` or ``Path.open`` in a read mode (the
+    default one included)."""
+    function = isinstance(call.func, ast.Name)
+    name = call.func.id if function else getattr(call.func, "attr", None)
+    if name in ("read_text", "read_bytes"):
+        return True
+    if name == "load":
+        return not function
+    if name != "open":
+        return False
+    given = call.args[1:2] if function else call.args[:1]  # a method's path is its receiver
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), given[0] if given else None)
+    if mode is None:
+        return True
+    return not isinstance(mode, ast.Constant) or any(c in mode.value for c in "r+")
+
+
+def test_the_cli_has_one_boundary():
+    # main alone turns an AcrError into an exit code and a JSON line; the
+    # one other handler is estimate-pose's advisory planar-degeneracy
+    # screen.  _input alone reads an input file.
+    tree = ast.parse((SRC / "acrkit" / "cli.py").read_text())
+    handlers, fails, reads = [], [], []
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, ast.FunctionDef) else f"line {stmt.lineno}"
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Try):
+                called = {getattr(n.func, "id", getattr(n.func, "attr", None))
+                          for s in node.body for n in ast.walk(s) if isinstance(n, ast.Call)}
+                handlers += [(owner, called) for h in node.handlers if _catches_acr_errors(h)]
+            elif isinstance(node, ast.Call):
+                if getattr(node.func, "id", None) == "_fail":
+                    fails.append(owner)
+                if _reads_a_file(node):
+                    reads.append(owner)
+    assert sorted(owner for owner, _ in handlers) == ["main", "main", "run_estimate_pose"]
+    assert all("estimate_homography_ransac" in called for owner, called in handlers if owner != "main")
+    assert fails == ["main", "main"]
+    assert reads == ["_input", "_input"]

@@ -83,6 +83,16 @@ class TestCorrespondenceSet:
         with pytest.raises(InvalidInputError, match=message):
             CorrespondenceSet.from_json_dict(doc)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_saved_non_finite_pixel_is_refused_on_load(self, value, tmp_path):
+        # save writes NaN and Infinity tokens, which plain JSON parsing reads back.
+        a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        a[1, 0] = value
+        path = tmp_path / "c.json"
+        CorrespondenceSet(a, a + 1.0).save(path)
+        with pytest.raises(InvalidInputError, match=r"pairs\[1\] must be finite"):
+            CorrespondenceSet.load(path)
+
     def test_shape_validation(self):
         with pytest.raises(Exception):
             CorrespondenceSet(np.zeros((3, 2)), np.zeros((4, 2)))
