@@ -411,6 +411,8 @@ POSE_FILE_KEYS = {
 def read_estimate_pose(args):
     _checked(args.seed, "non-negative", "--seed")
     _checked(args.threshold, "threshold", "--threshold")
+    if args.method == "i2pe" and not (args.ref_mask and args.cur_mask):
+        raise InvalidInputError("i2pe needs --ref-mask and --cur-mask")
     out = _output(args.output or "pose.json", "--output")
     return args, out, _output(str(out.with_name(out.stem + "_report.json")), "--output")
 
@@ -420,8 +422,6 @@ def run_estimate_pose(args, out: Path, report_path: Path) -> None:
     intr = _intrinsics(_load_json(args.intrinsics), "intrinsics")
     report = {"method": args.method, "warnings": []}
     if args.method == "i2pe":
-        if not args.ref_mask or not args.cur_mask:
-            raise MissingInputError("i2pe needs --ref-mask and --cur-mask")
         m_ref, m_cur = _input(args.ref_mask, "mask"), _input(args.cur_mask, "mask")
         estimate = reselect_candidates(
             i2pe(corr, m_ref, m_cur, intr, threshold_px=args.threshold, seed=args.seed),

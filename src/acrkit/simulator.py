@@ -857,8 +857,9 @@ class SimulatedExecutor:
 
     @property
     def true_residual(self) -> Pose:
-        """Ground-truth current extrinsic (tests only; the loop gets the
-        equivalent through observation sidecars)."""
+        """Ground-truth current extrinsic, by which tests and perfbench's
+        converged-residual check judge where a run ended; the loop gets the
+        equivalent through observation sidecars."""
         return self._extrinsic
 
     def observe(self) -> Observation:

@@ -341,10 +341,28 @@ class TestEstimatePose:
         assert report["plane_pairs"] == [[3, 3]]
         assert [(h["ref_plane"], h["cur_plane"]) for h in report["hypotheses"]] == [(3, 3)]
 
-    def test_i2pe_without_masks_is_missing_input(self, tmp_path, capsys):
+    def test_i2pe_without_masks_is_invalid_input(self, tmp_path, capsys):
         code = cli.main(self._inputs(tmp_path) + ["--method", "i2pe"])
-        assert code == 2
-        assert self._last_json(capsys)["error"] == "missing-input"
+        assert code == 1
+        assert self._last_json(capsys)["error"] == "invalid-input"
+
+    @pytest.mark.parametrize(
+        "masks", [[], ["--ref-mask"], ["--cur-mask"]], ids=["none", "ref", "cur"]
+    )
+    def test_i2pe_without_both_masks_reads_no_input(self, masks, tmp_path, monkeypatch, capsys):
+        # A missing mask flag is a bad flag: refused before the
+        # correspondence and intrinsics files are read.
+        def no_read(*args, **kwargs):
+            raise AssertionError("input read for an invalid flag")
+
+        monkeypatch.setattr(cli, "_input", no_read)
+        flags = [a for flag in masks for a in (flag, str(tmp_path / "mask.pgm"))]
+        code = cli.main(self._inputs(tmp_path) + ["--method", "i2pe"] + flags)
+        out, err = capsys.readouterr()
+        assert (code, err, len(out.splitlines())) == (1, "", 1)
+        report = json.loads(out)
+        assert report["error"] == "invalid-input"
+        assert report["message"] == "i2pe needs --ref-mask and --cur-mask"
 
     @staticmethod
     def _corner_inputs(tmp_path):

@@ -8,16 +8,14 @@ import math
 import numpy as np
 import pytest
 import scipy.ndimage
-import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acrkit import fusion, plane_match, simulator
+from acrkit import fusion, simulator
 from acrkit.errors import InvalidInputError
 from acrkit.geometry import Intrinsics, Pose, Rotation
 from acrkit.plane_match import (
     EROSION_RADIUS,
-    PlaneGraph,
     PlaneSegmentMap,
     erode_mask,
     match_plane_maps,
@@ -57,7 +55,7 @@ def _disk(radius) -> np.ndarray:
 def _erosion_oracle(m: PlaneSegmentMap, radius) -> np.ndarray:
     """Per-label scipy binary erosion by the disk, each region keeping its id."""
     expected = np.zeros_like(m.labels)
-    for plane_id in m.plane_ids:
+    for plane_id in range(1, m.num_planes + 1):
         kept = scipy.ndimage.binary_erosion(m.labels == plane_id, _disk(radius), border_value=0)
         expected[kept] = plane_id
     return expected
@@ -71,19 +69,8 @@ def _eroded_everywhere(m: PlaneSegmentMap, radius) -> np.ndarray:
 
 
 def _eroded_map(m: PlaneSegmentMap, radius) -> PlaneSegmentMap:
-    """The oracle's eroded map, ids recompacted: an input for the graph."""
+    """The oracle's eroded map, ids recompacted: a source of ragged runs."""
     return _compacted(_erosion_oracle(m, radius))
-
-
-def _graph_oracle(m: PlaneSegmentMap) -> np.ndarray:
-    """Brute-force minimum distance over every pixel pair of two regions."""
-    pixels = [np.argwhere(m.labels == pid) for pid in m.plane_ids]
-    d = np.zeros((m.num_planes, m.num_planes))
-    for i, j in itertools.combinations(range(m.num_planes), 2):
-        diff = pixels[i][:, None, :] - pixels[j][None, :, :]
-        dmin = float(np.sqrt((diff * diff).sum(axis=2).min()))
-        d[i, j] = d[j, i] = 0.0 if dmin <= np.sqrt(2.0) + 1e-12 else dmin
-    return d
 
 
 def _small_render(scene: simulator.SceneSpec) -> PlaneSegmentMap:
@@ -122,25 +109,6 @@ def _aliasing_stripes() -> PlaneSegmentMap:
     read as uint8, each such pair would merge into one region."""
     order = [i for k in range(1, 45) for i in (k, k + 256)] + list(range(45, 257))
     return PlaneSegmentMap(np.repeat(np.array(order, dtype=np.int32), 3)[None].repeat(3, 0))
-
-
-def _whole_image_graph(m: PlaneSegmentMap) -> np.ndarray:
-    """Distances from a whole-image scan: boundary pixels of the full int32
-    label map, one kd-tree per region.  An oracle for maps too large to
-    compare pixel pair by pixel pair."""
-    h = m.num_planes
-    d = np.zeros((h, h))
-    lab, c = m.labels, m.labels[1:-1, 1:-1]
-    boundary = lab > 0
-    boundary[1:-1, 1:-1] &= (
-        (c != lab[:-2, 1:-1]) | (c != lab[2:, 1:-1]) | (c != lab[1:-1, :-2]) | (c != lab[1:-1, 2:])
-    )
-    pixels = [np.argwhere(boundary & (lab == pid)) for pid in m.plane_ids]
-    for i, j in itertools.combinations(range(h), 2):
-        dist, _ = scipy.spatial.cKDTree(pixels[i]).query(pixels[j], k=1)
-        dmin = float(dist.min())
-        d[i, j] = d[j, i] = 0.0 if dmin <= np.sqrt(2.0) + 1e-12 else dmin
-    return d
 
 
 @pytest.fixture(scope="module")
@@ -214,8 +182,6 @@ RUN_SOURCES = {
     "erosion": lambda seed: _eroded_map(_random_mask(seed, max_side=60), 1),
 }
 SOURCE_SEEDS = range(8)
-# The cases small enough for the pixel-pair oracle of the plane graph.
-GRAPH_CASES = sorted(set(EROSION_CASES) - {"corner-render", "mural-render"})
 
 
 class TestPlaneSegmentMap:
@@ -297,7 +263,7 @@ class TestErodeMask:
             lab[region] = plane_id
         m = PlaneSegmentMap(lab)
         expected = np.zeros_like(lab)
-        for plane_id in m.plane_ids:
+        for plane_id in range(1, m.num_planes + 1):
             ref = scipy.ndimage.binary_erosion(lab == plane_id, structure=_disk(2), border_value=0)
             expected[ref] = plane_id
         np.testing.assert_array_equal(_eroded_everywhere(m, 2), expected)
@@ -388,78 +354,9 @@ class TestErodeMask:
             assert len(np.unique(labels)) >= 3  # background and at least two planes
 
 
-class TestMinRegionDistance:
-    """Region distances as the plane graph holds them: entry (a - 1, b - 1)
-    of ``PlaneGraph.from_mask(m).distances``."""
-
-    def test_touching_regions(self):
-        m = _mask((10, 10), {1: (slice(0, 3), slice(0, 3)), 2: (slice(0, 3), slice(3, 6))})
-        assert PlaneGraph.from_mask(m).distances[0, 1] == 0.0
-
-    def test_three_four_five(self):
-        lab = np.zeros((10, 10), dtype=np.int32)
-        lab[0, 0] = 1
-        lab[4, 3] = 2
-        assert PlaneGraph.from_mask(PlaneSegmentMap(lab)).distances[0, 1] == pytest.approx(5.0)
-
-    def test_unknown_id(self):
-        # The graph covers exactly the map's ids: no entry for id 3.
-        g = PlaneGraph.from_mask(_mask((10, 10), {1: (slice(0, 3), slice(0, 3))}))
-        assert g.plane_ids == (1,)
-        assert g.distances.shape == (1, 1)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            lab = np.zeros((36, 36), dtype=np.int32)
-            lab[2 : 2 + rng.integers(3, 8), 3 : 3 + rng.integers(3, 9)] = 1
-            lab[20 : 20 + rng.integers(3, 9), 19 : 19 + rng.integers(3, 10)] = 2
-            m = PlaneSegmentMap(lab)
-            pa = np.argwhere(lab == 1)
-            pb = np.argwhere(lab == 2)
-            brute = min(
-                float(np.linalg.norm(p - q)) for p in pa for q in pb
-            )
-            if brute <= np.sqrt(2.0) + 1e-12:
-                brute = 0.0
-            assert PlaneGraph.from_mask(m).distances[0, 1] == pytest.approx(brute)
-
-
-class TestPlaneGraphFromMask:
-    @pytest.mark.parametrize("radius", [0, 1, 2])
-    @pytest.mark.parametrize("case", GRAPH_CASES)
-    def test_cases_equal_brute_force(self, case, radius):
-        m = _eroded_map(EROSION_CASES[case](), radius)
-        g = PlaneGraph.from_mask(m)
-        assert g.plane_ids == tuple(m.plane_ids)
-        np.testing.assert_allclose(g.distances, _graph_oracle(m), rtol=0, atol=1e-12)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_random_masks_equal_brute_force(self, seed):
-        m = _random_mask(seed, max_planes=6, max_side=24)
-        g = PlaneGraph.from_mask(m)
-        assert g.plane_ids == tuple(m.plane_ids)
-        np.testing.assert_allclose(g.distances, _graph_oracle(m), rtol=0, atol=1e-12)
-
-    def test_full_size_corner_render(self, full_corner):
-        for m in (full_corner, _eroded_map(full_corner, 5)):
-            np.testing.assert_array_equal(PlaneGraph.from_mask(m).distances, _whole_image_graph(m))
-
-    def test_diagonal_contact_reads_zero(self):
-        lab = np.zeros((8, 8), dtype=np.int32)
-        lab[0:3, 0:3] = 1
-        lab[3:6, 3:6] = 2
-        lab[7, 0] = 3
-        g = PlaneGraph.from_mask(PlaneSegmentMap(lab))
-        assert g.distances[0, 1] == 0.0
-        assert g.distances[0, 2] == pytest.approx(5.0)
-        np.testing.assert_allclose(g.distances, _graph_oracle(PlaneSegmentMap(lab)))
-
-
 class TestRunSources:
-    """The erosion and graph oracles, and the per-pixel label lookup, on
-    maps whose runs come from each source."""
+    """The erosion oracle, the run extraction and the per-pixel label
+    lookup, on maps whose runs come from each source."""
 
     @pytest.mark.parametrize("seed", SOURCE_SEEDS)
     @pytest.mark.parametrize("source", sorted(RUN_SOURCES))
@@ -467,14 +364,6 @@ class TestRunSources:
         m = RUN_SOURCES[source](seed)
         for radius in RADII:
             np.testing.assert_array_equal(_eroded_everywhere(m, radius), _erosion_oracle(m, radius))
-
-    @pytest.mark.parametrize("seed", SOURCE_SEEDS)
-    @pytest.mark.parametrize("source", sorted(RUN_SOURCES))
-    def test_graph_equals_brute_force(self, source, seed):
-        for m in (RUN_SOURCES[source](seed), _eroded_map(RUN_SOURCES[source](seed), 2)):
-            g = PlaneGraph.from_mask(m)
-            assert g.plane_ids == tuple(m.plane_ids)
-            np.testing.assert_allclose(g.distances, _graph_oracle(m), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", SOURCE_SEEDS)
     @pytest.mark.parametrize("source", sorted(RUN_SOURCES))
@@ -516,111 +405,6 @@ class TestRunSources:
         assert all(n < m.num_planes for n, m in zip(survivors, maps["labels"]))
         assert any(len(np.unique(m.runs[0] * m.width + m.runs[3])) < m.runs.shape[1] for m in maps["erosion"])
         assert all(m.num_planes >= 2 for m in maps["render"])
-
-
-def _parallel_lines(bump: bool) -> PlaneSegmentMap:
-    """Two 200 px lines 10 rows apart, so that the row ends already sit at
-    the minimum and every pixel of the second line ties the bound; with
-    ``bump`` one pixel comes a row nearer, below the bound at a pair the
-    bound does not hold."""
-    lab = np.zeros((16, 220), dtype=np.int32)
-    lab[2, 10:210] = 1
-    lab[12, 10:210] = 2
-    if bump:
-        lab[11, 15] = 2
-    return PlaneSegmentMap(lab)
-
-
-def _u_wrap() -> PlaneSegmentMap:
-    """Region 2 is a U wrapping regions 1 and 3: two runs in each of its
-    upper rows, and a column span that bounds nothing (gap 0).  Region 3's
-    first row stops short of the U's right arm, and the U's row ends are
-    its outer edges, so the bound is loose and only the arm's run, right
-    of region 3's runs, holds the minimum."""
-    lab = np.zeros((30, 40), dtype=np.int32)
-    lab[:, :5] = lab[:, 35:] = lab[25:] = 2
-    lab[2:9, 8:21] = 1
-    lab[14, 22:27] = lab[15:21, 22:32] = 3
-    return PlaneSegmentMap(lab)
-
-
-def _far_pair_full_size() -> PlaneSegmentMap:
-    """Region 1 is two blocks at the top and bottom left corners of a
-    1280 x 960 map, region 2 a block midway down the right edge: of the
-    rows that region 2's runs visit, only the two ends hold a run of
-    region 1."""
-    lab = np.zeros((960, 1280), dtype=np.int32)
-    lab[0:10, 0:10] = lab[950:960, 0:10] = 1
-    lab[475:485, 1270:1280] = 2
-    return PlaneSegmentMap(lab)
-
-
-# Maps on which the bounded run visits of PlaneGraph.from_mask must give
-# the unbounded whole-image kd-tree distances bit for bit.
-BOUNDED_QUERY_CASES = {
-    "touching": lambda: _mask(
-        (12, 20), {1: (slice(0, 6), slice(0, 10)), 2: (slice(0, 6), slice(10, 20)),
-                   3: (slice(6, 12), slice(10, 20))}
-    ),
-    "diagonal-contact": lambda: _mask(
-        (10, 10), {1: (slice(0, 4), slice(0, 4)), 2: (slice(4, 8), slice(4, 8))}
-    ),
-    "far-pair": lambda: _mask(
-        (40, 360), {1: (slice(5, 35), slice(0, 30)), 2: (slice(10, 30), slice(330, 360))}
-    ),
-    # 8 boundary pixels.
-    "few-boundary-pixels": lambda: _mask(
-        (60, 90), {1: (slice(5, 55), slice(0, 50)), 2: (slice(20, 23), slice(80, 83))}
-    ),
-    "single-pixel": lambda: _mask(
-        (60, 90), {1: (slice(40, 41), slice(85, 86)), 2: (slice(5, 55), slice(0, 50)),
-                   3: (slice(0, 1), slice(89, 90))}
-    ),
-    "tie-at-bound": lambda: _parallel_lines(bump=False),
-    "below-bound-off-sample": lambda: _parallel_lines(bump=True),
-    "aliasing-stripes": _aliasing_stripes,
-    "u-wrap": _u_wrap,
-    # No shared row: the nearest pair is corner to corner.
-    "stacked-diagonal": lambda: _mask(
-        (25, 50), {1: (slice(0, 10), slice(0, 20)), 2: (slice(15, 25), slice(30, 50))}
-    ),
-    "far-pair-full-size": _far_pair_full_size,
-}
-
-
-class TestBoundedGraphQueries:
-    """The row-end bound prunes the run visits without moving a minimum:
-    each map's distances equal the unbounded oracle's bits."""
-
-    @pytest.mark.parametrize("case", sorted(BOUNDED_QUERY_CASES))
-    def test_equals_unbounded_oracle(self, case):
-        m = BOUNDED_QUERY_CASES[case]()
-        np.testing.assert_array_equal(PlaneGraph.from_mask(m).distances, _whole_image_graph(m))
-
-    def test_cases_read_what_they_name(self):
-        d = {name: PlaneGraph.from_mask(build()).distances for name, build in BOUNDED_QUERY_CASES.items()}
-        assert (d["touching"][np.triu_indices(3, 1)] == 0.0).all()
-        assert d["diagonal-contact"][0, 1] == 0.0
-        assert d["far-pair"][0, 1] == 301.0
-        assert d["few-boundary-pixels"][0, 1] == 31.0
-        assert d["single-pixel"][0, 1] == 36.0 and d["single-pixel"][0, 2] == math.hypot(40, 4)
-        assert d["tie-at-bound"][0, 1] == 10.0
-        assert d["below-bound-off-sample"][0, 1] == 9.0
-        assert len(d["aliasing-stripes"]) == 300
-        assert d["u-wrap"][0, 1] == d["u-wrap"][1, 2] == 4.0
-        assert d["u-wrap"][0, 2] == math.hypot(6, 2)
-        assert d["stacked-diagonal"][0, 1] == math.hypot(6, 11)
-        assert d["far-pair-full-size"][0, 1] == math.hypot(466, 1261)
-
-    def test_ties_at_the_bound_are_kept(self):
-        # The row-end bound equals the minimum, which every pixel of the
-        # second line ties: pruning at the bound must keep the tie.
-        m = _parallel_lines(bump=False)
-        row, lo, hi, label = m.runs  # one run per region: raster order is region order
-        ends = plane_match._row_ends(row, lo, hi, label - 1)
-        first = np.searchsorted(ends[3], np.arange(3))
-        np.testing.assert_array_equal(plane_match._row_end_bounds(ends, first, 0), [10**2])
-        assert PlaneGraph.from_mask(m).distances[0, 1] == 10.0
 
 
 def _strip(k: int) -> PlaneSegmentMap:
