@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -106,7 +105,6 @@ class Observation:
     truth: ObservationTruth = None
 
 
-@runtime_checkable
 class MotionExecutor(Protocol):
     """Hardware abstraction: commanded hand motions and observations.
 
@@ -115,7 +113,9 @@ class MotionExecutor(Protocol):
     without moving.  The loop assumes the same hand-eye pose for every
     command: :func:`run_acr` estimates part of it from the init move and
     conjugates every later command by that estimate.  Implementations must
-    expose the camera intrinsics and image size used for the observations.
+    expose the camera intrinsics and image size used for the observations,
+    as attributes or properties.  The protocol is structural: a class
+    conforms by having these members, and nothing checks it at run time.
     """
 
     intrinsics: Intrinsics
@@ -214,9 +214,6 @@ class AcrTrace:
         if self.failure is not None:
             docs[-1]["failure"] = self.failure
         return "".join(json.dumps(doc) + "\n" for doc in docs)
-
-    def save_jsonl(self, path) -> None:
-        Path(path).write_text(self.to_jsonl())
 
 
 def hand_motion_from_estimate(est: DirectionalPose, scale: float) -> Pose:

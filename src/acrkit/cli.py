@@ -15,8 +15,9 @@ run is still success); 1 with ``invalid-input``, before any input file is
 read, for a bad flag value, a bad config (its file included) or a bad
 output path (a directory, a file outside an existing directory, an
 ``output_dir`` that cannot be made); 2 with the error's code for an input
-file that is malformed or is not a readable file (``missing-input``), and
-for a runtime estimation failure.  An unknown key, a NaN, an infinity or a
+file that is malformed or is not a readable file (``missing-input``), for
+an output file that cannot be written (``write-failure``), and for a
+runtime estimation failure.  An unknown key, a NaN, an infinity or a
 number beyond a float's range is a bad config or a malformed file; a
 correspondence file's unread keys are ignored.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -35,7 +37,13 @@ from pathlib import Path
 import numpy as np
 
 from .acr_loop import AcrConfig, _truth_errors, run_acr, run_bisection_baseline
-from .errors import AcrError, EmptyObservationError, InvalidInputError, MissingInputError
+from .errors import (
+    AcrError,
+    EmptyObservationError,
+    InvalidInputError,
+    MissingInputError,
+    WriteFailureError,
+)
 from .fusion import _select_consistent, i2pe, reselect_candidates
 from .geometry import DirectionalPose, Intrinsics, Pose, Rotation
 from .metrics import afd
@@ -93,6 +101,22 @@ def _input(path, what: str):
     except OSError as exc:
         reason = "" if isinstance(exc, FileNotFoundError) else f" ({exc.strerror})"
         raise MissingInputError(f"missing {what} file: {path}{reason}") from exc
+
+
+def _write(path, text: str) -> None:
+    """Write ``text`` to the output file at ``path``: the one place the CLI
+    writes a file.  A write that fails is ``WriteFailureError``."""
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        raise WriteFailureError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _csv(rows) -> str:
+    """``rows``, each a list of cells, as CSV text."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
 
 
 def _load_json(path):
@@ -444,8 +468,8 @@ def run_estimate_pose(args, out: Path, report_path: Path) -> None:
             pass
     pose_doc = {"r": pose.rotation.matrix.reshape(-1).tolist(),
                 "direction": pose.direction.tolist(), "zero_motion": zero_motion}
-    out.write_text(json.dumps(pose_doc, indent=2))
-    report_path.write_text(json.dumps(report, indent=2))
+    _write(out, json.dumps(pose_doc, indent=2))
+    _write(report_path, json.dumps(report, indent=2))
     print(json.dumps({"pose": str(out), "report": str(report_path)}))
 
 
@@ -461,7 +485,7 @@ def run_match_planes(args, out) -> None:
                              erode_mask(m_cur, args.erosion, corr.b))
     doc = {"pairs": [list(p) for p in pairs]}
     if out:
-        out.write_text(json.dumps(doc))
+        _write(out, json.dumps(doc))
     print(json.dumps(doc))
 
 
@@ -487,7 +511,7 @@ def run_solve_scale(args, out) -> None:
         "depth_ratio_b": dict(zip(tracks, map(float, solution.d_b / solution.s))),
     }
     if out:
-        out.write_text(json.dumps(doc))
+        _write(out, json.dumps(doc))
     print(json.dumps({"residual": solution.residual, "s": solution.s}))
 
 
@@ -542,7 +566,7 @@ def run_simulate_acr(cfg: dict, use_baseline: bool) -> None:
     t0 = time.perf_counter()
     trace = runner(executor, cfg["acr"])
     elapsed = time.perf_counter() - t0
-    trace.save_jsonl(out_dir / "trace.jsonl")
+    _write(out_dir / "trace.jsonl", trace.to_jsonl())
 
     # The final figures describe the pose after the last move, from one
     # more observation; the last record holds the pose before it.  A
@@ -566,10 +590,7 @@ def run_simulate_acr(cfg: dict, use_baseline: bool) -> None:
         "in_gate": "" if in_gate is None else str(in_gate).lower(),
         "wall_time_s": _fmt(round(elapsed, 3)),
     }
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(summary))
-        writer.writeheader()
-        writer.writerow(summary)
+    _write(out_dir / "summary.csv", _csv([list(summary), list(summary.values())]))
     report = {"status": trace.status, "failure": trace.failure, "iterations": trace.iterations}
     report.update(trace=str(out_dir / "trace.jsonl"), summary=str(out_dir / "summary.csv"))
     print(json.dumps(report))
@@ -588,14 +609,10 @@ def run_bench_noise(cfg: dict) -> None:
         image_size=cfg["image_size"], threshold_px=cfg["threshold_px"],
         max_iters=cfg["max_iters"],
     )
-    with open(cfg["output"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "mu", "trial", "method", "rot_err_deg", "dir_err_deg"])
-        for row in rows:
-            writer.writerow(
-                [_fmt(row.r), _fmt(row.mu), row.trial, row.method]
-                + [_fmt(row.rot_err_deg), _fmt(row.dir_err_deg)]
-            )
+    header = ["r", "mu", "trial", "method", "rot_err_deg", "dir_err_deg"]
+    cells = [[_fmt(x.r), _fmt(x.mu), x.trial, x.method, _fmt(x.rot_err_deg), _fmt(x.dir_err_deg)]
+             for x in rows]
+    _write(cfg["output"], _csv([header] + cells))
 
     summary = _bench_summary(rows, r_values, mu_values)
     for line in summary["lines"]:

@@ -64,3 +64,7 @@ class EmptyObservationError(AcrError):
 
 class MissingInputError(AcrError):
     code = "missing-input"
+
+
+class WriteFailureError(AcrError):
+    code = "write-failure"

@@ -10,12 +10,12 @@ enumerated, which at the paper's few planes is a handful; past
 eroded by ``EROSION_RADIUS`` pixels, at the correspondences only
 (:meth:`PlaneSegmentMap.eroded`), so ids stay the mask's own.
 
-Region masks hold their row runs, the maximal stretches of one label
+Region masks are their row runs, the maximal stretches of one label
 along a row (:class:`PlaneSegmentMap`); 0 is background and ids are
 contiguous.  The file format is a 16-bit binary PGM whose pixel value is
-the label id, and the per-pixel label array is built only for it or for a
-caller that reads it.  Disk erosion at points works on the runs by
-interval coding (:func:`erode_mask`), and so does the label lookup.
+the label id; no map keeps a pixel array, not even one read from a file,
+unless a caller reads its labels.  Disk erosion at points works on the
+runs by interval coding (:func:`erode_mask`), and so does the label lookup.
 """
 
 from __future__ import annotations
@@ -39,49 +39,47 @@ EROSION_RADIUS = 5
 class PlaneSegmentMap:
     """Per-pixel plane labeling; 0 is background, ids run 1..H contiguously.
 
-    A map holds its shape and its row runs: the maximal stretches of one
-    nonzero label along a row, in raster order.  ``runs`` is a read-only
-    (4, n) int64 array of their rows, first columns, last columns and
-    labels.  The per-pixel ``labels`` array is built from the runs on first
-    read; the constructor takes one and extracts the runs once.
+    A map holds its shape and its row runs, nothing per pixel: the maximal
+    stretches of one nonzero label along a row, in raster order.  ``runs``
+    is a read-only (4, n) int64 array of their rows, first columns, last
+    columns and labels.  The constructor finds them on the label array as
+    given; the int32 ``labels`` array is built from them on first read.
     """
 
     def __init__(self, labels: np.ndarray):
         lab = np.asarray(labels)
         if lab.ndim != 2:
             raise InvalidInputError("label map must be 2-D")
-        if lab.size and lab.min() < 0:
-            raise InvalidInputError("labels must be non-negative")
-        lab = lab.astype(np.int32, copy=True)
-        runs = _row_runs(lab)
-        areas = np.bincount(runs[3], weights=runs[2] - runs[1] + 1)[1:].astype(np.int64)
-        if not areas.all():
+        ends, label = _row_runs(lab)
+        if (lab.dtype.kind not in "biuf" or label.min(initial=0) < 0
+                or not np.array_equal(np.trunc(label), label)):
+            raise InvalidInputError("labels must be non-negative integers")
+        # Ids past the run count leave a gap; clipped to it, none wraps in the cast.
+        label = np.minimum(label, label.size + 1).astype(np.int64)
+        top = int(label.max(initial=0))
+        self._finish(lab.shape, np.vstack([ends, label]), top)
+        if self._num_planes < top:
             raise InvalidInputError("plane ids must be contiguous 1..H")
-        lab.flags.writeable = False
-        runs.flags.writeable = False
-        self._shape, self._runs, self._areas, self._labels = lab.shape, runs, areas, lab
-        self._run_keys = runs[0] * lab.shape[1] + runs[1:3]  # raster keys of run ends
 
     @classmethod
     def _of_runs(cls, shape, runs: np.ndarray, num_labels: int) -> "PlaneSegmentMap":
-        """A map the package built itself, without the checks.
-
-        ``runs`` is a fresh (4, n) int64 array, laid out as :attr:`runs`, of
-        the maximal row runs of a ``shape`` frame in raster order, with
-        labels in 1..``num_labels``.  Labels that no run carries drop and
-        the rest recompact; the areas (int64, pixels per region) are the
-        run lengths summed.
-        """
-        areas = np.bincount(runs[3], weights=runs[2] - runs[1] + 1, minlength=num_labels + 1)
-        areas = areas[1:].astype(np.int64)
-        if not areas.all():  # a region has no run: recompact the ids
-            runs[3] = np.concatenate([[0], np.cumsum(areas > 0)])[runs[3]]
-            areas = areas[areas > 0]
-        runs.flags.writeable = False
+        """A map the package built itself, unchecked: ``runs`` is a fresh
+        (4, n) int64 array, laid out as :attr:`runs`, of a ``shape`` frame's
+        maximal row runs in raster order, with labels in 1..``num_labels``."""
         m = object.__new__(cls)
-        m._shape, m._runs, m._areas, m._labels = tuple(shape), runs, areas, None
-        m._run_keys = runs[0] * shape[1] + runs[1:3]
+        m._finish(shape, runs, num_labels)
         return m
+
+    def _finish(self, shape, runs: np.ndarray, num_labels: int) -> None:
+        """Hold ``runs`` as :meth:`_of_runs` takes them: labels that no run
+        carries drop and the rest recompact."""
+        present = np.bincount(runs[3], minlength=num_labels + 1)[1:] > 0
+        if not present.all():
+            runs[3] = np.concatenate([[0], np.cumsum(present)])[runs[3]]
+        runs.flags.writeable = False
+        self._shape, self._runs, self._labels = tuple(shape), runs, None
+        self._num_planes = int(present.sum())
+        self._run_keys = runs[0] * shape[1] + runs[1:3]  # raster keys of run ends
 
     @property
     def runs(self) -> np.ndarray:
@@ -111,7 +109,7 @@ class PlaneSegmentMap:
 
     @property
     def num_planes(self) -> int:
-        return len(self._areas)
+        return self._num_planes
 
     def label_at(self, points_xy: np.ndarray) -> np.ndarray:
         """Labels under (u, v) pixel coordinates; out-of-image maps to 0.
@@ -147,15 +145,13 @@ class PlaneSegmentMap:
         if not m:
             raise InvalidInputError("not a binary PGM (P5) stream")
         width, height, maxval = (int(m.group(i)) for i in (1, 2, 3))
-        pixels = data[m.end():]
         dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
-        size = width * height * dtype.itemsize
-        if len(pixels) < size:
-            raise InvalidInputError(
-                f"PGM pixel block has {len(pixels)} bytes, its header needs {size}"
-            )
-        arr = np.frombuffer(pixels, dtype=dtype, count=width * height)
-        return PlaneSegmentMap(arr.reshape(height, width).astype(np.int32))
+        size, given = width * height * dtype.itemsize, len(data) - m.end()
+        if given < size:
+            raise InvalidInputError(f"PGM pixel block has {given} bytes, its header needs {size}")
+        # Read in place: neither the pixel block nor the array is copied.
+        arr = np.frombuffer(data, dtype=dtype, count=width * height, offset=m.end())
+        return PlaneSegmentMap(arr.reshape(height, width))
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -171,11 +167,12 @@ class PlaneSegmentMap:
         return erode_mask(self, EROSION_RADIUS, points_xy)
 
 
-def _row_runs(lab: np.ndarray) -> np.ndarray:
-    """The maximal row runs of ``lab``'s nonzero labels in raster order, as
-    a (4, n) int64 array of rows, first columns, last columns and labels."""
+def _row_runs(lab: np.ndarray):
+    """The maximal row runs of ``lab``'s nonzero labels in raster order:
+    a (3, n) int64 array of their rows, first columns and last columns,
+    and their labels in ``lab``'s own dtype."""
     if not lab.size:
-        return np.zeros((4, 0), np.int64)
+        return np.zeros((3, 0), np.int64), lab.ravel()
     w = lab.shape[1]
     flat = lab.ravel()
     starts = np.ones(flat.size, dtype=bool)
@@ -184,9 +181,9 @@ def _row_runs(lab: np.ndarray) -> np.ndarray:
     start = np.flatnonzero(starts)
     end = np.append(start[1:], flat.size) - 1
     label = flat[start]
-    start, end, label = start[label > 0], end[label > 0], label[label > 0]
+    start, end, label = start[label != 0], end[label != 0], label[label != 0]
     row = start // w
-    return np.stack([row, start - row * w, end - row * w, label]).astype(np.int64, copy=False)
+    return np.stack([row, start - row * w, end - row * w]).astype(np.int64, copy=False), label
 
 
 def erode_mask(m: PlaneSegmentMap, radius: float, points_xy: np.ndarray) -> np.ndarray:

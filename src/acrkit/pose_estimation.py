@@ -398,10 +398,8 @@ RANSAC_REFINE_ITERS = 3
 
 
 def _adaptive_iters(inlier_ratio: float, sample_size: int) -> int:
-    w = min(max(inlier_ratio, 0.0), 1.0 - 1e-12)
+    w = min(max(inlier_ratio, 0.0), 1.0 - 1e-12)  # all inliers: the formula gives 1
     p_good = w**sample_size
-    if p_good >= 1.0 - 1e-12:
-        return 1
     if p_good <= 1e-9:
         return np.iinfo(np.int64).max  # never below the caller's budget
     return int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / np.log1p(-p_good)))

@@ -220,24 +220,16 @@ class RigSpec:
 
 @dataclass(frozen=True, eq=False)
 class World:
-    """Sampled scene: points in the reference-camera (world) frame."""
+    """Sampled scene: points in the reference-camera (world) frame.  A
+    point's track id is its index."""
 
     points: np.ndarray  # (N, 3)
     plane_index: np.ndarray  # (N,) 1-based plane id, 0 for clutter
-    track_id: np.ndarray  # (N,)
     spec: SceneSpec
 
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def detected_plane_ids(self) -> list:
-        return [
-            i + 1 for i, p in enumerate(self.spec.planes) if p.detected
-        ]
-
     def in_plane_tracks(self) -> np.ndarray:
-        detected = np.asarray(self.detected_plane_ids, dtype=np.int64)
+        """Whether each track lies on a detected plane."""
+        detected = [i + 1 for i, p in enumerate(self.spec.planes) if p.detected]
         return np.isin(self.plane_index, detected)
 
 
@@ -258,7 +250,7 @@ def _sample_polygon(rng, polygon: np.ndarray, count: int) -> np.ndarray:
 
 def generate_scene(spec: SceneSpec) -> World:
     """Deterministic world sampling: uniform points per plane polygon plus
-    uniform clutter in its box, with stable track ids in generation order."""
+    uniform clutter in its box, in generation order."""
     rng = np.random.default_rng(spec.seed)
     points = []
     labels = []
@@ -273,14 +265,7 @@ def generate_scene(spec: SceneSpec) -> World:
         pts = rng.uniform(box[:, 0], box[:, 1], size=(spec.clutter_count, 3))
         points.append(pts)
         labels.append(np.zeros(spec.clutter_count, dtype=np.int64))
-    all_points = np.vstack(points)
-    all_labels = np.concatenate(labels)
-    return World(
-        points=all_points,
-        plane_index=all_labels,
-        track_id=np.arange(all_points.shape[0], dtype=np.int64),
-        spec=spec,
-    )
+    return World(points=np.vstack(points), plane_index=np.concatenate(labels), spec=spec)
 
 
 def _half_planes(polygon: np.ndarray, margin: float) -> list:
@@ -763,7 +748,6 @@ def observe(
     a = reference.pixels[idx]
     b_clean = px_cur[idx]
     b = b_clean.copy()
-    tracks = world.track_id[idx]
     n = idx.size
 
     # Matching noise on a mu-fraction of current pixels.
@@ -797,7 +781,7 @@ def observe(
         if keep.size == 0:
             raise EmptyObservationError("dropout removed every correspondence")
 
-    correspondences = CorrespondenceSet(a[keep], b[keep], tracks[keep])
+    correspondences = CorrespondenceSet(a[keep], b[keep], idx[keep])
     truth = ObservationTruth(relative_pose=camera_pose, clean_a=a[keep], clean_b=b_clean[keep])
     if reference.mask is None:
         return Observation(correspondences, None, None, truth)
@@ -839,21 +823,12 @@ class SimulatedExecutor:
         seed: int = 0,
     ):
         self._rig = rig
+        self.intrinsics, self.image_size = rig.intrinsics, rig.image_size
         self._extrinsic = initial_offset  # maps reference frame to current
-        self._noise = noise or NoiseSpec()
-        self._lighting = lighting or LightingProxySpec()
-        self._seed = seed
+        self._noise, self._lighting, self._seed = noise, lighting, seed
         self._observations = 0
         self.motions_executed = 0
         self._reference = reference_view(world, rig.intrinsics, rig.image_size, True)
-
-    @property
-    def intrinsics(self) -> Intrinsics:
-        return self._rig.intrinsics
-
-    @property
-    def image_size(self) -> tuple:
-        return self._rig.image_size
 
     @property
     def true_residual(self) -> Pose:

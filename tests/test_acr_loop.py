@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,6 +127,24 @@ class TestChoosers:
         picks = chooser(((_hyp(1.0),), two, two), (inliers, thin, inliers))
         assert picks == [0, 0, 0]
         assert solved == [n, n]
+
+    def test_depth_profile_skips_a_zero_motion_candidate(self, monkeypatch):
+        # A zero-motion candidate has no direction to solve the scale for:
+        # only the other candidate is solved, and it is kept.
+        solved = []
+
+        def solve(c, intr, pose, **kwargs):
+            solved.append(pose)
+            return SimpleNamespace(track_id=c.track_id, d_a=np.ones(len(c)), d_b=np.ones(len(c)))
+
+        monkeypatch.setattr(acr_loop, "solve_scale_system", solve)
+        n = MIN_SYSTEM_POINTS
+        inliers = CorrespondenceSet(np.zeros((n, 2)), np.zeros((n, 2)))
+        depth = SparseDepthMap(np.arange(n), np.ones(n))
+        chooser = acr_loop._depth_profile_chooser(simulator.DESK_INTRINSICS, depth, "a")
+        still, moving = replace(_hyp(2.0), zero_motion=True), _hyp(-0.5)
+        assert chooser(((still, moving),), (inliers,)) == [1]
+        assert solved == [moving.pose]
 
 
 class TestAcrConfig:

@@ -268,6 +268,11 @@ class TestMatchPlanes:
         assert cli.main(["match-planes", str(tmp_path / "corr.json")] + masks) == 0
         assert [3, 3] in self._last_json(capsys)["pairs"]
 
+    def test_output_file_holds_the_printed_pairs(self, tmp_path, capsys):
+        output = tmp_path / "pairs.json"
+        assert cli.main(self._inputs(tmp_path) + ["--output", str(output)]) == 0
+        assert json.loads(output.read_text()) == self._last_json(capsys) == {"pairs": [[1, 2], [2, 1]]}
+
     def test_negative_erosion_is_invalid_input(self, tmp_path, capsys):
         # None of the three input files exists: the flag is checked first.
         args = ["match-planes", str(tmp_path / "corr.json"), "--ref-mask", str(tmp_path / "ref.pgm")]
@@ -739,6 +744,24 @@ class TestSimulateAcr:
         lines = [json.loads(line) for line in Path(report["trace"]).read_text().splitlines()]
         assert lines == [{"status": "failed", "failure": report["failure"]}]
 
+    def test_an_unwritable_summary_is_a_write_failure(self, tmp_path, capsys):
+        # The run of test_final_pose_that_sees_nothing_... with a directory
+        # where its summary.csv goes: the trace is written, the summary not.
+        config = tmp_path / "acr.json"
+        doc = {
+            **cli.default_acr_config(),
+            "initial_offset": {"r": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [3.0, 0.0, 0.0]},
+            "output_dir": str(tmp_path / "out"),
+        }
+        config.write_text(json.dumps(doc))
+        (tmp_path / "out" / "summary.csv").mkdir(parents=True)
+        assert cli.main(["simulate-acr", str(config), "--seed", "0"]) == 2
+        [line] = capsys.readouterr().out.splitlines()
+        report = json.loads(line)
+        assert report["error"] == "write-failure"
+        assert report["message"].startswith(f"cannot write {tmp_path / 'out' / 'summary.csv'}:")
+        assert json.loads((tmp_path / "out" / "trace.jsonl").read_text())["status"] == "failed"
+
     def test_final_pose_that_sees_nothing_leaves_the_final_figures_empty(self, tmp_path, capsys):
         # Three metres to the side no track is in view, so the run fails at
         # its first observation and the final observation sees nothing too.
@@ -901,6 +924,40 @@ class TestSolveScale:
         code = cli.main(argv)
         assert code == 2
         assert self._last_json(capsys)["error"] == "missing-input"
+
+    def test_pose_without_a_direction_is_invalid_input(self, tmp_path, capsys):
+        # Neither "direction" nor its older name "t": a malformed pose file.
+        argv = self._inputs(tmp_path)
+        pose = tmp_path / "pose.json"
+        pose.write_text(json.dumps({"r": json.loads(pose.read_text())["r"]}))
+        assert cli.main(argv) == 2
+        assert self._last_json(capsys) == {
+            "error": "invalid-input", "message": "missing pose key: direction"
+        }
+
+
+def _full_device_argv(command, tmp_path) -> list:
+    """A run of ``command`` whose output file is the full device."""
+    if command == "match-planes":
+        return TestMatchPlanes._inputs(tmp_path) + ["--output", "/dev/full"]
+    if command == "solve-scale":
+        return TestSolveScale._inputs(tmp_path) + ["--output", "/dev/full"]
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"r_values": [0], "mu_values": [0.3], "trials": 1, "max_iters": 20}))
+    return ["bench-noise", str(config), "--output", "/dev/full"]
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the full device")
+@pytest.mark.parametrize("command", ["match-planes", "solve-scale", "bench-noise"])
+def test_an_output_that_cannot_be_written_is_one_json_line(command, tmp_path, capsys):
+    # /dev/full passes the output path check and fails the write itself.
+    assert cli.main(_full_device_argv(command, tmp_path)) == 2
+    out = capsys.readouterr()
+    [line] = out.out.splitlines()
+    assert json.loads(line) == {
+        "error": "write-failure", "message": "cannot write /dev/full: No space left on device"
+    }
+    assert out.err == ""
 
 
 _TWO_PAIRS = [[1.0, 2.0, 3.0, 4.0]] * 2

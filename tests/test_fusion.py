@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from acrkit import fusion, plane_match
+from acrkit.errors import EstimationFailureError
 from acrkit.fusion import (
     PlaneCandidates,
     Refinement,
@@ -51,6 +52,16 @@ def _agreed(c, m_ref, m_cur):
     """The per-plane candidates of ``i2pe`` chosen by cross-plane agreement
     and fused, as ``acrkit estimate-pose`` does."""
     return reselect_candidates(i2pe(c, m_ref, m_cur, DESK_INTRINSICS), fusion._select_consistent)
+
+
+def _collapsed(c: CorrespondenceSet, world, plane_ids) -> CorrespondenceSet:
+    """``c`` with the pairs of each plane in ``plane_ids`` moved onto that
+    plane's first pair."""
+    a, b = c.a.copy(), c.b.copy()
+    for plane_id in plane_ids:
+        on = world.plane_index[c.track_id] == plane_id
+        a[on], b[on] = a[on][0], b[on][0]
+    return CorrespondenceSet(a, b, c.track_id)
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +399,39 @@ class TestI2pe:
         )
         assert est.zero_motion
         assert rotation_angle(est.pose.rotation) < 1e-6
+
+    def test_a_degenerate_pair_is_skipped_for_the_others(self, corner_observation):
+        # Every correspondence of plane 3 sits on one pixel pair inside its
+        # eroded regions: the pair is matched, its homography fit fails, and
+        # the estimate comes from the other two pairs.
+        world, offset, obs = corner_observation
+        collapsed = _collapsed(obs.correspondences, world, [3])
+        on3 = (obs.mask_ref.eroded(collapsed.a) == 3) & (obs.mask_cur.eroded(collapsed.b) == 3)
+        assert on3.sum() >= 4
+        evidence = i2pe(collapsed, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS)
+        assert evidence.plane_pairs == ((1, 1), (2, 2))
+        est = _agreed(collapsed, obs.mask_ref, obs.mask_cur)
+        assert rotation_angle(est.pose.rotation.compose(offset.rotation.inverse())) < 1e-5
+
+    def test_a_mask_without_regions_has_no_matchable_pairs(self, corner_observation):
+        _, _, obs = corner_observation
+        empty = PlaneSegmentMap(np.zeros((obs.mask_cur.height, obs.mask_cur.width), np.int32))
+        with pytest.raises(EstimationFailureError, match="no matchable plane pairs"):
+            i2pe(obs.correspondences, obs.mask_ref, empty, DESK_INTRINSICS)
+
+    @pytest.mark.parametrize("case", ["every-pair-degenerate", "no-pair-under-a-region"])
+    def test_a_set_where_every_pair_fails_is_an_estimation_failure(self, case, corner_observation):
+        # The masks match three pairs either way: every plane's
+        # correspondences sit on one pixel pair, or all of them lie in the
+        # top-left corner, outside every region.
+        world, _, obs = corner_observation
+        c = obs.correspondences
+        if case == "every-pair-degenerate":
+            c = _collapsed(c, world, [1, 2, 3])
+        else:
+            c = CorrespondenceSet(c.a % 40, c.b % 40, c.track_id)
+        with pytest.raises(EstimationFailureError, match="no plane pair with enough consistent"):
+            i2pe(c, obs.mask_ref, obs.mask_cur, DESK_INTRINSICS)
 
     def test_report_is_json_ready(self, corner_observation):
         import json

@@ -388,12 +388,30 @@ def _reads_a_file(call: ast.Call) -> bool:
     return not isinstance(mode, ast.Constant) or any(c in mode.value for c in "r+")
 
 
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` writes a file: ``write_text``, ``write_bytes``, a
+    ``save`` method of any name, or ``open`` or ``Path.open`` in a mode that
+    writes."""
+    function = isinstance(call.func, ast.Name)
+    name = call.func.id if function else getattr(call.func, "attr", None)
+    if name in ("write_text", "write_bytes") or (name or "").startswith("save"):
+        return True
+    if name != "open":
+        return False
+    given = call.args[1:2] if function else call.args[:1]
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), given[0] if given else None)
+    return mode is not None and (
+        not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+")
+    )
+
+
 def test_the_cli_has_one_boundary():
     # main alone turns an AcrError into an exit code and a JSON line; the
     # one other handler is estimate-pose's advisory planar-degeneracy
-    # screen.  _input alone reads an input file.
+    # screen.  _input alone reads an input file, and _write alone writes an
+    # output file.
     tree = ast.parse((SRC / "acrkit" / "cli.py").read_text())
-    handlers, fails, reads = [], [], []
+    handlers, fails, reads, writes = [], [], [], []
     for stmt in tree.body:
         owner = stmt.name if isinstance(stmt, ast.FunctionDef) else f"line {stmt.lineno}"
         for node in ast.walk(stmt):
@@ -406,7 +424,10 @@ def test_the_cli_has_one_boundary():
                     fails.append(owner)
                 if _reads_a_file(node):
                     reads.append(owner)
+                if _writes_a_file(node):
+                    writes.append(owner)
     assert sorted(owner for owner, _ in handlers) == ["main", "main", "run_estimate_pose"]
     assert all("estimate_homography_ransac" in called for owner, called in handlers if owner != "main")
     assert fails == ["main", "main"]
     assert reads == ["_input", "_input"]
+    assert writes == ["_write"]

@@ -191,6 +191,33 @@ class TestPlaneSegmentMap:
         with pytest.raises(InvalidInputError):
             PlaneSegmentMap(lab)
 
+    @pytest.mark.parametrize("label", [2**31, 2**32 + 1, 2**64 - 1, -1, 1.5, math.nan, math.inf])
+    def test_ids_int32_cannot_hold_or_not_integral_are_invalid(self, label):
+        # The ids are checked on the input's own values: an int32 cast first
+        # read 2**32 + 1 as plane 1 and 2**31 as a negative label.
+        with pytest.raises(InvalidInputError):
+            PlaneSegmentMap(np.array([[label, 0]]))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, ">u2", np.int64, np.float32])
+    def test_every_integral_dtype_gives_the_int32_map(self, dtype):
+        lab = np.zeros((6, 9), dtype=np.int32)
+        lab[1:5, 2:8] = 1
+        if dtype is not bool:
+            lab[2:4, 4:6] = 2
+        m, given = PlaneSegmentMap(lab), PlaneSegmentMap(lab.astype(dtype))
+        np.testing.assert_array_equal(given.runs, m.runs)
+        np.testing.assert_array_equal(given.labels, lab)
+        assert given.labels.dtype == np.int32 and given.num_planes == m.num_planes
+
+    def test_a_map_holds_no_pixel_array_until_its_labels_are_read(self):
+        lab = np.zeros((120, 160), dtype=np.int32)
+        lab[10:90, 20:70], lab[30:110, 60:150] = 1, 2
+        pgm = PlaneSegmentMap(lab).to_pgm_bytes()
+        for m in (PlaneSegmentMap(lab), PlaneSegmentMap.from_pgm_bytes(pgm)):
+            assert sorted(vars(m)) == ["_labels", "_num_planes", "_run_keys", "_runs", "_shape"]
+            assert m._labels is None and m.runs.size + m._run_keys.size < lab.size // 10
+            np.testing.assert_array_equal(m.labels, lab)
+
     def test_label_lookup_out_of_image(self):
         m = _mask((10, 10), {1: (slice(2, 5), slice(2, 5))})
         labels = m.label_at(np.array([[3.0, 3.0], [-5.0, 3.0], [100.0, 3.0]]))
@@ -224,7 +251,7 @@ class TestPlaneSegmentMap:
         back = PlaneSegmentMap.load(tmp_path / "m.pgm")
         np.testing.assert_array_equal(back.labels, m.labels)
         np.testing.assert_array_equal(back.runs, m.runs)
-        np.testing.assert_array_equal(back._areas, m._areas)
+        assert back.num_planes == m.num_planes
 
 
 class TestErodeMask:
@@ -371,7 +398,7 @@ class TestRunSources:
         m = RUN_SOURCES[source](seed)
         fresh = PlaneSegmentMap(m.labels)
         np.testing.assert_array_equal(m.runs, fresh.runs)
-        np.testing.assert_array_equal(m._areas, fresh._areas)
+        assert m.num_planes == fresh.num_planes
         assert m.runs.dtype == np.int64 and not m.runs.flags.writeable
         assert m.labels.dtype == np.int32 and not m.labels.flags.writeable
 

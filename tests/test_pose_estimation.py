@@ -539,6 +539,11 @@ METHODS = ("homography", "epipolar")
 
 
 class TestChunkedRansac:
+    def test_an_all_inlier_consensus_needs_one_draw(self):
+        # The ratio is clipped below 1, and the iteration formula itself
+        # gives one draw there for both minimal sample sizes.
+        assert _adaptive_iters(1.0, 4) == _adaptive_iters(1.0, 8) == 1
+
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("inlier_ratio", [0.3, 0.5, 0.7, 0.9, 1.0])
     @pytest.mark.parametrize("max_iters", [1, 7, 200])

@@ -90,8 +90,7 @@ class TestGenerateScene:
     def test_off_plane_classification(self):
         world = generate_scene(dataclasses.replace(mural_scene(seed=0), clutter_count=25))
         in_plane = world.in_plane_tracks()
-        detected = world.detected_plane_ids
-        assert set(detected) == {1, 2, 3}
+        assert set(world.plane_index[in_plane]) == {1, 2, 3}
         assert not in_plane[world.plane_index == 0].any()
         assert not in_plane[world.plane_index == 4].any()  # undetected wall
         assert in_plane[world.plane_index == 1].all()
@@ -182,7 +181,7 @@ class TestObserve:
         moved = (
             np.abs(obs.correspondences.b - obs.truth.clean_b).max(axis=1) > 1e-9
         )
-        in_plane = np.isin(obs.correspondences.track_id, world.track_id[world.in_plane_tracks()])
+        in_plane = np.isin(obs.correspondences.track_id, np.flatnonzero(world.in_plane_tracks()))
         off_rate = moved[~in_plane].mean()
         in_rate = moved[in_plane].mean()
         assert abs(off_rate - 0.6) < 0.02
@@ -370,12 +369,60 @@ class TestVisibilityRule:
         intr = SMALL_INTRINSICS
         u, v = (a.ravel().astype(float) for a in np.meshgrid(np.arange(w), np.arange(h)))
         points = 2.0 * np.stack([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, np.ones(u.size)], axis=1)
-        world = simulator.World(points, np.full(u.size, 2), np.arange(u.size), spec)
+        world = simulator.World(points, np.full(u.size, 2), spec)
         px, depths = project_points(intr, Pose.identity(), points)
         hidden = simulator._occluded(world, Pose.identity(), intr, px, depths)
         labels = render_plane_mask(world, Pose.identity(), intr, SMALL_IMAGE_SIZE).label_at(px)
         np.testing.assert_array_equal(hidden, labels == 1)
         assert hidden.sum() > 50 and labels[95 * w + 80] == 2
+
+    @pytest.mark.parametrize("case", ["vertex-behind", "beside-the-corner"])
+    def test_a_patch_that_covers_no_pixel_changes_nothing(self, case):
+        # A floor patch reaching behind the camera is not drawn at all, though
+        # its front part would hide tracks.  A triangle beside the image's
+        # top-left corner has a box that overlaps the image and covers none
+        # of its pixels.  Either way the view is the one without the patch.
+        base = generate_scene(corner_scene(seed=0))
+        if case == "vertex-behind":
+            patch = _patch((0.0, 0.05, 0.2), (0.3, 0.3), normal=(0.0, 1.0, 0.0))
+            in_front = _patch((0.0, 0.05, 0.3), (0.3, 0.2), normal=(0.0, 1.0, 0.0))
+            hidden = _occluded_in(_with_patch(base, in_front), Pose.identity())
+            assert (hidden & ~_occluded_in(base, Pose.identity())).sum() > 50
+        else:
+            patch = _patch_at_pixels(((-300, -300), (40, -300), (-300, 40)), 0.3)
+        world = _with_patch(base, patch)
+        pose = Pose(Rotation.about_z(2.0), np.array([0.01, -0.005, 0.01]))
+        obs, plain = observe_world(world, pose, seed=1), observe_world(base, pose, seed=1)
+        for extrinsic in (Pose.identity(), pose):
+            np.testing.assert_array_equal(_occluded_in(world, extrinsic), _occluded_in(base, extrinsic))
+        for side in ("a", "b", "track_id"):
+            got, expected = getattr(obs.correspondences, side), getattr(plain.correspondences, side)
+            np.testing.assert_array_equal(got, expected)
+        for mask, expected in ((obs.mask_ref, plain.mask_ref), (obs.mask_cur, plain.mask_cur)):
+            np.testing.assert_array_equal(mask.runs, expected.runs)
+            assert mask.num_planes == expected.num_planes == 3
+
+
+def _with_patch(world, patch: PlaneSpec):
+    """``world`` with ``patch`` as its last plane, which holds no point."""
+    spec = SceneSpec(planes=world.spec.planes + (patch,))
+    return simulator.World(world.points, world.plane_index, spec)
+
+
+def _occluded_in(world, extrinsic: Pose) -> np.ndarray:
+    """Which of ``world``'s tracks a patch hides in the desk rig's view."""
+    px, depths = project_points(DESK_INTRINSICS, extrinsic, world.points)
+    return simulator._occluded(world, extrinsic, DESK_INTRINSICS, px, depths)
+
+
+def _patch_at_pixels(pixels, depth: float) -> PlaneSpec:
+    """A fronto-parallel patch at ``depth`` whose vertices the desk rig's
+    reference camera sees at ``pixels``."""
+    intr = DESK_INTRINSICS
+    origin, e_u, e_v = _patch((0.0, 0.0, depth), (1.0, 1.0)).basis()
+    corners = np.array([((u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, 1.0) for u, v in pixels])
+    polygon = tuple((float((p - origin) @ e_u), float((p - origin) @ e_v)) for p in depth * corners)
+    return _patch((0.0, 0.0, depth), None, polygon=polygon)
 
 
 def _oracle_labels(world, extrinsic, intr, image_size):
@@ -424,8 +471,7 @@ def _assert_same_mask(mask: PlaneSegmentMap, expected: PlaneSegmentMap):
     # The trusted constructor's counts equal a full validation's.
     checked = PlaneSegmentMap(mask.labels)
     assert mask.num_planes == checked.num_planes == expected.num_planes
-    np.testing.assert_array_equal(mask._areas, checked._areas)
-    assert mask._areas.dtype == checked._areas.dtype
+    np.testing.assert_array_equal(mask.runs, checked.runs)
 
 
 SMALL_INTRINSICS = Intrinsics(fx=150.0, fy=150.0, cx=80.0, cy=60.0)
