@@ -112,10 +112,9 @@ class MotionExecutor(Protocol):
     hand-eye pose and returns a new observation; ``observe`` returns one
     without moving.  The loop assumes the same hand-eye pose for every
     command: :func:`run_acr` estimates part of it from the init move and
-    conjugates every later command by that estimate.  Implementations must
-    expose the camera intrinsics and image size used for the observations,
-    as attributes or properties.  The protocol is structural: a class
-    conforms by having these members, and nothing checks it at run time.
+    conjugates every later command by that estimate.  The loop reads the
+    camera intrinsics used for the observations.  The protocol is
+    structural: nothing checks it at run time.
     """
 
     intrinsics: Intrinsics

@@ -610,8 +610,11 @@ def run_bench_noise(cfg: dict) -> None:
         max_iters=cfg["max_iters"],
     )
     header = ["r", "mu", "trial", "method", "rot_err_deg", "dir_err_deg"]
-    cells = [[_fmt(x.r), _fmt(x.mu), x.trial, x.method, _fmt(x.rot_err_deg), _fmt(x.dir_err_deg)]
-             for x in rows]
+    cells = [
+        [_fmt(row.r), _fmt(row.mu), row.trial, row.method]
+        + [_fmt(row.rot_err_deg), _fmt(row.dir_err_deg)]
+        for row in rows
+    ]
     _write(cfg["output"], _csv([header] + cells))
 
     summary = _bench_summary(rows, r_values, mu_values)

@@ -54,10 +54,11 @@ class PlaneSegmentMap:
         if (lab.dtype.kind not in "biuf" or label.min(initial=0) < 0
                 or not np.array_equal(np.trunc(label), label)):
             raise InvalidInputError("labels must be non-negative integers")
-        # Ids past the run count leave a gap; clipped to it, none wraps in the cast.
-        label = np.minimum(label, label.size + 1).astype(np.int64)
-        top = int(label.max(initial=0))
-        self._finish(lab.shape, np.vstack([ends, label]), top)
+        # An id past the run count leaves a gap; refused before the cast, none wraps.
+        top = label.max(initial=0)
+        if top > label.size:
+            raise InvalidInputError("plane ids must be contiguous 1..H")
+        self._finish(lab.shape, np.vstack([ends, label.astype(np.int64)]), int(top))
         if self._num_planes < top:
             raise InvalidInputError("plane ids must be contiguous 1..H")
 
@@ -146,7 +147,8 @@ class PlaneSegmentMap:
             raise InvalidInputError("not a binary PGM (P5) stream")
         width, height, maxval = (int(m.group(i)) for i in (1, 2, 3))
         dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
-        size, given = width * height * dtype.itemsize, len(data) - m.end()
+        size = width * height * dtype.itemsize
+        given = len(data) - m.end()
         if given < size:
             raise InvalidInputError(f"PGM pixel block has {given} bytes, its header needs {size}")
         # Read in place: neither the pixel block nor the array is copied.

@@ -265,7 +265,11 @@ def generate_scene(spec: SceneSpec) -> World:
         pts = rng.uniform(box[:, 0], box[:, 1], size=(spec.clutter_count, 3))
         points.append(pts)
         labels.append(np.zeros(spec.clutter_count, dtype=np.int64))
-    return World(points=np.vstack(points), plane_index=np.concatenate(labels), spec=spec)
+    return World(
+        points=np.vstack(points),
+        plane_index=np.concatenate(labels),
+        spec=spec,
+    )
 
 
 def _half_planes(polygon: np.ndarray, margin: float) -> list:
@@ -823,9 +827,12 @@ class SimulatedExecutor:
         seed: int = 0,
     ):
         self._rig = rig
-        self.intrinsics, self.image_size = rig.intrinsics, rig.image_size
+        self.intrinsics = rig.intrinsics
+        self.image_size = rig.image_size
         self._extrinsic = initial_offset  # maps reference frame to current
-        self._noise, self._lighting, self._seed = noise, lighting, seed
+        self._noise = noise
+        self._lighting = lighting
+        self._seed = seed
         self._observations = 0
         self.motions_executed = 0
         self._reference = reference_view(world, rig.intrinsics, rig.image_size, True)

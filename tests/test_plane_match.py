@@ -209,6 +209,19 @@ class TestPlaneSegmentMap:
         np.testing.assert_array_equal(given.labels, lab)
         assert given.labels.dtype == np.int32 and given.num_planes == m.num_planes
 
+    @pytest.mark.parametrize("dtype, rows", [(np.uint8, 300), (">u2", 65536)])
+    def test_more_runs_than_the_dtype_holds_give_the_int32_map(self, dtype, rows):
+        # One run per row: the run count passes the dtype's largest value.
+        lab = np.zeros((rows, 3), dtype=np.int32)
+        lab[:, 1] = 1
+        lab[::2, 2] = 2
+        m = PlaneSegmentMap(lab)
+        header = f"P5\n3 {rows}\n{np.iinfo(dtype).max}\n".encode("ascii")
+        for given in (PlaneSegmentMap(lab.astype(dtype)),
+                      PlaneSegmentMap.from_pgm_bytes(header + lab.astype(dtype).tobytes())):
+            np.testing.assert_array_equal(given.runs, m.runs)
+            assert given.num_planes == m.num_planes == 2
+
     def test_a_map_holds_no_pixel_array_until_its_labels_are_read(self):
         lab = np.zeros((120, 160), dtype=np.int32)
         lab[10:90, 20:70], lab[30:110, 60:150] = 1, 2
