@@ -3,7 +3,7 @@
 Both loops run on one driver, :func:`_relocalize`.  A method gives it a
 ``start`` and a ``step``.  ``start`` makes the method's initial moves and
 returns its records so far, the first observation and the step.
-``step(obs, index)`` returns ``(estimate, scale, zero_motion)``: the
+``step(obs)`` returns ``(estimate, scale, zero_motion)``: the
 estimated relative pose (reference camera into current camera) as a
 :class:`DirectionalPose`, the metric length of the remaining translation,
 and whether the estimate has no usable direction (its scale is then 0).
@@ -17,11 +17,12 @@ command is the hand motion X^-1 C X for the camera-frame motion C from
 executor's X M X^-1 moves the camera by C when X is right.
 
 :func:`run_acr` is the scale-computing loop: its start executes one known
-init translation to anchor metric depths, and its step estimates the pose
-from matched plane regions and the scale from one linear system.  The init
-move also measures the swing of X's rotation, the part that turns the
-commanded translation's direction (:func:`_hand_eye_swing`); the twist
-about that direction and X's offset stay unseen and are taken as zero.
+init translation to anchor metric depths, at most ``MAX_SYSTEM_POINTS`` of
+them, and its step estimates the pose from matched plane regions and the
+scale from one linear system.  The init move also measures the swing of
+X's rotation, the part that turns the commanded translation's direction
+(:func:`_hand_eye_swing`); the twist about that direction and X's offset
+stay unseen and are taken as zero.
 :func:`run_bisection_baseline` is the scale-guessing prior strategy: it
 has no init, and its start takes X as the identity, so its commands are
 exactly :func:`hand_motion_from_estimate`'s.  Its step halves a guessed
@@ -36,6 +37,7 @@ against the reference can drive the loop.  The simulated executor lives in
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -65,6 +67,7 @@ from .pose_estimation import (
     join_on_tracks,
 )
 from .scale_solver import (
+    MAX_SYSTEM_POINTS,
     MIN_SYSTEM_POINTS,
     SparseDepthMap,
     depth_map_current,
@@ -272,7 +275,7 @@ def _depth_pairs(
 ) -> CorrespondenceSet:
     """The pairs of ``c`` on ``estimate``'s inlier tracks that carry a metric
     depth in ``depth_map`` (every inlier pair without one), in ``c``'s order:
-    the scale solve subsamples an oversized set by index."""
+    the init draws its depth map's pairs by index."""
     keep = np.isin(c.track_id, estimate.inlier_track_ids)
     if depth_map is not None:
         keep &= depth_map.known(c.track_id)
@@ -312,6 +315,8 @@ def _depth_profile_chooser(intr: Intrinsics, depth_map, side: str):
         if int(usable.sum()) < MIN_SYSTEM_POINTS:
             return 0
         subset = inliers.subset(usable)
+        reference = depth_map.lookup(subset.track_id)
+        reference = reference / np.linalg.norm(reference)
         best = 0
         best_score = np.inf
         for k, cand in enumerate(candidates):
@@ -321,8 +326,6 @@ def _depth_profile_chooser(intr: Intrinsics, depth_map, side: str):
                 sol = solve_scale_system(subset, intr, cand.pose)
             except AcrError:
                 continue
-            reference = depth_map.lookup(sol.track_id)
-            reference = reference / np.linalg.norm(reference)
             profile = sol.d_a if side == "a" else sol.d_b
             profile = profile / np.linalg.norm(profile)
             score = 1.0 - float(profile @ reference)
@@ -346,7 +349,7 @@ def _relocalize(executor: MotionExecutor, cfg: AcrConfig, start) -> AcrTrace:
     try:
         records, obs, step, hand_eye = start()
         for index in range(1, cfg.max_iterations + 1):
-            estimate, scale, zero_motion = step(obs, index)
+            estimate, scale, zero_motion = step(obs)
             converged = (
                 scale < cfg.scale_epsilon
                 and rotation_angle(estimate.rotation) < cfg.rotation_epsilon
@@ -401,30 +404,28 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
         # camera moved along minus its direction.
         hand_eye = Pose(_hand_eye_swing(t_init, -est_0i.pose.direction))
         s_init = init_scale(t_init, est_0i.pose)
-        sol_init = solve_scale_system(_depth_pairs(pair_0i, est_0i), intr, est_0i.pose)
-        d_current = depth_map_current(sol_init, s_init)
+        pair_init = _depth_pairs(pair_0i, est_0i)
+        if len(pair_init) > MAX_SYSTEM_POINTS:  # a fixed draw of the depth map's tracks
+            draw = np.random.default_rng(0).choice(len(pair_init), MAX_SYSTEM_POINTS, replace=False)
+            pair_init = pair_init.subset(np.sort(draw))
+        d_current = depth_map_current(solve_scale_system(pair_init, intr, est_0i.pose), s_init)
 
         # The current image is the B side of the (reference, current) pair.
         est_r0 = reselect_candidates(
             i2pe(obs0.correspondences, obs0.mask_ref, obs0.mask_cur, intr),
             _depth_profile_chooser(intr, d_current, "b"),
         )
-        if est_r0.zero_motion:
-            # Already at the reference up to parallax; reuse current depths
-            # as reference depths.
-            d_ref = d_current
-        else:
+        # A start at the reference up to parallax, or so close to it that
+        # the solve finds no scale, keeps the current depths as reference
+        # depths: they agree to within the (tiny) remaining motion.
+        d_ref = d_current
+        if not est_r0.zero_motion:
             pair_r0 = _depth_pairs(obs0.correspondences, est_r0, d_current)
-            try:
+            with suppress(*NO_SCALE_SIGNAL):
                 sol_r0 = solve_scale_system(pair_r0, intr, est_r0.pose)
                 d_ref = depth_map_reference(sol_r0, d_current)
-            except NO_SCALE_SIGNAL:
-                # The start is so close to the reference that the current
-                # depths are the reference depths to within the (tiny)
-                # remaining motion.
-                d_ref = d_current
 
-        def step(obs, index):
+        def step(obs):
             estimate = reselect_candidates(
                 i2pe(obs.correspondences, obs.mask_ref, obs.mask_cur, intr),
                 _depth_profile_chooser(intr, d_ref, "a"),
@@ -433,7 +434,7 @@ def run_acr(executor: MotionExecutor, cfg: AcrConfig = None) -> AcrTrace:
                 return estimate.pose, 0.0, True
             pair = _depth_pairs(obs.correspondences, estimate, d_ref)
             try:
-                sol = solve_scale_system(pair, intr, estimate.pose, subsample_seed=index)
+                sol = solve_scale_system(pair, intr, estimate.pose)
                 return estimate.pose, iteration_scale(sol, d_ref), False
             except NO_SCALE_SIGNAL:
                 # Correct only the rotation and re-measure after the move.
@@ -468,10 +469,12 @@ def run_bisection_baseline(executor: MotionExecutor, cfg: AcrConfig = None) -> A
     # Command rotations executed since prev_direction was recorded; used to
     # express the old direction in the current camera frame.
     frame_drift = np.eye(3)
+    passes = 0  # the steps taken: each seeds its epipolar RANSAC with its count
 
-    def step(obs, index):
-        nonlocal step_m, prev_direction, frame_drift
-        hyp = estimate_epipolar(obs.correspondences, executor.intrinsics, seed=index)
+    def step(obs):
+        nonlocal step_m, prev_direction, frame_drift, passes
+        passes += 1
+        hyp = estimate_epipolar(obs.correspondences, executor.intrinsics, seed=passes)
         estimate = hyp.pose  # maps reference frame to current frame
         scale = 0.0  # correct only the rotation
         if not (hyp.unstable_translation or step_m < cfg.scale_epsilon):

@@ -234,6 +234,17 @@ def _nullable(read):
     return lambda value, where: None if value is None else read(value, where)
 
 
+def _rotation(value, where) -> Rotation:
+    """The reader of a rotation matrix, row by row, as the rotation nearest
+    to it.  Its determinant must be positive and its drift max|R^T R - I|
+    at most 1e-3: a matrix typed to 4 decimals drifts below 4e-4, and a
+    scaled matrix, a reflection or a zero matrix far past it."""
+    m = np.reshape(_each(_of(float), 9)(value, where), (3, 3))
+    if not (np.linalg.det(m) > 0 and np.abs(m.T @ m - np.eye(3)).max() <= 1e-3):
+        raise InvalidInputError(f"{where} must be a rotation matrix, got {list(value)}")
+    return Rotation.from_matrix(m)
+
+
 def _read(doc, table: dict, where: str) -> dict:
     """The value of every key of ``table`` in the JSON object ``doc`` at
     ``where`` ("" for a whole configuration), read from the object or from
@@ -285,8 +296,8 @@ INTRINSICS_KEYS = _fields(
     Intrinsics, fx=(_NUMBER, "px"), fy=(_NUMBER, "px"), cx=(_NUMBER, "px"), cy=(_NUMBER, "px")
 )
 _intrinsics = _object(INTRINSICS_KEYS, Intrinsics)
-POSE_KEYS = {"r": (_each(_NUMBER, 9), REQUIRED, "[9], row by row"), "t": (_VECTOR, REQUIRED, "[3]")}
-_rigid = _object(POSE_KEYS, lambda **rt: Pose.from_json_dict(rt))
+POSE_KEYS = {"r": (_rotation, REQUIRED, "[9], row by row"), "t": (_VECTOR, REQUIRED, "[3]")}
+_rigid = _object(POSE_KEYS, lambda r, t: Pose(r, t))
 _BOUNDS = {"max_rotation_deg": (_of("bound"), 0.0, "deg"), "max_offset_m": (_of("bound"), 0.0, "m")}
 RANDOM_POSE_KEYS = {"random": (_object(_BOUNDS), REQUIRED, "bounds of a uniform random pose")}
 
@@ -422,12 +433,10 @@ BENCH_KEYS = {
                   f"RANSAC budget (default {simulator.BENCH_RANSAC_ITERS})"),
     "output": (_output, "bench_noise.csv", "CSV path"),
 }
-# estimate-pose's pose file as solve-scale reads it: "t" is an older name
-# of "direction", and "zero_motion" goes unread.
+# estimate-pose's pose file as solve-scale reads it; "zero_motion" goes unread.
 POSE_FILE_KEYS = {
     "r": POSE_KEYS["r"],
-    "direction": (_nullable(_VECTOR), None, "[3], the unit translation direction"),
-    "t": (_nullable(_VECTOR), None, "[3], the direction's older name"),
+    "direction": (_VECTOR, REQUIRED, "[3], the unit translation direction"),
     "zero_motion": (_of(bool), False, "bool, a pure rotation"),
 }
 
@@ -497,11 +506,7 @@ def run_solve_scale(args, out) -> None:
     corr = CorrespondenceSet.from_json_dict(_load_json(args.correspondences))
     intr = _intrinsics(_load_json(args.intrinsics), "intrinsics")
     pose = _read(_load_json(args.pose), POSE_FILE_KEYS, "pose")
-    direction = pose["t"] if pose["direction"] is None else pose["direction"]
-    if direction is None:
-        raise InvalidInputError("missing pose key: direction")
-    rotation = Rotation.from_matrix(np.reshape(pose["r"], (3, 3)))
-    solution = solve_scale_system(corr, intr, DirectionalPose(rotation, direction))
+    solution = solve_scale_system(corr, intr, DirectionalPose(pose["r"], pose["direction"]))
     tracks = [str(int(t)) for t in solution.track_id]
     doc = {
         "y": [float(v) for v in solution.y],

@@ -156,11 +156,6 @@ class Pose:
             "t": [float(v) for v in self.translation],
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "Pose":
-        r = np.asarray(d["r"], dtype=float).reshape(3, 3)
-        return Pose(Rotation.from_matrix(r), np.asarray(d["t"], dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class DirectionalPose:

@@ -88,17 +88,23 @@ class PlaneSegmentMap:
 
     @property
     def labels(self) -> np.ndarray:
-        """The (height, width) int32 label array, read-only; built on first
-        read by a running sum of label steps at the run ends."""
+        """The (height, width) int32 label array, read-only; built on first read."""
         if self._labels is None:
-            h, w = self._shape
-            row, lo, hi, label = self._runs
-            steps = np.zeros(h * w + 1, np.int32)
-            steps[row * w + lo] = label
-            steps[row * w + hi + 1] -= label  # after the starts: a run may end where one starts
-            self._labels = np.cumsum(steps[:-1], dtype=np.int32).reshape(h, w)
+            self._labels = self._raster(np.int32)[:-1].reshape(self._shape)
             self._labels.flags.writeable = False
         return self._labels
+
+    def _raster(self, dtype) -> np.ndarray:
+        """The labels in raster order as ``dtype``, and one 0 past them: a
+        running sum of label steps at the run ends, taken in place.  A sum
+        that wraps in ``dtype`` still ends on each label."""
+        h, w = self._shape
+        row, lo, hi, label = self._runs
+        steps = np.zeros(h * w + 1, dtype)
+        steps[row * w + lo] = label
+        # After the starts: a run may end where one starts.
+        steps[row * w + hi + 1] -= label.astype(dtype)
+        return np.cumsum(steps, dtype=dtype, out=steps)
 
     @property
     def width(self) -> int:
@@ -133,10 +139,15 @@ class PlaneSegmentMap:
         return out
 
     def to_pgm_bytes(self) -> bytes:
+        """The map as a 16-bit PGM, its big-endian pixels summed straight
+        from the runs; no label array is kept."""
         if self.num_planes > 65535:
             raise InvalidInputError("more plane ids than a 16-bit PGM can hold")
         header = f"P5\n{self.width} {self.height}\n65535\n".encode("ascii")
-        return header + self.labels.astype(">u2").tobytes()
+        pixels = self._raster(np.uint16)
+        if np.little_endian:
+            pixels.byteswap(inplace=True)
+        return b"".join([header, pixels[:-1].data])
 
     @staticmethod
     def from_pgm_bytes(data: bytes) -> "PlaneSegmentMap":

@@ -44,9 +44,10 @@ from .pose_estimation import CorrespondenceSet, _rays
 # exceeds one and the geometry cannot fix the scale.
 AMBIGUITY_GAP = 1e-8
 
-# Cap on correspondences fed into one solve, and the fewest it accepts.
-MAX_SYSTEM_POINTS = 512
+# The fewest correspondences one solve accepts, and the init depth map's
+# cap: run_acr's init solve draws at most this many of its pairs.
 MIN_SYSTEM_POINTS = 8
+MAX_SYSTEM_POINTS = 512
 
 # One track's symmetric stationarity block over (da, db, s): indices into
 # and signs of its (alpha, beta, gamma, delta, epsilon, zeta) coefficients.
@@ -247,30 +248,20 @@ def _arrowhead_eigen(arr: np.ndarray):
 
 
 def solve_scale_system(
-    c: CorrespondenceSet,
-    intr: Intrinsics,
-    pose: DirectionalPose,
-    subsample_seed: int = 0,
+    c: CorrespondenceSet, intr: Intrinsics, pose: DirectionalPose
 ) -> ScaleSolution:
-    """Build and solve the system for one correspondence set.
+    """Build and solve the system over every pair of one correspondence set.
 
-    Sets larger than ``MAX_SYSTEM_POINTS`` are subsampled deterministically
-    (by ``subsample_seed``) to keep the solve cheap; smaller than
-    ``MIN_SYSTEM_POINTS`` is rejected for noise resilience.  The solve is
-    exact and O(N), through the secular equation of the block-arrowhead
-    ``A^T A``.
+    Fewer than ``MIN_SYSTEM_POINTS`` pairs are rejected for noise
+    resilience.  The solve is exact and O(N), through the secular equation
+    of the block-arrowhead ``A^T A``.
     """
     if len(c) < MIN_SYSTEM_POINTS:
         raise InsufficientDataError(
             f"scale system needs >= {MIN_SYSTEM_POINTS} correspondences, got {len(c)}"
         )
-    use = c
-    if len(c) > MAX_SYSTEM_POINTS:
-        rng = np.random.default_rng(subsample_seed)
-        idx = np.sort(rng.choice(len(c), size=MAX_SYSTEM_POINTS, replace=False))
-        use = c.subset(idx)
-    w, y = _arrowhead_eigen(coefficient_arrays(use.a, use.b, intr, pose))
-    return _checked_solution(w, y, use.track_id)
+    w, y = _arrowhead_eigen(coefficient_arrays(c.a, c.b, intr, pose))
+    return _checked_solution(w, y, c.track_id)
 
 
 @dataclass(frozen=True, eq=False)

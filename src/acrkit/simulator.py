@@ -73,7 +73,9 @@ class PlaneSpec:
     The polygon lives in plane-local (u, v) coordinates (meters) around
     ``center`` (a point on the plane, defaulting to ``offset * normal``).
     ``detected`` states whether the segmentation knows this plane; points
-    of undetected planes count as off-plane for the lighting proxy.
+    of undetected planes count as off-plane for the lighting proxy.  A zero
+    normal or a polygon that :meth:`local_polygon` refuses is an
+    :class:`InvalidSceneError` on construction.
     """
 
     normal: tuple
@@ -83,6 +85,9 @@ class PlaneSpec:
     count: int = 250
     center: tuple = None
     detected: bool = True
+
+    def __post_init__(self):
+        self._world_polygon  # checks, and caches, the geometry
 
     def unit_normal(self) -> np.ndarray:
         return self._frame[0]
@@ -111,9 +116,8 @@ class PlaneSpec:
         """(origin, e_u, e_v) of the local frame; deterministic in normal."""
         return self._frame[1:]
 
-    # The spec is frozen, so its geometry is computed once, on first use
-    # (an invalid spec raises then, and again on every later use), and
-    # handed out read-only.
+    # The spec is frozen, so its geometry is computed once, on
+    # construction, and handed out read-only.
     @cached_property
     def _frame(self):
         """(unit normal, origin, e_u, e_v)."""
@@ -638,8 +642,7 @@ def render_plane_mask(
     segments of near-parallel patches are halved.  The map is built
     straight from the decided segments: neighbours in a row with one label
     merge into that label's run, and no per-pixel array is painted.  Ids
-    are contiguous in plane order over the patches that keep a pixel, and
-    the region areas are the run lengths.
+    are contiguous in plane order over the patches that keep a pixel.
     """
     w, h = int(image_size[0]), int(image_size[1])
     drawn = []  # (lo, hi, plane_c) of each patch that covers a pixel

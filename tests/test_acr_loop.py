@@ -23,7 +23,7 @@ from acrkit.acr_loop import (
 from acrkit.errors import AmbiguousNullspaceError, InvalidInputError
 from acrkit.geometry import DirectionalPose, Pose, Rotation, compose, rotation_angle
 from acrkit.pose_estimation import CorrespondenceSet, PoseHypothesis
-from acrkit.scale_solver import MIN_SYSTEM_POINTS, SparseDepthMap
+from acrkit.scale_solver import MAX_SYSTEM_POINTS, MIN_SYSTEM_POINTS, SparseDepthMap
 
 
 def _scenario(seed: int, **overrides):
@@ -67,6 +67,27 @@ class TestRunAcr:
         residual = executor.true_residual
         assert rotation_angle(residual.rotation) < 0.1
         assert np.linalg.norm(residual.translation) < 2e-3
+
+    def test_init_solve_takes_a_fixed_draw_of_the_depth_map_cap(self, monkeypatch):
+        # The clean corner's init pair has more depth pairs than the cap:
+        # its solve gets the sorted draw of default_rng(0) from them, and
+        # every later solve keys on that depth map, so it gets no more.
+        pairs, solved = [], []
+        depth_pairs, solve = acr_loop._depth_pairs, acr_loop.solve_scale_system
+        monkeypatch.setattr(
+            acr_loop, "_depth_pairs", lambda *args: pairs.append(depth_pairs(*args)) or pairs[-1]
+        )
+        monkeypatch.setattr(
+            acr_loop, "solve_scale_system", lambda c, *args: solved.append(c) or solve(c, *args)
+        )
+        trace, _ = _run(run_acr)
+        assert trace.status == "converged"
+        n = len(pairs[0])
+        assert n > MAX_SYSTEM_POINTS
+        draw = np.sort(np.random.default_rng(0).choice(n, MAX_SYSTEM_POINTS, replace=False))
+        np.testing.assert_array_equal(solved[0].track_id, pairs[0].track_id[draw])
+        np.testing.assert_array_equal(solved[0].a, pairs[0].a[draw])
+        assert max(len(c) for c in solved[1:]) <= MAX_SYSTEM_POINTS
 
     def test_rerun_gives_identical_trace(self, acr_run):
         trace, _ = acr_run
@@ -159,6 +180,7 @@ class TestAcrConfig:
             {"rotation_epsilon": float("nan")},
             {"scale_epsilon": float("inf")},
             {"rotation_epsilon": 0.0},
+            {"max_iterations": 0},
         ],
     )
     def test_rejected_before_any_move(self, kwargs):

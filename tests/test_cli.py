@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 
 from acrkit import cli, fusion, simulator
 from acrkit.acr_loop import AcrConfig
+from acrkit.errors import EstimationFailureError
 from acrkit.fusion import i2pe, reselect_candidates
 from acrkit.plane_match import PlaneSegmentMap
 from acrkit.pose_estimation import CorrespondenceSet
@@ -336,6 +340,17 @@ class TestEstimatePose:
         assert report["method"] == "epipolar"
         assert "planar-degeneracy" in report["warnings"]
         assert len(json.loads(Path(paths["pose"]).read_text())["r"]) == 9
+
+    def test_epipolar_whose_planar_screen_fails_warns_nothing(self, tmp_path, monkeypatch, capsys):
+        # The planar-degeneracy screen only advises: a homography RANSAC
+        # that fails leaves the epipolar pose, written without a warning.
+        def fail(*args, **kwargs):
+            raise EstimationFailureError("stubbed failure")
+
+        monkeypatch.setattr(cli, "estimate_homography_ransac", fail)
+        assert cli.main(self._inputs(tmp_path) + ["--method", "epipolar"]) == 0
+        report = json.loads(Path(self._last_json(capsys)["report"]).read_text())
+        assert report["method"] == "epipolar" and report["warnings"] == []
 
     def test_i2pe_report_names_the_input_masks_ids(self, tmp_path, capsys):
         # As in match-planes: the one usable pair is region 3 on both sides.
@@ -875,7 +890,7 @@ class TestSimulateAcr:
 
 class TestSolveScale:
     @staticmethod
-    def _inputs(tmp_path):
+    def _inputs(tmp_path, count=40):
         # Exact pairs of points in general position under a known motion.
         rotation = Rotation.about_z(4.0).compose(Rotation.about_x(-3.0))
         direction = np.array([0.6, -0.3, 0.74])
@@ -884,7 +899,7 @@ class TestSolveScale:
             Intrinsics(fx=1100.0, fy=1100.0, cx=640.0, cy=480.0),
             rotation,
             0.08 * direction,
-            count=40,
+            count=count,
         )
         c.save(tmp_path / "corr.json")
         (tmp_path / "intr.json").write_text(
@@ -918,6 +933,20 @@ class TestSolveScale:
         assert self._last_json(capsys)["residual"] < 1e-6
         assert len(json.loads(output.read_text())["depth_ratio_a"]) == 40
 
+    def test_every_pair_of_the_file_is_solved(self, tmp_path, capsys):
+        output = tmp_path / "scale.json"
+        assert cli.main(self._inputs(tmp_path, count=700) + ["--output", str(output)]) == 0
+        doc = json.loads(output.read_text())
+        assert len(doc["depth_ratio_a"]) == len(doc["depth_ratio_b"]) == 700
+
+    def test_a_rotation_typed_to_four_decimals_solves(self, tmp_path, capsys):
+        argv = self._inputs(tmp_path)
+        pose = tmp_path / "pose.json"
+        doc = json.loads(pose.read_text())
+        pose.write_text(json.dumps({**doc, "r": [round(v, 4) for v in doc["r"]]}))
+        assert cli.main(argv) == 0
+        assert self._last_json(capsys)["residual"] < 1e-3
+
     def test_missing_pose_is_missing_input(self, tmp_path, capsys):
         argv = self._inputs(tmp_path)
         argv[argv.index("--pose") + 1] = str(tmp_path / "absent.json")
@@ -926,13 +955,23 @@ class TestSolveScale:
         assert self._last_json(capsys)["error"] == "missing-input"
 
     def test_pose_without_a_direction_is_invalid_input(self, tmp_path, capsys):
-        # Neither "direction" nor its older name "t": a malformed pose file.
+        # A pose file without its direction is malformed.
         argv = self._inputs(tmp_path)
         pose = tmp_path / "pose.json"
         pose.write_text(json.dumps({"r": json.loads(pose.read_text())["r"]}))
         assert cli.main(argv) == 2
         assert self._last_json(capsys) == {
             "error": "invalid-input", "message": "missing pose key: direction"
+        }
+
+    def test_a_direction_named_t_is_an_unknown_key(self, tmp_path, capsys):
+        argv = self._inputs(tmp_path)
+        pose = tmp_path / "pose.json"
+        doc = json.loads(pose.read_text())
+        pose.write_text(json.dumps({"r": doc["r"], "t": doc["direction"]}))
+        assert cli.main(argv) == 2
+        assert self._last_json(capsys) == {
+            "error": "invalid-input", "message": "unknown pose key(s): t"
         }
 
 
@@ -1053,6 +1092,8 @@ _LISTED_SCENE = {
 }
 _PLANE = ("scene", "planes", 0)
 _IDENTITY = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+_REFLECTION = [1, 0, 0, 0, 1, 0, 0, 0, -1]
+_BOW_TIE = [[0, 0], [0.1, 0.1], [0.1, 0], [0, 0.1]]
 
 # Inputs that a typo, a non-finite number or a size outside its range once
 # let through to a traceback, to a run that cannot succeed, or to a run of
@@ -1175,6 +1216,45 @@ PROBES = {
         "simulate-acr", "config", ("scene", "clutter_count"), -1, 1,
         "scene.clutter_count must be an integer in 0..1000000, got -1",
     ),
+    "plane-normal-zero": (
+        "simulate-acr", "config", (*_PLANE, "normal"), [0, 0, 0], 1, "plane normal must be nonzero",
+    ),
+    "plane-half-extent-zero": (
+        "simulate-acr", "config", (*_PLANE, "half_extents"), [0.0, 0.2], 1,
+        "degenerate polygon extents",
+    ),
+    "plane-bow-tie": (
+        "simulate-acr", "config", (*_PLANE, "polygon"), _BOW_TIE, 1, "strictly convex",
+    ),
+    "plane-two-vertices": (
+        "simulate-acr", "config", (*_PLANE, "polygon"), [[0, 0], [0.1, 0]], 1, "at least 3",
+    ),
+    "bench-plane-bow-tie": (
+        "bench-noise", "config", ("scene",),
+        {"planes": [{"normal": [0, 0, 1], "offset": 1.5, "polygon": _BOW_TIE}]}, 1,
+        "strictly convex",
+    ),
+    "hand-eye-r-zero": (
+        "simulate-acr", "config", ("rig", "hand_eye", "r"), [0] * 9, 1,
+        "rig.hand_eye.r must be a rotation matrix",
+    ),
+    "hand-eye-r-reflection": (
+        "simulate-acr", "config", ("rig", "hand_eye", "r"), _REFLECTION, 1,
+        "rig.hand_eye.r must be a rotation matrix",
+    ),
+    "hand-eye-r-doubled": (
+        "simulate-acr", "config", ("rig", "hand_eye", "r"), [2 * v for v in _IDENTITY], 1,
+        "rig.hand_eye.r must be a rotation matrix",
+    ),
+    "motion-r-reflection": (
+        "bench-noise", "config", ("motion", "r"), _REFLECTION, 1, "motion.r must be a rotation matrix",
+    ),
+    "pose-r-reflection": (
+        "solve-scale", "pose.json", ("r",), _REFLECTION, 2, "pose.r must be a rotation matrix",
+    ),
+    "pose-r-zero": (
+        "solve-scale", "pose.json", ("r",), [0] * 9, 2, "pose.r must be a rotation matrix",
+    ),
 }
 
 # What a command runs once its inputs are read.
@@ -1238,11 +1318,28 @@ def test_probed_input_is_invalid_before_any_work(probe, tmp_path, monkeypatch, c
     _set(doc, path, value)
     edited.write_text(_raw_json(doc))
     assert cli.main(argv) == code
-    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    [line] = capsys.readouterr().out.splitlines()
+    report = json.loads(line)
     assert report["error"] == "invalid-input"
     assert message in report["message"]
     if "finite" in message:
         assert report["message"].startswith(f"{edited}: ")
+
+
+def test_the_module_runs_as_a_process(tmp_path):
+    # ``python -m acrkit.cli`` reaches main through the module's last line:
+    # a bad flag exits 1 with one JSON line on stdout and nothing on stderr.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", "acrkit.cli", "bench-noise", "--seed", "-1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 1
+    [line] = out.stdout.splitlines()
+    assert json.loads(line) == {
+        "error": "invalid-input", "message": "--seed must be a non-negative integer, got -1"
+    }
+    assert out.stderr == ""
 
 
 @pytest.mark.parametrize(

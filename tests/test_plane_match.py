@@ -231,6 +231,28 @@ class TestPlaneSegmentMap:
             assert m._labels is None and m.runs.size + m._run_keys.size < lab.size // 10
             np.testing.assert_array_equal(m.labels, lab)
 
+    def test_a_write_keeps_no_pixel_array(self):
+        lab = np.zeros((40, 60), dtype=np.int32)
+        lab[5:30, 10:50], lab[20:38, 30:58] = 1, 2
+        m = PlaneSegmentMap(lab)
+        assert m.to_pgm_bytes() == b"P5\n60 40\n65535\n" + lab.astype(">u2").tobytes()
+        assert m._labels is None
+
+    def test_ids_up_to_65535_round_trip(self):
+        # One pixel per id and a background pixel ending every row: each
+        # row's last step wraps in the 16-bit running sum.
+        lab = np.zeros((256, 257), dtype=np.int32)
+        lab[:, :256] = np.arange(256 * 256).reshape(256, 256)
+        pgm = PlaneSegmentMap(lab).to_pgm_bytes()
+        assert pgm == b"P5\n257 256\n65535\n" + lab.astype(">u2").tobytes()
+        back = PlaneSegmentMap.from_pgm_bytes(pgm)
+        assert back.num_planes == 65535
+        np.testing.assert_array_equal(back.labels, lab)
+
+    def test_a_stream_that_is_not_binary_pgm_is_invalid(self):
+        with pytest.raises(InvalidInputError, match="P5"):
+            PlaneSegmentMap.from_pgm_bytes(b"P2\n2 1\n255\n0 1\n")
+
     def test_label_lookup_out_of_image(self):
         m = _mask((10, 10), {1: (slice(2, 5), slice(2, 5))})
         labels = m.label_at(np.array([[3.0, 3.0], [-5.0, 3.0], [100.0, 3.0]]))

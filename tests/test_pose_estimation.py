@@ -93,6 +93,17 @@ class TestCorrespondenceSet:
         with pytest.raises(InvalidInputError, match=r"pairs\[1\] must be finite"):
             CorrespondenceSet.load(path)
 
+    def test_empty_pairs_give_an_empty_set(self):
+        c = CorrespondenceSet.from_json_dict({"pairs": []})
+        assert len(c) == 0 and c.a.shape == c.b.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "pairs", [[[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0, 4.0, 5.0]], [1.0, 2.0, 3.0, 4.0]]
+    )
+    def test_rows_not_four_wide_are_invalid(self, pairs):
+        with pytest.raises(InvalidInputError, match=r"rows of \[uA, vA, uB, vB\]"):
+            CorrespondenceSet.from_json_dict({"pairs": pairs})
+
     def test_shape_validation(self):
         with pytest.raises(Exception):
             CorrespondenceSet(np.zeros((3, 2)), np.zeros((4, 2)))

@@ -255,14 +255,16 @@ class TestSolveNullspace:
         with pytest.raises(InsufficientDataError):
             solve_scale_system(c, intr, DirectionalPose(Rotation.identity(), [1, 0, 0]))
 
-    def test_subsampling_cap(self, intr):
+    def test_every_pair_is_solved(self, intr):
+        # The solve takes no sample: 700 pairs, past the init depth map's
+        # cap, give 700 tracks in their order, each with its true depth.
         rotation = Rotation.about_z(3.0)
         t_dir = np.array([1.0, 0.0, 0.0])
-        c, _, _ = _two_view(intr, rotation, t_dir * 0.05, count=700)
+        c, d_a, _ = _two_view(intr, rotation, t_dir * 0.05, count=700)
         assert len(c) > MAX_SYSTEM_POINTS
         sol = solve_scale_system(c, intr, DirectionalPose(rotation, t_dir))
-        assert sol.n_points == MAX_SYSTEM_POINTS
-        assert np.isin(sol.track_id, c.track_id).all()
+        np.testing.assert_array_equal(sol.track_id, c.track_id)
+        np.testing.assert_allclose(sol.d_a / sol.s, d_a / 0.05, rtol=1e-7)
 
 
 def _svd_oracle(arr):

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from acrkit import simulator
 from acrkit.acr_loop import run_acr
-from acrkit.errors import EmptyObservationError, InvalidInputError, InvalidSceneError
+from acrkit.errors import (
+    EmptyObservationError,
+    EstimationFailureError,
+    InvalidInputError,
+    InvalidSceneError,
+)
 from acrkit.geometry import Intrinsics, Pose, Rotation, compose, project_points, rotation_angle
 from acrkit.plane_match import PlaneSegmentMap
 from acrkit.simulator import (
@@ -67,7 +72,7 @@ class TestGenerateScene:
 
     def test_degenerate_polygon_rejected(self):
         with pytest.raises(InvalidSceneError):
-            PlaneSpec(normal=(0, 0, 1), offset=1.0, half_extents=(0.0, 0.1)).local_polygon()
+            PlaneSpec(normal=(0, 0, 1), offset=1.0, half_extents=(0.0, 0.1))
 
     @pytest.mark.parametrize(
         "polygon",
@@ -85,7 +90,7 @@ class TestGenerateScene:
         # takes it as convex: a collinear or crossing polygon never filled
         # the sampler, and an L was drawn inside its corner square only.
         with pytest.raises(InvalidSceneError):
-            PlaneSpec(normal=(0, 0, 1), offset=1.0, polygon=polygon).local_polygon()
+            PlaneSpec(normal=(0, 0, 1), offset=1.0, polygon=polygon)
 
     def test_off_plane_classification(self):
         world = generate_scene(dataclasses.replace(mural_scene(seed=0), clutter_count=25))
@@ -133,11 +138,9 @@ class TestPlaneSpecGeometry:
                 got[0] = 1.0
         assert plane.unit_normal() is cached[0] and plane.basis()[0] is cached[1]
 
-    def test_zero_normal_raises_on_every_use(self):
-        plane = PlaneSpec(normal=(0.0, 0.0, 0.0), offset=1.0)
-        for use in (plane.unit_normal, plane.basis, plane.unit_normal):
-            with pytest.raises(InvalidSceneError):
-                use()
+    def test_zero_normal_is_refused_on_construction(self):
+        with pytest.raises(InvalidSceneError, match="normal must be nonzero"):
+            PlaneSpec(normal=(0.0, 0.0, 0.0), offset=1.0)
 
 
 class TestObserve:
@@ -1005,6 +1008,18 @@ class TestBenchSweep:
         for row in rows:
             assert row.rot_err_deg < 1e-4
 
+    def test_estimator_failures_give_nan_rows(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise EstimationFailureError("stubbed failure")
+
+        monkeypatch.setattr(simulator, "estimate_homography_ransac", fail)
+        monkeypatch.setattr(simulator, "estimate_epipolar", fail)
+        rows = bench_noise_sweep(
+            _counted(single_plane_scene(), 50), BENCH_MOTION, r_values=[0], mu_values=[0.1], trials=1
+        )
+        assert [row.method for row in rows] == ["de-h", "epipolar"]
+        assert all(math.isnan(row.rot_err_deg) and math.isnan(row.dir_err_deg) for row in rows)
+
     def test_row_count_and_determinism(self):
         args = dict(
             scene=_counted(single_plane_scene(), 300),
@@ -1036,6 +1051,23 @@ class TestSpecValidation:
             LightingProxySpec(
                 off_plane_outlier_fraction=0.1, in_plane_outlier_fraction=0.5
             )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"planes": ()}, "at least one plane or clutter"),
+            ({"planes": (PlaneSpec(normal=(0, 0, 1), offset=1.0, count=3),)}, "at least 4 points"),
+            ({"planes": (), "clutter_count": 5}, "needs a clutter_box"),
+        ],
+        ids=["empty", "three-point-plane", "clutter-without-box"],
+    )
+    def test_scene_refusals(self, kwargs, message):
+        with pytest.raises(InvalidSceneError, match=message):
+            SceneSpec(**kwargs)
+
+    def test_lighting_fraction_above_one_is_refused(self):
+        with pytest.raises(InvalidInputError, match="within"):
+            LightingProxySpec(off_plane_outlier_fraction=1.5)
 
     def test_scene_requires_positive_offsets(self):
         with pytest.raises(InvalidSceneError):
