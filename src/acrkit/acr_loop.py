@@ -72,6 +72,7 @@ from .scale_solver import (
     SparseDepthMap,
     depth_map_current,
     depth_map_reference,
+    find_tracks,
     init_scale,
     iteration_scale,
     solve_scale_system,
@@ -276,7 +277,7 @@ def _depth_pairs(
     """The pairs of ``c`` on ``estimate``'s inlier tracks that carry a metric
     depth in ``depth_map`` (every inlier pair without one), in ``c``'s order:
     the init draws its depth map's pairs by index."""
-    keep = np.isin(c.track_id, estimate.inlier_track_ids)
+    keep = find_tracks(estimate.inlier_track_ids, c.track_id)[1]
     if depth_map is not None:
         keep &= depth_map.known(c.track_id)
     return c.subset(keep)

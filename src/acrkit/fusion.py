@@ -119,7 +119,8 @@ class PlaneCandidates:
     ids, the cheirality-valid decompositions, the consensus
     correspondences behind them and the pair's raw fusion weight, the
     consensus size times its :func:`point_spread` in the reference image.
-    ``inlier_track_ids`` are the tracks of every pair's consensus;
+    ``inlier_track_ids`` are the tracks of every pair's consensus, sorted
+    and unique;
     downstream consumers (the scale system in particular) must not see
     anything else.  ``intrinsics`` are the camera's, which the joint
     refinement needs to measure in pixels.

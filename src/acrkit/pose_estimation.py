@@ -241,7 +241,7 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     return flat[..., a] * flat[..., b] - flat[..., c] * flat[..., d]
 
 
-def _four_point_homography(an, ta, bn, b):
+def _four_point_homography(nab, ta, b):
     """Closed-form homography through four Hartley-normalised pairs.
 
     Each quadruple p1..p4 is the image of the canonical projective basis
@@ -250,20 +250,22 @@ def _four_point_homography(an, ta, bn, b):
     p1..p3).  Mapping a's basis onto b's gives, up to scale,
     H = Q diag(mu / lam) adj(P) with Q and mu the same for b; it is
     multiplied through by lam1 lam2 lam3 here, so nothing is divided.
+    ``nab`` stacks a's and b's normalised points on a leading axis of two,
+    so each side's rows, adjugate and determinants come from one call.
     Pixel-side Q absorbs b's normalisation.  Returns (H, degenerate):
     a side with three collinear points, i.e. a triangle determinant (lam,
     or det P) below 1e-10 in normalised units, has no such map.
     """
-    pa, pb = _homogeneous_rows(an), _homogeneous_rows(bn)
-    adj_a, adj_b = _adjugate(pa[..., :3]), _adjugate(pb[..., :3])
+    p = _homogeneous_rows(nab)
+    adj = _adjugate(p[..., :3])
     # adj(P) [P p4] = [det(P) I, lam]: all four triangle determinants.
-    da, db = adj_a @ pa, adj_b @ pb
-    lam, mu = da[..., 3], db[..., 3]
-    tri = np.concatenate([lam, mu, da[..., 0, :1], db[..., 0, :1]], axis=-1)
+    d = adj @ p
+    lam, mu = d[..., 3]
+    tri = np.concatenate([lam, mu, d[0, ..., 0, :1], d[1, ..., 0, :1]], axis=-1)
     degenerate = np.abs(tri).min(axis=-1) < 1e-10
     w = mu * lam[..., _NEXT] * lam[..., _PREV]
     q = _homogeneous_rows(b[..., :3, :]) * w[..., None, :]
-    return q @ adj_a @ ta, degenerate
+    return q @ adj[0] @ ta, degenerate
 
 
 def homography_dlt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -279,11 +281,12 @@ def homography_dlt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[-2]
     if n < 4:
         raise InsufficientDataError("homography needs at least 4 pairs")
-    an, ta = _normalize_points(a)
-    bn, tb = _normalize_points(b)
+    # Both images in one normalization: each point set keeps its own sums.
+    nab, (ta, tb) = _normalize_points(np.stack([a, b]))
     if n == 4:
-        h, degenerate = _four_point_homography(an, ta, bn, b)
+        h, degenerate = _four_point_homography(nab, ta, b)
     else:
+        an, bn = nab
         m = np.zeros(a.shape[:-2] + (2 * n, 9))
         x, y = an[..., 0], an[..., 1]
         u, v = bn[..., 0], bn[..., 1]
@@ -310,13 +313,13 @@ def homography_dlt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _map_rows(m: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """Homogeneous rows (3, N) through each of the K models of the
-    (K, 3, 3) ``m``, written coordinate-major into the contiguous (3, K, N)
-    ``out``: one GEMM of the models' stacked rows, x rows first, so each
-    coordinate is one contiguous (K, N) plane.  Every output entry is still
-    one model row times one pair column, so a stack scores each model with
-    a single call's bits."""
-    np.matmul(np.moveaxis(m, -2, 0).reshape(-1, 3), rows, out=out.reshape(-1, rows.shape[-1]))
+    """Homogeneous rows (3, N) through the (3, 3) ``m`` or each of the K
+    models of the (K, 3, 3) ``m``, written coordinate-major into the
+    contiguous (3, K, N) ``out``: one GEMM of the models' stacked rows, x
+    rows first, so each coordinate is one contiguous (K, N) plane.  Every
+    output entry is still one model row times one pair column, so a stack
+    scores each model with a single call's bits."""
+    np.matmul(np.swapaxes(m, 0, -2).reshape(-1, 3), rows, out=out.reshape(-1, rows.shape[-1]))
 
 
 def _scratch(work, *shapes) -> list:
@@ -341,37 +344,37 @@ def _transfer_scorer(a: np.ndarray, b: np.ndarray):
     backward map is the adjugate, H^-1 up to scale, so no model needs a
     LAPACK inverse.  A NaN error reads as inf.
 
-    The (3, N) homogeneous rows of both sides are built once here, so a
-    prepared scorer holds its pairs for one estimate; their first two rows
-    are the contiguous (2, N) targets.  Each direction is one GEMM into a
-    coordinate-major (3, K, N) transfer, so the division by w, the
-    subtraction of the target, the squares and the sums all run on
-    contiguous (K, N) planes.  Without ``work`` every intermediate and the
-    result are fresh arrays.  ``_ransac_consensus`` passes its flat float64
-    workspace as ``work`` when it scores a chunk: the two transfers take
-    its first 6 K N entries, every later step runs in place, and the
-    returned errors are a view into it, valid until the workspace is used
-    again.  The arithmetic is the same on both paths.
+    The (3, N) homogeneous rows of both sides, and the two directions'
+    (2, N) targets, are built once here, so a prepared scorer holds its
+    pairs for one estimate.  Each direction is one GEMM into its half of a
+    (2, 3, K, N) transfer, direction then coordinate, so the division by
+    w, the subtraction of the target, the squares and the coordinate sum
+    each run once over both directions on contiguous (K, N) planes.
+    Without ``work`` every intermediate and the result are fresh arrays.
+    ``_ransac_consensus`` passes its flat float64 workspace as ``work``
+    when it scores a chunk: the transfer takes its first 6 K N entries,
+    every later step runs in place, and the returned errors are a view
+    into it, valid until the workspace is used again.  The arithmetic is
+    the same on both paths.
     """
     rows_a, rows_b = _homogeneous_rows(a), _homogeneous_rows(b)
     n = rows_a.shape[-1]
-
-    def squared(m, rows, target, p):
-        _map_rows(m, rows, p)
-        d = p[:2]
-        d /= p[2]
-        d -= target[:2, None]
-        d *= d
-        p[0] += p[1]
-        return p[0]
+    # (direction, coordinate, 1, N): b is the forward target, a the backward.
+    targets = np.stack([rows_b[:2], rows_a[:2]])[:, :, None, :]
 
     def score(h, work=None):
-        shape = (3, math.prod(h.shape[:-2]), n)
-        fwd, bwd = _scratch(work, shape, shape)
+        (p,) = _scratch(work, (2, 3, math.prod(h.shape[:-2]), n))
         # A pair sent to the line at infinity divides by zero: its error is inf.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            err = squared(h, rows_a, rows_b, fwd)
-            err += squared(_adjugate(h), rows_b, rows_a, bwd)
+            _map_rows(h, rows_a, p[0])
+            _map_rows(_adjugate(h), rows_b, p[1])
+            d = p[:, :2]
+            d /= p[:, 2:]
+            d -= targets
+            d *= d
+            d[:, 0] += d[:, 1]
+            err = d[0, 0]
+            err += d[1, 0]
             np.sqrt(err, out=err)
         # fmin drops a NaN for its other operand; no error is -inf.
         err = np.fmin(err, np.inf, out=None if work is None else err)
@@ -432,11 +435,12 @@ class _ChoiceSampler:
 
     def draw(self, k: int) -> np.ndarray:
         """The next ``k`` samples, (k, size) int64."""
-        values = iter(self._rng.integers(0, np.tile(self._bounds, k)).reshape(k, -1).T)
+        values = iter(self._rng.integers(0, self._bounds, size=(k, self._bounds.size)).T)
         idx = np.zeros((self._size, k), np.int64)
         for t, j in self._floyd:
             v = next(values)
-            idx[t] = np.where((idx[:t] == v).any(axis=0), j, v)
+            # The first sample entry has nothing to collide with.
+            idx[t] = np.where((idx[:t] == v).any(axis=0), j, v) if t else v
         cols = np.arange(k)
         for i, s in zip(range(self._size - 1, 0, -1), values):
             swap = idx[s, cols]
@@ -452,7 +456,7 @@ RANSAC_CHUNK_ELEMENTS = 1 << 16
 
 # Float64 (K, N) planes that scoring a chunk of K models takes from the
 # workspace: the Sampson scorer's two (3, K, N) transfers and its (K, N)
-# result make seven (the transfer scorer's two (3, K, N) transfers, six).
+# result make seven (the transfer scorer's (2, 3, K, N) transfer, six).
 _SCORE_ROWS = 7
 
 
@@ -500,7 +504,8 @@ def _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed)
     chunk with one stacked ``fit`` (sample indices (K, sample_size) to
     models (K, 3, 3), NaN for a degenerate sample) and scores its M
     non-degenerate models with one ``score(models, work)`` pass (models
-    (M, 3, 3) to residuals (M, n)).  ``work`` is this thread's scoring
+    (M, 3, 3) to residuals (M, n)); a chunk with no degenerate sample
+    scores its stack as fitted.  ``work`` is this thread's scoring
     workspace (:class:`_ScoreWorkspace`): the scorer takes every (., M, n)
     intermediate from it, and the inlier masks are gated into its (M, n)
     bool part, so a chunk allocates nothing of its size; the best model's
@@ -509,10 +514,14 @@ def _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed)
     one draw of the budget; a model is kept only when its inlier count
     beats the best so far; and each kept model shrinks the adaptive target.
     Draws past that target were never made, so the result is the one the
-    draw-by-draw loop picks.  Chunks grow 1, 7, 56, ... (eight times the
+    draw-by-draw loop picks.  Chunks grow 1, 64, 4160, ... (64 times the
     draws so far), never past the remaining target or
     ``RANSAC_CHUNK_ELEMENTS`` models x pairs: exact data stops after one
-    model.
+    model, and a noisy estimate, whose target falls to some tens of
+    draws, after two chunks.  A chunk has a fixed cost in numpy calls;
+    for the closed-form four-point fit it exceeds the cost of the few
+    dozen models that a second chunk may score past the target, while an
+    eight-point model, fitted by SVD, costs several times more.
 
     Returns:
         (mask, count) of the best model, or (None, -1) when every draw was
@@ -524,21 +533,26 @@ def _ransac_consensus(n, sample_size, fit, score, threshold_px, max_iters, seed)
     target = max(1, int(max_iters))
     it = 0
     while it < target:
-        k = min(max(7 * it, 1), target - it, max(1, RANSAC_CHUNK_ELEMENTS // n))
+        k = min(max(64 * it, 1), target - it, max(1, RANSAC_CHUNK_ELEMENTS // n))
         idx = sampler.draw(k)
         models = fit(idx)
         ok = ~np.isnan(models).any(axis=(1, 2))
-        work, inliers = _WORKSPACE.take(int(ok.sum()), n)
-        np.less_equal(score(models[ok], work), threshold_px, out=inliers)
-        counts = np.full(k, -1)
-        counts[ok] = inliers.sum(axis=1)
+        if not ok.all():
+            models = models[ok]
+        work, inliers = _WORKSPACE.take(len(models), n)
+        np.less_equal(score(models, work), threshold_px, out=inliers)
+        counts = inliers.sum(axis=1)
+        if len(models) < k:  # a degenerate draw counts -1, below any model
+            counts, scored = np.full(k, -1), counts
+            counts[ok] = scored
+        counts = counts.tolist()
         kept = None
         for j in range(k):
             if it >= target:
                 break
             it += 1
             if counts[j] > best_count:
-                best_count, kept = int(counts[j]), j
+                best_count, kept = counts[j], j
                 target = min(target, _adaptive_iters(best_count / n, sample_size))
         if kept is not None:
             best_mask = inliers[np.count_nonzero(ok[:kept])].copy()
@@ -592,8 +606,8 @@ def estimate_homography_ransac(
     give that plane's homography exactly.  Deterministic for a fixed
     ``seed``.
 
-    The minimal samples are drawn, fitted and scored in chunks of 1, 7,
-    56, ... stacked models (see ``_ransac_consensus``); each sample is the
+    The minimal samples are drawn, fitted and scored in chunks of 1, 64,
+    ... stacked models (see ``_ransac_consensus``); each sample is the
     one successive ``rng.choice`` calls draw, the consensus is the one a
     draw-by-draw loop over the same draws picks, and exact data stops
     after one sample.
@@ -931,7 +945,7 @@ def estimate_epipolar(
     ``unstable_translation`` flag.
 
     As in :func:`estimate_homography_ransac`, the 8-point samples are
-    drawn, fitted and scored in chunks of 1, 7, 56, ... stacked models,
+    drawn, fitted and scored in chunks of 1, 64, ... stacked models,
     with the consensus a draw-by-draw loop would pick; at most
     ``max_iters`` samples are drawn, fewer as the adaptive target shrinks.
     """

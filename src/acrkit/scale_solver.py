@@ -293,14 +293,25 @@ class SparseDepthMap:
 
     def known(self, tracks) -> np.ndarray:
         """Boolean mask of the ``tracks`` that carry a depth."""
-        return np.isin(tracks, self.track_id)
+        return find_tracks(self.track_id, tracks)[1]
 
     def lookup(self, tracks) -> np.ndarray:
         """Depths of ``tracks`` in their order; MissingDepthError if one has none."""
-        known = self.known(tracks)
+        at, known = find_tracks(self.track_id, tracks)
         if not known.all():
             raise MissingDepthError(f"no depth for track {np.asarray(tracks)[~known][0]}")
-        return self.depth[np.searchsorted(self.track_id, tracks)]
+        return self.depth[at]
+
+
+def find_tracks(sorted_ids: np.ndarray, tracks):
+    """(at, found) for ``tracks`` in the sorted, unique ``sorted_ids``:
+    ``sorted_ids[at]`` is each track wherever ``found``, and ``found`` is
+    ``np.isin(tracks, sorted_ids)``, from one binary search."""
+    at = np.searchsorted(sorted_ids, tracks)
+    if not sorted_ids.size:
+        return at, np.zeros(np.shape(tracks), dtype=bool)
+    at = np.minimum(at, sorted_ids.size - 1)
+    return at, sorted_ids[at] == tracks
 
 
 def init_scale(executed_translation, estimated: DirectionalPose) -> float:
@@ -350,8 +361,8 @@ def iteration_scale(iter_solution: ScaleSolution, dref: SparseDepthMap) -> float
     solution's tracks that carry a reference depth, in solution order, as
     in the formulation; tracks without one are skipped.
     """
-    shared = dref.known(iter_solution.track_id)
+    at, shared = find_tracks(dref.track_id, iter_solution.track_id)
     if not shared.any():
         raise MissingDepthError("no shared tracks with the reference depth map")
-    depths = dref.lookup(iter_solution.track_id[shared])
+    depths = dref.depth[at[shared]]
     return float(np.mean(iter_solution.s * depths / iter_solution.d_a[shared]))

@@ -35,6 +35,7 @@ from acrkit.pose_estimation import (
     estimate_epipolar,
     estimate_homography_ransac,
     homography_dlt,
+    join_on_tracks,
 )
 from conftest import general_pair_set, plane_pair_set, project_pixels
 
@@ -416,6 +417,41 @@ class TestHomographyType:
             homography_dlt(a, a)
 
 
+class TestRefusals:
+    """Each bad input is refused with its typed error and that error's code."""
+
+    @staticmethod
+    def _refused(error, code, call):
+        with pytest.raises(error) as info:
+            call()
+        assert info.value.code == code
+
+    def test_track_array_of_another_length(self):
+        pts = np.zeros((3, 2))
+        self._refused(InvalidInputError, "invalid-input", lambda: CorrespondenceSet(pts, pts, [0, 1]))
+
+    def test_join_without_a_shared_track(self):
+        pts = np.zeros((2, 2))
+        first, second = CorrespondenceSet(pts, pts, [0, 1]), CorrespondenceSet(pts, pts, [2, 3])
+        self._refused(InsufficientDataError, "insufficient-data", lambda: join_on_tracks(first, second))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (9,), (1, 3, 3)])
+    def test_homography_not_3x3(self, shape):
+        self._refused(InvalidInputError, "invalid-input", lambda: Homography(np.ones(shape)))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (5, 3, 2)])
+    def test_dlt_on_fewer_than_four_pairs(self, shape):
+        pts = np.random.default_rng(0).uniform(0.0, 100.0, shape)
+        self._refused(InsufficientDataError, "insufficient-data", lambda: homography_dlt(pts, pts))
+
+    def test_decomposition_without_correspondences(self, intr):
+        empty = CorrespondenceSet(np.zeros((0, 2)), np.zeros((0, 2)))
+        h = Homography(np.eye(3))
+        self._refused(
+            InsufficientDataError, "insufficient-data", lambda: decompose_homography(h, intr, empty)
+        )
+
+
 class TestEightPointMinimal:
     def test_eight_exact_pairs_fit_the_whole_scene(self, intr):
         rotation = Rotation.from_axis_angle([0.3, 1.0, -0.2], 6.0)
@@ -557,14 +593,14 @@ class TestChunkedRansac:
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("inlier_ratio", [0.3, 0.5, 0.7, 0.9, 1.0])
-    @pytest.mark.parametrize("max_iters", [1, 7, 200])
+    @pytest.mark.parametrize("max_iters", [1, 7, 30, 64, 65, 200])
     def test_same_result_as_per_draw_loop(self, monkeypatch, intr, method, inlier_ratio, max_iters):
         for seed in range(6):
             c = _contaminated(intr, method, 80, inlier_ratio, seed)
             _assert_same(*_both(monkeypatch, c, intr, method, max_iters, seed))
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("max_iters", [1, 7, 200])
+    @pytest.mark.parametrize("max_iters", [1, 7, 30, 64, 65, 200])
     def test_degenerate_samples(self, monkeypatch, intr, method, max_iters):
         for seed in range(3):
             c = _degenerate(intr, method, seed)
@@ -573,7 +609,7 @@ class TestChunkedRansac:
     @pytest.mark.parametrize(
         "method, n", [("homography", 4), ("homography", 8), ("epipolar", 8)]
     )
-    @pytest.mark.parametrize("max_iters", [1, 7, 200])
+    @pytest.mark.parametrize("max_iters", [1, 7, 30, 64, 65, 200])
     def test_minimal_set_sizes(self, monkeypatch, intr, method, n, max_iters):
         for seed in range(3):
             c = _contaminated(intr, method, 40, 0.9, seed).subset(np.arange(n))
@@ -597,7 +633,7 @@ class TestChunkedRansac:
     @pytest.mark.parametrize("method", METHODS)
     def test_draws_stop_at_the_budget(self, monkeypatch, intr, method):
         # At 30 % inliers the adaptive target stays above a budget of 7,
-        # which chunks of 1 and 7 would overrun.
+        # which chunks of 1 and 64 would overrun.
         c = _contaminated(intr, method, 80, 0.3, 0)
         samples = _count_samples(monkeypatch)
         if method == "homography":
@@ -608,8 +644,8 @@ class TestChunkedRansac:
 
     def test_growing_chunks_fit_a_plane_in_few_stacks(self, monkeypatch, intr):
         # 131 of 200 pairs are exact: the adaptive target ends at 46 draws,
-        # which chunks of 1, 7 and 56 reach in three stacked fits and
-        # chunks of 1, 1, 2, 4, ... in seven.
+        # which chunks of 1 and 64 reach in two stacked fits, chunks of 1,
+        # 7 and 56 in three and chunks of 1, 1, 2, 4, ... in seven.
         c, _ = plane_pair_set(
             intr, Rotation.about_y(7.0), [0.15, 0.05, 0.02], [0.1, 0.0, 1.0], 2.0, 200, seed=1
         )
@@ -644,7 +680,7 @@ class TestChunkedRansac:
         monkeypatch.setattr(np.random, "default_rng", Recording)
         _, mask = estimate_homography_ransac(c, 1.0, 2000, seed=1)
         assert np.array_equal(mask, ~out)
-        assert len(stacks) <= 4
+        assert len(stacks) <= 2
         assert choices == []
 
 
@@ -1069,27 +1105,31 @@ class TestScoringWorkspace:
             _assert_same(result, _run(lambda: estimate(c)))
 
     def test_chunks_without_a_model_score_nothing(self):
-        # Every sample degenerate: chunks of 1, 7, 56 and 65 models score
-        # empty stacks into the workspace.
+        # Every sample degenerate: chunks of 1, 64, 65, 65 and 5 draws (65
+        # is the chunk cap on 1000 pairs) score empty stacks into the
+        # workspace.
         n = 1000
         a = np.random.default_rng(0).uniform(0.0, 1280.0, (n, 2))
-        scored = []
+        drawn, scored = [], []
         transfer = _transfer_scorer(a, a)
+
+        def fit(idx):
+            drawn.append(len(idx))
+            return np.full((len(idx), 3, 3), np.nan)
 
         def score(models, work):
             scored.append(len(models))
             return transfer(models, work)
 
-        mask, count = pose_estimation._ransac_consensus(
-            n, 4, lambda idx: np.full((len(idx), 3, 3), np.nan), score, 1.0, 200, 0
-        )
+        mask, count = pose_estimation._ransac_consensus(n, 4, fit, score, 1.0, 200, 0)
         assert (mask, count) == (None, -1)
-        assert scored == [0, 0, 0, 0, 0, 0]
+        assert drawn == [1, 64, 65, 65, 5]
+        assert scored == [0, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_a_warm_full_budget_call_allocates_less_than_one_chunk(self, intr, method):
         # 30 % inliers keep the adaptive target above the budget of 200
-        # draws, so chunks of 1, 7, 56, 65, 65 and 6 models are scored.
+        # draws, so chunks of 1, 64, 65, 65 and 5 models are scored.
         c = _contaminated(intr, method, 1000, 0.3, 0)
         if method == "homography":
             estimate = lambda: estimate_homography_ransac(c, 1.0, 200, seed=0)

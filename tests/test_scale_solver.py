@@ -679,6 +679,18 @@ class TestSparseDepthMap:
         )
         np.testing.assert_array_equal(d.lookup([11, 3, 7, 3]), [0.75, 1.25, 2.0, 1.25])
 
+    @pytest.mark.parametrize("ids", [[], [5], [-3, 0, 4, 9, 20]])
+    def test_known_and_lookup_agree_with_isin(self, ids):
+        # An empty map, ids past both ends, negative ids and repeats in the query.
+        d = SparseDepthMap(ids, np.arange(1.0, len(ids) + 1.0))
+        query = np.array([-4, -3, -3, 0, 1, 4, 5, 9, 9, 20, 21, 10**12, -(10**12)])
+        known = d.known(query)
+        np.testing.assert_array_equal(known, np.isin(query, ids))
+        np.testing.assert_array_equal(d.known(query[:0]), np.zeros(0, dtype=bool))
+        np.testing.assert_array_equal(
+            d.lookup(query[known]), [ids.index(t) + 1.0 for t in query[known]]
+        )
+
     def test_lookup_unknown_track_raises(self):
         d = SparseDepthMap([3, 7], [1.0, 2.0])
         with pytest.raises(MissingDepthError, match="track 5"):
